@@ -310,12 +310,23 @@ class RunConfig:
     write_summary: bool = True
 
 
-def _validate(doc: Any, schema: dict, path: str, where: str) -> None:
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        field = where + "/" + "/".join(str(p) for p in exc.absolute_path)
-        raise ConfigInvalid(path, field.strip("/") or "config", exc.message) from None
+def _validator(schema: dict):
+    """Validator of the schema's draft; ``test_cli`` checks every schema
+    against its metaschema once, so validation here skips that check."""
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+_CONFIG_VALIDATOR = _validator(CONFIG_SCHEMA)
+_SWEEP_VALIDATOR = _validator(_SWEEP_SCHEMA)
+_SCENARIO_VALIDATORS = {kind: _validator(schema) for kind, schema in _SCENARIO_SCHEMAS.items()}
+
+
+def _validate(doc: Any, validator, path: str, where: str) -> None:
+    """Raise ConfigInvalid for the error ``jsonschema.validate`` would pick."""
+    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    if error is not None:
+        field = where + "/" + "/".join(str(p) for p in error.absolute_path)
+        raise ConfigInvalid(path, field.strip("/") or "config", error.message)
 
 
 def _complex(pair: Sequence[float] | None, default: complex) -> complex:
@@ -375,7 +386,7 @@ def _parse_scenario(doc: dict, label: str, path: str) -> Scenario:
         raise ConfigInvalid(
             path, "scenario/type", f"expected one of {sorted(_SCENARIO_SCHEMAS)}, got {kind!r}"
         )
-    _validate(doc, _SCENARIO_SCHEMAS[kind], path, "scenario")
+    _validate(doc, _SCENARIO_VALIDATORS[kind], path, "scenario")
 
     if kind == "sweep_cell":
         scenario = build_sweep_scenario(
@@ -434,7 +445,7 @@ def parse_config(doc: Any, path: str = "<config>") -> RunConfig:
     the model layer (bad topology, sign conventions, ...) propagate as the
     corresponding package errors.
     """
-    _validate(doc, CONFIG_SCHEMA, path, "")
+    _validate(doc, _CONFIG_VALIDATOR, path, "")
     has_scenario = "scenario" in doc
     has_sweep = "sweep" in doc
     if has_scenario == has_sweep:
@@ -458,7 +469,7 @@ def parse_config(doc: Any, path: str = "<config>") -> RunConfig:
         )
 
     sw = doc["sweep"]
-    _validate(sw, _SWEEP_SCHEMA, path, "sweep")
+    _validate(sw, _SWEEP_VALIDATOR, path, "sweep")
     template = SweepTemplate(
         total_phase_load_kw=sw["total_phase_load_kw"],
         network_class=sw["network_class"],
@@ -515,10 +526,13 @@ def timeseries_rows(scenario: Scenario, result: ScenarioResult):
             node = storage_node[bat_id]
             per_node_soc[node] = per_node_soc.get(node, 0.0) + soc
 
+        v = rec.solution.v
+        metrics = rec.metrics
+        flows = rec.flows
         for node in feeder.nodes:
-            nm: NodeMetrics = rec.metrics[node]
-            v_n = rec.solution.v[node]["N"]
-            v_ln = {p: abs(rec.solution.v[node][p] - v_n) for p in ("A", "B", "C")}
+            nm: NodeMetrics = metrics[node]
+            v_n = v[node]["N"]
+            v_ln = {p: abs(v[node][p] - v_n) for p in ("A", "B", "C")}
             k = feed_seg.get(node)
             p_fill = per_node_p.get(node, {"A": 0.0, "B": 0.0, "C": 0.0})
             q_fill = per_node_q.get(node, {"A": 0.0, "B": 0.0, "C": 0.0})
@@ -534,8 +548,8 @@ def timeseries_rows(scenario: Scenario, result: ScenarioResult):
                 nm.drop_pct[Phase.B],
                 nm.drop_pct[Phase.C],
                 nm.v_rms,
-                sum(rec.flows.phase_loss_kw[k].values()) if k is not None else 0.0,
-                rec.flows.neutral_loss_kw[k] if k is not None else 0.0,
+                sum(flows.phase_loss_kw[k].values()) if k is not None else 0.0,
+                flows.neutral_loss_kw[k] if k is not None else 0.0,
                 p_fill["A"],
                 p_fill["B"],
                 p_fill["C"],
@@ -743,9 +757,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if cfg.sweep_template is None:
         raise ConfigInvalid(source, "sweep", "'sweep' needs a 'sweep' config (not 'scenario')")
     pens, nodes, kinds = cfg.sweep_grid
-    rows = sweep_and_tabulate(
-        cfg.sweep_template, pens, nodes, kinds, cfg.settings, jobs=args.jobs
-    )
+    rows = sweep_and_tabulate(cfg.sweep_template, pens, nodes, kinds, cfg.settings)
     out_dir = Path(args.out)
     _emit_config(doc, cfg.label, out_dir)
     written = _write_sweep_outputs(cfg, rows, out_dir)
@@ -805,7 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="run a penetration grid")
     add_common(sweep_p)
-    sweep_p.add_argument("--jobs", type=int, default=1, help="concurrent sweep cells")
     sweep_p.set_defaults(func=cmd_sweep)
 
     ingest_p = sub.add_parser("ingest", help="analyze a measured per-phase power CSV")

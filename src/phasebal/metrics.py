@@ -12,9 +12,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .errors import UnconvergedSolution, UnknownNorm, ZeroPositiveSequence
-from .network import NEUTRAL, PHASES, Feeder, Phase
+from .network import PHASES, Feeder, Phase
 
 #: Rotation operator a = 1 at +120 degrees.
 ALPHA = cmath.exp(2j * math.pi / 3)
@@ -103,25 +106,65 @@ def check_vuf_norm(vuf_pct: float, norm: str) -> bool:
     return vuf_pct <= limit
 
 
+def _times(c: complex, re, im):
+    """Python's complex product c * (re + j im), component by component."""
+    return c.real * re - c.imag * im, c.real * im + c.imag * re
+
+
+def _third(re, im):
+    """Python's complex quotient (re + j im) / 3, component by component."""
+    return (re + im * 0.0) / 3.0, (im - re * 0.0) / 3.0
+
+
+def node_metric_arrays(
+    voltages: np.ndarray, v_base: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``node_metrics`` as arrays over node voltages ``(..., node, 4)``.
+
+    Returns (VUF percent ``(..., node)``, signed deviation percent
+    ``(..., node, 3)``, RMS voltage ``(..., node)``). The Fortescue sums
+    run component-wise in the order ``fortescue`` and ``vuf`` evaluate
+    them, so each value equals theirs bit for bit; a zero positive-sequence
+    magnitude gives a non-finite VUF instead of raising.
+    """
+    v_ln = voltages[..., :3] - voltages[..., 3:]
+    re, im = v_ln.real, v_ln.imag
+    mag = np.hypot(re, im)
+    seq_mag = []
+    for b, c in ((ALPHA, ALPHA * ALPHA), (ALPHA * ALPHA, ALPHA)):
+        b_re, b_im = _times(b, re[..., 1], im[..., 1])
+        c_re, c_im = _times(c, re[..., 2], im[..., 2])
+        seq_mag.append(np.hypot(*_third(re[..., 0] + b_re + c_re, im[..., 0] + b_im + c_im)))
+    mag1, mag2 = seq_mag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vuf_pct = 100.0 * mag2 / mag1
+    drop_pct = 100.0 * (mag - v_base) / v_base
+    sq = mag * mag
+    v_rms = np.sqrt((sq[..., 0] + sq[..., 1] + sq[..., 2]) / 3.0)
+    return vuf_pct, drop_pct, v_rms
+
+
+def metrics_dict(
+    nodes: Sequence[str], vuf_pct: np.ndarray, drop_pct: np.ndarray, v_rms: np.ndarray
+) -> dict[str, NodeMetrics]:
+    """Per-node NodeMetrics of one snapshot from ``node_metric_arrays``."""
+    return {
+        node: NodeMetrics(vuf_pct=u, drop_pct=dict(zip(PHASES, d)), v_rms=r)
+        for node, u, d, r in zip(nodes, vuf_pct.tolist(), drop_pct.tolist(), v_rms.tolist())
+    }
+
+
 def node_metrics(solution, feeder: Feeder) -> dict[str, NodeMetrics]:
     """Compute per-node VUF, signed voltage deviation and RMS voltage.
 
     Works on phase-to-neutral voltages (V_phase - V_neutral), i.e. what a
     line-to-neutral instrument at the node would read: the four-wire model
     makes the local neutral potential nonzero downstream of the source.
+    Raises ZeroPositiveSequence where VUF is undefined.
     """
     if not solution.converged:
         raise UnconvergedSolution("node_metrics requires a converged solution")
-    v_base = feeder.v_base_ln
-    out: dict[str, NodeMetrics] = {}
-    for node in feeder.nodes:
-        vn = solution.v[node][NEUTRAL]
-        v_ln = {ph: solution.v[node][ph.value] - vn for ph in PHASES}
-        seq = fortescue(v_ln[Phase.A], v_ln[Phase.B], v_ln[Phase.C])
-        drops = {ph: 100.0 * (abs(v_ln[ph]) - v_base) / v_base for ph in PHASES}
-        out[node] = NodeMetrics(
-            vuf_pct=vuf(seq),
-            drop_pct=drops,
-            v_rms=rms_voltage(*(abs(v_ln[ph]) for ph in PHASES)),
-        )
-    return out
+    vuf_pct, drop_pct, v_rms = node_metric_arrays(solution.voltages, feeder.v_base_ln)
+    if not np.all(np.isfinite(vuf_pct)):
+        raise ZeroPositiveSequence("positive-sequence magnitude is zero")
+    return metrics_dict(feeder.nodes, vuf_pct, drop_pct, v_rms)

@@ -155,13 +155,6 @@ class Feeder:
     v_base_ln: float = DEFAULT_V_BASE_LN
     s_base_kva: float = DEFAULT_S_BASE_KVA
 
-    @property
-    def node_index(self) -> dict[str, int]:
-        return {n: i for i, n in enumerate(self.nodes)}
-
-    def devices_at(self, node: str) -> tuple[Device, ...]:
-        return tuple(d for d in self.devices if d.node == node)
-
     def device_by_label(self, label: str) -> Device:
         for d in self.devices:
             if d.label == label:

@@ -2,10 +2,16 @@
 
 Two structurally different solvers cover the same contract:
 
-- ``solve_snapshot``: iterative forward-backward sweep. Each pass evaluates
-  constant-power device currents at the present voltages, accumulates branch
-  currents leaf-to-root, then propagates voltage drops root-to-leaf across
-  all four conductors.
+- ``sweep_batch`` (and ``solve_snapshot``, a batch of one): the
+  branch-incidence forward-backward sweep (Teng, "A direct approach for
+  distribution system load flow solutions", IEEE TPWRD 18(3), 2003) on the
+  explicit-neutral four-wire model of Ciric, Feltrin & Ochoa (IEEE TPWRS
+  18(4), 2003). Every snapshot of a batch is one row of a
+  ``(batch, node, conductor)`` array. Each pass evaluates constant-power
+  device currents at the present voltages, accumulates branch currents
+  leaf-to-root one tree level at a time, then propagates the voltage drops
+  of all four conductors root-to-leaf. A row stops on the pass where it
+  converges, so its iteration count is that of a solve on its own.
 - ``oracle_solve``: dense cross-check for small feeders. Assembles the full
   4n x 4n nodal admittance system and fixed-point iterates on device current
   injections against the reduced linear system.
@@ -15,6 +21,11 @@ every iteration), start flat (source phasors, zero neutral), and stop when
 the largest voltage change in one pass is at most tol_pu * v_base_ln.
 Unbalanced phase currents return through the explicit neutral conductor,
 which is grounded at the source only.
+
+Arrays are combined element by element in the order the scalar formulas
+read, so results do not depend on batch size or row position. Magnitudes
+use ``np.hypot`` (what ``abs`` of a complex computes) and squares
+``np.float_power(x, 2.0)`` (what ``x ** 2`` computes).
 """
 
 from __future__ import annotations
@@ -26,7 +37,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NonConvergence, UnconvergedSolution, UnknownNode, VoltageCollapse
+from .errors import (
+    NonConvergence,
+    PhasebalError,
+    UnconvergedSolution,
+    UnknownNode,
+    VoltageCollapse,
+)
 from .network import CONDUCTORS, Device, Feeder, Phase
 
 #: Conductor indices within the per-node 4-vector.
@@ -46,19 +63,45 @@ class SolverSettings:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoltageSolution:
     """Converged node voltages and branch currents for one snapshot.
 
-    ``v`` maps node -> conductor ("A","B","C","N") -> volts;
-    ``branch_current`` maps segment index -> conductor -> amps, positive
-    from parent to child. ``iterations`` counts full sweep passes.
+    ``voltages[i, c]`` is conductor c (A, B, C, N) of ``nodes[i]`` in volts;
+    ``currents[k, c]`` is the current of segment k in amps, positive from
+    parent to child. ``iterations`` counts full sweep passes. The ``v`` and
+    ``branch_current`` properties give the same values as dicts
+    (node -> conductor -> volts, segment -> conductor -> amps), built anew
+    on every read.
     """
 
-    v: dict[str, dict[str, complex]]
-    branch_current: dict[int, dict[str, complex]]
+    nodes: tuple[str, ...]
+    voltages: np.ndarray
+    currents: np.ndarray
     iterations: int
     converged: bool
+
+    @property
+    def v(self) -> dict[str, dict[str, complex]]:
+        return {
+            name: dict(zip(CONDUCTORS, row))
+            for name, row in zip(self.nodes, self.voltages.tolist())
+        }
+
+    @property
+    def branch_current(self) -> dict[int, dict[str, complex]]:
+        return {k: dict(zip(CONDUCTORS, row)) for k, row in enumerate(self.currents.tolist())}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VoltageSolution):
+            return NotImplemented
+        return (
+            self.nodes == other.nodes
+            and self.iterations == other.iterations
+            and self.converged == other.converged
+            and np.array_equal(self.voltages, other.voltages)
+            and np.array_equal(self.currents, other.currents)
+        )
 
 
 @dataclass(frozen=True)
@@ -94,35 +137,65 @@ def source_phasors(v_base_ln: float) -> tuple[complex, complex, complex]:
     )
 
 
-class _Grid:
-    """Index arrays and segment impedance matrices derived from a feeder."""
+class Topology:
+    """Index arrays and stacked segment impedances of one feeder.
+
+    ``index`` maps node name to its row (breadth-first order, source 0);
+    ``parent`` and ``feed_seg`` give each node's parent row and feeding
+    segment (-1 at the source); ``levels[d]`` holds the rows at depth d + 1
+    in decreasing order, which is the order the leaf-to-root accumulation
+    adds siblings into their parent; ``z`` stacks the 4x4 segment
+    impedance matrices in ohms.
+    """
 
     def __init__(self, feeder: Feeder) -> None:
-        self.feeder = feeder
-        self.n = len(feeder.nodes)
+        n = len(feeder.nodes)
+        self.n = n
+        self.v_base = feeder.v_base_ln
         self.index = {name: i for i, name in enumerate(feeder.nodes)}
-        self.parent = np.full(self.n, -1, dtype=int)
-        self.feed_seg = np.full(self.n, -1, dtype=int)
-        self.z = np.zeros((len(feeder.segments), 4, 4), dtype=complex)
+        self.parent = np.full(n, -1, dtype=np.intp)
+        self.feed_seg = np.full(n, -1, dtype=np.intp)
+        zp, zn, zm = [], [], []
         for k, seg in enumerate(feeder.segments):
             child = self.index[seg.to_node]
             self.parent[child] = self.index[seg.from_node]
             self.feed_seg[child] = k
-            zp = seg.z_phase_per_km * seg.length_km
-            zn = seg.z_neutral_per_km * seg.length_km
-            zm = seg.z_mutual_per_km * seg.length_km
-            m = np.full((4, 4), zm, dtype=complex)
-            m[0, 0] = m[1, 1] = m[2, 2] = zp
-            m[3, 3] = zn
-            self.z[k] = m
+            zp.append(seg.z_phase_per_km * seg.length_km)
+            zn.append(seg.z_neutral_per_km * seg.length_km)
+            zm.append(seg.z_mutual_per_km * seg.length_km)
+        self.z = np.empty((len(zm), 4, 4), dtype=complex)
+        self.z[:] = np.array(zm, dtype=complex)[:, None, None]
+        for c in range(3):
+            self.z[:, c, c] = zp
+        self.z[:, 3, 3] = zn
 
-    def flat_voltages(self) -> np.ndarray:
-        v = np.zeros((self.n, 4), dtype=complex)
-        va, vb, vc = source_phasors(self.feeder.v_base_ln)
-        v[:, 0] = va
-        v[:, 1] = vb
-        v[:, 2] = vc
-        return v
+        depth = [0] * n
+        for i in range(1, n):  # parents precede children in breadth-first order
+            depth[i] = depth[self.parent[i]] + 1
+        depth_arr = np.array(depth)
+        self.levels = [
+            np.flatnonzero(depth_arr == d)[::-1] for d in range(1, max(depth, default=0) + 1)
+        ]
+        self.flat = np.zeros((n, 4), dtype=complex)
+        self.flat[:, :3] = source_phasors(self.v_base)
+
+
+@dataclass(frozen=True)
+class BatchSolution:
+    """Result of ``sweep_batch``: per-row voltages ``(batch, node, 4)``,
+    branch currents ``(batch, segment, 4)`` and pass counts, with
+    ``failures`` mapping each row that did not converge to the
+    VoltageCollapse or NonConvergence it raised (its other entries are 0)."""
+
+    voltages: np.ndarray
+    currents: np.ndarray
+    iterations: np.ndarray
+    failures: dict[int, PhasebalError]
+
+    def solution(self, nodes: tuple[str, ...], row: int) -> VoltageSolution:
+        return VoltageSolution(
+            nodes, self.voltages[row], self.currents[row], int(self.iterations[row]), True
+        )
 
 
 def _effective_injections(
@@ -148,58 +221,123 @@ def _effective_injections(
     return list(merged.values())
 
 
-def _device_sinks(
-    grid: _Grid, entries: list[tuple[Device, complex]], v: np.ndarray
-) -> tuple[np.ndarray, float]:
+def _device_currents(
+    topo: Topology, v: np.ndarray, node: np.ndarray, cond: np.ndarray, s_va: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Current drawn at each node per conductor, from constant-power devices.
 
-    Returns (sinks, v_min_pu). A device on phase p draws I = conj(S / V_ln)
-    from conductor p and pushes the same current into the neutral. The
-    denominator is clamped at 0.5 pu; a clamp shows up as v_min_pu < 0.5.
+    ``v`` is ``(batch, node, 4)``; entry e draws ``s_va[:, e]`` (VA) between
+    conductor ``cond[e]`` of row ``node[e]`` and that node's neutral:
+    I = conj(S / V_ln) leaves the phase and returns through the neutral.
+    Returns (sinks, v_min_pu) with the smallest line-to-neutral magnitude
+    seen by a nonzero entry per row (inf without one). The denominator is
+    clamped at 0.5 pu; a clamp shows up as v_min_pu < 0.5.
     """
-    v_base = grid.feeder.v_base_ln
-    floor = _COLLAPSE_PU * v_base
-    sinks = np.zeros((grid.n, 4), dtype=complex)
-    v_min = math.inf
-    nominal = source_phasors(v_base)
-    for dev, s_kva in entries:
-        if s_kva == 0:
-            continue
-        node = grid.index[dev.node]
-        for ph in dev.connected_phases:
-            c = _IDX[ph.value]
-            v_ln = v[node, c] - v[node, 3]
-            mag = abs(v_ln)
-            v_min = min(v_min, mag / v_base)
-            if mag < floor:
-                v_ln = nominal[c] * _COLLAPSE_PU if mag == 0.0 else v_ln * (floor / mag)
-            i_dev = (s_kva * 1000.0 / v_ln).conjugate()
-            sinks[node, c] += i_dev
-            sinks[node, 3] -= i_dev
+    floor = _COLLAPSE_PU * topo.v_base
+    v_ln = v[:, node, cond] - v[:, node, 3]
+    mag = np.hypot(v_ln.real, v_ln.imag)
+    live = s_va != 0
+    v_min = np.fmin.reduce(np.where(live, mag / topo.v_base, np.inf), axis=1, initial=np.inf)
+    low = mag < floor
+    if low.any():
+        nominal = np.array([p * _COLLAPSE_PU for p in source_phasors(topo.v_base)])[cond]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = v_ln * (floor / mag)
+        v_ln = np.where(low, np.where(mag == 0.0, nominal, scaled), v_ln)
+    i_dev = np.where(live, np.conj(s_va / v_ln), 0)
+    sinks = np.zeros(v.shape, dtype=complex)
+    np.add.at(sinks, (slice(None), node, cond), i_dev)
+    np.subtract.at(sinks, (slice(None), node, 3), i_dev)
     return sinks, v_min
 
 
-def _branch_currents(grid: _Grid, sinks: np.ndarray) -> np.ndarray:
-    """Accumulate branch currents leaf-to-root (BFS node order guarantees
-    children have higher indices than their parents)."""
+def _branch_currents(topo: Topology, sinks: np.ndarray) -> np.ndarray:
+    """Accumulate branch currents leaf-to-root, deepest level first; within
+    a level siblings add into their parent from the highest row down."""
     acc = sinks.copy()
-    currents = np.zeros((len(grid.feeder.segments), 4), dtype=complex)
-    for node in range(grid.n - 1, 0, -1):
-        currents[grid.feed_seg[node]] = acc[node]
-        acc[grid.parent[node]] += acc[node]
+    for level in reversed(topo.levels):
+        np.add.at(acc, (slice(None), topo.parent[level]), acc[:, level])
+    currents = np.empty((sinks.shape[0], topo.z.shape[0], 4), dtype=complex)
+    currents[:, topo.feed_seg[1:]] = acc[:, 1:]
     return currents
 
 
-def _to_solution(grid: _Grid, v: np.ndarray, currents: np.ndarray, iterations: int) -> VoltageSolution:
-    v_map = {
-        name: {c: complex(v[i, _IDX[c]]) for c in CONDUCTORS}
-        for i, name in enumerate(grid.feeder.nodes)
-    }
-    i_map = {
-        k: {c: complex(currents[k, _IDX[c]]) for c in CONDUCTORS}
-        for k in range(len(grid.feeder.segments))
-    }
-    return VoltageSolution(v=v_map, branch_current=i_map, iterations=iterations, converged=True)
+def _forward_voltages(topo: Topology, v: np.ndarray, currents: np.ndarray) -> np.ndarray:
+    """V_child = V_parent - Z I across all four conductors, root to leaf."""
+    drop = np.matmul(topo.z, currents[..., None])[..., 0]
+    v_new = v.copy()
+    for level in topo.levels:
+        v_new[:, level] = v_new[:, topo.parent[level]] - drop[:, topo.feed_seg[level]]
+    return v_new
+
+
+def sweep_batch(
+    topo: Topology,
+    node: np.ndarray,
+    cond: np.ndarray,
+    s_va: np.ndarray,
+    settings: SolverSettings = SolverSettings(),
+) -> BatchSolution:
+    """Solve every row of ``s_va`` (``(batch, entry)`` complex VA, load
+    convention) by forward-backward sweep over one ``(batch, node, 4)``
+    array. Entry e sits on conductor ``cond[e]`` of node row ``node[e]``.
+
+    A row leaves the batch on the pass where its largest voltage change
+    falls to tol_pu * v_base_ln, or where a line-to-neutral voltage of a
+    nonzero entry falls below 0.5 pu (VoltageCollapse); rows still running
+    after ``max_iter`` passes fail with NonConvergence.
+    """
+    batch = s_va.shape[0]
+    out_v = np.zeros((batch, topo.n, 4), dtype=complex)
+    out_i = np.zeros((batch, topo.z.shape[0], 4), dtype=complex)
+    iterations = np.zeros(batch, dtype=int)
+    failures: dict[int, PhasebalError] = {}
+    rows = np.arange(batch)
+    v = np.repeat(topo.flat[None], batch, axis=0)
+    tol_v = settings.tol_pu * topo.v_base
+    delta = np.full(batch, np.inf)
+    for it in range(1, settings.max_iter + 1):
+        if rows.size == 0:
+            break
+        sinks, v_min = _device_currents(topo, v, node, cond, s_va)
+        collapsed = v_min < _COLLAPSE_PU
+        if collapsed.any():
+            for row, v_pu in zip(rows[collapsed].tolist(), v_min[collapsed].tolist()):
+                failures[row] = VoltageCollapse(it, v_pu)
+            keep = ~collapsed
+            rows, v, s_va, sinks = rows[keep], v[keep], s_va[keep], sinks[keep]
+        currents = _branch_currents(topo, sinks)
+        v_new = _forward_voltages(topo, v, currents)
+        delta = np.abs(v_new - v).max(axis=(1, 2))
+        v = v_new
+        done = delta <= tol_v
+        if done.any():
+            out_v[rows[done]] = v[done]
+            out_i[rows[done]] = currents[done]
+            iterations[rows[done]] = it
+            keep = ~done
+            rows, v, s_va, delta = rows[keep], v[keep], s_va[keep], delta[keep]
+    for row, residual in zip(rows.tolist(), delta.tolist()):
+        failures[row] = NonConvergence(settings.max_iter, residual)
+    return BatchSolution(out_v, out_i, iterations, failures)
+
+
+def _snapshot_entries(
+    topo: Topology, feeder: Feeder, injections: Mapping[Device, complex] | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(node rows, conductors, VA) of one snapshot, one entry per connected
+    phase of each device in ``_effective_injections`` order."""
+    node, cond, s_va = [], [], []
+    for dev, s_kva in _effective_injections(feeder, injections):
+        for ph in dev.connected_phases:
+            node.append(topo.index[dev.node])
+            cond.append(_IDX[ph.value])
+            s_va.append(s_kva * 1000.0)
+    return (
+        np.array(node, dtype=np.intp),
+        np.array(cond, dtype=np.intp),
+        np.array(s_va, dtype=complex),
+    )
 
 
 def solve_snapshot(
@@ -207,7 +345,7 @@ def solve_snapshot(
     injections: Mapping[Device, complex] | None = None,
     settings: SolverSettings = SolverSettings(),
 ) -> VoltageSolution:
-    """Solve one snapshot by forward-backward sweep.
+    """Solve one snapshot by forward-backward sweep (a batch of one).
 
     ``injections`` maps devices to complex kVA (per connected phase, load
     convention: P > 0 consumes) and overrides the feeder's rated powers by
@@ -215,25 +353,12 @@ def solve_snapshot(
     ``max_iter`` passes and VoltageCollapse if any line-to-neutral voltage
     falls below 0.5 pu while iterating.
     """
-    grid = _Grid(feeder)
-    entries = _effective_injections(feeder, injections)
-    v = grid.flat_voltages()
-    tol_v = settings.tol_pu * feeder.v_base_ln
-    delta = math.inf
-    for it in range(1, settings.max_iter + 1):
-        sinks, v_min = _device_sinks(grid, entries, v)
-        if v_min < _COLLAPSE_PU:
-            raise VoltageCollapse(it, v_min)
-        currents = _branch_currents(grid, sinks)
-        v_new = v.copy()
-        for node in range(1, grid.n):
-            k = grid.feed_seg[node]
-            v_new[node] = v_new[grid.parent[node]] - grid.z[k] @ currents[k]
-        delta = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if delta <= tol_v:
-            return _to_solution(grid, v, currents, it)
-    raise NonConvergence(settings.max_iter, delta)
+    topo = Topology(feeder)
+    node, cond, s_va = _snapshot_entries(topo, feeder, injections)
+    result = sweep_batch(topo, node, cond, s_va[None], settings)
+    if result.failures:
+        raise result.failures[0]
+    return result.solution(feeder.nodes, 0)
 
 
 def oracle_solve(
@@ -248,17 +373,18 @@ def oracle_solve(
     source conductors, and fixed-point iterates device current injections
     against the reduced linear system.
     """
-    grid = _Grid(feeder)
-    if grid.n > 12:
-        raise ValueError(f"oracle_solve supports at most 12 nodes, got {grid.n}")
-    entries = _effective_injections(feeder, injections)
+    topo = Topology(feeder)
+    if topo.n > 12:
+        raise ValueError(f"oracle_solve supports at most 12 nodes, got {topo.n}")
+    node, cond, s_va = _snapshot_entries(topo, feeder, injections)
+    s_va = s_va[None]
 
-    n4 = 4 * grid.n
+    n4 = 4 * topo.n
     y = np.zeros((n4, n4), dtype=complex)
     for k, seg in enumerate(feeder.segments):
-        yb = np.linalg.inv(grid.z[k])
-        p = 4 * grid.index[seg.from_node]
-        c = 4 * grid.index[seg.to_node]
+        yb = np.linalg.inv(topo.z[k])
+        p = 4 * topo.index[seg.from_node]
+        c = 4 * topo.index[seg.to_node]
         y[p : p + 4, p : p + 4] += yb
         y[c : c + 4, c : c + 4] += yb
         y[p : p + 4, c : c + 4] -= yb
@@ -266,9 +392,9 @@ def oracle_solve(
 
     fixed = np.arange(4)  # source node is index 0 after normalization
     free = np.arange(4, n4)
-    v = grid.flat_voltages()
+    v = topo.flat[None].copy()
     if free.size == 0:
-        return _to_solution(grid, v, np.zeros((0, 4), dtype=complex), 1)
+        return VoltageSolution(feeder.nodes, v[0], np.zeros((0, 4), dtype=complex), 1, True)
 
     y_uu = y[np.ix_(free, free)]
     y_uf = y[np.ix_(free, fixed)]
@@ -276,47 +402,67 @@ def oracle_solve(
     tol_v = settings.tol_pu * feeder.v_base_ln
     delta = math.inf
     for it in range(1, settings.max_iter + 1):
-        sinks, v_min = _device_sinks(grid, entries, v)
-        if v_min < _COLLAPSE_PU:
-            raise VoltageCollapse(it, v_min)
+        sinks, v_min = _device_currents(topo, v, node, cond, s_va)
+        if v_min[0] < _COLLAPSE_PU:
+            raise VoltageCollapse(it, float(v_min[0]))
         rhs = -sinks.reshape(-1)[free] - y_uf @ v_fixed
-        v_free = np.linalg.solve(y_uu, rhs)
         v_new = v.copy()
-        v_new.reshape(-1)[free] = v_free
+        v_new.reshape(-1)[free] = np.linalg.solve(y_uu, rhs)
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
         if delta <= tol_v:
-            sinks, _ = _device_sinks(grid, entries, v)
-            return _to_solution(grid, v, _branch_currents(grid, sinks), it)
+            sinks, _ = _device_currents(topo, v, node, cond, s_va)
+            currents = _branch_currents(topo, sinks)
+            return VoltageSolution(feeder.nodes, v[0], currents[0], it, True)
     raise NonConvergence(settings.max_iter, delta)
+
+
+def segment_resistances(feeder: Feeder) -> tuple[np.ndarray, np.ndarray]:
+    """Phase and neutral conductor resistance of every segment, ohms."""
+    r_ph = [(seg.z_phase_per_km * seg.length_km).real for seg in feeder.segments]
+    r_n = [(seg.z_neutral_per_km * seg.length_km).real for seg in feeder.segments]
+    return np.array(r_ph, dtype=float), np.array(r_n, dtype=float)
+
+
+def segment_losses(
+    currents: np.ndarray, r_ph: np.ndarray, r_n: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """|I|^2 R / 1000 per conductor for currents ``(..., segment, 4)``:
+    phase losses ``(..., segment, 3)`` and neutral losses ``(..., segment)``
+    in kW."""
+    amps_sq = np.float_power(np.hypot(currents.real, currents.imag), 2.0)
+    return amps_sq[..., :3] * r_ph[:, None] / 1000.0, amps_sq[..., 3] * r_n / 1000.0
+
+
+def flow_summary(
+    feeder: Feeder,
+    voltages: np.ndarray,
+    currents: np.ndarray,
+    phase_loss: np.ndarray,
+    neutral_loss: np.ndarray,
+) -> FlowSummary:
+    """FlowSummary of one snapshot from its arrays (see ``segment_losses``)."""
+    injection: dict[str, complex] = {p.value: 0j for p in Phase}
+    v_src = voltages[0].tolist()  # the source is row 0 after normalization
+    for k, seg in enumerate(feeder.segments):
+        if seg.from_node != feeder.source_node:
+            continue
+        amps = currents[k].tolist()
+        for c, p in enumerate(Phase):
+            injection[p.value] += v_src[c] * amps[c].conjugate() / 1000.0
+    return FlowSummary(
+        phase_loss_kw={k: dict(zip("ABC", per)) for k, per in enumerate(phase_loss.tolist())},
+        neutral_loss_kw=dict(enumerate(neutral_loss.tolist())),
+        source_injection=injection,
+    )
 
 
 def summarize_flows(feeder: Feeder, solution: VoltageSolution) -> FlowSummary:
     """Reduce a converged solution to conductor losses and source injection."""
     if not solution.converged:
         raise UnconvergedSolution("summarize_flows requires a converged solution")
-    phase_loss: dict[int, dict[str, float]] = {}
-    neutral_loss: dict[int, float] = {}
-    for k, seg in enumerate(feeder.segments):
-        r_ph = (seg.z_phase_per_km * seg.length_km).real
-        r_n = (seg.z_neutral_per_km * seg.length_km).real
-        amps = solution.branch_current[k]
-        phase_loss[k] = {p.value: abs(amps[p.value]) ** 2 * r_ph / 1000.0 for p in Phase}
-        neutral_loss[k] = abs(amps["N"]) ** 2 * r_n / 1000.0
-    injection: dict[str, complex] = {p.value: 0j for p in Phase}
-    v_src = solution.v[feeder.source_node]
-    for k, seg in enumerate(feeder.segments):
-        if seg.from_node != feeder.source_node:
-            continue
-        for p in Phase:
-            injection[p.value] += (
-                v_src[p.value] * solution.branch_current[k][p.value].conjugate() / 1000.0
-            )
-    return FlowSummary(
-        phase_loss_kw=phase_loss,
-        neutral_loss_kw=neutral_loss,
-        source_injection=injection,
-    )
+    phase_loss, neutral_loss = segment_losses(solution.currents, *segment_resistances(feeder))
+    return flow_summary(feeder, solution.voltages, solution.currents, phase_loss, neutral_loss)
 
 
 def power_balance_residual_kw(

@@ -1,8 +1,12 @@
-"""Scenario builders, the time-stepped simulation loop, and aggregation.
+"""Scenario builders, the time-stepped simulation, and aggregation.
 
 A scenario couples a feeder with hourly device profiles, an optional storage
-fleet and a dispatch controller. Running it solves one power-flow snapshot
-per timestep and aggregates unbalance and loss metrics over the horizon.
+fleet and a dispatch controller. ``run_scenario`` makes three passes: a
+dispatch pass that steps through time and fixes every step's injections
+and the battery SoC trajectory (no controller reads voltages), one batched
+power flow over all steps, and an array pass for unbalance and loss
+metrics and their aggregates over the horizon. Per-step records build
+their solution, node metrics and flow summary from those arrays on read.
 
 Two builder families cover the bundled studies:
 
@@ -20,8 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .errors import PhasebalError, ScenarioStepError, UnknownNode, UnsupportedNode
-from .metrics import NodeMetrics, node_metrics
+import numpy as np
+
+from .errors import (
+    PhasebalError,
+    ScenarioStepError,
+    UnknownNode,
+    UnsupportedNode,
+    ZeroPositiveSequence,
+)
+from .metrics import NodeMetrics, metrics_dict, node_metric_arrays
 from .network import (
     PHASES,
     Device,
@@ -31,11 +43,15 @@ from .network import (
     chain_feeder,
 )
 from .powerflow import (
+    BatchSolution,
     FlowSummary,
     SolverSettings,
+    Topology,
     VoltageSolution,
-    solve_snapshot,
-    summarize_flows,
+    flow_summary,
+    segment_losses,
+    segment_resistances,
+    sweep_batch,
 )
 from .storage import (
     Architecture,
@@ -114,16 +130,39 @@ class Scenario:
         return round(self.horizon_h / self.dt_h)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepRecord:
-    """Everything observed at one timestep."""
+    """Everything observed at one timestep.
+
+    ``solution``, ``metrics`` and ``flows`` are built from the run's arrays
+    on every read; hold on to the returned object to read it repeatedly.
+    """
 
     t_h: float
-    solution: VoltageSolution
-    metrics: dict[str, NodeMetrics]
-    flows: FlowSummary
     actions: tuple[DispatchAction, ...]
     soc_kwh: dict[str, float]
+    trajectory: "_Trajectory" = field(repr=False)
+    step: int = field(repr=False)
+
+    @property
+    def solution(self) -> VoltageSolution:
+        return self.trajectory.solution(self.step)
+
+    @property
+    def metrics(self) -> dict[str, NodeMetrics]:
+        return self.trajectory.metrics(self.step)
+
+    @property
+    def flows(self) -> FlowSummary:
+        return self.trajectory.flows(self.step)
+
+    def _observed(self) -> tuple:
+        return (self.t_h, self.actions, self.soc_kwh, self.solution, self.metrics, self.flows)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StepRecord):
+            return NotImplemented
+        return self._observed() == other._observed()
 
 
 @dataclass(frozen=True)
@@ -147,101 +186,198 @@ class ScenarioResult:
     per_timestep: tuple[StepRecord, ...]
 
 
-def run_scenario(scenario: Scenario, settings: SolverSettings = SolverSettings()) -> ScenarioResult:
-    """Execute the scenario loop and aggregate the results.
+@dataclass(frozen=True, eq=False)
+class _Trajectory:
+    """Solved arrays of every timestep of one run: power flow
+    ``(step, node | segment, conductor)`` and the metrics derived from it."""
 
-    Per timestep: evaluate profiles, ask the controller for dispatch
-    actions, clip and apply them to the batteries, solve the snapshot with
-    the storage injections, then collect node metrics and flows. Solver
-    failures propagate as ScenarioStepError tagged with the timestep.
-    Deterministic: identical scenarios produce identical results.
-    """
-    feeder = scenario.feeder
-    batteries = list(scenario.batteries)
-    bat_index = {b.id: i for i, b in enumerate(batteries)}
-    storage_dev = {d.battery_id: d for d in feeder.storage_devices()}
+    feeder: Feeder
+    solved: BatchSolution
+    vuf_pct: np.ndarray
+    drop_pct: np.ndarray
+    v_rms: np.ndarray
+    phase_loss: np.ndarray
+    neutral_loss: np.ndarray
 
-    records: list[StepRecord] = []
-    vuf_values: list[float] = []
-    neutral_kwh = 0.0
-    phase_kwh = 0.0
-    max_drop = 0.0
-    max_rise = 0.0
-    drop_sums = {node: 0.0 for node in feeder.nodes}
+    def solution(self, k: int) -> VoltageSolution:
+        return self.solved.solution(self.feeder.nodes, k)
 
-    for k in range(scenario.n_steps):
-        t_h = k * scenario.dt_h
-        injections: dict[Device, complex] = {}
-        net_kw = {ph: 0.0 for ph in PHASES}
-        for dev in feeder.devices:
-            if dev.kind is DeviceKind.STORAGE:
-                continue
-            scale = scenario.profiles[dev.profile_id][k] if dev.profile_id else 1.0
-            s = dev.s_rated_kva * scale
-            injections[dev] = s
-            for ph in dev.connected_phases:
-                net_kw[ph] += s.real
+    def metrics(self, k: int) -> dict[str, NodeMetrics]:
+        return metrics_dict(self.feeder.nodes, self.vuf_pct[k], self.drop_pct[k], self.v_rms[k])
 
-        if scenario.controller == "fixed_schedule" and batteries:
-            actions = fixed_schedule_controller(
-                t_h, scenario.architecture, scenario.schedule or StylizedScheduleCfg(),
-                batteries, scenario.dt_h,
-            )
-        elif scenario.controller == "greedy" and batteries:
-            actions = greedy_balance_controller(
-                net_kw, scenario.architecture, batteries, scenario.dt_h
-            )
-        else:
-            actions = []
-
-        applied: list[DispatchAction] = []
-        for action in actions:
-            i = bat_index[action.battery_id]
-            final = feasible_action(batteries[i], action, scenario.dt_h)
-            batteries[i] = apply_action(batteries[i], final, scenario.dt_h)
-            applied.append(final)
-            dev = storage_dev[action.battery_id]
-            injections[replace(dev, phase=final.phase)] = complex(final.p_kw, final.q_kvar)
-
-        try:
-            solution = solve_snapshot(feeder, injections, settings)
-        except PhasebalError as exc:
-            raise ScenarioStepError(t_h, exc) from exc
-
-        metrics = node_metrics(solution, feeder)
-        flows = summarize_flows(feeder, solution)
-
-        neutral_kwh += flows.total_neutral_loss_kw * scenario.dt_h
-        phase_kwh += flows.total_phase_loss_kw * scenario.dt_h
-        for node, nm in metrics.items():
-            if node != feeder.source_node:
-                vuf_values.append(nm.vuf_pct)
-            drop_sums[node] += sum(nm.drop_pct.values())
-            for d in nm.drop_pct.values():
-                max_drop = max(max_drop, -d)
-                max_rise = max(max_rise, d)
-
-        records.append(
-            StepRecord(
-                t_h=t_h,
-                solution=solution,
-                metrics=metrics,
-                flows=flows,
-                actions=tuple(applied),
-                soc_kwh={b.id: b.soc_kwh for b in batteries},
-            )
+    def flows(self, k: int) -> FlowSummary:
+        return flow_summary(
+            self.feeder,
+            self.solved.voltages[k],
+            self.solved.currents[k],
+            self.phase_loss[k],
+            self.neutral_loss[k],
         )
 
+
+def _complex_times_real(re: np.ndarray, im: np.ndarray, f) -> tuple[np.ndarray, np.ndarray]:
+    """Python's complex * float, (re + j im) * f, component by component."""
+    return re * f - im * 0.0, re * 0.0 + im * f
+
+
+def _injection_entries(
+    feeder: Feeder, index: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, int]]:
+    """Injection entries in the order the devices sit on the feeder.
+
+    A device takes one entry per connected phase. A storage device takes
+    three (A, B, C): the phase its battery is dispatched on carries the
+    power and the other two stay zero, so phase-selecting units need no
+    second layout. ``index`` maps node names to rows. Returns (node rows,
+    conductors, column of the entry's device among the non-storage devices
+    or -1 for storage, first entry of the device of each battery).
+    """
+    node, cond, owner = [], [], []
+    battery_entry: dict[str, int] = {}
+    col = 0
+    for dev in feeder.devices:
+        if dev.kind is DeviceKind.STORAGE:
+            battery_entry[dev.battery_id] = len(node)
+            phases, dev_col = PHASES, -1
+        else:
+            phases, dev_col = dev.connected_phases, col
+            col += 1
+        for ph in phases:
+            node.append(index[dev.node])
+            cond.append(PHASES.index(ph))
+            owner.append(dev_col)
+    return (
+        np.array(node, dtype=np.intp),
+        np.array(cond, dtype=np.intp),
+        np.array(owner, dtype=np.intp),
+        battery_entry,
+    )
+
+
+def run_scenario(scenario: Scenario, settings: SolverSettings = SolverSettings()) -> ScenarioResult:
+    """Execute the scenario in three passes and aggregate the results.
+
+    1. Dispatch: step through time, evaluate profiles, ask the controller
+       for actions, clip and apply them to the batteries. Neither controller
+       reads voltages, so this fixes every step's injections up front.
+    2. Power flow: one forward-backward sweep over all steps at once.
+    3. Metrics: VUF, deviations, losses and the aggregates, as arrays.
+
+    Failures surface as a step-by-step loop would raise them: the earliest
+    failing step wins, a solver failure as a ScenarioStepError tagged with
+    its time, anything else as raised. Deterministic: identical scenarios
+    produce identical results.
+    """
+    feeder = scenario.feeder
+    n_steps = scenario.n_steps
+    dt_h = scenario.dt_h
+
+    # --- 1. dispatch pass ----------------------------------------------------
+    plain = [d for d in feeder.devices if d.kind is not DeviceKind.STORAGE]
+    scale = np.array(
+        [scenario.profiles[d.profile_id] if d.profile_id else (1.0,) * n_steps for d in plain],
+        dtype=float,
+    ).reshape(len(plain), n_steps).T
+    rated = np.array([d.s_rated_kva for d in plain], dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):
+        dev_p, dev_q = _complex_times_real(rated.real, rated.imag, scale)
+    finite = np.isfinite(dev_p) & np.isfinite(dev_q)
+    bad_steps = np.flatnonzero(~finite.all(axis=1))
+
+    topo = Topology(feeder)
+    node, cond, owner, battery_entry = _injection_entries(feeder, topo.index)
+    has_dev = owner >= 0
+    p_kw = np.zeros((n_steps, len(node)))
+    q_kvar = np.zeros((n_steps, len(node)))
+    p_kw[:, has_dev] = dev_p[:, owner[has_dev]]
+    q_kvar[:, has_dev] = dev_q[:, owner[has_dev]]
+
+    batteries = list(scenario.batteries)
+    bat_index = {b.id: i for i, b in enumerate(batteries)}
+    steps: list[tuple[float, tuple[DispatchAction, ...], dict[str, float]]] = []
+    pending: Exception | None = None
+    # a non-finite injection fails its step after that step's dispatch
+    n_dispatch = int(bad_steps[0]) + 1 if bad_steps.size else n_steps
+    for k in range(n_dispatch):
+        t_h = k * dt_h
+        try:
+            if scenario.controller == "fixed_schedule" and batteries:
+                actions = fixed_schedule_controller(
+                    t_h, scenario.architecture, scenario.schedule or StylizedScheduleCfg(),
+                    batteries, dt_h,
+                )
+            elif scenario.controller == "greedy" and batteries:
+                net_kw = dict.fromkeys(PHASES, 0.0)
+                for dev, p in zip(plain, dev_p[k].tolist()):
+                    for ph in dev.connected_phases:
+                        net_kw[ph] += p
+                actions = greedy_balance_controller(net_kw, scenario.architecture, batteries, dt_h)
+            else:
+                actions = []
+            applied: list[DispatchAction] = []
+            for action in actions:
+                i = bat_index[action.battery_id]
+                final = feasible_action(batteries[i], action, dt_h)
+                batteries[i] = apply_action(batteries[i], final, dt_h)
+                applied.append(final)
+                entry = battery_entry[action.battery_id] + PHASES.index(final.phase)
+                p_kw[k, entry] = final.p_kw
+                q_kvar[k, entry] = final.q_kvar
+        except (PhasebalError, ValueError) as exc:  # an earlier solver failure wins
+            pending = exc
+            break
+        steps.append((t_h, tuple(applied), {b.id: b.soc_kwh for b in batteries}))
+    if pending is None and bad_steps.size:
+        k = int(bad_steps[0])
+        d = int(np.flatnonzero(~finite[k])[0])
+        s = complex(dev_p[k, d], dev_q[k, d])
+        pending = ValueError(f"injection for {plain[d].label!r} must be finite, got {s!r}")
+        del steps[k:]
+    n_ok = len(steps)
+
+    # --- 2. power-flow pass --------------------------------------------------
+    s_va = np.empty((n_ok, len(node)), dtype=complex)
+    s_va.real, s_va.imag = _complex_times_real(p_kw[:n_ok], q_kvar[:n_ok], 1000.0)
+    solved = sweep_batch(topo, node, cond, s_va, settings)
+    failed_at = min(solved.failures, default=n_ok)
+
+    # --- 3. metrics pass -----------------------------------------------------
+    vuf_pct, drop_pct, v_rms = node_metric_arrays(solved.voltages, feeder.v_base_ln)
+    if not np.isfinite(vuf_pct[:failed_at]).all():
+        raise ZeroPositiveSequence("positive-sequence magnitude is zero")
+    if failed_at < n_ok:
+        raise ScenarioStepError(failed_at * dt_h, solved.failures[failed_at])
+    if pending is not None:
+        raise pending
+
+    phase_loss, neutral_loss = segment_losses(solved.currents, *segment_resistances(feeder))
+    # the sums below run in the order of FlowSummary's totals and of the
+    # per-node phase sums, one step after another
+    neutral_kwh = 0.0
+    phase_kwh = 0.0
+    for step_phase, step_neutral in zip(phase_loss.tolist(), neutral_loss.tolist()):
+        neutral_kwh += sum(step_neutral) * dt_h
+        phase_kwh += sum(sum(per) for per in step_phase) * dt_h
+    drop_sums = [0.0] * len(feeder.nodes)
+    for step_drop in drop_pct.tolist():
+        for i, per_phase in enumerate(step_drop):
+            drop_sums[i] += sum(per_phase)
+    vuf_values = vuf_pct[:, 1:].ravel().tolist()  # the source is node row 0
+
+    trajectory = _Trajectory(feeder, solved, vuf_pct, drop_pct, v_rms, phase_loss, neutral_loss)
     return ScenarioResult(
         label=scenario.label,
         mean_vuf_pct=sum(vuf_values) / len(vuf_values) if vuf_values else 0.0,
         max_vuf_pct=max(vuf_values, default=0.0),
         neutral_loss_kwh=neutral_kwh,
         phase_loss_kwh=phase_kwh,
-        max_drop_pct=max_drop,
-        max_rise_pct=max_rise,
-        sum_drop_at={node: s / scenario.n_steps for node, s in drop_sums.items()},
-        per_timestep=tuple(records),
+        max_drop_pct=max(0.0, -float(drop_pct.min())),
+        max_rise_pct=max(0.0, float(drop_pct.max())),
+        sum_drop_at={name: s / n_steps for name, s in zip(feeder.nodes, drop_sums)},
+        per_timestep=tuple(
+            StepRecord(t_h, actions, soc, trajectory, k)
+            for k, (t_h, actions, soc) in enumerate(steps)
+        ),
     )
 
 
@@ -462,40 +598,29 @@ def sweep_and_tabulate(
     nodes: Sequence[str],
     kinds: Sequence[DeviceKind],
     settings: SolverSettings = SolverSettings(),
-    jobs: int = 1,
 ) -> list[SweepRow]:
     """Run the cross product of (kind, node, penetration) and tabulate.
 
-    Rows come back in deterministic loop order regardless of ``jobs``
-    (cells may execute concurrently; the table is merged by key order, not
-    completion order). A failing cell is recorded with its error message
-    instead of aborting the remaining cells.
+    Rows come back in loop order. A failing cell is recorded with its error
+    message instead of aborting the remaining cells.
     """
     if not penetrations or not nodes or not kinds:
         raise ValueError("penetrations, nodes and kinds must be non-empty")
-    cells = [
-        (kind, node, pen) for kind in kinds for node in nodes for pen in penetrations
-    ]
-
-    def run_cell(cell: tuple[DeviceKind, str, float]) -> SweepRow:
-        kind, node, pen = cell
-        scenario = build_sweep_scenario(
-            template.total_phase_load_kw,
-            node,
-            kind,
-            pen,
-            template.network_class,
-            device_phase=template.device_phase,
-            balanced=template.balanced,
-        )
-        try:
-            return SweepRow(kind, node, pen, run_scenario(scenario, settings))
-        except PhasebalError as exc:
-            return SweepRow(kind, node, pen, None, error=str(exc))
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_cell, cells))
-    return [run_cell(cell) for cell in cells]
+    rows = []
+    for kind in kinds:
+        for node in nodes:
+            for pen in penetrations:
+                scenario = build_sweep_scenario(
+                    template.total_phase_load_kw,
+                    node,
+                    kind,
+                    pen,
+                    template.network_class,
+                    device_phase=template.device_phase,
+                    balanced=template.balanced,
+                )
+                try:
+                    rows.append(SweepRow(kind, node, pen, run_scenario(scenario, settings)))
+                except PhasebalError as exc:
+                    rows.append(SweepRow(kind, node, pen, None, error=str(exc)))
+    return rows

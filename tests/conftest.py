@@ -64,63 +64,51 @@ def random_feeder(rng: random.Random, max_nodes: int = 6) -> Feeder:
 
 
 def max_voltage_gap(a: VoltageSolution, b: VoltageSolution, nodes) -> float:
-    return max(
-        abs(a.v[n][c] - b.v[n][c]) for n in nodes for c in CONDUCTORS
-    )
+    va, vb = a.v, b.v
+    return max(abs(va[n][c] - vb[n][c]) for n in nodes for c in CONDUCTORS)
 
 
 def kvl_residual(feeder: Feeder, sol: VoltageSolution) -> float:
     """Worst violation of V_child = V_parent - Z I over all segments."""
+    v, branch = sol.v, sol.branch_current
     worst = 0.0
     for k, seg in enumerate(feeder.segments):
         zp = seg.z_phase_per_km * seg.length_km
         zn = seg.z_neutral_per_km * seg.length_km
         zm = seg.z_mutual_per_km * seg.length_km
-        amps = [sol.branch_current[k][c] for c in CONDUCTORS]
+        amps = [branch[k][c] for c in CONDUCTORS]
         for row, c in enumerate(CONDUCTORS):
             z_row = [zm] * 4
             z_row[row] = zn if c == "N" else zp
             drop = sum(z_row[col] * amps[col] for col in range(4))
-            expect = sol.v[seg.from_node][c] - drop
-            worst = max(worst, abs(sol.v[seg.to_node][c] - expect))
+            expect = v[seg.from_node][c] - drop
+            worst = max(worst, abs(v[seg.to_node][c] - expect))
     return worst
 
 
 def kcl_residual(feeder: Feeder, sol: VoltageSolution, injections=None) -> float:
     """Worst nodal current imbalance, with device currents recomputed from
-    the solved voltages (independent of how branch currents were built)."""
-    from phasebal.powerflow import _device_sinks, _effective_injections, _Grid
+    the solved voltages (independent of how branch currents were built).
 
-    grid = _Grid(feeder)
-    sinks, _ = _device_sinks(
-        grid,
-        _effective_injections(feeder, injections),
-        _solution_matrix(feeder, sol),
+    ``injections`` overrides device powers by label, as the solvers do.
+    """
+    v, branch = sol.v, sol.branch_current
+    powers = {d.label: (d, d.s_rated_kva) for d in feeder.devices}
+    for dev, s in (injections or {}).items():
+        powers[dev.label] = (dev, complex(s))
+    drawn = {(node, c): 0j for node in feeder.nodes for c in CONDUCTORS}
+    for dev, s in powers.values():
+        for ph in dev.connected_phases:
+            amps = (s * 1000.0 / (v[dev.node][ph.value] - v[dev.node]["N"])).conjugate()
+            drawn[dev.node, ph.value] += amps
+            drawn[dev.node, "N"] -= amps
+    net_in = dict.fromkeys(drawn, 0j)
+    for k, seg in enumerate(feeder.segments):
+        for c in CONDUCTORS:
+            net_in[seg.to_node, c] += branch[k][c]
+            net_in[seg.from_node, c] -= branch[k][c]
+    # the slack source balances the whole feeder by construction
+    return max(
+        (abs(net_in[key] - drawn[key]) for key in drawn if key[0] != feeder.source_node),
+        default=0.0,
     )
-    worst = 0.0
-    for i, node in enumerate(feeder.nodes):
-        if node == feeder.source_node:
-            continue  # slack balances the whole feeder by construction
-        for ci, c in enumerate(CONDUCTORS):
-            into = sum(
-                sol.branch_current[k][c]
-                for k, seg in enumerate(feeder.segments)
-                if seg.to_node == node
-            )
-            out = sum(
-                sol.branch_current[k][c]
-                for k, seg in enumerate(feeder.segments)
-                if seg.from_node == node
-            )
-            worst = max(worst, abs(into - out - sinks[i, ci]))
-    return worst
-
-
-def _solution_matrix(feeder: Feeder, sol: VoltageSolution):
-    import numpy as np
-
-    v = np.zeros((len(feeder.nodes), 4), dtype=complex)
-    for i, node in enumerate(feeder.nodes):
-        for ci, c in enumerate(CONDUCTORS):
-            v[i, ci] = sol.v[node][c]
-    return v

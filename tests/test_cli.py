@@ -5,9 +5,13 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 
+import jsonschema
 import pytest
 
 from phasebal.cli import (
+    _SCENARIO_SCHEMAS,
+    _SWEEP_SCHEMA,
+    CONFIG_SCHEMA,
     SUMMARY_COLUMNS,
     SWEEP_COLUMNS,
     TIMESERIES_COLUMNS,
@@ -46,6 +50,27 @@ CUSTOM_DOC = {
 
 
 class TestParseConfig:
+    def test_every_schema_is_valid_under_its_metaschema(self):
+        for schema in (CONFIG_SCHEMA, _SWEEP_SCHEMA, *_SCENARIO_SCHEMAS.values()):
+            jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    def test_rejection_names_the_error_jsonschema_validate_picks(self):
+        bad_scenario = preset_config("a1-n5")
+        bad_scenario["scenario"]["battery_kw"] = -1
+        bad_sweep = preset_config("grid-compact")
+        bad_sweep["sweep"]["penetrations_pct"] = [0, "x", 500]
+        cases = [
+            ({"label": 3, "scenario": {}}, {"label": 3, "scenario": {}}, CONFIG_SCHEMA),
+            (bad_scenario, bad_scenario["scenario"], _SCENARIO_SCHEMAS["stylized"]),
+            (bad_sweep, bad_sweep["sweep"], _SWEEP_SCHEMA),
+        ]
+        for doc, body, schema in cases:
+            with pytest.raises(jsonschema.ValidationError) as want:
+                jsonschema.validate(body, schema)
+            with pytest.raises(ConfigInvalid) as got:
+                parse_config(doc)
+            assert str(got.value).endswith(want.value.message)
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigInvalid):
             parse_config({"label": "x", "scenario": {"type": "stylized", "architecture": None},
@@ -257,23 +282,6 @@ class TestSweepCommand:
         manifest = (out / "ov-failures.csv").read_text().splitlines()
         assert len(manifest) == 2
         assert "failed" in capsys.readouterr().err
-
-    def test_jobs_flag_gives_identical_output(self, tmp_path):
-        doc = {
-            "label": "par",
-            "sweep": {
-                "total_phase_load_kw": 5.0,
-                "network_class": "compact",
-                "penetrations_pct": [0, 60, 120],
-                "nodes": ["N1", "N5"],
-                "kinds": ["dg"],
-            },
-        }
-        path = write_config(tmp_path, doc)
-        out1, out4 = tmp_path / "j1", tmp_path / "j4"
-        assert main(["sweep", path, "--out", str(out1), "--jobs", "1"]) == 0
-        assert main(["sweep", path, "--out", str(out4), "--jobs", "4"]) == 0
-        assert (out1 / "par-sweep.csv").read_bytes() == (out4 / "par-sweep.csv").read_bytes()
 
 
 class TestIngestCommand:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import random
 
@@ -175,13 +176,11 @@ class TestNodeMetrics:
     def test_requires_convergence(self):
         from phasebal.errors import UnconvergedSolution
         from phasebal.network import chain_feeder
-        from phasebal.powerflow import VoltageSolution, solve_snapshot
+        from phasebal.powerflow import solve_snapshot
 
         feeder = chain_feeder(2, 0.1)
         good = solve_snapshot(feeder)
-        bad = VoltageSolution(
-            v=good.v, branch_current=good.branch_current, iterations=0, converged=False
-        )
+        bad = dataclasses.replace(good, converged=False)
         with pytest.raises(UnconvergedSolution):
             node_metrics(bad, feeder)
 

@@ -4,6 +4,7 @@ physical invariants."""
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import random
 
@@ -14,7 +15,6 @@ from phasebal.errors import NonConvergence, UnconvergedSolution, VoltageCollapse
 from phasebal.network import Device, DeviceKind, Phase, chain_feeder
 from phasebal.powerflow import (
     SolverSettings,
-    VoltageSolution,
     oracle_solve,
     power_balance_residual_kw,
     solve_snapshot,
@@ -213,9 +213,7 @@ class TestFailureModes:
     def test_summarize_requires_convergence(self):
         feeder = chain_feeder(2, 0.1)
         sol = solve_snapshot(feeder)
-        bad = VoltageSolution(
-            v=sol.v, branch_current=sol.branch_current, iterations=0, converged=False
-        )
+        bad = dataclasses.replace(sol, converged=False)
         with pytest.raises(UnconvergedSolution):
             summarize_flows(feeder, bad)
 

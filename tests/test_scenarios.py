@@ -2,10 +2,28 @@
 
 from __future__ import annotations
 
-import pytest
+import math
+import random
+from dataclasses import replace
 
-from phasebal.errors import ScenarioStepError, UnknownNode, UnsupportedNode
-from phasebal.network import Device, DeviceKind, Phase, chain_feeder
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import kcl_residual, kvl_residual, random_feeder
+from phasebal.errors import ScenarioStepError, UnknownNode, UnsupportedNode, VoltageCollapse
+from phasebal.network import (
+    PHASES,
+    Device,
+    DeviceKind,
+    FeederSpec,
+    LineSegment,
+    Phase,
+    build_feeder,
+    chain_feeder,
+)
+from phasebal.powerflow import oracle_solve, power_balance_residual_kw, solve_snapshot
 from phasebal.scenarios import (
     Scenario,
     SweepTemplate,
@@ -260,3 +278,145 @@ class TestSweepTabulate:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep_and_tabulate(SweepTemplate(5.0), [], ["N5"], [DeviceKind.DG])
+
+
+def with_profiles(feeder, values, steps):
+    """The feeder with device i following profile ``p{i}`` (``values[i]``),
+    as a scenario over ``steps`` hourly steps."""
+    devices = [replace(d, profile_id=f"p{i}") for i, d in enumerate(feeder.devices)]
+    profiles = {f"p{i}": tuple(v) for i, v in enumerate(values)}
+    return Scenario(
+        feeder=replace(feeder, devices=tuple(devices)), horizon_h=float(steps), profiles=profiles
+    )
+
+
+def step_injections(scenario, rec, k):
+    """The device powers a scenario applies at step k, for solve_snapshot."""
+    injections = {}
+    for dev in scenario.feeder.devices:
+        if dev.kind is not DeviceKind.STORAGE:
+            scale = scenario.profiles[dev.profile_id][k] if dev.profile_id else 1.0
+            injections[dev] = dev.s_rated_kva * scale
+    storage = {d.battery_id: d for d in scenario.feeder.storage_devices()}
+    for action in rec.actions:
+        injections[replace(storage[action.battery_id], phase=action.phase)] = complex(
+            action.p_kw, action.q_kvar
+        )
+    return injections
+
+
+def random_tree(rng: random.Random, n: int):
+    """Random recursive tree (node i hangs off a uniformly drawn earlier
+    node) with a 0.3 kW balanced load at every node and single-phase PV or
+    EV at a fifth of them, each on its own profile over 24 steps."""
+    nodes = [f"n{i}" for i in range(n)]
+    segments = [
+        LineSegment(nodes[rng.randrange(i)], nodes[i], rng.uniform(0.002, 0.01))
+        for i in range(1, n)
+    ]
+    devices = [Device(f"load-{i}", nodes[i], DeviceKind.LOAD, None, 0.3 + 0.05j) for i in range(1, n)]
+    for i in rng.sample(range(1, n), n // 5):
+        kind = rng.choice([DeviceKind.DG, DeviceKind.EV])
+        sign = -1.0 if kind is DeviceKind.DG else 1.0
+        devices.append(Device(f"{kind.value}-{i}", nodes[i], kind, rng.choice(PHASES), sign * 2.0 + 0j))
+    feeder = build_feeder(FeederSpec("n0", nodes, segments, devices))
+    return with_profiles(feeder, [[rng.uniform(0.0, 1.0) for _ in range(24)] for _ in devices], 24)
+
+
+class TestBatchedRun:
+    """Every step of the batched run is the snapshot solve of its injections."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 6),
+        fleet=st.sampled_from([None, ArchKind.A1, ArchKind.A3]),
+        data=st.data(),
+    )
+    def test_steps_equal_snapshot_solves_and_oracle(self, seed, steps, fleet, data):
+        rng = random.Random(seed)
+        feeder = random_feeder(rng, max_nodes=12)
+        values = [
+            data.draw(st.lists(st.floats(0.0, 2.0), min_size=steps, max_size=steps))
+            for _ in feeder.devices
+        ]
+        scenario = with_profiles(feeder, values, steps)
+        if fleet is not None:
+            # a phase-selecting fleet at a random node, so units change phase
+            node = rng.choice(feeder.nodes[1:])
+            units = 1 if fleet is ArchKind.A1 else 3
+            batteries = tuple(
+                Battery(id=f"b{u}", p_max_kw=1.0, soc_kwh=rng.uniform(0.0, 5.0))
+                for u in range(units)
+            )
+            storage = [
+                Device(f"st{u}", node, DeviceKind.STORAGE, Phase.A, battery_id=f"b{u}")
+                for u in range(units)
+            ]
+            scenario = replace(
+                scenario,
+                feeder=replace(scenario.feeder, devices=scenario.feeder.devices + tuple(storage)),
+                architecture=Architecture(fleet),
+                controller="greedy",
+                batteries=batteries,
+            )
+        result = run_scenario(scenario)
+        assert len(result.per_timestep) == steps
+        for k, rec in enumerate(result.per_timestep):
+            injections = step_injections(scenario, rec, k)
+            snap = solve_snapshot(scenario.feeder, injections)
+            sol = rec.solution
+            assert sol.voltages.tobytes() == snap.voltages.tobytes()
+            assert sol.currents.tobytes() == snap.currents.tobytes()
+            assert sol.iterations == snap.iterations
+            oracle = oracle_solve(scenario.feeder, injections)
+            gap = np.max(np.abs(sol.voltages - oracle.voltages)) / scenario.feeder.v_base_ln
+            assert gap <= 1e-6
+
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_kirchhoff_and_power_balance_on_1000_node_tree(self, seed):
+        scenario = random_tree(random.Random(seed), 1000)
+        feeder = scenario.feeder
+        i_base = feeder.s_base_kva * 1000.0 / (3.0 * feeder.v_base_ln)
+        result = run_scenario(scenario)
+        assert len(result.per_timestep) == 24
+        for k, rec in enumerate(result.per_timestep):
+            sol = rec.solution
+            injections = step_injections(scenario, rec, k)
+            assert kcl_residual(feeder, sol, injections) <= 1e-6 * i_base
+            assert kvl_residual(feeder, sol) <= 1e-6 * feeder.v_base_ln
+            assert power_balance_residual_kw(feeder, sol, injections) <= 1e-6 * feeder.s_base_kva
+
+    @settings(max_examples=15, deadline=None)
+    @given(steps=st.integers(3, 12), data=st.data())
+    def test_collapse_at_a_middle_step_raises_that_step(self, steps, data):
+        bad = data.draw(st.integers(1, steps - 2))
+        load = Device("load", "N1", DeviceKind.LOAD, Phase.A, 50.0 + 0j, profile_id="p")
+        feeder = chain_feeder(2, 1.0, devices=[load])
+        # light steps before ``bad``; from there on the full load collapses
+        # at ``bad`` and at the last step, and may at any step in between
+        values = [data.draw(st.floats(0.0, 0.05)) for _ in range(bad)]
+        values += [1.0] + [data.draw(st.sampled_from([0.01, 1.0])) for _ in range(bad + 1, steps - 1)]
+        values.append(1.0)
+        scenario = Scenario(feeder=feeder, horizon_h=float(steps), profiles={"p": tuple(values)})
+        with pytest.raises(ScenarioStepError) as exc:
+            run_scenario(scenario)
+        assert exc.value.t_h == float(bad)
+        with pytest.raises(VoltageCollapse) as alone:
+            solve_snapshot(feeder, {load: load.s_rated_kva * 1.0})
+        assert str(exc.value.cause) == str(alone.value)
+        assert exc.value.cause.iteration == alone.value.iteration
+
+    def test_earliest_failure_wins_over_a_later_invalid_injection(self):
+        load = Device("load", "N1", DeviceKind.LOAD, Phase.A, 50.0 + 0j, profile_id="p")
+        feeder = chain_feeder(2, 1.0, devices=[load])
+
+        def run(values):
+            return run_scenario(Scenario(feeder=feeder, horizon_h=4.0, profiles={"p": values}))
+
+        with pytest.raises(ScenarioStepError) as exc:
+            run((0.01, 1.0, math.nan, 0.01))
+        assert exc.value.t_h == 1.0
+        with pytest.raises(ValueError, match="injection for 'load' must be finite"):
+            run((0.01, math.nan, 1.0, 0.01))
