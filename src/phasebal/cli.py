@@ -201,7 +201,6 @@ _SCENARIO_SCHEMAS = {
             "allow_load_shift": {"type": "boolean"},
             "controller": {"enum": ["none", "fixed_schedule", "greedy"]},
             "schedule": _SCHEDULE_SCHEMA,
-            "seed": {"type": "integer"},
         },
     },
 }
@@ -365,8 +364,7 @@ def _parse_feeder(doc: dict) -> Feeder:
             nodes=doc["nodes"],
             segments=segments,
             devices=devices,
-            v_base_ln=doc.get("v_base_ln", 230.0),
-            s_base_kva=doc.get("s_base_kva", 100.0),
+            **{key: doc[key] for key in ("v_base_ln", "s_base_kva") if key in doc},
         )
     )
 
@@ -407,7 +405,6 @@ def _parse_scenario(doc: dict, label: str, path: str) -> Scenario:
             target_phase=Phase(doc.get("target_phase", "A")),
         )
     else:
-        schedule_doc = doc.get("schedule", {})
         scenario = Scenario(
             feeder=_parse_feeder(doc["feeder"]),
             horizon_h=doc.get("horizon_h", 24.0),
@@ -428,11 +425,11 @@ def _parse_scenario(doc: dict, label: str, path: str) -> Scenario:
                 for b in doc.get("batteries", [])
             ),
             schedule=StylizedScheduleCfg(
-                dg_window=tuple(schedule_doc.get("dg_window", (10.0, 15.0))),
-                ev_window=tuple(schedule_doc.get("ev_window", (18.0, 23.0))),
-                target_phase=Phase(schedule_doc.get("target_phase", "A")),
+                **{
+                    key: Phase(value) if key == "target_phase" else tuple(value)
+                    for key, value in doc.get("schedule", {}).items()
+                }
             ),
-            seed=doc.get("seed", 0),
             label=label,
         )
     return scenario

@@ -90,7 +90,6 @@ class Scenario:
     controller: str = "none"
     batteries: tuple[Battery, ...] = ()
     schedule: StylizedScheduleCfg | None = None
-    seed: int = 0
     label: str = "scenario"
 
     def __post_init__(self) -> None:
@@ -113,7 +112,13 @@ class Scenario:
         battery_ids = {b.id for b in self.batteries}
         if len(battery_ids) != len(self.batteries):
             raise ValueError("duplicate battery ids")
-        attached = {d.battery_id for d in self.feeder.storage_devices()}
+        attached: set[str] = set()
+        for dev in self.feeder.storage_devices():
+            if dev.battery_id in attached:
+                raise ValueError(
+                    f"battery {dev.battery_id!r} is attached to more than one storage device"
+                )
+            attached.add(dev.battery_id)
         if battery_ids != attached:
             raise ValueError(
                 f"batteries {sorted(battery_ids)} do not match storage devices {sorted(attached)}"

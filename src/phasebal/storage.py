@@ -21,6 +21,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import RatingExceeded, SocOverflow, SocUnderflow
 from .network import PHASES, Phase
 
@@ -260,9 +262,54 @@ def _candidate_powers(battery: Battery, dt_h: float) -> list[float]:
     return sorted(vals, key=lambda p: (abs(p), p))
 
 
-def _spread(per_phase: Mapping[Phase, float]) -> float:
-    values = [per_phase[ph] for ph in PHASES]
-    return max(values) - min(values)
+def _spread3(a, b, c):
+    """Elementwise max(a, b, c) - min(a, b, c) over broadcastable arrays,
+    with the builtin ``max``/``min`` rule: a later value replaces the
+    running extreme only if strictly beyond it, so a NaN is skipped unless
+    it comes first."""
+    hi = np.where(b > a, b, a)
+    hi = np.where(c > hi, c, hi)
+    lo = np.where(b < a, b, a)
+    lo = np.where(c < lo, c, lo)
+    with np.errstate(invalid="ignore"):  # inf - inf on a non-finite net, as in floats
+        return np.subtract(hi, lo, out=hi)
+
+
+def _last_improvement(spreads: np.ndarray, best: float) -> int | None:
+    """Index the scan ``if s < best - 1e-12: best = s`` over ``spreads`` in
+    C order settles on, or None when nothing beats the starting ``best``.
+
+    The tolerance chains from each accepted value, so the result need not
+    be the first occurrence of the minimum. An accepted value lies strictly
+    below the starting best and every earlier value that is not NaN, so
+    the scan is replayed exactly on those strict running minima alone.
+    """
+    flat = spreads.ravel()
+    running = np.fmin.accumulate(flat)  # fmin skips NaN, which is never accepted
+    np.fmin(running, best, out=running)
+    record = np.empty(flat.size, dtype=bool)
+    record[0] = flat[0] < best
+    np.less(flat[1:], running[:-1], out=record[1:])
+    j = None
+    for i in np.flatnonzero(record).tolist():
+        if flat[i] < best - 1e-12:
+            best, j = flat[i], i
+    return j
+
+
+def _best_phase_power(net: list[float], battery: Battery, dt_h: float) -> DispatchAction:
+    """One phase-selecting unit: the exhaustive phase x power choice,
+    scanned phase-major with candidates in ``_candidate_powers`` order."""
+    cands = np.array(_candidate_powers(battery, dt_h))
+    trial = np.empty((3, 3, cands.size))  # (phase value, phase chosen, candidate)
+    trial[:] = np.array(net)[:, None, None]
+    diag = np.arange(3)
+    trial[diag, diag] += cands
+    j = _last_improvement(_spread3(*trial), max(net) - min(net))
+    if j is None:
+        return DispatchAction(battery.id, Phase.A)
+    phase, i = divmod(j, cands.size)
+    return DispatchAction(battery.id, PHASES[phase], cands[i].item())
 
 
 def greedy_balance_controller(
@@ -275,72 +322,53 @@ def greedy_balance_controller(
     power after storage, searching a 0.1 kW power grid.
 
     A1 searches phase x power exhaustively. A2 searches the joint power grid
-    of its three fixed-phase units (restricted to zero-sum triples when load
-    shifting is disallowed). A3 assigns its units one at a time, each taking
-    the exhaustive phase x power choice against the running adjusted load.
-    Ties break deterministically toward earlier phases and smaller |p|; the
-    all-zero action is always a candidate, so the spread never worsens.
+    of its three fixed-phase units (restricted to zero-sum triples, with
+    the C unit taking -(p_A + p_B) within its bounds, when load shifting is
+    disallowed). A3 assigns its units one at a time, each taking the
+    exhaustive phase x power choice against the running adjusted load.
+
+    Tie rule: candidates are scanned in a fixed order (phase-major, then
+    ``_candidate_powers`` order by (|p|, p); for A2 the A unit outermost
+    and the C unit innermost). The scan starts from the all-zero action's
+    spread as the running best and accepts a candidate only if its spread
+    is below the running best minus 1e-12; the last accepted candidate is
+    the answer, so the spread never worsens. The spreads of one search are
+    computed as one array and the scan is replayed on it exactly.
     """
-    net = {ph: float(per_phase_net_kw[ph]) for ph in PHASES}
+    net = [float(per_phase_net_kw[ph]) for ph in PHASES]
 
     if arch.kind is ArchKind.A1:
-        bat = batteries[0]
-        best = (DispatchAction(bat.id, Phase.A), _spread(net))
-        for phase in PHASES:
-            for p in _candidate_powers(bat, dt_h):
-                adj = dict(net)
-                adj[phase] += p
-                s = _spread(adj)
-                if s < best[1] - 1e-12:
-                    best = (DispatchAction(bat.id, phase, p), s)
-        return [best[0]]
+        return [_best_phase_power(net, batteries[0], dt_h)]
 
     if len(batteries) != 3:
         raise ValueError(f"{arch.kind.value} needs exactly three batteries")
 
     if arch.kind is ArchKind.A2:
-        cands = [_candidate_powers(b, dt_h) for b in batteries]
-        zero_sum = not arch.allow_load_shift
-        best_actions = [DispatchAction(b.id, ph) for b, ph in zip(batteries, PHASES)]
-        best_spread = _spread(net)
-        lo_c, hi_c = power_bounds(batteries[2], dt_h)
-        for pa in cands[0]:
-            for pb in cands[1]:
-                if zero_sum:
-                    pc_list = [-(pa + pb)]
-                    if not lo_c - 1e-12 <= pc_list[0] <= hi_c + 1e-12:
-                        continue
-                else:
-                    pc_list = cands[2]
-                for pc in pc_list:
-                    s = _spread(
-                        {
-                            Phase.A: net[Phase.A] + pa,
-                            Phase.B: net[Phase.B] + pb,
-                            Phase.C: net[Phase.C] + pc,
-                        }
-                    )
-                    if s < best_spread - 1e-12:
-                        best_spread = s
-                        best_actions = [
-                            DispatchAction(batteries[0].id, Phase.A, pa),
-                            DispatchAction(batteries[1].id, Phase.B, pb),
-                            DispatchAction(batteries[2].id, Phase.C, pc),
-                        ]
-        return best_actions
+        ca, cb, cc = (np.array(_candidate_powers(b, dt_h)) for b in batteries)
+        pa, pb = ca[:, None], cb[None, :]
+        if arch.allow_load_shift:  # (kA, kB, kC) tensor
+            spreads = _spread3(
+                (net[0] + pa)[..., None], (net[1] + pb)[..., None], net[2] + cc
+            )
+        else:  # (kA, kB) plane; a pair whose C power is out of bounds is skipped
+            pc = -(pa + pb)
+            lo_c, hi_c = power_bounds(batteries[2], dt_h)
+            spreads = _spread3(net[0] + pa, net[1] + pb, net[2] + pc)
+            spreads[(pc < lo_c - 1e-12) | (pc > hi_c + 1e-12)] = np.inf
+        j = _last_improvement(spreads, max(net) - min(net))
+        if j is None:
+            return [DispatchAction(b.id, ph) for b, ph in zip(batteries, PHASES)]
+        ia, ib, *ic = np.unravel_index(j, spreads.shape)
+        pc_j = cc[ic[0]] if arch.allow_load_shift else -(ca[ia] + cb[ib])
+        powers = (ca[ia], cb[ib], pc_j)
+        return [
+            DispatchAction(b.id, ph, p.item()) for b, ph, p in zip(batteries, PHASES, powers)
+        ]
 
     # A3: sequential greedy with per-battery phase selection.
-    adjusted = dict(net)
     actions: list[DispatchAction] = []
     for bat in batteries:
-        best = (DispatchAction(bat.id, Phase.A), _spread(adjusted))
-        for phase in PHASES:
-            for p in _candidate_powers(bat, dt_h):
-                trial = dict(adjusted)
-                trial[phase] += p
-                s = _spread(trial)
-                if s < best[1] - 1e-12:
-                    best = (DispatchAction(bat.id, phase, p), s)
-        actions.append(best[0])
-        adjusted[best[0].phase] += best[0].p_kw
+        action = _best_phase_power(net, bat, dt_h)
+        actions.append(action)
+        net[PHASES.index(action.phase)] += action.p_kw
     return actions

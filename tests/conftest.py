@@ -1,8 +1,10 @@
-"""Shared test helpers: random feeder generation and solution residuals."""
+"""Shared test helpers: random feeder generation, solution residuals and
+the loop reference of the greedy balancing search."""
 
 from __future__ import annotations
 
 import random
+from typing import Mapping, Sequence
 
 from phasebal.network import (
     CONDUCTORS,
@@ -10,11 +12,20 @@ from phasebal.network import (
     DeviceKind,
     Feeder,
     FeederSpec,
+    PHASES,
     LineSegment,
     Phase,
     build_feeder,
 )
 from phasebal.powerflow import VoltageSolution
+from phasebal.storage import (
+    Architecture,
+    ArchKind,
+    Battery,
+    DispatchAction,
+    _candidate_powers,
+    power_bounds,
+)
 
 
 def random_feeder(rng: random.Random, max_nodes: int = 6) -> Feeder:
@@ -112,3 +123,82 @@ def kcl_residual(feeder: Feeder, sol: VoltageSolution, injections=None) -> float
         (abs(net_in[key] - drawn[key]) for key in drawn if key[0] != feeder.source_node),
         default=0.0,
     )
+
+
+def _spread(per_phase: Mapping[Phase, float]) -> float:
+    values = [per_phase[ph] for ph in PHASES]
+    return max(values) - min(values)
+
+
+def reference_greedy(
+    per_phase_net_kw: Mapping[Phase, float],
+    arch: Architecture,
+    batteries: Sequence[Battery],
+    dt_h: float,
+) -> list[DispatchAction]:
+    """The greedy balancing search as a per-candidate Python loop: the
+    reference that ``greedy_balance_controller`` must match action for
+    action, tie rule included."""
+    net = {ph: float(per_phase_net_kw[ph]) for ph in PHASES}
+
+    if arch.kind is ArchKind.A1:
+        bat = batteries[0]
+        best = (DispatchAction(bat.id, Phase.A), _spread(net))
+        for phase in PHASES:
+            for p in _candidate_powers(bat, dt_h):
+                adj = dict(net)
+                adj[phase] += p
+                s = _spread(adj)
+                if s < best[1] - 1e-12:
+                    best = (DispatchAction(bat.id, phase, p), s)
+        return [best[0]]
+
+    if len(batteries) != 3:
+        raise ValueError(f"{arch.kind.value} needs exactly three batteries")
+
+    if arch.kind is ArchKind.A2:
+        cands = [_candidate_powers(b, dt_h) for b in batteries]
+        zero_sum = not arch.allow_load_shift
+        best_actions = [DispatchAction(b.id, ph) for b, ph in zip(batteries, PHASES)]
+        best_spread = _spread(net)
+        lo_c, hi_c = power_bounds(batteries[2], dt_h)
+        for pa in cands[0]:
+            for pb in cands[1]:
+                if zero_sum:
+                    pc_list = [-(pa + pb)]
+                    if not lo_c - 1e-12 <= pc_list[0] <= hi_c + 1e-12:
+                        continue
+                else:
+                    pc_list = cands[2]
+                for pc in pc_list:
+                    s = _spread(
+                        {
+                            Phase.A: net[Phase.A] + pa,
+                            Phase.B: net[Phase.B] + pb,
+                            Phase.C: net[Phase.C] + pc,
+                        }
+                    )
+                    if s < best_spread - 1e-12:
+                        best_spread = s
+                        best_actions = [
+                            DispatchAction(batteries[0].id, Phase.A, pa),
+                            DispatchAction(batteries[1].id, Phase.B, pb),
+                            DispatchAction(batteries[2].id, Phase.C, pc),
+                        ]
+        return best_actions
+
+    # A3: sequential greedy with per-battery phase selection.
+    adjusted = dict(net)
+    actions: list[DispatchAction] = []
+    for bat in batteries:
+        best = (DispatchAction(bat.id, Phase.A), _spread(adjusted))
+        for phase in PHASES:
+            for p in _candidate_powers(bat, dt_h):
+                trial = dict(adjusted)
+                trial[phase] += p
+                s = _spread(trial)
+                if s < best[1] - 1e-12:
+                    best = (DispatchAction(bat.id, phase, p), s)
+        actions.append(best[0])
+        adjusted[best[0].phase] += best[0].p_kw
+    return actions

@@ -171,6 +171,27 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "N0" in err and "N1" in err
 
+    def test_seed_key_rejected_and_named(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(CUSTOM_DOC))
+        doc["scenario"]["seed"] = 7
+        path = write_config(tmp_path, doc)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert "'seed'" in capsys.readouterr().err
+
+    def test_battery_shared_by_two_storage_devices_exits_2(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(CUSTOM_DOC))
+        scenario = doc["scenario"]
+        scenario["feeder"]["devices"] += [
+            {"label": f"st-{i}", "node": "N1", "kind": "storage", "phase": "A", "battery_id": "b"}
+            for i in range(2)
+        ]
+        scenario.update(
+            batteries=[{"id": "b", "p_max_kw": 1.0}], architecture="A1", controller="greedy"
+        )
+        path = write_config(tmp_path, doc)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert "battery 'b'" in capsys.readouterr().err
+
     def test_failed_run_writes_no_output_files(self, tmp_path, capsys):
         doc = {
             "label": "boom",

@@ -132,6 +132,20 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="storage devices"):
             Scenario(feeder=feeder, batteries=(Battery(id="b", p_max_kw=1.0),))
 
+    def test_battery_shared_by_two_storage_devices(self):
+        devices = [
+            Device("st-a", "N1", DeviceKind.STORAGE, Phase.A, battery_id="b"),
+            Device("st-b", "N2", DeviceKind.STORAGE, Phase.A, battery_id="b"),
+        ]
+        feeder = chain_feeder(3, 0.1, devices=devices)
+        with pytest.raises(ValueError, match="battery 'b' is attached to more than one"):
+            Scenario(
+                feeder=feeder,
+                architecture=Architecture(ArchKind.A1),
+                controller="fixed_schedule",
+                batteries=(Battery(id="b", p_max_kw=1.0),),
+            )
+
     def test_horizon_must_divide(self):
         feeder = chain_feeder(2, 0.1)
         with pytest.raises(ValueError, match="multiple"):
@@ -420,3 +434,45 @@ class TestBatchedRun:
         assert exc.value.t_h == 1.0
         with pytest.raises(ValueError, match="injection for 'load' must be finite"):
             run((0.01, math.nan, 1.0, 0.01))
+
+
+class TestDispatchProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(list(ArchKind)),
+        allow_load_shift=st.booleans(),
+        controller=st.sampled_from(["greedy", "fixed_schedule"]),
+        storage_node=st.sampled_from(["N0", "N5"]),
+        target_phase=st.sampled_from(PHASES),
+        dt_h=st.sampled_from([1.0, 0.25]),
+        data=st.data(),
+    )
+    def test_soc_within_bounds_and_a2_no_shift_sums_to_zero(
+        self, kind, allow_load_shift, controller, storage_node, target_phase, dt_h, data
+    ):
+        """Random fleets on the stylized day: every step's SoC lies in
+        [0, e_max], and A2 without load shift dispatches zero net power."""
+        arch = Architecture(kind, allow_load_shift=allow_load_shift)
+        scenario = build_stylized_scenario(
+            arch, storage_node, 1.0, controller, target_phase=target_phase, dt_h=dt_h
+        )
+        batteries = []
+        for bat in scenario.batteries:
+            e_max = data.draw(st.floats(0.1, 8.0))
+            batteries.append(
+                Battery(
+                    id=bat.id,
+                    p_max_kw=data.draw(st.floats(0.1, 1.5)),
+                    e_max_kwh=e_max,
+                    soc_kwh=data.draw(st.sampled_from([0.0, e_max]) | st.floats(0.0, e_max)),
+                    eta_c=data.draw(st.floats(0.8, 1.0)),
+                    eta_d=data.draw(st.floats(0.8, 1.0)),
+                )
+            )
+        result = run_scenario(replace(scenario, batteries=tuple(batteries)))
+        assert len(result.per_timestep) == scenario.n_steps
+        for rec in result.per_timestep:
+            for bat in batteries:
+                assert 0.0 <= rec.soc_kwh[bat.id] <= bat.e_max_kwh
+            if kind is ArchKind.A2 and not allow_load_shift:
+                assert abs(sum(a.p_kw for a in rec.actions)) <= 1e-9

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_greedy
 from phasebal.errors import RatingExceeded, SocOverflow, SocUnderflow
 from phasebal.network import PHASES, Phase
 from phasebal.storage import (
+    DEFAULT_HOURS_AT_RATED,
     Architecture,
     ArchKind,
     Battery,
@@ -429,3 +431,36 @@ class TestGreedyBalance:
         first = greedy_balance_controller(net, arch, bats, 1.0)
         second = greedy_balance_controller(net, arch, bats, 1.0)
         assert first == second
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(list(ArchKind)),
+        allow_load_shift=st.booleans(),
+        lattice_kw=st.sampled_from([0.05, 0.1]),
+        net_steps=st.lists(st.integers(-40, 120), min_size=3, max_size=3),
+        units=st.lists(
+            st.tuples(
+                st.sampled_from([0.3, 0.5, 1.0, 1.5, 0.73]),
+                st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),  # SoC / e_max
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+        dt_h=st.sampled_from([1.0, 0.25]),
+    )
+    def test_matches_loop_reference(
+        self, kind, allow_load_shift, lattice_kw, net_steps, units, dt_h
+    ):
+        """Nets on a coarse lattice make many candidates tie; the chosen
+        actions must still equal the per-candidate loop's, bit for bit."""
+        net = {ph: k * lattice_kw for ph, k in zip(PHASES, net_steps)}
+        arch = Architecture(kind, allow_load_shift=allow_load_shift)
+        bats = [
+            Battery(
+                id=f"b{i}", p_max_kw=p_max, soc_kwh=DEFAULT_HOURS_AT_RATED * p_max * soc_frac
+            )
+            for i, (p_max, soc_frac) in enumerate(units[: arch.n_batteries])
+        ]
+        got = greedy_balance_controller(net, arch, bats, dt_h)
+        assert got == reference_greedy(net, arch, bats, dt_h)
+        assert all(type(a.p_kw) is float for a in got)
