@@ -20,7 +20,6 @@ from .errors import (
     SignConventionViolation,
     SocOverflow,
     SocUnderflow,
-    UnconvergedSolution,
     UnknownNode,
     UnknownNorm,
     UnsupportedNode,
@@ -70,6 +69,7 @@ from .scenarios import (
     StepRecord,
     SweepRow,
     SweepTemplate,
+    Trajectory,
     build_stylized_scenario,
     build_sweep_scenario,
     run_scenario,

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 import jsonschema
+import numpy as np
 
 from .errors import (
     ConfigInvalid,
@@ -34,8 +35,8 @@ from .errors import (
     SchemaMismatch,
 )
 from .ingest import analyze_series, read_measured_series
-from .metrics import NodeMetrics
 from .network import (
+    PHASES,
     Device,
     DeviceKind,
     Feeder,
@@ -334,6 +335,14 @@ def _complex(pair: Sequence[float] | None, default: complex) -> complex:
     return complex(pair[0], pair[1])
 
 
+def _present(doc: dict, *keys: str) -> dict:
+    """The keys of ``doc`` among ``keys`` (phases as Phase), so that the
+    model's own defaults stand for the ones left out."""
+    return {
+        key: Phase(doc[key]) if key.endswith("_phase") else doc[key] for key in keys if key in doc
+    }
+
+
 def _parse_feeder(doc: dict) -> Feeder:
     segments = [
         LineSegment(
@@ -364,7 +373,7 @@ def _parse_feeder(doc: dict) -> Feeder:
             nodes=doc["nodes"],
             segments=segments,
             devices=devices,
-            **{key: doc[key] for key in ("v_base_ln", "s_base_kva") if key in doc},
+            **_present(doc, "v_base_ln", "s_base_kva"),
         )
     )
 
@@ -372,10 +381,7 @@ def _parse_feeder(doc: dict) -> Feeder:
 def _parse_architecture(doc: dict) -> Architecture | None:
     if doc.get("architecture") is None:
         return None
-    return Architecture(
-        kind=ArchKind(doc["architecture"]),
-        allow_load_shift=doc.get("allow_load_shift", True),
-    )
+    return Architecture(kind=ArchKind(doc["architecture"]), **_present(doc, "allow_load_shift"))
 
 
 def _parse_scenario(doc: dict, label: str, path: str) -> Scenario:
@@ -393,37 +399,19 @@ def _parse_scenario(doc: dict, label: str, path: str) -> Scenario:
             DeviceKind(doc["kind"]),
             doc["penetration_pct"],
             doc["network_class"],
-            device_phase=Phase(doc.get("device_phase", "A")),
-            balanced=doc.get("balanced", False),
+            **_present(doc, "device_phase", "balanced"),
         )
     elif kind == "stylized":
         scenario = build_stylized_scenario(
             _parse_architecture(doc),
-            doc.get("storage_node", "N5"),
-            doc.get("battery_kw", 3.0),
-            doc.get("controller", "fixed_schedule"),
-            target_phase=Phase(doc.get("target_phase", "A")),
+            **_present(doc, "storage_node", "battery_kw", "controller", "target_phase"),
         )
     else:
         scenario = Scenario(
             feeder=_parse_feeder(doc["feeder"]),
-            horizon_h=doc.get("horizon_h", 24.0),
-            dt_h=doc.get("dt_h", 1.0),
             profiles={k: tuple(v) for k, v in doc.get("profiles", {}).items()},
             architecture=_parse_architecture(doc),
-            controller=doc.get("controller", "none"),
-            batteries=tuple(
-                Battery(
-                    id=b["id"],
-                    p_max_kw=b["p_max_kw"],
-                    e_max_kwh=b.get("e_max_kwh"),
-                    soc_kwh=b.get("soc_kwh", 0.0),
-                    eta_c=b.get("eta_c", 1.0),
-                    eta_d=b.get("eta_d", 1.0),
-                    s_conv_kva=b.get("s_conv_kva"),
-                )
-                for b in doc.get("batteries", [])
-            ),
+            batteries=tuple(Battery(**b) for b in doc.get("batteries", [])),
             schedule=StylizedScheduleCfg(
                 **{
                     key: Phase(value) if key == "target_phase" else tuple(value)
@@ -431,6 +419,7 @@ def _parse_scenario(doc: dict, label: str, path: str) -> Scenario:
                 }
             ),
             label=label,
+            **_present(doc, "horizon_h", "dt_h", "controller"),
         )
     return scenario
 
@@ -448,12 +437,8 @@ def parse_config(doc: Any, path: str = "<config>") -> RunConfig:
     if has_scenario == has_sweep:
         raise ConfigInvalid(path, "scenario|sweep", "exactly one of 'scenario' or 'sweep' required")
 
-    solver = doc.get("solver", {})
-    settings = SolverSettings(
-        tol_pu=solver.get("tol_pu", 1e-8), max_iter=solver.get("max_iter", 100)
-    )
+    settings = SolverSettings(**doc.get("solver", {}))
     label = doc.get("label", "run")
-    output = doc.get("output", {})
 
     if has_scenario:
         scenario = replace(_parse_scenario(doc["scenario"], label, path), label=label)
@@ -461,8 +446,7 @@ def parse_config(doc: Any, path: str = "<config>") -> RunConfig:
             label=label,
             settings=settings,
             scenario=scenario,
-            write_timeseries=output.get("timeseries", True),
-            write_summary=output.get("summary", True),
+            **{f"write_{key}": value for key, value in doc.get("output", {}).items()},
         )
 
     sw = doc["sweep"]
@@ -470,8 +454,7 @@ def parse_config(doc: Any, path: str = "<config>") -> RunConfig:
     template = SweepTemplate(
         total_phase_load_kw=sw["total_phase_load_kw"],
         network_class=sw["network_class"],
-        device_phase=Phase(sw.get("device_phase", "A")),
-        balanced=sw.get("balanced", False),
+        **_present(sw, "device_phase", "balanced"),
     )
     grid = (
         tuple(float(p) for p in sw["penetrations_pct"]),
@@ -505,56 +488,36 @@ def write_csv_atomic(path: Path, header: Sequence[str], rows) -> None:
 
 
 def timeseries_rows(scenario: Scenario, result: ScenarioResult):
-    """Flatten a result into one row per timestep x node."""
+    """Flatten a result into one row per timestep x node, from the run's
+    trajectory arrays one step at a time."""
     feeder = scenario.feeder
-    feed_seg = {seg.to_node: k for k, seg in enumerate(feeder.segments)}
-    storage_node = {d.battery_id: d.node for d in feeder.storage_devices()}
-    for rec in result.per_timestep:
-        per_node_p = {}
-        per_node_q = {}
-        per_node_soc = {}
+    traj = result.trajectory
+    row_of = {name: i for i, name in enumerate(feeder.nodes)}
+    seg_rows = [row_of[seg.to_node] for seg in feeder.segments]
+    storage_row = {d.battery_id: row_of[d.node] for d in feeder.storage_devices()}
+    # per-segment phase loss summed as the builtin sum does, from 0.0
+    phase_loss = 0.0 + traj.phase_loss[..., 0] + traj.phase_loss[..., 1] + traj.phase_loss[..., 2]
+    cols = np.zeros((len(feeder.nodes), len(TIMESERIES_COLUMNS) - 2))  # all but t_h, node
+    for k, rec in enumerate(result.per_timestep):
+        v = traj.solved.voltages[k]
+        v_ln = v[:, :3] - v[:, 3:]
+        cols[:, 0:3] = np.hypot(v_ln.real, v_ln.imag)
+        cols[:, 3] = np.hypot(v[:, 3].real, v[:, 3].imag)
+        cols[:, 4] = traj.vuf_pct[k]
+        cols[:, 5:8] = traj.drop_pct[k]
+        cols[:, 8] = traj.v_rms[k]
+        cols[seg_rows, 9] = phase_loss[k]
+        cols[seg_rows, 10] = traj.neutral_loss[k]
+        cols[:, 11:] = 0.0
+        # units sharing a node and phase add up in action and battery order
         for action in rec.actions:
-            node = storage_node[action.battery_id]
-            per_node_p.setdefault(node, {"A": 0.0, "B": 0.0, "C": 0.0})
-            per_node_q.setdefault(node, {"A": 0.0, "B": 0.0, "C": 0.0})
-            per_node_p[node][action.phase.value] += action.p_kw
-            per_node_q[node][action.phase.value] += action.q_kvar
+            ph = PHASES.index(action.phase)
+            cols[storage_row[action.battery_id], 11 + ph] += action.p_kw
+            cols[storage_row[action.battery_id], 14 + ph] += action.q_kvar
         for bat_id, soc in rec.soc_kwh.items():
-            node = storage_node[bat_id]
-            per_node_soc[node] = per_node_soc.get(node, 0.0) + soc
-
-        v = rec.solution.v
-        metrics = rec.metrics
-        flows = rec.flows
-        for node in feeder.nodes:
-            nm: NodeMetrics = metrics[node]
-            v_n = v[node]["N"]
-            v_ln = {p: abs(v[node][p] - v_n) for p in ("A", "B", "C")}
-            k = feed_seg.get(node)
-            p_fill = per_node_p.get(node, {"A": 0.0, "B": 0.0, "C": 0.0})
-            q_fill = per_node_q.get(node, {"A": 0.0, "B": 0.0, "C": 0.0})
-            yield (
-                rec.t_h,
-                node,
-                v_ln["A"],
-                v_ln["B"],
-                v_ln["C"],
-                abs(v_n),
-                nm.vuf_pct,
-                nm.drop_pct[Phase.A],
-                nm.drop_pct[Phase.B],
-                nm.drop_pct[Phase.C],
-                nm.v_rms,
-                sum(flows.phase_loss_kw[k].values()) if k is not None else 0.0,
-                flows.neutral_loss_kw[k] if k is not None else 0.0,
-                p_fill["A"],
-                p_fill["B"],
-                p_fill["C"],
-                q_fill["A"],
-                q_fill["B"],
-                q_fill["C"],
-                per_node_soc.get(node, 0.0),
-            )
+            cols[storage_row[bat_id], 17] += soc
+        for node, values in zip(feeder.nodes, cols.tolist()):
+            yield (rec.t_h, node, *values)
 
 
 def summary_row(result: ScenarioResult):

@@ -89,10 +89,6 @@ class VoltageCollapse(PhasebalError):
         self.v_min_pu = v_min_pu
 
 
-class UnconvergedSolution(PhasebalError):
-    """An operation requires a converged solution but was given an unconverged one."""
-
-
 # --- metrics -----------------------------------------------------------------
 
 

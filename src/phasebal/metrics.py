@@ -12,11 +12,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import UnconvergedSolution, UnknownNorm, ZeroPositiveSequence
+from .errors import UnknownNorm, ZeroPositiveSequence
 from .network import PHASES, Feeder, Phase
 
 #: Rotation operator a = 1 at +120 degrees.
@@ -144,16 +143,6 @@ def node_metric_arrays(
     return vuf_pct, drop_pct, v_rms
 
 
-def metrics_dict(
-    nodes: Sequence[str], vuf_pct: np.ndarray, drop_pct: np.ndarray, v_rms: np.ndarray
-) -> dict[str, NodeMetrics]:
-    """Per-node NodeMetrics of one snapshot from ``node_metric_arrays``."""
-    return {
-        node: NodeMetrics(vuf_pct=u, drop_pct=dict(zip(PHASES, d)), v_rms=r)
-        for node, u, d, r in zip(nodes, vuf_pct.tolist(), drop_pct.tolist(), v_rms.tolist())
-    }
-
-
 def node_metrics(solution, feeder: Feeder) -> dict[str, NodeMetrics]:
     """Compute per-node VUF, signed voltage deviation and RMS voltage.
 
@@ -162,9 +151,12 @@ def node_metrics(solution, feeder: Feeder) -> dict[str, NodeMetrics]:
     makes the local neutral potential nonzero downstream of the source.
     Raises ZeroPositiveSequence where VUF is undefined.
     """
-    if not solution.converged:
-        raise UnconvergedSolution("node_metrics requires a converged solution")
     vuf_pct, drop_pct, v_rms = node_metric_arrays(solution.voltages, feeder.v_base_ln)
     if not np.all(np.isfinite(vuf_pct)):
         raise ZeroPositiveSequence("positive-sequence magnitude is zero")
-    return metrics_dict(feeder.nodes, vuf_pct, drop_pct, v_rms)
+    return {
+        node: NodeMetrics(vuf_pct=u, drop_pct=dict(zip(PHASES, d)), v_rms=r)
+        for node, u, d, r in zip(
+            feeder.nodes, vuf_pct.tolist(), drop_pct.tolist(), v_rms.tolist()
+        )
+    }

@@ -40,7 +40,6 @@ import numpy as np
 from .errors import (
     NonConvergence,
     PhasebalError,
-    UnconvergedSolution,
     UnknownNode,
     VoltageCollapse,
 )
@@ -79,7 +78,6 @@ class VoltageSolution:
     voltages: np.ndarray
     currents: np.ndarray
     iterations: int
-    converged: bool
 
     @property
     def v(self) -> dict[str, dict[str, complex]]:
@@ -98,7 +96,6 @@ class VoltageSolution:
         return (
             self.nodes == other.nodes
             and self.iterations == other.iterations
-            and self.converged == other.converged
             and np.array_equal(self.voltages, other.voltages)
             and np.array_equal(self.currents, other.currents)
         )
@@ -194,7 +191,7 @@ class BatchSolution:
 
     def solution(self, nodes: tuple[str, ...], row: int) -> VoltageSolution:
         return VoltageSolution(
-            nodes, self.voltages[row], self.currents[row], int(self.iterations[row]), True
+            nodes, self.voltages[row], self.currents[row], int(self.iterations[row])
         )
 
 
@@ -394,7 +391,7 @@ def oracle_solve(
     free = np.arange(4, n4)
     v = topo.flat[None].copy()
     if free.size == 0:
-        return VoltageSolution(feeder.nodes, v[0], np.zeros((0, 4), dtype=complex), 1, True)
+        return VoltageSolution(feeder.nodes, v[0], np.zeros((0, 4), dtype=complex), 1)
 
     y_uu = y[np.ix_(free, free)]
     y_uf = y[np.ix_(free, fixed)]
@@ -413,7 +410,7 @@ def oracle_solve(
         if delta <= tol_v:
             sinks, _ = _device_currents(topo, v, node, cond, s_va)
             currents = _branch_currents(topo, sinks)
-            return VoltageSolution(feeder.nodes, v[0], currents[0], it, True)
+            return VoltageSolution(feeder.nodes, v[0], currents[0], it)
     raise NonConvergence(settings.max_iter, delta)
 
 
@@ -434,20 +431,15 @@ def segment_losses(
     return amps_sq[..., :3] * r_ph[:, None] / 1000.0, amps_sq[..., 3] * r_n / 1000.0
 
 
-def flow_summary(
-    feeder: Feeder,
-    voltages: np.ndarray,
-    currents: np.ndarray,
-    phase_loss: np.ndarray,
-    neutral_loss: np.ndarray,
-) -> FlowSummary:
-    """FlowSummary of one snapshot from its arrays (see ``segment_losses``)."""
+def summarize_flows(feeder: Feeder, solution: VoltageSolution) -> FlowSummary:
+    """Reduce a solution to conductor losses and source injection."""
+    phase_loss, neutral_loss = segment_losses(solution.currents, *segment_resistances(feeder))
     injection: dict[str, complex] = {p.value: 0j for p in Phase}
-    v_src = voltages[0].tolist()  # the source is row 0 after normalization
+    v_src = solution.voltages[0].tolist()  # the source is row 0 after normalization
     for k, seg in enumerate(feeder.segments):
         if seg.from_node != feeder.source_node:
             continue
-        amps = currents[k].tolist()
+        amps = solution.currents[k].tolist()
         for c, p in enumerate(Phase):
             injection[p.value] += v_src[c] * amps[c].conjugate() / 1000.0
     return FlowSummary(
@@ -455,14 +447,6 @@ def flow_summary(
         neutral_loss_kw=dict(enumerate(neutral_loss.tolist())),
         source_injection=injection,
     )
-
-
-def summarize_flows(feeder: Feeder, solution: VoltageSolution) -> FlowSummary:
-    """Reduce a converged solution to conductor losses and source injection."""
-    if not solution.converged:
-        raise UnconvergedSolution("summarize_flows requires a converged solution")
-    phase_loss, neutral_loss = segment_losses(solution.currents, *segment_resistances(feeder))
-    return flow_summary(feeder, solution.voltages, solution.currents, phase_loss, neutral_loss)
 
 
 def power_balance_residual_kw(

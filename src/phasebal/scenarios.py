@@ -21,6 +21,8 @@ Two builder families cover the bundled studies:
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -33,7 +35,7 @@ from .errors import (
     UnsupportedNode,
     ZeroPositiveSequence,
 )
-from .metrics import NodeMetrics, metrics_dict, node_metric_arrays
+from .metrics import node_metric_arrays
 from .network import (
     PHASES,
     Device,
@@ -44,11 +46,9 @@ from .network import (
 )
 from .powerflow import (
     BatchSolution,
-    FlowSummary,
     SolverSettings,
     Topology,
     VoltageSolution,
-    flow_summary,
     segment_losses,
     segment_resistances,
     sweep_batch,
@@ -99,6 +99,12 @@ class Scenario:
         if abs(steps - round(steps)) > 1e-9 or steps < 1:
             raise ValueError("horizon_h must be a positive multiple of dt_h")
         n = self.n_steps
+        for pid, profile in self.profiles.items():
+            for i, value in enumerate(profile):
+                if not 0 <= value < math.inf:
+                    raise ValueError(
+                        f"profile {pid!r} entry {i} must be finite and >= 0, got {value!r}"
+                    )
         for dev in self.feeder.devices:
             if dev.profile_id is None:
                 continue
@@ -108,6 +114,15 @@ class Scenario:
             if len(profile) != n:
                 raise ValueError(
                     f"profile {dev.profile_id!r} has {len(profile)} entries, expected {n}"
+                )
+            # values are >= 0, so a finite product at the largest is finite at all
+            if not cmath.isfinite(dev.s_rated_kva * max(profile)):
+                i = next(
+                    i for i, v in enumerate(profile) if not cmath.isfinite(dev.s_rated_kva * v)
+                )
+                raise ValueError(
+                    f"profile {dev.profile_id!r} entry {i} scales the rating of device "
+                    f"{dev.label!r} to a non-finite power"
                 )
         battery_ids = {b.id for b in self.batteries}
         if len(battery_ids) != len(self.batteries):
@@ -136,65 +151,12 @@ class Scenario:
 
 
 @dataclass(frozen=True, eq=False)
-class StepRecord:
-    """Everything observed at one timestep.
-
-    ``solution``, ``metrics`` and ``flows`` are built from the run's arrays
-    on every read; hold on to the returned object to read it repeatedly.
-    """
-
-    t_h: float
-    actions: tuple[DispatchAction, ...]
-    soc_kwh: dict[str, float]
-    trajectory: "_Trajectory" = field(repr=False)
-    step: int = field(repr=False)
-
-    @property
-    def solution(self) -> VoltageSolution:
-        return self.trajectory.solution(self.step)
-
-    @property
-    def metrics(self) -> dict[str, NodeMetrics]:
-        return self.trajectory.metrics(self.step)
-
-    @property
-    def flows(self) -> FlowSummary:
-        return self.trajectory.flows(self.step)
-
-    def _observed(self) -> tuple:
-        return (self.t_h, self.actions, self.soc_kwh, self.solution, self.metrics, self.flows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StepRecord):
-            return NotImplemented
-        return self._observed() == other._observed()
-
-
-@dataclass(frozen=True)
-class ScenarioResult:
-    """Time-aggregated metrics for one scenario run.
-
-    VUF statistics run over all non-source nodes and all timesteps.
-    ``max_drop_pct`` / ``max_rise_pct`` are magnitudes (both >= 0) of the
-    worst negative / positive line-to-neutral deviation. ``sum_drop_at``
-    maps a node to the time-average of its three phase deviations summed.
-    """
-
-    label: str
-    mean_vuf_pct: float
-    max_vuf_pct: float
-    neutral_loss_kwh: float
-    phase_loss_kwh: float
-    max_drop_pct: float
-    max_rise_pct: float
-    sum_drop_at: dict[str, float]
-    per_timestep: tuple[StepRecord, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class _Trajectory:
+class Trajectory:
     """Solved arrays of every timestep of one run: power flow
-    ``(step, node | segment, conductor)`` and the metrics derived from it."""
+    ``(step, node | segment, conductor)`` and the metrics derived from it,
+    ``(step, node[, phase])`` for VUF, signed deviation and RMS voltage and
+    ``(step, segment[, phase])`` for losses in kW. Rows follow
+    ``feeder.nodes`` and ``feeder.segments``."""
 
     feeder: Feeder
     solved: BatchSolution
@@ -207,17 +169,54 @@ class _Trajectory:
     def solution(self, k: int) -> VoltageSolution:
         return self.solved.solution(self.feeder.nodes, k)
 
-    def metrics(self, k: int) -> dict[str, NodeMetrics]:
-        return metrics_dict(self.feeder.nodes, self.vuf_pct[k], self.drop_pct[k], self.v_rms[k])
 
-    def flows(self, k: int) -> FlowSummary:
-        return flow_summary(
-            self.feeder,
-            self.solved.voltages[k],
-            self.solved.currents[k],
-            self.phase_loss[k],
-            self.neutral_loss[k],
+@dataclass(frozen=True, eq=False)
+class StepRecord:
+    """Everything observed at one timestep.
+
+    ``solution`` is built from the run's trajectory on every read; hold on
+    to the returned object to read it repeatedly.
+    """
+
+    t_h: float
+    actions: tuple[DispatchAction, ...]
+    soc_kwh: dict[str, float]
+    trajectory: Trajectory = field(repr=False)
+    step: int = field(repr=False)
+
+    @property
+    def solution(self) -> VoltageSolution:
+        return self.trajectory.solution(self.step)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StepRecord):
+            return NotImplemented
+        return (self.t_h, self.actions, self.soc_kwh, self.solution) == (
+            other.t_h, other.actions, other.soc_kwh, other.solution
         )
+
+
+@dataclass(frozen=True)
+class ScenarioResult:
+    """Time-aggregated metrics for one scenario run.
+
+    VUF statistics run over all non-source nodes and all timesteps.
+    ``max_drop_pct`` / ``max_rise_pct`` are magnitudes (both >= 0) of the
+    worst negative / positive line-to-neutral deviation. ``sum_drop_at``
+    maps a node to the time-average of its three phase deviations summed.
+    ``trajectory`` holds the per-step arrays behind ``per_timestep``.
+    """
+
+    label: str
+    mean_vuf_pct: float
+    max_vuf_pct: float
+    neutral_loss_kwh: float
+    phase_loss_kwh: float
+    max_drop_pct: float
+    max_rise_pct: float
+    sum_drop_at: dict[str, float]
+    per_timestep: tuple[StepRecord, ...]
+    trajectory: Trajectory = field(repr=False, compare=False)
 
 
 def _complex_times_real(re: np.ndarray, im: np.ndarray, f) -> tuple[np.ndarray, np.ndarray]:
@@ -284,10 +283,7 @@ def run_scenario(scenario: Scenario, settings: SolverSettings = SolverSettings()
         dtype=float,
     ).reshape(len(plain), n_steps).T
     rated = np.array([d.s_rated_kva for d in plain], dtype=complex)
-    with np.errstate(invalid="ignore", over="ignore"):
-        dev_p, dev_q = _complex_times_real(rated.real, rated.imag, scale)
-    finite = np.isfinite(dev_p) & np.isfinite(dev_q)
-    bad_steps = np.flatnonzero(~finite.all(axis=1))
+    dev_p, dev_q = _complex_times_real(rated.real, rated.imag, scale)
 
     topo = Topology(feeder)
     node, cond, owner, battery_entry = _injection_entries(feeder, topo.index)
@@ -301,9 +297,7 @@ def run_scenario(scenario: Scenario, settings: SolverSettings = SolverSettings()
     bat_index = {b.id: i for i, b in enumerate(batteries)}
     steps: list[tuple[float, tuple[DispatchAction, ...], dict[str, float]]] = []
     pending: Exception | None = None
-    # a non-finite injection fails its step after that step's dispatch
-    n_dispatch = int(bad_steps[0]) + 1 if bad_steps.size else n_steps
-    for k in range(n_dispatch):
+    for k in range(n_steps):
         t_h = k * dt_h
         try:
             if scenario.controller == "fixed_schedule" and batteries:
@@ -332,12 +326,6 @@ def run_scenario(scenario: Scenario, settings: SolverSettings = SolverSettings()
             pending = exc
             break
         steps.append((t_h, tuple(applied), {b.id: b.soc_kwh for b in batteries}))
-    if pending is None and bad_steps.size:
-        k = int(bad_steps[0])
-        d = int(np.flatnonzero(~finite[k])[0])
-        s = complex(dev_p[k, d], dev_q[k, d])
-        pending = ValueError(f"injection for {plain[d].label!r} must be finite, got {s!r}")
-        del steps[k:]
     n_ok = len(steps)
 
     # --- 2. power-flow pass --------------------------------------------------
@@ -369,7 +357,7 @@ def run_scenario(scenario: Scenario, settings: SolverSettings = SolverSettings()
             drop_sums[i] += sum(per_phase)
     vuf_values = vuf_pct[:, 1:].ravel().tolist()  # the source is node row 0
 
-    trajectory = _Trajectory(feeder, solved, vuf_pct, drop_pct, v_rms, phase_loss, neutral_loss)
+    trajectory = Trajectory(feeder, solved, vuf_pct, drop_pct, v_rms, phase_loss, neutral_loss)
     return ScenarioResult(
         label=scenario.label,
         mean_vuf_pct=sum(vuf_values) / len(vuf_values) if vuf_values else 0.0,
@@ -383,6 +371,7 @@ def run_scenario(scenario: Scenario, settings: SolverSettings = SolverSettings()
             StepRecord(t_h, actions, soc, trajectory, k)
             for k, (t_h, actions, soc) in enumerate(steps)
         ),
+        trajectory=trajectory,
     )
 
 

@@ -1,11 +1,14 @@
-"""Shared test helpers: random feeder generation, solution residuals and
-the loop reference of the greedy balancing search."""
+"""Shared test helpers: random feeder generation, solution residuals, the
+loop reference of the greedy balancing search and the dict-view reference
+of the timeseries CSV rows."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Mapping, Sequence
 
+from phasebal.metrics import NodeMetrics, node_metrics
 from phasebal.network import (
     CONDUCTORS,
     Device,
@@ -17,7 +20,8 @@ from phasebal.network import (
     Phase,
     build_feeder,
 )
-from phasebal.powerflow import VoltageSolution
+from phasebal.powerflow import VoltageSolution, summarize_flows
+from phasebal.scenarios import Scenario, ScenarioResult
 from phasebal.storage import (
     Architecture,
     ArchKind,
@@ -71,6 +75,40 @@ def random_feeder(rng: random.Random, max_nodes: int = 6) -> Feeder:
         )
     return build_feeder(
         FeederSpec(source_node="N0", nodes=nodes, segments=segments, devices=devices)
+    )
+
+
+def with_profiles(feeder: Feeder, values, steps: int) -> Scenario:
+    """The feeder with device i following profile ``p{i}`` (``values[i]``),
+    as a scenario over ``steps`` hourly steps."""
+    devices = [replace(d, profile_id=f"p{i}") for i, d in enumerate(feeder.devices)]
+    profiles = {f"p{i}": tuple(v) for i, v in enumerate(values)}
+    return Scenario(
+        feeder=replace(feeder, devices=tuple(devices)), horizon_h=float(steps), profiles=profiles
+    )
+
+
+def with_greedy_fleet(scenario: Scenario, kind: ArchKind | None, rng: random.Random) -> Scenario:
+    """The scenario with a greedy ``kind`` fleet of 1 kW units (one for A1,
+    three otherwise) at a random non-source node; unchanged for None. A1
+    and A3 units select their phase, so they change phase and may share one."""
+    if kind is None:
+        return scenario
+    node = rng.choice(scenario.feeder.nodes[1:])
+    units = 1 if kind is ArchKind.A1 else 3
+    batteries = tuple(
+        Battery(id=f"b{u}", p_max_kw=1.0, soc_kwh=rng.uniform(0.0, 5.0)) for u in range(units)
+    )
+    storage = tuple(
+        Device(f"st{u}", node, DeviceKind.STORAGE, Phase.A, battery_id=f"b{u}")
+        for u in range(units)
+    )
+    return replace(
+        scenario,
+        feeder=replace(scenario.feeder, devices=scenario.feeder.devices + storage),
+        architecture=Architecture(kind),
+        controller="greedy",
+        batteries=batteries,
     )
 
 
@@ -202,3 +240,58 @@ def reference_greedy(
         actions.append(best[0])
         adjusted[best[0].phase] += best[0].p_kw
     return actions
+
+
+def reference_timeseries_rows(scenario: Scenario, result: ScenarioResult):
+    """The timeseries CSV rows read through the per-step dict views
+    (``solution.v``, ``node_metrics`` and ``summarize_flows``): the
+    reference that ``cli.timeseries_rows`` must match value for value."""
+    feeder = scenario.feeder
+    feed_seg = {seg.to_node: k for k, seg in enumerate(feeder.segments)}
+    storage_node = {d.battery_id: d.node for d in feeder.storage_devices()}
+    for rec in result.per_timestep:
+        per_node_p = {}
+        per_node_q = {}
+        per_node_soc = {}
+        for action in rec.actions:
+            node = storage_node[action.battery_id]
+            per_node_p.setdefault(node, {"A": 0.0, "B": 0.0, "C": 0.0})
+            per_node_q.setdefault(node, {"A": 0.0, "B": 0.0, "C": 0.0})
+            per_node_p[node][action.phase.value] += action.p_kw
+            per_node_q[node][action.phase.value] += action.q_kvar
+        for bat_id, soc in rec.soc_kwh.items():
+            node = storage_node[bat_id]
+            per_node_soc[node] = per_node_soc.get(node, 0.0) + soc
+
+        v = rec.solution.v
+        metrics = node_metrics(rec.solution, feeder)
+        flows = summarize_flows(feeder, rec.solution)
+        for node in feeder.nodes:
+            nm: NodeMetrics = metrics[node]
+            v_n = v[node]["N"]
+            v_ln = {p: abs(v[node][p] - v_n) for p in ("A", "B", "C")}
+            k = feed_seg.get(node)
+            p_fill = per_node_p.get(node, {"A": 0.0, "B": 0.0, "C": 0.0})
+            q_fill = per_node_q.get(node, {"A": 0.0, "B": 0.0, "C": 0.0})
+            yield (
+                rec.t_h,
+                node,
+                v_ln["A"],
+                v_ln["B"],
+                v_ln["C"],
+                abs(v_n),
+                nm.vuf_pct,
+                nm.drop_pct[Phase.A],
+                nm.drop_pct[Phase.B],
+                nm.drop_pct[Phase.C],
+                nm.v_rms,
+                sum(flows.phase_loss_kw[k].values()) if k is not None else 0.0,
+                flows.neutral_loss_kw[k] if k is not None else 0.0,
+                p_fill["A"],
+                p_fill["B"],
+                p_fill["C"],
+                q_fill["A"],
+                q_fill["B"],
+                q_fill["C"],
+                per_node_soc.get(node, 0.0),
+            )

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import replace
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_feeder, reference_timeseries_rows, with_greedy_fleet, with_profiles
 
 from phasebal.cli import (
     _SCENARIO_SCHEMAS,
@@ -17,11 +22,25 @@ from phasebal.cli import (
     TIMESERIES_COLUMNS,
     main,
     parse_config,
+    timeseries_rows,
 )
 from phasebal.errors import ConfigInvalid
-from phasebal.network import DeviceKind
+from phasebal.network import (
+    PHASES,
+    Device,
+    DeviceKind,
+    FeederSpec,
+    LineSegment,
+    Phase,
+    build_feeder,
+)
 from phasebal.presets import RUN_PRESET_NAMES, SWEEP_PRESET_NAMES, preset_config, preset_names
-from phasebal.scenarios import build_stylized_scenario, build_sweep_scenario
+from phasebal.scenarios import (
+    Scenario,
+    build_stylized_scenario,
+    build_sweep_scenario,
+    run_scenario,
+)
 from phasebal.storage import Architecture, ArchKind
 
 
@@ -171,6 +190,15 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "N0" in err and "N1" in err
 
+    def test_negative_profile_exits_2_and_names_profile(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(CUSTOM_DOC))
+        doc["scenario"]["feeder"]["devices"][0]["profile"] = "p"
+        doc["scenario"]["profiles"] = {"p": [1, -5]}
+        path = write_config(tmp_path, doc)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert "profile 'p' entry 1 must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_key_rejected_and_named(self, tmp_path, capsys):
         doc = json.loads(json.dumps(CUSTOM_DOC))
         doc["scenario"]["seed"] = 7
@@ -268,6 +296,87 @@ class TestGoldenFiles:
         assert main(["run", path, "--out", str(out)]) == 0
         for name in ("golden-summary.csv", "golden-timeseries.csv"):
             assert (out / name).read_bytes() == (golden_dir / name).read_bytes()
+
+
+def exact(rows) -> list[tuple[str, ...]]:
+    """Rows with every value as its repr: equal only when bit-equal and of
+    the same type (``0.0 == -0.0`` but their reprs differ)."""
+    return [tuple(map(repr, row)) for row in rows]
+
+
+class TestTimeseriesRows:
+    """The rows written from the trajectory arrays equal the rows read
+    through the per-step dict views, value for value."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 6),
+        fleet=st.sampled_from([None, ArchKind.A1, ArchKind.A3]),
+        data=st.data(),
+    )
+    def test_random_trees_with_profiles_and_fleets(self, seed, steps, fleet, data):
+        rng = random.Random(seed)
+        feeder = random_feeder(rng, max_nodes=12)
+        values = [
+            data.draw(st.lists(st.floats(0.0, 2.0), min_size=steps, max_size=steps))
+            for _ in feeder.devices
+        ]
+        scenario = with_greedy_fleet(with_profiles(feeder, values, steps), fleet, rng)
+        result = run_scenario(scenario)
+        rows = exact(timeseries_rows(scenario, result))
+        assert rows == exact(reference_timeseries_rows(scenario, result))
+        assert len(rows) == steps * len(feeder.nodes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from([None, *ArchKind]),
+        allow_load_shift=st.booleans(),
+        controller=st.sampled_from(["greedy", "fixed_schedule"]),
+        storage_node=st.sampled_from(["N0", "N5"]),
+        target_phase=st.sampled_from(PHASES),
+        battery_kw=st.sampled_from([1.5, 3.0, 4.5]),
+    )
+    def test_stylized_fleets(
+        self, kind, allow_load_shift, controller, storage_node, target_phase, battery_kw
+    ):
+        arch = None if kind is None else Architecture(kind, allow_load_shift=allow_load_shift)
+        scenario = build_stylized_scenario(
+            arch, storage_node, battery_kw, controller, target_phase=target_phase
+        )
+        result = run_scenario(scenario)
+        assert exact(timeseries_rows(scenario, result)) == exact(
+            reference_timeseries_rows(scenario, result)
+        )
+
+    def test_a3_units_sharing_a_phase_add_up(self):
+        scenario = build_stylized_scenario(Architecture(ArchKind.A3), "N5", 3.0, "greedy")
+        result = run_scenario(scenario)
+        shared = [
+            rec
+            for rec in result.per_timestep
+            if sum(1 for a in rec.actions if a.phase is Phase.A and a.p_kw != 0) >= 2
+        ]
+        assert shared, "no step where two A3 units dispatch on one phase"
+        rows = list(timeseries_rows(scenario, result))
+        assert exact(rows) == exact(reference_timeseries_rows(scenario, result))
+        col = TIMESERIES_COLUMNS.index("storage_p_a_kw")
+        for rec in shared:
+            (row,) = [r for r in rows if r[0] == rec.t_h and r[1] == "N5"]
+            assert row[col] == sum(a.p_kw for a in rec.actions if a.phase is Phase.A)
+
+    def test_negative_zero_resistance_loses_plus_zero(self):
+        """A conductor resistance of -0.0 gives -0.0 segment losses; the
+        phase-loss column sums them from 0.0, as the builtin sum does."""
+        seg = LineSegment("N0", "N1", 0.1, z_phase_per_km=complex(-0.0, 0.08))
+        load = Device("l", "N1", DeviceKind.LOAD, Phase.A, 2.0 + 0j)
+        scenario = Scenario(
+            feeder=build_feeder(FeederSpec("N0", ["N0", "N1"], [seg], [load])), horizon_h=1.0
+        )
+        result = run_scenario(scenario)
+        rows = list(timeseries_rows(scenario, result))
+        assert exact(rows) == exact(reference_timeseries_rows(scenario, result))
+        assert repr(rows[1][TIMESERIES_COLUMNS.index("seg_phase_loss_kw")]) == "0.0"
 
 
 class TestSweepCommand:

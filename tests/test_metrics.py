@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 import random
 
@@ -172,17 +171,6 @@ class TestNodeMetrics:
         assert out["N1"].drop_pct[Phase.A] > 0  # rise on the injecting phase
         assert out["N1"].drop_pct[Phase.B] < 0
         assert out["N1"].vuf_pct > 0
-
-    def test_requires_convergence(self):
-        from phasebal.errors import UnconvergedSolution
-        from phasebal.network import chain_feeder
-        from phasebal.powerflow import solve_snapshot
-
-        feeder = chain_feeder(2, 0.1)
-        good = solve_snapshot(feeder)
-        bad = dataclasses.replace(good, converged=False)
-        with pytest.raises(UnconvergedSolution):
-            node_metrics(bad, feeder)
 
 
 class TestVufNorms:

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kcl_residual, kvl_residual, random_feeder
+from conftest import (
+    kcl_residual,
+    kvl_residual,
+    random_feeder,
+    with_greedy_fleet,
+    with_profiles,
+)
 from phasebal.errors import ScenarioStepError, UnknownNode, UnsupportedNode, VoltageCollapse
 from phasebal.network import (
     PHASES,
@@ -23,7 +29,12 @@ from phasebal.network import (
     build_feeder,
     chain_feeder,
 )
-from phasebal.powerflow import oracle_solve, power_balance_residual_kw, solve_snapshot
+from phasebal.powerflow import (
+    oracle_solve,
+    power_balance_residual_kw,
+    solve_snapshot,
+    summarize_flows,
+)
 from phasebal.scenarios import (
     Scenario,
     SweepTemplate,
@@ -146,6 +157,26 @@ class TestScenarioValidation:
                 batteries=(Battery(id="b", p_max_kw=1.0),),
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -5.0])
+    def test_profile_value_must_be_finite_and_non_negative(self, bad):
+        dev = Device("l", "N1", DeviceKind.LOAD, Phase.A, 1 + 0j, profile_id="p")
+        feeder = chain_feeder(2, 0.1, devices=[dev])
+        with pytest.raises(ValueError, match=r"profile 'p' entry 1 must be finite and >= 0"):
+            Scenario(feeder=feeder, horizon_h=3.0, profiles={"p": (1.0, bad, 1.0)})
+
+    def test_unused_profile_is_checked_too(self):
+        with pytest.raises(ValueError, match=r"profile 'spare' entry 0 must be finite"):
+            Scenario(feeder=chain_feeder(2, 0.1), horizon_h=1.0, profiles={"spare": (-1.0,)})
+
+    def test_scaled_rating_must_be_finite(self):
+        dev = Device("l", "N1", DeviceKind.LOAD, Phase.A, 1e308 + 1j, profile_id="p")
+        feeder = chain_feeder(2, 0.1, devices=[dev])
+        # entries 1 and 2 both overflow; the first is named
+        named = "profile 'p' entry 1 scales the rating of device 'l'"
+        with pytest.raises(ValueError, match=named):
+            Scenario(feeder=feeder, horizon_h=3.0, profiles={"p": (1.0, 2.0, 10.0)})
+        Scenario(feeder=feeder, horizon_h=3.0, profiles={"p": (1.0, 1.5, 0.0)})
+
     def test_horizon_must_divide(self):
         feeder = chain_feeder(2, 0.1)
         with pytest.raises(ValueError, match="multiple"):
@@ -167,10 +198,11 @@ class TestRunScenario:
         assert len(result.per_timestep) == 24
 
     def test_stylized_neutral_current_only_in_windows(self):
-        result = run_scenario(build_stylized_scenario(None))
+        scenario = build_stylized_scenario(None)
+        result = run_scenario(scenario)
         for rec in result.per_timestep:
             in_window = 10 <= rec.t_h < 15 or 18 <= rec.t_h < 23
-            neutral_kw = rec.flows.total_neutral_loss_kw
+            neutral_kw = summarize_flows(scenario.feeder, rec.solution).total_neutral_loss_kw
             if in_window:
                 assert neutral_kw > 1e-6
             else:
@@ -294,16 +326,6 @@ class TestSweepTabulate:
             sweep_and_tabulate(SweepTemplate(5.0), [], ["N5"], [DeviceKind.DG])
 
 
-def with_profiles(feeder, values, steps):
-    """The feeder with device i following profile ``p{i}`` (``values[i]``),
-    as a scenario over ``steps`` hourly steps."""
-    devices = [replace(d, profile_id=f"p{i}") for i, d in enumerate(feeder.devices)]
-    profiles = {f"p{i}": tuple(v) for i, v in enumerate(values)}
-    return Scenario(
-        feeder=replace(feeder, devices=tuple(devices)), horizon_h=float(steps), profiles=profiles
-    )
-
-
 def step_injections(scenario, rec, k):
     """The device powers a scenario applies at step k, for solve_snapshot."""
     injections = {}
@@ -354,26 +376,7 @@ class TestBatchedRun:
             data.draw(st.lists(st.floats(0.0, 2.0), min_size=steps, max_size=steps))
             for _ in feeder.devices
         ]
-        scenario = with_profiles(feeder, values, steps)
-        if fleet is not None:
-            # a phase-selecting fleet at a random node, so units change phase
-            node = rng.choice(feeder.nodes[1:])
-            units = 1 if fleet is ArchKind.A1 else 3
-            batteries = tuple(
-                Battery(id=f"b{u}", p_max_kw=1.0, soc_kwh=rng.uniform(0.0, 5.0))
-                for u in range(units)
-            )
-            storage = [
-                Device(f"st{u}", node, DeviceKind.STORAGE, Phase.A, battery_id=f"b{u}")
-                for u in range(units)
-            ]
-            scenario = replace(
-                scenario,
-                feeder=replace(scenario.feeder, devices=scenario.feeder.devices + tuple(storage)),
-                architecture=Architecture(fleet),
-                controller="greedy",
-                batteries=batteries,
-            )
+        scenario = with_greedy_fleet(with_profiles(feeder, values, steps), fleet, rng)
         result = run_scenario(scenario)
         assert len(result.per_timestep) == steps
         for k, rec in enumerate(result.per_timestep):
@@ -421,19 +424,6 @@ class TestBatchedRun:
             solve_snapshot(feeder, {load: load.s_rated_kva * 1.0})
         assert str(exc.value.cause) == str(alone.value)
         assert exc.value.cause.iteration == alone.value.iteration
-
-    def test_earliest_failure_wins_over_a_later_invalid_injection(self):
-        load = Device("load", "N1", DeviceKind.LOAD, Phase.A, 50.0 + 0j, profile_id="p")
-        feeder = chain_feeder(2, 1.0, devices=[load])
-
-        def run(values):
-            return run_scenario(Scenario(feeder=feeder, horizon_h=4.0, profiles={"p": values}))
-
-        with pytest.raises(ScenarioStepError) as exc:
-            run((0.01, 1.0, math.nan, 0.01))
-        assert exc.value.t_h == 1.0
-        with pytest.raises(ValueError, match="injection for 'load' must be finite"):
-            run((0.01, math.nan, 1.0, 0.01))
 
 
 class TestDispatchProperties:
