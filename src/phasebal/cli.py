@@ -23,9 +23,8 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
-import jsonschema
 import numpy as np
 
 from .errors import (
@@ -34,7 +33,6 @@ from .errors import (
     PhasebalError,
     SchemaMismatch,
 )
-from .ingest import analyze_series, read_measured_series
 from .network import (
     PHASES,
     Device,
@@ -310,23 +308,120 @@ class RunConfig:
     write_summary: bool = True
 
 
-def _validator(schema: dict):
-    """Validator of the schema's draft; ``test_cli`` checks every schema
-    against its metaschema once, so validation here skips that check."""
-    return jsonschema.validators.validator_for(schema)(schema)
+# --- validation --------------------------------------------------------------
+
+#: The least integer that float() overflows on (it would round to 2**1024).
+_FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
-_CONFIG_VALIDATOR = _validator(CONFIG_SCHEMA)
-_SWEEP_VALIDATOR = _validator(_SWEEP_SCHEMA)
-_SCENARIO_VALIDATORS = {kind: _validator(schema) for kind, schema in _SCENARIO_SCHEMAS.items()}
+def _is_number(x: Any) -> bool:
+    if isinstance(x, float):
+        return True
+    return isinstance(x, int) and not isinstance(x, bool) and -_FLOAT_OVERFLOW < x < _FLOAT_OVERFLOW
 
 
-def _validate(doc: Any, validator, path: str, where: str) -> None:
-    """Raise ConfigInvalid for the error ``jsonschema.validate`` would pick."""
-    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "number": _is_number,
+    "integer": lambda x: (
+        isinstance(x, int) and not isinstance(x, bool) or isinstance(x, float) and x.is_integer()
+    ),
+}
+
+# keyword: (test that fails the number, words of the message)
+_BOUNDS = {
+    "minimum": (lambda x, bound: x < bound, "less than the minimum"),
+    "maximum": (lambda x, bound: x > bound, "greater than the maximum"),
+    "exclusiveMinimum": (lambda x, bound: x <= bound, "less than or equal to the minimum"),
+}
+
+
+def _type_message(doc: Any, name: str) -> str:
+    if name == "number" and isinstance(doc, int) and not isinstance(doc, bool):
+        return "integer is too large for a float"
+    return f"{doc!r} is not of type {name!r}"
+
+
+def _errors(doc: Any, schema: dict, path: tuple) -> Iterator[tuple[tuple, str]]:
+    """Yield ``(path, message)`` for each keyword of ``schema`` that ``doc``
+    fails, in jsonschema's order: schema keys in order, ``properties`` in
+    schema order, array items by index."""
+    for key, value in schema.items():
+        if key == "type":
+            if not _TYPES[value](doc):
+                yield path, _type_message(doc, value)
+        elif key == "enum":
+            if doc not in value:
+                yield path, f"{doc!r} is not one of {value!r}"
+        elif key == "const":
+            if doc != value:
+                yield path, f"{value!r} was expected"
+        elif key in _BOUNDS:
+            fails, words = _BOUNDS[key]
+            if _is_number(doc) and fails(doc, value):
+                yield path, f"{doc!r} is {words} of {value!r}"
+        elif isinstance(doc, list):
+            if key == "minItems" and len(doc) < value:
+                words = "should be non-empty" if value == 1 else "is too short"
+                yield path, f"{doc!r} {words}"
+            elif key == "maxItems" and len(doc) > value:
+                words = "is expected to be empty" if value == 0 else "is too long"
+                yield path, f"{doc!r} {words}"
+            elif key == "items" and value.keys() == {"type"}:
+                # profiles, pairs, node lists: one loop, no generator per item
+                is_type = _TYPES[value["type"]]
+                for i, item in enumerate(doc):
+                    if not is_type(item):
+                        yield path + (i,), _type_message(item, value["type"])
+            elif key == "items":
+                for i, item in enumerate(doc):
+                    yield from _errors(item, value, path + (i,))
+        elif isinstance(doc, dict):
+            if key == "required":
+                for name in value:
+                    if name not in doc:
+                        yield path, f"{name!r} is a required property"
+            elif key == "properties":
+                for name, sub in value.items():
+                    if name in doc:
+                        yield from _errors(doc[name], sub, path + (name,))
+            elif key == "additionalProperties":
+                extras = [name for name in doc if name not in schema.get("properties", {})]
+                if value is False and extras:
+                    names = ", ".join(repr(name) for name in sorted(extras))
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+                elif isinstance(value, dict):
+                    for name in extras:
+                        yield from _errors(doc[name], value, path + (name,))
+
+
+def _best_error(doc: Any, schema: dict) -> tuple[tuple, str] | None:
+    """The ``(path, message)`` that ``jsonschema.validate`` would raise.
+
+    Covers the keywords the schemas above use (``type``, ``properties``,
+    ``required``, ``additionalProperties``, ``items``, ``enum``, ``const``,
+    ``minimum``, ``maximum``, ``exclusiveMinimum``, ``minItems``,
+    ``maxItems``) on documents made of JSON values, with jsonschema 4.26's
+    messages; ``enum`` and ``const`` values are strings or null, so ``==``
+    is JSON equality. Of all errors, the pick is the one
+    ``jsonschema.exceptions.best_match`` makes: the shallowest, then the
+    largest path, then the first. One deliberate divergence: an integer
+    too large for a float is not a ``number`` here, so it is rejected at
+    the field that holds it instead of overflowing later.
+    """
+    return max(_errors(doc, schema, ()), key=lambda error: (-len(error[0]), error[0]), default=None)
+
+
+def _validate(doc: Any, schema: dict, path: str, where: str) -> None:
+    """Raise ConfigInvalid naming the field of ``_best_error``."""
+    error = _best_error(doc, schema)
     if error is not None:
-        field = where + "/" + "/".join(str(p) for p in error.absolute_path)
-        raise ConfigInvalid(path, field.strip("/") or "config", error.message)
+        field = where + "/" + "/".join(str(p) for p in error[0])
+        raise ConfigInvalid(path, field.strip("/") or "config", error[1])
 
 
 def _complex(pair: Sequence[float] | None, default: complex) -> complex:
@@ -390,7 +485,7 @@ def _parse_scenario(doc: dict, label: str, path: str) -> Scenario:
         raise ConfigInvalid(
             path, "scenario/type", f"expected one of {sorted(_SCENARIO_SCHEMAS)}, got {kind!r}"
         )
-    _validate(doc, _SCENARIO_VALIDATORS[kind], path, "scenario")
+    _validate(doc, _SCENARIO_SCHEMAS[kind], path, "scenario")
 
     if kind == "sweep_cell":
         scenario = build_sweep_scenario(
@@ -431,7 +526,7 @@ def parse_config(doc: Any, path: str = "<config>") -> RunConfig:
     the model layer (bad topology, sign conventions, ...) propagate as the
     corresponding package errors.
     """
-    _validate(doc, _CONFIG_VALIDATOR, path, "")
+    _validate(doc, CONFIG_SCHEMA, path, "")
     has_scenario = "scenario" in doc
     has_sweep = "sweep" in doc
     if has_scenario == has_sweep:
@@ -450,7 +545,7 @@ def parse_config(doc: Any, path: str = "<config>") -> RunConfig:
         )
 
     sw = doc["sweep"]
-    _validate(sw, _SWEEP_VALIDATOR, path, "sweep")
+    _validate(sw, _SWEEP_SCHEMA, path, "sweep")
     template = SweepTemplate(
         total_phase_load_kw=sw["total_phase_load_kw"],
         network_class=sw["network_class"],
@@ -730,6 +825,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    from .ingest import analyze_series, read_measured_series  # off the run/sweep start-up path
+
     series = read_measured_series(args.csv)
     report = analyze_series(series)
     out_dir = Path(args.out)

@@ -51,6 +51,11 @@ CONDUCTORS: tuple[str, str, str, str] = ("A", "B", "C", "N")
 DEFAULT_Z_PHASE_PER_KM = 0.32 + 0.08j
 DEFAULT_Z_NEUTRAL_PER_KM = 0.32 + 0.08j
 
+#: Longest segment accepted, km: far beyond any distribution line. Unbounded,
+#: 1e308 km of the default cable has a finite impedance (3.2e307 Ohm) that
+#: still overflows the solver's voltages.
+MAX_SEGMENT_KM = 1e4
+
 DEFAULT_V_BASE_LN = 230.0
 DEFAULT_S_BASE_KVA = 100.0
 
@@ -86,18 +91,23 @@ class LineSegment:
     def __post_init__(self) -> None:
         if self.from_node == self.to_node:
             raise ValueError(f"segment endpoints must differ, got {self.from_node!r} twice")
+        where = f"segment {self.from_node}->{self.to_node}"
         if not self.length_km > 0:
             raise NonPositiveLength(self.from_node, self.to_node, self.length_km)
+        if not self.length_km <= MAX_SEGMENT_KM:
+            raise ValueError(
+                f"{where} length_km must be finite and at most {MAX_SEGMENT_KM:g}, "
+                f"got {self.length_km!r}"
+            )
         for name, z in (
             ("z_phase_per_km", self.z_phase_per_km),
             ("z_neutral_per_km", self.z_neutral_per_km),
             ("z_mutual_per_km", self.z_mutual_per_km),
         ):
-            _require_finite(z, f"segment {self.from_node}->{self.to_node} {name}")
+            _require_finite(z, f"{where} {name}")
+            _require_finite(z * self.length_km, f"{where} {name} * length_km")
         if self.z_phase_per_km.real < 0 or self.z_neutral_per_km.real < 0:
-            raise ValueError(
-                f"segment {self.from_node}->{self.to_node}: conductor resistance must be >= 0"
-            )
+            raise ValueError(f"{where}: conductor resistance must be >= 0")
 
     def reversed(self) -> "LineSegment":
         return replace(self, from_node=self.to_node, to_node=self.from_node)

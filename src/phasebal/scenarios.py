@@ -75,6 +75,10 @@ NETWORK_CLASS_SEGMENT_KM: dict[str, float] = {
 
 CONTROLLERS = ("none", "fixed_schedule", "greedy")
 
+#: Most timesteps a scenario may have, checked before any per-step array is
+#: sized; a one-minute year (525,600 steps) fits.
+MAX_STEPS = 1_000_000
+
 _SWEEP_NODES = ("N1", "N2", "N3", "N4", "N5")
 
 
@@ -96,6 +100,8 @@ class Scenario:
         if self.controller not in CONTROLLERS:
             raise ValueError(f"unknown controller {self.controller!r}")
         steps = self.horizon_h / self.dt_h
+        if not steps <= MAX_STEPS:
+            raise ValueError(f"horizon_h / dt_h must be at most {MAX_STEPS} steps, got {steps:g}")
         if abs(steps - round(steps)) > 1e-9 or steps < 1:
             raise ValueError("horizon_h must be a positive multiple of dt_h")
         n = self.n_steps

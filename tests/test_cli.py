@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -13,9 +18,11 @@ from hypothesis import strategies as st
 
 from conftest import random_feeder, reference_timeseries_rows, with_greedy_fleet, with_profiles
 
+from phasebal import cli
 from phasebal.cli import (
     _SCENARIO_SCHEMAS,
     _SWEEP_SCHEMA,
+    _best_error,
     CONFIG_SCHEMA,
     SUMMARY_COLUMNS,
     SWEEP_COLUMNS,
@@ -36,6 +43,7 @@ from phasebal.network import (
 )
 from phasebal.presets import RUN_PRESET_NAMES, SWEEP_PRESET_NAMES, preset_config, preset_names
 from phasebal.scenarios import (
+    MAX_STEPS,
     Scenario,
     build_stylized_scenario,
     build_sweep_scenario,
@@ -68,6 +76,144 @@ CUSTOM_DOC = {
 }
 
 
+# --- differential check of the config validator against jsonschema -----------
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**6), 10**6)  # no integer too large for a float: see the divergence
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["A", "N0", "N5", "dg", "ev", "storage", "custom", "stylized", "greedy"])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def custom_docs(draw):
+    """Schema-valid custom scenarios with profiles, batteries and the optional keys."""
+    nodes = [f"N{i}" for i in range(draw(st.integers(1, 4)))]
+    steps = draw(st.integers(1, 4))
+    profiles = {
+        f"p{i}": draw(st.lists(st.floats(0, 3), min_size=steps, max_size=steps))
+        for i in range(draw(st.integers(0, 2)))
+    }
+    batteries = [
+        {"id": f"b{i}", "p_max_kw": draw(st.floats(0.5, 5)), "e_max_kwh": 4, "eta_c": 0.95}
+        for i in range(draw(st.integers(0, 2)))
+    ]
+    devices = [
+        {
+            "label": f"d{i}",
+            "node": draw(st.sampled_from(nodes)),
+            "kind": draw(st.sampled_from(["load", "dg", "ev"])),
+            "phase": draw(st.sampled_from(["A", "B", "C", None])),
+            "p_kw": draw(st.floats(-5, 5)),
+            **({"profile": draw(st.sampled_from(sorted(profiles)))} if profiles else {}),
+        }
+        for i in range(draw(st.integers(0, 3)))
+    ]
+    devices += [
+        {"label": b["id"], "node": nodes[-1], "kind": "storage", "battery_id": b["id"]}
+        for b in batteries
+    ]
+    segments = [
+        {"from_node": a, "to_node": b, "length_km": 0.1, "z_phase_per_km": [0.3, 0.08]}
+        for a, b in zip(nodes, nodes[1:])
+    ]
+    scenario = {
+        "type": "custom",
+        "feeder": {"source_node": "N0", "nodes": nodes, "segments": segments, "devices": devices},
+        "profiles": profiles,
+        "horizon_h": steps,
+        "dt_h": 1.0,
+        "batteries": batteries,
+        "architecture": "A1" if batteries else None,
+        "controller": "greedy" if batteries else "none",
+        "schedule": {"dg_window": [10.0, 15.0], "target_phase": "B"},
+    }
+    return {"label": "custom", "solver": {"max_iter": 50}, "scenario": scenario}
+
+
+def schema_sites(doc, schema, path=()):
+    """(path, schema) of every value in ``doc`` that ``schema`` describes."""
+    yield path, schema
+    if isinstance(doc, dict):
+        extra = schema.get("additionalProperties")
+        for key, value in doc.items():
+            sub = schema.get("properties", {}).get(key, extra)
+            if isinstance(sub, dict):
+                yield from schema_sites(value, sub, path + (key,))
+    elif isinstance(doc, list) and "items" in schema:
+        for i, value in enumerate(doc):
+            yield from schema_sites(value, schema["items"], path + (i,))
+
+
+def mutated(doc, schema, data):
+    """``doc`` with the value at one site changed: a wrong type, a missing or
+    extra key, a number at or past a bound, a bad enum or const, a longer
+    or shorter array, or a bool where a number belongs."""
+    path, sub = data.draw(st.sampled_from(list(schema_sites(doc, schema))))
+    value = doc
+    for key in path:
+        value = value[key]
+    changes = [JSON_VALUES]
+    if sub.get("type") in ("number", "integer"):
+        bounds = [sub[k] for k in ("minimum", "maximum", "exclusiveMinimum") if k in sub]
+        offsets = st.sampled_from([-1, -1e-9, 0, 1e-9, 1])
+        near_bounds = st.builds(sum, st.tuples(st.sampled_from(bounds or [0]), offsets))
+        changes += [st.booleans(), near_bounds]
+    if isinstance(value, dict):
+        changes.append(st.builds(lambda k, v: {**value, k: v}, st.text(max_size=4), JSON_VALUES))
+        if value:
+            keys = st.sampled_from(sorted(value))
+            changes.append(keys.map(lambda k: {n: v for n, v in value.items() if n != k}))
+    if isinstance(value, list):
+        changes.append(st.lists(JSON_VALUES | st.sampled_from(value or [0]), min_size=1).map(
+            lambda more: value + more
+        ))
+        changes.append(st.integers(0, len(value)).map(lambda n: value[:n]))
+    return replaced(doc, path, data.draw(st.one_of(changes)))
+
+
+def replaced(doc, path, new):
+    """A copy of ``doc`` with the value at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return doc
+
+
+def jsonschema_verdict(doc, schema):
+    """What ``jsonschema.validate`` raises, without its check of the schema
+    (26 ms a call; test_every_schema_is_valid_under_its_metaschema makes it)."""
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    return None if error is None else (tuple(error.absolute_path), error.message)
+
+
+def assert_validators_agree(config, data):
+    """Each part of ``config`` validated as parse_config does, unchanged and
+    after one to three mutations: the same decision, path and message."""
+    body_key = "scenario" if "scenario" in config else "sweep"
+    body = config[body_key]
+    body_schema = _SWEEP_SCHEMA if body_key == "sweep" else _SCENARIO_SCHEMAS[body["type"]]
+    for doc, schema in ((config, CONFIG_SCHEMA), (body, body_schema)):
+        assert _best_error(doc, schema) is None
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = mutated(doc, schema, data)
+            assert _best_error(doc, schema) == jsonschema_verdict(doc, schema)
+
+
 class TestParseConfig:
     def test_every_schema_is_valid_under_its_metaschema(self):
         for schema in (CONFIG_SCHEMA, _SWEEP_SCHEMA, *_SCENARIO_SCHEMAS.values()):
@@ -76,19 +222,84 @@ class TestParseConfig:
     def test_rejection_names_the_error_jsonschema_validate_picks(self):
         bad_scenario = preset_config("a1-n5")
         bad_scenario["scenario"]["battery_kw"] = -1
+        # of sibling errors the largest path wins, not the first
         bad_sweep = preset_config("grid-compact")
-        bad_sweep["sweep"]["penetrations_pct"] = [0, "x", 500]
+        bad_sweep["sweep"]["penetrations_pct"] = [0, "x", 500, -1]
+        # a shallow error beats a deeper one
+        shallow = json.loads(json.dumps(CUSTOM_DOC))
+        shallow["scenario"]["feeder"]["segments"][0]["length_km"] = "x"
+        shallow["scenario"]["seed"] = 7
         cases = [
-            ({"label": 3, "scenario": {}}, {"label": 3, "scenario": {}}, CONFIG_SCHEMA),
-            (bad_scenario, bad_scenario["scenario"], _SCENARIO_SCHEMAS["stylized"]),
-            (bad_sweep, bad_sweep["sweep"], _SWEEP_SCHEMA),
+            ({"label": 3, "scenario": {}}, "", CONFIG_SCHEMA, "label"),
+            (bad_scenario, "scenario", _SCENARIO_SCHEMAS["stylized"], "scenario/battery_kw"),
+            (bad_sweep, "sweep", _SWEEP_SCHEMA, "sweep/penetrations_pct/3"),
+            (shallow, "scenario", _SCENARIO_SCHEMAS["custom"], "scenario"),
         ]
-        for doc, body, schema in cases:
+        for doc, where, schema, field in cases:
             with pytest.raises(jsonschema.ValidationError) as want:
-                jsonschema.validate(body, schema)
+                jsonschema.validate(doc[where] if where else doc, schema)
             with pytest.raises(ConfigInvalid) as got:
                 parse_config(doc)
             assert str(got.value).endswith(want.value.message)
+            assert got.value.field == field
+            assert field == "/".join([where, *map(str, want.value.absolute_path)]).strip("/")
+
+    def test_schemas_use_only_the_validated_keywords(self):
+        keywords = {
+            "type", "properties", "required", "additionalProperties", "items", "enum", "const",
+            "minimum", "maximum", "exclusiveMinimum", "minItems", "maxItems",
+        }  # fmt: skip
+
+        def walk(schema):
+            assert set(schema) <= keywords, set(schema) - keywords
+            # _validate compares enum and const values with ==
+            for value in schema.get("enum", []) + ([schema["const"]] if "const" in schema else []):
+                assert value is None or isinstance(value, str)
+            for sub in [*schema.get("properties", {}).values(), schema.get("items")]:
+                if sub is not None:
+                    walk(sub)
+            if isinstance(schema.get("additionalProperties"), dict):
+                walk(schema["additionalProperties"])
+
+        for schema in (CONFIG_SCHEMA, _SWEEP_SCHEMA, *_SCENARIO_SCHEMAS.values()):
+            walk(schema)
+
+    @pytest.mark.parametrize("name", preset_names())
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_validator_matches_jsonschema_on_mutated_presets(self, name, data):
+        assert_validators_agree(preset_config(name), data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=custom_docs(), data=st.data())
+    def test_validator_matches_jsonschema_on_mutated_custom_feeders(self, doc, data):
+        assert_validators_agree(doc, data)
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            ("scenario", "profiles", "p", 1),
+            ("scenario", "feeder", "devices", 0, "p_kw"),
+            ("scenario", "feeder", "segments", 0, "length_km"),
+            ("scenario", "horizon_h"),
+        ],
+        ids=["profile-entry", "p_kw", "length_km", "horizon_h"],
+    )
+    def test_integer_too_large_for_a_float_is_rejected_and_named(self, where):
+        """The validator's one divergence from jsonschema, which accepts it."""
+        doc = replaced(CUSTOM_DOC, ("scenario", "profiles"), {"p": [1.0, 1.0]})
+        with pytest.raises(ConfigInvalid, match="integer is too large for a float") as exc:
+            parse_config(replaced(doc, where, 10**400))
+        assert exc.value.field == "/".join(map(str, where))
+
+    def test_number_bound_is_where_float_overflows(self):
+        """The integer below the bound rounds down to the largest float."""
+        below, at = 2**1024 - 2**970 - 1, 2**1024 - 2**970
+        assert float(below) == sys.float_info.max
+        assert _best_error(below, {"type": "number"}) is None
+        with pytest.raises(OverflowError):
+            float(at)
+        assert _best_error(at, {"type": "number"}) == ((), "integer is too large for a float")
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigInvalid):
@@ -199,6 +410,35 @@ class TestRunCommand:
         assert "profile 'p' entry 1 must be finite and >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("km", [1e308, float("inf")])
+    def test_non_finite_or_huge_length_exits_2_and_names_segment(self, tmp_path, capsys, km):
+        doc = json.loads(json.dumps(CUSTOM_DOC))
+        doc["scenario"]["feeder"]["segments"][0]["length_km"] = km
+        with pytest.raises(ValueError, match="segment N0->N1 length_km must be finite"):
+            parse_config(doc)
+        path = write_config(tmp_path, doc)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert "segment N0->N1 length_km must be finite" in capsys.readouterr().err
+
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(CUSTOM_DOC).replace('"p_kw": 1.0', '"p_kw": 1' + "0" * 400))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "'scenario/feeder/devices/0/p_kw': integer is too large for a float" in err
+
+    def test_unbounded_step_count_exits_2_before_running(self, tmp_path, capsys, monkeypatch):
+        def run_scenario(*args):
+            raise AssertionError("a 1e15-step scenario reached run_scenario")
+
+        monkeypatch.setattr(cli, "run_scenario", run_scenario)
+        doc = json.loads(json.dumps(CUSTOM_DOC))
+        del doc["scenario"]["dt_h"]
+        doc["scenario"]["horizon_h"] = 1e15
+        path = write_config(tmp_path, doc)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert f"must be at most {MAX_STEPS} steps" in capsys.readouterr().err
+
     def test_seed_key_rejected_and_named(self, tmp_path, capsys):
         doc = json.loads(json.dumps(CUSTOM_DOC))
         doc["scenario"]["seed"] = 7
@@ -265,6 +505,23 @@ class TestRunCommand:
         blocker.write_text("file in the way", encoding="utf-8")
         assert main(["run", "--preset", "stylized-nostorage", "--out", str(blocker)]) == 4
         assert "error" in capsys.readouterr().err
+
+
+class TestStartUp:
+    def test_import_leaves_the_validator_oracle_and_ingest_unloaded(self):
+        code = (
+            "import sys, phasebal.cli; print(sorted(set(sys.modules) & "
+            "{'jsonschema', 'attrs', 'referencing', 'rpds', 'phasebal.ingest'}))"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestGoldenFiles:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from phasebal.errors import (
@@ -12,6 +14,7 @@ from phasebal.errors import (
     UnknownNode,
 )
 from phasebal.network import (
+    MAX_SEGMENT_KM,
     Device,
     DeviceKind,
     FeederSpec,
@@ -85,6 +88,16 @@ class TestBuildFeeder:
         with pytest.raises(NonPositiveLength) as exc:
             seg("N0", "N1", km=0.0)
         assert exc.value.from_node == "N0"
+
+    @pytest.mark.parametrize("km", [math.inf, 1e308, MAX_SEGMENT_KM * 1.5])
+    def test_length_must_be_finite_and_bounded(self, km):
+        with pytest.raises(ValueError, match=r"segment N0->N1 length_km must be finite"):
+            seg("N0", "N1", km=km)
+        seg("N0", "N1", km=MAX_SEGMENT_KM)
+
+    def test_impedance_times_length_must_be_finite(self):
+        with pytest.raises(ValueError, match=r"segment N0->N1 z_mutual_per_km \* length_km"):
+            LineSegment("N0", "N1", 10.0, z_mutual_per_km=complex(0.0, 1e308))
 
     def test_bfs_order_on_branched_tree(self):
         # N0 feeds N1 and N2; N1 feeds N3 -> breadth-first order.

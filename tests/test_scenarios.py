@@ -36,6 +36,7 @@ from phasebal.powerflow import (
     summarize_flows,
 )
 from phasebal.scenarios import (
+    MAX_STEPS,
     Scenario,
     SweepTemplate,
     build_stylized_scenario,
@@ -176,6 +177,14 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=named):
             Scenario(feeder=feeder, horizon_h=3.0, profiles={"p": (1.0, 2.0, 10.0)})
         Scenario(feeder=feeder, horizon_h=3.0, profiles={"p": (1.0, 1.5, 0.0)})
+
+    @pytest.mark.parametrize("horizon_h", [1e15, math.inf, MAX_STEPS + 1.0])
+    def test_step_count_is_bounded(self, horizon_h):
+        # raised in __post_init__, before any per-step array exists
+        with pytest.raises(ValueError, match=f"must be at most {MAX_STEPS} steps"):
+            Scenario(feeder=chain_feeder(2, 0.1), horizon_h=horizon_h)
+        longest = Scenario(feeder=chain_feeder(2, 0.1), horizon_h=float(MAX_STEPS))
+        assert longest.n_steps == MAX_STEPS
 
     def test_horizon_must_divide(self):
         feeder = chain_feeder(2, 0.1)
