@@ -532,7 +532,10 @@ def parse_config(doc: Any, path: str = "<config>") -> RunConfig:
     if has_scenario == has_sweep:
         raise ConfigInvalid(path, "scenario|sweep", "exactly one of 'scenario' or 'sweep' required")
 
-    settings = SolverSettings(**doc.get("solver", {}))
+    solver = dict(doc.get("solver", {}))
+    if "max_iter" in solver:  # JSON Schema's integers include 5.0; range() does not
+        solver["max_iter"] = int(solver["max_iter"])
+    settings = SolverSettings(**solver)
     label = doc.get("label", "run")
 
     if has_scenario:
@@ -584,7 +587,7 @@ def write_csv_atomic(path: Path, header: Sequence[str], rows) -> None:
 
 def timeseries_rows(scenario: Scenario, result: ScenarioResult):
     """Flatten a result into one row per timestep x node, from the run's
-    trajectory arrays one step at a time."""
+    trajectory arrays one step at a time, each read through its row."""
     feeder = scenario.feeder
     traj = result.trajectory
     row_of = {name: i for i, name in enumerate(feeder.nodes)}
@@ -593,16 +596,16 @@ def timeseries_rows(scenario: Scenario, result: ScenarioResult):
     # per-segment phase loss summed as the builtin sum does, from 0.0
     phase_loss = 0.0 + traj.phase_loss[..., 0] + traj.phase_loss[..., 1] + traj.phase_loss[..., 2]
     cols = np.zeros((len(feeder.nodes), len(TIMESERIES_COLUMNS) - 2))  # all but t_h, node
-    for k, rec in enumerate(result.per_timestep):
-        v = traj.solved.voltages[k]
+    for rec, r in zip(result.per_timestep, traj.step_row.tolist()):
+        v = traj.solved.voltages[r]
         v_ln = v[:, :3] - v[:, 3:]
         cols[:, 0:3] = np.hypot(v_ln.real, v_ln.imag)
         cols[:, 3] = np.hypot(v[:, 3].real, v[:, 3].imag)
-        cols[:, 4] = traj.vuf_pct[k]
-        cols[:, 5:8] = traj.drop_pct[k]
-        cols[:, 8] = traj.v_rms[k]
-        cols[seg_rows, 9] = phase_loss[k]
-        cols[seg_rows, 10] = traj.neutral_loss[k]
+        cols[:, 4] = traj.vuf_pct[r]
+        cols[:, 5:8] = traj.drop_pct[r]
+        cols[:, 8] = traj.v_rms[r]
+        cols[seg_rows, 9] = phase_loss[r]
+        cols[seg_rows, 10] = traj.neutral_loss[r]
         cols[:, 11:] = 0.0
         # units sharing a node and phase add up in action and battery order
         for action in rec.actions:

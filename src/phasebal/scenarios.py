@@ -4,9 +4,15 @@ A scenario couples a feeder with hourly device profiles, an optional storage
 fleet and a dispatch controller. ``run_scenario`` makes three passes: a
 dispatch pass that steps through time and fixes every step's injections
 and the battery SoC trajectory (no controller reads voltages), one batched
-power flow over all steps, and an array pass for unbalance and loss
-metrics and their aggregates over the horizon. Per-step records build
-their solution, node metrics and flow summary from those arrays on read.
+power flow, and an array pass for unbalance and loss metrics and their
+aggregates over the horizon. Steps with byte-equal injections share one
+operating point, so the power flow and the metrics run once per distinct
+row, and each step reads its row through ``Trajectory.step_row``: the
+lossless case of vector-quantised QSTS (Deboever, Grijalva, Reno &
+Broderick, Solar Energy 159, 2018). The horizon aggregates still add every
+step in step order. ``sweep_and_tabulate`` runs all cells of a sweep
+through the same passes as one batch on one ``Topology``, with one power
+flow over the distinct rows of every cell.
 
 Two builder families cover the bundled studies:
 
@@ -158,11 +164,14 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Solved arrays of every timestep of one run: power flow
-    ``(step, node | segment, conductor)`` and the metrics derived from it,
-    ``(step, node[, phase])`` for VUF, signed deviation and RMS voltage and
-    ``(step, segment[, phase])`` for losses in kW. Rows follow
-    ``feeder.nodes`` and ``feeder.segments``."""
+    """Solved arrays of one run, one row per distinct operating point:
+    power flow ``(row, node | segment, conductor)`` and the metrics derived
+    from it, ``(row, node[, phase])`` for VUF, signed deviation and RMS
+    voltage and ``(row, segment[, phase])`` for losses in kW. ``step_row``
+    maps each timestep to its row; steps with byte-equal injections share
+    one. Node and segment axes follow ``feeder.nodes`` and
+    ``feeder.segments``. The cells of a sweep share one set of arrays, so
+    rows of other cells sit beside this run's."""
 
     feeder: Feeder
     solved: BatchSolution
@@ -171,9 +180,10 @@ class Trajectory:
     v_rms: np.ndarray
     phase_loss: np.ndarray
     neutral_loss: np.ndarray
+    step_row: np.ndarray
 
     def solution(self, k: int) -> VoltageSolution:
-        return self.solved.solution(self.feeder.nodes, k)
+        return self.solved.solution(self.feeder.nodes, int(self.step_row[k]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,25 +274,22 @@ def _injection_entries(
     )
 
 
-def run_scenario(scenario: Scenario, settings: SolverSettings = SolverSettings()) -> ScenarioResult:
-    """Execute the scenario in three passes and aggregate the results.
+def _dispatch(
+    scenario: Scenario, index: dict[str, int]
+) -> tuple[list[tuple[int, int]], np.ndarray, list, Exception | None]:
+    """Pass 1 of a run: step through time, evaluate profiles, ask the
+    controller for actions, clip and apply them to the batteries. Neither
+    controller reads voltages, so this fixes every step's injections up
+    front.
 
-    1. Dispatch: step through time, evaluate profiles, ask the controller
-       for actions, clip and apply them to the batteries. Neither controller
-       reads voltages, so this fixes every step's injections up front.
-    2. Power flow: one forward-backward sweep over all steps at once.
-    3. Metrics: VUF, deviations, losses and the aggregates, as arrays.
-
-    Failures surface as a step-by-step loop would raise them: the earliest
-    failing step wins, a solver failure as a ScenarioStepError tagged with
-    its time, anything else as raised. Deterministic: identical scenarios
-    produce identical results.
+    Returns the entry layout as ``(node row, conductor)`` pairs, the
+    ``(step, entry)`` complex VA of the steps dispatched, their
+    ``(t_h, actions, soc_kwh)``, and the error that stopped dispatch early
+    (None if every step ran).
     """
     feeder = scenario.feeder
     n_steps = scenario.n_steps
     dt_h = scenario.dt_h
-
-    # --- 1. dispatch pass ----------------------------------------------------
     plain = [d for d in feeder.devices if d.kind is not DeviceKind.STORAGE]
     scale = np.array(
         [scenario.profiles[d.profile_id] if d.profile_id else (1.0,) * n_steps for d in plain],
@@ -291,8 +298,7 @@ def run_scenario(scenario: Scenario, settings: SolverSettings = SolverSettings()
     rated = np.array([d.s_rated_kva for d in plain], dtype=complex)
     dev_p, dev_q = _complex_times_real(rated.real, rated.imag, scale)
 
-    topo = Topology(feeder)
-    node, cond, owner, battery_entry = _injection_entries(feeder, topo.index)
+    node, cond, owner, battery_entry = _injection_entries(feeder, index)
     has_dev = owner >= 0
     p_kw = np.zeros((n_steps, len(node)))
     q_kvar = np.zeros((n_steps, len(node)))
@@ -332,53 +338,177 @@ def run_scenario(scenario: Scenario, settings: SolverSettings = SolverSettings()
             pending = exc
             break
         steps.append((t_h, tuple(applied), {b.id: b.soc_kwh for b in batteries}))
-    n_ok = len(steps)
 
-    # --- 2. power-flow pass --------------------------------------------------
+    n_ok = len(steps)
     s_va = np.empty((n_ok, len(node)), dtype=complex)
     s_va.real, s_va.imag = _complex_times_real(p_kw[:n_ok], q_kvar[:n_ok], 1000.0)
-    solved = sweep_batch(topo, node, cond, s_va, settings)
-    failed_at = min(solved.failures, default=n_ok)
+    return list(zip(node.tolist(), cond.tolist())), s_va, steps, pending
 
-    # --- 3. metrics pass -----------------------------------------------------
-    vuf_pct, drop_pct, v_rms = node_metric_arrays(solved.voltages, feeder.v_base_ln)
-    if not np.isfinite(vuf_pct[:failed_at]).all():
-        raise ZeroPositiveSequence("positive-sequence magnitude is zero")
-    if failed_at < n_ok:
-        raise ScenarioStepError(failed_at * dt_h, solved.failures[failed_at])
-    if pending is not None:
-        raise pending
 
-    phase_loss, neutral_loss = segment_losses(solved.currents, *segment_resistances(feeder))
-    # the sums below run in the order of FlowSummary's totals and of the
-    # per-node phase sums, one step after another
-    neutral_kwh = 0.0
-    phase_kwh = 0.0
-    for step_phase, step_neutral in zip(phase_loss.tolist(), neutral_loss.tolist()):
-        neutral_kwh += sum(step_neutral) * dt_h
-        phase_kwh += sum(sum(per) for per in step_phase) * dt_h
-    drop_sums = [0.0] * len(feeder.nodes)
-    for step_drop in drop_pct.tolist():
-        for i, per_phase in enumerate(step_drop):
-            drop_sums[i] += sum(per_phase)
-    vuf_values = vuf_pct[:, 1:].ravel().tolist()  # the source is node row 0
+def _union_layout(
+    layouts: Sequence[list[tuple[int, int]]],
+) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """One entry layout holding every ``(node row, conductor)`` layout as a
+    subsequence, and the columns each layout takes in it.
 
-    trajectory = Trajectory(feeder, solved, vuf_pct, drop_pct, v_rms, phase_loss, neutral_loss)
-    return ScenarioResult(
-        label=scenario.label,
-        mean_vuf_pct=sum(vuf_values) / len(vuf_values) if vuf_values else 0.0,
-        max_vuf_pct=max(vuf_values, default=0.0),
-        neutral_loss_kwh=neutral_kwh,
-        phase_loss_kwh=phase_kwh,
-        max_drop_pct=max(0.0, -float(drop_pct.min())),
-        max_rise_pct=max(0.0, float(drop_pct.max())),
-        sum_drop_at={name: s / n_steps for name, s in zip(feeder.nodes, drop_sums)},
-        per_timestep=tuple(
-            StepRecord(t_h, actions, soc, trajectory, k)
-            for k, (t_h, actions, soc) in enumerate(steps)
-        ),
-        trajectory=trajectory,
-    )
+    Entries add into a node's sinks in layout order, so each layout keeps
+    its own order. A column a layout does not use carries 0 VA, which the
+    solver treats as no device: it adds +0.0 to an accumulator that starts
+    at +0.0 and so never holds -0.0, which leaves every sum bit-identical.
+    """
+    union: list[tuple[int, int]] = []
+    for layout in dict.fromkeys(map(tuple, layouts)):
+        merged, i = [], 0
+        for key in layout:
+            try:
+                j = union.index(key, i)
+            except ValueError:
+                merged.append(key)
+                continue
+            merged.extend(union[i : j + 1])
+            i = j + 1
+        union = merged + union[i:]
+    columns = []
+    for layout in layouts:
+        cols = [-1]
+        for key in layout:
+            cols.append(union.index(key, cols[-1] + 1))
+        columns.append(cols[1:])
+    return union, columns
+
+
+def _distinct_rows(s_va: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``s_va`` in order of first appearance, compared
+    by their bytes (so -0.0 and 0.0 differ), and the row each input row
+    maps to."""
+    if s_va.shape[1] == 0:
+        keys = np.zeros(len(s_va), dtype="V1")
+    else:
+        keys = np.ascontiguousarray(s_va).view(np.dtype((np.void, s_va.itemsize * s_va.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return s_va[first[order]], rank[inverse]
+
+
+def _fold_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The builtin ``sum`` along ``axis``, bit for bit: a left fold from
+    0.0 (``np.sum`` adds pairwise and differs in the last bits)."""
+    x = np.moveaxis(x, axis, -1)
+    lanes = np.concatenate([np.zeros(x.shape[:-1] + (1,)), x], axis=-1)
+    return np.add.accumulate(lanes, axis=-1)[..., -1]
+
+
+def _run_batch(
+    scenarios: Sequence[Scenario], settings: SolverSettings
+) -> list[ScenarioResult | Exception]:
+    """Run scenarios that share one network (nodes and segments), step
+    count and step length, with one power flow for all of them.
+
+    1. Dispatch each scenario (``_dispatch``).
+    2. Lay every scenario's ``(step, entry)`` injections out in one union
+       layout (``_union_layout``), reduce the stacked rows to the distinct
+       ones and solve those in one ``sweep_batch``. Rows of a batch do not
+       interact, so a row's solution and iteration count are those of a
+       solve on its own.
+    3. Node metrics and segment losses once over the distinct rows; each
+       scenario gathers its steps back through its row index, and the
+       horizon aggregates fold over every step in step order, all
+       scenarios at once.
+
+    Returns a ScenarioResult or the error of each scenario, as a
+    step-by-step loop would raise it: the earliest failing step wins, a
+    solver failure as a ScenarioStepError tagged with its time, anything
+    else as raised.
+    """
+    first = scenarios[0]
+    topo = Topology(first.feeder)
+    layouts, blocks, records, pending = zip(*(_dispatch(sc, topo.index) for sc in scenarios))
+    union, columns = _union_layout(layouts)
+    bounds = np.cumsum([0] + [len(steps) for steps in records]).tolist()
+    s_va = np.zeros((bounds[-1], len(union)), dtype=complex)
+    for block, cols, lo, hi in zip(blocks, columns, bounds, bounds[1:]):
+        s_va[lo:hi, cols] = block
+    distinct, row = _distinct_rows(s_va)
+    node, cond = np.array(union, dtype=np.intp).reshape(-1, 2).T
+    solved = sweep_batch(topo, node, cond, distinct, settings)
+    vuf_pct, drop_pct, v_rms = node_metric_arrays(solved.voltages, first.feeder.v_base_ln)
+    phase_loss, neutral_loss = segment_losses(solved.currents, *segment_resistances(first.feeder))
+
+    # --- errors: the earliest step on a failing or undefined row ------------
+    failed = np.zeros(len(distinct), dtype=bool)
+    failed[list(solved.failures)] = True
+    finite = np.isfinite(vuf_pct).all(axis=1)
+    outcomes: list[ScenarioResult | Exception | None] = []
+    for sc, stopped, lo, hi in zip(scenarios, pending, bounds, bounds[1:]):
+        rows = row[lo:hi]
+        bad = failed[rows]
+        failed_at = int(bad.argmax()) if bad.any() else len(rows)
+        if not finite[rows[:failed_at]].all():
+            outcomes.append(ZeroPositiveSequence("positive-sequence magnitude is zero"))
+        elif failed_at < len(rows):
+            outcomes.append(ScenarioStepError(failed_at * sc.dt_h, solved.failures[rows[failed_at]]))
+        else:
+            outcomes.append(stopped)
+    ok = [c for c, outcome in enumerate(outcomes) if outcome is None]
+    if not ok:
+        return outcomes
+
+    # --- horizon aggregates, (scenario, step) gathered from per-row values --
+    # each step adds in the order of FlowSummary's totals and of the per-node
+    # phase sums, and the steps add one after another
+    n_steps, dt_h = first.n_steps, first.dt_h
+    step_row = np.stack([row[bounds[c] : bounds[c + 1]] for c in ok])
+    neutral_kwh = _fold_sum(_fold_sum(neutral_loss)[step_row] * dt_h).tolist()
+    phase_kwh = _fold_sum(_fold_sum(_fold_sum(phase_loss))[step_row] * dt_h).tolist()
+    drop_sums = _fold_sum(_fold_sum(drop_pct)[step_row], axis=1) / n_steps
+    vuf_values = vuf_pct[step_row][..., 1:].reshape(len(ok), -1)  # the source is node row 0
+    mean_vuf = (_fold_sum(vuf_values) / max(vuf_values.shape[1], 1)).tolist()  # 0.0 if none
+    max_vuf = vuf_values.max(axis=1, initial=0.0).tolist()
+    drop_min = drop_pct.min(axis=(1, 2))[step_row].min(axis=1).tolist()
+    drop_max = drop_pct.max(axis=(1, 2))[step_row].max(axis=1).tolist()
+    for i, c in enumerate(ok):
+        sc = scenarios[c]
+        trajectory = Trajectory(
+            sc.feeder, solved, vuf_pct, drop_pct, v_rms, phase_loss, neutral_loss, step_row[i]
+        )
+        outcomes[c] = ScenarioResult(
+            label=sc.label,
+            mean_vuf_pct=mean_vuf[i],
+            max_vuf_pct=max_vuf[i],
+            neutral_loss_kwh=neutral_kwh[i],
+            phase_loss_kwh=phase_kwh[i],
+            max_drop_pct=max(0.0, -drop_min[i]),
+            max_rise_pct=max(0.0, drop_max[i]),
+            sum_drop_at=dict(zip(sc.feeder.nodes, drop_sums[i].tolist())),
+            per_timestep=tuple(
+                StepRecord(t_h, actions, soc, trajectory, k)
+                for k, (t_h, actions, soc) in enumerate(records[c])
+            ),
+            trajectory=trajectory,
+        )
+    return outcomes
+
+
+def run_scenario(scenario: Scenario, settings: SolverSettings = SolverSettings()) -> ScenarioResult:
+    """Execute the scenario in three passes and aggregate the results.
+
+    1. Dispatch: step through time, evaluate profiles, ask the controller
+       for actions, clip and apply them to the batteries.
+    2. Power flow: one forward-backward sweep over the distinct operating
+       points of all steps at once.
+    3. Metrics: VUF, deviations, losses and the aggregates, as arrays.
+
+    Failures surface as a step-by-step loop would raise them: the earliest
+    failing step wins, a solver failure as a ScenarioStepError tagged with
+    its time, anything else as raised. Deterministic: identical scenarios
+    produce identical results.
+    """
+    [outcome] = _run_batch([scenario], settings)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _flat_profiles(n_steps: int) -> dict[str, tuple[float, ...]]:
@@ -601,26 +731,32 @@ def sweep_and_tabulate(
 ) -> list[SweepRow]:
     """Run the cross product of (kind, node, penetration) and tabulate.
 
-    Rows come back in loop order. A failing cell is recorded with its error
-    message instead of aborting the remaining cells.
+    Every cell shares the six-node chain, so the cells run as one batch:
+    one power flow over the distinct operating points of all of them.
+    Rows come back in (kind, node, penetration) loop order. A failing cell
+    is recorded with its error message instead of aborting the others.
     """
     if not penetrations or not nodes or not kinds:
         raise ValueError("penetrations, nodes and kinds must be non-empty")
+    cells = [(kind, node, pen) for kind in kinds for node in nodes for pen in penetrations]
+    scenarios = [
+        build_sweep_scenario(
+            template.total_phase_load_kw,
+            node,
+            kind,
+            pen,
+            template.network_class,
+            device_phase=template.device_phase,
+            balanced=template.balanced,
+        )
+        for kind, node, pen in cells
+    ]
     rows = []
-    for kind in kinds:
-        for node in nodes:
-            for pen in penetrations:
-                scenario = build_sweep_scenario(
-                    template.total_phase_load_kw,
-                    node,
-                    kind,
-                    pen,
-                    template.network_class,
-                    device_phase=template.device_phase,
-                    balanced=template.balanced,
-                )
-                try:
-                    rows.append(SweepRow(kind, node, pen, run_scenario(scenario, settings)))
-                except PhasebalError as exc:
-                    rows.append(SweepRow(kind, node, pen, None, error=str(exc)))
+    for (kind, node, pen), outcome in zip(cells, _run_batch(scenarios, settings)):
+        if isinstance(outcome, ScenarioResult):
+            rows.append(SweepRow(kind, node, pen, outcome))
+        elif isinstance(outcome, PhasebalError):
+            rows.append(SweepRow(kind, node, pen, None, error=str(outcome)))
+        else:
+            raise outcome
     return rows

@@ -1,6 +1,6 @@
 """Shared test helpers: random feeder generation, solution residuals, the
-loop reference of the greedy balancing search and the dict-view reference
-of the timeseries CSV rows."""
+loop reference of the greedy balancing search, the dict-view reference of
+the timeseries CSV rows and the per-cell reference of the sweep."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import random
 from dataclasses import replace
 from typing import Mapping, Sequence
 
+from phasebal.errors import PhasebalError
 from phasebal.metrics import NodeMetrics, node_metrics
 from phasebal.network import (
     CONDUCTORS,
@@ -20,8 +21,15 @@ from phasebal.network import (
     Phase,
     build_feeder,
 )
-from phasebal.powerflow import VoltageSolution, summarize_flows
-from phasebal.scenarios import Scenario, ScenarioResult
+from phasebal.powerflow import SolverSettings, VoltageSolution, summarize_flows
+from phasebal.scenarios import (
+    Scenario,
+    ScenarioResult,
+    SweepRow,
+    SweepTemplate,
+    build_sweep_scenario,
+    run_scenario,
+)
 from phasebal.storage import (
     Architecture,
     ArchKind,
@@ -295,3 +303,34 @@ def reference_timeseries_rows(scenario: Scenario, result: ScenarioResult):
                 q_fill["C"],
                 per_node_soc.get(node, 0.0),
             )
+
+
+def reference_sweep(
+    template: SweepTemplate,
+    penetrations: Sequence[float],
+    nodes: Sequence[str],
+    kinds: Sequence[DeviceKind],
+    settings: SolverSettings = SolverSettings(),
+) -> list[SweepRow]:
+    """The sweep as one ``run_scenario`` per cell: the reference that
+    ``sweep_and_tabulate`` must match row for row."""
+    if not penetrations or not nodes or not kinds:
+        raise ValueError("penetrations, nodes and kinds must be non-empty")
+    rows = []
+    for kind in kinds:
+        for node in nodes:
+            for pen in penetrations:
+                scenario = build_sweep_scenario(
+                    template.total_phase_load_kw,
+                    node,
+                    kind,
+                    pen,
+                    template.network_class,
+                    device_phase=template.device_phase,
+                    balanced=template.balanced,
+                )
+                try:
+                    rows.append(SweepRow(kind, node, pen, run_scenario(scenario, settings)))
+                except PhasebalError as exc:
+                    rows.append(SweepRow(kind, node, pen, None, error=str(exc)))
+    return rows

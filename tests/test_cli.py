@@ -393,6 +393,22 @@ class TestRunCommand:
         assert main(["run", path, "--out", str(out)]) == 0
         assert (out / "tiny-summary.csv").exists()
 
+    def test_integral_float_max_iter_runs_that_many_passes(self, tmp_path):
+        """JSON Schema counts 5.0 as an integer: it runs as max_iter 5.
+        baseline-n1 converges on pass 5 at every step, so 5 is the fewest
+        passes that run it."""
+        outputs = []
+        for max_iter in (5.0, 5):
+            doc = preset_config("baseline-n1")
+            doc["solver"] = {"max_iter": max_iter}
+            assert type(parse_config(doc).settings.max_iter) is int
+            out = tmp_path / repr(max_iter)
+            assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 0
+            outputs.append(
+                [(out / f"baseline-n1-{kind}.csv").read_bytes() for kind in ("summary", "timeseries")]
+            )
+        assert outputs[0] == outputs[1]
+
     def test_negative_length_exits_2_and_names_segment(self, tmp_path, capsys):
         doc = json.loads(json.dumps(CUSTOM_DOC))
         doc["scenario"]["feeder"]["segments"][0]["length_km"] = -0.5
@@ -545,14 +561,18 @@ class TestGoldenFiles:
     }
 
     def test_outputs_match_frozen_golden_files(self, tmp_path):
-        from pathlib import Path
-
         golden_dir = Path(__file__).parent / "golden"
         path = write_config(tmp_path, self.GOLDEN_DOC)
         out = tmp_path / "out"
         assert main(["run", path, "--out", str(out)]) == 0
-        for name in ("golden-summary.csv", "golden-timeseries.csv"):
-            assert (out / name).read_bytes() == (golden_dir / name).read_bytes()
+        # the sweep table of the grid-compact preset, frozen from the per-cell sweep
+        assert main(["sweep", "--preset", "grid-compact", "--out", str(out)]) == 0
+        for name, golden in (
+            ("golden-summary.csv", "golden-summary.csv"),
+            ("golden-timeseries.csv", "golden-timeseries.csv"),
+            ("grid-compact-sweep.csv", "golden-sweep.csv"),
+        ):
+            assert (out / name).read_bytes() == (golden_dir / golden).read_bytes()
 
 
 def exact(rows) -> list[tuple[str, ...]]:

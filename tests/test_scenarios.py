@@ -15,6 +15,7 @@ from conftest import (
     kcl_residual,
     kvl_residual,
     random_feeder,
+    reference_sweep,
     with_greedy_fleet,
     with_profiles,
 )
@@ -37,6 +38,7 @@ from phasebal.powerflow import (
 )
 from phasebal.scenarios import (
     MAX_STEPS,
+    NETWORK_CLASS_SEGMENT_KM,
     Scenario,
     SweepTemplate,
     build_stylized_scenario,
@@ -334,6 +336,38 @@ class TestSweepTabulate:
         with pytest.raises(ValueError):
             sweep_and_tabulate(SweepTemplate(5.0), [], ["N5"], [DeviceKind.DG])
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        network_class=st.sampled_from(sorted(NETWORK_CLASS_SEGMENT_KM)),
+        load_kw=st.sampled_from([5.0, 50.0, 60.0]) | st.floats(0.5, 60.0),
+        device_phase=st.sampled_from(PHASES),
+        balanced=st.booleans(),
+        penetrations=st.lists(
+            st.sampled_from([0, 0.0, 60, 120, 200]) | st.floats(0.0, 200.0), min_size=1, max_size=4
+        ),
+        nodes=st.lists(st.sampled_from(["N1", "N2", "N3", "N4", "N5"]), min_size=1, unique=True),
+        kinds=st.lists(st.sampled_from([DeviceKind.DG, DeviceKind.EV]), min_size=1, unique=True),
+    )
+    def test_batched_sweep_equals_per_cell_runs(
+        self, network_class, load_kw, device_phase, balanced, penetrations, nodes, kinds
+    ):
+        """One batch over all cells gives every cell's own run: rows equal
+        by repr (bit-equal floats), per-step solutions and iteration counts
+        equal, and failing cells carry the same error."""
+        template = SweepTemplate(load_kw, network_class, device_phase, balanced)
+        got = sweep_and_tabulate(template, penetrations, nodes, kinds)
+        want = reference_sweep(template, penetrations, nodes, kinds)
+        assert repr(got) == repr(want)
+        for row, ref in zip(got, want):
+            assert row.error == ref.error
+            if ref.result is None:
+                continue
+            for rec, ref_rec in zip(row.result.per_timestep, ref.result.per_timestep, strict=True):
+                sol, ref_sol = rec.solution, ref_rec.solution
+                assert sol.iterations == ref_sol.iterations
+                assert sol.voltages.tobytes() == ref_sol.voltages.tobytes()
+                assert sol.currents.tobytes() == ref_sol.currents.tobytes()
+
 
 def step_injections(scenario, rec, k):
     """The device powers a scenario applies at step k, for solve_snapshot."""
@@ -381,9 +415,10 @@ class TestBatchedRun:
     def test_steps_equal_snapshot_solves_and_oracle(self, seed, steps, fleet, data):
         rng = random.Random(seed)
         feeder = random_feeder(rng, max_nodes=12)
+        # a small value set makes steps repeat, and -0.0 rows differ from 0.0 rows by bytes only
+        value = st.sampled_from([-0.0, 0.0, 0.5, 2.0]) | st.floats(0.0, 2.0)
         values = [
-            data.draw(st.lists(st.floats(0.0, 2.0), min_size=steps, max_size=steps))
-            for _ in feeder.devices
+            data.draw(st.lists(value, min_size=steps, max_size=steps)) for _ in feeder.devices
         ]
         scenario = with_greedy_fleet(with_profiles(feeder, values, steps), fleet, rng)
         result = run_scenario(scenario)
@@ -420,10 +455,15 @@ class TestBatchedRun:
         bad = data.draw(st.integers(1, steps - 2))
         load = Device("load", "N1", DeviceKind.LOAD, Phase.A, 50.0 + 0j, profile_id="p")
         feeder = chain_feeder(2, 1.0, devices=[load])
-        # light steps before ``bad``; from there on the full load collapses
-        # at ``bad`` and at the last step, and may at any step in between
-        values = [data.draw(st.floats(0.0, 0.05)) for _ in range(bad)]
-        values += [1.0] + [data.draw(st.sampled_from([0.01, 1.0])) for _ in range(bad + 1, steps - 1)]
+        # light steps before ``bad``, some repeated; from there on the full
+        # load collapses at ``bad`` and again at the last step, so that
+        # operating point recurs; steps in between may repeat it, collapse
+        # at a heavier load or stay light
+        light = st.sampled_from([0.0, 0.05]) | st.floats(0.0, 0.05)
+        values = [data.draw(light) for _ in range(bad)]
+        values += [1.0] + [
+            data.draw(st.sampled_from([0.01, 1.0, 2.0])) for _ in range(bad + 1, steps - 1)
+        ]
         values.append(1.0)
         scenario = Scenario(feeder=feeder, horizon_h=float(steps), profiles={"p": tuple(values)})
         with pytest.raises(ScenarioStepError) as exc:
