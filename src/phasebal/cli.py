@@ -34,7 +34,6 @@ from .errors import (
     SchemaMismatch,
 )
 from .network import (
-    PHASES,
     Device,
     DeviceKind,
     Feeder,
@@ -532,10 +531,7 @@ def parse_config(doc: Any, path: str = "<config>") -> RunConfig:
     if has_scenario == has_sweep:
         raise ConfigInvalid(path, "scenario|sweep", "exactly one of 'scenario' or 'sweep' required")
 
-    solver = dict(doc.get("solver", {}))
-    if "max_iter" in solver:  # JSON Schema's integers include 5.0; range() does not
-        solver["max_iter"] = int(solver["max_iter"])
-    settings = SolverSettings(**solver)
+    settings = SolverSettings(**doc.get("solver", {}))
     label = doc.get("label", "run")
 
     if has_scenario:
@@ -595,8 +591,19 @@ def timeseries_rows(scenario: Scenario, result: ScenarioResult):
     storage_row = {d.battery_id: row_of[d.node] for d in feeder.storage_devices()}
     # per-segment phase loss summed as the builtin sum does, from 0.0
     phase_loss = 0.0 + traj.phase_loss[..., 0] + traj.phase_loss[..., 1] + traj.phase_loss[..., 2]
+    # storage columns (p by phase, q by phase, SoC) of the storage nodes; units
+    # sharing a node and phase add up in battery order
+    stor_nodes = sorted(set(storage_row.values()))
+    at = [stor_nodes.index(storage_row[b]) for b in traj.battery_ids]
+    steps = np.arange(len(traj.step_row))
+    storage = np.zeros((len(steps), len(stor_nodes), 7))
+    for i, (p, q, ph) in enumerate(zip(traj.p_kw.T, traj.q_kvar.T, traj.phase.T)):
+        storage[steps, at[i], ph] += p
+        storage[steps, at[i], 3 + ph] += q
+    for i, soc in enumerate(traj.soc_kwh.T):
+        storage[:, at[i], 6] += soc
     cols = np.zeros((len(feeder.nodes), len(TIMESERIES_COLUMNS) - 2))  # all but t_h, node
-    for rec, r in zip(result.per_timestep, traj.step_row.tolist()):
+    for rec, r, stored in zip(result.per_timestep, traj.step_row.tolist(), storage):
         v = traj.solved.voltages[r]
         v_ln = v[:, :3] - v[:, 3:]
         cols[:, 0:3] = np.hypot(v_ln.real, v_ln.imag)
@@ -606,14 +613,7 @@ def timeseries_rows(scenario: Scenario, result: ScenarioResult):
         cols[:, 8] = traj.v_rms[r]
         cols[seg_rows, 9] = phase_loss[r]
         cols[seg_rows, 10] = traj.neutral_loss[r]
-        cols[:, 11:] = 0.0
-        # units sharing a node and phase add up in action and battery order
-        for action in rec.actions:
-            ph = PHASES.index(action.phase)
-            cols[storage_row[action.battery_id], 11 + ph] += action.p_kw
-            cols[storage_row[action.battery_id], 14 + ph] += action.q_kvar
-        for bat_id, soc in rec.soc_kwh.items():
-            cols[storage_row[bat_id], 17] += soc
+        cols[stor_nodes, 11:] = stored
         for node, values in zip(feeder.nodes, cols.tolist()):
             yield (rec.t_h, node, *values)
 

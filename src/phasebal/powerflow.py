@@ -58,6 +58,10 @@ class SolverSettings:
     def __post_init__(self) -> None:
         if not self.tol_pu > 0:
             raise ValueError(f"tol_pu must be > 0, got {self.tol_pu}")
+        if isinstance(self.max_iter, float):  # JSON Schema's integers include 5.0
+            if not self.max_iter.is_integer():
+                raise ValueError(f"max_iter must be an integer, got {self.max_iter}")
+            object.__setattr__(self, "max_iter", int(self.max_iter))
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 

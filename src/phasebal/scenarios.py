@@ -2,17 +2,21 @@
 
 A scenario couples a feeder with hourly device profiles, an optional storage
 fleet and a dispatch controller. ``run_scenario`` makes three passes: a
-dispatch pass that steps through time and fixes every step's injections
-and the battery SoC trajectory (no controller reads voltages), one batched
-power flow, and an array pass for unbalance and loss metrics and their
-aggregates over the horizon. Steps with byte-equal injections share one
+dispatch pass that fixes every step's injections and the battery SoC
+trajectory (no controller reads voltages), one batched power flow, and an
+array pass for unbalance and loss metrics and their aggregates over the
+horizon. Dispatch is a scan in plain floats over ``(step, unit)`` arrays:
+the fixed schedule's requests for all steps at once, then one pass over
+the steps that applies the power bounds, clip and SoC update of
+``storage`` to each unit. Steps with byte-equal injections share one
 operating point, so the power flow and the metrics run once per distinct
 row, and each step reads its row through ``Trajectory.step_row``: the
 lossless case of vector-quantised QSTS (Deboever, Grijalva, Reno &
-Broderick, Solar Energy 159, 2018). The horizon aggregates still add every
-step in step order. ``sweep_and_tabulate`` runs all cells of a sweep
-through the same passes as one batch on one ``Topology``, with one power
-flow over the distinct rows of every cell.
+Broderick, Solar Energy 159, 2018). The horizon aggregates still add
+every step in step order.
+``sweep_and_tabulate`` runs all cells of a sweep through the same passes
+as one batch on one ``Topology``, with one power flow over the distinct
+rows of every cell.
 
 Two builder families cover the bundled studies:
 
@@ -65,10 +69,12 @@ from .storage import (
     Battery,
     DispatchAction,
     StylizedScheduleCfg,
-    apply_action,
-    feasible_action,
-    fixed_schedule_controller,
-    greedy_balance_controller,
+    bounds_at,
+    clip_power,
+    greedy_powers,
+    next_soc,
+    schedule_requests,
+    zero_sum_shift,
 )
 
 #: Segment length (km) per network class; load level is the caller's choice,
@@ -171,7 +177,17 @@ class Trajectory:
     maps each timestep to its row; steps with byte-equal injections share
     one. Node and segment axes follow ``feeder.nodes`` and
     ``feeder.segments``. The cells of a sweep share one set of arrays, so
-    rows of other cells sit beside this run's."""
+    rows of other cells sit beside this run's.
+
+    Dispatch is held per step. ``soc_kwh`` is ``(step, battery)`` after
+    each step's action, batteries in ``battery_ids`` order. ``p_kw``,
+    ``q_kvar``, ``phase`` (index into ``PHASES``) and ``clipped`` are
+    ``(step, unit)``: the dispatched units are the batteries in the same
+    order, or none when the scenario has no controller. ``clipped`` is
+    True where the applied p differs from the controller's request (the
+    zero-sum shift of A2 without load shift counts). ``zero_sum_missed``
+    is True at the steps where such a fleet's box held no zero-sum point,
+    so its dispatch does not sum to zero."""
 
     feeder: Feeder
     solved: BatchSolution
@@ -181,28 +197,59 @@ class Trajectory:
     phase_loss: np.ndarray
     neutral_loss: np.ndarray
     step_row: np.ndarray
+    battery_ids: tuple[str, ...]
+    p_kw: np.ndarray
+    q_kvar: np.ndarray
+    phase: np.ndarray
+    soc_kwh: np.ndarray
+    clipped: np.ndarray
+    zero_sum_missed: np.ndarray
 
     def solution(self, k: int) -> VoltageSolution:
         return self.solved.solution(self.feeder.nodes, int(self.step_row[k]))
+
+    def actions(self, k: int) -> tuple[DispatchAction, ...]:
+        return tuple(
+            DispatchAction(bid, PHASES[ph], p, q)
+            for bid, ph, p, q in zip(
+                self.battery_ids,
+                self.phase[k].tolist(),
+                self.p_kw[k].tolist(),
+                self.q_kvar[k].tolist(),
+            )
+        )
+
+    def soc(self, k: int) -> dict[str, float]:
+        return dict(zip(self.battery_ids, self.soc_kwh[k].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
 class StepRecord:
     """Everything observed at one timestep.
 
-    ``solution`` is built from the run's trajectory on every read; hold on
-    to the returned object to read it repeatedly.
+    ``actions``, ``soc_kwh`` and ``solution`` are built from the run's
+    trajectory on every read; hold on to the returned objects to read them
+    repeatedly.
     """
 
     t_h: float
-    actions: tuple[DispatchAction, ...]
-    soc_kwh: dict[str, float]
     trajectory: Trajectory = field(repr=False)
     step: int = field(repr=False)
 
     @property
+    def actions(self) -> tuple[DispatchAction, ...]:
+        return self.trajectory.actions(self.step)
+
+    @property
+    def soc_kwh(self) -> dict[str, float]:
+        return self.trajectory.soc(self.step)
+
+    @property
     def solution(self) -> VoltageSolution:
         return self.trajectory.solution(self.step)
+
+    def __repr__(self) -> str:
+        return f"StepRecord(t_h={self.t_h!r}, actions={self.actions!r}, soc_kwh={self.soc_kwh!r})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StepRecord):
@@ -276,16 +323,15 @@ def _injection_entries(
 
 def _dispatch(
     scenario: Scenario, index: dict[str, int]
-) -> tuple[list[tuple[int, int]], np.ndarray, list, Exception | None]:
-    """Pass 1 of a run: step through time, evaluate profiles, ask the
-    controller for actions, clip and apply them to the batteries. Neither
-    controller reads voltages, so this fixes every step's injections up
-    front.
+) -> tuple[list[tuple[int, int]], np.ndarray, dict, Exception | None]:
+    """Pass 1 of a run: evaluate profiles, then dispatch storage over all
+    steps (``_dispatch_storage``). Neither controller reads voltages, so
+    this fixes every step's injections up front.
 
     Returns the entry layout as ``(node row, conductor)`` pairs, the
-    ``(step, entry)`` complex VA of the steps dispatched, their
-    ``(t_h, actions, soc_kwh)``, and the error that stopped dispatch early
-    (None if every step ran).
+    ``(step, entry)`` complex VA of the steps dispatched, their dispatch
+    arrays keyed by ``Trajectory`` field, and the error that stopped
+    dispatch early (None if every step ran).
     """
     feeder = scenario.feeder
     n_steps = scenario.n_steps
@@ -305,44 +351,106 @@ def _dispatch(
     p_kw[:, has_dev] = dev_p[:, owner[has_dev]]
     q_kvar[:, has_dev] = dev_q[:, owner[has_dev]]
 
-    batteries = list(scenario.batteries)
-    bat_index = {b.id: i for i, b in enumerate(batteries)}
-    steps: list[tuple[float, tuple[DispatchAction, ...], dict[str, float]]] = []
-    pending: Exception | None = None
-    for k in range(n_steps):
-        t_h = k * dt_h
-        try:
-            if scenario.controller == "fixed_schedule" and batteries:
-                actions = fixed_schedule_controller(
-                    t_h, scenario.architecture, scenario.schedule or StylizedScheduleCfg(),
-                    batteries, dt_h,
-                )
-            elif scenario.controller == "greedy" and batteries:
-                net_kw = dict.fromkeys(PHASES, 0.0)
-                for dev, p in zip(plain, dev_p[k].tolist()):
-                    for ph in dev.connected_phases:
-                        net_kw[ph] += p
-                actions = greedy_balance_controller(net_kw, scenario.architecture, batteries, dt_h)
-            else:
-                actions = []
-            applied: list[DispatchAction] = []
-            for action in actions:
-                i = bat_index[action.battery_id]
-                final = feasible_action(batteries[i], action, dt_h)
-                batteries[i] = apply_action(batteries[i], final, dt_h)
-                applied.append(final)
-                entry = battery_entry[action.battery_id] + PHASES.index(final.phase)
-                p_kw[k, entry] = final.p_kw
-                q_kvar[k, entry] = final.q_kvar
-        except (PhasebalError, ValueError) as exc:  # an earlier solver failure wins
-            pending = exc
-            break
-        steps.append((t_h, tuple(applied), {b.id: b.soc_kwh for b in batteries}))
-
-    n_ok = len(steps)
+    units = scenario.batteries if scenario.controller != "none" else ()
+    dispatched, pending = _dispatch_storage(scenario, units, plain, dev_p)
+    n_ok = len(dispatched["soc_kwh"])
+    if units:  # each unit feeds the entry of its dispatched phase; the other two stay 0
+        steps = np.arange(n_ok)[:, None]
+        cols = np.array([battery_entry[b.id] for b in units], dtype=np.intp) + dispatched["phase"]
+        p_kw[steps, cols] = dispatched["p_kw"]
+        q_kvar[steps, cols] = dispatched["q_kvar"]
     s_va = np.empty((n_ok, len(node)), dtype=complex)
     s_va.real, s_va.imag = _complex_times_real(p_kw[:n_ok], q_kvar[:n_ok], 1000.0)
-    return list(zip(node.tolist(), cond.tolist())), s_va, steps, pending
+    return list(zip(node.tolist(), cond.tolist())), s_va, dispatched, pending
+
+
+def _dispatch_storage(
+    scenario: Scenario, units: Sequence[Battery], plain: list[Device], dev_p: np.ndarray
+) -> tuple[dict, Exception | None]:
+    """The storage half of the dispatch pass, in plain floats. ``units``
+    are the batteries the controller dispatches, or none.
+
+    The fixed schedule's requests come as one ``(step, unit)`` array
+    (``schedule_requests``); the greedy search makes its requests step by
+    step from every unit's bounds. One scan then steps through time, and
+    at each step reads each unit's bounds at its SoC, shifts the requests
+    of A2 without load shift to a zero sum (``zero_sum_shift``), clips and
+    updates the SoC, unit after unit.
+
+    Returns the ``Trajectory`` dispatch arrays of the steps that ran, keyed
+    by field, and the error that stopped dispatch early (None if every
+    step ran).
+    """
+    n_steps, dt_h, arch = scenario.n_steps, scenario.dt_h, scenario.architecture
+    soc = [b.soc_kwh for b in scenario.batteries]
+    if not units:  # no actions, and the SoC stays where it starts
+        none = np.zeros((n_steps, 0))
+        soc_kwh = np.array([soc], dtype=float).repeat(n_steps, axis=0)
+        return _dispatch_fields(scenario, none.astype(np.intp), none, none, none, soc_kwh), None
+    greedy = scenario.controller == "greedy"
+    zero_sum = arch.kind is ArchKind.A2 and not arch.allow_load_shift
+    if greedy:
+        net = np.zeros((n_steps, 3))  # each phase adds its devices in feeder order
+        for d, dev in enumerate(plain):
+            for ph in dev.connected_phases:
+                net[:, PHASES.index(ph)] += dev_p[:, d]
+        net_rows, phase_rows, want_rows = net.tolist(), [], []
+    else:
+        phases, want = schedule_requests(
+            np.arange(n_steps) * dt_h,
+            arch,
+            scenario.schedule or StylizedScheduleCfg(),
+            [b.p_max_kw for b in units],
+        )
+        want_rows = want.tolist()
+
+    pending, steps = None, []
+    try:
+        for k in range(n_steps):
+            bounds = [bounds_at(b, e, dt_h) for b, e in zip(units, soc)]
+            if greedy:
+                phase_k, want_k = zip(*greedy_powers(net_rows[k], arch, bounds))
+                phase_rows.append(phase_k)
+                want_rows.append(want_k)
+            elif zero_sum:
+                want_k = zero_sum_shift(want_rows[k], *zip(*bounds))
+            else:
+                want_k = want_rows[k]
+            step = []
+            for i, (bat, (lo, hi), p) in enumerate(zip(units, bounds, want_k)):
+                p, q = clip_power(bat, p, 0.0, lo, hi)
+                soc[i] = e = next_soc(bat, soc[i], p, q, dt_h)
+                step += p, q, e
+            steps.append(step)
+    except (PhasebalError, ValueError) as exc:
+        pending = exc
+    n_ok = len(steps)
+    p, q, soc_kwh = np.array(steps, dtype=float).reshape(n_ok, len(units), 3).transpose(2, 0, 1)
+    if greedy:
+        phase, want = np.array(phase_rows[:n_ok], dtype=np.intp), np.array(want_rows[:n_ok])
+    else:
+        phase = np.tile(np.array([PHASES.index(ph) for ph in phases], dtype=np.intp), (n_ok, 1))
+    shape = (n_ok, len(units))  # the arrays of a greedy run stopped at step 0 are flat
+    fields = _dispatch_fields(
+        scenario, phase.reshape(shape), want[:n_ok].reshape(shape), p, q, soc_kwh
+    )
+    if zero_sum:  # sum_to_zero's ``clipped`` flag: the box holds no zero-sum point
+        fields["zero_sum_missed"] = np.abs(_fold_sum(p)) > 1e-9
+    return fields, pending
+
+
+def _dispatch_fields(scenario: Scenario, phase, want, p_kw, q_kvar, soc_kwh) -> dict:
+    """The ``Trajectory`` dispatch fields from ``(step, unit)`` phase,
+    requested and applied powers and ``(step, battery)`` SoC."""
+    return {
+        "battery_ids": tuple(b.id for b in scenario.batteries),
+        "p_kw": p_kw,
+        "q_kvar": q_kvar,
+        "phase": phase,
+        "soc_kwh": soc_kwh,
+        "clipped": p_kw != want,
+        "zero_sum_missed": np.zeros(len(p_kw), dtype=bool),
+    }
 
 
 def _union_layout(
@@ -424,9 +532,9 @@ def _run_batch(
     """
     first = scenarios[0]
     topo = Topology(first.feeder)
-    layouts, blocks, records, pending = zip(*(_dispatch(sc, topo.index) for sc in scenarios))
+    layouts, blocks, dispatched, pending = zip(*(_dispatch(sc, topo.index) for sc in scenarios))
     union, columns = _union_layout(layouts)
-    bounds = np.cumsum([0] + [len(steps) for steps in records]).tolist()
+    bounds = np.cumsum([0] + [len(block) for block in blocks]).tolist()
     s_va = np.zeros((bounds[-1], len(union)), dtype=complex)
     for block, cols, lo, hi in zip(blocks, columns, bounds, bounds[1:]):
         s_va[lo:hi, cols] = block
@@ -468,10 +576,12 @@ def _run_batch(
     max_vuf = vuf_values.max(axis=1, initial=0.0).tolist()
     drop_min = drop_pct.min(axis=(1, 2))[step_row].min(axis=1).tolist()
     drop_max = drop_pct.max(axis=(1, 2))[step_row].max(axis=1).tolist()
+    times = [k * dt_h for k in range(n_steps)]
     for i, c in enumerate(ok):
         sc = scenarios[c]
         trajectory = Trajectory(
-            sc.feeder, solved, vuf_pct, drop_pct, v_rms, phase_loss, neutral_loss, step_row[i]
+            sc.feeder, solved, vuf_pct, drop_pct, v_rms, phase_loss, neutral_loss, step_row[i],
+            **dispatched[c],
         )
         outcomes[c] = ScenarioResult(
             label=sc.label,
@@ -483,8 +593,7 @@ def _run_batch(
             max_rise_pct=max(0.0, drop_max[i]),
             sum_drop_at=dict(zip(sc.feeder.nodes, drop_sums[i].tolist())),
             per_timestep=tuple(
-                StepRecord(t_h, actions, soc, trajectory, k)
-                for k, (t_h, actions, soc) in enumerate(records[c])
+                StepRecord(t_h, trajectory, k) for k, t_h in enumerate(times)
             ),
             trajectory=trajectory,
         )

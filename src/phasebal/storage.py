@@ -12,6 +12,13 @@ Three control architectures are supported:
 Dispatch sign convention follows the device convention: p_kw > 0 charges
 (consumes from the grid), p_kw < 0 discharges (injects). Reactive power
 rides on the converter rating and never touches the state of charge.
+
+The arithmetic lives once, in helpers on plain floats: ``bounds_at``
+(power bounds at a SoC), ``clip_power``, ``next_soc`` (the SoC step and its
+rating and SoC checks), ``zero_sum_shift``, ``schedule_requests`` (the fixed
+schedule for many steps at once) and ``greedy_powers``. The functions on
+``Battery`` and ``DispatchAction`` objects wrap them, and a scenario's
+dispatch scan calls them directly.
 """
 
 from __future__ import annotations
@@ -41,7 +48,8 @@ class Battery:
     """Storage unit state: converter ratings, efficiencies and SoC.
 
     ``e_max_kwh`` defaults to 5 h at rated power; ``s_conv_kva`` defaults to
-    the active-power rating (no spare reactive headroom).
+    the active-power rating (no spare reactive headroom). The numbers are
+    stored as floats, so dispatch reports float powers and SoC.
     """
 
     id: str
@@ -65,6 +73,8 @@ class Battery:
             raise ValueError(f"battery {self.id!r}: p_max_kw exceeds converter rating")
         if not 0 <= self.soc_kwh <= self.e_max_kwh + _EPS:
             raise ValueError(f"battery {self.id!r}: soc_kwh outside [0, e_max_kwh]")
+        for name in ("p_max_kw", "e_max_kwh", "soc_kwh", "eta_c", "eta_d", "s_conv_kva"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -109,6 +119,29 @@ class StylizedScheduleCfg:
     target_phase: Phase = Phase.A
 
 
+def next_soc(battery: Battery, soc_kwh: float, p_kw: float, q_kvar: float, dt_h: float) -> float:
+    """State of charge after drawing p_kw / q_kvar for dt_h hours from
+    ``soc_kwh``: the arithmetic and checks of ``apply_action`` on floats."""
+    if abs(p_kw) > battery.p_max_kw + _EPS:
+        raise RatingExceeded(battery.id, f"|p|={abs(p_kw):.6g} kW > rating {battery.p_max_kw} kW")
+    if math.hypot(p_kw, q_kvar) > battery.s_conv_kva + _EPS:
+        raise RatingExceeded(
+            battery.id,
+            f"|s|={math.hypot(p_kw, q_kvar):.6g} kVA > converter rating {battery.s_conv_kva} kVA",
+        )
+    if p_kw > 0:
+        soc = soc_kwh + battery.eta_c * p_kw * dt_h
+    elif p_kw < 0:
+        soc = soc_kwh + p_kw * dt_h / battery.eta_d
+    else:
+        soc = soc_kwh
+    if soc < -_EPS:
+        raise SocUnderflow(battery.id, soc)
+    if soc > battery.e_max_kwh + _EPS:
+        raise SocOverflow(battery.id, soc, battery.e_max_kwh)
+    return min(max(soc, 0.0), battery.e_max_kwh)
+
+
 def apply_action(battery: Battery, action: DispatchAction, dt_h: float) -> Battery:
     """Advance SoC by one action over dt_h hours; returns the new battery.
 
@@ -118,32 +151,33 @@ def apply_action(battery: Battery, action: DispatchAction, dt_h: float) -> Batte
     ``feasible_action`` first), otherwise RatingExceeded / SocUnderflow /
     SocOverflow is raised.
     """
-    p, q = action.p_kw, action.q_kvar
-    if abs(p) > battery.p_max_kw + _EPS:
-        raise RatingExceeded(battery.id, f"|p|={abs(p):.6g} kW > rating {battery.p_max_kw} kW")
-    if math.hypot(p, q) > battery.s_conv_kva + _EPS:
-        raise RatingExceeded(
-            battery.id,
-            f"|s|={math.hypot(p, q):.6g} kVA > converter rating {battery.s_conv_kva} kVA",
-        )
-    if p > 0:
-        soc = battery.soc_kwh + battery.eta_c * p * dt_h
-    elif p < 0:
-        soc = battery.soc_kwh + p * dt_h / battery.eta_d
-    else:
-        soc = battery.soc_kwh
-    if soc < -_EPS:
-        raise SocUnderflow(battery.id, soc)
-    if soc > battery.e_max_kwh + _EPS:
-        raise SocOverflow(battery.id, soc, battery.e_max_kwh)
-    return replace(battery, soc_kwh=min(max(soc, 0.0), battery.e_max_kwh))
+    soc = next_soc(battery, battery.soc_kwh, action.p_kw, action.q_kvar, dt_h)
+    return replace(battery, soc_kwh=soc)
+
+
+def bounds_at(battery: Battery, soc_kwh: float, dt_h: float) -> tuple[float, float]:
+    """``power_bounds`` of the battery at state of charge ``soc_kwh``."""
+    headroom = (battery.e_max_kwh - soc_kwh) / (battery.eta_c * dt_h)
+    available = soc_kwh * battery.eta_d / dt_h
+    return (max(-battery.p_max_kw, -available), min(battery.p_max_kw, headroom))
 
 
 def power_bounds(battery: Battery, dt_h: float) -> tuple[float, float]:
     """Feasible active-power interval [p_min, p_max] for one step of dt_h."""
-    headroom = (battery.e_max_kwh - battery.soc_kwh) / (battery.eta_c * dt_h)
-    available = battery.soc_kwh * battery.eta_d / dt_h
-    return (max(-battery.p_max_kw, -available), min(battery.p_max_kw, headroom))
+    return bounds_at(battery, battery.soc_kwh, dt_h)
+
+
+def clip_power(
+    battery: Battery, p_kw: float, q_kvar: float, lo: float, hi: float
+) -> tuple[float, float]:
+    """The clip of ``feasible_action`` on floats, with the active-power
+    bounds [lo, hi] given."""
+    p = min(max(p_kw, lo), hi)
+    q = q_kvar
+    if math.hypot(p, q) > battery.s_conv_kva:
+        q_max = math.sqrt(max(battery.s_conv_kva**2 - p * p, 0.0))
+        q = math.copysign(min(abs(q), q_max), q)
+    return p, q
 
 
 def feasible_action(battery: Battery, desired: DispatchAction, dt_h: float) -> DispatchAction:
@@ -154,12 +188,34 @@ def feasible_action(battery: Battery, desired: DispatchAction, dt_h: float) -> D
     converter circle.
     """
     lo, hi = power_bounds(battery, dt_h)
-    p = min(max(desired.p_kw, lo), hi)
-    q = desired.q_kvar
-    if math.hypot(p, q) > battery.s_conv_kva:
-        q_max = math.sqrt(max(battery.s_conv_kva**2 - p * p, 0.0))
-        q = math.copysign(min(abs(q), q_max), q)
+    p, q = clip_power(battery, desired.p_kw, desired.q_kvar, lo, hi)
     return replace(desired, p_kw=p, q_kvar=q)
+
+
+def zero_sum_shift(
+    raw: Sequence[float], lo: Sequence[float], hi: Sequence[float]
+) -> list[float]:
+    """The powers of ``sum_to_zero`` on floats, before its clip: raw powers
+    shifted by one shared lam and clamped to each unit's [lo, hi]."""
+
+    def shifted(lam: float) -> list[float]:
+        return [min(max(r - lam, l), h) for r, l, h in zip(raw, lo, hi)]
+
+    lam = 0.0
+    if abs(sum(shifted(0.0))) > 1e-9:
+        knots = sorted({r - h for r, h in zip(raw, hi)} | {r - l for r, l in zip(raw, lo)})
+        totals = [sum(shifted(t)) for t in knots]
+        if totals[0] <= 0.0:
+            lam = knots[0]
+        elif totals[-1] >= 0.0:
+            lam = knots[-1]
+        else:
+            # the total is linear between consecutive knots, so the root
+            # follows by interpolation across the first sign change
+            j = next(j for j, total in enumerate(totals) if total <= 0.0)
+            a, b, ga, gb = knots[j - 1], knots[j], totals[j - 1], totals[j]
+            lam = a + (b - a) * ga / (ga - gb)
+    return shifted(lam)
 
 
 def sum_to_zero(
@@ -185,31 +241,41 @@ def sum_to_zero(
     """
     if len(actions) != 3 or len(batteries) != 3:
         raise ValueError("sum_to_zero expects exactly three actions and batteries")
-    raw = [a.p_kw for a in actions]
     lo, hi = zip(*(power_bounds(b, dt_h) for b in batteries))
-
-    def shifted(lam: float) -> list[float]:
-        return [min(max(r - lam, l), h) for r, l, h in zip(raw, lo, hi)]
-
-    lam = 0.0
-    if abs(sum(shifted(0.0))) > 1e-9:
-        knots = sorted({r - h for r, h in zip(raw, hi)} | {r - l for r, l in zip(raw, lo)})
-        totals = [sum(shifted(t)) for t in knots]
-        if totals[0] <= 0.0:
-            lam = knots[0]
-        elif totals[-1] >= 0.0:
-            lam = knots[-1]
-        else:
-            # the total is linear between consecutive knots, so the root
-            # follows by interpolation across the first sign change
-            j = next(j for j, total in enumerate(totals) if total <= 0.0)
-            a, b, ga, gb = knots[j - 1], knots[j], totals[j - 1], totals[j]
-            lam = a + (b - a) * ga / (ga - gb)
+    powers = zero_sum_shift([a.p_kw for a in actions], lo, hi)
     out = [
         feasible_action(bat, replace(a, p_kw=p), dt_h)
-        for bat, a, p in zip(batteries, actions, shifted(lam))
+        for bat, a, p in zip(batteries, actions, powers)
     ]
     return out, abs(sum(a.p_kw for a in out)) > 1e-9
+
+
+def schedule_requests(
+    t_h: np.ndarray,
+    arch: Architecture,
+    cfg: StylizedScheduleCfg,
+    p_max_kw: Sequence[float],
+) -> tuple[list[Phase], np.ndarray]:
+    """Raw powers of the fixed schedule at the times ``t_h``: each unit's
+    phase and a ``(time, unit)`` array of kW, before any clip.
+
+    The target-phase unit requests its rating in the generation window and
+    minus its rating in the load window; the companion units of A2/A3
+    request the opposite; outside both windows every request is zero (-0.0
+    for a companion). A1 takes the first rating only.
+    """
+    hour = t_h % 24.0
+    in_dg = ((cfg.dg_window[0] <= hour) & (hour < cfg.dg_window[1]))[:, None]
+    in_ev = ((cfg.ev_window[0] <= hour) & (hour < cfg.ev_window[1]))[:, None]
+    if arch.kind is ArchKind.A1:
+        rating = np.array(p_max_kw[:1], dtype=float)
+        return [cfg.target_phase], np.where(in_dg, rating, np.where(in_ev, -rating, 0.0))
+    if len(p_max_kw) != 3:
+        raise ValueError(f"{arch.kind.value} needs exactly three batteries")
+    rating = np.array(p_max_kw, dtype=float)
+    target = np.where(in_dg, rating, np.where(in_ev, -rating, 0.0))
+    is_target = np.array([phase is cfg.target_phase for phase in PHASES])
+    return list(PHASES), np.where(is_target, target, -target)
 
 
 def fixed_schedule_controller(
@@ -223,36 +289,23 @@ def fixed_schedule_controller(
     the load window (target-phase unit), with the companion units doing the
     opposite under A2/A3. Outside both windows all actions are zero.
 
-    Raw scheduled powers are the batteries' ratings; the result is clipped
-    by ``feasible_action`` and, for A2 without load shifting, passed through
-    ``sum_to_zero`` first.
+    Raw scheduled powers are the batteries' ratings (``schedule_requests``);
+    the result is clipped by ``feasible_action`` and, for A2 without load
+    shifting, passed through ``sum_to_zero`` first, whose ``clipped`` flag
+    this one-step form drops (a run keeps it in ``Trajectory``).
     """
-    hour = t_h % 24.0
-    in_dg = cfg.dg_window[0] <= hour < cfg.dg_window[1]
-    in_ev = cfg.ev_window[0] <= hour < cfg.ev_window[1]
-
-    def target_power(bat: Battery) -> float:
-        return bat.p_max_kw if in_dg else (-bat.p_max_kw if in_ev else 0.0)
-
-    if arch.kind is ArchKind.A1:
-        bat = batteries[0]
-        raw = [DispatchAction(bat.id, cfg.target_phase, target_power(bat))]
-    else:
-        if len(batteries) != 3:
-            raise ValueError(f"{arch.kind.value} needs exactly three batteries")
-        raw = []
-        for bat, phase in zip(batteries, PHASES):
-            p = target_power(bat) if phase is cfg.target_phase else -target_power(bat)
-            raw.append(DispatchAction(bat.id, phase, p))
-        if arch.kind is ArchKind.A2 and not arch.allow_load_shift:
-            raw, _ = sum_to_zero(raw, batteries, dt_h)
-    return [feasible_action(b, a, dt_h) for b, a in zip(batteries, raw)]
+    phases, raw = schedule_requests(
+        np.array([float(t_h)]), arch, cfg, [b.p_max_kw for b in batteries]
+    )
+    actions = [DispatchAction(b.id, ph, p) for b, ph, p in zip(batteries, phases, raw[0].tolist())]
+    if arch.kind is ArchKind.A2 and not arch.allow_load_shift:
+        actions = sum_to_zero(actions, batteries, dt_h)[0]
+    return [feasible_action(b, a, dt_h) for b, a in zip(batteries, actions)]
 
 
-def _candidate_powers(battery: Battery, dt_h: float) -> list[float]:
-    """Grid of feasible powers at 0.1 kW resolution plus the exact bounds,
-    ordered by (|p|, p) so earlier candidates win spread ties."""
-    lo, hi = power_bounds(battery, dt_h)
+def _candidate_powers(lo: float, hi: float) -> list[float]:
+    """Grid of powers in [lo, hi] at 0.1 kW resolution plus the exact
+    bounds, ordered by (|p|, p) so earlier candidates win spread ties."""
     vals = {0.0} if lo <= 0.0 <= hi else set()
     k = math.ceil(lo / GRID_STEP_KW - 1e-12)
     while k * GRID_STEP_KW <= hi + 1e-12:
@@ -297,19 +350,60 @@ def _last_improvement(spreads: np.ndarray, best: float) -> int | None:
     return j
 
 
-def _best_phase_power(net: list[float], battery: Battery, dt_h: float) -> DispatchAction:
+def _best_phase_power(net: list[float], lo: float, hi: float) -> tuple[int, float]:
     """One phase-selecting unit: the exhaustive phase x power choice,
-    scanned phase-major with candidates in ``_candidate_powers`` order."""
-    cands = np.array(_candidate_powers(battery, dt_h))
+    scanned phase-major with candidates in ``_candidate_powers`` order.
+    Returns (phase index, p_kw)."""
+    cands = np.array(_candidate_powers(lo, hi))
     trial = np.empty((3, 3, cands.size))  # (phase value, phase chosen, candidate)
     trial[:] = np.array(net)[:, None, None]
     diag = np.arange(3)
     trial[diag, diag] += cands
     j = _last_improvement(_spread3(*trial), max(net) - min(net))
     if j is None:
-        return DispatchAction(battery.id, Phase.A)
+        return 0, 0.0
     phase, i = divmod(j, cands.size)
-    return DispatchAction(battery.id, PHASES[phase], cands[i].item())
+    return phase, cands[i].item()
+
+
+def greedy_powers(
+    net: list[float], arch: Architecture, bounds: Sequence[tuple[float, float]]
+) -> list[tuple[int, float]]:
+    """The search of ``greedy_balance_controller`` on floats: per-phase net
+    kW and each unit's ``power_bounds`` in, (phase index, p_kw) per unit
+    out. ``net`` is consumed."""
+    if arch.kind is ArchKind.A1:
+        return [_best_phase_power(net, *bounds[0])]
+
+    if len(bounds) != 3:
+        raise ValueError(f"{arch.kind.value} needs exactly three batteries")
+
+    if arch.kind is ArchKind.A2:
+        ca, cb, cc = (np.array(_candidate_powers(lo, hi)) for lo, hi in bounds)
+        pa, pb = ca[:, None], cb[None, :]
+        if arch.allow_load_shift:  # (kA, kB, kC) tensor
+            spreads = _spread3(
+                (net[0] + pa)[..., None], (net[1] + pb)[..., None], net[2] + cc
+            )
+        else:  # (kA, kB) plane; a pair whose C power is out of bounds is skipped
+            pc = -(pa + pb)
+            lo_c, hi_c = bounds[2]
+            spreads = _spread3(net[0] + pa, net[1] + pb, net[2] + pc)
+            spreads[(pc < lo_c - 1e-12) | (pc > hi_c + 1e-12)] = np.inf
+        j = _last_improvement(spreads, max(net) - min(net))
+        if j is None:
+            return [(0, 0.0), (1, 0.0), (2, 0.0)]
+        ia, ib, *ic = np.unravel_index(j, spreads.shape)
+        pc_j = cc[ic[0]] if arch.allow_load_shift else -(ca[ia] + cb[ib])
+        return [(ph, p.item()) for ph, p in enumerate((ca[ia], cb[ib], pc_j))]
+
+    # A3: sequential greedy with per-battery phase selection.
+    out = []
+    for lo, hi in bounds:
+        phase, p = _best_phase_power(net, lo, hi)
+        out.append((phase, p))
+        net[phase] += p
+    return out
 
 
 def greedy_balance_controller(
@@ -319,7 +413,7 @@ def greedy_balance_controller(
     dt_h: float,
 ) -> list[DispatchAction]:
     """Pick feasible actions that minimize the max-min spread of per-phase
-    power after storage, searching a 0.1 kW power grid.
+    power after storage, searching a 0.1 kW power grid (``greedy_powers``).
 
     A1 searches phase x power exhaustively. A2 searches the joint power grid
     of its three fixed-phase units (restricted to zero-sum triples, with
@@ -336,39 +430,6 @@ def greedy_balance_controller(
     computed as one array and the scan is replayed on it exactly.
     """
     net = [float(per_phase_net_kw[ph]) for ph in PHASES]
-
-    if arch.kind is ArchKind.A1:
-        return [_best_phase_power(net, batteries[0], dt_h)]
-
-    if len(batteries) != 3:
-        raise ValueError(f"{arch.kind.value} needs exactly three batteries")
-
-    if arch.kind is ArchKind.A2:
-        ca, cb, cc = (np.array(_candidate_powers(b, dt_h)) for b in batteries)
-        pa, pb = ca[:, None], cb[None, :]
-        if arch.allow_load_shift:  # (kA, kB, kC) tensor
-            spreads = _spread3(
-                (net[0] + pa)[..., None], (net[1] + pb)[..., None], net[2] + cc
-            )
-        else:  # (kA, kB) plane; a pair whose C power is out of bounds is skipped
-            pc = -(pa + pb)
-            lo_c, hi_c = power_bounds(batteries[2], dt_h)
-            spreads = _spread3(net[0] + pa, net[1] + pb, net[2] + pc)
-            spreads[(pc < lo_c - 1e-12) | (pc > hi_c + 1e-12)] = np.inf
-        j = _last_improvement(spreads, max(net) - min(net))
-        if j is None:
-            return [DispatchAction(b.id, ph) for b, ph in zip(batteries, PHASES)]
-        ia, ib, *ic = np.unravel_index(j, spreads.shape)
-        pc_j = cc[ic[0]] if arch.allow_load_shift else -(ca[ia] + cb[ib])
-        powers = (ca[ia], cb[ib], pc_j)
-        return [
-            DispatchAction(b.id, ph, p.item()) for b, ph, p in zip(batteries, PHASES, powers)
-        ]
-
-    # A3: sequential greedy with per-battery phase selection.
-    actions: list[DispatchAction] = []
-    for bat in batteries:
-        action = _best_phase_power(net, bat, dt_h)
-        actions.append(action)
-        net[PHASES.index(action.phase)] += action.p_kw
-    return actions
+    units = batteries[:1] if arch.kind is ArchKind.A1 else batteries
+    choice = greedy_powers(net, arch, [power_bounds(b, dt_h) for b in units])
+    return [DispatchAction(b.id, PHASES[ph], p) for b, (ph, p) in zip(units, choice)]

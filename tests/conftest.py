@@ -1,12 +1,16 @@
 """Shared test helpers: random feeder generation, solution residuals, the
-loop reference of the greedy balancing search, the dict-view reference of
-the timeseries CSV rows and the per-cell reference of the sweep."""
+loop reference of the greedy balancing search, the per-step loop reference
+of the dispatch pass, the dict-view reference of the timeseries CSV rows
+and the per-cell reference of the sweep."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
 from typing import Mapping, Sequence
+from unittest import mock
+
+import numpy as np
 
 from phasebal.errors import PhasebalError
 from phasebal.metrics import NodeMetrics, node_metrics
@@ -21,12 +25,15 @@ from phasebal.network import (
     Phase,
     build_feeder,
 )
+from phasebal import scenarios
 from phasebal.powerflow import SolverSettings, VoltageSolution, summarize_flows
 from phasebal.scenarios import (
     Scenario,
     ScenarioResult,
     SweepRow,
     SweepTemplate,
+    _complex_times_real,
+    _injection_entries,
     build_sweep_scenario,
     run_scenario,
 )
@@ -35,7 +42,12 @@ from phasebal.storage import (
     ArchKind,
     Battery,
     DispatchAction,
+    StylizedScheduleCfg,
     _candidate_powers,
+    apply_action,
+    feasible_action,
+    fixed_schedule_controller,
+    greedy_balance_controller,
     power_bounds,
 )
 
@@ -191,7 +203,7 @@ def reference_greedy(
         bat = batteries[0]
         best = (DispatchAction(bat.id, Phase.A), _spread(net))
         for phase in PHASES:
-            for p in _candidate_powers(bat, dt_h):
+            for p in _candidate_powers(*power_bounds(bat, dt_h)):
                 adj = dict(net)
                 adj[phase] += p
                 s = _spread(adj)
@@ -203,7 +215,7 @@ def reference_greedy(
         raise ValueError(f"{arch.kind.value} needs exactly three batteries")
 
     if arch.kind is ArchKind.A2:
-        cands = [_candidate_powers(b, dt_h) for b in batteries]
+        cands = [_candidate_powers(*power_bounds(b, dt_h)) for b in batteries]
         zero_sum = not arch.allow_load_shift
         best_actions = [DispatchAction(b.id, ph) for b, ph in zip(batteries, PHASES)]
         best_spread = _spread(net)
@@ -239,7 +251,7 @@ def reference_greedy(
     for bat in batteries:
         best = (DispatchAction(bat.id, Phase.A), _spread(adjusted))
         for phase in PHASES:
-            for p in _candidate_powers(bat, dt_h):
+            for p in _candidate_powers(*power_bounds(bat, dt_h)):
                 trial = dict(adjusted)
                 trial[phase] += p
                 s = _spread(trial)
@@ -248,6 +260,121 @@ def reference_greedy(
         actions.append(best[0])
         adjusted[best[0].phase] += best[0].p_kw
     return actions
+
+
+def reference_dispatch(
+    scenario: Scenario, index: dict[str, int]
+) -> tuple[list[tuple[int, int]], np.ndarray, list, Exception | None]:
+    """The dispatch pass as a per-step loop over ``Battery`` and
+    ``DispatchAction`` objects: the reference that ``scenarios._dispatch``
+    must match bit for bit.
+
+    Pass 1 of a run: step through time, evaluate profiles, ask the
+    controller for actions, clip and apply them to the batteries. Neither
+    controller reads voltages, so this fixes every step's injections up
+    front.
+
+    Returns the entry layout as ``(node row, conductor)`` pairs, the
+    ``(step, entry)`` complex VA of the steps dispatched, their
+    ``(t_h, actions, soc_kwh)``, and the error that stopped dispatch early
+    (None if every step ran).
+    """
+    feeder = scenario.feeder
+    n_steps = scenario.n_steps
+    dt_h = scenario.dt_h
+    plain = [d for d in feeder.devices if d.kind is not DeviceKind.STORAGE]
+    scale = np.array(
+        [scenario.profiles[d.profile_id] if d.profile_id else (1.0,) * n_steps for d in plain],
+        dtype=float,
+    ).reshape(len(plain), n_steps).T
+    rated = np.array([d.s_rated_kva for d in plain], dtype=complex)
+    dev_p, dev_q = _complex_times_real(rated.real, rated.imag, scale)
+
+    node, cond, owner, battery_entry = _injection_entries(feeder, index)
+    has_dev = owner >= 0
+    p_kw = np.zeros((n_steps, len(node)))
+    q_kvar = np.zeros((n_steps, len(node)))
+    p_kw[:, has_dev] = dev_p[:, owner[has_dev]]
+    q_kvar[:, has_dev] = dev_q[:, owner[has_dev]]
+
+    batteries = list(scenario.batteries)
+    bat_index = {b.id: i for i, b in enumerate(batteries)}
+    steps: list[tuple[float, tuple[DispatchAction, ...], dict[str, float]]] = []
+    pending: Exception | None = None
+    for k in range(n_steps):
+        t_h = k * dt_h
+        try:
+            if scenario.controller == "fixed_schedule" and batteries:
+                actions = fixed_schedule_controller(
+                    t_h, scenario.architecture, scenario.schedule or StylizedScheduleCfg(),
+                    batteries, dt_h,
+                )
+            elif scenario.controller == "greedy" and batteries:
+                net_kw = dict.fromkeys(PHASES, 0.0)
+                for dev, p in zip(plain, dev_p[k].tolist()):
+                    for ph in dev.connected_phases:
+                        net_kw[ph] += p
+                actions = greedy_balance_controller(net_kw, scenario.architecture, batteries, dt_h)
+            else:
+                actions = []
+            applied: list[DispatchAction] = []
+            for action in actions:
+                i = bat_index[action.battery_id]
+                final = feasible_action(batteries[i], action, dt_h)
+                batteries[i] = apply_action(batteries[i], final, dt_h)
+                applied.append(final)
+                entry = battery_entry[action.battery_id] + PHASES.index(final.phase)
+                p_kw[k, entry] = final.p_kw
+                q_kvar[k, entry] = final.q_kvar
+        except (PhasebalError, ValueError) as exc:  # an earlier solver failure wins
+            pending = exc
+            break
+        steps.append((t_h, tuple(applied), {b.id: b.soc_kwh for b in batteries}))
+
+    n_ok = len(steps)
+    s_va = np.empty((n_ok, len(node)), dtype=complex)
+    s_va.real, s_va.imag = _complex_times_real(p_kw[:n_ok], q_kvar[:n_ok], 1000.0)
+    return list(zip(node.tolist(), cond.tolist())), s_va, steps, pending
+
+
+def reference_run(
+    scenario: Scenario, settings: SolverSettings = SolverSettings()
+) -> ScenarioResult:
+    """``run_scenario`` with ``reference_dispatch`` as its dispatch pass:
+    the run as the per-step loop made it. Its trajectory holds the loop's
+    actions and SoC; the clip mask and zero-sum flags, which the loop
+    does not report, are all False."""
+
+    def dispatch(sc: Scenario, index: dict[str, int]):
+        layout, s_va, steps, pending = reference_dispatch(sc, index)
+        units = len(steps[0][1]) if steps else 0
+        shape = (len(steps), units)
+        arrays = {
+            name: np.array(
+                [[get(a) for a in actions] for _, actions, _ in steps], dtype=dtype
+            ).reshape(shape)
+            for name, get, dtype in (
+                ("p_kw", lambda a: a.p_kw, float),
+                ("q_kvar", lambda a: a.q_kvar, float),
+                ("phase", lambda a: PHASES.index(a.phase), np.intp),
+            )
+        }
+        arrays["soc_kwh"] = np.array(
+            [list(soc.values()) for _, _, soc in steps], dtype=float
+        ).reshape(len(steps), len(sc.batteries))
+        arrays["clipped"] = np.zeros(shape, dtype=bool)
+        arrays["zero_sum_missed"] = np.zeros(len(steps), dtype=bool)
+        arrays["battery_ids"] = tuple(b.id for b in sc.batteries)
+        return layout, s_va, arrays, pending
+
+    with mock.patch.object(scenarios, "_dispatch", dispatch):
+        return run_scenario(scenario, settings)
+
+
+def exact(rows) -> list[tuple[str, ...]]:
+    """Rows with every value as its repr: equal only when bit-equal and of
+    the same type (``0.0 == -0.0`` but their reprs differ)."""
+    return [tuple(map(repr, row)) for row in rows]
 
 
 def reference_timeseries_rows(scenario: Scenario, result: ScenarioResult):

@@ -16,7 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_feeder, reference_timeseries_rows, with_greedy_fleet, with_profiles
+from conftest import (
+    exact,
+    random_feeder,
+    reference_timeseries_rows,
+    with_greedy_fleet,
+    with_profiles,
+)
 
 from phasebal import cli
 from phasebal.cli import (
@@ -567,18 +573,18 @@ class TestGoldenFiles:
         assert main(["run", path, "--out", str(out)]) == 0
         # the sweep table of the grid-compact preset, frozen from the per-cell sweep
         assert main(["sweep", "--preset", "grid-compact", "--out", str(out)]) == 0
+        # storage columns, frozen from the per-step dispatch loop: A2 through
+        # sum_to_zero, and A1 choosing its phase
+        for preset in ("a2-n5-noshift", "a1-n0"):
+            assert main(["run", "--preset", preset, "--out", str(out)]) == 0
         for name, golden in (
             ("golden-summary.csv", "golden-summary.csv"),
             ("golden-timeseries.csv", "golden-timeseries.csv"),
             ("grid-compact-sweep.csv", "golden-sweep.csv"),
+            ("a2-n5-noshift-timeseries.csv", "golden-a2-n5-noshift-timeseries.csv"),
+            ("a1-n0-timeseries.csv", "golden-a1-n0-timeseries.csv"),
         ):
             assert (out / name).read_bytes() == (golden_dir / golden).read_bytes()
-
-
-def exact(rows) -> list[tuple[str, ...]]:
-    """Rows with every value as its repr: equal only when bit-equal and of
-    the same type (``0.0 == -0.0`` but their reprs differ)."""
-    return [tuple(map(repr, row)) for row in rows]
 
 
 class TestTimeseriesRows:

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from conftest import kcl_residual, kvl_residual, max_voltage_gap, random_feeder
-from phasebal.errors import NonConvergence, VoltageCollapse
+from phasebal.errors import NonConvergence, ScenarioStepError, VoltageCollapse
 from phasebal.network import Device, DeviceKind, Phase, chain_feeder
 from phasebal.powerflow import (
     SolverSettings,
@@ -20,6 +20,8 @@ from phasebal.powerflow import (
     source_phasors,
     summarize_flows,
 )
+
+from phasebal.scenarios import build_sweep_scenario, run_scenario
 
 TIGHT = SolverSettings(tol_pu=1e-12, max_iter=200)
 
@@ -227,3 +229,32 @@ class TestBalancedSymmetry:
                 assert abs(sol.v[node]["N"]) < 1e-9 * feeder.v_base_ln
             flows = summarize_flows(feeder, sol)
             assert flows.total_neutral_loss_kw < 1e-12
+
+
+class TestSolverSettings:
+    def test_integral_float_max_iter_runs_as_that_int(self):
+        """JSON Schema counts 5.0 as an integer, so the settings take it as
+        5. This feeder converges on pass 5 at every step and fails at 4."""
+        scenario = build_sweep_scenario(5.0, "N5", DeviceKind.DG, 50, "compact")
+        assert type(SolverSettings(max_iter=5.0).max_iter) is int
+        assert SolverSettings(max_iter=5.0) == SolverSettings(max_iter=5)
+        got = run_scenario(scenario, SolverSettings(max_iter=5.0))
+        want = run_scenario(scenario, SolverSettings(max_iter=5))
+        assert repr(got) == repr(want) and got == want
+        assert [r.solution.iterations for r in got.per_timestep] == [5] * scenario.n_steps
+        errors = []
+        for max_iter in (4.0, 4):
+            with pytest.raises(ScenarioStepError) as exc:
+                run_scenario(scenario, SolverSettings(max_iter=max_iter))
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1] and "after 4 iterations" in errors[0]
+
+    @pytest.mark.parametrize("max_iter", [5.5, 0.5, math.inf, -math.inf, math.nan])
+    def test_non_integral_max_iter_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            SolverSettings(max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [0, 0.0, -3.0])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            SolverSettings(max_iter=max_iter)

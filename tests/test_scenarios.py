@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,14 +13,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    exact,
     kcl_residual,
     kvl_residual,
     random_feeder,
+    reference_dispatch,
+    reference_run,
     reference_sweep,
+    reference_timeseries_rows,
     with_greedy_fleet,
     with_profiles,
 )
-from phasebal.errors import ScenarioStepError, UnknownNode, UnsupportedNode, VoltageCollapse
+from phasebal.cli import timeseries_rows
+from phasebal.errors import (
+    PhasebalError,
+    ScenarioStepError,
+    SocOverflow,
+    SocUnderflow,
+    UnknownNode,
+    UnsupportedNode,
+    VoltageCollapse,
+)
 from phasebal.network import (
     PHASES,
     Device,
@@ -31,6 +45,7 @@ from phasebal.network import (
     chain_feeder,
 )
 from phasebal.powerflow import (
+    Topology,
     oracle_solve,
     power_balance_residual_kw,
     solve_snapshot,
@@ -41,6 +56,7 @@ from phasebal.scenarios import (
     NETWORK_CLASS_SEGMENT_KM,
     Scenario,
     SweepTemplate,
+    _dispatch,
     build_stylized_scenario,
     build_sweep_scenario,
     run_scenario,
@@ -515,3 +531,222 @@ class TestDispatchProperties:
                 assert 0.0 <= rec.soc_kwh[bat.id] <= bat.e_max_kwh
             if kind is ArchKind.A2 and not allow_load_shift:
                 assert abs(sum(a.p_kw for a in rec.actions)) <= 1e-9
+
+
+def outcome(scenario: Scenario, run) -> object:
+    """``run(scenario)``'s result, or the type and message of its error."""
+    try:
+        return run(scenario)
+    except (PhasebalError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def scheduled_request(scenario: Scenario, k: int) -> list[float]:
+    """The fixed schedule's raw request of each unit at step k, written out
+    from the schedule's definition."""
+    cfg, arch = scenario.schedule, scenario.architecture
+    hour = (k * scenario.dt_h) % 24.0
+    out = []
+    for bat, phase in zip(scenario.batteries, PHASES):
+        own = bat.p_max_kw if cfg.dg_window[0] <= hour < cfg.dg_window[1] else (
+            -bat.p_max_kw if cfg.ev_window[0] <= hour < cfg.ev_window[1] else 0.0
+        )
+        out.append(own if arch.kind is ArchKind.A1 or phase is cfg.target_phase else -own)
+    return out
+
+
+class TestDispatchScan:
+    """The array dispatch pass equals the per-step loop it replaced
+    (``conftest.reference_dispatch``) bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(list(ArchKind)),
+        allow_load_shift=st.booleans(),
+        controller=st.sampled_from(["none", "fixed_schedule", "greedy"]),
+        storage_node=st.sampled_from(["N0", "N5"]),
+        target_phase=st.sampled_from(PHASES),
+        dt_h=st.sampled_from([1, 1.0, 0.25]),
+        data=st.data(),
+    )
+    def test_scan_equals_the_reference_loop(
+        self, kind, allow_load_shift, controller, storage_node, target_phase, dt_h, data
+    ):
+        arch = Architecture(kind, allow_load_shift=allow_load_shift)
+        scenario = build_stylized_scenario(
+            arch, storage_node, 1.0, controller, target_phase=target_phase, dt_h=dt_h
+        )
+        batteries = []
+        for bat in scenario.batteries:
+            e_max = data.draw(st.floats(0.1, 8.0))
+            batteries.append(
+                Battery(
+                    id=bat.id,
+                    p_max_kw=data.draw(st.floats(0.1, 1.5)),
+                    e_max_kwh=e_max,
+                    soc_kwh=data.draw(
+                        st.sampled_from([0.0, e_max, e_max + 1e-9]) | st.floats(0.0, e_max)
+                    ),
+                    eta_c=data.draw(st.just(1.0) | st.floats(0.8, 1.0)),
+                    eta_d=data.draw(st.just(1.0) | st.floats(0.8, 1.0)),
+                )
+            )
+        scenario = replace(scenario, batteries=tuple(batteries))
+
+        index = Topology(scenario.feeder).index
+        layout, s_va, steps, pending = reference_dispatch(scenario, index)
+        got_layout, got_s_va, arrays, got_pending = _dispatch(scenario, index)
+        assert got_layout == layout
+        assert got_s_va.tobytes() == s_va.tobytes()
+        assert repr(got_pending) == repr(pending)
+        got = outcome(scenario, run_scenario)
+        assert repr(got) == repr(outcome(scenario, reference_run))
+        if pending is not None:
+            return
+        traj = got.trajectory
+        assert traj.battery_ids == tuple(b.id for b in batteries)
+        actions = [acts for _, acts, _ in steps]
+        assert repr(traj.p_kw.tolist()) == repr([[a.p_kw for a in acts] for acts in actions])
+        assert repr(traj.q_kvar.tolist()) == repr([[a.q_kvar for a in acts] for acts in actions])
+        assert traj.phase.tolist() == [[PHASES.index(a.phase) for a in acts] for acts in actions]
+        assert repr(traj.soc_kwh.tolist()) == repr([list(soc.values()) for _, _, soc in steps])
+        assert repr([(r.t_h, r.actions, r.soc_kwh) for r in got.per_timestep]) == repr(steps)
+
+        # the CSV reads the arrays; the reference rows read the loop's records
+        loop = SimpleNamespace(
+            per_timestep=[
+                SimpleNamespace(t_h=t_h, actions=acts, soc_kwh=soc, solution=rec.solution)
+                for (t_h, acts, soc), rec in zip(steps, got.per_timestep, strict=True)
+            ]
+        )
+        assert exact(timeseries_rows(scenario, got)) == exact(
+            reference_timeseries_rows(scenario, loop)
+        )
+
+        # telemetry: the clip mask against the schedule's own requests, and
+        # the zero-sum flag against the dispatched total
+        zero_sum = controller != "none" and kind is ArchKind.A2 and not allow_load_shift
+        assert traj.zero_sum_missed.tolist() == [
+            zero_sum and abs(sum(a.p_kw for a in acts)) > 1e-9 for _, acts, _ in steps
+        ]
+        if controller == "fixed_schedule":
+            assert traj.clipped.tolist() == [
+                [a.p_kw != want for a, want in zip(acts, scheduled_request(scenario, k))]
+                for k, (_, acts, _) in enumerate(steps)
+            ]
+        assert traj.clipped.shape == traj.p_kw.shape
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(list(ArchKind)),
+        allow_load_shift=st.booleans(),
+        dt_h=st.sampled_from([1.0, 0.25]),
+        data=st.data(),
+    )
+    def test_failing_dispatch_equals_the_reference_loop(self, kind, allow_load_shift, dt_h, data):
+        """Units of 1e8 kW and more at the source node round their SoC past
+        0 or e_max now and then, and dispatch fails part-way: at the same
+        step, with the same error, and with the same earliest failure of
+        the run as in the per-step loop. (The greedy grid grows with the
+        rating, so only the schedule gets such units.)"""
+        scenario = build_stylized_scenario(
+            Architecture(kind, allow_load_shift=allow_load_shift), "N0", 1.0, dt_h=dt_h
+        )
+        batteries = []
+        for bat in scenario.batteries:
+            p_max = data.draw(st.sampled_from([1e8, 3e8]) | st.floats(1e8, 3e9))
+            e_max = p_max * data.draw(st.sampled_from([2.0, 2.5, 3.5]) | st.floats(0.5, 6.0))
+            batteries.append(
+                Battery(
+                    id=bat.id,
+                    p_max_kw=p_max,
+                    e_max_kwh=e_max,
+                    soc_kwh=data.draw(st.sampled_from([0.0, e_max]) | st.floats(0.0, e_max)),
+                    eta_c=data.draw(st.just(0.9) | st.floats(0.8, 1.0)),
+                    eta_d=data.draw(st.just(0.9) | st.floats(0.8, 1.0)),
+                )
+            )
+        scenario = replace(scenario, batteries=tuple(batteries))
+        index = Topology(scenario.feeder).index
+        _, s_va, _, pending = reference_dispatch(scenario, index)
+        _, got_s_va, _, got_pending = _dispatch(scenario, index)
+        assert got_s_va.tobytes() == s_va.tobytes()
+        assert repr(got_pending) == repr(pending)
+        assert repr(outcome(scenario, run_scenario)) == repr(outcome(scenario, reference_run))
+
+    @pytest.mark.parametrize("controller", ["fixed_schedule", "greedy"])
+    def test_box_without_zero_sum_point_is_flagged_and_leaves_the_csv_alone(self, controller):
+        """An A2 fleet 1e-9 kWh above full (see
+        ``test_flags_box_without_zero_sum_point``) can only charge at about
+        -1e-9 kW, so its first step cannot sum to zero. The run says so in
+        its telemetry and writes the same rows as the per-step loop."""
+        scenario = build_stylized_scenario(
+            Architecture(ArchKind.A2, allow_load_shift=False), "N5", 3.0, controller
+        )
+        scenario = replace(
+            scenario,
+            batteries=tuple(replace(b, soc_kwh=b.e_max_kwh + 1e-9) for b in scenario.batteries),
+        )
+        result = run_scenario(scenario)
+        traj = result.trajectory
+        assert traj.zero_sum_missed[0]
+        assert traj.clipped[0].all()
+        assert abs(sum(a.p_kw for a in result.per_timestep[0].actions)) > 1e-9
+        want = reference_run(scenario)
+        assert exact(timeseries_rows(scenario, result)) == exact(timeseries_rows(scenario, want))
+        assert repr(result) == repr(want) and result == want
+
+    @pytest.mark.parametrize("collapse_at", [None, 5, 18, 19, 21])
+    def test_dispatch_error_at_its_step_and_the_earliest_failure_wins(self, collapse_at):
+        """A 1e8 kW unit at the source node rounds its SoC to -1.5e-8 kWh
+        while emptying at step 19, and dispatch raises there. A voltage
+        collapse at an earlier step wins; a later one is never reached."""
+        scenario = build_stylized_scenario(Architecture(ArchKind.A1), "N0", 1.0)
+        bat = Battery("bat-1", p_max_kw=1e8, e_max_kwh=2e8, eta_c=0.9, eta_d=0.9)
+        flat = [1.0] * scenario.n_steps
+        if collapse_at is not None:
+            flat[collapse_at] = 100.0  # 200 kW per phase at every node
+        scenario = replace(
+            scenario, batteries=(bat,), profiles={**scenario.profiles, "flat": tuple(flat)}
+        )
+        _, _, steps, pending = reference_dispatch(scenario, Topology(scenario.feeder).index)
+        assert isinstance(pending, SocUnderflow) and len(steps) == 19
+        got = outcome(scenario, run_scenario)
+        assert got == outcome(scenario, reference_run)
+        if collapse_at is not None and collapse_at < 19:
+            assert got[0] is ScenarioStepError and got[1].startswith(f"at t={collapse_at} h")
+        else:
+            assert got == (SocUnderflow, str(pending))
+
+    @pytest.mark.parametrize("kind", list(ArchKind))
+    def test_dispatch_error_at_the_first_step(self, kind):
+        """Charging a 1e9 kW unit into 5e8 kWh from the first step rounds its
+        SoC past e_max at once: nothing is dispatched or solved."""
+        scenario = build_stylized_scenario(Architecture(kind), "N0", 1.0)
+        scenario = replace(
+            scenario,
+            schedule=replace(scenario.schedule, dg_window=(0.0, 5.0)),
+            batteries=tuple(
+                Battery(b.id, 1e9, 5e8, eta_c=0.9, eta_d=0.9) for b in scenario.batteries
+            ),
+        )
+        _, s_va, steps, pending = reference_dispatch(scenario, Topology(scenario.feeder).index)
+        assert steps == [] and isinstance(pending, SocOverflow)
+        assert outcome(scenario, run_scenario) == outcome(scenario, reference_run)
+
+    @pytest.mark.parametrize("kind", [ArchKind.A2, ArchKind.A3])
+    def test_units_failing_at_one_step_report_the_first(self, kind):
+        """Two equal companion units run empty at the same step; as in the
+        per-step loop, the first of them in battery order is reported."""
+        scenario = build_stylized_scenario(Architecture(kind), "N0", 1.0)
+        scenario = replace(
+            scenario,
+            batteries=tuple(
+                Battery(b.id, 1e8, 2e8, 2e8 if b.soc_kwh else 0.0, eta_c=0.9, eta_d=0.9)
+                for b in scenario.batteries
+            ),
+        )
+        _, _, steps, pending = reference_dispatch(scenario, Topology(scenario.feeder).index)
+        assert len(steps) == 11 and "'bat-b'" in str(pending)
+        assert outcome(scenario, run_scenario) == (SocUnderflow, str(pending))
+
