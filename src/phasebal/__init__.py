@@ -81,12 +81,12 @@ from .storage import (
     Battery,
     DispatchAction,
     StylizedScheduleCfg,
-    apply_action,
-    feasible_action,
-    fixed_schedule_controller,
-    greedy_balance_controller,
-    power_bounds,
-    sum_to_zero,
+    bounds_at,
+    clip_power,
+    greedy_powers,
+    next_soc,
+    schedule_requests,
+    zero_sum_shift,
 )
 
 __version__ = "0.1.0"

@@ -7,13 +7,13 @@ trajectory (no controller reads voltages), one batched power flow, and an
 array pass for unbalance and loss metrics and their aggregates over the
 horizon. Dispatch is a scan in plain floats over ``(step, unit)`` arrays:
 the fixed schedule's requests for all steps at once, then one pass over
-the steps that applies the power bounds, clip and SoC update of
-``storage`` to each unit. Steps with byte-equal injections share one
-operating point, so the power flow and the metrics run once per distinct
-row, and each step reads its row through ``Trajectory.step_row``: the
-lossless case of vector-quantised QSTS (Deboever, Grijalva, Reno &
-Broderick, Solar Energy 159, 2018). The horizon aggregates still add
-every step in step order.
+the steps that calls the ``storage`` functions for each unit: bounds,
+greedy search or zero-sum shift, clip and SoC update. Steps with
+byte-equal injections share one operating point, so the power flow and
+the metrics run once per distinct row, and each step reads its row
+through ``Trajectory.step_row``: the lossless case of vector-quantised
+QSTS (Deboever, Grijalva, Reno & Broderick, Solar Energy 159, 2018). The
+horizon aggregates still add every step in step order.
 ``sweep_and_tabulate`` runs all cells of a sweep through the same passes
 as one batch on one ``Topology``, with one power flow over the distinct
 rows of every cell.
@@ -64,6 +64,7 @@ from .powerflow import (
     sweep_batch,
 )
 from .storage import (
+    MAX_GREEDY_CELLS,
     Architecture,
     ArchKind,
     Battery,
@@ -71,6 +72,7 @@ from .storage import (
     StylizedScheduleCfg,
     bounds_at,
     clip_power,
+    greedy_cells,
     greedy_powers,
     next_soc,
     schedule_requests,
@@ -162,6 +164,14 @@ class Scenario:
             )
         if self.controller != "none" and self.batteries and self.architecture is None:
             raise ValueError("a storage controller needs an architecture")
+        if self.controller == "greedy" and self.batteries:
+            cells = greedy_cells(self.architecture, [b.p_max_kw for b in self.batteries])
+            if not cells <= MAX_GREEDY_CELLS:
+                big = max(self.batteries, key=lambda b: b.p_max_kw)
+                raise ValueError(
+                    f"battery {big.id!r}: p_max_kw {big.p_max_kw:g} makes the greedy search "
+                    f"build {cells:g} cells, above {MAX_GREEDY_CELLS}"
+                )
 
     @property
     def n_steps(self) -> int:
@@ -434,7 +444,7 @@ def _dispatch_storage(
     fields = _dispatch_fields(
         scenario, phase.reshape(shape), want[:n_ok].reshape(shape), p, q, soc_kwh
     )
-    if zero_sum:  # sum_to_zero's ``clipped`` flag: the box holds no zero-sum point
+    if zero_sum:  # the box held no zero-sum point, so zero_sum_shift missed zero
         fields["zero_sum_missed"] = np.abs(_fold_sum(p)) > 1e-9
     return fields, pending
 

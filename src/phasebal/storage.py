@@ -13,20 +13,17 @@ Dispatch sign convention follows the device convention: p_kw > 0 charges
 (consumes from the grid), p_kw < 0 discharges (injects). Reactive power
 rides on the converter rating and never touches the state of charge.
 
-The arithmetic lives once, in helpers on plain floats: ``bounds_at``
-(power bounds at a SoC), ``clip_power``, ``next_soc`` (the SoC step and its
-rating and SoC checks), ``zero_sum_shift``, ``schedule_requests`` (the fixed
-schedule for many steps at once) and ``greedy_powers``. The functions on
-``Battery`` and ``DispatchAction`` objects wrap them, and a scenario's
-dispatch scan calls them directly.
+Dispatch is one function per operation, on plain floats: ``bounds_at``,
+``clip_power``, ``next_soc``, ``zero_sum_shift``, ``schedule_requests`` and
+``greedy_powers``. A scenario's dispatch scan calls them for each unit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +36,10 @@ DEFAULT_HOURS_AT_RATED = 5.0
 
 #: Search resolution of the greedy balancing controller, kW.
 GRID_STEP_KW = 0.1
+
+#: Most cells a greedy search step may build (``greedy_cells``); at a peak
+#: of 16-41 bytes a cell (tracemalloc), at most about 170 MB.
+MAX_GREEDY_CELLS = 2**22
 
 _EPS = 1e-9
 
@@ -121,7 +122,9 @@ class StylizedScheduleCfg:
 
 def next_soc(battery: Battery, soc_kwh: float, p_kw: float, q_kvar: float, dt_h: float) -> float:
     """State of charge after drawing p_kw / q_kvar for dt_h hours from
-    ``soc_kwh``: the arithmetic and checks of ``apply_action`` on floats."""
+    ``soc_kwh``: charging stores eta_c * p * dt, discharging drains
+    |p| * dt / eta_d, reactive power leaves it alone. A power not clipped
+    first (``clip_power``) raises RatingExceeded, SocUnderflow or SocOverflow."""
     if abs(p_kw) > battery.p_max_kw + _EPS:
         raise RatingExceeded(battery.id, f"|p|={abs(p_kw):.6g} kW > rating {battery.p_max_kw} kW")
     if math.hypot(p_kw, q_kvar) > battery.s_conv_kva + _EPS:
@@ -142,36 +145,19 @@ def next_soc(battery: Battery, soc_kwh: float, p_kw: float, q_kvar: float, dt_h:
     return min(max(soc, 0.0), battery.e_max_kwh)
 
 
-def apply_action(battery: Battery, action: DispatchAction, dt_h: float) -> Battery:
-    """Advance SoC by one action over dt_h hours; returns the new battery.
-
-    Charging stores eta_c * p * dt; discharging drains |p| * dt / eta_d.
-    Reactive power does not affect the state of charge. The action must
-    already respect the converter ratings and SoC bounds (clip with
-    ``feasible_action`` first), otherwise RatingExceeded / SocUnderflow /
-    SocOverflow is raised.
-    """
-    soc = next_soc(battery, battery.soc_kwh, action.p_kw, action.q_kvar, dt_h)
-    return replace(battery, soc_kwh=soc)
-
-
 def bounds_at(battery: Battery, soc_kwh: float, dt_h: float) -> tuple[float, float]:
-    """``power_bounds`` of the battery at state of charge ``soc_kwh``."""
+    """Feasible active-power interval [p_min, p_max] for one step of dt_h
+    from state of charge ``soc_kwh``."""
     headroom = (battery.e_max_kwh - soc_kwh) / (battery.eta_c * dt_h)
     available = soc_kwh * battery.eta_d / dt_h
     return (max(-battery.p_max_kw, -available), min(battery.p_max_kw, headroom))
 
 
-def power_bounds(battery: Battery, dt_h: float) -> tuple[float, float]:
-    """Feasible active-power interval [p_min, p_max] for one step of dt_h."""
-    return bounds_at(battery, battery.soc_kwh, dt_h)
-
-
 def clip_power(
     battery: Battery, p_kw: float, q_kvar: float, lo: float, hi: float
 ) -> tuple[float, float]:
-    """The clip of ``feasible_action`` on floats, with the active-power
-    bounds [lo, hi] given."""
+    """Clip (p_kw, q_kvar) into the feasible set (idempotent): p into [lo, hi]
+    (``bounds_at``), then q scaled down into the converter circle."""
     p = min(max(p_kw, lo), hi)
     q = q_kvar
     if math.hypot(p, q) > battery.s_conv_kva:
@@ -180,23 +166,18 @@ def clip_power(
     return p, q
 
 
-def feasible_action(battery: Battery, desired: DispatchAction, dt_h: float) -> DispatchAction:
-    """Clip a desired action into the battery's feasible set (idempotent).
-
-    Active power is limited by energy headroom and the power rating; the
-    reactive part is then scaled down so the apparent power fits inside the
-    converter circle.
-    """
-    lo, hi = power_bounds(battery, dt_h)
-    p, q = clip_power(battery, desired.p_kw, desired.q_kvar, lo, hi)
-    return replace(desired, p_kw=p, q_kvar=q)
-
-
 def zero_sum_shift(
     raw: Sequence[float], lo: Sequence[float], hi: Sequence[float]
 ) -> list[float]:
-    """The powers of ``sum_to_zero`` on floats, before its clip: raw powers
-    shifted by one shared lam and clamped to each unit's [lo, hi]."""
+    """Euclidean projection of the raw powers onto {sum(p) = 0} within each
+    unit's [lo, hi] (``bounds_at``): p_i = clip(raw_i - lam, lo_i, hi_i) for
+    one shift lam shared by all units, found by a breakpoint search over the
+    piecewise-linear, nonincreasing total (Brucker, "An O(n) algorithm for
+    quadratic knapsack problems", Oper. Res. Letters 3(3), 1984). Powers
+    whose clamped sum is already zero within 1e-9 kW come back clamped
+    (lam = 0), so the map is idempotent. A box with no zero-sum point (only
+    through the SoC slack ``Battery`` allows) gives its nearest end, which
+    the caller tells by the sum."""
 
     def shifted(lam: float) -> list[float]:
         return [min(max(r - lam, l), h) for r, l, h in zip(raw, lo, hi)]
@@ -218,38 +199,6 @@ def zero_sum_shift(
     return shifted(lam)
 
 
-def sum_to_zero(
-    actions: Sequence[DispatchAction],
-    batteries: Sequence[Battery],
-    dt_h: float,
-) -> tuple[list[DispatchAction], bool]:
-    """Project a three-battery action set onto zero total active power.
-
-    Returns the Euclidean projection of the raw powers onto
-    {sum(p) = 0} intersected with each unit's ``power_bounds`` box. It has
-    the form p_i = clip(raw_i - lam, lo_i, hi_i) for one shift lam shared
-    by all units, found by a breakpoint search over the piecewise-linear,
-    nonincreasing total (Brucker, "An O(n) algorithm for quadratic
-    knapsack problems", Oper. Res. Letters 3(3), 1984). Actions whose
-    clipped powers already sum to zero within 1e-9 kW come back clipped
-    and otherwise unchanged (lam = 0), so the map is idempotent.
-
-    Returns (actions, clipped): ``clipped`` is True only when no point of
-    the box sums to zero within 1e-9 kW, and the nearest end of the box is
-    returned. Since ``power_bounds`` always contains 0 (up to the SoC slack
-    that ``Battery`` allows), a zero-sum point is otherwise always reached.
-    """
-    if len(actions) != 3 or len(batteries) != 3:
-        raise ValueError("sum_to_zero expects exactly three actions and batteries")
-    lo, hi = zip(*(power_bounds(b, dt_h) for b in batteries))
-    powers = zero_sum_shift([a.p_kw for a in actions], lo, hi)
-    out = [
-        feasible_action(bat, replace(a, p_kw=p), dt_h)
-        for bat, a, p in zip(batteries, actions, powers)
-    ]
-    return out, abs(sum(a.p_kw for a in out)) > 1e-9
-
-
 def schedule_requests(
     t_h: np.ndarray,
     arch: Architecture,
@@ -268,39 +217,25 @@ def schedule_requests(
     in_dg = ((cfg.dg_window[0] <= hour) & (hour < cfg.dg_window[1]))[:, None]
     in_ev = ((cfg.ev_window[0] <= hour) & (hour < cfg.ev_window[1]))[:, None]
     if arch.kind is ArchKind.A1:
-        rating = np.array(p_max_kw[:1], dtype=float)
-        return [cfg.target_phase], np.where(in_dg, rating, np.where(in_ev, -rating, 0.0))
-    if len(p_max_kw) != 3:
+        phases, p_max_kw = [cfg.target_phase], p_max_kw[:1]
+    elif len(p_max_kw) != 3:
         raise ValueError(f"{arch.kind.value} needs exactly three batteries")
+    else:
+        phases = list(PHASES)
     rating = np.array(p_max_kw, dtype=float)
     target = np.where(in_dg, rating, np.where(in_ev, -rating, 0.0))
-    is_target = np.array([phase is cfg.target_phase for phase in PHASES])
-    return list(PHASES), np.where(is_target, target, -target)
+    is_target = np.array([phase is cfg.target_phase for phase in phases])
+    return phases, np.where(is_target, target, -target)
 
 
-def fixed_schedule_controller(
-    t_h: float,
-    arch: Architecture,
-    cfg: StylizedScheduleCfg,
-    batteries: Sequence[Battery],
-    dt_h: float,
-) -> list[DispatchAction]:
-    """Clock-driven dispatch: charge in the generation window, discharge in
-    the load window (target-phase unit), with the companion units doing the
-    opposite under A2/A3. Outside both windows all actions are zero.
-
-    Raw scheduled powers are the batteries' ratings (``schedule_requests``);
-    the result is clipped by ``feasible_action`` and, for A2 without load
-    shifting, passed through ``sum_to_zero`` first, whose ``clipped`` flag
-    this one-step form drops (a run keeps it in ``Trajectory``).
-    """
-    phases, raw = schedule_requests(
-        np.array([float(t_h)]), arch, cfg, [b.p_max_kw for b in batteries]
-    )
-    actions = [DispatchAction(b.id, ph, p) for b, ph, p in zip(batteries, phases, raw[0].tolist())]
-    if arch.kind is ArchKind.A2 and not arch.allow_load_shift:
-        actions = sum_to_zero(actions, batteries, dt_h)[0]
-    return [feasible_action(b, a, dt_h) for b, a in zip(batteries, actions)]
+def greedy_cells(arch: Architecture, p_max_kw: Sequence[float]) -> float:
+    """Cells of the largest array one ``greedy_powers`` step builds: a unit
+    has at most k = floor(2 p_max / GRID_STEP_KW) + 4 candidates, A2 spans
+    kA kB kC (kA kB without load shift), and A1/A3 9 k for each unit."""
+    k = [math.floor(2 * p / GRID_STEP_KW) + 4 if p < math.inf else math.inf for p in p_max_kw]
+    if arch.kind is not ArchKind.A2:
+        return 9 * max(k)
+    return math.prod(k if arch.allow_load_shift else k[:2])
 
 
 def _candidate_powers(lo: float, hi: float) -> list[float]:
@@ -350,32 +285,22 @@ def _last_improvement(spreads: np.ndarray, best: float) -> int | None:
     return j
 
 
-def _best_phase_power(net: list[float], lo: float, hi: float) -> tuple[int, float]:
-    """One phase-selecting unit: the exhaustive phase x power choice,
-    scanned phase-major with candidates in ``_candidate_powers`` order.
-    Returns (phase index, p_kw)."""
-    cands = np.array(_candidate_powers(lo, hi))
-    trial = np.empty((3, 3, cands.size))  # (phase value, phase chosen, candidate)
-    trial[:] = np.array(net)[:, None, None]
-    diag = np.arange(3)
-    trial[diag, diag] += cands
-    j = _last_improvement(_spread3(*trial), max(net) - min(net))
-    if j is None:
-        return 0, 0.0
-    phase, i = divmod(j, cands.size)
-    return phase, cands[i].item()
-
-
 def greedy_powers(
     net: list[float], arch: Architecture, bounds: Sequence[tuple[float, float]]
 ) -> list[tuple[int, float]]:
-    """The search of ``greedy_balance_controller`` on floats: per-phase net
-    kW and each unit's ``power_bounds`` in, (phase index, p_kw) per unit
-    out. ``net`` is consumed."""
-    if arch.kind is ArchKind.A1:
-        return [_best_phase_power(net, *bounds[0])]
+    """(phase index, p_kw) per unit minimizing the max-min spread of the
+    per-phase net kW (consumed) after storage, on a 0.1 kW grid within each
+    unit's ``bounds_at``. A2 searches its units' joint grid (zero-sum
+    triples, C taking -(p_A + p_B), without load shift); A1 and A3 assign
+    units one at a time, each by exhaustive phase x power choice.
 
-    if len(bounds) != 3:
+    Tie rule: candidates are scanned phase-major, then in
+    ``_candidate_powers`` order by (|p|, p), A unit outermost for A2. The
+    scan starts from the all-zero spread as the running best and accepts a
+    candidate only below the running best minus 1e-12; the last accepted
+    one wins, so the spread never worsens. One search's spreads are one
+    array, on which the scan is replayed exactly."""
+    if arch.kind is not ArchKind.A1 and len(bounds) != 3:
         raise ValueError(f"{arch.kind.value} needs exactly three batteries")
 
     if arch.kind is ArchKind.A2:
@@ -397,39 +322,15 @@ def greedy_powers(
         pc_j = cc[ic[0]] if arch.allow_load_shift else -(ca[ia] + cb[ib])
         return [(ph, p.item()) for ph, p in enumerate((ca[ia], cb[ib], pc_j))]
 
-    # A3: sequential greedy with per-battery phase selection.
+    # A1 and A3: sequential greedy with per-battery phase selection.
     out = []
     for lo, hi in bounds:
-        phase, p = _best_phase_power(net, lo, hi)
+        cands = np.array(_candidate_powers(lo, hi))
+        trial = np.empty((3, 3, cands.size))  # (phase value, phase chosen, candidate)
+        trial[:] = np.array(net)[:, None, None]
+        trial[[0, 1, 2], [0, 1, 2]] += cands
+        j = _last_improvement(_spread3(*trial), max(net) - min(net))
+        phase, p = (0, 0.0) if j is None else (j // cands.size, cands[j % cands.size].item())
         out.append((phase, p))
         net[phase] += p
     return out
-
-
-def greedy_balance_controller(
-    per_phase_net_kw: Mapping[Phase, float],
-    arch: Architecture,
-    batteries: Sequence[Battery],
-    dt_h: float,
-) -> list[DispatchAction]:
-    """Pick feasible actions that minimize the max-min spread of per-phase
-    power after storage, searching a 0.1 kW power grid (``greedy_powers``).
-
-    A1 searches phase x power exhaustively. A2 searches the joint power grid
-    of its three fixed-phase units (restricted to zero-sum triples, with
-    the C unit taking -(p_A + p_B) within its bounds, when load shifting is
-    disallowed). A3 assigns its units one at a time, each taking the
-    exhaustive phase x power choice against the running adjusted load.
-
-    Tie rule: candidates are scanned in a fixed order (phase-major, then
-    ``_candidate_powers`` order by (|p|, p); for A2 the A unit outermost
-    and the C unit innermost). The scan starts from the all-zero action's
-    spread as the running best and accepts a candidate only if its spread
-    is below the running best minus 1e-12; the last accepted candidate is
-    the answer, so the spread never worsens. The spreads of one search are
-    computed as one array and the scan is replayed on it exactly.
-    """
-    net = [float(per_phase_net_kw[ph]) for ph in PHASES]
-    units = batteries[:1] if arch.kind is ArchKind.A1 else batteries
-    choice = greedy_powers(net, arch, [power_bounds(b, dt_h) for b in units])
-    return [DispatchAction(b.id, PHASES[ph], p) for b, (ph, p) in zip(units, choice)]

@@ -44,11 +44,12 @@ from phasebal.storage import (
     DispatchAction,
     StylizedScheduleCfg,
     _candidate_powers,
-    apply_action,
-    feasible_action,
-    fixed_schedule_controller,
-    greedy_balance_controller,
-    power_bounds,
+    bounds_at,
+    clip_power,
+    greedy_powers,
+    next_soc,
+    schedule_requests,
+    zero_sum_shift,
 )
 
 
@@ -195,15 +196,15 @@ def reference_greedy(
     dt_h: float,
 ) -> list[DispatchAction]:
     """The greedy balancing search as a per-candidate Python loop: the
-    reference that ``greedy_balance_controller`` must match action for
-    action, tie rule included."""
+    reference that ``storage.greedy_powers`` must match unit for unit, tie
+    rule included."""
     net = {ph: float(per_phase_net_kw[ph]) for ph in PHASES}
 
     if arch.kind is ArchKind.A1:
         bat = batteries[0]
         best = (DispatchAction(bat.id, Phase.A), _spread(net))
         for phase in PHASES:
-            for p in _candidate_powers(*power_bounds(bat, dt_h)):
+            for p in _candidate_powers(*bounds_at(bat, bat.soc_kwh, dt_h)):
                 adj = dict(net)
                 adj[phase] += p
                 s = _spread(adj)
@@ -215,11 +216,11 @@ def reference_greedy(
         raise ValueError(f"{arch.kind.value} needs exactly three batteries")
 
     if arch.kind is ArchKind.A2:
-        cands = [_candidate_powers(*power_bounds(b, dt_h)) for b in batteries]
+        cands = [_candidate_powers(*bounds_at(b, b.soc_kwh, dt_h)) for b in batteries]
         zero_sum = not arch.allow_load_shift
         best_actions = [DispatchAction(b.id, ph) for b, ph in zip(batteries, PHASES)]
         best_spread = _spread(net)
-        lo_c, hi_c = power_bounds(batteries[2], dt_h)
+        lo_c, hi_c = bounds_at(batteries[2], batteries[2].soc_kwh, dt_h)
         for pa in cands[0]:
             for pb in cands[1]:
                 if zero_sum:
@@ -251,7 +252,7 @@ def reference_greedy(
     for bat in batteries:
         best = (DispatchAction(bat.id, Phase.A), _spread(adjusted))
         for phase in PHASES:
-            for p in _candidate_powers(*power_bounds(bat, dt_h)):
+            for p in _candidate_powers(*bounds_at(bat, bat.soc_kwh, dt_h)):
                 trial = dict(adjusted)
                 trial[phase] += p
                 s = _spread(trial)
@@ -270,9 +271,11 @@ def reference_dispatch(
     must match bit for bit.
 
     Pass 1 of a run: step through time, evaluate profiles, ask the
-    controller for actions, clip and apply them to the batteries. Neither
-    controller reads voltages, so this fixes every step's injections up
-    front.
+    controller for actions (the fixed schedule's requests, shifted to a zero
+    sum for A2 without load shift and clipped, or the greedy search), clip
+    them once more (a no-op, the clip being idempotent) and apply them to
+    the batteries. Neither controller reads voltages, so this fixes every
+    step's injections up front.
 
     Returns the entry layout as ``(node row, conductor)`` pairs, the
     ``(step, entry)`` complex VA of the steps dispatched, their
@@ -297,6 +300,7 @@ def reference_dispatch(
     p_kw[:, has_dev] = dev_p[:, owner[has_dev]]
     q_kvar[:, has_dev] = dev_q[:, owner[has_dev]]
 
+    arch = scenario.architecture
     batteries = list(scenario.batteries)
     bat_index = {b.id: i for i, b in enumerate(batteries)}
     steps: list[tuple[float, tuple[DispatchAction, ...], dict[str, float]]] = []
@@ -304,24 +308,39 @@ def reference_dispatch(
     for k in range(n_steps):
         t_h = k * dt_h
         try:
+            bounds = [bounds_at(b, b.soc_kwh, dt_h) for b in batteries]
             if scenario.controller == "fixed_schedule" and batteries:
-                actions = fixed_schedule_controller(
-                    t_h, scenario.architecture, scenario.schedule or StylizedScheduleCfg(),
-                    batteries, dt_h,
+                phases, raw = schedule_requests(
+                    np.array([t_h]), arch, scenario.schedule or StylizedScheduleCfg(),
+                    [b.p_max_kw for b in batteries],
                 )
+                powers = raw[0].tolist()
+                if arch.kind is ArchKind.A2 and not arch.allow_load_shift:
+                    powers = zero_sum_shift(powers, *zip(*bounds))
+                actions = [
+                    DispatchAction(b.id, ph, *clip_power(b, p, 0.0, *bd))
+                    for b, ph, p, bd in zip(batteries, phases, powers, bounds)
+                ]
             elif scenario.controller == "greedy" and batteries:
                 net_kw = dict.fromkeys(PHASES, 0.0)
                 for dev, p in zip(plain, dev_p[k].tolist()):
                     for ph in dev.connected_phases:
                         net_kw[ph] += p
-                actions = greedy_balance_controller(net_kw, scenario.architecture, batteries, dt_h)
+                choice = greedy_powers([net_kw[ph] for ph in PHASES], arch, bounds)
+                actions = [
+                    DispatchAction(b.id, PHASES[ph], p) for b, (ph, p) in zip(batteries, choice)
+                ]
             else:
                 actions = []
             applied: list[DispatchAction] = []
             for action in actions:
                 i = bat_index[action.battery_id]
-                final = feasible_action(batteries[i], action, dt_h)
-                batteries[i] = apply_action(batteries[i], final, dt_h)
+                bat = batteries[i]
+                p, q = clip_power(
+                    bat, action.p_kw, action.q_kvar, *bounds_at(bat, bat.soc_kwh, dt_h)
+                )
+                final = replace(action, p_kw=p, q_kvar=q)
+                batteries[i] = replace(bat, soc_kwh=next_soc(bat, bat.soc_kwh, p, q, dt_h))
                 applied.append(final)
                 entry = battery_entry[action.battery_id] + PHASES.index(final.phase)
                 p_kw[k, entry] = final.p_kw

@@ -18,7 +18,7 @@ from conftest import max_voltage_gap, random_feeder
 from phasebal.cli import main
 from phasebal.errors import ScenarioStepError, VoltageCollapse
 from phasebal.metrics import SequenceComponents, fortescue, inverse_fortescue, vuf
-from phasebal.network import DeviceKind, Phase
+from phasebal.network import DeviceKind
 from phasebal.powerflow import (
     SolverSettings,
     oracle_solve,
@@ -27,14 +27,7 @@ from phasebal.powerflow import (
 )
 from phasebal.presets import RUN_PRESET_NAMES
 from phasebal.scenarios import build_stylized_scenario, build_sweep_scenario, run_scenario
-from phasebal.storage import (
-    Architecture,
-    ArchKind,
-    Battery,
-    DispatchAction,
-    apply_action,
-    feasible_action,
-)
+from phasebal.storage import Architecture, ArchKind, Battery, bounds_at, clip_power, next_soc
 
 FULL_GRID = [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 120]
 
@@ -324,22 +317,21 @@ def test_criterion_6_storage_invariants():
     failures: list[str] = []
 
     rng = random.Random(777)
-    bat = Battery(id="fuzz", p_max_kw=2.0, soc_kwh=4.0, eta_c=0.93, eta_d=0.91, s_conv_kva=2.5)
+    bat = Battery(id="fuzz", p_max_kw=2.0, eta_c=0.93, eta_d=0.91, s_conv_kva=2.5)
+    soc = 4.0
     for step in range(1000):
-        desired = DispatchAction(
-            "fuzz", Phase.A, rng.uniform(-6, 6), rng.uniform(-4, 4)
-        )
-        bat = apply_action(bat, feasible_action(bat, desired, 0.5), 0.5)
-        if not 0.0 <= bat.soc_kwh <= bat.e_max_kwh:
-            failures.append(f"fuzz step {step}: SoC {bat.soc_kwh} out of bounds")
+        p, q = clip_power(bat, rng.uniform(-6, 6), rng.uniform(-4, 4), *bounds_at(bat, soc, 0.5))
+        soc = next_soc(bat, soc, p, q, 0.5)
+        if not 0.0 <= soc <= bat.e_max_kwh:
+            failures.append(f"fuzz step {step}: SoC {soc} out of bounds")
             break
 
-    q_bat = Battery(id="q", p_max_kw=2.0, soc_kwh=3.3330000000000002, s_conv_kva=3.0)
-    soc0 = q_bat.soc_kwh
+    q_bat = Battery(id="q", p_max_kw=2.0, s_conv_kva=3.0)
+    soc = soc0 = 3.3330000000000002
     for _ in range(200):
-        action = feasible_action(q_bat, DispatchAction("q", Phase.B, 0.0, rng.uniform(-5, 5)), 1.0)
-        q_bat = apply_action(q_bat, action, 1.0)
-    if q_bat.soc_kwh != soc0:
+        p, q = clip_power(q_bat, 0.0, rng.uniform(-5, 5), *bounds_at(q_bat, soc, 1.0))
+        soc = next_soc(q_bat, soc, p, q, 1.0)
+    if soc != soc0:
         failures.append("reactive-only sequence changed SoC")
 
     noshift = build_stylized_scenario(

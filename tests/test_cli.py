@@ -461,6 +461,24 @@ class TestRunCommand:
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         assert f"must be at most {MAX_STEPS} steps" in capsys.readouterr().err
 
+    def test_oversized_greedy_search_exits_2_before_running(self, tmp_path, capsys, monkeypatch):
+        def run_scenario(*args):
+            raise AssertionError("an oversized greedy search reached run_scenario")
+
+        monkeypatch.setattr(cli, "run_scenario", run_scenario)
+        doc = {
+            "label": "huge",
+            "scenario": {
+                "type": "stylized",
+                "architecture": "A2",
+                "battery_kw": 3e6,
+                "controller": "greedy",
+            },
+        }
+        path = write_config(tmp_path, doc)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert "battery 'bat-a': p_max_kw 1e+06 makes the greedy search" in capsys.readouterr().err
+
     def test_seed_key_rejected_and_named(self, tmp_path, capsys):
         doc = json.loads(json.dumps(CUSTOM_DOC))
         doc["scenario"]["seed"] = 7
@@ -574,15 +592,21 @@ class TestGoldenFiles:
         # the sweep table of the grid-compact preset, frozen from the per-cell sweep
         assert main(["sweep", "--preset", "grid-compact", "--out", str(out)]) == 0
         # storage columns, frozen from the per-step dispatch loop: A2 through
-        # sum_to_zero, and A1 choosing its phase
+        # the zero-sum shift, and A1 choosing its phase
         for preset in ("a2-n5-noshift", "a1-n0"):
             assert main(["run", "--preset", preset, "--out", str(out)]) == 0
+        # the greedy search, frozen from the object-level controllers: A1 and
+        # A3 choosing phases, A2 restricted to zero-sum triples
+        greedy = ("greedy-a1-n5", "greedy-a2-n5-noshift", "greedy-a3-n5")
+        for label in greedy:
+            assert main(["run", str(golden_dir / f"{label}.json"), "--out", str(out)]) == 0
         for name, golden in (
             ("golden-summary.csv", "golden-summary.csv"),
             ("golden-timeseries.csv", "golden-timeseries.csv"),
             ("grid-compact-sweep.csv", "golden-sweep.csv"),
             ("a2-n5-noshift-timeseries.csv", "golden-a2-n5-noshift-timeseries.csv"),
             ("a1-n0-timeseries.csv", "golden-a1-n0-timeseries.csv"),
+            *((f"{label}-timeseries.csv", f"golden-{label}-timeseries.csv") for label in greedy),
         ):
             assert (out / name).read_bytes() == (golden_dir / golden).read_bytes()
 

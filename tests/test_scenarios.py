@@ -204,6 +204,13 @@ class TestScenarioValidation:
         longest = Scenario(feeder=chain_feeder(2, 0.1), horizon_h=float(MAX_STEPS))
         assert longest.n_steps == MAX_STEPS
 
+    def test_greedy_search_size_is_bounded(self):
+        # raised in __post_init__, before any search array exists
+        with pytest.raises(ValueError, match=r"battery 'bat-a': p_max_kw 1e\+06 makes the greedy"):
+            build_stylized_scenario(Architecture(ArchKind.A2), "N5", 3e6, controller="greedy")
+        # the fixed schedule builds no search array
+        build_stylized_scenario(Architecture(ArchKind.A2), "N5", 3e6)
+
     def test_horizon_must_divide(self):
         feeder = chain_feeder(2, 0.1)
         with pytest.raises(ValueError, match="multiple"):
@@ -677,9 +684,10 @@ class TestDispatchScan:
     @pytest.mark.parametrize("controller", ["fixed_schedule", "greedy"])
     def test_box_without_zero_sum_point_is_flagged_and_leaves_the_csv_alone(self, controller):
         """An A2 fleet 1e-9 kWh above full (see
-        ``test_flags_box_without_zero_sum_point``) can only charge at about
-        -1e-9 kW, so its first step cannot sum to zero. The run says so in
-        its telemetry and writes the same rows as the per-step loop."""
+        ``test_box_without_zero_sum_point_gives_its_nearest_end``) can only
+        charge at about -1e-9 kW, so its first step cannot sum to zero. The
+        run says so in its telemetry and writes the same rows as the
+        per-step loop."""
         scenario = build_stylized_scenario(
             Architecture(ArchKind.A2, allow_load_shift=False), "N5", 3.0, controller
         )
