@@ -11,7 +11,8 @@ before any computation. ``--preset NAME`` substitutes a bundled config.
 Exit codes: 0 ok, 2 config error, 3 solver failure, 4 I/O error.
 
 All CSVs are UTF-8, comma-separated, LF-terminated, with floats printed at
-17 significant digits; reruns of the same config are byte-identical.
+17 significant digits and text quoted only where ``csv.writer`` would quote
+it; reruns of the same config are byte-identical.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -569,28 +571,41 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def write_csv_atomic(path: Path, header: Sequence[str], rows) -> None:
-    """Write via a temp file and rename, so failures never leave partial files."""
+def csv_lines(rows) -> Iterator[str]:
+    """Each row as one CSV line: cells through ``_fmt`` (``None`` empty,
+    floats at 17 significant digits) and ``csv.writer``'s minimal quoting."""
+    # writerow returns what the file's write returns: here, the line itself
+    writer = csv.writer(SimpleNamespace(write=lambda line: line), lineterminator="\n")
+    for row in rows:
+        yield writer.writerow([_fmt(cell) for cell in row])
+
+
+def write_csv_atomic(path: Path, header: Sequence[str], lines) -> None:
+    """Write the header row, then ``lines`` (finished CSV lines, each ending
+    in ``\n``, as ``csv_lines`` and ``timeseries_rows`` make them), via a
+    temp file and rename, so failures never leave partial files."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        handle.writelines(csv_lines([header]))
+        handle.writelines(lines)
     os.replace(tmp, path)
 
 
-def timeseries_rows(scenario: Scenario, result: ScenarioResult):
-    """Flatten a result into one row per timestep x node, from the run's
-    trajectory arrays one step at a time, each read through its row."""
+def timeseries_rows(scenario: Scenario, result: ScenarioResult) -> Iterator[str]:
+    """The timeseries CSV lines, one per timestep x node, as text made from
+    the run's trajectory arrays. The node name and the 11 power-flow columns
+    depend only on the step's distinct operating point, so they are
+    formatted once per distinct row and node, with one ``%`` each, the first
+    time a step uses that row; ``t_h`` is formatted once per step, and the 7
+    storage columns per step at storage nodes only. Fields read as
+    ``csv_lines`` would write them: floats at 17 significant digits, names
+    quoted as ``csv.writer`` quotes a field of a multi-field row."""
     feeder = scenario.feeder
     traj = result.trajectory
     row_of = {name: i for i, name in enumerate(feeder.nodes)}
     seg_rows = [row_of[seg.to_node] for seg in feeder.segments]
     storage_row = {d.battery_id: row_of[d.node] for d in feeder.storage_devices()}
-    # per-segment phase loss summed as the builtin sum does, from 0.0
-    phase_loss = 0.0 + traj.phase_loss[..., 0] + traj.phase_loss[..., 1] + traj.phase_loss[..., 2]
     # storage columns (p by phase, q by phase, SoC) of the storage nodes; units
     # sharing a node and phase add up in battery order
     stor_nodes = sorted(set(storage_row.values()))
@@ -602,8 +617,17 @@ def timeseries_rows(scenario: Scenario, result: ScenarioResult):
         storage[steps, at[i], 3 + ph] += q
     for i, soc in enumerate(traj.soc_kwh.T):
         storage[:, at[i], 6] += soc
-    cols = np.zeros((len(feeder.nodes), len(TIMESERIES_COLUMNS) - 2))  # all but t_h, node
-    for rec, r, stored in zip(result.per_timestep, traj.step_row.tolist(), storage):
+    # the name field of a row (name, "") is the line less its ",\n"
+    names = [line[:-2] for line in csv_lines((name, "") for name in feeder.nodes)]
+    flow_fmt = "%s" + ",%.17g" * 11
+    storage_fmt = ",%.17g" * 7 + "\n"
+    # the storage columns of a node without storage are one constant text
+    tails = ["" if i in stor_nodes else ",0,0,0,0,0,0,0\n" for i in range(len(names))]
+
+    def row_text(r: int) -> list[str]:
+        """Name and power-flow columns of each node at distinct row ``r``,
+        with the storage columns of nodes without storage."""
+        cols = np.zeros((len(names), 11))
         v = traj.solved.voltages[r]
         v_ln = v[:, :3] - v[:, 3:]
         cols[:, 0:3] = np.hypot(v_ln.real, v_ln.imag)
@@ -611,11 +635,24 @@ def timeseries_rows(scenario: Scenario, result: ScenarioResult):
         cols[:, 4] = traj.vuf_pct[r]
         cols[:, 5:8] = traj.drop_pct[r]
         cols[:, 8] = traj.v_rms[r]
-        cols[seg_rows, 9] = phase_loss[r]
+        # per-segment phase loss summed as the builtin sum does, from 0.0
+        pl = traj.phase_loss[r]
+        cols[seg_rows, 9] = 0.0 + pl[:, 0] + pl[:, 1] + pl[:, 2]
         cols[seg_rows, 10] = traj.neutral_loss[r]
-        cols[stor_nodes, 11:] = stored
-        for node, values in zip(feeder.nodes, cols.tolist()):
-            yield (rec.t_h, node, *values)
+        return [
+            flow_fmt % (name, *values) + tail
+            for name, values, tail in zip(names, cols.tolist(), tails)
+        ]
+
+    texts: dict[int, list[str]] = {}
+    for rec, r, stored in zip(result.per_timestep, traj.step_row.tolist(), storage.tolist()):
+        if r not in texts:
+            texts[r] = row_text(r)
+        t = _fmt(rec.t_h) + ","
+        lines = [t + text for text in texts[r]]
+        for i, values in zip(stor_nodes, stored):
+            lines[i] += storage_fmt % tuple(values)
+        yield from lines
 
 
 def summary_row(result: ScenarioResult):
@@ -673,21 +710,21 @@ def _write_run_outputs(cfg: RunConfig, result: ScenarioResult, out_dir: Path) ->
         written.append(path)
     if cfg.write_summary:
         path = out_dir / f"{cfg.label}-summary.csv"
-        write_csv_atomic(path, SUMMARY_COLUMNS, [summary_row(result)])
+        write_csv_atomic(path, SUMMARY_COLUMNS, csv_lines([summary_row(result)]))
         written.append(path)
     return written
 
 
 def _write_sweep_outputs(cfg: RunConfig, rows: list[SweepRow], out_dir: Path) -> list[Path]:
     written = [out_dir / f"{cfg.label}-sweep.csv"]
-    write_csv_atomic(written[0], SWEEP_COLUMNS, sweep_rows(rows))
+    write_csv_atomic(written[0], SWEEP_COLUMNS, csv_lines(sweep_rows(rows)))
 
     ok = [r for r in rows if r.result is not None]
     losses = out_dir / f"{cfg.label}-fig-losses.csv"
     write_csv_atomic(
         losses,
         ("kind", "node", "penetration_pct", "phase_loss_kwh", "neutral_loss_kwh", "total_loss_kwh"),
-        (
+        csv_lines(
             (
                 r.kind.value,
                 r.node,
@@ -703,7 +740,7 @@ def _write_sweep_outputs(cfg: RunConfig, rows: list[SweepRow], out_dir: Path) ->
     write_csv_atomic(
         vuf,
         ("kind", "node", "penetration_pct", "mean_vuf_pct", "max_vuf_pct"),
-        (
+        csv_lines(
             (r.kind.value, r.node, r.penetration_pct, r.result.mean_vuf_pct, r.result.max_vuf_pct)
             for r in ok
         ),
@@ -720,7 +757,7 @@ def _write_sweep_outputs(cfg: RunConfig, rows: list[SweepRow], out_dir: Path) ->
             "max_drop_pct",
             "max_rise_pct",
         ),
-        (
+        csv_lines(
             (
                 r.kind.value,
                 r.node,
@@ -737,7 +774,7 @@ def _write_sweep_outputs(cfg: RunConfig, rows: list[SweepRow], out_dir: Path) ->
     write_csv_atomic(
         manifest,
         ("kind", "node", "penetration_pct", "error"),
-        (
+        csv_lines(
             (r.kind.value, r.node, r.penetration_pct, r.error)
             for r in rows
             if r.error is not None
@@ -841,13 +878,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     write_csv_atomic(
         rows_path,
         row_header,
-        ([row.get(col) for col in row_header] for row in report.rows),
+        csv_lines([row.get(col) for col in row_header] for row in report.rows),
     )
     hourly_path = out_dir / f"{stem}-hourly.csv"
     write_csv_atomic(
         hourly_path,
         ("hour", "mean_spread_kw", "max_spread_kw"),
-        ((h["hour"], h["mean_spread_kw"], h["max_spread_kw"]) for h in report.hourly),
+        csv_lines((h["hour"], h["mean_spread_kw"], h["max_spread_kw"]) for h in report.hourly),
     )
     print(rows_path)
     print(hourly_path)

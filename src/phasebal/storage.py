@@ -68,6 +68,9 @@ class Battery:
             object.__setattr__(self, "e_max_kwh", DEFAULT_HOURS_AT_RATED * self.p_max_kw)
         if self.s_conv_kva is None:
             object.__setattr__(self, "s_conv_kva", self.p_max_kw)
+        for name in ("p_max_kw", "e_max_kwh", "soc_kwh", "s_conv_kva"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"battery {self.id!r}: {name} must be finite")
         if not 0 < self.eta_c <= 1 or not 0 < self.eta_d <= 1:
             raise ValueError(f"battery {self.id!r}: efficiencies must be in (0, 1]")
         if self.p_max_kw > self.s_conv_kva + _EPS:

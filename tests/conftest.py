@@ -1,10 +1,13 @@
 """Shared test helpers: random feeder generation, solution residuals, the
 loop reference of the greedy balancing search, the per-step loop reference
 of the dispatch pass, the dict-view reference of the timeseries CSV rows
-and the per-cell reference of the sweep."""
+(and their lines, written cell by cell) and the per-cell reference of the
+sweep."""
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 from dataclasses import replace
 from typing import Mapping, Sequence
@@ -12,6 +15,7 @@ from unittest import mock
 
 import numpy as np
 
+from phasebal.cli import _fmt
 from phasebal.errors import PhasebalError
 from phasebal.metrics import NodeMetrics, node_metrics
 from phasebal.network import (
@@ -390,16 +394,10 @@ def reference_run(
         return run_scenario(scenario, settings)
 
 
-def exact(rows) -> list[tuple[str, ...]]:
-    """Rows with every value as its repr: equal only when bit-equal and of
-    the same type (``0.0 == -0.0`` but their reprs differ)."""
-    return [tuple(map(repr, row)) for row in rows]
-
-
 def reference_timeseries_rows(scenario: Scenario, result: ScenarioResult):
     """The timeseries CSV rows read through the per-step dict views
-    (``solution.v``, ``node_metrics`` and ``summarize_flows``): the
-    reference that ``cli.timeseries_rows`` must match value for value."""
+    (``solution.v``, ``node_metrics`` and ``summarize_flows``), as values;
+    ``reference_timeseries_lines`` writes them."""
     feeder = scenario.feeder
     feed_seg = {seg.to_node: k for k, seg in enumerate(feeder.segments)}
     storage_node = {d.battery_id: d.node for d in feeder.storage_devices()}
@@ -449,6 +447,22 @@ def reference_timeseries_rows(scenario: Scenario, result: ScenarioResult):
                 q_fill["C"],
                 per_node_soc.get(node, 0.0),
             )
+
+
+def reference_timeseries_lines(scenario: Scenario, result: ScenarioResult) -> list[str]:
+    """The lines ``cli.timeseries_rows`` must match byte for byte: each
+    reference row written cell by cell, every value through ``cli._fmt`` and
+    the row through one ``csv.writer.writerow``. ``%.17g`` round-trips a
+    float and prints -0.0 as ``-0``, so equal lines mean bit-equal values."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    lines = []
+    for row in reference_timeseries_rows(scenario, result):
+        writer.writerow([_fmt(cell) for cell in row])
+        lines.append(buffer.getvalue())
+        buffer.seek(0)
+        buffer.truncate()
+    return lines
 
 
 def reference_sweep(

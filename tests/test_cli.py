@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import copy
+import csv
+import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -17,9 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    exact,
     random_feeder,
-    reference_timeseries_rows,
+    reference_timeseries_lines,
     with_greedy_fleet,
     with_profiles,
 )
@@ -442,6 +444,35 @@ class TestRunCommand:
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         assert "segment N0->N1 length_km must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field", ["battery_kw", "p_max_kw", "e_max_kwh", "soc_kwh", "s_conv_kva"]
+    )
+    def test_non_finite_battery_rating_exits_2_and_names_it(self, tmp_path, capsys, field, value):
+        """JSON's Infinity reaches the model as a float: the schema turns
+        away -inf at its lower bound and ``Battery`` turns away +inf, before
+        anything is dispatched."""
+        if field == "battery_kw":
+            scenario = {"type": "stylized", "architecture": "A2", field: value}
+            # a stylized fleet splits battery_kw into per-unit p_max_kw
+            named = "battery_kw" if value < 0 else "battery 'bat-a': p_max_kw must be finite"
+        else:
+            scenario = json.loads(json.dumps(CUSTOM_DOC))["scenario"]
+            scenario["feeder"]["devices"].append(
+                {"label": "st", "node": "N1", "kind": "storage", "phase": "A", "battery_id": "b"}
+            )
+            scenario.update(
+                batteries=[{"id": "b", "p_max_kw": 1.0, field: value}],
+                architecture="A1",
+                controller="fixed_schedule",
+            )
+            named = f"batteries/0/{field}" if value < 0 else f"battery 'b': {field} must be finite"
+        out = tmp_path / "out"
+        path = write_config(tmp_path, {"label": "inf", "scenario": scenario})
+        assert main(["run", path, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(CUSTOM_DOC).replace('"p_kw": 1.0', '"p_kw": 1' + "0" * 400))
@@ -567,28 +598,14 @@ class TestStartUp:
 class TestGoldenFiles:
     """Column layout and numeric formatting are a frozen public contract."""
 
-    GOLDEN_DOC = {
-        "label": "golden",
-        "scenario": {
-            "type": "custom",
-            "feeder": {
-                "source_node": "N0",
-                "nodes": ["N0", "N1"],
-                "segments": [{"from_node": "N0", "to_node": "N1", "length_km": 0.1}],
-                "devices": [
-                    {"label": "l1", "node": "N1", "kind": "load", "phase": "A", "p_kw": 1.0}
-                ],
-            },
-            "horizon_h": 2.0,
-            "dt_h": 1.0,
-        },
-    }
-
     def test_outputs_match_frozen_golden_files(self, tmp_path):
         golden_dir = Path(__file__).parent / "golden"
-        path = write_config(tmp_path, self.GOLDEN_DOC)
         out = tmp_path / "out"
-        assert main(["run", path, "--out", str(out)]) == 0
+        # a one-load two-node feeder; and node names that csv quoting must
+        # carry (a comma, a quote, the empty name, a leading space) over
+        # steps that reuse one operating point with other storage columns
+        for label in ("golden", "quoting"):
+            assert main(["run", str(golden_dir / f"{label}.json"), "--out", str(out)]) == 0
         # the sweep table of the grid-compact preset, frozen from the per-cell sweep
         assert main(["sweep", "--preset", "grid-compact", "--out", str(out)]) == 0
         # storage columns, frozen from the per-step dispatch loop: A2 through
@@ -603,6 +620,7 @@ class TestGoldenFiles:
         for name, golden in (
             ("golden-summary.csv", "golden-summary.csv"),
             ("golden-timeseries.csv", "golden-timeseries.csv"),
+            ("golden-quoting-timeseries.csv", "golden-quoting-timeseries.csv"),
             ("grid-compact-sweep.csv", "golden-sweep.csv"),
             ("a2-n5-noshift-timeseries.csv", "golden-a2-n5-noshift-timeseries.csv"),
             ("a1-n0-timeseries.csv", "golden-a1-n0-timeseries.csv"),
@@ -612,8 +630,9 @@ class TestGoldenFiles:
 
 
 class TestTimeseriesRows:
-    """The rows written from the trajectory arrays equal the rows read
-    through the per-step dict views, value for value."""
+    """The lines written from the trajectory arrays equal the rows read
+    through the per-step dict views and written cell by cell, byte for
+    byte."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -631,9 +650,9 @@ class TestTimeseriesRows:
         ]
         scenario = with_greedy_fleet(with_profiles(feeder, values, steps), fleet, rng)
         result = run_scenario(scenario)
-        rows = exact(timeseries_rows(scenario, result))
-        assert rows == exact(reference_timeseries_rows(scenario, result))
-        assert len(rows) == steps * len(feeder.nodes)
+        lines = list(timeseries_rows(scenario, result))
+        assert lines == reference_timeseries_lines(scenario, result)
+        assert len(lines) == steps * len(feeder.nodes)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -652,8 +671,8 @@ class TestTimeseriesRows:
             arch, storage_node, battery_kw, controller, target_phase=target_phase
         )
         result = run_scenario(scenario)
-        assert exact(timeseries_rows(scenario, result)) == exact(
-            reference_timeseries_rows(scenario, result)
+        assert list(timeseries_rows(scenario, result)) == reference_timeseries_lines(
+            scenario, result
         )
 
     def test_a3_units_sharing_a_phase_add_up(self):
@@ -665,12 +684,13 @@ class TestTimeseriesRows:
             if sum(1 for a in rec.actions if a.phase is Phase.A and a.p_kw != 0) >= 2
         ]
         assert shared, "no step where two A3 units dispatch on one phase"
-        rows = list(timeseries_rows(scenario, result))
-        assert exact(rows) == exact(reference_timeseries_rows(scenario, result))
+        lines = list(timeseries_rows(scenario, result))
+        assert lines == reference_timeseries_lines(scenario, result)
+        rows = [line.rstrip("\n").split(",") for line in lines]
         col = TIMESERIES_COLUMNS.index("storage_p_a_kw")
         for rec in shared:
-            (row,) = [r for r in rows if r[0] == rec.t_h and r[1] == "N5"]
-            assert row[col] == sum(a.p_kw for a in rec.actions if a.phase is Phase.A)
+            (row,) = [r for r in rows if float(r[0]) == rec.t_h and r[1] == "N5"]
+            assert float(row[col]) == sum(a.p_kw for a in rec.actions if a.phase is Phase.A)
 
     def test_negative_zero_resistance_loses_plus_zero(self):
         """A conductor resistance of -0.0 gives -0.0 segment losses; the
@@ -681,9 +701,35 @@ class TestTimeseriesRows:
             feeder=build_feeder(FeederSpec("N0", ["N0", "N1"], [seg], [load])), horizon_h=1.0
         )
         result = run_scenario(scenario)
-        rows = list(timeseries_rows(scenario, result))
-        assert exact(rows) == exact(reference_timeseries_rows(scenario, result))
-        assert repr(rows[1][TIMESERIES_COLUMNS.index("seg_phase_loss_kw")]) == "0.0"
+        assert result.trajectory.phase_loss[0, 0, 0] == 0.0  # the per-conductor loss
+        assert math.copysign(1.0, result.trajectory.phase_loss[0, 0, 0]) == -1.0  # is -0.0
+        lines = list(timeseries_rows(scenario, result))
+        assert lines == reference_timeseries_lines(scenario, result)
+        assert lines[1].split(",")[TIMESERIES_COLUMNS.index("seg_phase_loss_kw")] == "0"
+
+    def test_node_names_are_quoted_as_csv_writer_quotes_a_field(self):
+        """Minimal quoting, field by field: a comma, a quote or a newline
+        makes the name quoted, the empty name is an empty field (not the
+        ``""`` of a one-field row), and a leading space stays bare."""
+        names = ["a,b", 'q"x', "", " lead", "x\ny"]
+        segments = [LineSegment(names[0], name, 0.1) for name in names[1:]]
+        loads = [
+            Device(f"l{i}", name, DeviceKind.LOAD, PHASES[i % 3], 1.0 + 0j, profile_id="p")
+            for i, name in enumerate(names[1:])
+        ]
+        scenario = Scenario(
+            feeder=build_feeder(FeederSpec(names[0], names, segments, loads)),
+            profiles={"p": (1.0, 0.5, 1.0)},
+            horizon_h=3.0,
+        )
+        result = run_scenario(scenario)
+        lines = list(timeseries_rows(scenario, result))
+        assert lines == reference_timeseries_lines(scenario, result)
+        fields = ['"a,b"', '"q""x"', "", " lead", '"x\ny"']
+        for line, field in zip(lines[5:10], fields, strict=True):
+            assert line.startswith(f"1,{field},2")  # t_h, name, v_ln_a_v of 2xx V
+        rows = list(csv.reader(io.StringIO("".join(lines), newline="")))
+        assert [row[1] for row in rows] == names * 3
 
 
 class TestSweepCommand:

@@ -52,6 +52,12 @@ class TestBattery:
         with pytest.raises(ValueError):
             Battery(id="b", p_max_kw=1.0, soc_kwh=9.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["p_max_kw", "e_max_kwh", "soc_kwh", "s_conv_kva"])
+    def test_non_finite_rating_or_soc_rejected_and_named(self, field, value):
+        with pytest.raises(ValueError, match=f"battery 'b': {field} must be"):
+            Battery(id="b", **{"p_max_kw": 1.0, field: value})
+
 
 class TestNextSoc:
     def test_charge_at_rated_power(self):
