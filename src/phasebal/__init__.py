@@ -27,13 +27,11 @@ from .errors import (
     ZeroPositiveSequence,
 )
 from .metrics import (
-    NodeMetrics,
     SequenceComponents,
     VUF_NORM_LIMITS,
     check_vuf_norm,
     fortescue,
     inverse_fortescue,
-    node_metrics,
     rms_voltage,
     vuf,
 )
@@ -52,14 +50,11 @@ from .network import (
     chain_feeder,
 )
 from .powerflow import (
-    FlowSummary,
     SolverSettings,
     VoltageSolution,
     oracle_solve,
     power_balance_residual_kw,
-    solve_snapshot,
     source_phasors,
-    summarize_flows,
 )
 from .presets import preset_config, preset_names
 from .scenarios import (

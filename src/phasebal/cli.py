@@ -645,10 +645,10 @@ def timeseries_rows(scenario: Scenario, result: ScenarioResult) -> Iterator[str]
         ]
 
     texts: dict[int, list[str]] = {}
-    for rec, r, stored in zip(result.per_timestep, traj.step_row.tolist(), storage.tolist()):
+    for k, (r, stored) in enumerate(zip(traj.step_row.tolist(), storage.tolist())):
         if r not in texts:
             texts[r] = row_text(r)
-        t = _fmt(rec.t_h) + ","
+        t = _fmt(k * scenario.dt_h) + ","
         lines = [t + text for text in texts[r]]
         for i, values in zip(stor_nodes, stored):
             lines[i] += storage_fmt % tuple(values)

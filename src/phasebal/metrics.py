@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownNorm, ZeroPositiveSequence
-from .network import PHASES, Feeder, Phase
 
 #: Rotation operator a = 1 at +120 degrees.
 ALPHA = cmath.exp(2j * math.pi / 3)
@@ -39,19 +38,6 @@ class SequenceComponents:
     v0: complex
     v1: complex
     v2: complex
-
-
-@dataclass(frozen=True)
-class NodeMetrics:
-    """Per-node unbalance and voltage-deviation summary.
-
-    ``drop_pct`` is signed per phase: negative means the line-to-neutral
-    magnitude sits below nominal (drop), positive means above (rise).
-    """
-
-    vuf_pct: float
-    drop_pct: dict[Phase, float]
-    v_rms: float
 
 
 def fortescue(va: complex, vb: complex, vc: complex) -> SequenceComponents:
@@ -118,13 +104,14 @@ def _third(re, im):
 def node_metric_arrays(
     voltages: np.ndarray, v_base: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``node_metrics`` as arrays over node voltages ``(..., node, 4)``.
+    """VUF percent ``(..., node)``, signed deviation percent (below
+    nominal < 0 < above) ``(..., node, 3)`` and RMS voltage ``(..., node)``
+    of the line-to-neutral voltages in ``voltages`` ``(..., node, 4)``.
 
-    Returns (VUF percent ``(..., node)``, signed deviation percent
-    ``(..., node, 3)``, RMS voltage ``(..., node)``). The Fortescue sums
-    run component-wise in the order ``fortescue`` and ``vuf`` evaluate
-    them, so each value equals theirs bit for bit; a zero positive-sequence
-    magnitude gives a non-finite VUF instead of raising.
+    Each value equals ``vuf(fortescue(...))``, ``rms_voltage`` and the
+    deviation formula bit for bit (the sums run component-wise in their
+    order); a zero positive-sequence magnitude gives a non-finite VUF
+    instead of raising.
     """
     v_ln = voltages[..., :3] - voltages[..., 3:]
     re, im = v_ln.real, v_ln.imag
@@ -141,22 +128,3 @@ def node_metric_arrays(
     sq = mag * mag
     v_rms = np.sqrt((sq[..., 0] + sq[..., 1] + sq[..., 2]) / 3.0)
     return vuf_pct, drop_pct, v_rms
-
-
-def node_metrics(solution, feeder: Feeder) -> dict[str, NodeMetrics]:
-    """Compute per-node VUF, signed voltage deviation and RMS voltage.
-
-    Works on phase-to-neutral voltages (V_phase - V_neutral), i.e. what a
-    line-to-neutral instrument at the node would read: the four-wire model
-    makes the local neutral potential nonzero downstream of the source.
-    Raises ZeroPositiveSequence where VUF is undefined.
-    """
-    vuf_pct, drop_pct, v_rms = node_metric_arrays(solution.voltages, feeder.v_base_ln)
-    if not np.all(np.isfinite(vuf_pct)):
-        raise ZeroPositiveSequence("positive-sequence magnitude is zero")
-    return {
-        node: NodeMetrics(vuf_pct=u, drop_pct=dict(zip(PHASES, d)), v_rms=r)
-        for node, u, d, r in zip(
-            feeder.nodes, vuf_pct.tolist(), drop_pct.tolist(), v_rms.tolist()
-        )
-    }

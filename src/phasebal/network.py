@@ -133,6 +133,7 @@ class Device:
 
     def __post_init__(self) -> None:
         _require_finite(self.s_rated_kva, f"device {self.label!r} s_rated_kva")
+        _require_finite(self.s_rated_kva * 1000, f"device {self.label!r} s_rated_kva * 1000")
         p = self.s_rated_kva.real
         if self.kind in (DeviceKind.LOAD, DeviceKind.EV) and p < 0:
             raise SignConventionViolation(self.label, f"{self.kind.value} must have P >= 0, got {p}")
@@ -205,10 +206,13 @@ def build_feeder(spec: FeederSpec) -> Feeder:
     source so parents always precede children, and segments are re-oriented
     parent -> child. Deterministic: identical specs yield identical feeders.
 
-    Raises CyclicTopology, DisconnectedNode, UnknownNode or NonPositiveLength,
-    each naming the offending element.
+    Raises CyclicTopology, DisconnectedNode, UnknownNode, NonPositiveLength or
+    (for a carriage return in a node name) ValueError, each naming the culprit.
     """
     nodes = list(dict.fromkeys(spec.nodes))  # dedupe, keep declared order
+    for name in nodes:  # csv.writer leaves a lone "\r" unquoted, which splits the row
+        if "\r" in name:
+            raise ValueError(f"node name {name!r} holds a carriage return")
     if spec.source_node not in nodes:
         raise UnknownNode(spec.source_node, "source node")
     node_set = set(nodes)

@@ -2,11 +2,10 @@
 
 Two structurally different solvers cover the same contract:
 
-- ``sweep_batch`` (and ``solve_snapshot``, a batch of one): the
-  branch-incidence forward-backward sweep (Teng, "A direct approach for
-  distribution system load flow solutions", IEEE TPWRD 18(3), 2003) on the
-  explicit-neutral four-wire model of Ciric, Feltrin & Ochoa (IEEE TPWRS
-  18(4), 2003). Every snapshot of a batch is one row of a
+- ``sweep_batch``: the branch-incidence forward-backward sweep (Teng, "A
+  direct approach for distribution system load flow solutions", IEEE TPWRD
+  18(3), 2003) on the explicit-neutral four-wire model of Ciric, Feltrin &
+  Ochoa (IEEE TPWRS 18(4), 2003). Every snapshot of a batch is one row of a
   ``(batch, node, conductor)`` array. Each pass evaluates constant-power
   device currents at the present voltages, accumulates branch currents
   leaf-to-root one tree level at a time, then propagates the voltage drops
@@ -20,7 +19,8 @@ Both treat devices as constant-power (re-evaluated against updated voltage
 every iteration), start flat (source phasors, zero neutral), and stop when
 the largest voltage change in one pass is at most tol_pu * v_base_ln.
 Unbalanced phase currents return through the explicit neutral conductor,
-which is grounded at the source only.
+which is grounded at the source only. ``segment_losses`` gives |I|^2 R per
+conductor, exact when the mutual impedance has no resistive part.
 
 Arrays are combined element by element in the order the scalar formulas
 read, so results do not depend on batch size or row position. Magnitudes
@@ -43,7 +43,7 @@ from .errors import (
     UnknownNode,
     VoltageCollapse,
 )
-from .network import CONDUCTORS, Device, Feeder, Phase
+from .network import CONDUCTORS, Device, Feeder
 
 #: Conductor indices within the per-node 4-vector.
 _IDX = {"A": 0, "B": 1, "C": 2, "N": 3}
@@ -72,10 +72,9 @@ class VoltageSolution:
 
     ``voltages[i, c]`` is conductor c (A, B, C, N) of ``nodes[i]`` in volts;
     ``currents[k, c]`` is the current of segment k in amps, positive from
-    parent to child. ``iterations`` counts full sweep passes. The ``v`` and
-    ``branch_current`` properties give the same values as dicts
-    (node -> conductor -> volts, segment -> conductor -> amps), built anew
-    on every read.
+    parent to child. ``iterations`` counts full sweep passes. The ``v``
+    property gives the voltages as a dict (node -> conductor -> volts),
+    built anew on every read.
     """
 
     nodes: tuple[str, ...]
@@ -90,10 +89,6 @@ class VoltageSolution:
             for name, row in zip(self.nodes, self.voltages.tolist())
         }
 
-    @property
-    def branch_current(self) -> dict[int, dict[str, complex]]:
-        return {k: dict(zip(CONDUCTORS, row)) for k, row in enumerate(self.currents.tolist())}
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VoltageSolution):
             return NotImplemented
@@ -103,30 +98,6 @@ class VoltageSolution:
             and np.array_equal(self.voltages, other.voltages)
             and np.array_equal(self.currents, other.currents)
         )
-
-
-@dataclass(frozen=True)
-class FlowSummary:
-    """Per-segment conductor losses and per-phase source injection.
-
-    Loss attribution is |I|^2 R per conductor, exact when the mutual
-    impedance has no resistive part (the default has none at all).
-    ``source_injection`` (kVA per phase) is recovered from the branch flows
-    leaving the source bus; devices sitting on the source bus itself draw
-    from the stiff source without traversing any segment.
-    """
-
-    phase_loss_kw: dict[int, dict[str, float]]
-    neutral_loss_kw: dict[int, float]
-    source_injection: dict[str, complex]
-
-    @property
-    def total_phase_loss_kw(self) -> float:
-        return sum(sum(per.values()) for per in self.phase_loss_kw.values())
-
-    @property
-    def total_neutral_loss_kw(self) -> float:
-        return sum(self.neutral_loss_kw.values())
 
 
 def source_phasors(v_base_ln: float) -> tuple[complex, complex, complex]:
@@ -341,27 +312,6 @@ def _snapshot_entries(
     )
 
 
-def solve_snapshot(
-    feeder: Feeder,
-    injections: Mapping[Device, complex] | None = None,
-    settings: SolverSettings = SolverSettings(),
-) -> VoltageSolution:
-    """Solve one snapshot by forward-backward sweep (a batch of one).
-
-    ``injections`` maps devices to complex kVA (per connected phase, load
-    convention: P > 0 consumes) and overrides the feeder's rated powers by
-    device label; see ``_effective_injections``. Raises NonConvergence after
-    ``max_iter`` passes and VoltageCollapse if any line-to-neutral voltage
-    falls below 0.5 pu while iterating.
-    """
-    topo = Topology(feeder)
-    node, cond, s_va = _snapshot_entries(topo, feeder, injections)
-    result = sweep_batch(topo, node, cond, s_va[None], settings)
-    if result.failures:
-        raise result.failures[0]
-    return result.solution(feeder.nodes, 0)
-
-
 def oracle_solve(
     feeder: Feeder,
     injections: Mapping[Device, complex] | None = None,
@@ -369,10 +319,12 @@ def oracle_solve(
 ) -> VoltageSolution:
     """Dense verification solver for feeders of at most 12 nodes.
 
-    Same contract as ``solve_snapshot`` but structurally different: builds
+    Same contract as a ``sweep_batch`` row, structurally different: builds
     the full 4n x 4n nodal admittance matrix, partitions out the four fixed
     source conductors, and fixed-point iterates device current injections
-    against the reduced linear system.
+    against the reduced linear system. ``injections`` maps devices to
+    complex kVA per connected phase (P > 0 consumes) and overrides rated
+    powers by device label; see ``_effective_injections``.
     """
     topo = Topology(feeder)
     if topo.n > 12:
@@ -435,24 +387,6 @@ def segment_losses(
     return amps_sq[..., :3] * r_ph[:, None] / 1000.0, amps_sq[..., 3] * r_n / 1000.0
 
 
-def summarize_flows(feeder: Feeder, solution: VoltageSolution) -> FlowSummary:
-    """Reduce a solution to conductor losses and source injection."""
-    phase_loss, neutral_loss = segment_losses(solution.currents, *segment_resistances(feeder))
-    injection: dict[str, complex] = {p.value: 0j for p in Phase}
-    v_src = solution.voltages[0].tolist()  # the source is row 0 after normalization
-    for k, seg in enumerate(feeder.segments):
-        if seg.from_node != feeder.source_node:
-            continue
-        amps = solution.currents[k].tolist()
-        for c, p in enumerate(Phase):
-            injection[p.value] += v_src[c] * amps[c].conjugate() / 1000.0
-    return FlowSummary(
-        phase_loss_kw={k: dict(zip("ABC", per)) for k, per in enumerate(phase_loss.tolist())},
-        neutral_loss_kw=dict(enumerate(neutral_loss.tolist())),
-        source_injection=injection,
-    )
-
-
 def power_balance_residual_kw(
     feeder: Feeder,
     solution: VoltageSolution,
@@ -465,9 +399,15 @@ def power_balance_residual_kw(
     Devices on the source bus draw from the stiff source directly and do not
     appear in branch flows, hence their exclusion on both sides.
     """
-    summary = summarize_flows(feeder, solution)
-    source_p = sum(s.real for s in summary.source_injection.values())
-    losses = summary.total_phase_loss_kw + summary.total_neutral_loss_kw
+    phase_loss, neutral_loss = segment_losses(solution.currents, *segment_resistances(feeder))
+    v_src = solution.voltages[0].tolist()  # the source is row 0 after normalization
+    injection = [0j, 0j, 0j]  # kVA per phase, over the segments leaving the source bus
+    for k, seg in enumerate(feeder.segments):
+        if seg.from_node == feeder.source_node:
+            for c, amps in enumerate(solution.currents[k, :3].tolist()):
+                injection[c] += v_src[c] * amps.conjugate() / 1000.0
+    source_p = sum(s.real for s in injection)
+    losses = sum(map(sum, phase_loss.tolist())) + sum(neutral_loss.tolist())
     device_p = 0.0
     for dev, s_kva in _effective_injections(feeder, injections):
         if dev.node == feeder.source_node:

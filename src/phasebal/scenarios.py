@@ -135,11 +135,11 @@ class Scenario:
                 raise ValueError(
                     f"profile {dev.profile_id!r} has {len(profile)} entries, expected {n}"
                 )
-            # values are >= 0, so a finite product at the largest is finite at all
-            if not cmath.isfinite(dev.s_rated_kva * max(profile)):
-                i = next(
-                    i for i, v in enumerate(profile) if not cmath.isfinite(dev.s_rated_kva * v)
-                )
+            # values are >= 0, so a finite product at the largest is finite at
+            # all; the solver takes the power in VA
+            kva = dev.s_rated_kva
+            if not cmath.isfinite(kva * max(profile) * 1000):
+                i = next(i for i, v in enumerate(profile) if not cmath.isfinite(kva * v * 1000))
                 raise ValueError(
                     f"profile {dev.profile_id!r} entry {i} scales the rating of device "
                     f"{dev.label!r} to a non-finite power"
@@ -215,31 +215,14 @@ class Trajectory:
     clipped: np.ndarray
     zero_sum_missed: np.ndarray
 
-    def solution(self, k: int) -> VoltageSolution:
-        return self.solved.solution(self.feeder.nodes, int(self.step_row[k]))
-
-    def actions(self, k: int) -> tuple[DispatchAction, ...]:
-        return tuple(
-            DispatchAction(bid, PHASES[ph], p, q)
-            for bid, ph, p, q in zip(
-                self.battery_ids,
-                self.phase[k].tolist(),
-                self.p_kw[k].tolist(),
-                self.q_kvar[k].tolist(),
-            )
-        )
-
-    def soc(self, k: int) -> dict[str, float]:
-        return dict(zip(self.battery_ids, self.soc_kwh[k].tolist()))
-
 
 @dataclass(frozen=True, eq=False)
 class StepRecord:
-    """Everything observed at one timestep.
+    """One timestep of a run, the one per-step view of its trajectory.
 
-    ``actions``, ``soc_kwh`` and ``solution`` are built from the run's
-    trajectory on every read; hold on to the returned objects to read them
-    repeatedly.
+    ``actions``, ``soc_kwh`` (by battery id) and ``solution`` are built
+    from the trajectory's arrays on every read; hold on to the returned
+    objects to read them repeatedly.
     """
 
     t_h: float
@@ -248,15 +231,21 @@ class StepRecord:
 
     @property
     def actions(self) -> tuple[DispatchAction, ...]:
-        return self.trajectory.actions(self.step)
+        traj, k = self.trajectory, self.step
+        rows = traj.phase[k].tolist(), traj.p_kw[k].tolist(), traj.q_kvar[k].tolist()
+        return tuple(
+            DispatchAction(bid, PHASES[ph], p, q) for bid, ph, p, q in zip(traj.battery_ids, *rows)
+        )
 
     @property
     def soc_kwh(self) -> dict[str, float]:
-        return self.trajectory.soc(self.step)
+        traj = self.trajectory
+        return dict(zip(traj.battery_ids, traj.soc_kwh[self.step].tolist()))
 
     @property
     def solution(self) -> VoltageSolution:
-        return self.trajectory.solution(self.step)
+        traj = self.trajectory
+        return traj.solved.solution(traj.feeder.nodes, int(traj.step_row[self.step]))
 
     def __repr__(self) -> str:
         return f"StepRecord(t_h={self.t_h!r}, actions={self.actions!r}, soc_kwh={self.soc_kwh!r})"
@@ -574,8 +563,8 @@ def _run_batch(
         return outcomes
 
     # --- horizon aggregates, (scenario, step) gathered from per-row values --
-    # each step adds in the order of FlowSummary's totals and of the per-node
-    # phase sums, and the steps add one after another
+    # each step adds losses segment by segment (phases A, B, C within one) and
+    # deviations phase by phase, as the builtin sum does; then the steps add
     n_steps, dt_h = first.n_steps, first.dt_h
     step_row = np.stack([row[bounds[c] : bounds[c + 1]] for c in ok])
     neutral_kwh = _fold_sum(_fold_sum(neutral_loss)[step_row] * dt_h).tolist()

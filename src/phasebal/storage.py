@@ -71,6 +71,9 @@ class Battery:
         for name in ("p_max_kw", "e_max_kwh", "soc_kwh", "s_conv_kva"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"battery {self.id!r}: {name} must be finite")
+        for name in ("p_max_kw", "s_conv_kva"):  # dispatch injects up to these, in VA
+            if not math.isfinite(getattr(self, name) * 1000):
+                raise ValueError(f"battery {self.id!r}: {name} * 1000 must be finite")
         if not 0 < self.eta_c <= 1 or not 0 < self.eta_d <= 1:
             raise ValueError(f"battery {self.id!r}: efficiencies must be in (0, 1]")
         if self.p_max_kw > self.s_conv_kva + _EPS:

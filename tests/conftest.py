@@ -1,8 +1,8 @@
-"""Shared test helpers: random feeder generation, solution residuals, the
-loop reference of the greedy balancing search, the per-step loop reference
-of the dispatch pass, the dict-view reference of the timeseries CSV rows
-(and their lines, written cell by cell) and the per-cell reference of the
-sweep."""
+"""Shared test helpers: random feeder generation, the snapshot solve,
+solution residuals, the loop reference of the greedy balancing search, the
+per-step loop reference of the dispatch pass, the scalar reference of the
+timeseries CSV rows (and their lines, written cell by cell) and the per-cell
+reference of the sweep."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from phasebal.cli import _fmt
 from phasebal.errors import PhasebalError
-from phasebal.metrics import NodeMetrics, node_metrics
+from phasebal.metrics import fortescue, rms_voltage, vuf
 from phasebal.network import (
     CONDUCTORS,
     Device,
@@ -30,7 +30,13 @@ from phasebal.network import (
     build_feeder,
 )
 from phasebal import scenarios
-from phasebal.powerflow import SolverSettings, VoltageSolution, summarize_flows
+from phasebal.powerflow import (
+    SolverSettings,
+    Topology,
+    VoltageSolution,
+    _snapshot_entries,
+    sweep_batch,
+)
 from phasebal.scenarios import (
     Scenario,
     ScenarioResult,
@@ -137,6 +143,22 @@ def with_greedy_fleet(scenario: Scenario, kind: ArchKind | None, rng: random.Ran
     )
 
 
+def snapshot_solve(
+    feeder: Feeder,
+    injections: Mapping[Device, complex] | None = None,
+    settings: SolverSettings = SolverSettings(),
+) -> VoltageSolution:
+    """One snapshot as a one-row ``sweep_batch`` over ``_snapshot_entries``
+    (the feeder's rated powers, overridden by ``injections`` in kVA by
+    device label), raising the row's VoltageCollapse or NonConvergence."""
+    topo = Topology(feeder)
+    node, cond, s_va = _snapshot_entries(topo, feeder, injections)
+    result = sweep_batch(topo, node, cond, s_va[None], settings)
+    if result.failures:
+        raise result.failures[0]
+    return result.solution(feeder.nodes, 0)
+
+
 def max_voltage_gap(a: VoltageSolution, b: VoltageSolution, nodes) -> float:
     va, vb = a.v, b.v
     return max(abs(va[n][c] - vb[n][c]) for n in nodes for c in CONDUCTORS)
@@ -144,13 +166,13 @@ def max_voltage_gap(a: VoltageSolution, b: VoltageSolution, nodes) -> float:
 
 def kvl_residual(feeder: Feeder, sol: VoltageSolution) -> float:
     """Worst violation of V_child = V_parent - Z I over all segments."""
-    v, branch = sol.v, sol.branch_current
+    v, branch = sol.v, sol.currents.tolist()
     worst = 0.0
     for k, seg in enumerate(feeder.segments):
         zp = seg.z_phase_per_km * seg.length_km
         zn = seg.z_neutral_per_km * seg.length_km
         zm = seg.z_mutual_per_km * seg.length_km
-        amps = [branch[k][c] for c in CONDUCTORS]
+        amps = branch[k]
         for row, c in enumerate(CONDUCTORS):
             z_row = [zm] * 4
             z_row[row] = zn if c == "N" else zp
@@ -166,7 +188,7 @@ def kcl_residual(feeder: Feeder, sol: VoltageSolution, injections=None) -> float
 
     ``injections`` overrides device powers by label, as the solvers do.
     """
-    v, branch = sol.v, sol.branch_current
+    v, branch = sol.v, sol.currents.tolist()
     powers = {d.label: (d, d.s_rated_kva) for d in feeder.devices}
     for dev, s in (injections or {}).items():
         powers[dev.label] = (dev, complex(s))
@@ -178,9 +200,9 @@ def kcl_residual(feeder: Feeder, sol: VoltageSolution, injections=None) -> float
             drawn[dev.node, "N"] -= amps
     net_in = dict.fromkeys(drawn, 0j)
     for k, seg in enumerate(feeder.segments):
-        for c in CONDUCTORS:
-            net_in[seg.to_node, c] += branch[k][c]
-            net_in[seg.from_node, c] -= branch[k][c]
+        for c, amps in zip(CONDUCTORS, branch[k]):
+            net_in[seg.to_node, c] += amps
+            net_in[seg.from_node, c] -= amps
     # the slack source balances the whole feeder by construction
     return max(
         (abs(net_in[key] - drawn[key]) for key in drawn if key[0] != feeder.source_node),
@@ -395,10 +417,13 @@ def reference_run(
 
 
 def reference_timeseries_rows(scenario: Scenario, result: ScenarioResult):
-    """The timeseries CSV rows read through the per-step dict views
-    (``solution.v``, ``node_metrics`` and ``summarize_flows``), as values;
-    ``reference_timeseries_lines`` writes them."""
+    """The timeseries CSV rows computed step by step from each step's
+    ``solution.v`` and branch currents with the scalar formulas (``vuf`` of
+    ``fortescue``, ``rms_voltage``, |I|^2 R per conductor), independent of
+    the array code, as values; ``reference_timeseries_lines`` writes
+    them."""
     feeder = scenario.feeder
+    v_base = feeder.v_base_ln
     feed_seg = {seg.to_node: k for k, seg in enumerate(feeder.segments)}
     storage_node = {d.battery_id: d.node for d in feeder.storage_devices()}
     for rec in result.per_timestep:
@@ -415,30 +440,35 @@ def reference_timeseries_rows(scenario: Scenario, result: ScenarioResult):
             node = storage_node[bat_id]
             per_node_soc[node] = per_node_soc.get(node, 0.0) + soc
 
-        v = rec.solution.v
-        metrics = node_metrics(rec.solution, feeder)
-        flows = summarize_flows(feeder, rec.solution)
+        solution = rec.solution
+        v = solution.v
+        branch = solution.currents.tolist()
         for node in feeder.nodes:
-            nm: NodeMetrics = metrics[node]
             v_n = v[node]["N"]
-            v_ln = {p: abs(v[node][p] - v_n) for p in ("A", "B", "C")}
+            phasors = [v[node][p] - v_n for p in ("A", "B", "C")]
+            mags = [abs(x) for x in phasors]
+            drop = [100 * (mag - v_base) / v_base for mag in mags]
             k = feed_seg.get(node)
+            if k is None:
+                phase_loss = neutral_loss = 0.0
+            else:
+                seg = feeder.segments[k]
+                r_ph = (seg.z_phase_per_km * seg.length_km).real
+                r_n = (seg.z_neutral_per_km * seg.length_km).real
+                phase_loss = sum(abs(amps) ** 2 * r_ph / 1000 for amps in branch[k][:3])
+                neutral_loss = abs(branch[k][3]) ** 2 * r_n / 1000
             p_fill = per_node_p.get(node, {"A": 0.0, "B": 0.0, "C": 0.0})
             q_fill = per_node_q.get(node, {"A": 0.0, "B": 0.0, "C": 0.0})
             yield (
                 rec.t_h,
                 node,
-                v_ln["A"],
-                v_ln["B"],
-                v_ln["C"],
+                *mags,
                 abs(v_n),
-                nm.vuf_pct,
-                nm.drop_pct[Phase.A],
-                nm.drop_pct[Phase.B],
-                nm.drop_pct[Phase.C],
-                nm.v_rms,
-                sum(flows.phase_loss_kw[k].values()) if k is not None else 0.0,
-                flows.neutral_loss_kw[k] if k is not None else 0.0,
+                vuf(fortescue(*phasors)),
+                *drop,
+                rms_voltage(*mags),
+                phase_loss,
+                neutral_loss,
                 p_fill["A"],
                 p_fill["B"],
                 p_fill["C"],

@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import replace
 
-from conftest import max_voltage_gap, random_feeder
+from conftest import max_voltage_gap, random_feeder, snapshot_solve
 from phasebal.cli import main
 from phasebal.errors import ScenarioStepError, VoltageCollapse
 from phasebal.metrics import SequenceComponents, fortescue, inverse_fortescue, vuf
@@ -23,7 +23,6 @@ from phasebal.powerflow import (
     SolverSettings,
     oracle_solve,
     power_balance_residual_kw,
-    solve_snapshot,
 )
 from phasebal.presets import RUN_PRESET_NAMES
 from phasebal.scenarios import build_stylized_scenario, build_sweep_scenario, run_scenario
@@ -89,7 +88,7 @@ def test_criterion_1_fortescue_kernel():
 
 
 def test_criterion_2_solver_cross_validation():
-    """solve_snapshot vs oracle_solve within 1e-8 pu on 100 random feeders;
+    """snapshot_solve vs oracle_solve within 1e-8 pu on 100 random feeders;
     power balance residual < 1e-6 * s_base everywhere; under 30 seconds."""
     start = time.perf_counter()
     failures: list[str] = []
@@ -99,7 +98,7 @@ def test_criterion_2_solver_cross_validation():
     worst_residual = 0.0
     for case in range(100):
         feeder = random_feeder(rng, max_nodes=6)
-        sweep = solve_snapshot(feeder, settings=settings)
+        sweep = snapshot_solve(feeder, settings=settings)
         oracle = oracle_solve(feeder, settings=settings)
         gap = max_voltage_gap(sweep, oracle, feeder.nodes) / feeder.v_base_ln
         worst_gap = max(worst_gap, gap)
@@ -227,8 +226,7 @@ def phase_unbalance_loss_kwh(scenario, result) -> float:
     total_kw = 0.0
     for rec in result.per_timestep:
         for k, r in enumerate(r_ph):
-            amps = rec.solution.branch_current[k]
-            seq = fortescue(amps["A"], amps["B"], amps["C"])
+            seq = fortescue(*rec.solution.currents[k, :3].tolist())
             total_kw += 3.0 * r * (abs(seq.v0) ** 2 + abs(seq.v2) ** 2) / 1000.0
     return total_kw * scenario.dt_h
 

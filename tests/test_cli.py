@@ -473,6 +473,54 @@ class TestRunCommand:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "where, value, named",
+        [
+            ("battery_kw", 1e308, "battery 'bat-a': p_max_kw * 1000 must be finite"),
+            ("p_kw", 1e306, "device 'l1' s_rated_kva * 1000 must be finite"),
+            ("profile", 1e306, "profile 'p' entry 1 scales the rating of device 'l1'"),
+        ],
+        ids=["battery_kw", "p_kw", "profile"],
+    )
+    def test_rating_whose_va_overflows_exits_2_and_names_it(
+        self, tmp_path, capsys, where, value, named
+    ):
+        """The solver takes powers in VA, kW times 1000: a finite rating
+        whose VA figure overflows is turned away before anything runs."""
+        if where == "battery_kw":
+            doc = {"label": "va", "scenario": {"type": "stylized", "architecture": "A2"}}
+            doc["scenario"][where] = value
+        else:
+            doc = json.loads(json.dumps(CUSTOM_DOC))
+            device = doc["scenario"]["feeder"]["devices"][0]
+            if where == "p_kw":
+                device["p_kw"] = value
+            else:
+                device.update(p_kw=10.0, profile="p")
+                doc["scenario"]["profiles"] = {"p": [1.0, value]}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rating_with_finite_va_runs_to_a_clean_collapse(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(CUSTOM_DOC))
+        doc["scenario"]["feeder"]["devices"][0]["p_kw"] = 1e305
+        assert main(["run", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 3
+        assert "voltage collapsed" in capsys.readouterr().err
+
+    def test_carriage_return_in_node_name_exits_2_and_names_it(self, tmp_path, capsys):
+        """``csv.writer`` leaves a lone carriage return unquoted, so the row
+        would not read back; see the quoting test of ``timeseries_rows``."""
+        doc = json.loads(json.dumps(CUSTOM_DOC))
+        feeder = doc["scenario"]["feeder"]
+        feeder["nodes"][1] = feeder["segments"][0]["to_node"] = "a\rb"
+        feeder["devices"][0]["node"] = "a\rb"
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert "node name 'a\\rb' holds a carriage return" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(CUSTOM_DOC).replace('"p_kw": 1.0', '"p_kw": 1' + "0" * 400))

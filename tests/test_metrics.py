@@ -6,8 +6,10 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
+from conftest import snapshot_solve
 from phasebal.errors import UnknownNorm, ZeroPositiveSequence
 from phasebal.metrics import (
     ALPHA,
@@ -16,7 +18,7 @@ from phasebal.metrics import (
     check_vuf_norm,
     fortescue,
     inverse_fortescue,
-    node_metrics,
+    node_metric_arrays,
     rms_voltage,
     vuf,
 )
@@ -131,33 +133,33 @@ class TestRmsVoltage:
 class TestNodeMetrics:
     def test_zero_load_feeder(self):
         from phasebal.network import chain_feeder
-        from phasebal.powerflow import solve_snapshot
 
         feeder = chain_feeder(3, 0.1)
-        out = node_metrics(solve_snapshot(feeder), feeder)
-        for node in feeder.nodes:
-            assert out[node].vuf_pct < 1e-12
-            assert all(abs(d) < 1e-12 for d in out[node].drop_pct.values())
-            assert out[node].v_rms == pytest.approx(230.0)
+        vuf_pct, drop_pct, v_rms = node_metric_arrays(
+            snapshot_solve(feeder).voltages, feeder.v_base_ln
+        )
+        assert (vuf_pct < 1e-12).all()
+        assert (np.abs(drop_pct) < 1e-12).all()
+        assert v_rms == pytest.approx([230.0] * 3)
 
     def test_balanced_load_equal_drop_zero_vuf(self):
         from phasebal.network import Device, DeviceKind, chain_feeder
-        from phasebal.powerflow import SolverSettings, solve_snapshot
+        from phasebal.powerflow import SolverSettings
 
         dev = Device(
             label="l", node="N1", kind=DeviceKind.LOAD, phase=None, s_rated_kva=1.0 + 0j
         )
         feeder = chain_feeder(2, 0.1, devices=[dev])
-        sol = solve_snapshot(feeder, settings=SolverSettings(tol_pu=1e-12))
-        out = node_metrics(sol, feeder)
-        drops = list(out["N1"].drop_pct.values())
+        sol = snapshot_solve(feeder, settings=SolverSettings(tol_pu=1e-12))
+        vuf_pct, drop_pct, _ = node_metric_arrays(sol.voltages, feeder.v_base_ln)
+        drops = drop_pct[1].tolist()  # N1
         assert all(d < 0 for d in drops)
         assert drops[0] == pytest.approx(drops[1]) == pytest.approx(drops[2])
-        assert out["N1"].vuf_pct < 1e-9
+        assert vuf_pct[1] < 1e-9
 
     def test_dg_above_local_load_raises_voltage(self):
         from phasebal.network import Device, DeviceKind, Phase, chain_feeder
-        from phasebal.powerflow import SolverSettings, solve_snapshot
+        from phasebal.powerflow import SolverSettings
 
         devices = [
             Device(label="l", node="N1", kind=DeviceKind.LOAD, phase=None, s_rated_kva=1 + 0j),
@@ -166,11 +168,11 @@ class TestNodeMetrics:
             ),
         ]
         feeder = chain_feeder(2, 0.1, devices=devices)
-        sol = solve_snapshot(feeder, settings=SolverSettings(tol_pu=1e-12))
-        out = node_metrics(sol, feeder)
-        assert out["N1"].drop_pct[Phase.A] > 0  # rise on the injecting phase
-        assert out["N1"].drop_pct[Phase.B] < 0
-        assert out["N1"].vuf_pct > 0
+        sol = snapshot_solve(feeder, settings=SolverSettings(tol_pu=1e-12))
+        vuf_pct, drop_pct, _ = node_metric_arrays(sol.voltages, feeder.v_base_ln)
+        assert drop_pct[1, 0] > 0  # rise on the injecting phase A of N1
+        assert drop_pct[1, 1] < 0
+        assert vuf_pct[1] > 0
 
 
 class TestVufNorms:

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from conftest import snapshot_solve
 from phasebal.errors import (
     CyclicTopology,
     DisconnectedNode,
@@ -218,12 +219,10 @@ class TestAttachDevice:
         assert updated.nodes == self.feeder.nodes
 
     def test_attach_zero_three_phase_load_leaves_solution_unchanged(self):
-        from phasebal.powerflow import solve_snapshot
-
         zero = balanced_load("zero", "N2", 0.0)
         updated = attach_device(self.feeder, zero)
         assert updated.device_by_label("zero").s_rated_kva == 0
-        assert solve_snapshot(updated).v == solve_snapshot(self.feeder).v
+        assert snapshot_solve(updated).v == snapshot_solve(self.feeder).v
 
     def test_attach_at_unknown_node(self):
         ev = Device(label="ev", node="N9", kind=DeviceKind.EV, phase=Phase.A, s_rated_kva=7.0 + 0j)

@@ -9,16 +9,16 @@ import random
 
 import pytest
 
-from conftest import kcl_residual, kvl_residual, max_voltage_gap, random_feeder
+from conftest import kcl_residual, kvl_residual, max_voltage_gap, random_feeder, snapshot_solve
 from phasebal.errors import NonConvergence, ScenarioStepError, VoltageCollapse
 from phasebal.network import Device, DeviceKind, Phase, chain_feeder
 from phasebal.powerflow import (
     SolverSettings,
     oracle_solve,
     power_balance_residual_kw,
-    solve_snapshot,
+    segment_losses,
+    segment_resistances,
     source_phasors,
-    summarize_flows,
 )
 
 from phasebal.scenarios import build_sweep_scenario, run_scenario
@@ -50,7 +50,7 @@ def single_phase_load_feeder(kw: float, km: float = 0.1):
 class TestTrivialCases:
     def test_zero_load_equals_source_everywhere(self):
         feeder = chain_feeder(3, 0.1)
-        sol = solve_snapshot(feeder)
+        sol = snapshot_solve(feeder)
         va, vb, vc = source_phasors(feeder.v_base_ln)
         for node in feeder.nodes:
             assert sol.v[node]["A"] == va
@@ -61,7 +61,7 @@ class TestTrivialCases:
 
     def test_source_boundary_conditions(self):
         feeder = single_phase_load_feeder(1.0)
-        sol = solve_snapshot(feeder, settings=TIGHT)
+        sol = snapshot_solve(feeder, settings=TIGHT)
         src = sol.v[feeder.source_node]
         assert src["N"] == 0
         for c, angle in (("A", 0.0), ("B", -120.0), ("C", 120.0)):
@@ -86,13 +86,13 @@ class TestTwoBusClosedForm:
         z_total = feeder.segments[0].z_phase_per_km * 0.1
         assert z_total == pytest.approx(0.032 + 0.008j)
 
-        sol = solve_snapshot(feeder, settings=TIGHT)
+        sol = snapshot_solve(feeder, settings=TIGHT)
         v_exp = two_bus_closed_form(230.0, z_total, 1000.0 + 0j)
         rot = {"A": 1, "B": cmath.exp(-2j * math.pi / 3), "C": cmath.exp(2j * math.pi / 3)}
         for phase in ("A", "B", "C"):
             assert abs(sol.v["N1"][phase] - v_exp * rot[phase]) < 1e-8
         # balanced: no neutral current, no neutral shift anywhere
-        assert abs(sol.branch_current[0]["N"]) < 1e-9
+        assert abs(sol.currents[0, 3]) < 1e-9
         assert abs(sol.v["N1"]["N"]) < 1e-9
 
     def test_single_phase_load_return_path(self):
@@ -101,28 +101,25 @@ class TestTwoBusClosedForm:
         z_p = seg.z_phase_per_km * seg.length_km
         z_n = seg.z_neutral_per_km * seg.length_km
 
-        sol = solve_snapshot(feeder, settings=TIGHT)
+        sol = snapshot_solve(feeder, settings=TIGHT)
         # line-to-neutral voltage at the load follows the loop-impedance
         # closed form
         v_ln_exp = two_bus_closed_form(230.0, z_p + z_n, 1000.0 + 0j)
         v_ln = sol.v["N1"]["A"] - sol.v["N1"]["N"]
         assert abs(v_ln - v_ln_exp) < 1e-8
 
-        i_a = sol.branch_current[0]["A"]
-        i_n = sol.branch_current[0]["N"]
+        i_a, i_n = sol.currents[0, 0].item(), sol.currents[0, 3].item()
         assert abs(abs(i_n) - abs(i_a)) < 1e-9  # full return through neutral
         assert abs(i_a + i_n) < 1e-9  # opposite directions
         # neutral potential rises at the load end by z_n * I
         assert abs(sol.v["N1"]["N"] - z_n * i_a) < 1e-8
 
-        flows = summarize_flows(feeder, sol)
-        assert flows.neutral_loss_kw[0] == pytest.approx(
-            abs(i_n) ** 2 * z_n.real / 1000.0
-        )
+        phase_loss, neutral_loss = segment_losses(sol.currents, *segment_resistances(feeder))
+        assert neutral_loss[0] == pytest.approx(abs(i_n) ** 2 * z_n.real / 1000.0)
         # equal impedances, equal currents: phase-A loss equals neutral loss
-        assert flows.phase_loss_kw[0]["A"] == pytest.approx(flows.neutral_loss_kw[0])
-        assert flows.phase_loss_kw[0]["B"] == 0
-        assert flows.phase_loss_kw[0]["C"] == 0
+        assert phase_loss[0, 0] == pytest.approx(neutral_loss[0])
+        assert phase_loss[0, 1] == 0
+        assert phase_loss[0, 2] == 0
 
 
 class TestCrossSolverEquivalence:
@@ -131,7 +128,7 @@ class TestCrossSolverEquivalence:
         settings = SolverSettings(tol_pu=1e-10, max_iter=300)
         for case in range(100):
             feeder = random_feeder(rng)
-            sweep = solve_snapshot(feeder, settings=settings)
+            sweep = snapshot_solve(feeder, settings=settings)
             oracle = oracle_solve(feeder, settings=settings)
             gap = max_voltage_gap(sweep, oracle, feeder.nodes)
             assert gap <= 1e-8 * feeder.v_base_ln, f"case {case}: gap {gap}"
@@ -145,7 +142,7 @@ class TestCrossSolverEquivalence:
             feeder = random_feeder(rng)
             i_base = feeder.s_base_kva * 1000.0 / (3.0 * feeder.v_base_ln)
             for sol in (
-                solve_snapshot(feeder, settings=settings),
+                snapshot_solve(feeder, settings=settings),
                 oracle_solve(feeder, settings=settings),
             ):
                 assert kcl_residual(feeder, sol) < 1e-9 * i_base
@@ -156,28 +153,28 @@ class TestInjectionHandling:
     def test_injections_override_by_label(self):
         feeder = single_phase_load_feeder(1.0)
         dev = feeder.devices[0]
-        off = solve_snapshot(feeder, {dev: 0j}, settings=TIGHT)
+        off = snapshot_solve(feeder, {dev: 0j}, settings=TIGHT)
         assert abs(off.v["N1"]["A"] - 230) < 1e-12
-        doubled = solve_snapshot(feeder, {dev: 2.0 + 0j}, settings=TIGHT)
-        assert abs(doubled.v["N1"]["A"]) < abs(solve_snapshot(feeder, settings=TIGHT).v["N1"]["A"])
+        doubled = snapshot_solve(feeder, {dev: 2.0 + 0j}, settings=TIGHT)
+        assert abs(doubled.v["N1"]["A"]) < abs(snapshot_solve(feeder, settings=TIGHT).v["N1"]["A"])
 
     def test_balanced_device_applies_per_phase(self):
         dev = Device(
             label="l3", node="N1", kind=DeviceKind.LOAD, phase=None, s_rated_kva=1.0 + 0j
         )
         feeder = chain_feeder(2, 0.1, devices=[dev])
-        sol = solve_snapshot(feeder, settings=TIGHT)
-        flows = summarize_flows(feeder, sol)
-        total_p = sum(s.real for s in flows.source_injection.values())
-        assert total_p == pytest.approx(3.0, rel=1e-2)  # 1 kW on each phase + loss
+        sol = snapshot_solve(feeder, settings=TIGHT)
+        # the one segment leaves the source bus (row 0)
+        total_p = sum((sol.voltages[0, c] * sol.currents[0, c].conjugate()).real for c in range(3))
+        assert total_p / 1000.0 == pytest.approx(3.0, rel=1e-2)  # 1 kW on each phase + loss
 
 
 class TestDeterminismAndTolerance:
     def test_repeat_solve_bit_identical(self):
         rng = random.Random(5)
         feeder = random_feeder(rng)
-        a = solve_snapshot(feeder)
-        b = solve_snapshot(feeder)
+        a = snapshot_solve(feeder)
+        b = snapshot_solve(feeder)
         assert a == b
 
     def test_halving_tolerance_is_stable(self):
@@ -185,8 +182,8 @@ class TestDeterminismAndTolerance:
         for _ in range(10):
             feeder = random_feeder(rng)
             for tol in (1e-6, 1e-8):
-                coarse = solve_snapshot(feeder, settings=SolverSettings(tol_pu=tol))
-                fine = solve_snapshot(feeder, settings=SolverSettings(tol_pu=tol / 2))
+                coarse = snapshot_solve(feeder, settings=SolverSettings(tol_pu=tol))
+                fine = snapshot_solve(feeder, settings=SolverSettings(tol_pu=tol / 2))
                 gap = max_voltage_gap(coarse, fine, feeder.nodes)
                 assert gap <= tol * feeder.v_base_ln
 
@@ -195,13 +192,13 @@ class TestFailureModes:
     def test_voltage_collapse_on_infeasible_load(self):
         feeder = single_phase_load_feeder(50.0, km=1.0)
         with pytest.raises(VoltageCollapse) as exc:
-            solve_snapshot(feeder)
+            snapshot_solve(feeder)
         assert exc.value.v_min_pu < 0.5
 
     def test_non_convergence_reports_iterations(self):
         feeder = single_phase_load_feeder(1.0)
         with pytest.raises(NonConvergence) as exc:
-            solve_snapshot(feeder, settings=SolverSettings(tol_pu=1e-12, max_iter=1))
+            snapshot_solve(feeder, settings=SolverSettings(tol_pu=1e-12, max_iter=1))
         assert exc.value.iterations == 1
         assert exc.value.residual > 0
 
@@ -224,11 +221,11 @@ class TestBalancedSymmetry:
             for i in range(1, 6)
         ]
         feeder = chain_feeder(6, 0.1, devices=devices)
-        for sol in (solve_snapshot(feeder, settings=TIGHT), oracle_solve(feeder, settings=TIGHT)):
+        for sol in (snapshot_solve(feeder, settings=TIGHT), oracle_solve(feeder, settings=TIGHT)):
             for node in feeder.nodes:
                 assert abs(sol.v[node]["N"]) < 1e-9 * feeder.v_base_ln
-            flows = summarize_flows(feeder, sol)
-            assert flows.total_neutral_loss_kw < 1e-12
+            _, neutral_loss = segment_losses(sol.currents, *segment_resistances(feeder))
+            assert neutral_loss.sum() < 1e-12
 
 
 class TestSolverSettings:

@@ -20,6 +20,7 @@ from conftest import (
     reference_run,
     reference_sweep,
     reference_timeseries_lines,
+    snapshot_solve,
     with_greedy_fleet,
     with_profiles,
 )
@@ -47,8 +48,8 @@ from phasebal.powerflow import (
     Topology,
     oracle_solve,
     power_balance_residual_kw,
-    solve_snapshot,
-    summarize_flows,
+    segment_losses,
+    segment_resistances,
 )
 from phasebal.scenarios import (
     MAX_STEPS,
@@ -187,9 +188,9 @@ class TestScenarioValidation:
             Scenario(feeder=chain_feeder(2, 0.1), horizon_h=1.0, profiles={"spare": (-1.0,)})
 
     def test_scaled_rating_must_be_finite(self):
-        dev = Device("l", "N1", DeviceKind.LOAD, Phase.A, 1e308 + 1j, profile_id="p")
+        dev = Device("l", "N1", DeviceKind.LOAD, Phase.A, 1e305 + 1j, profile_id="p")
         feeder = chain_feeder(2, 0.1, devices=[dev])
-        # entries 1 and 2 both overflow; the first is named
+        # the solver takes VA: entries 1 and 2 both overflow there; the first is named
         named = "profile 'p' entry 1 scales the rating of device 'l'"
         with pytest.raises(ValueError, match=named):
             Scenario(feeder=feeder, horizon_h=3.0, profiles={"p": (1.0, 2.0, 10.0)})
@@ -235,7 +236,10 @@ class TestRunScenario:
         result = run_scenario(scenario)
         for rec in result.per_timestep:
             in_window = 10 <= rec.t_h < 15 or 18 <= rec.t_h < 23
-            neutral_kw = summarize_flows(scenario.feeder, rec.solution).total_neutral_loss_kw
+            _, neutral_loss = segment_losses(
+                rec.solution.currents, *segment_resistances(scenario.feeder)
+            )
+            neutral_kw = neutral_loss.sum()
             if in_window:
                 assert neutral_kw > 1e-6
             else:
@@ -392,7 +396,7 @@ class TestSweepTabulate:
 
 
 def step_injections(scenario, rec, k):
-    """The device powers a scenario applies at step k, for solve_snapshot."""
+    """The device powers a scenario applies at step k, for snapshot_solve."""
     injections = {}
     for dev in scenario.feeder.devices:
         if dev.kind is not DeviceKind.STORAGE:
@@ -447,7 +451,7 @@ class TestBatchedRun:
         assert len(result.per_timestep) == steps
         for k, rec in enumerate(result.per_timestep):
             injections = step_injections(scenario, rec, k)
-            snap = solve_snapshot(scenario.feeder, injections)
+            snap = snapshot_solve(scenario.feeder, injections)
             sol = rec.solution
             assert sol.voltages.tobytes() == snap.voltages.tobytes()
             assert sol.currents.tobytes() == snap.currents.tobytes()
@@ -492,7 +496,7 @@ class TestBatchedRun:
             run_scenario(scenario)
         assert exc.value.t_h == float(bad)
         with pytest.raises(VoltageCollapse) as alone:
-            solve_snapshot(feeder, {load: load.s_rated_kva * 1.0})
+            snapshot_solve(feeder, {load: load.s_rated_kva * 1.0})
         assert str(exc.value.cause) == str(alone.value)
         assert exc.value.cause.iteration == alone.value.iteration
 
