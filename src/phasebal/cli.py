@@ -535,6 +535,11 @@ def parse_config(doc: Any, path: str = "<config>") -> RunConfig:
 
     settings = SolverSettings(**doc.get("solver", {}))
     label = doc.get("label", "run")
+    # the label names the output files, so a "/" would write outside --out,
+    # and fills a summary CSV cell, which csv.writer leaves unquoted for a "\r"
+    for char, what in (("/", "a '/'"), ("\r", "a carriage return"), ("\0", "a NUL")):
+        if char in label:
+            raise ConfigInvalid(path, "label", f"label {label!r} holds {what}")
 
     if has_scenario:
         scenario = replace(_parse_scenario(doc["scenario"], label, path), label=label)

@@ -8,7 +8,8 @@ array pass for unbalance and loss metrics and their aggregates over the
 horizon. Dispatch is a scan in plain floats over ``(step, unit)`` arrays:
 the fixed schedule's requests for all steps at once, then one pass over
 the steps that calls the ``storage`` functions for each unit: bounds,
-greedy search or zero-sum shift, clip and SoC update. Steps with
+greedy search or zero-sum shift, clip and SoC update, once for each
+distinct (SoC, input row) state the steps meet. Steps with
 byte-equal injections share one operating point, so the power flow and
 the metrics run once per distinct row, and each step reads its row
 through ``Trajectory.step_row``: the lossless case of vector-quantised
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -197,7 +199,10 @@ class Trajectory:
     True where the applied p differs from the controller's request (the
     zero-sum shift of A2 without load shift counts). ``zero_sum_missed``
     is True at the steps where such a fleet's box held no zero-sum point,
-    so its dispatch does not sum to zero."""
+    so its dispatch does not sum to zero. ``dispatch_states`` counts the
+    distinct (SoC, input row) states the dispatch scan evaluated; the other
+    ``n_steps - dispatch_states`` steps reused a stored state. It is 0
+    when no fleet is dispatched."""
 
     feeder: Feeder
     solved: BatchSolution
@@ -214,6 +219,7 @@ class Trajectory:
     soc_kwh: np.ndarray
     clipped: np.ndarray
     zero_sum_missed: np.ndarray
+    dispatch_states: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,10 +377,19 @@ def _dispatch_storage(
 
     The fixed schedule's requests come as one ``(step, unit)`` array
     (``schedule_requests``); the greedy search makes its requests step by
-    step from every unit's bounds. One scan then steps through time, and
-    at each step reads each unit's bounds at its SoC, shifts the requests
-    of A2 without load shift to a zero sum (``zero_sum_shift``), clips and
-    updates the SoC, unit after unit.
+    step from every unit's bounds and the net kW per phase. One scan then
+    steps through time, and at each step reads each unit's bounds at its
+    SoC, shifts the requests of A2 without load shift to a zero sum
+    (``zero_sum_shift``), clips and updates the SoC, unit after unit.
+
+    A step's outcome depends only on the SoC going in and the step's input
+    row: the request row for the fixed schedule, the net phase-power row
+    for the greedy search. So the scan keeps a memo keyed on (the SoC
+    packed as doubles, the input row's id among the byte-distinct rows),
+    and evaluates each distinct state once; a clock schedule meets the same
+    states day after day. Bytes keep 0.0 and -0.0 apart, which a key of
+    floats would merge. A step enters the memo only once it has completed,
+    so a failing step raises as it would without the memo.
 
     Returns the ``Trajectory`` dispatch arrays of the steps that ran, keyed
     by field, and the error that stopped dispatch early (None if every
@@ -385,7 +400,7 @@ def _dispatch_storage(
     if not units:  # no actions, and the SoC stays where it starts
         none = np.zeros((n_steps, 0))
         soc_kwh = np.array([soc], dtype=float).repeat(n_steps, axis=0)
-        return _dispatch_fields(scenario, none.astype(np.intp), none, none, none, soc_kwh), None
+        return _dispatch_fields(scenario, none.astype(np.intp), none, none, none, soc_kwh, 0), None
     greedy = scenario.controller == "greedy"
     zero_sum = arch.kind is ArchKind.A2 and not arch.allow_load_shift
     if greedy:
@@ -393,7 +408,7 @@ def _dispatch_storage(
         for d, dev in enumerate(plain):
             for ph in dev.connected_phases:
                 net[:, PHASES.index(ph)] += dev_p[:, d]
-        net_rows, phase_rows, want_rows = net.tolist(), [], []
+        inputs, net_rows, phase_rows, want_rows = net, net.tolist(), [], []
     else:
         phases, want = schedule_requests(
             np.arange(n_steps) * dt_h,
@@ -401,26 +416,35 @@ def _dispatch_storage(
             scenario.schedule or StylizedScheduleCfg(),
             [b.p_max_kw for b in units],
         )
-        want_rows = want.tolist()
+        inputs, want_rows = want, want.tolist()
+    pack = struct.Struct(f"{len(units)}d").pack
+    memo: dict[tuple[bytes, int], tuple] = {}
 
     pending, steps = None, []
     try:
-        for k in range(n_steps):
-            bounds = [bounds_at(b, e, dt_h) for b, e in zip(units, soc)]
+        for k, row in enumerate(_distinct_rows(inputs)[1].tolist()):
+            key = pack(*soc), row
+            done = memo.get(key)
+            if done is None:
+                bounds = [bounds_at(b, e, dt_h) for b, e in zip(units, soc)]
+                phase_k = None
+                if greedy:  # greedy_powers adds to its net row; each row is read once
+                    phase_k, want_k = zip(*greedy_powers(net_rows[k], arch, bounds))
+                elif zero_sum:
+                    want_k = zero_sum_shift(want_rows[k], *zip(*bounds))
+                else:
+                    want_k = want_rows[k]
+                step = []
+                for bat, (lo, hi), p, e in zip(units, bounds, want_k, soc):
+                    p, q = clip_power(bat, p, 0.0, lo, hi)
+                    step += p, q, next_soc(bat, e, p, q, dt_h)
+                done = memo[key] = step, phase_k, want_k
+            step, phase_k, want_k = done
+            steps.append(step)
+            soc = step[2::3]
             if greedy:
-                phase_k, want_k = zip(*greedy_powers(net_rows[k], arch, bounds))
                 phase_rows.append(phase_k)
                 want_rows.append(want_k)
-            elif zero_sum:
-                want_k = zero_sum_shift(want_rows[k], *zip(*bounds))
-            else:
-                want_k = want_rows[k]
-            step = []
-            for i, (bat, (lo, hi), p) in enumerate(zip(units, bounds, want_k)):
-                p, q = clip_power(bat, p, 0.0, lo, hi)
-                soc[i] = e = next_soc(bat, soc[i], p, q, dt_h)
-                step += p, q, e
-            steps.append(step)
     except (PhasebalError, ValueError) as exc:
         pending = exc
     n_ok = len(steps)
@@ -431,16 +455,17 @@ def _dispatch_storage(
         phase = np.tile(np.array([PHASES.index(ph) for ph in phases], dtype=np.intp), (n_ok, 1))
     shape = (n_ok, len(units))  # the arrays of a greedy run stopped at step 0 are flat
     fields = _dispatch_fields(
-        scenario, phase.reshape(shape), want[:n_ok].reshape(shape), p, q, soc_kwh
+        scenario, phase.reshape(shape), want[:n_ok].reshape(shape), p, q, soc_kwh, len(memo)
     )
     if zero_sum:  # the box held no zero-sum point, so zero_sum_shift missed zero
         fields["zero_sum_missed"] = np.abs(_fold_sum(p)) > 1e-9
     return fields, pending
 
 
-def _dispatch_fields(scenario: Scenario, phase, want, p_kw, q_kvar, soc_kwh) -> dict:
+def _dispatch_fields(scenario: Scenario, phase, want, p_kw, q_kvar, soc_kwh, states) -> dict:
     """The ``Trajectory`` dispatch fields from ``(step, unit)`` phase,
-    requested and applied powers and ``(step, battery)`` SoC."""
+    requested and applied powers, ``(step, battery)`` SoC and the number
+    of dispatch states evaluated."""
     return {
         "battery_ids": tuple(b.id for b in scenario.batteries),
         "p_kw": p_kw,
@@ -449,6 +474,7 @@ def _dispatch_fields(scenario: Scenario, phase, want, p_kw, q_kvar, soc_kwh) -> 
         "soc_kwh": soc_kwh,
         "clipped": p_kw != want,
         "zero_sum_missed": np.zeros(len(p_kw), dtype=bool),
+        "dispatch_states": states,
     }
 
 
@@ -603,7 +629,10 @@ def run_scenario(scenario: Scenario, settings: SolverSettings = SolverSettings()
     """Execute the scenario in three passes and aggregate the results.
 
     1. Dispatch: step through time, evaluate profiles, ask the controller
-       for actions, clip and apply them to the batteries.
+       for actions, clip and apply them to the batteries. Each distinct
+       state, keyed on the SoC's bytes and the id of the step's input row
+       (request row or net phase powers), is evaluated once and reused
+       when it recurs (``Trajectory.dispatch_states`` counts them).
     2. Power flow: one forward-backward sweep over the distinct operating
        points of all steps at once.
     3. Metrics: VUF, deviations, losses and the aggregates, as arrays.

@@ -388,7 +388,8 @@ def reference_run(
     """``run_scenario`` with ``reference_dispatch`` as its dispatch pass:
     the run as the per-step loop made it. Its trajectory holds the loop's
     actions and SoC; the clip mask and zero-sum flags, which the loop
-    does not report, are all False."""
+    does not report, are all False, and the loop evaluates every step of a
+    dispatched fleet."""
 
     def dispatch(sc: Scenario, index: dict[str, int]):
         layout, s_va, steps, pending = reference_dispatch(sc, index)
@@ -410,6 +411,7 @@ def reference_run(
         arrays["clipped"] = np.zeros(shape, dtype=bool)
         arrays["zero_sum_missed"] = np.zeros(len(steps), dtype=bool)
         arrays["battery_ids"] = tuple(b.id for b in sc.batteries)
+        arrays["dispatch_states"] = len(steps) if units else 0
         return layout, s_va, arrays, pending
 
     with mock.patch.object(scenarios, "_dispatch", dispatch):

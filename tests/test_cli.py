@@ -521,6 +521,31 @@ class TestRunCommand:
         assert "node name 'a\\rb' holds a carriage return" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "label, what",
+        [
+            ("../escaped", "a '/'"),
+            ("sub/label", "a '/'"),
+            ("a\rb", "a carriage return"),
+            ("a\0b", "a NUL"),
+        ],
+    )
+    def test_label_that_leaves_out_or_splits_a_row_exits_2_and_names_it(
+        self, tmp_path, capsys, command, label, what
+    ):
+        """The label names the output files, so a '/' would write outside
+        ``--out``; a lone carriage return in the summary CSV's label cell
+        would not read back."""
+        doc = json.loads(json.dumps(CUSTOM_DOC)) if command == "run" else preset_config("grid-compact")
+        doc["label"] = label
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "sub" / "out"
+        assert main([command, path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid config at 'label': label {label!r} holds {what}" in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [Path(path).name]
+
     def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(CUSTOM_DOC).replace('"p_kw": 1.0', '"p_kw": 1' + "0" * 400))
@@ -663,7 +688,10 @@ class TestGoldenFiles:
         # the greedy search, frozen from the object-level controllers: A1 and
         # A3 choosing phases, A2 restricted to zero-sum triples
         greedy = ("greedy-a1-n5", "greedy-a2-n5-noshift", "greedy-a3-n5")
-        for label in greedy:
+        # several days on the clock, frozen before dispatch reused its states:
+        # A2 through the zero-sum shift with clipped windows, and greedy A3
+        multiday = ("multiday-a2-noshift", "multiday-greedy-a3")
+        for label in greedy + multiday:
             assert main(["run", str(golden_dir / f"{label}.json"), "--out", str(out)]) == 0
         for name, golden in (
             ("golden-summary.csv", "golden-summary.csv"),
@@ -672,7 +700,10 @@ class TestGoldenFiles:
             ("grid-compact-sweep.csv", "golden-sweep.csv"),
             ("a2-n5-noshift-timeseries.csv", "golden-a2-n5-noshift-timeseries.csv"),
             ("a1-n0-timeseries.csv", "golden-a1-n0-timeseries.csv"),
-            *((f"{label}-timeseries.csv", f"golden-{label}-timeseries.csv") for label in greedy),
+            *(
+                (f"{label}-timeseries.csv", f"golden-{label}-timeseries.csv")
+                for label in greedy + multiday
+            ),
         ):
             assert (out / name).read_bytes() == (golden_dir / golden).read_bytes()
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -565,9 +566,87 @@ def scheduled_request(scenario: Scenario, k: int) -> list[float]:
     return out
 
 
+def dispatch_input(scenario: Scenario, k: int) -> list[float]:
+    """The input a dispatch step reads at step k, written out from its
+    definition: the schedule's requests, or for the greedy search the net
+    kW per phase, each phase adding its devices in feeder order."""
+    if scenario.controller != "greedy":
+        return scheduled_request(scenario, k)
+    net = [0.0, 0.0, 0.0]
+    for dev in scenario.feeder.devices:
+        if dev.kind is not DeviceKind.STORAGE:
+            scale = scenario.profiles[dev.profile_id][k] if dev.profile_id else 1.0
+            for ph in dev.connected_phases:
+                net[PHASES.index(ph)] += (dev.s_rated_kva * scale).real
+    return net
+
+
+def distinct_states(scenario: Scenario, steps: list) -> int:
+    """Distinct (SoC going in, input) pairs, by their bytes, over the steps
+    of a per-step loop (``reference_dispatch``)."""
+    soc = [b.soc_kwh for b in scenario.batteries]
+    states = set()
+    for k, (_, _, after) in enumerate(steps):
+        row = dispatch_input(scenario, k)
+        states.add((struct.pack(f"{len(soc)}d", *soc), struct.pack(f"{len(row)}d", *row)))
+        soc = list(after.values())
+    return len(states)
+
+
+def assert_scan_equals_the_reference_loop(scenario: Scenario):
+    """The array dispatch pass, the run and its CSV lines equal the
+    per-step loop bit for bit; returns the run's trajectory, or None when
+    dispatch failed."""
+    index = Topology(scenario.feeder).index
+    layout, s_va, steps, pending = reference_dispatch(scenario, index)
+    got_layout, got_s_va, arrays, got_pending = _dispatch(scenario, index)
+    assert got_layout == layout
+    assert got_s_va.tobytes() == s_va.tobytes()
+    assert repr(got_pending) == repr(pending)
+    got = outcome(scenario, run_scenario)
+    assert repr(got) == repr(outcome(scenario, reference_run))
+    if pending is not None:
+        return None
+    traj = got.trajectory
+    assert traj.battery_ids == tuple(b.id for b in scenario.batteries)
+    actions = [acts for _, acts, _ in steps]
+    assert repr(traj.p_kw.tolist()) == repr([[a.p_kw for a in acts] for acts in actions])
+    assert repr(traj.q_kvar.tolist()) == repr([[a.q_kvar for a in acts] for acts in actions])
+    assert traj.phase.tolist() == [[PHASES.index(a.phase) for a in acts] for acts in actions]
+    assert repr(traj.soc_kwh.tolist()) == repr([list(soc.values()) for _, _, soc in steps])
+    assert repr([(r.t_h, r.actions, r.soc_kwh) for r in got.per_timestep]) == repr(steps)
+
+    # the CSV reads the arrays; the reference rows read the loop's records
+    loop = SimpleNamespace(
+        per_timestep=[
+            SimpleNamespace(t_h=t_h, actions=acts, soc_kwh=soc, solution=rec.solution)
+            for (t_h, acts, soc), rec in zip(steps, got.per_timestep, strict=True)
+        ]
+    )
+    assert list(timeseries_rows(scenario, got)) == reference_timeseries_lines(scenario, loop)
+
+    # telemetry: the clip mask against the schedule's own requests, the
+    # zero-sum flag against the dispatched total, and the states evaluated
+    controller, arch = scenario.controller, scenario.architecture
+    zero_sum = controller != "none" and arch.kind is ArchKind.A2 and not arch.allow_load_shift
+    assert traj.zero_sum_missed.tolist() == [
+        zero_sum and abs(sum(a.p_kw for a in acts)) > 1e-9 for _, acts, _ in steps
+    ]
+    if controller == "fixed_schedule":
+        assert traj.clipped.tolist() == [
+            [a.p_kw != want for a, want in zip(acts, scheduled_request(scenario, k))]
+            for k, (_, acts, _) in enumerate(steps)
+        ]
+    assert traj.clipped.shape == traj.p_kw.shape
+    fleet = controller != "none" and scenario.batteries
+    assert traj.dispatch_states == (distinct_states(scenario, steps) if fleet else 0)
+    return traj
+
+
 class TestDispatchScan:
     """The array dispatch pass equals the per-step loop it replaced
-    (``conftest.reference_dispatch``) bit for bit."""
+    (``conftest.reference_dispatch``) bit for bit, over one day and over
+    several, where the scan reuses the states it has met."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -577,14 +656,21 @@ class TestDispatchScan:
         storage_node=st.sampled_from(["N0", "N5"]),
         target_phase=st.sampled_from(PHASES),
         dt_h=st.sampled_from([1, 1.0, 0.25]),
+        horizon_h=st.integers(24, 96),
         data=st.data(),
     )
     def test_scan_equals_the_reference_loop(
-        self, kind, allow_load_shift, controller, storage_node, target_phase, dt_h, data
+        self, kind, allow_load_shift, controller, storage_node, target_phase, dt_h, horizon_h, data
     ):
         arch = Architecture(kind, allow_load_shift=allow_load_shift)
         scenario = build_stylized_scenario(
-            arch, storage_node, 1.0, controller, target_phase=target_phase, dt_h=dt_h
+            arch,
+            storage_node,
+            1.0,
+            controller,
+            target_phase=target_phase,
+            horizon_h=horizon_h,
+            dt_h=dt_h,
         )
         batteries = []
         for bat in scenario.batteries:
@@ -601,48 +687,90 @@ class TestDispatchScan:
                     eta_d=data.draw(st.just(1.0) | st.floats(0.8, 1.0)),
                 )
             )
-        scenario = replace(scenario, batteries=tuple(batteries))
+        assert_scan_equals_the_reference_loop(replace(scenario, batteries=tuple(batteries)))
 
-        index = Topology(scenario.feeder).index
-        layout, s_va, steps, pending = reference_dispatch(scenario, index)
-        got_layout, got_s_va, arrays, got_pending = _dispatch(scenario, index)
-        assert got_layout == layout
-        assert got_s_va.tobytes() == s_va.tobytes()
-        assert repr(got_pending) == repr(pending)
-        got = outcome(scenario, run_scenario)
-        assert repr(got) == repr(outcome(scenario, reference_run))
-        if pending is not None:
-            return
-        traj = got.trajectory
-        assert traj.battery_ids == tuple(b.id for b in batteries)
-        actions = [acts for _, acts, _ in steps]
-        assert repr(traj.p_kw.tolist()) == repr([[a.p_kw for a in acts] for acts in actions])
-        assert repr(traj.q_kvar.tolist()) == repr([[a.q_kvar for a in acts] for acts in actions])
-        assert traj.phase.tolist() == [[PHASES.index(a.phase) for a in acts] for acts in actions]
-        assert repr(traj.soc_kwh.tolist()) == repr([list(soc.values()) for _, _, soc in steps])
-        assert repr([(r.t_h, r.actions, r.soc_kwh) for r in got.per_timestep]) == repr(steps)
-
-        # the CSV reads the arrays; the reference rows read the loop's records
-        loop = SimpleNamespace(
-            per_timestep=[
-                SimpleNamespace(t_h=t_h, actions=acts, soc_kwh=soc, solution=rec.solution)
-                for (t_h, acts, soc), rec in zip(steps, got.per_timestep, strict=True)
-            ]
+    @pytest.mark.parametrize(
+        "kind, allow_load_shift, controller",
+        [
+            (ArchKind.A1, True, "fixed_schedule"),
+            (ArchKind.A2, False, "fixed_schedule"),
+            (ArchKind.A3, True, "fixed_schedule"),
+            (ArchKind.A1, True, "greedy"),
+            (ArchKind.A2, False, "greedy"),
+            (ArchKind.A3, True, "greedy"),
+        ],
+    )
+    def test_multiday_runs_reuse_states_and_equal_the_reference_loop(
+        self, kind, allow_load_shift, controller
+    ):
+        """Three days on the clock with 4 kWh units clipped at the end of
+        every 5 h window, the shape of the long-horizon workload: the
+        states come back day after day, the scan evaluates fewer states
+        than it has steps, and every step reused from the memo equals the
+        per-step loop."""
+        scenario = build_stylized_scenario(
+            Architecture(kind, allow_load_shift=allow_load_shift),
+            "N5",
+            3.0,
+            controller,
+            target_phase=Phase.B,
+            horizon_h=72.0,
+            dt_h=0.5,
         )
-        assert list(timeseries_rows(scenario, got)) == reference_timeseries_lines(scenario, loop)
+        scenario = replace(
+            scenario,
+            batteries=tuple(
+                replace(b, e_max_kwh=4.0, soc_kwh=min(b.soc_kwh, 4.0)) for b in scenario.batteries
+            ),
+        )
+        traj = assert_scan_equals_the_reference_loop(scenario)
+        assert 0 < traj.dispatch_states < scenario.n_steps
 
-        # telemetry: the clip mask against the schedule's own requests, and
-        # the zero-sum flag against the dispatched total
-        zero_sum = controller != "none" and kind is ArchKind.A2 and not allow_load_shift
-        assert traj.zero_sum_missed.tolist() == [
-            zero_sum and abs(sum(a.p_kw for a in acts)) > 1e-9 for _, acts, _ in steps
+    @pytest.mark.parametrize("kind", [ArchKind.A1, ArchKind.A2, ArchKind.A3])
+    def test_a_greedy_day_with_a_new_net_row_each_step_evaluates_every_step(self, kind):
+        """A base load that differs at every step gives a new net row each
+        step, so each step of the day is a new state. On the stylized day
+        itself (the greedy-fleet workload) the balanced night steps leave
+        the SoC alone and come back as one state."""
+        scenario = build_stylized_scenario(Architecture(kind), "N5", 4.5, "greedy")
+        assert run_scenario(scenario).trajectory.dispatch_states < scenario.n_steps
+        flat = tuple(1.0 + k / 100 for k in range(scenario.n_steps))
+        scenario = replace(scenario, profiles={**scenario.profiles, "flat": flat})
+        traj = run_scenario(scenario).trajectory
+        assert traj.dispatch_states == scenario.n_steps == 24
+
+    def test_no_fleet_evaluates_no_state(self):
+        scenario = build_stylized_scenario(Architecture(ArchKind.A2), "N5", 3.0, "none")
+        assert run_scenario(scenario).trajectory.dispatch_states == 0
+
+    def test_signed_zero_soc_is_its_own_state(self):
+        """An A1 unit starting at -0.0 kWh meets the discharge row at -0.0
+        and, a day later, at 0.0. Its lower bound is 0.0 at the first and
+        -0.0 at the second, so the clipped request is 0.0 at the first and
+        -0.0 at the second. A key of floats would merge the two states
+        (-0.0 == 0.0) and repeat the first; the bytes keep them apart."""
+        scenario = build_stylized_scenario(
+            Architecture(ArchKind.A1), "N5", 1.0, horizon_h=48.0, dt_h=1.0
+        )
+        scenario = replace(
+            scenario,
+            schedule=replace(scenario.schedule, ev_window=(0.0, 2.0), dg_window=(2.0, 3.0)),
+            batteries=(replace(scenario.batteries[0], soc_kwh=-0.0),),
+        )
+        traj = assert_scan_equals_the_reference_loop(scenario)
+        _, _, steps, _ = reference_dispatch(scenario, Topology(scenario.feeder).index)
+        sign = lambda x: math.copysign(1.0, x)  # noqa: E731
+        assert [sign(a.p_kw) for _, acts, _ in steps for a in acts] == [
+            sign(p) for p in traj.p_kw[:, 0].tolist()
         ]
-        if controller == "fixed_schedule":
-            assert traj.clipped.tolist() == [
-                [a.p_kw != want for a, want in zip(acts, scheduled_request(scenario, k))]
-                for k, (_, acts, _) in enumerate(steps)
-            ]
-        assert traj.clipped.shape == traj.p_kw.shape
+        assert [sign(e) for _, _, soc in steps for e in soc.values()] == [
+            sign(e) for e in traj.soc_kwh[:, 0].tolist()
+        ]
+        # step 0 at -0.0 kWh, step 25 at 0.0 kWh after discharging at step 24;
+        # both read the discharge row
+        assert traj.soc_kwh[23, 0] == 1.0 and traj.soc_kwh[24, 0] == 0.0
+        assert sign(traj.p_kw[0, 0]) == 1.0 and sign(traj.p_kw[25, 0]) == -1.0
+        assert traj.p_kw[0, 0] == traj.p_kw[25, 0] == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(
