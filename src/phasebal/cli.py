@@ -2,8 +2,10 @@
 
 Commands:
   run <config.json>     solve one scenario, write per-timestep and summary CSVs
+                        (the config's ``output`` switches leave either out)
   sweep <config.json>   run a penetration grid, write the long-format table
-                        plus plot-ready extracts and a failed-cell manifest
+                        plus plot-ready extracts (``SWEEP_EXTRACTS``) and a
+                        failed-cell manifest
   ingest <series.csv>   turn measured per-phase powers into imbalance reports
 
 Configs are JSON, validated against CONFIG_SCHEMA (unknown keys rejected)
@@ -12,7 +14,11 @@ Exit codes: 0 ok, 2 config error, 3 solver failure, 4 I/O error.
 
 All CSVs are UTF-8, comma-separated, LF-terminated, with floats printed at
 17 significant digits and text quoted only where ``csv.writer`` would quote
-it; reruns of the same config are byte-identical.
+it; reruns of the same config are byte-identical. Every CSV but the
+timeseries is written by ``_write_table`` as a projection of records, dicts
+keyed by column name (``result_values``, ``cell_values``, the ingest
+report's rows), onto the file's columns. The timeseries is formatted from
+the run's arrays by ``timeseries_rows``.
 """
 
 from __future__ import annotations
@@ -22,10 +28,11 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -280,20 +287,19 @@ SUMMARY_COLUMNS = (
     "max_rise_pct",
 )
 
-SWEEP_COLUMNS = (
-    "kind",
-    "node",
-    "penetration_pct",
-    "mean_vuf_pct",
-    "max_vuf_pct",
-    "neutral_loss_kwh",
-    "phase_loss_kwh",
-    "max_drop_pct",
-    "max_rise_pct",
-    "sum_drop_n1_pct",
-    "sum_drop_n5_pct",
-    "error",
-)
+#: The columns that place a sweep cell, first in every sweep file.
+_CELL = ("kind", "node", "penetration_pct")
+
+# the place, the summary values less the label, the summed drops, the error
+SWEEP_COLUMNS = (*_CELL, *SUMMARY_COLUMNS[1:], "sum_drop_n1_pct", "sum_drop_n5_pct", "error")
+
+#: The plot-ready extracts of a sweep, ``<label>-<name>.csv``, over the
+#: cells that ran.
+SWEEP_EXTRACTS = {
+    "fig-losses": (*_CELL, "phase_loss_kwh", "neutral_loss_kwh", "total_loss_kwh"),
+    "fig-vuf": (*_CELL, "mean_vuf_pct", "max_vuf_pct"),
+    "fig-drop": (*_CELL, "sum_drop_n1_pct", "sum_drop_n5_pct", "max_drop_pct", "max_rise_pct"),
+}
 
 
 @dataclass(frozen=True)
@@ -533,7 +539,10 @@ def parse_config(doc: Any, path: str = "<config>") -> RunConfig:
     if has_scenario == has_sweep:
         raise ConfigInvalid(path, "scenario|sweep", "exactly one of 'scenario' or 'sweep' required")
 
-    settings = SolverSettings(**doc.get("solver", {}))
+    try:
+        settings = SolverSettings(**doc.get("solver", {}))
+    except ValueError as exc:
+        raise ConfigInvalid(path, "solver", str(exc)) from None
     label = doc.get("label", "run")
     # the label names the output files, so a "/" would write outside --out,
     # and fills a summary CSV cell, which csv.writer leaves unquoted for a "\r"
@@ -550,6 +559,8 @@ def parse_config(doc: Any, path: str = "<config>") -> RunConfig:
             **{f"write_{key}": value for key, value in doc.get("output", {}).items()},
         )
 
+    if "output" in doc:  # a sweep always writes its five tables
+        raise ConfigInvalid(path, "output", "'output' applies to 'run' configs only")
     sw = doc["sweep"]
     _validate(sw, _SWEEP_SCHEMA, path, "sweep")
     template = SweepTemplate(
@@ -660,51 +671,38 @@ def timeseries_rows(scenario: Scenario, result: ScenarioResult) -> Iterator[str]
         yield from lines
 
 
-def summary_row(result: ScenarioResult):
-    return (
-        result.label,
-        result.mean_vuf_pct,
-        result.max_vuf_pct,
-        result.neutral_loss_kwh,
-        result.phase_loss_kwh,
-        result.max_drop_pct,
-        result.max_rise_pct,
-    )
+def result_values(result: ScenarioResult) -> dict[str, Any]:
+    """The ``SUMMARY_COLUMNS`` of one run, keyed by column name."""
+    return {name: getattr(result, name) for name in SUMMARY_COLUMNS}
 
 
-def sweep_rows(rows: list[SweepRow]):
-    for row in rows:
-        if row.result is None:
-            yield (
-                row.kind.value,
-                row.node,
-                row.penetration_pct,
-                None,
-                None,
-                None,
-                None,
-                None,
-                None,
-                None,
-                None,
-                row.error,
-            )
-        else:
-            r = row.result
-            yield (
-                row.kind.value,
-                row.node,
-                row.penetration_pct,
-                r.mean_vuf_pct,
-                r.max_vuf_pct,
-                r.neutral_loss_kwh,
-                r.phase_loss_kwh,
-                r.max_drop_pct,
-                r.max_rise_pct,
-                r.sum_drop_at.get("N1"),
-                r.sum_drop_at.get("N5"),
-                "",
-            )
+def cell_values(row: SweepRow) -> dict[str, Any]:
+    """Every column a sweep file can show for one cell, keyed by column
+    name: the cell's place and ``error`` (empty for a cell that ran), and
+    for a cell that ran its summary values, the summed drops at N1 and N5
+    and the total loss."""
+    values = {
+        "kind": row.kind.value,
+        "node": row.node,
+        "penetration_pct": row.penetration_pct,
+        "error": row.error or "",
+    }
+    if row.result is not None:
+        r = row.result
+        values.update(
+            result_values(r),
+            sum_drop_n1_pct=r.sum_drop_at.get("N1"),
+            sum_drop_n5_pct=r.sum_drop_at.get("N5"),
+            total_loss_kwh=r.phase_loss_kwh + r.neutral_loss_kwh,
+        )
+    return values
+
+
+def _write_table(path: Path, columns: Sequence[str], records: Iterable[dict]) -> Path:
+    """Write ``columns`` of each record (a dict keyed by column name) as one
+    CSV row and return ``path``; a column a record lacks is an empty cell."""
+    write_csv_atomic(path, columns, csv_lines([rec.get(c) for c in columns] for rec in records))
+    return path
 
 
 def _write_run_outputs(cfg: RunConfig, result: ScenarioResult, out_dir: Path) -> list[Path]:
@@ -715,78 +713,25 @@ def _write_run_outputs(cfg: RunConfig, result: ScenarioResult, out_dir: Path) ->
         written.append(path)
     if cfg.write_summary:
         path = out_dir / f"{cfg.label}-summary.csv"
-        write_csv_atomic(path, SUMMARY_COLUMNS, csv_lines([summary_row(result)]))
-        written.append(path)
+        written.append(_write_table(path, SUMMARY_COLUMNS, [result_values(result)]))
     return written
 
 
 def _write_sweep_outputs(cfg: RunConfig, rows: list[SweepRow], out_dir: Path) -> list[Path]:
-    written = [out_dir / f"{cfg.label}-sweep.csv"]
-    write_csv_atomic(written[0], SWEEP_COLUMNS, csv_lines(sweep_rows(rows)))
-
-    ok = [r for r in rows if r.result is not None]
-    losses = out_dir / f"{cfg.label}-fig-losses.csv"
-    write_csv_atomic(
-        losses,
-        ("kind", "node", "penetration_pct", "phase_loss_kwh", "neutral_loss_kwh", "total_loss_kwh"),
-        csv_lines(
-            (
-                r.kind.value,
-                r.node,
-                r.penetration_pct,
-                r.result.phase_loss_kwh,
-                r.result.neutral_loss_kwh,
-                r.result.phase_loss_kwh + r.result.neutral_loss_kwh,
-            )
-            for r in ok
-        ),
-    )
-    vuf = out_dir / f"{cfg.label}-fig-vuf.csv"
-    write_csv_atomic(
-        vuf,
-        ("kind", "node", "penetration_pct", "mean_vuf_pct", "max_vuf_pct"),
-        csv_lines(
-            (r.kind.value, r.node, r.penetration_pct, r.result.mean_vuf_pct, r.result.max_vuf_pct)
-            for r in ok
-        ),
-    )
-    drop = out_dir / f"{cfg.label}-fig-drop.csv"
-    write_csv_atomic(
-        drop,
-        (
-            "kind",
-            "node",
-            "penetration_pct",
-            "sum_drop_n1_pct",
-            "sum_drop_n5_pct",
-            "max_drop_pct",
-            "max_rise_pct",
-        ),
-        csv_lines(
-            (
-                r.kind.value,
-                r.node,
-                r.penetration_pct,
-                r.result.sum_drop_at.get("N1"),
-                r.result.sum_drop_at.get("N5"),
-                r.result.max_drop_pct,
-                r.result.max_rise_pct,
-            )
-            for r in ok
-        ),
-    )
-    manifest = out_dir / f"{cfg.label}-failures.csv"
-    write_csv_atomic(
-        manifest,
-        ("kind", "node", "penetration_pct", "error"),
-        csv_lines(
-            (r.kind.value, r.node, r.penetration_pct, r.error)
-            for r in rows
-            if r.error is not None
-        ),
-    )
-    written.extend([losses, vuf, drop, manifest])
-    return written
+    """The sweep table, the extracts of the cells that ran and the manifest
+    of the cells that failed, in that order."""
+    cells = [cell_values(row) for row in rows]
+    ran = [cell for cell, row in zip(cells, rows) if row.result is not None]
+    failed = [cell for cell, row in zip(cells, rows) if row.result is None]
+    tables = [
+        ("sweep", SWEEP_COLUMNS, cells),
+        *((name, columns, ran) for name, columns in SWEEP_EXTRACTS.items()),
+        ("failures", (*_CELL, "error"), failed),
+    ]
+    return [
+        _write_table(out_dir / f"{cfg.label}-{name}.csv", columns, records)
+        for name, columns, records in tables
+    ]
 
 
 # --- commands ----------------------------------------------------------------
@@ -827,19 +772,22 @@ def _emit_config(doc: dict, label: str, out_dir: Path) -> None:
     os.replace(tmp, out_dir / f"{label}-config.json")
 
 
-def _parse_or_config_error(doc: dict, source: str) -> RunConfig:
-    """Any failure while building the model from a config is a config error."""
+@contextmanager
+def _config_errors(source: str, field: str) -> Iterator[None]:
+    """Any failure while building the model from a config is a config
+    error, at ``field`` unless it names its own."""
     try:
-        return parse_config(doc, source)
+        yield
     except ConfigInvalid:
         raise
     except (PhasebalError, ValueError) as exc:
-        raise ConfigInvalid(source, "scenario", str(exc)) from exc
+        raise ConfigInvalid(source, field, str(exc)) from exc
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     doc, source = _load_config(args)
-    cfg = _parse_or_config_error(doc, source)
+    with _config_errors(source, "scenario"):
+        cfg = parse_config(doc, source)
     if cfg.scenario is None:
         raise ConfigInvalid(source, "scenario", "'run' needs a 'scenario' config (not 'sweep')")
     result = run_scenario(cfg.scenario, cfg.settings)
@@ -853,11 +801,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     doc, source = _load_config(args)
-    cfg = _parse_or_config_error(doc, source)
+    with _config_errors(source, "scenario"):
+        cfg = parse_config(doc, source)
     if cfg.sweep_template is None:
         raise ConfigInvalid(source, "sweep", "'sweep' needs a 'sweep' config (not 'scenario')")
     pens, nodes, kinds = cfg.sweep_grid
-    rows = sweep_and_tabulate(cfg.sweep_template, pens, nodes, kinds, cfg.settings)
+    with _config_errors(source, "sweep"):  # every cell is built before any runs
+        rows = sweep_and_tabulate(cfg.sweep_template, pens, nodes, kinds, cfg.settings)
     out_dir = Path(args.out)
     _emit_config(doc, cfg.label, out_dir)
     written = _write_sweep_outputs(cfg, rows, out_dir)
@@ -876,23 +826,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     report = analyze_series(series)
     out_dir = Path(args.out)
     stem = Path(args.csv).stem
-    row_header = ["timestamp", "spread_kw", "neutral_proxy_a", "pf_a", "pf_b", "pf_c"]
+    columns = ["timestamp", "spread_kw", "neutral_proxy_a", "pf_a", "pf_b", "pf_c"]
     if series.i_n_a is not None:
-        row_header.append("i_n_measured_a")
-    rows_path = out_dir / f"{stem}-imbalance.csv"
-    write_csv_atomic(
-        rows_path,
-        row_header,
-        csv_lines([row.get(col) for col in row_header] for row in report.rows),
-    )
-    hourly_path = out_dir / f"{stem}-hourly.csv"
-    write_csv_atomic(
-        hourly_path,
-        ("hour", "mean_spread_kw", "max_spread_kw"),
-        csv_lines((h["hour"], h["mean_spread_kw"], h["max_spread_kw"]) for h in report.hourly),
-    )
-    print(rows_path)
-    print(hourly_path)
+        columns.append("i_n_measured_a")
+    hourly = ("hour", "mean_spread_kw", "max_spread_kw")
+    for path in (
+        _write_table(out_dir / f"{stem}-imbalance.csv", columns, report.rows),
+        _write_table(out_dir / f"{stem}-hourly.csv", hourly, report.hourly),
+    ):
+        print(path)
     return 0
 
 

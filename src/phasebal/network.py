@@ -14,6 +14,7 @@ Conventions:
 from __future__ import annotations
 
 import cmath
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -58,6 +59,13 @@ MAX_SEGMENT_KM = 1e4
 
 DEFAULT_V_BASE_LN = 230.0
 DEFAULT_S_BASE_KVA = 100.0
+
+#: Accepted base line-to-neutral voltages, V: from below any supply voltage
+#: to above any grid's (1,100 kV line-to-line is 635 kV line-to-neutral).
+#: Far outside them the solver overflows: the squares of the RMS voltage
+#: above 1.3e154 V, the device currents S / V of kW loads near 1e-305 V.
+MIN_V_BASE_LN = 1.0
+MAX_V_BASE_LN = 1e6
 
 
 class DeviceKind(str, Enum):
@@ -217,10 +225,12 @@ def build_feeder(spec: FeederSpec) -> Feeder:
         raise UnknownNode(spec.source_node, "source node")
     node_set = set(nodes)
 
-    if not spec.v_base_ln > 0:
-        raise ValueError(f"v_base_ln must be > 0, got {spec.v_base_ln}")
-    if not spec.s_base_kva > 0:
-        raise ValueError(f"s_base_kva must be > 0, got {spec.s_base_kva}")
+    if not MIN_V_BASE_LN <= spec.v_base_ln <= MAX_V_BASE_LN:
+        raise ValueError(
+            f"v_base_ln must be in [{MIN_V_BASE_LN:g}, {MAX_V_BASE_LN:g}] V, got {spec.v_base_ln!r}"
+        )
+    if not 0 < spec.s_base_kva < math.inf:
+        raise ValueError(f"s_base_kva must be finite and > 0, got {spec.s_base_kva!r}")
 
     # Union-find cycle check; a segment joining two already-connected nodes
     # closes a loop regardless of the overall edge count.

@@ -49,6 +49,10 @@ from .network import CONDUCTORS, Device, Feeder
 _IDX = {"A": 0, "B": 1, "C": 2, "N": 3}
 _COLLAPSE_PU = 0.5
 
+#: Most sweep passes a solve may take: a hundred times the default, so that a
+#: tolerance no pass can reach still ends in NonConvergence.
+MAX_ITER = 10_000
+
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -56,14 +60,16 @@ class SolverSettings:
     max_iter: int = 100
 
     def __post_init__(self) -> None:
-        if not self.tol_pu > 0:
-            raise ValueError(f"tol_pu must be > 0, got {self.tol_pu}")
+        if not 0 < self.tol_pu < math.inf:
+            raise ValueError(f"tol_pu must be finite and > 0, got {self.tol_pu}")
         if isinstance(self.max_iter, float):  # JSON Schema's integers include 5.0
             if not self.max_iter.is_integer():
                 raise ValueError(f"max_iter must be an integer, got {self.max_iter}")
             object.__setattr__(self, "max_iter", int(self.max_iter))
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.max_iter > MAX_ITER:
+            raise ValueError(f"max_iter must be at most {MAX_ITER}, got {self.max_iter}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -125,6 +125,12 @@ class StylizedScheduleCfg:
     ev_window: tuple[float, float] = (18.0, 23.0)
     target_phase: Phase = Phase.A
 
+    def __post_init__(self) -> None:
+        for name in ("dg_window", "ev_window"):
+            window = getattr(self, name)
+            if not all(-math.inf < h < math.inf for h in window):
+                raise ValueError(f"schedule {name} must be finite, got {window!r}")
+
 
 def next_soc(battery: Battery, soc_kwh: float, p_kw: float, q_kvar: float, dt_h: float) -> float:
     """State of charge after drawing p_kw / q_kvar for dt_h hours from

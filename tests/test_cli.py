@@ -401,6 +401,21 @@ class TestRunCommand:
         assert main(["run", path, "--out", str(out)]) == 0
         assert (out / "tiny-summary.csv").exists()
 
+    @pytest.mark.parametrize(
+        "switch, written",
+        [
+            ("timeseries", ["config.json", "summary.csv"]),
+            ("summary", ["config.json", "timeseries.csv"]),
+        ],
+    )
+    def test_output_switch_leaves_its_file_out(self, tmp_path, capsys, switch, written):
+        doc = preset_config("a1-n5")
+        doc["output"] = {switch: False}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [f"a1-n5-{name}" for name in written]
+        assert capsys.readouterr().out.split() == [str(out / f"a1-n5-{written[1]}")]
+
     def test_integral_float_max_iter_runs_that_many_passes(self, tmp_path):
         """JSON Schema counts 5.0 as an integer: it runs as max_iter 5.
         baseline-n1 converges on pass 5 at every step, so 5 is the fewest
@@ -622,6 +637,64 @@ class TestRunCommand:
         assert not out.exists() or not list(out.iterdir())
         assert "collapse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, solver",
+        [
+            (["--tol", "inf"], None),
+            ([], {"tol_pu": math.inf}),
+            ([], {"tol_pu": math.nan}),
+            ([], {"max_iter": 1e308, "tol_pu": 5e-324}),
+        ],
+        ids=["tol-flag", "inf", "nan", "endless"],
+    )
+    def test_solver_setting_out_of_range_exits_2_and_names_solver(
+        self, tmp_path, capsys, argv, solver
+    ):
+        """An infinite tolerance would stop after one pass with an answer
+        that has not converged, and write Infinity (not JSON) into the
+        config copy; a tolerance no pass reaches with unbounded passes
+        would never end."""
+        doc = preset_config("a2-n5")
+        if solver is not None:
+            doc["solver"] = solver
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out), *argv]) == 2
+        assert "invalid config at 'solver'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("v_base_ln", math.inf, "v_base_ln must be in [1, 1e+06] V, got inf"),
+            ("v_base_ln", math.nan, "v_base_ln must be in [1, 1e+06] V, got nan"),
+            ("v_base_ln", 1e300, "v_base_ln must be in [1, 1e+06] V, got 1e+300"),
+            ("v_base_ln", 5e-324, "v_base_ln must be in [1, 1e+06] V, got 5e-324"),
+            ("s_base_kva", math.inf, "s_base_kva must be finite and > 0, got inf"),
+            ("s_base_kva", math.nan, "s_base_kva must be finite and > 0, got nan"),
+        ],
+        ids=["v-inf", "v-nan", "v-1e300", "v-subnormal", "s-inf", "s-nan"],
+    )
+    def test_base_value_out_of_range_exits_2_and_names_it(
+        self, tmp_path, capsys, field, value, named
+    ):
+        """Infinity ended in a residual of nan V after numpy warnings, and
+        1e300 V in inf in every v_rms_v cell; a subnormal voltage overflows
+        the device currents."""
+        doc = json.loads(json.dumps(CUSTOM_DOC))
+        doc["scenario"]["feeder"][field] = value
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_schedule_window_exits_2_and_names_it(self, tmp_path, capsys):
+        doc = json.loads((Path(__file__).parent / "golden" / "quoting.json").read_text())
+        doc["scenario"]["schedule"]["ev_window"][1] = math.nan
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert "schedule ev_window must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
         assert main(["run", "--preset", "nope", "--out", str(tmp_path)]) == 2
         assert "nope" in capsys.readouterr().err
@@ -693,11 +766,30 @@ class TestGoldenFiles:
         multiday = ("multiday-a2-noshift", "multiday-greedy-a3")
         for label in greedy + multiday:
             assert main(["run", str(golden_dir / f"{label}.json"), "--out", str(out)]) == 0
+        # a sweep whose collapsed cells fill the error column and the manifest
+        # and are left out of the extracts
+        assert main(["sweep", str(golden_dir / "sweep-overload.json"), "--out", str(out)]) == 0
+        # measured series with every optional column, ISO stamps and an
+        # all-zero row (empty power factors), and with the base columns only
+        measured = ("measured-full", "measured-base")
+        for stem in measured:
+            assert main(["ingest", str(golden_dir / f"{stem}.csv"), "--out", str(out)]) == 0
+        extracts = ("fig-losses", "fig-vuf", "fig-drop")
         for name, golden in (
             ("golden-summary.csv", "golden-summary.csv"),
             ("golden-timeseries.csv", "golden-timeseries.csv"),
             ("golden-quoting-timeseries.csv", "golden-quoting-timeseries.csv"),
             ("grid-compact-sweep.csv", "golden-sweep.csv"),
+            *((f"grid-compact-{x}.csv", f"golden-{x}.csv") for x in extracts),
+            *(
+                (f"sweep-overload-{x}.csv", f"golden-sweep-overload-{x}.csv")
+                for x in ("sweep", *extracts, "failures")
+            ),
+            *(
+                (f"{stem}-{report}.csv", f"golden-{stem}-{report}.csv")
+                for stem in measured
+                for report in ("imbalance", "hourly")
+            ),
             ("a2-n5-noshift-timeseries.csv", "golden-a2-n5-noshift-timeseries.csv"),
             ("a1-n0-timeseries.csv", "golden-a1-n0-timeseries.csv"),
             *(
@@ -844,6 +936,44 @@ class TestSweepCommand:
         manifest = (out / "ov-failures.csv").read_text().splitlines()
         assert len(manifest) == 2
         assert "failed" in capsys.readouterr().err
+
+
+    def test_output_switches_exit_2_and_are_named(self, tmp_path, capsys):
+        """A sweep always writes its five tables; ``output`` was ignored."""
+        doc = preset_config("grid-compact")
+        doc["output"] = {"summary": False}
+        out = tmp_path / "out"
+        assert main(["sweep", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert "invalid config at 'output'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_rejects_scenario_config(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--preset", "a1-n5", "--out", str(out)]) == 2
+        assert "invalid config at 'sweep'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("nodes", ["N1", "N7"], "unknown node 'N7'"),
+            ("penetrations_pct", [0, math.nan], "penetration_pct must be in [0, 200], got nan"),
+            ("total_phase_load_kw", 1e308, "s_rated_kva * 1000 must be finite"),
+        ],
+        ids=["node", "nan-penetration", "va-overflow"],
+    )
+    def test_cell_that_cannot_be_built_exits_2_and_names_sweep(
+        self, tmp_path, capsys, field, value, named
+    ):
+        """Every cell is built before any runs; an unknown node exited 3,
+        the others 2 without naming the field."""
+        doc = preset_config("grid-compact")
+        doc["sweep"][field] = value
+        out = tmp_path / "out"
+        assert main(["sweep", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config at 'sweep'" in err and named in err
+        assert not out.exists()
 
 
 class TestIngestCommand:

@@ -1,0 +1,164 @@
+"""CLI fuzz property: edge values in the bundled configs never crash the CLI.
+
+Each example takes a preset or golden config, sets one or two of its
+numeric or string leaves (solver settings and feeder base values included)
+to an edge value and runs ``main`` in process. numpy warnings are errors
+here (pyproject's pytest settings), so an overflow inside the solver fails
+the example instead of passing as a warning.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from phasebal.cli import main
+from phasebal.network import DEFAULT_S_BASE_KVA, DEFAULT_V_BASE_LN
+from phasebal.powerflow import SolverSettings
+from phasebal.presets import preset_config, preset_names
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def _source_docs() -> dict[str, dict]:
+    """The presets and golden configs, with the solver settings and (for a
+    custom feeder) the base values spelled out at their defaults so that
+    they are leaves to mutate."""
+    docs = {name: preset_config(name) for name in preset_names()}
+    for path in sorted(GOLDEN_DIR.glob("*.json")):
+        docs[path.stem] = json.loads(path.read_text(encoding="utf-8"))
+    defaults = SolverSettings()
+    for doc in docs.values():
+        doc["solver"] = {"tol_pu": defaults.tol_pu, "max_iter": defaults.max_iter}
+        feeder = doc.get("scenario", {}).get("feeder")
+        if feeder is not None:
+            feeder.update(v_base_ln=DEFAULT_V_BASE_LN, s_base_kva=DEFAULT_S_BASE_KVA)
+    return docs
+
+
+SOURCES = _source_docs()
+
+EDGE_NUMBERS = [
+    0.0,
+    -0.0,
+    5e-324,  # the least subnormal
+    -5e-324,
+    2.2250738585072014e-308,  # the least normal
+    1e308,
+    -1e308,
+    math.inf,
+    -math.inf,
+    math.nan,
+    2**1024,  # an integer too large for a float
+    -(10**400),
+]
+
+# control characters, quotes, CSV delimiters and line breaks of every kind
+NAME_CHARS = st.sampled_from(
+    ['"', "'", ",", "\n", "\r", "\t", "\0", "\x1b", "\x7f", "\x85", " ", "\\", "/", "\u2028", "a"]
+)
+
+#: Text columns; every other cell is a number or empty.
+TEXT_COLUMNS = {"kind", "node", "label", "error"}
+
+
+def leaves(doc, path=()):
+    """(path, value) of every number and string in ``doc``."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from leaves(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from leaves(value, path + (i,))
+    elif isinstance(doc, (int, float, str)) and not isinstance(doc, bool):
+        yield path, doc
+
+
+def edge_values(value):
+    """Edge numbers for a number; for a string, control characters and
+    quotes, alone or after the string."""
+    if isinstance(value, str):
+        text = st.text(NAME_CHARS, max_size=4)
+        return text | text.map(lambda tail: value + tail)
+    return st.sampled_from(EDGE_NUMBERS)
+
+
+@st.composite
+def mutations(draw):
+    """(source name, [(leaf path, new value)]) for one or two leaves."""
+    source = draw(st.sampled_from(sorted(SOURCES)))
+    sites = list(leaves(SOURCES[source]))
+    picks = draw(
+        st.lists(st.sampled_from(sites), min_size=1, max_size=2, unique_by=lambda site: site[0])
+    )
+    return source, [(path, draw(edge_values(value))) for path, value in picks]
+
+
+def with_leaf(doc, path, new):
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+
+
+def assert_tables_read_back(out: Path) -> None:
+    """Every CSV reads back into header-width rows whose cells outside the
+    text columns are empty or finite floats; the echoed config is JSON."""
+    for path in out.glob("*.csv"):
+        with open(path, newline="", encoding="utf-8") as handle:
+            header, *rows = list(csv.reader(handle))
+        numeric = [i for i, name in enumerate(header) if name not in TEXT_COLUMNS]
+        for row in rows:
+            assert len(row) == len(header), (path.name, row)
+            for i in numeric:
+                assert row[i] == "" or math.isfinite(float(row[i])), (path.name, header[i], row)
+    for path in out.glob("*-config.json"):
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_not_json)
+
+
+def _not_json(name: str):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def run_mutated(source: str, changes: list[tuple[tuple, object]]) -> None:
+    doc = json.loads(json.dumps(SOURCES[source]))
+    for path, new in changes:
+        with_leaf(doc, path, new)
+    command = "sweep" if "sweep" in doc else "run"
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, str(config), "--out", str(out)])
+        assert code in (0, 2, 3), (code, err.getvalue())
+        if code == 2:
+            assert "invalid config at '" in err.getvalue(), err.getvalue()
+        if code == 0:
+            assert_tables_read_back(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations())
+# sweep cells that cannot be built: a NaN penetration passes the schema's
+# bounds, and a load whose VA figure overflows
+@example(("grid-compact", [(("sweep", "penetrations_pct", 5), math.nan)]))
+@example(("sweep-overload", [(("sweep", "total_phase_load_kw"), 1e308)]))
+# a clock window that never opens, echoed as NaN into the config copy
+@example(("quoting", [(("scenario", "schedule", "ev_window", 1), math.nan)]))
+# a base voltage whose device currents overflow
+@example(("golden", [(("scenario", "feeder", "v_base_ln"), 5e-324)]))
+# a tolerance no pass reaches, with passes that never run out
+@example(("overload-n5", [(("solver", "max_iter"), 1e308), (("solver", "tol_pu"), 5e-324)]))
+def test_edge_values_exit_cleanly(mutation):
+    source, changes = mutation
+    run_mutated(source, changes)

@@ -16,6 +16,8 @@ from phasebal.errors import (
 )
 from phasebal.network import (
     MAX_SEGMENT_KM,
+    MAX_V_BASE_LN,
+    MIN_V_BASE_LN,
     Device,
     DeviceKind,
     FeederSpec,
@@ -95,6 +97,23 @@ class TestBuildFeeder:
         with pytest.raises(ValueError, match=r"segment N0->N1 length_km must be finite"):
             seg("N0", "N1", km=km)
         seg("N0", "N1", km=MAX_SEGMENT_KM)
+
+    @pytest.mark.parametrize(
+        "v_base_ln", [math.inf, math.nan, 1e300, MAX_V_BASE_LN * 1.5, 5e-324, 0.5, 0.0]
+    )
+    def test_base_voltage_must_be_in_range(self, v_base_ln):
+        """Beyond the range the RMS voltage's squares or the device currents
+        overflow in the solver."""
+        spec = FeederSpec("N0", ["N0", "N1"], [seg("N0", "N1")], v_base_ln=v_base_ln)
+        with pytest.raises(ValueError, match=r"v_base_ln must be in \[1, 1e\+06\] V"):
+            build_feeder(spec)
+        for v in (MIN_V_BASE_LN, MAX_V_BASE_LN):
+            assert build_feeder(FeederSpec("N0", ["N0"], v_base_ln=v)).v_base_ln == v
+
+    @pytest.mark.parametrize("s_base_kva", [math.inf, math.nan, 0.0])
+    def test_base_power_must_be_finite_and_positive(self, s_base_kva):
+        with pytest.raises(ValueError, match="s_base_kva must be finite and > 0"):
+            build_feeder(FeederSpec("N0", ["N0"], s_base_kva=s_base_kva))
 
     def test_impedance_times_length_must_be_finite(self):
         with pytest.raises(ValueError, match=r"segment N0->N1 z_mutual_per_km \* length_km"):

@@ -13,6 +13,7 @@ from conftest import kcl_residual, kvl_residual, max_voltage_gap, random_feeder,
 from phasebal.errors import NonConvergence, ScenarioStepError, VoltageCollapse
 from phasebal.network import Device, DeviceKind, Phase, chain_feeder
 from phasebal.powerflow import (
+    MAX_ITER,
     SolverSettings,
     oracle_solve,
     power_balance_residual_kw,
@@ -255,3 +256,16 @@ class TestSolverSettings:
     def test_max_iter_below_one_rejected(self, max_iter):
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             SolverSettings(max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [MAX_ITER + 1, 1e308, 2**1024])
+    def test_max_iter_is_bounded(self, max_iter):
+        """Else a tolerance that no pass reaches runs without end."""
+        with pytest.raises(ValueError, match=f"max_iter must be at most {MAX_ITER}"):
+            SolverSettings(max_iter=max_iter)
+        assert SolverSettings(max_iter=MAX_ITER).max_iter == MAX_ITER
+
+    @pytest.mark.parametrize("tol_pu", [math.inf, math.nan, 0.0, -1e-8])
+    def test_tolerance_must_be_finite_and_positive(self, tol_pu):
+        """An infinite tolerance would stop every solve after one pass."""
+        with pytest.raises(ValueError, match="tol_pu must be finite and > 0"):
+            SolverSettings(tol_pu=tol_pu)

@@ -252,6 +252,13 @@ class TestZeroSumShift:
 class TestFixedSchedule:
     CFG = StylizedScheduleCfg()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["dg_window", "ev_window"])
+    def test_window_bounds_must_be_finite(self, name, bad):
+        """A NaN or infinite bound leaves a window that never opens."""
+        with pytest.raises(ValueError, match=f"schedule {name} must be finite"):
+            StylizedScheduleCfg(**{name: (10.0, bad)})
+
     def requests(self, t_h: float, arch: Architecture, p_max_kw: list[float]):
         phases, raw = schedule_requests(np.array([t_h]), arch, self.CFG, p_max_kw)
         return phases, raw[0].tolist()
