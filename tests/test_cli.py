@@ -766,6 +766,9 @@ class TestGoldenFiles:
         multiday = ("multiday-a2-noshift", "multiday-greedy-a3")
         for label in greedy + multiday:
             assert main(["run", str(golden_dir / f"{label}.json"), "--out", str(out)]) == 0
+        # a branched 150-node tree: a bus with 24 children, a 30-level branch,
+        # single-phase PV and EV, segments declared out of breadth-first order
+        assert main(["run", str(golden_dir / "tree-150.json"), "--out", str(out)]) == 0
         # a sweep whose collapsed cells fill the error column and the manifest
         # and are left out of the extracts
         assert main(["sweep", str(golden_dir / "sweep-overload.json"), "--out", str(out)]) == 0
@@ -790,6 +793,8 @@ class TestGoldenFiles:
                 for stem in measured
                 for report in ("imbalance", "hourly")
             ),
+            ("tree-150-timeseries.csv", "golden-tree-150-timeseries.csv"),
+            ("tree-150-summary.csv", "golden-tree-150-summary.csv"),
             ("a2-n5-noshift-timeseries.csv", "golden-a2-n5-noshift-timeseries.csv"),
             ("a1-n0-timeseries.csv", "golden-a1-n0-timeseries.csv"),
             *(
