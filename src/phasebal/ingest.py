@@ -52,12 +52,15 @@ class ImbalanceReport:
 
 
 def _parse_timestamp(raw: str, row: int) -> tuple[float, float]:
-    """Return (sort key, hour of day). Accepts plain hours or ISO 8601."""
+    """Return (sort key, hour of day). Accepts finite plain hours or ISO 8601."""
     try:
         hours = float(raw)
-        return hours, hours % 24.0
     except ValueError:
         pass
+    else:
+        if not math.isfinite(hours):
+            raise SchemaMismatch(f"row {row}: timestamp {raw!r} is not finite")
+        return hours, hours % 24.0
     try:
         stamp = datetime.fromisoformat(raw)
     except ValueError:
@@ -68,8 +71,9 @@ def _parse_timestamp(raw: str, row: int) -> tuple[float, float]:
 def read_measured_series(path: str) -> MeasuredSeries:
     """Parse and validate a measured-series CSV.
 
-    Raises SchemaMismatch for an unexpected header or malformed cells and
-    NonMonotonicTimestamps when timestamps do not strictly increase.
+    Raises SchemaMismatch for an unexpected header or malformed or
+    non-finite cells, and NonMonotonicTimestamps when timestamps do not
+    strictly increase.
     """
     with open(path, "r", newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -102,6 +106,9 @@ def read_measured_series(path: str) -> MeasuredSeries:
                 values = [float(cell) for cell in row[1:]]
             except ValueError as exc:
                 raise SchemaMismatch(f"row {i}: {exc}") from None
+            for column, cell, value in zip(header[1:], row[1:], values):
+                if not math.isfinite(value):
+                    raise SchemaMismatch(f"row {i}: {column} {cell!r} is not finite")
             timestamps.append(row[0])
             hours.append(hour)
             p_rows.append((values[0], values[1], values[2]))
@@ -133,17 +140,29 @@ def neutral_current_proxy(
 
 
 def analyze_series(series: MeasuredSeries, v_base_ln: float = 230.0) -> ImbalanceReport:
-    """Per-row spread/proxy/power factor plus per-clock-hour spread stats."""
+    """Per-row spread/proxy/power factor plus per-clock-hour spread stats.
+
+    Raises SchemaMismatch naming the row (counted as in the file, from 1)
+    whose spread or neutral proxy overflows, or the clock hour whose mean
+    spread does.
+    """
     rows: list[dict[str, object]] = []
     by_hour: dict[int, list[float]] = {}
     for i, stamp in enumerate(series.timestamps):
         p = series.p_kw[i]
         q = series.q_kvar[i] if series.q_kvar is not None else (0.0, 0.0, 0.0)
         spread = max(p) - min(p)
+        try:
+            proxy = neutral_current_proxy(p, q, v_base_ln)
+        except OverflowError:  # abs() of a complex whose magnitude overflows
+            proxy = math.inf
+        for name, value in (("spread_kw", spread), ("neutral_proxy_a", proxy)):
+            if not math.isfinite(value):
+                raise SchemaMismatch(f"row {i + 1}: {name} overflows")
         row: dict[str, object] = {
             "timestamp": stamp,
             "spread_kw": spread,
-            "neutral_proxy_a": neutral_current_proxy(p, q, v_base_ln),
+            "neutral_proxy_a": proxy,
         }
         for label, pk, qk in zip(("a", "b", "c"), p, q):
             if series.q_kvar is None or math.hypot(pk, qk) == 0.0:
@@ -155,12 +174,10 @@ def analyze_series(series: MeasuredSeries, v_base_ln: float = 230.0) -> Imbalanc
         rows.append(row)
         by_hour.setdefault(int(series.hours[i]) % 24, []).append(spread)
 
-    hourly = [
-        {
-            "hour": float(hour),
-            "mean_spread_kw": sum(values) / len(values),
-            "max_spread_kw": max(values),
-        }
-        for hour, values in sorted(by_hour.items())
-    ]
+    hourly = []
+    for hour, values in sorted(by_hour.items()):
+        mean = sum(values) / len(values)
+        if not math.isfinite(mean):
+            raise SchemaMismatch(f"hour {hour}: mean_spread_kw overflows")
+        hourly.append({"hour": float(hour), "mean_spread_kw": mean, "max_spread_kw": max(values)})
     return ImbalanceReport(rows=rows, hourly=hourly)

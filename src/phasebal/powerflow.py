@@ -116,14 +116,23 @@ def source_phasors(v_base_ln: float) -> tuple[complex, complex, complex]:
 
 
 class Topology:
-    """Index arrays and stacked segment impedances of one feeder.
+    """Index arrays and stacked impedances of one feeder.
 
     ``index`` maps node name to its row (breadth-first order, source 0);
     ``parent`` and ``feed_seg`` give each node's parent row and feeding
-    segment (-1 at the source); ``levels[d]`` holds the rows at depth d + 1
-    in decreasing order, which is the order the leaf-to-root accumulation
-    adds siblings into their parent; ``z`` stacks the 4x4 segment
-    impedance matrices in ohms.
+    segment (-1 at the source), ``seg_child`` the child row of each
+    segment; ``z`` stacks the 4x4 segment impedance matrices in ohms in
+    segment order, and ``z_node`` the same matrices in node order (row i
+    holds the segment feeding node i + 1).
+
+    Breadth-first order makes each depth level one contiguous row range,
+    and the children of one parent adjacent rows. ``levels`` holds, for
+    depth 1, 2, ..., the level's rows as ``(lo, hi)``, its parents as a
+    slice or an index array, and its sibling-rank groups: the children
+    that are the r-th to add into their parent when siblings add from the
+    highest row down. Within a group no parent appears twice, so one plain
+    ``acc[:, parents] += acc[:, children]`` per group adds every child in
+    that order. Index arrays that are a unit-step range are kept as slices.
     """
 
     def __init__(self, feeder: Feeder) -> None:
@@ -131,31 +140,57 @@ class Topology:
         self.n = n
         self.v_base = feeder.v_base_ln
         self.index = {name: i for i, name in enumerate(feeder.nodes)}
+        index = self.index
+        seg_child = [index[seg.to_node] for seg in feeder.segments]
+        self.seg_child = np.array(seg_child, dtype=np.intp)
         self.parent = np.full(n, -1, dtype=np.intp)
+        self.parent[self.seg_child] = [index[seg.from_node] for seg in feeder.segments]
         self.feed_seg = np.full(n, -1, dtype=np.intp)
-        zp, zn, zm = [], [], []
-        for k, seg in enumerate(feeder.segments):
-            child = self.index[seg.to_node]
-            self.parent[child] = self.index[seg.from_node]
-            self.feed_seg[child] = k
-            zp.append(seg.z_phase_per_km * seg.length_km)
-            zn.append(seg.z_neutral_per_km * seg.length_km)
-            zm.append(seg.z_mutual_per_km * seg.length_km)
-        self.z = np.empty((len(zm), 4, 4), dtype=complex)
-        self.z[:] = np.array(zm, dtype=complex)[:, None, None]
+        self.feed_seg[self.seg_child] = np.arange(len(seg_child))
+        z = np.array(
+            [
+                (seg.z_phase_per_km * seg.length_km, seg.z_neutral_per_km * seg.length_km,
+                 seg.z_mutual_per_km * seg.length_km)
+                for seg in feeder.segments
+            ],
+            dtype=complex,
+        ).reshape(-1, 3)
+        self.z = np.empty((len(z), 4, 4), dtype=complex)
+        self.z[:] = z[:, 2, None, None]
         for c in range(3):
-            self.z[:, c, c] = zp
-        self.z[:, 3, 3] = zn
+            self.z[:, c, c] = z[:, 0]
+        self.z[:, 3, 3] = z[:, 1]
+        self.z_node = self.z[self.feed_seg[1:]]
 
-        depth = [0] * n
-        for i in range(1, n):  # parents precede children in breadth-first order
-            depth[i] = depth[self.parent[i]] + 1
-        depth_arr = np.array(depth)
+        par = self.parent.tolist()
+        if any(not 0 <= p < i for i, p in enumerate(par[1:], 1)) or par[1:] != sorted(par[1:]):
+            raise ValueError("feeder nodes are not in breadth-first order")
+        depth, rank = [0] * n, [0] * n
+        for i in range(1, n):
+            depth[i] = depth[par[i]] + 1
+        for i in range(n - 2, 0, -1):  # siblings sit on adjacent rows
+            if par[i] == par[i + 1]:
+                rank[i] = rank[i + 1] + 1
+        starts = [i for i in range(1, n) if depth[i] != depth[i - 1]]
         self.levels = [
-            np.flatnonzero(depth_arr == d)[::-1] for d in range(1, max(depth, default=0) + 1)
+            (lo, hi, _as_index(par[lo:hi]), []) for lo, hi in zip(starts, starts[1:] + [n])
         ]
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i in range(1, n):
+            groups.setdefault((depth[i], rank[i]), []).append(i)
+        for (d, _), children in sorted(groups.items()):
+            self.levels[d - 1][3].append((_as_index([par[c] for c in children]), _as_index(children)))
         self.flat = np.zeros((n, 4), dtype=complex)
         self.flat[:, :3] = source_phasors(self.v_base)
+        self.nominal = np.array([p * _COLLAPSE_PU for p in source_phasors(self.v_base)])
+
+
+def _as_index(rows: list[int]) -> slice | np.ndarray:
+    """``rows`` as a slice when they step by one (indexing with it then
+    copies no data), else as an index array."""
+    if all(b - a == 1 for a, b in zip(rows, rows[1:])):
+        return slice(rows[0], rows[-1] + 1)
+    return np.array(rows, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -199,54 +234,110 @@ def _effective_injections(
     return list(merged.values())
 
 
-def _device_currents(
-    topo: Topology, v: np.ndarray, node: np.ndarray, cond: np.ndarray, s_va: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Current drawn at each node per conductor, from constant-power devices.
+class _Kernel:
+    """The per-pass arithmetic of ``sweep_batch`` on work buffers allocated
+    once per call for its ``(row, entry)`` injections ``s_va``; a pass
+    works on the first rows of each buffer, the rows still running.
 
-    ``v`` is ``(batch, node, 4)``; entry e draws ``s_va[:, e]`` (VA) between
-    conductor ``cond[e]`` of row ``node[e]`` and that node's neutral:
-    I = conj(S / V_ln) leaves the phase and returns through the neutral.
-    Returns (sinks, v_min_pu) with the smallest line-to-neutral magnitude
-    seen by a nonzero entry per row (inf without one). The denominator is
-    clamped at 0.5 pu; a clamp shows up as v_min_pu < 0.5.
+    Entry e draws ``s_va[:, e]`` (VA) between conductor ``cond[e]`` of node
+    row ``node[e]`` and that node's neutral. ``take`` holds the flat indices
+    ``node*4 + cond`` and ``node*4 + 3`` into a ``(row, node*4)`` view of
+    the voltages, and ``bins`` the phase then the neutral indices, offset
+    by ``row * node*4``: the device sinks of all rows are two
+    ``np.bincount`` calls (real and imaginary parts) over the phase
+    currents followed by the negated neutral ones. The buffer the voltages
+    are gathered into holds those weights once the voltages are used up.
     """
-    floor = _COLLAPSE_PU * topo.v_base
-    v_ln = v[:, node, cond] - v[:, node, 3]
-    mag = np.hypot(v_ln.real, v_ln.imag)
-    live = s_va != 0
-    v_min = np.fmin.reduce(np.where(live, mag / topo.v_base, np.inf), axis=1, initial=np.inf)
-    low = mag < floor
-    if low.any():
-        nominal = np.array([p * _COLLAPSE_PU for p in source_phasors(topo.v_base)])[cond]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scaled = v_ln * (floor / mag)
-        v_ln = np.where(low, np.where(mag == 0.0, nominal, scaled), v_ln)
-    i_dev = np.where(live, np.conj(s_va / v_ln), 0)
-    sinks = np.zeros(v.shape, dtype=complex)
-    np.add.at(sinks, (slice(None), node, cond), i_dev)
-    np.subtract.at(sinks, (slice(None), node, 3), i_dev)
-    return sinks, v_min
 
+    def __init__(self, topo: Topology, node: np.ndarray, cond: np.ndarray, s_va: np.ndarray):
+        batch, entries = s_va.shape
+        self.topo = topo
+        self.cond = cond
+        self.s_va = s_va
+        self.dead = s_va == 0
+        self.take = node * 4 + cond, node * 4 + 3
+        self.bins = np.concatenate(self.take)
+        self.offset = np.arange(batch)[:, None] * (topo.n * 4)
+        self.gather = np.empty((2, batch, entries), dtype=complex)
+        self.acc = np.empty((batch, topo.n, 4), dtype=complex)
 
-def _branch_currents(topo: Topology, sinks: np.ndarray) -> np.ndarray:
-    """Accumulate branch currents leaf-to-root, deepest level first; within
-    a level siblings add into their parent from the highest row down."""
-    acc = sinks.copy()
-    for level in reversed(topo.levels):
-        np.add.at(acc, (slice(None), topo.parent[level]), acc[:, level])
-    currents = np.empty((sinks.shape[0], topo.z.shape[0], 4), dtype=complex)
-    currents[:, topo.feed_seg[1:]] = acc[:, 1:]
-    return currents
+    def keep(self, keep: np.ndarray, *buffers: np.ndarray) -> None:
+        """Keep the rows where ``keep`` holds, in order, moving them to the
+        front of ``buffers``."""
+        self.s_va, self.dead = self.s_va[keep], self.dead[keep]
+        for buffer in buffers:
+            buffer[: len(self.s_va)] = buffer[: len(keep)][keep]
 
+    def device_currents(self, v: np.ndarray) -> np.ndarray:
+        """Fill ``acc`` with the current each node draws per conductor at
+        the voltages ``v`` ``(row, node, 4)`` and return the smallest
+        line-to-neutral magnitude a nonzero entry sees per row, in pu (inf
+        without one).
 
-def _forward_voltages(topo: Topology, v: np.ndarray, currents: np.ndarray) -> np.ndarray:
-    """V_child = V_parent - Z I across all four conductors, root to leaf."""
-    drop = np.matmul(topo.z, currents[..., None])[..., 0]
-    v_new = v.copy()
-    for level in topo.levels:
-        v_new[:, level] = v_new[:, topo.parent[level]] - drop[:, topo.feed_seg[level]]
-    return v_new
+        I = conj(S / V_ln) leaves the phase and returns through the
+        neutral; the denominator is clamped at 0.5 pu, which shows up as a
+        minimum below 0.5. Each sink is the sum in entry order from +0.0
+        that adding entry by entry into zeros makes, bit for bit:
+
+        - ``bincount`` adds in input order starting from +0.0;
+        - phase and neutral bins never overlap;
+        - ``a - x`` and ``a + (-x)`` give the same bits;
+        - a dead entry adds exactly +0.0, never ``conj(0 / v)`` or a NaN.
+        """
+        rows, e = len(v), self.s_va.shape[1]
+        flat = v.reshape(rows, -1)
+        v_ln, v_n = self.gather[:, :rows]
+        np.take(flat, self.take[0], axis=1, out=v_ln, mode="clip")
+        np.take(flat, self.take[1], axis=1, out=v_n, mode="clip")
+        np.subtract(v_ln, v_n, out=v_ln)
+        spare = v_n.view(float)  # (row, 2 * entry), free once v_ln is made
+        mag = np.hypot(v_ln.real, v_ln.imag, out=spare[:, :e])
+        # dividing by v_base rounds monotonically, so it commutes with the minimum
+        v_min = np.fmin.reduce(mag, axis=1, where=~self.dead, initial=np.inf) / self.topo.v_base
+        floor = _COLLAPSE_PU * self.topo.v_base
+        low = mag < floor
+        if low.any():
+            nominal = self.topo.nominal[self.cond]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scaled = v_ln * (floor / mag)
+            v_ln[...] = np.where(low, np.where(mag == 0.0, nominal, scaled), v_ln)
+        q = np.divide(self.s_va, v_ln, out=v_ln)  # I = conj(q)
+        np.copyto(q, 0, where=self.dead)
+        bins, size, acc = (self.offset[:rows] + self.bins).ravel(), v.size, self.acc[:rows]
+        spare[:, :e] = q.real  # weights: the phase entries, then the negated neutral ones
+        np.negative(q.real, out=spare[:, e:])
+        acc.real = np.bincount(bins, spare.ravel(), size).reshape(acc.shape)
+        spare[:, e:] = q.imag
+        weights = q.view(float)
+        np.negative(spare[:, e:], out=weights[:, :e])
+        weights[:, e:] = spare[:, e:]
+        acc.imag = np.bincount(bins, weights.ravel(), size).reshape(acc.shape)
+        return v_min
+
+    def branch_currents(self, rows: int) -> np.ndarray:
+        """Accumulate the sinks in ``acc`` into branch currents leaf to
+        root, deepest level first; within a level siblings add into their
+        parent from the highest row down, one sibling-rank group at a time.
+        Returns ``acc[:rows]``, where each node holds the current of the
+        segment feeding it."""
+        acc = self.acc[:rows]
+        for _, _, _, groups in reversed(self.topo.levels):
+            for parents, children in groups:
+                acc[:, parents] += acc[:, children]
+        return acc
+
+    def forward_voltages(self, v: np.ndarray, v_new: np.ndarray) -> np.ndarray:
+        """V_child = V_parent - Z I across all four conductors, root to
+        leaf, into ``v_new``, whose source row holds the source. The drops
+        go into the rows they update, so each level is one subtraction in
+        place. Returns the largest |V_new - V| of each row, the change
+        written into ``v``."""
+        rows = len(v)
+        np.matmul(self.topo.z_node, self.acc[:rows, 1:, :, None], out=v_new[:, 1:, :, None])
+        for lo, hi, parents, _ in self.topo.levels:
+            np.subtract(v_new[:, parents], v_new[:, lo:hi], out=v_new[:, lo:hi])
+        change = np.subtract(v_new[:, 1:], v[:, 1:], out=v[:, 1:])
+        return np.abs(change).max(axis=(1, 2), initial=0.0)
 
 
 def sweep_batch(
@@ -262,39 +353,51 @@ def sweep_batch(
 
     A row leaves the batch on the pass where its largest voltage change
     falls to tol_pu * v_base_ln, or where a line-to-neutral voltage of a
-    nonzero entry falls below 0.5 pu (VoltageCollapse); rows still running
-    after ``max_iter`` passes fail with NonConvergence.
+    nonzero entry falls below 0.5 pu (VoltageCollapse). A row whose
+    largest change is not finite (an overflow) fails on that pass with
+    NonConvergence and that residual; rows still running after
+    ``max_iter`` passes fail with NonConvergence.
     """
     batch = s_va.shape[0]
     out_v = np.zeros((batch, topo.n, 4), dtype=complex)
     out_i = np.zeros((batch, topo.z.shape[0], 4), dtype=complex)
     iterations = np.zeros(batch, dtype=int)
     failures: dict[int, PhasebalError] = {}
+    kernel = _Kernel(topo, node, cond, s_va)
     rows = np.arange(batch)
     v = np.repeat(topo.flat[None], batch, axis=0)
+    v_new = v.copy()
     tol_v = settings.tol_pu * topo.v_base
     delta = np.full(batch, np.inf)
-    for it in range(1, settings.max_iter + 1):
-        if rows.size == 0:
-            break
-        sinks, v_min = _device_currents(topo, v, node, cond, s_va)
-        collapsed = v_min < _COLLAPSE_PU
-        if collapsed.any():
-            for row, v_pu in zip(rows[collapsed].tolist(), v_min[collapsed].tolist()):
-                failures[row] = VoltageCollapse(it, v_pu)
-            keep = ~collapsed
-            rows, v, s_va, sinks = rows[keep], v[keep], s_va[keep], sinks[keep]
-        currents = _branch_currents(topo, sinks)
-        v_new = _forward_voltages(topo, v, currents)
-        delta = np.abs(v_new - v).max(axis=(1, 2))
-        v = v_new
-        done = delta <= tol_v
-        if done.any():
-            out_v[rows[done]] = v[done]
-            out_i[rows[done]] = currents[done]
-            iterations[rows[done]] = it
-            keep = ~done
-            rows, v, s_va, delta = rows[keep], v[keep], s_va[keep], delta[keep]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, settings.max_iter + 1):
+            live = len(rows)
+            if live == 0:
+                break
+            v_min = kernel.device_currents(v[:live])
+            collapsed = v_min < _COLLAPSE_PU
+            if collapsed.any():
+                for row, v_pu in zip(rows[collapsed].tolist(), v_min[collapsed].tolist()):
+                    failures[row] = VoltageCollapse(it, v_pu)
+                keep = ~collapsed
+                kernel.keep(keep, v, kernel.acc)
+                rows, live = rows[keep], int(keep.sum())
+            currents = kernel.branch_currents(live)
+            delta = kernel.forward_voltages(v[:live], v_new[:live])
+            v, v_new = v_new, v
+            done = delta <= tol_v
+            diverged = ~np.isfinite(delta)
+            if done.any():
+                finished = np.flatnonzero(done)
+                out_v[rows[done]] = v[finished]
+                out_i[rows[done]] = currents[np.ix_(finished, topo.seg_child)]
+                iterations[rows[done]] = it
+            for row, residual in zip(rows[diverged].tolist(), delta[diverged].tolist()):
+                failures[row] = NonConvergence(it, residual)
+            if done.any() or diverged.any():
+                keep = ~(done | diverged)
+                kernel.keep(keep, v)
+                rows, delta = rows[keep], delta[keep]
     for row, residual in zip(rows.tolist(), delta.tolist()):
         failures[row] = NonConvergence(settings.max_iter, residual)
     return BatchSolution(out_v, out_i, iterations, failures)
@@ -360,19 +463,20 @@ def oracle_solve(
     v_fixed = v.reshape(-1)[fixed]
     tol_v = settings.tol_pu * feeder.v_base_ln
     delta = math.inf
+    kernel = _Kernel(topo, node, cond, s_va)
     for it in range(1, settings.max_iter + 1):
-        sinks, v_min = _device_currents(topo, v, node, cond, s_va)
+        v_min = kernel.device_currents(v)
         if v_min[0] < _COLLAPSE_PU:
             raise VoltageCollapse(it, float(v_min[0]))
-        rhs = -sinks.reshape(-1)[free] - y_uf @ v_fixed
+        rhs = -kernel.acc.reshape(-1)[free] - y_uf @ v_fixed
         v_new = v.copy()
         v_new.reshape(-1)[free] = np.linalg.solve(y_uu, rhs)
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
         if delta <= tol_v:
-            sinks, _ = _device_currents(topo, v, node, cond, s_va)
-            currents = _branch_currents(topo, sinks)
-            return VoltageSolution(feeder.nodes, v[0], currents[0], it)
+            kernel.device_currents(v)
+            currents = kernel.branch_currents(1)[0, topo.seg_child]
+            return VoltageSolution(feeder.nodes, v[0], currents, it)
     raise NonConvergence(settings.max_iter, delta)
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -96,6 +97,9 @@ CONTROLLERS = ("none", "fixed_schedule", "greedy")
 MAX_STEPS = 1_000_000
 
 _SWEEP_NODES = ("N1", "N2", "N3", "N4", "N5")
+
+#: Row of each phase in a node's conductor 4-vector (the neutral is 3).
+_PHASE_ROW = {ph: c for c, ph in enumerate(PHASES)}
 
 
 @dataclass(frozen=True)
@@ -294,65 +298,63 @@ def _complex_times_real(re: np.ndarray, im: np.ndarray, f) -> tuple[np.ndarray, 
 
 def _injection_entries(
     feeder: Feeder, index: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, int]]:
+) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
     """Injection entries in the order the devices sit on the feeder.
 
     A device takes one entry per connected phase. A storage device takes
     three (A, B, C): the phase its battery is dispatched on carries the
     power and the other two stay zero, so phase-selecting units need no
-    second layout. ``index`` maps node names to rows. Returns (node rows,
-    conductors, column of the entry's device among the non-storage devices
-    or -1 for storage, first entry of the device of each battery).
+    second layout. ``index`` maps node names to rows. Returns the entries
+    as flat keys ``node row * 4 + conductor``, the column of each entry's
+    device among the non-storage devices (-1 for storage), and the first
+    entry of the device of each battery.
     """
-    node, cond, owner = [], [], []
+    keys: list[int] = []
+    owner: list[int] = []
     battery_entry: dict[str, int] = {}
     col = 0
     for dev in feeder.devices:
+        base = index[dev.node] * 4
         if dev.kind is DeviceKind.STORAGE:
-            battery_entry[dev.battery_id] = len(node)
+            battery_entry[dev.battery_id] = len(keys)
             phases, dev_col = PHASES, -1
         else:
             phases, dev_col = dev.connected_phases, col
             col += 1
-        for ph in phases:
-            node.append(index[dev.node])
-            cond.append(PHASES.index(ph))
-            owner.append(dev_col)
-    return (
-        np.array(node, dtype=np.intp),
-        np.array(cond, dtype=np.intp),
-        np.array(owner, dtype=np.intp),
-        battery_entry,
-    )
+        keys += [base + _PHASE_ROW[ph] for ph in phases]
+        owner += [dev_col] * len(phases)
+    return np.array(keys, dtype=np.intp), np.array(owner, dtype=np.intp), battery_entry
 
 
 def _dispatch(
     scenario: Scenario, index: dict[str, int]
-) -> tuple[list[tuple[int, int]], np.ndarray, dict, Exception | None]:
+) -> tuple[np.ndarray, np.ndarray, dict, Exception | None]:
     """Pass 1 of a run: evaluate profiles, then dispatch storage over all
     steps (``_dispatch_storage``). Neither controller reads voltages, so
     this fixes every step's injections up front.
 
-    Returns the entry layout as ``(node row, conductor)`` pairs, the
-    ``(step, entry)`` complex VA of the steps dispatched, their dispatch
-    arrays keyed by ``Trajectory`` field, and the error that stopped
-    dispatch early (None if every step ran).
+    Returns the entry layout as flat keys ``node row * 4 + conductor``,
+    the ``(step, entry)`` complex VA of the steps dispatched, their
+    dispatch arrays keyed by ``Trajectory`` field, and the error that
+    stopped dispatch early (None if every step ran).
     """
     feeder = scenario.feeder
     n_steps = scenario.n_steps
-    dt_h = scenario.dt_h
     plain = [d for d in feeder.devices if d.kind is not DeviceKind.STORAGE]
-    scale = np.array(
-        [scenario.profiles[d.profile_id] if d.profile_id else (1.0,) * n_steps for d in plain],
-        dtype=float,
-    ).reshape(len(plain), n_steps).T
+    profile_row: dict[str | None, int] = {}  # each distinct profile converts once
+    which = np.array([profile_row.setdefault(d.profile_id, len(profile_row)) for d in plain],
+                     dtype=np.intp)
+    table = np.array(
+        [scenario.profiles[p] if p else (1.0,) * n_steps for p in profile_row], dtype=float
+    ).reshape(len(profile_row), n_steps)
+    scale = table[which].T
     rated = np.array([d.s_rated_kva for d in plain], dtype=complex)
     dev_p, dev_q = _complex_times_real(rated.real, rated.imag, scale)
 
-    node, cond, owner, battery_entry = _injection_entries(feeder, index)
+    keys, owner, battery_entry = _injection_entries(feeder, index)
     has_dev = owner >= 0
-    p_kw = np.zeros((n_steps, len(node)))
-    q_kvar = np.zeros((n_steps, len(node)))
+    p_kw = np.zeros((n_steps, len(keys)))
+    q_kvar = np.zeros((n_steps, len(keys)))
     p_kw[:, has_dev] = dev_p[:, owner[has_dev]]
     q_kvar[:, has_dev] = dev_q[:, owner[has_dev]]
 
@@ -364,9 +366,9 @@ def _dispatch(
         cols = np.array([battery_entry[b.id] for b in units], dtype=np.intp) + dispatched["phase"]
         p_kw[steps, cols] = dispatched["p_kw"]
         q_kvar[steps, cols] = dispatched["q_kvar"]
-    s_va = np.empty((n_ok, len(node)), dtype=complex)
+    s_va = np.empty((n_ok, len(keys)), dtype=complex)
     s_va.real, s_va.imag = _complex_times_real(p_kw[:n_ok], q_kvar[:n_ok], 1000.0)
-    return list(zip(node.tolist(), cond.tolist())), s_va, dispatched, pending
+    return keys, s_va, dispatched, pending
 
 
 def _dispatch_storage(
@@ -407,7 +409,7 @@ def _dispatch_storage(
         net = np.zeros((n_steps, 3))  # each phase adds its devices in feeder order
         for d, dev in enumerate(plain):
             for ph in dev.connected_phases:
-                net[:, PHASES.index(ph)] += dev_p[:, d]
+                net[:, _PHASE_ROW[ph]] += dev_p[:, d]
         inputs, net_rows, phase_rows, want_rows = net, net.tolist(), [], []
     else:
         phases, want = schedule_requests(
@@ -452,7 +454,7 @@ def _dispatch_storage(
     if greedy:
         phase, want = np.array(phase_rows[:n_ok], dtype=np.intp), np.array(want_rows[:n_ok])
     else:
-        phase = np.tile(np.array([PHASES.index(ph) for ph in phases], dtype=np.intp), (n_ok, 1))
+        phase = np.tile(np.array([_PHASE_ROW[ph] for ph in phases], dtype=np.intp), (n_ok, 1))
     shape = (n_ok, len(units))  # the arrays of a greedy run stopped at step 0 are flat
     fields = _dispatch_fields(
         scenario, phase.reshape(shape), want[:n_ok].reshape(shape), p, q, soc_kwh, len(memo)
@@ -478,36 +480,60 @@ def _dispatch_fields(scenario: Scenario, phase, want, p_kw, q_kvar, soc_kwh, sta
     }
 
 
-def _union_layout(
-    layouts: Sequence[list[tuple[int, int]]],
-) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    """One entry layout holding every ``(node row, conductor)`` layout as a
-    subsequence, and the columns each layout takes in it.
+def _union_layout(layouts: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One entry layout holding every layout of flat ``(node row,
+    conductor)`` keys as a subsequence, and the columns each layout takes
+    in it.
 
     Entries add into a node's sinks in layout order, so each layout keeps
     its own order. A column a layout does not use carries 0 VA, which the
     solver treats as no device: it adds +0.0 to an accumulator that starts
     at +0.0 and so never holds -0.0, which leaves every sum bit-identical.
+
+    The distinct layouts merge into the union in turn: each key takes the
+    first place at or after the previous match that holds it, and a key
+    with no such place is inserted there. A layout then takes the first
+    fitting place for each key in order, which is every place when it is
+    the union itself (a run, whose one layout is its union).
     """
-    union: list[tuple[int, int]] = []
-    for layout in dict.fromkeys(map(tuple, layouts)):
+    union: list[int] = []
+    for layout in {layout.tobytes(): layout for layout in layouts}.values():
+        if not union:
+            union = layout.tolist()
+            continue
+        places = _places(union)
         merged, i = [], 0
-        for key in layout:
-            try:
-                j = union.index(key, i)
-            except ValueError:
+        for key in layout.tolist():
+            at = places.get(key, ())
+            k = bisect_left(at, i)
+            if k == len(at):
                 merged.append(key)
-                continue
-            merged.extend(union[i : j + 1])
-            i = j + 1
+            else:
+                merged += union[i : at[k] + 1]
+                i = at[k] + 1
         union = merged + union[i:]
-    columns = []
+    whole = np.array(union, dtype=np.intp)
+    columns, places = [], None
     for layout in layouts:
-        cols = [-1]
-        for key in layout:
-            cols.append(union.index(key, cols[-1] + 1))
-        columns.append(cols[1:])
-    return union, columns
+        if np.array_equal(layout, whole):
+            columns.append(np.arange(len(whole)))
+            continue
+        places = places or _places(union)
+        cols, j = [], -1
+        for key in layout.tolist():
+            at = places[key]
+            j = at[bisect_right(at, j)]
+            cols.append(j)
+        columns.append(np.array(cols, dtype=np.intp))
+    return whole, columns
+
+
+def _places(keys: list[int]) -> dict[int, list[int]]:
+    """The positions of each key in ``keys``, in increasing order."""
+    places: dict[int, list[int]] = {}
+    for j, key in enumerate(keys):
+        places.setdefault(key, []).append(j)
+    return places
 
 
 def _distinct_rows(s_va: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -564,7 +590,7 @@ def _run_batch(
     for block, cols, lo, hi in zip(blocks, columns, bounds, bounds[1:]):
         s_va[lo:hi, cols] = block
     distinct, row = _distinct_rows(s_va)
-    node, cond = np.array(union, dtype=np.intp).reshape(-1, 2).T
+    node, cond = np.divmod(union, 4)
     solved = sweep_batch(topo, node, cond, distinct, settings)
     vuf_pct, drop_pct, v_rms = node_metric_arrays(solved.voltages, first.feeder.v_base_ln)
     phase_loss, neutral_loss = segment_losses(solved.currents, *segment_resistances(first.feeder))

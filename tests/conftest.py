@@ -1,5 +1,5 @@
-"""Shared test helpers: random feeder generation, the snapshot solve,
-solution residuals, the loop reference of the greedy balancing search, the
+"""Shared test helpers: random feeder generation, the snapshot solve, the
+scatter reference of the sweep kernel, solution residuals, the loop reference of the greedy balancing search, the
 per-step loop reference of the dispatch pass, the scalar reference of the
 timeseries CSV rows (and their lines, written cell by cell) and the per-cell
 reference of the sweep."""
@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 
 from phasebal.cli import _fmt
-from phasebal.errors import PhasebalError
+from phasebal.errors import NonConvergence, PhasebalError, VoltageCollapse
 from phasebal.metrics import fortescue, rms_voltage, vuf
 from phasebal.network import (
     CONDUCTORS,
@@ -31,10 +31,12 @@ from phasebal.network import (
 )
 from phasebal import scenarios
 from phasebal.powerflow import (
+    BatchSolution,
     SolverSettings,
     Topology,
     VoltageSolution,
     _snapshot_entries,
+    source_phasors,
     sweep_batch,
 )
 from phasebal.scenarios import (
@@ -109,6 +111,59 @@ def random_feeder(rng: random.Random, max_nodes: int = 6) -> Feeder:
     )
 
 
+TREE_SHAPES = ("recursive", "chain", "star", "mixed")
+
+
+def random_tree(rng: random.Random, n: int, shape: str = "recursive") -> Feeder:
+    """A feeder of ``n`` nodes in one of ``TREE_SHAPES``: each node hangs
+    off a uniformly drawn earlier one, off the one before it, off the
+    source, or (mixed) a bus with a fifth of the nodes as children, a deep
+    branch of another fifth and a recursive rest. Segments and nodes are
+    declared shuffled and some segments reversed, so breadth-first order
+    and segment order differ from the declaration. Every other node gets a
+    three-phase load, and some a single-phase PV or EV unit, about 40 kW
+    per phase in all whatever ``n``; segments are short enough that this
+    load converges on every shape."""
+    bus_end, branch_end = 1 + n // 5, 1 + 2 * (n // 5)
+    parents = []
+    for i in range(1, n):
+        if shape == "chain" or (shape == "mixed" and bus_end < i <= branch_end):
+            parents.append(i - 1)
+        elif shape == "star" or (shape == "mixed" and i == 1):
+            parents.append(0)
+        elif shape == "mixed" and i <= bus_end:
+            parents.append(1)
+        else:
+            parents.append(rng.randrange(1 if shape == "mixed" else 0, i))
+    scale_km = 0.4 / n if shape in ("chain", "mixed") else 0.05
+    nodes = [f"T{i}" for i in range(n)]
+    segments = []
+    for i, parent in enumerate(parents, 1):
+        ends = (nodes[parent], nodes[i]) if rng.random() < 0.7 else (nodes[i], nodes[parent])
+        segments.append(
+            LineSegment(
+                *ends,
+                length_km=scale_km * rng.uniform(0.5, 1.5),
+                z_phase_per_km=complex(rng.uniform(0.1, 0.4), rng.uniform(0.02, 0.15)),
+                z_neutral_per_km=complex(rng.uniform(0.1, 0.4), rng.uniform(0.02, 0.15)),
+                z_mutual_per_km=complex(0.0, rng.uniform(0.0, 0.04)) if rng.random() < 0.3 else 0j,
+            )
+        )
+    kw = 40.0 / n
+    devices = []
+    for i in range(1, n):
+        if rng.random() < 0.5:
+            devices.append(Device(f"load{i}", nodes[i], DeviceKind.LOAD, None, complex(2 * kw, 0.4 * kw)))
+        if rng.random() < 0.2:
+            kind, p_kw = rng.choice([(DeviceKind.DG, -3 * kw), (DeviceKind.EV, 3 * kw)])
+            devices.append(Device(f"{kind.value}{i}", nodes[i], kind, rng.choice(PHASES), complex(p_kw, 0)))
+    rng.shuffle(segments)
+    rng.shuffle(nodes)
+    return build_feeder(
+        FeederSpec(source_node="T0", nodes=nodes, segments=segments, devices=devices)
+    )
+
+
 def with_profiles(feeder: Feeder, values, steps: int) -> Scenario:
     """The feeder with device i following profile ``p{i}`` (``values[i]``),
     as a scenario over ``steps`` hourly steps."""
@@ -157,6 +212,113 @@ def snapshot_solve(
     if result.failures:
         raise result.failures[0]
     return result.solution(feeder.nodes, 0)
+
+
+def _reference_levels(topo: Topology) -> list[np.ndarray]:
+    """The rows at depth 1, 2, ... from ``topo.parent``, each level in
+    decreasing order: the order the scatter adds siblings in."""
+    depth = [0] * topo.n
+    for i in range(1, topo.n):  # parents precede children in breadth-first order
+        depth[i] = depth[topo.parent[i]] + 1
+    depth_arr = np.array(depth)
+    return [np.flatnonzero(depth_arr == d)[::-1] for d in range(1, max(depth, default=0) + 1)]
+
+
+def _reference_device_currents(
+    topo: Topology, v: np.ndarray, node: np.ndarray, cond: np.ndarray, s_va: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Device sinks ``(batch, node, 4)`` scattered entry by entry with
+    ``np.add.at``/``np.subtract.at``, and the smallest live line-to-neutral
+    magnitude per row in pu, the denominator clamped at 0.5 pu."""
+    floor = 0.5 * topo.v_base
+    v_ln = v[:, node, cond] - v[:, node, 3]
+    mag = np.hypot(v_ln.real, v_ln.imag)
+    live = s_va != 0
+    v_min = np.fmin.reduce(np.where(live, mag / topo.v_base, np.inf), axis=1, initial=np.inf)
+    low = mag < floor
+    if low.any():
+        nominal = np.array([p * 0.5 for p in source_phasors(topo.v_base)])[cond]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = v_ln * (floor / mag)
+        v_ln = np.where(low, np.where(mag == 0.0, nominal, scaled), v_ln)
+    i_dev = np.where(live, np.conj(s_va / v_ln), 0)
+    sinks = np.zeros(v.shape, dtype=complex)
+    np.add.at(sinks, (slice(None), node, cond), i_dev)
+    np.subtract.at(sinks, (slice(None), node, 3), i_dev)
+    return sinks, v_min
+
+
+def _reference_branch_currents(topo: Topology, levels, sinks: np.ndarray) -> np.ndarray:
+    """Branch currents in segment order, accumulated leaf to root with one
+    ``np.add.at`` per level; within a level siblings add into their parent
+    from the highest row down."""
+    acc = sinks.copy()
+    for level in reversed(levels):
+        np.add.at(acc, (slice(None), topo.parent[level]), acc[:, level])
+    currents = np.empty((sinks.shape[0], topo.z.shape[0], 4), dtype=complex)
+    currents[:, topo.feed_seg[1:]] = acc[:, 1:]
+    return currents
+
+
+def _reference_forward_voltages(topo: Topology, levels, v: np.ndarray, currents: np.ndarray):
+    """V_child = V_parent - Z I across all four conductors, level by level."""
+    drop = np.matmul(topo.z, currents[..., None])[..., 0]
+    v_new = v.copy()
+    for level in levels:
+        v_new[:, level] = v_new[:, topo.parent[level]] - drop[:, topo.feed_seg[level]]
+    return v_new
+
+
+def reference_sweep_batch(
+    topo: Topology,
+    node: np.ndarray,
+    cond: np.ndarray,
+    s_va: np.ndarray,
+    settings: SolverSettings = SolverSettings(),
+) -> BatchSolution:
+    """``sweep_batch`` as the scatter kernel computed it, fresh arrays on
+    every pass and ``ufunc.at`` for the sinks and the branch sums: the
+    reference the production kernel must match byte for byte, failures
+    included (a row whose largest change is not finite fails on that pass
+    with NonConvergence)."""
+    levels = _reference_levels(topo)
+    batch = s_va.shape[0]
+    out_v = np.zeros((batch, topo.n, 4), dtype=complex)
+    out_i = np.zeros((batch, topo.z.shape[0], 4), dtype=complex)
+    iterations = np.zeros(batch, dtype=int)
+    failures: dict[int, PhasebalError] = {}
+    rows = np.arange(batch)
+    v = np.repeat(topo.flat[None], batch, axis=0)
+    tol_v = settings.tol_pu * topo.v_base
+    delta = np.full(batch, np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, settings.max_iter + 1):
+            if rows.size == 0:
+                break
+            sinks, v_min = _reference_device_currents(topo, v, node, cond, s_va)
+            collapsed = v_min < 0.5
+            if collapsed.any():
+                for row, v_pu in zip(rows[collapsed].tolist(), v_min[collapsed].tolist()):
+                    failures[row] = VoltageCollapse(it, v_pu)
+                keep = ~collapsed
+                rows, v, s_va, sinks = rows[keep], v[keep], s_va[keep], sinks[keep]
+            currents = _reference_branch_currents(topo, levels, sinks)
+            v_new = _reference_forward_voltages(topo, levels, v, currents)
+            delta = np.abs(v_new - v).max(axis=(1, 2))
+            v = v_new
+            done = delta <= tol_v
+            diverged = ~np.isfinite(delta)
+            if done.any():
+                out_v[rows[done]] = v[done]
+                out_i[rows[done]] = currents[done]
+                iterations[rows[done]] = it
+            for row, residual in zip(rows[diverged].tolist(), delta[diverged].tolist()):
+                failures[row] = NonConvergence(it, residual)
+            keep = ~(done | diverged)
+            rows, v, s_va, delta = rows[keep], v[keep], s_va[keep], delta[keep]
+    for row, residual in zip(rows.tolist(), delta.tolist()):
+        failures[row] = NonConvergence(settings.max_iter, residual)
+    return BatchSolution(out_v, out_i, iterations, failures)
 
 
 def max_voltage_gap(a: VoltageSolution, b: VoltageSolution, nodes) -> float:
@@ -291,7 +453,7 @@ def reference_greedy(
 
 def reference_dispatch(
     scenario: Scenario, index: dict[str, int]
-) -> tuple[list[tuple[int, int]], np.ndarray, list, Exception | None]:
+) -> tuple[np.ndarray, np.ndarray, list, Exception | None]:
     """The dispatch pass as a per-step loop over ``Battery`` and
     ``DispatchAction`` objects: the reference that ``scenarios._dispatch``
     must match bit for bit.
@@ -303,7 +465,7 @@ def reference_dispatch(
     the batteries. Neither controller reads voltages, so this fixes every
     step's injections up front.
 
-    Returns the entry layout as ``(node row, conductor)`` pairs, the
+    Returns the entry layout as flat keys ``node row * 4 + conductor``, the
     ``(step, entry)`` complex VA of the steps dispatched, their
     ``(t_h, actions, soc_kwh)``, and the error that stopped dispatch early
     (None if every step ran).
@@ -319,10 +481,10 @@ def reference_dispatch(
     rated = np.array([d.s_rated_kva for d in plain], dtype=complex)
     dev_p, dev_q = _complex_times_real(rated.real, rated.imag, scale)
 
-    node, cond, owner, battery_entry = _injection_entries(feeder, index)
+    keys, owner, battery_entry = _injection_entries(feeder, index)
     has_dev = owner >= 0
-    p_kw = np.zeros((n_steps, len(node)))
-    q_kvar = np.zeros((n_steps, len(node)))
+    p_kw = np.zeros((n_steps, len(keys)))
+    q_kvar = np.zeros((n_steps, len(keys)))
     p_kw[:, has_dev] = dev_p[:, owner[has_dev]]
     q_kvar[:, has_dev] = dev_q[:, owner[has_dev]]
 
@@ -377,9 +539,9 @@ def reference_dispatch(
         steps.append((t_h, tuple(applied), {b.id: b.soc_kwh for b in batteries}))
 
     n_ok = len(steps)
-    s_va = np.empty((n_ok, len(node)), dtype=complex)
+    s_va = np.empty((n_ok, len(keys)), dtype=complex)
     s_va.real, s_va.imag = _complex_times_real(p_kw[:n_ok], q_kvar[:n_ok], 1000.0)
-    return list(zip(node.tolist(), cond.tolist())), s_va, steps, pending
+    return keys, s_va, steps, pending
 
 
 def reference_run(

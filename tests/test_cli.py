@@ -524,6 +524,20 @@ class TestRunCommand:
         assert main(["run", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 3
         assert "voltage collapsed" in capsys.readouterr().err
 
+    def test_overflowing_pass_ends_its_row_at_once(self, tmp_path, capsys):
+        """A rating whose VA figure fits still overflows the drop of a
+        10,000 km segment: the first pass's voltage change is not finite,
+        so the step fails on that pass, without a numpy RuntimeWarning
+        (pytest turns one into an error)."""
+        doc = json.loads(json.dumps(CUSTOM_DOC))
+        doc["scenario"]["feeder"]["devices"][0]["p_kw"] = 1e305
+        doc["scenario"]["feeder"]["segments"][0]["length_km"] = 1e4
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "at t=0 h" in err and "did not converge after 1 iterations (residual nan V)" in err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_carriage_return_in_node_name_exits_2_and_names_it(self, tmp_path, capsys):
         """``csv.writer`` leaves a lone carriage return unquoted, so the row
         would not read back; see the quoting test of ``timeseries_rows``."""
@@ -1007,6 +1021,37 @@ class TestIngestCommand:
             "timestamp,p_a_kw,p_b_kw,p_c_kw\n5,1,1,1\n4,1,1,1\n", encoding="utf-8"
         )
         assert main(["ingest", str(src), "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            (["0,nan,1,1"], "row 1: p_a_kw 'nan' is not finite"),
+            (["0,1,1,1", "1,inf,1,1"], "row 2: p_a_kw 'inf' is not finite"),
+            (["0,1,1,-inf"], "row 1: p_c_kw '-inf' is not finite"),
+            (["nan,1,1,1"], "row 1: timestamp 'nan' is not finite"),
+            (["0,1,1,1", "inf,1,1,1"], "row 2: timestamp 'inf' is not finite"),
+            (["0,1,1,1", "2,1e308,-1e308,0"], "row 2: spread_kw overflows"),
+            (["0,1e306,0,0"], "row 1: neutral_proxy_a overflows"),
+            # every row finite, but 700 spreads of 3e305 kW sum past the largest float
+            ([f"{k / 1000},1.5e305,0,-1.5e305" for k in range(700)], "hour 0: mean_spread_kw overflows"),
+        ],
+    )
+    def test_non_finite_data_exits_2_naming_it(self, tmp_path, capsys, rows, named):
+        src = tmp_path / "meas.csv"
+        src.write_text("\n".join(["timestamp,p_a_kw,p_b_kw,p_c_kw", *rows]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", str(src), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_reactive_power_exits_2_naming_it(self, tmp_path, capsys):
+        src = tmp_path / "meas.csv"
+        src.write_text(
+            "timestamp,p_a_kw,p_b_kw,p_c_kw,q_a_kvar,q_b_kvar,q_c_kvar,i_n_a\n0,1,1,1,0,nan,0,1\n",
+            encoding="utf-8",
+        )
+        assert main(["ingest", str(src), "--out", str(tmp_path / "out")]) == 2
+        assert "row 1: q_b_kvar 'nan' is not finite" in capsys.readouterr().err
 
 
 class TestPresetInventory:

@@ -6,20 +6,35 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import kcl_residual, kvl_residual, max_voltage_gap, random_feeder, snapshot_solve
+from conftest import (
+    TREE_SHAPES,
+    kcl_residual,
+    kvl_residual,
+    max_voltage_gap,
+    random_feeder,
+    random_tree,
+    reference_sweep_batch,
+    snapshot_solve,
+)
 from phasebal.errors import NonConvergence, ScenarioStepError, VoltageCollapse
 from phasebal.network import Device, DeviceKind, Phase, chain_feeder
 from phasebal.powerflow import (
     MAX_ITER,
     SolverSettings,
+    Topology,
     oracle_solve,
     power_balance_residual_kw,
     segment_losses,
     segment_resistances,
     source_phasors,
+    sweep_batch,
 )
 
 from phasebal.scenarios import build_sweep_scenario, run_scenario
@@ -148,6 +163,72 @@ class TestCrossSolverEquivalence:
             ):
                 assert kcl_residual(feeder, sol) < 1e-9 * i_base
                 assert kvl_residual(feeder, sol) < 1e-9 * feeder.v_base_ln
+
+
+def kernel_case(seed: int, shape: str, n: int, rows: int):
+    """A seeded ``sweep_batch`` input on ``random_tree``: entries anywhere,
+    the source bus included, several on one conductor and a third of them
+    dead per row; rows scaled from idle through loads that converge on
+    different passes to loads that collapse or never converge."""
+    rng = np.random.default_rng(seed)
+    topo = Topology(random_tree(random.Random(seed), n, shape))
+    entries = int(rng.integers(1, 3 * n + 2))
+    node = rng.integers(0, n, entries)
+    cond = rng.integers(0, 3, entries)
+    p_va = rng.uniform(-0.5, 1.0, (rows, entries)) * (120e3 / entries)
+    s_va = p_va + 1j * p_va * rng.uniform(0.0, 0.5, (rows, entries))
+    s_va[rng.random((rows, entries)) < 0.3] = 0
+    s_va *= rng.choice([0.0, 0.2, 1.0, 3.0, 30.0, 300.0], size=(rows, 1))
+    return topo, node, cond, s_va
+
+
+class TestSweepKernel:
+    """The bincount and sibling-rank kernel against the scatter reference in
+    ``conftest.reference_sweep_batch``, byte for byte."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(TREE_SHAPES),
+        n=st.integers(2, 40) | st.integers(41, 2000),
+        rows=st.integers(1, 20),
+        max_iter=st.sampled_from([3, 40]),
+    )
+    @example(seed=5, shape="mixed", n=150, rows=20, max_iter=40)
+    def test_matches_the_scatter_reference(self, seed, shape, n, rows, max_iter):
+        topo, node, cond, s_va = kernel_case(seed, shape, n, rows)
+        solver = SolverSettings(max_iter=max_iter)
+        got = sweep_batch(topo, node, cond, s_va, solver)
+        want = reference_sweep_batch(topo, node, cond, s_va, solver)
+        assert got.voltages.tobytes() == want.voltages.tobytes()
+        assert got.currents.tobytes() == want.currents.tobytes()
+        assert got.iterations.tobytes() == want.iterations.tobytes()
+        assert repr(got.failures) == repr(want.failures)
+
+    def test_the_pinned_example_holds_every_outcome(self):
+        """The ``@example`` above: rows converged on four different passes,
+        a collapsed row and one that did not converge."""
+        solved = sweep_batch(*kernel_case(5, "mixed", 150, 20), SolverSettings(max_iter=40))
+        assert set(solved.iterations.tolist()) >= {1, 3, 4, 6}
+        kinds = {type(error) for error in solved.failures.values()}
+        assert kinds == {VoltageCollapse, NonConvergence}
+
+    def test_nodes_out_of_breadth_first_order_are_rejected(self):
+        feeder = chain_feeder(3, 0.1)
+        with pytest.raises(ValueError, match="breadth-first"):
+            Topology(replace(feeder, nodes=feeder.nodes[::-1]))
+
+
+class TestPhysicsAtScale:
+    def test_kirchhoff_and_power_balance_on_a_10k_node_tree(self):
+        """KCL, KVL and power balance on one seeded 10,000-node random
+        recursive tree (the dense oracle stops at 12 nodes)."""
+        feeder = random_tree(random.Random(10), 10_000)
+        sol = snapshot_solve(feeder, settings=TIGHT)
+        i_base = feeder.s_base_kva * 1000.0 / (3.0 * feeder.v_base_ln)
+        assert kcl_residual(feeder, sol) < 1e-9 * i_base
+        assert kvl_residual(feeder, sol) < 1e-9 * feeder.v_base_ln
+        assert power_balance_residual_kw(feeder, sol) < 1e-6 * feeder.s_base_kva
 
 
 class TestInjectionHandling:
