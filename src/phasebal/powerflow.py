@@ -15,9 +15,30 @@ Two structurally different solvers cover the same contract:
   4n x 4n nodal admittance system and fixed-point iterates on device current
   injections against the reduced linear system.
 
+The sweep runs on index structures that ``Topology`` builds once per call
+from the breadth-first node order, and on work buffers that ``_Kernel``
+allocates once per call:
+
+- each depth level is one contiguous row range, so the forward sweep
+  assigns a level as a slice, ``v[:, lo:hi] = v[:, parent[lo:hi]] - drop``;
+- siblings sit on adjacent rows, so the children of a level fall into
+  sibling-rank groups (the r-th child to add into its parent, adding from
+  the highest row down); each group is one plain fancy-index ``+=``, since
+  no parent appears twice in a group, and the groups run in rank order;
+- voltages are gathered through flat indices ``node*4 + cond`` and
+  ``node*4 + 3`` into a ``(row, node*4)`` view;
+- device sinks are two ``np.bincount`` calls (real and imaginary parts)
+  over flat ``(row, node, conductor)`` indices, phase entries first, then
+  the negated neutral ones. This equals adding entry by entry into zeros,
+  bit for bit: ``bincount`` adds in input order starting from +0.0; phase
+  and neutral bins never overlap; ``a - x`` and ``a + (-x)`` give the same
+  bits; a dead entry adds exactly +0.0.
+
 Both treat devices as constant-power (re-evaluated against updated voltage
 every iteration), start flat (source phasors, zero neutral), and stop when
-the largest voltage change in one pass is at most tol_pu * v_base_ln.
+the largest voltage change in one pass is at most tol_pu * v_base_ln. A
+sweep row whose largest change is not finite (an overflow) fails on that
+pass, and the kernel raises no numpy warning for it.
 Unbalanced phase currents return through the explicit neutral conductor,
 which is grounded at the source only. ``segment_losses`` gives |I|^2 R per
 conductor, exact when the mutual impedance has no resistive part.
@@ -242,11 +263,11 @@ class _Kernel:
     Entry e draws ``s_va[:, e]`` (VA) between conductor ``cond[e]`` of node
     row ``node[e]`` and that node's neutral. ``take`` holds the flat indices
     ``node*4 + cond`` and ``node*4 + 3`` into a ``(row, node*4)`` view of
-    the voltages, and ``bins`` the phase then the neutral indices, offset
-    by ``row * node*4``: the device sinks of all rows are two
-    ``np.bincount`` calls (real and imaginary parts) over the phase
-    currents followed by the negated neutral ones. The buffer the voltages
-    are gathered into holds those weights once the voltages are used up.
+    the voltages, and ``bins`` both in turn; offset by ``row * node*4``
+    they index the sinks of all rows, which are two ``np.bincount`` calls
+    (real and imaginary parts) over the phase currents followed by the
+    negated neutral ones. The buffer the voltages are gathered into holds
+    those weights once the voltages are used up.
     """
 
     def __init__(self, topo: Topology, node: np.ndarray, cond: np.ndarray, s_va: np.ndarray):
@@ -277,12 +298,9 @@ class _Kernel:
         I = conj(S / V_ln) leaves the phase and returns through the
         neutral; the denominator is clamped at 0.5 pu, which shows up as a
         minimum below 0.5. Each sink is the sum in entry order from +0.0
-        that adding entry by entry into zeros makes, bit for bit:
-
-        - ``bincount`` adds in input order starting from +0.0;
-        - phase and neutral bins never overlap;
-        - ``a - x`` and ``a + (-x)`` give the same bits;
-        - a dead entry adds exactly +0.0, never ``conj(0 / v)`` or a NaN.
+        that adding entry by entry into zeros makes, bit for bit (see the
+        module docstring); a dead entry adds exactly +0.0, not
+        ``conj(0 / v)``, whose imaginary part is -0.0, nor a NaN.
         """
         rows, e = len(v), self.s_va.shape[1]
         flat = v.reshape(rows, -1)
