@@ -161,26 +161,23 @@ class Topology:
         self.n = n
         self.v_base = feeder.v_base_ln
         self.index = {name: i for i, name in enumerate(feeder.nodes)}
-        index = self.index
-        seg_child = [index[seg.to_node] for seg in feeder.segments]
-        self.seg_child = np.array(seg_child, dtype=np.intp)
         self.parent = np.full(n, -1, dtype=np.intp)
-        self.parent[self.seg_child] = [index[seg.from_node] for seg in feeder.segments]
         self.feed_seg = np.full(n, -1, dtype=np.intp)
-        self.feed_seg[self.seg_child] = np.arange(len(seg_child))
-        z = np.array(
-            [
-                (seg.z_phase_per_km * seg.length_km, seg.z_neutral_per_km * seg.length_km,
-                 seg.z_mutual_per_km * seg.length_km)
-                for seg in feeder.segments
-            ],
-            dtype=complex,
-        ).reshape(-1, 3)
-        self.z = np.empty((len(z), 4, 4), dtype=complex)
-        self.z[:] = z[:, 2, None, None]
+        self.seg_child = np.empty(len(feeder.segments), dtype=np.intp)
+        zp, zn, zm = [], [], []
+        for k, seg in enumerate(feeder.segments):
+            child = self.index[seg.to_node]
+            self.parent[child] = self.index[seg.from_node]
+            self.feed_seg[child] = k
+            self.seg_child[k] = child
+            zp.append(seg.z_phase_per_km * seg.length_km)
+            zn.append(seg.z_neutral_per_km * seg.length_km)
+            zm.append(seg.z_mutual_per_km * seg.length_km)
+        self.z = np.empty((len(zm), 4, 4), dtype=complex)
+        self.z[:] = np.array(zm, dtype=complex)[:, None, None]
         for c in range(3):
-            self.z[:, c, c] = z[:, 0]
-        self.z[:, 3, 3] = z[:, 1]
+            self.z[:, c, c] = zp
+        self.z[:, 3, 3] = zn
         self.z_node = self.z[self.feed_seg[1:]]
 
         par = self.parent.tolist()
