@@ -146,14 +146,11 @@ class Topology:
     segment order, and ``z_node`` the same matrices in node order (row i
     holds the segment feeding node i + 1).
 
-    Breadth-first order makes each depth level one contiguous row range,
-    and the children of one parent adjacent rows. ``levels`` holds, for
-    depth 1, 2, ..., the level's rows as ``(lo, hi)``, its parents as a
-    slice or an index array, and its sibling-rank groups: the children
-    that are the r-th to add into their parent when siblings add from the
-    highest row down. Within a group no parent appears twice, so one plain
-    ``acc[:, parents] += acc[:, children]`` per group adds every child in
-    that order. Index arrays that are a unit-step range are kept as slices.
+    ``levels`` holds, for depth 1, 2, ..., the level's contiguous rows as
+    ``(lo, hi)``, their parents, and the level's sibling-rank groups as
+    ``(parents, children)`` in rank order: the children that are the r-th
+    to add into their parent when siblings add from the highest row down.
+    Rows are slices where they step by one, else index arrays.
     """
 
     def __init__(self, feeder: Feeder) -> None:
@@ -255,16 +252,10 @@ def _effective_injections(
 class _Kernel:
     """The per-pass arithmetic of ``sweep_batch`` on work buffers allocated
     once per call for its ``(row, entry)`` injections ``s_va``; a pass
-    works on the first rows of each buffer, the rows still running.
-
-    Entry e draws ``s_va[:, e]`` (VA) between conductor ``cond[e]`` of node
-    row ``node[e]`` and that node's neutral. ``take`` holds the flat indices
-    ``node*4 + cond`` and ``node*4 + 3`` into a ``(row, node*4)`` view of
-    the voltages, and ``bins`` both in turn; offset by ``row * node*4``
-    they index the sinks of all rows, which are two ``np.bincount`` calls
-    (real and imaginary parts) over the phase currents followed by the
-    negated neutral ones. The buffer the voltages are gathered into holds
-    those weights once the voltages are used up.
+    works on the first rows of each buffer, the rows still running. Entry
+    e draws ``s_va[:, e]`` (VA) between conductor ``cond[e]`` of node row
+    ``node[e]`` and that node's neutral; ``take`` and ``bins`` hold its
+    flat indices (see the module docstring).
     """
 
     def __init__(self, topo: Topology, node: np.ndarray, cond: np.ndarray, s_va: np.ndarray):

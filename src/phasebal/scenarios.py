@@ -518,7 +518,8 @@ def _union_layout(layouts: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.nd
         if np.array_equal(layout, whole):
             columns.append(np.arange(len(whole)))
             continue
-        places = places or _places(union)
+        if places is None:
+            places = _places(union)
         cols, j = [], -1
         for key in layout.tolist():
             at = places[key]

@@ -1,8 +1,9 @@
 """Shared test helpers: random feeder generation, the snapshot solve, the
-scatter reference of the sweep kernel, solution residuals, the loop reference of the greedy balancing search, the
-per-step loop reference of the dispatch pass, the scalar reference of the
-timeseries CSV rows (and their lines, written cell by cell) and the per-cell
-reference of the sweep."""
+scatter reference of the sweep kernel, solution residuals, the loop
+reference of the greedy balancing search, the per-step loop reference of
+the dispatch pass, the scalar reference of the timeseries CSV rows (and
+their lines, written cell by cell) and the per-cell reference of the
+sweep."""
 
 from __future__ import annotations
 
@@ -120,10 +121,10 @@ def random_tree(rng: random.Random, n: int, shape: str = "recursive") -> Feeder:
     source, or (mixed) a bus with a fifth of the nodes as children, a deep
     branch of another fifth and a recursive rest. Segments and nodes are
     declared shuffled and some segments reversed, so breadth-first order
-    and segment order differ from the declaration. Every other node gets a
-    three-phase load, and some a single-phase PV or EV unit, about 40 kW
-    per phase in all whatever ``n``; segments are short enough that this
-    load converges on every shape."""
+    and segment order differ from the declaration. About half the nodes
+    get a three-phase load and a fifth a single-phase PV or EV unit, about
+    40 kW per phase in all whatever ``n``; segments are short enough that
+    this load converges on every shape."""
     bus_end, branch_end = 1 + n // 5, 1 + 2 * (n // 5)
     parents = []
     for i in range(1, n):
