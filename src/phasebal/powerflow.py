@@ -194,7 +194,8 @@ class Topology:
         for i in range(1, n):
             groups.setdefault((depth[i], rank[i]), []).append(i)
         for (d, _), children in sorted(groups.items()):
-            self.levels[d - 1][3].append((_as_index([par[c] for c in children]), _as_index(children)))
+            parents = _as_index([par[c] for c in children])
+            self.levels[d - 1][3].append((parents, _as_index(children)))
         self.flat = np.zeros((n, 4), dtype=complex)
         self.flat[:, :3] = source_phasors(self.v_base)
         self.nominal = np.array([p * _COLLAPSE_PU for p in source_phasors(self.v_base)])

@@ -154,10 +154,12 @@ def random_tree(rng: random.Random, n: int, shape: str = "recursive") -> Feeder:
     devices = []
     for i in range(1, n):
         if rng.random() < 0.5:
-            devices.append(Device(f"load{i}", nodes[i], DeviceKind.LOAD, None, complex(2 * kw, 0.4 * kw)))
+            load = complex(2 * kw, 0.4 * kw)
+            devices.append(Device(f"load{i}", nodes[i], DeviceKind.LOAD, None, load))
         if rng.random() < 0.2:
             kind, p_kw = rng.choice([(DeviceKind.DG, -3 * kw), (DeviceKind.EV, 3 * kw)])
-            devices.append(Device(f"{kind.value}{i}", nodes[i], kind, rng.choice(PHASES), complex(p_kw, 0)))
+            phase = rng.choice(PHASES)
+            devices.append(Device(f"{kind.value}{i}", nodes[i], kind, phase, complex(p_kw, 0)))
     rng.shuffle(segments)
     rng.shuffle(nodes)
     return build_feeder(

@@ -1033,12 +1033,16 @@ class TestIngestCommand:
             (["0,1,1,1", "2,1e308,-1e308,0"], "row 2: spread_kw overflows"),
             (["0,1e306,0,0"], "row 1: neutral_proxy_a overflows"),
             # every row finite, but 700 spreads of 3e305 kW sum past the largest float
-            ([f"{k / 1000},1.5e305,0,-1.5e305" for k in range(700)], "hour 0: mean_spread_kw overflows"),
+            (
+                [f"{k / 1000},1.5e305,0,-1.5e305" for k in range(700)],
+                "hour 0: mean_spread_kw overflows",
+            ),
         ],
     )
     def test_non_finite_data_exits_2_naming_it(self, tmp_path, capsys, rows, named):
         src = tmp_path / "meas.csv"
-        src.write_text("\n".join(["timestamp,p_a_kw,p_b_kw,p_c_kw", *rows]) + "\n", encoding="utf-8")
+        lines = ["timestamp,p_a_kw,p_b_kw,p_c_kw", *rows]
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
         out = tmp_path / "out"
         assert main(["ingest", str(src), "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
