@@ -786,6 +786,10 @@ class TestGoldenFiles:
         # a sweep whose collapsed cells fill the error column and the manifest
         # and are left out of the extracts
         assert main(["sweep", str(golden_dir / "sweep-overload.json"), "--out", str(out)]) == 0
+        # sparse sweeps of both kinds: balanced devices, and devices on phase C
+        sparse = ("sweep-sparse-balanced", "sweep-sparse-phase-c")
+        for label in sparse:
+            assert main(["sweep", str(golden_dir / f"{label}.json"), "--out", str(out)]) == 0
         # measured series with every optional column, ISO stamps and an
         # all-zero row (empty power factors), and with the base columns only
         measured = ("measured-full", "measured-base")
@@ -801,6 +805,11 @@ class TestGoldenFiles:
             *(
                 (f"sweep-overload-{x}.csv", f"golden-sweep-overload-{x}.csv")
                 for x in ("sweep", *extracts, "failures")
+            ),
+            *(
+                (f"{label}-{x}.csv", f"golden-{label}-{x}.csv")
+                for label in sparse
+                for x in ("sweep", "failures")
             ),
             *(
                 (f"{stem}-{report}.csv", f"golden-{stem}-{report}.csv")
