@@ -290,8 +290,10 @@ def build_feeder(spec: FeederSpec) -> Feeder:
 def attach_device(feeder: Feeder, device: Device) -> Feeder:
     """Return a new feeder with the device appended; the original is unchanged.
 
-    Raises UnknownNode if the device references a node outside the feeder.
-    Sign-convention violations are raised by the Device constructor itself.
+    Raises ValueError if the feeder already has a device with the same
+    label, and UnknownNode if the device references a node outside the
+    feeder. Sign-convention violations and non-finite ratings are raised
+    by the Device constructor itself.
     """
     _check_devices(list(feeder.devices) + [device], set(feeder.nodes))
     return replace(feeder, devices=feeder.devices + (device,))

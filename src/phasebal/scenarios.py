@@ -14,10 +14,14 @@ byte-equal injections share one operating point, so the power flow and
 the metrics run once per distinct row, and each step reads its row
 through ``Trajectory.step_row``: the lossless case of vector-quantised
 QSTS (Deboever, Grijalva, Reno & Broderick, Solar Energy 159, 2018). The
-horizon aggregates still add every step in step order.
-``sweep_and_tabulate`` runs all cells of a sweep through the same passes
-as one batch on one ``Topology``, with one power flow over the distinct
-rows of every cell.
+horizon aggregates still add every step in step order, and
+``ScenarioResult.per_timestep`` makes each step's ``StepRecord`` only when
+it is read.
+``sweep_and_tabulate`` builds the loaded chain of a sweep once and
+attaches each cell's device to it, then runs all cells through the same
+passes as one batch on one ``Topology``: one array pass scales the
+profiles of every cell, and one power flow covers the distinct rows of
+every cell.
 
 Two builder families cover the bundled studies:
 
@@ -36,8 +40,8 @@ import cmath
 import math
 import struct
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -55,6 +59,7 @@ from .network import (
     DeviceKind,
     Feeder,
     Phase,
+    attach_device,
     chain_feeder,
 )
 from .powerflow import (
@@ -268,6 +273,39 @@ class StepRecord:
         )
 
 
+class _StepRecords(Sequence):
+    """The ``StepRecord`` of every step of a trajectory, each made when it
+    is read. Reads like the tuple of them: ``len``, indices (negative
+    too), slices (a tuple), iteration, ``==`` against such a tuple or
+    another view, and ``repr``."""
+
+    __slots__ = ("_trajectory", "_dt_h")
+
+    def __init__(self, trajectory: Trajectory, dt_h: float) -> None:
+        self._trajectory, self._dt_h = trajectory, dt_h
+
+    def _at(self, k: int) -> StepRecord:
+        return StepRecord(k * self._dt_h, self._trajectory, k)
+
+    def __len__(self) -> int:
+        return len(self._trajectory.step_row)
+
+    def __getitem__(self, k):
+        steps = range(len(self))[k]  # bounds, negative indices and slices as a tuple's
+        return tuple(map(self._at, steps)) if isinstance(steps, range) else self._at(steps)
+
+    def __iter__(self):
+        return map(self._at, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _StepRecords):
+            other = tuple(other)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class ScenarioResult:
     """Time-aggregated metrics for one scenario run.
@@ -276,7 +314,9 @@ class ScenarioResult:
     ``max_drop_pct`` / ``max_rise_pct`` are magnitudes (both >= 0) of the
     worst negative / positive line-to-neutral deviation. ``sum_drop_at``
     maps a node to the time-average of its three phase deviations summed.
-    ``trajectory`` holds the per-step arrays behind ``per_timestep``.
+    ``trajectory`` holds the per-step arrays behind ``per_timestep``, a
+    read-only sequence that makes each step's ``StepRecord`` when it is
+    read and otherwise behaves as the tuple of them.
     """
 
     label: str
@@ -287,7 +327,7 @@ class ScenarioResult:
     max_drop_pct: float
     max_rise_pct: float
     sum_drop_at: dict[str, float]
-    per_timestep: tuple[StepRecord, ...]
+    per_timestep: Sequence[StepRecord]
     trajectory: Trajectory = field(repr=False, compare=False)
 
 
@@ -327,48 +367,74 @@ def _injection_entries(
 
 
 def _dispatch(
-    scenario: Scenario, index: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray, dict, Exception | None]:
-    """Pass 1 of a run: evaluate profiles, then dispatch storage over all
-    steps (``_dispatch_storage``). Neither controller reads voltages, so
-    this fixes every step's injections up front.
+    scenarios: Sequence[Scenario], index: dict[str, int]
+) -> tuple[list[np.ndarray], list[np.ndarray], list[dict], list[Exception | None]]:
+    """Pass 1 of a run, for scenarios of one step count: evaluate profiles,
+    then dispatch storage over all steps (``_dispatch_storage``). Neither
+    controller reads voltages, so this fixes every step's injections up
+    front.
 
-    Returns the entry layout as flat keys ``node row * 4 + conductor``,
-    the ``(step, entry)`` complex VA of the steps dispatched, their
-    dispatch arrays keyed by ``Trajectory`` field, and the error that
-    stopped dispatch early (None if every step ran).
+    The entries of all scenarios sit side by side in one ``(step, entry)``
+    array, so the profile scaling and the VA figures are one element-wise
+    pass each over every scenario; a profile object that several
+    scenarios share converts to floats once. Only the storage scan runs
+    scenario by scenario.
+
+    Returns, per scenario, the entry layout as flat keys ``node row * 4 +
+    conductor``, the ``(step, entry)`` complex VA of the steps dispatched
+    (a view into the shared array), the dispatch arrays keyed by
+    ``Trajectory`` field, and the error that stopped dispatch early (None
+    if every step ran).
     """
-    feeder = scenario.feeder
-    n_steps = scenario.n_steps
-    plain = [d for d in feeder.devices if d.kind is not DeviceKind.STORAGE]
-    profile_row: dict[str | None, int] = {}  # each distinct profile converts once
-    which = np.array([profile_row.setdefault(d.profile_id, len(profile_row)) for d in plain],
-                     dtype=np.intp)
-    table = np.array(
-        [scenario.profiles[p] if p else (1.0,) * n_steps for p in profile_row], dtype=float
-    ).reshape(len(profile_row), n_steps)
-    scale = table[which].T
-    rated = np.array([d.s_rated_kva for d in plain], dtype=complex)
+    n_steps = scenarios[0].n_steps
+    plains = [[d for d in sc.feeder.devices if d.kind is not DeviceKind.STORAGE] for sc in scenarios]
+    profile_row: dict[int, int] = {}  # keyed by identity: byte-distinct values stay apart
+    profiles, which, rated = [], [], []
+    layouts, owners, batteries = [], [], []
+    dev_lo, entry_lo = [0], [0]
+    for sc, plain in zip(scenarios, plains):
+        for d in plain:
+            profile = sc.profiles[d.profile_id] if d.profile_id else None
+            row = profile_row.setdefault(id(profile), len(profiles))
+            if row == len(profiles):
+                profiles.append((1.0,) * n_steps if profile is None else profile)
+            which.append(row)
+            rated.append(d.s_rated_kva)
+        keys, owner, battery_entry = _injection_entries(sc.feeder, index)
+        layouts.append(keys)
+        owners.append(np.where(owner >= 0, owner + dev_lo[-1], -1))
+        batteries.append(battery_entry)
+        dev_lo.append(dev_lo[-1] + len(plain))
+        entry_lo.append(entry_lo[-1] + len(keys))
+    scale = np.array(profiles, dtype=float).reshape(len(profiles), n_steps)[which].T
+    rated = np.array(rated, dtype=complex)
     dev_p, dev_q = _complex_times_real(rated.real, rated.imag, scale)
 
-    keys, owner, battery_entry = _injection_entries(feeder, index)
+    owner = np.concatenate(owners)
     has_dev = owner >= 0
-    p_kw = np.zeros((n_steps, len(keys)))
-    q_kvar = np.zeros((n_steps, len(keys)))
+    p_kw = np.zeros((n_steps, len(owner)))
+    q_kvar = np.zeros((n_steps, len(owner)))
     p_kw[:, has_dev] = dev_p[:, owner[has_dev]]
     q_kvar[:, has_dev] = dev_q[:, owner[has_dev]]
 
-    units = scenario.batteries if scenario.controller != "none" else ()
-    dispatched, pending = _dispatch_storage(scenario, units, plain, dev_p)
-    n_ok = len(dispatched["soc_kwh"])
-    if units:  # each unit feeds the entry of its dispatched phase; the other two stay 0
-        steps = np.arange(n_ok)[:, None]
-        cols = np.array([battery_entry[b.id] for b in units], dtype=np.intp) + dispatched["phase"]
-        p_kw[steps, cols] = dispatched["p_kw"]
-        q_kvar[steps, cols] = dispatched["q_kvar"]
-    s_va = np.empty((n_ok, len(keys)), dtype=complex)
-    s_va.real, s_va.imag = _complex_times_real(p_kw[:n_ok], q_kvar[:n_ok], 1000.0)
-    return keys, s_va, dispatched, pending
+    dispatched, pending = [], []
+    for c, sc in enumerate(scenarios):
+        units = sc.batteries if sc.controller != "none" else ()
+        fields, stopped = _dispatch_storage(sc, units, plains[c], dev_p[:, dev_lo[c] : dev_lo[c + 1]])
+        dispatched.append(fields)
+        pending.append(stopped)
+        if units:  # each unit feeds the entry of its dispatched phase; the other two stay 0
+            steps = np.arange(len(fields["soc_kwh"]))[:, None]
+            cols = np.array([batteries[c][b.id] for b in units], dtype=np.intp) + fields["phase"]
+            p_kw[steps, entry_lo[c] + cols] = fields["p_kw"]
+            q_kvar[steps, entry_lo[c] + cols] = fields["q_kvar"]
+    s_va = np.empty(p_kw.shape, dtype=complex)
+    s_va.real, s_va.imag = _complex_times_real(p_kw, q_kvar, 1000.0)
+    blocks = [
+        s_va[: len(fields["soc_kwh"]), lo:hi]
+        for fields, lo, hi in zip(dispatched, entry_lo, entry_lo[1:])
+    ]
+    return layouts, blocks, dispatched, pending
 
 
 def _dispatch_storage(
@@ -494,10 +560,13 @@ def _union_layout(layouts: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.nd
     first place at or after the previous match that holds it, and a key
     with no such place is inserted there. A layout then takes the first
     fitting place for each key in order, which is every place when it is
-    the union itself (a run, whose one layout is its union).
+    the union itself (a run, whose one layout is its union). Layouts with
+    equal keys share their columns.
     """
+    names = [layout.tobytes() for layout in layouts]
+    distinct = dict(zip(names, layouts))
     union: list[int] = []
-    for layout in {layout.tobytes(): layout for layout in layouts}.values():
+    for layout in distinct.values():
         if not union:
             union = layout.tolist()
             continue
@@ -513,10 +582,10 @@ def _union_layout(layouts: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.nd
                 i = at[k] + 1
         union = merged + union[i:]
     whole = np.array(union, dtype=np.intp)
-    columns, places = [], None
-    for layout in layouts:
+    columns, places = {}, None
+    for name, layout in distinct.items():
         if np.array_equal(layout, whole):
-            columns.append(np.arange(len(whole)))
+            columns[name] = np.arange(len(whole))
             continue
         if places is None:
             places = _places(union)
@@ -525,8 +594,8 @@ def _union_layout(layouts: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.nd
             at = places[key]
             j = at[bisect_right(at, j)]
             cols.append(j)
-        columns.append(np.array(cols, dtype=np.intp))
-    return whole, columns
+        columns[name] = np.array(cols, dtype=np.intp)
+    return whole, [columns[name] for name in names]
 
 
 def _places(keys: list[int]) -> dict[int, list[int]]:
@@ -540,16 +609,14 @@ def _places(keys: list[int]) -> dict[int, list[int]]:
 def _distinct_rows(s_va: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``s_va`` in order of first appearance, compared
     by their bytes (so -0.0 and 0.0 differ), and the row each input row
-    maps to."""
-    if s_va.shape[1] == 0:
-        keys = np.zeros(len(s_va), dtype="V1")
-    else:
-        keys = np.ascontiguousarray(s_va).view(np.dtype((np.void, s_va.itemsize * s_va.shape[1])))
-    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return s_va[first[order]], rank[inverse]
+    maps to. A dict keyed on each row's bytes finds them without a sort."""
+    data, width = np.ascontiguousarray(s_va).tobytes(), s_va.itemsize * s_va.shape[1]
+    first_at: dict[bytes, int] = {}
+    at = [first_at.setdefault(data[k * width : (k + 1) * width], k) for k in range(len(s_va))]
+    first = np.array(list(first_at.values()), dtype=np.intp)
+    rank = np.zeros(len(s_va), dtype=np.intp)
+    rank[first] = np.arange(len(first))
+    return s_va[first], rank[at]
 
 
 def _fold_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -566,12 +633,13 @@ def _run_batch(
     """Run scenarios that share one network (nodes and segments), step
     count and step length, with one power flow for all of them.
 
-    1. Dispatch each scenario (``_dispatch``).
-    2. Lay every scenario's ``(step, entry)`` injections out in one union
-       layout (``_union_layout``), reduce the stacked rows to the distinct
-       ones and solve those in one ``sweep_batch``. Rows of a batch do not
-       interact, so a row's solution and iteration count are those of a
-       solve on its own.
+    1. Dispatch every scenario (``_dispatch``).
+    2. Reduce each scenario's ``(step, entry)`` injections to its distinct
+       rows, lay those out in one union layout (``_union_layout``), reduce
+       the stacked rows to the distinct ones and solve those in one
+       ``sweep_batch``; a batch of one solves its own distinct rows. Rows
+       of a batch do not interact, so a row's solution and iteration
+       count are those of a solve on its own.
     3. Node metrics and segment losses once over the distinct rows; each
        scenario gathers its steps back through its row index, and the
        horizon aggregates fold over every step in step order, all
@@ -584,13 +652,21 @@ def _run_batch(
     """
     first = scenarios[0]
     topo = Topology(first.feeder)
-    layouts, blocks, dispatched, pending = zip(*(_dispatch(sc, topo.index) for sc in scenarios))
+    layouts, blocks, dispatched, pending = _dispatch(scenarios, topo.index)
     union, columns = _union_layout(layouts)
-    bounds = np.cumsum([0] + [len(block) for block in blocks]).tolist()
-    s_va = np.zeros((bounds[-1], len(union)), dtype=complex)
-    for block, cols, lo, hi in zip(blocks, columns, bounds, bounds[1:]):
-        s_va[lo:hi, cols] = block
-    distinct, row = _distinct_rows(s_va)
+    # each scenario's distinct rows in order of first appearance, stacked,
+    # give the distinct rows of the stacked steps in the same order
+    parts = [_distinct_rows(block) for block in blocks]
+    if len(parts) == 1:  # its layout is the union
+        [(distinct, step_rows)] = parts
+        rows = [step_rows]
+    else:
+        bounds = np.cumsum([0] + [len(part) for part, _ in parts]).tolist()
+        s_va = np.zeros((bounds[-1], len(union)), dtype=complex)
+        for (part, _), cols, lo, hi in zip(parts, columns, bounds, bounds[1:]):
+            s_va[lo:hi, cols] = part
+        distinct, rank = _distinct_rows(s_va)
+        rows = [rank[lo + step_rows] for (_, step_rows), lo in zip(parts, bounds)]
     node, cond = np.divmod(union, 4)
     solved = sweep_batch(topo, node, cond, distinct, settings)
     vuf_pct, drop_pct, v_rms = node_metric_arrays(solved.voltages, first.feeder.v_base_ln)
@@ -601,14 +677,14 @@ def _run_batch(
     failed[list(solved.failures)] = True
     finite = np.isfinite(vuf_pct).all(axis=1)
     outcomes: list[ScenarioResult | Exception | None] = []
-    for sc, stopped, lo, hi in zip(scenarios, pending, bounds, bounds[1:]):
-        rows = row[lo:hi]
-        bad = failed[rows]
-        failed_at = int(bad.argmax()) if bad.any() else len(rows)
-        if not finite[rows[:failed_at]].all():
+    for sc, stopped, step_rows in zip(scenarios, pending, rows):
+        bad = failed[step_rows]
+        failed_at = int(bad.argmax()) if bad.any() else len(step_rows)
+        if not finite[step_rows[:failed_at]].all():
             outcomes.append(ZeroPositiveSequence("positive-sequence magnitude is zero"))
-        elif failed_at < len(rows):
-            outcomes.append(ScenarioStepError(failed_at * sc.dt_h, solved.failures[rows[failed_at]]))
+        elif failed_at < len(step_rows):
+            failure = solved.failures[step_rows[failed_at]]
+            outcomes.append(ScenarioStepError(failed_at * sc.dt_h, failure))
         else:
             outcomes.append(stopped)
     ok = [c for c, outcome in enumerate(outcomes) if outcome is None]
@@ -619,7 +695,7 @@ def _run_batch(
     # each step adds losses segment by segment (phases A, B, C within one) and
     # deviations phase by phase, as the builtin sum does; then the steps add
     n_steps, dt_h = first.n_steps, first.dt_h
-    step_row = np.stack([row[bounds[c] : bounds[c + 1]] for c in ok])
+    step_row = np.stack([rows[c] for c in ok])
     neutral_kwh = _fold_sum(_fold_sum(neutral_loss)[step_row] * dt_h).tolist()
     phase_kwh = _fold_sum(_fold_sum(_fold_sum(phase_loss))[step_row] * dt_h).tolist()
     drop_sums = _fold_sum(_fold_sum(drop_pct)[step_row], axis=1) / n_steps
@@ -628,7 +704,6 @@ def _run_batch(
     max_vuf = vuf_values.max(axis=1, initial=0.0).tolist()
     drop_min = drop_pct.min(axis=(1, 2))[step_row].min(axis=1).tolist()
     drop_max = drop_pct.max(axis=(1, 2))[step_row].max(axis=1).tolist()
-    times = [k * dt_h for k in range(n_steps)]
     for i, c in enumerate(ok):
         sc = scenarios[c]
         trajectory = Trajectory(
@@ -644,9 +719,7 @@ def _run_batch(
             max_drop_pct=max(0.0, -drop_min[i]),
             max_rise_pct=max(0.0, drop_max[i]),
             sum_drop_at=dict(zip(sc.feeder.nodes, drop_sums[i].tolist())),
-            per_timestep=tuple(
-                StepRecord(t_h, trajectory, k) for k, t_h in enumerate(times)
-            ),
+            per_timestep=_StepRecords(trajectory, dt_h),
             trajectory=trajectory,
         )
     return outcomes
@@ -704,53 +777,75 @@ def build_sweep_scenario(
     the segment length (compact/overload: 0.1 km, sparse: 1.0 km); profiles
     are constant over the horizon.
     """
-    if network_class not in NETWORK_CLASS_SEGMENT_KM:
-        raise ValueError(f"unknown network class {network_class!r}")
-    if kind not in (DeviceKind.DG, DeviceKind.EV):
-        raise ValueError(f"sweep device must be DG or EV, got {kind}")
-    if not 0 <= penetration_pct <= 200:
-        raise ValueError(f"penetration_pct must be in [0, 200], got {penetration_pct}")
-    if device_node not in _SWEEP_NODES:
-        raise UnknownNode(device_node, "sweep device placement (N1..N5)")
+    template = SweepTemplate(total_phase_load_kw, network_class, device_phase, balanced)
+    [scenario] = _sweep_cells(template, [(kind, device_node, penetration_pct)], horizon_h, dt_h)
+    return scenario
 
-    per_node_kw = total_phase_load_kw / len(_SWEEP_NODES)
-    devices = [
-        Device(
-            label=f"load-{node}",
-            node=node,
-            kind=DeviceKind.LOAD,
-            phase=None,
-            s_rated_kva=complex(per_node_kw, 0.0),
-            profile_id="flat",
-        )
-        for node in _SWEEP_NODES
-    ]
-    if penetration_pct > 0:
-        size_kw = penetration_pct / 100.0 * total_phase_load_kw
-        sign = -1.0 if kind is DeviceKind.DG else 1.0
-        devices.append(
-            Device(
-                label=f"{kind.value}-{device_node}",
-                node=device_node,
+
+def _sweep_cells(
+    template: SweepTemplate,
+    cells: Sequence[tuple[DeviceKind, str, float]],
+    horizon_h: float = 24.0,
+    dt_h: float = 1.0,
+) -> list[Scenario]:
+    """The scenario of each (kind, node, penetration) cell of a template,
+    in order, as ``build_sweep_scenario`` builds it: the cells share one
+    chain with its five loads, built and validated once, and one profiles
+    dict, and each cell attaches its own device (``attach_device``).
+
+    A cell's arguments are checked before the chain is built, so the
+    first bad cell raises what ``build_sweep_scenario`` raises for it.
+    """
+    network_class, total_kw = template.network_class, template.total_phase_load_kw
+    base = profiles = None
+    scenarios = []
+    for kind, node, pen in cells:
+        if network_class not in NETWORK_CLASS_SEGMENT_KM:
+            raise ValueError(f"unknown network class {network_class!r}")
+        if kind not in (DeviceKind.DG, DeviceKind.EV):
+            raise ValueError(f"sweep device must be DG or EV, got {kind}")
+        if not 0 <= pen <= 200:
+            raise ValueError(f"penetration_pct must be in [0, 200], got {pen}")
+        if node not in _SWEEP_NODES:
+            raise UnknownNode(node, "sweep device placement (N1..N5)")
+        if base is None:
+            loads = [
+                Device(
+                    label=f"load-{n}",
+                    node=n,
+                    kind=DeviceKind.LOAD,
+                    phase=None,
+                    s_rated_kva=complex(total_kw / len(_SWEEP_NODES), 0.0),
+                    profile_id="flat",
+                )
+                for n in _SWEEP_NODES
+            ]
+            base = chain_feeder(6, NETWORK_CLASS_SEGMENT_KM[network_class], devices=loads)
+        feeder = base
+        if pen > 0:
+            sign = -1.0 if kind is DeviceKind.DG else 1.0
+            device = Device(
+                label=f"{kind.value}-{node}",
+                node=node,
                 kind=kind,
-                phase=None if balanced else device_phase,
-                s_rated_kva=complex(sign * size_kw, 0.0),
+                phase=None if template.balanced else template.device_phase,
+                s_rated_kva=complex(sign * (pen / 100.0 * total_kw), 0.0),
                 profile_id="flat",
             )
+            feeder = attach_device(base, device)
+        if profiles is None:
+            profiles = _flat_profiles(round(horizon_h / dt_h))
+        tag = "balanced" if template.balanced else f"phase-{template.device_phase.value}"
+        scenarios.append(
+            Scenario(
+                feeder=feeder,
+                horizon_h=horizon_h,
+                dt_h=dt_h,
+                profiles=profiles,
+                label=f"{network_class}-{kind.value}-{node}-{pen:g}pct-{tag}",
+            )
         )
-
-    feeder = chain_feeder(
-        6, NETWORK_CLASS_SEGMENT_KM[network_class], devices=devices
-    )
-    n_steps = round(horizon_h / dt_h)
-    tag = "balanced" if balanced else f"phase-{device_phase.value}"
-    return Scenario(
-        feeder=feeder,
-        horizon_h=horizon_h,
-        dt_h=dt_h,
-        profiles=_flat_profiles(n_steps),
-        label=f"{network_class}-{kind.value}-{device_node}-{penetration_pct:g}pct-{tag}",
-    )
+    return scenarios
 
 
 def build_stylized_scenario(
@@ -895,26 +990,17 @@ def sweep_and_tabulate(
 ) -> list[SweepRow]:
     """Run the cross product of (kind, node, penetration) and tabulate.
 
-    Every cell shares the six-node chain, so the cells run as one batch:
-    one power flow over the distinct operating points of all of them.
+    Every cell shares the six-node chain, built once with its loads, so the
+    cells run as one batch: one power flow over the distinct operating
+    points of all of them. Every cell is built before any runs, and the
+    first that cannot be built raises as ``build_sweep_scenario`` would.
     Rows come back in (kind, node, penetration) loop order. A failing cell
     is recorded with its error message instead of aborting the others.
     """
     if not penetrations or not nodes or not kinds:
         raise ValueError("penetrations, nodes and kinds must be non-empty")
     cells = [(kind, node, pen) for kind in kinds for node in nodes for pen in penetrations]
-    scenarios = [
-        build_sweep_scenario(
-            template.total_phase_load_kw,
-            node,
-            kind,
-            pen,
-            template.network_class,
-            device_phase=template.device_phase,
-            balanced=template.balanced,
-        )
-        for kind, node, pen in cells
-    ]
+    scenarios = _sweep_cells(template, cells)
     rows = []
     for (kind, node, pen), outcome in zip(cells, _run_batch(scenarios, settings)):
         if isinstance(outcome, ScenarioResult):

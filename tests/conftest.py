@@ -556,7 +556,7 @@ def reference_run(
     does not report, are all False, and the loop evaluates every step of a
     dispatched fleet."""
 
-    def dispatch(sc: Scenario, index: dict[str, int]):
+    def dispatch_one(sc: Scenario, index: dict[str, int]):
         layout, s_va, steps, pending = reference_dispatch(sc, index)
         units = len(steps[0][1]) if steps else 0
         shape = (len(steps), units)
@@ -578,6 +578,9 @@ def reference_run(
         arrays["battery_ids"] = tuple(b.id for b in sc.batteries)
         arrays["dispatch_states"] = len(steps) if units else 0
         return layout, s_va, arrays, pending
+
+    def dispatch(scs: list[Scenario], index: dict[str, int]):
+        return zip(*(dispatch_one(sc, index) for sc in scs))
 
     with mock.patch.object(scenarios, "_dispatch", dispatch):
         return run_scenario(scenario, settings)

@@ -249,6 +249,11 @@ class TestAttachDevice:
             attach_device(self.feeder, ev)
         assert exc.value.node == "N9"
 
+    def test_attach_duplicate_label(self):
+        ev = Device(label="l3", node="N2", kind=DeviceKind.EV, phase=Phase.A, s_rated_kva=7.0 + 0j)
+        with pytest.raises(ValueError, match="duplicate device label 'l3'"):
+            attach_device(self.feeder, ev)
+
 
 class TestPhaseOrdering:
     def test_total_order(self):

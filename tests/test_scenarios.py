@@ -7,6 +7,7 @@ import random
 import struct
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from phasebal.cli import timeseries_rows
 from phasebal.errors import (
     PhasebalError,
     ScenarioStepError,
+    SignConventionViolation,
     SocOverflow,
     SocUnderflow,
     UnknownNode,
@@ -52,10 +54,12 @@ from phasebal.powerflow import (
     segment_losses,
     segment_resistances,
 )
+from phasebal import scenarios
 from phasebal.scenarios import (
     MAX_STEPS,
     NETWORK_CLASS_SEGMENT_KM,
     Scenario,
+    StepRecord,
     SweepTemplate,
     _dispatch,
     build_stylized_scenario,
@@ -395,6 +399,130 @@ class TestSweepTabulate:
                 assert sol.voltages.tobytes() == ref_sol.voltages.tobytes()
                 assert sol.currents.tobytes() == ref_sol.currents.tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        network_class=st.sampled_from(sorted(NETWORK_CLASS_SEGMENT_KM)),
+        load_kw=st.sampled_from([5.0, 60.0]),
+        device_phase=st.sampled_from(PHASES),
+        balanced=st.booleans(),
+        penetrations=st.lists(st.sampled_from([0, 40.0, 120]), min_size=1, max_size=3),
+        nodes=st.lists(st.sampled_from(["N1", "N3", "N5"]), min_size=1, max_size=3, unique=True),
+        kinds=st.lists(st.sampled_from([DeviceKind.DG, DeviceKind.EV]), min_size=1, unique=True),
+    )
+    def test_cells_equal_standalone_cells(
+        self, network_class, load_kw, device_phase, balanced, penetrations, nodes, kinds
+    ):
+        """Each scenario the sweep runs equals the one ``build_sweep_scenario``
+        builds for its cell (feeder, profiles, label and all), the cells
+        share one profiles dict, and each result carries its cell's feeder
+        and label."""
+        template = SweepTemplate(load_kw, network_class, device_phase, balanced)
+        with mock.patch.object(scenarios, "_run_batch", wraps=scenarios._run_batch) as batch:
+            rows = sweep_and_tabulate(template, penetrations, nodes, kinds)
+        [call] = batch.call_args_list
+        ran = call.args[0]
+        assert len(ran) == len(rows)
+        assert len({id(sc.profiles) for sc in ran}) == 1
+        for row, sc in zip(rows, ran, strict=True):
+            want = build_sweep_scenario(
+                load_kw, row.node, row.kind, row.penetration_pct, network_class,
+                device_phase=device_phase, balanced=balanced,
+            )
+            assert sc == want
+            assert sc.feeder == want.feeder and sc.profiles == want.profiles
+            if row.result is not None:
+                assert row.result.trajectory.feeder == want.feeder
+                assert row.result.label == want.label
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        network_class=st.sampled_from(["compact", "sparse", "meshed"]),
+        load_kw=st.sampled_from([5.0, -5.0, math.nan, math.inf, 1e306]),
+        penetrations=st.lists(st.sampled_from([0, 60, -1, 250]), min_size=1, max_size=3),
+        nodes=st.lists(st.sampled_from(["N1", "N5", "N0", "N9"]), min_size=1, max_size=3),
+        kinds=st.lists(st.sampled_from(list(DeviceKind)), min_size=1, max_size=2),
+    )
+    def test_first_bad_cell_raises_what_its_standalone_build_raises(
+        self, network_class, load_kw, penetrations, nodes, kinds
+    ):
+        """Every cell is built before any runs, and a grid raises what
+        ``build_sweep_scenario`` raises for its first cell that cannot be
+        built, although the sweep builds the loaded chain only once: an
+        unknown node, a bad kind or penetration of that cell wins over
+        invalid loads."""
+        want = None
+        for kind in kinds:
+            for node in nodes:
+                for pen in penetrations:
+                    try:
+                        build_sweep_scenario(load_kw, node, kind, pen, network_class)
+                    except (PhasebalError, ValueError) as exc:
+                        want = want or exc
+        template = SweepTemplate(load_kw, network_class)
+        if want is None:
+            assert len(sweep_and_tabulate(template, penetrations, nodes, kinds)) > 0
+            return
+        with pytest.raises(type(want)) as got:
+            sweep_and_tabulate(template, penetrations, nodes, kinds)
+        assert type(got.value) is type(want)
+        assert str(got.value) == str(want)
+
+    def test_unknown_node_of_the_first_cell_wins_over_invalid_loads(self):
+        template = SweepTemplate(-5.0, "compact")
+        with pytest.raises(UnknownNode) as want:
+            build_sweep_scenario(-5.0, "N9", DeviceKind.DG, 60, "compact")
+        with pytest.raises(UnknownNode) as got:
+            sweep_and_tabulate(template, [60, 0], ["N9", "N1"], [DeviceKind.DG])
+        assert str(got.value) == str(want.value)
+        with pytest.raises(SignConventionViolation):  # a valid first cell meets the loads
+            sweep_and_tabulate(template, [60, 0], ["N1", "N9"], [DeviceKind.DG])
+
+
+class TestStepRecordView:
+    """``ScenarioResult.per_timestep`` makes each ``StepRecord`` when it is
+    read and reads like the tuple of them."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        arch = Architecture(ArchKind.A3)
+        return run_scenario(build_stylized_scenario(arch, "N5", 3.0, dt_h=0.5, horizon_h=6.0))
+
+    def test_reads_like_the_tuple_of_records(self, result):
+        view, traj = result.per_timestep, result.trajectory
+        want = tuple(StepRecord(k * 0.5, traj, k) for k in range(12))
+        assert len(view) == len(want) == 12
+        for k in (0, 5, 11, -1, -12):
+            assert view[k] == want[k]
+            assert (view[k].t_h, view[k].step) == (want[k].t_h, want[k].step)
+        assert view[-1].step == 11 and view[-1].t_h == 5.5
+        for cut in (slice(2, 5), slice(None, None, -3), slice(-3, None), slice(20, None)):
+            assert type(view[cut]) is tuple
+            assert view[cut] == want[cut]
+        assert list(view) == list(want)
+        assert [r.t_h for r in view] == [r.t_h for r in want]
+        assert view == want and want == view and not view != want
+        assert view != want[:-1] and view != list(want)
+        assert repr(view) == repr(want)
+        assert repr(view[3]) == repr(want[3])
+        for k in (12, -13):
+            with pytest.raises(IndexError):
+                view[k]
+        with pytest.raises(TypeError):
+            view[1.0]
+        with pytest.raises(TypeError):
+            hash(view)
+
+    def test_results_compare_their_steps(self, result):
+        again = run_scenario(build_stylized_scenario(
+            Architecture(ArchKind.A3), "N5", 3.0, dt_h=0.5, horizon_h=6.0
+        ))
+        assert again == result and again.per_timestep == result.per_timestep
+        steps = tuple(result.per_timestep)
+        assert replace(result, per_timestep=steps) == result
+        assert replace(result, per_timestep=steps[:-1]) != result
+        moved = replace(steps[4], t_h=steps[4].t_h + 0.5)
+        assert replace(result, per_timestep=steps[:4] + (moved,) + steps[5:]) != result
+
 
 def step_injections(scenario, rec, k):
     """The device powers a scenario applies at step k, for snapshot_solve."""
@@ -599,7 +727,7 @@ def assert_scan_equals_the_reference_loop(scenario: Scenario):
     dispatch failed."""
     index = Topology(scenario.feeder).index
     layout, s_va, steps, pending = reference_dispatch(scenario, index)
-    got_layout, got_s_va, arrays, got_pending = _dispatch(scenario, index)
+    [got_layout], [got_s_va], [arrays], [got_pending] = _dispatch([scenario], index)
     assert got_layout.tobytes() == layout.tobytes()
     assert got_s_va.tobytes() == s_va.tobytes()
     assert repr(got_pending) == repr(pending)
@@ -805,7 +933,7 @@ class TestDispatchScan:
         scenario = replace(scenario, batteries=tuple(batteries))
         index = Topology(scenario.feeder).index
         _, s_va, _, pending = reference_dispatch(scenario, index)
-        _, got_s_va, _, got_pending = _dispatch(scenario, index)
+        _, [got_s_va], _, [got_pending] = _dispatch([scenario], index)
         assert got_s_va.tobytes() == s_va.tobytes()
         assert repr(got_pending) == repr(pending)
         assert repr(outcome(scenario, run_scenario)) == repr(outcome(scenario, reference_run))
