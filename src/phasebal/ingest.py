@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from typing import Sequence
 
 from .errors import NonMonotonicTimestamps, SchemaMismatch
@@ -65,6 +65,8 @@ def _parse_timestamp(raw: str, row: int) -> tuple[float, float]:
         stamp = datetime.fromisoformat(raw)
     except ValueError:
         raise SchemaMismatch(f"row {row}: cannot parse timestamp {raw!r}") from None
+    if stamp.tzinfo is None:  # naive stamps order as UTC, whatever the local zone
+        stamp = stamp.replace(tzinfo=timezone.utc)
     return stamp.timestamp(), stamp.hour + stamp.minute / 60.0 + stamp.second / 3600.0
 
 

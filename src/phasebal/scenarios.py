@@ -13,15 +13,18 @@ distinct (SoC, input row) state the steps meet. Steps with
 byte-equal injections share one operating point, so the power flow and
 the metrics run once per distinct row, and each step reads its row
 through ``Trajectory.step_row``: the lossless case of vector-quantised
-QSTS (Deboever, Grijalva, Reno & Broderick, Solar Energy 159, 2018). The
-horizon aggregates still add every step in step order, and
-``ScenarioResult.per_timestep`` makes each step's ``StepRecord`` only when
-it is read.
+QSTS (Deboever, Grijalva, Reno & Broderick, Solar Energy 159, 2018).
+Dispatch quantises before the injections exist: each step is keyed on the
+bytes of its profile values and, with a dispatched fleet, of its applied
+``(p, q, phase)`` row, and the injections are built only at the first step
+of each key. The horizon aggregates still add every step in step order,
+and ``ScenarioResult.per_timestep`` makes each step's ``StepRecord`` only
+when it is read.
 ``sweep_and_tabulate`` builds the loaded chain of a sweep once and
 attaches each cell's device to it, then runs all cells through the same
-passes as one batch on one ``Topology``: one array pass scales the
-profiles of every cell, and one power flow covers the distinct rows of
-every cell.
+passes as one batch on one ``Topology``: the cells share their step keys
+and the layout of their common loads, and one power flow covers the
+distinct rows of every cell.
 
 Two builder families cover the bundled studies:
 
@@ -129,13 +132,14 @@ class Scenario:
             raise ValueError(f"horizon_h / dt_h must be at most {MAX_STEPS} steps, got {steps:g}")
         if abs(steps - round(steps)) > 1e-9 or steps < 1:
             raise ValueError("horizon_h must be a positive multiple of dt_h")
-        n = self.n_steps
+        n, peaks = self.n_steps, {}
         for pid, profile in self.profiles.items():
             for i, value in enumerate(profile):
                 if not 0 <= value < math.inf:
                     raise ValueError(
                         f"profile {pid!r} entry {i} must be finite and >= 0, got {value!r}"
                     )
+            peaks[pid] = max(profile, default=0.0)
         for dev in self.feeder.devices:
             if dev.profile_id is None:
                 continue
@@ -149,7 +153,7 @@ class Scenario:
             # values are >= 0, so a finite product at the largest is finite at
             # all; the solver takes the power in VA
             kva = dev.s_rated_kva
-            if not cmath.isfinite(kva * max(profile) * 1000):
+            if not cmath.isfinite(kva * peaks[dev.profile_id] * 1000):
                 i = next(i for i, v in enumerate(profile) if not cmath.isfinite(kva * v * 1000))
                 raise ValueError(
                     f"profile {dev.profile_id!r} entry {i} scales the rating of device "
@@ -336,119 +340,157 @@ def _complex_times_real(re: np.ndarray, im: np.ndarray, f) -> tuple[np.ndarray, 
     return re * f - im * 0.0, re * 0.0 + im * f
 
 
-def _injection_entries(
-    feeder: Feeder, index: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
-    """Injection entries in the order the devices sit on the feeder.
-
-    A device takes one entry per connected phase. A storage device takes
-    three (A, B, C): the phase its battery is dispatched on carries the
-    power and the other two stay zero, so phase-selecting units need no
-    second layout. ``index`` maps node names to rows. Returns the entries
-    as flat keys ``node row * 4 + conductor``, the column of each entry's
-    device among the non-storage devices (-1 for storage), and the first
-    entry of the device of each battery.
-    """
-    keys: list[int] = []
-    owner: list[int] = []
-    battery_entry: dict[str, int] = {}
-    col = 0
-    for dev in feeder.devices:
-        base = index[dev.node] * 4
-        if dev.kind is DeviceKind.STORAGE:
-            battery_entry[dev.battery_id] = len(keys)
-            phases, dev_col = PHASES, -1
-        else:
-            phases, dev_col = dev.connected_phases, col
-            col += 1
-        keys += [base + _PHASE_ROW[ph] for ph in phases]
-        owner += [dev_col] * len(phases)
-    return np.array(keys, dtype=np.intp), np.array(owner, dtype=np.intp), battery_entry
+def _va(p_kw: np.ndarray, q_kvar: np.ndarray) -> np.ndarray:
+    """Complex VA of kW and kvar arrays, as ``complex(p, q) * 1000``."""
+    s_va = np.empty(p_kw.shape, dtype=complex)
+    s_va.real, s_va.imag = _complex_times_real(p_kw, q_kvar, 1000.0)
+    return s_va
 
 
 def _dispatch(
     scenarios: Sequence[Scenario], index: dict[str, int]
-) -> tuple[list[np.ndarray], list[np.ndarray], list[dict], list[Exception | None]]:
-    """Pass 1 of a run, for scenarios of one step count: evaluate profiles,
-    then dispatch storage over all steps (``_dispatch_storage``). Neither
-    controller reads voltages, so this fixes every step's injections up
-    front.
+) -> tuple[
+    list[np.ndarray], list[np.ndarray], list[np.ndarray], list[dict], list[Exception | None]
+]:
+    """Pass 1 of a run, for scenarios of one step count: lay out the
+    injection entries, dispatch storage over all steps
+    (``_dispatch_storage``) and build the injections of the steps that can
+    differ. Neither controller reads voltages, so this fixes every step's
+    injections up front.
 
-    The entries of all scenarios sit side by side in one ``(step, entry)``
-    array, so the profile scaling and the VA figures are one element-wise
-    pass each over every scenario; a profile object that several
-    scenarios share converts to floats once. Only the storage scan runs
-    scenario by scenario.
+    A device takes one entry per connected phase, keyed ``node row * 4 +
+    conductor``, in the order the devices sit on the feeder. A storage
+    device takes three (A, B, C): the phase its battery is dispatched on
+    carries the power and the other two stay zero, so phase-selecting
+    units need no second layout. The entries of all scenarios are one flat
+    array, each layout a slice of it, and each distinct device object (with
+    its profile object) is one device column: the cells of a sweep share
+    the columns of their five loads.
 
-    Returns, per scenario, the entry layout as flat keys ``node row * 4 +
-    conductor``, the ``(step, entry)`` complex VA of the steps dispatched
-    (a view into the shared array), the dispatch arrays keyed by
-    ``Trajectory`` field, and the error that stopped dispatch early (None
-    if every step ran).
+    A step's injections follow from its key: its byte-distinct row of
+    profile values, one column per distinct profile object in the batch,
+    and for a dispatched fleet also its applied ``(p, q, phase)`` row.
+    Bytes keep a -0.0 profile value apart from 0.0. Steps of one key have
+    byte-equal injections, so the ``(row, entry)`` complex VA is built
+    only at the first step of each key, its candidate row. Scenarios
+    without a fleet share the keys of the batch and their candidate rows,
+    built for all entries at once; those without batteries also share one
+    set of empty dispatch fields.
+
+    Returns, per scenario, the entry layout as flat keys, the candidate
+    rows, the candidate row of each step dispatched, the dispatch arrays
+    keyed by ``Trajectory`` field, and the error that stopped dispatch
+    early (None if every step ran).
     """
-    n_steps = scenarios[0].n_steps
-    plains = [[d for d in sc.feeder.devices if d.kind is not DeviceKind.STORAGE] for sc in scenarios]
-    profile_row: dict[int, int] = {}  # keyed by identity: byte-distinct values stay apart
-    profiles, which, rated = [], [], []
-    layouts, owners, batteries = [], [], []
-    dev_lo, entry_lo = [0], [0]
-    for sc, plain in zip(scenarios, plains):
-        for d in plain:
-            profile = sc.profiles[d.profile_id] if d.profile_id else None
-            row = profile_row.setdefault(id(profile), len(profiles))
-            if row == len(profiles):
-                profiles.append((1.0,) * n_steps if profile is None else profile)
-            which.append(row)
-            rated.append(d.s_rated_kva)
-        keys, owner, battery_entry = _injection_entries(sc.feeder, index)
-        layouts.append(keys)
-        owners.append(np.where(owner >= 0, owner + dev_lo[-1], -1))
-        batteries.append(battery_entry)
-        dev_lo.append(dev_lo[-1] + len(plain))
-        entry_lo.append(entry_lo[-1] + len(keys))
-    scale = np.array(profiles, dtype=float).reshape(len(profiles), n_steps)[which].T
-    rated = np.array(rated, dtype=complex)
-    dev_p, dev_q = _complex_times_real(rated.real, rated.imag, scale)
+    n_steps, storage = scenarios[0].n_steps, DeviceKind.STORAGE
+    # keyed by identity, so byte-distinct values stay apart: a profile
+    # object, and a device object with the profiles dict it reads
+    profile_col: dict[int, int] = {}
+    device_col: dict[tuple[int, int], int] = {}
+    profiles, dev_profile, rated, dev_entries = [], [], [], []
+    keys, owner, bounds, battery_entry = [], [], [0], []
+    for sc in scenarios:
+        first_entry, profiles_id = {}, id(sc.profiles)
+        for d in sc.feeder.devices:
+            if d.kind is storage:
+                first_entry[d.battery_id] = len(keys)
+                base = index[d.node] * 4
+                keys += base, base + 1, base + 2
+                owner += -1, -1, -1
+                continue
+            key = id(d), profiles_id
+            col = device_col.get(key)
+            if col is None:
+                col = device_col[key] = len(rated)
+                profile = sc.profiles[d.profile_id] if d.profile_id else None
+                row = profile_col.setdefault(id(profile), len(profiles))
+                if row == len(profiles):
+                    profiles.append((1.0,) * n_steps if profile is None else profile)
+                dev_profile.append(row)
+                rated.append(d.s_rated_kva)
+                base = index[d.node] * 4
+                entries = [base + _PHASE_ROW[ph] for ph in d.connected_phases]
+                dev_entries.append((entries, [col] * len(entries)))
+            entries, owners = dev_entries[col]
+            keys += entries
+            owner += owners
+        battery_entry.append(first_entry)
+        bounds.append(len(keys))
+    keys, owner = np.array(keys, dtype=np.intp), np.array(owner, dtype=np.intp)
+    scale = np.array(profiles, dtype=float).reshape(len(profiles), n_steps).T
+    dev_profile, rated = np.array(dev_profile, dtype=np.intp), np.array(rated, dtype=complex)
 
-    owner = np.concatenate(owners)
-    has_dev = owner >= 0
-    p_kw = np.zeros((n_steps, len(owner)))
-    q_kvar = np.zeros((n_steps, len(owner)))
-    p_kw[:, has_dev] = dev_p[:, owner[has_dev]]
-    q_kvar[:, has_dev] = dev_q[:, owner[has_dev]]
+    def powers(steps: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """kW and kvar of entries ``lo:hi`` at ``steps``, storage at 0."""
+        own = owner[lo:hi]
+        has_dev = own >= 0
+        cols = own[has_dev]
+        p_kw, q_kvar = np.zeros((2, len(steps), hi - lo))
+        p_kw[:, has_dev], q_kvar[:, has_dev] = _complex_times_real(
+            rated.real[cols], rated.imag[cols], scale[steps][:, dev_profile[cols]]
+        )
+        return p_kw, q_kvar
 
-    dispatched, pending = [], []
+    layouts, candidates, step_keys, dispatched, pending = [], [], [], [], []
+    shared = idle = None
     for c, sc in enumerate(scenarios):
+        lo, hi = bounds[c], bounds[c + 1]
+        layouts.append(keys[lo:hi])
         units = sc.batteries if sc.controller != "none" else ()
-        fields, stopped = _dispatch_storage(sc, units, plains[c], dev_p[:, dev_lo[c] : dev_lo[c + 1]])
+        if not units:
+            if shared is None:
+                first, step_key = _distinct_rows(scale)
+                shared = _va(*powers(first, 0, len(keys))), step_key
+            candidates.append(shared[0][:, lo:hi])
+            step_keys.append(shared[1])
+            if sc.batteries:  # the SoC each battery starts at
+                dispatched.append(_idle_fields(sc))
+            else:
+                if idle is None:
+                    idle = _idle_fields(sc)
+                dispatched.append(idle)
+            pending.append(None)
+            continue
+        net = None
+        if sc.controller == "greedy":  # each phase adds its devices in feeder order
+            p_kw = powers(np.arange(n_steps), lo, hi)[0]
+            net = np.zeros((n_steps, 3))
+            for e, (key, dev) in enumerate(zip(keys[lo:hi].tolist(), owner[lo:hi].tolist())):
+                if dev >= 0:
+                    net[:, key % 4] += p_kw[:, e]
+        fields, stopped = _dispatch_storage(sc, units, net)
+        n_ok = len(fields["soc_kwh"])
+        step_key = np.concatenate(
+            [scale[:n_ok], fields["p_kw"], fields["q_kvar"], fields["phase"]], axis=1
+        )
+        first, step_key = _distinct_rows(step_key)
+        # each unit feeds the entry of its dispatched phase; the other two stay 0
+        p_kw, q_kvar = powers(first, lo, hi)
+        rows = np.arange(len(first))[:, None]
+        cols = np.array([battery_entry[c][b.id] - lo for b in units], dtype=np.intp)
+        cols = cols + fields["phase"][first]
+        p_kw[rows, cols] = fields["p_kw"][first]
+        q_kvar[rows, cols] = fields["q_kvar"][first]
+        candidates.append(_va(p_kw, q_kvar))
+        step_keys.append(step_key)
         dispatched.append(fields)
         pending.append(stopped)
-        if units:  # each unit feeds the entry of its dispatched phase; the other two stay 0
-            steps = np.arange(len(fields["soc_kwh"]))[:, None]
-            cols = np.array([batteries[c][b.id] for b in units], dtype=np.intp) + fields["phase"]
-            p_kw[steps, entry_lo[c] + cols] = fields["p_kw"]
-            q_kvar[steps, entry_lo[c] + cols] = fields["q_kvar"]
-    s_va = np.empty(p_kw.shape, dtype=complex)
-    s_va.real, s_va.imag = _complex_times_real(p_kw, q_kvar, 1000.0)
-    blocks = [
-        s_va[: len(fields["soc_kwh"]), lo:hi]
-        for fields, lo, hi in zip(dispatched, entry_lo, entry_lo[1:])
-    ]
-    return layouts, blocks, dispatched, pending
+    return layouts, candidates, step_keys, dispatched, pending
 
 
 def _dispatch_storage(
-    scenario: Scenario, units: Sequence[Battery], plain: list[Device], dev_p: np.ndarray
+    scenario: Scenario, units: Sequence[Battery], net: np.ndarray | None
 ) -> tuple[dict, Exception | None]:
     """The storage half of the dispatch pass, in plain floats. ``units``
-    are the batteries the controller dispatches, or none.
+    are the batteries the controller dispatches, at least one.
 
     The fixed schedule's requests come as one ``(step, unit)`` array
     (``schedule_requests``); the greedy search makes its requests step by
-    step from every unit's bounds and the net kW per phase. One scan then
-    steps through time, and at each step reads each unit's bounds at its
-    SoC, shifts the requests of A2 without load shift to a zero sum
-    (``zero_sum_shift``), clips and updates the SoC, unit after unit.
+    step from every unit's bounds and ``net``, the ``(step, phase)`` kW of
+    the scenario's devices. One scan then steps through time, and at each
+    step reads each unit's bounds at its SoC, shifts the requests of A2
+    without load shift to a zero sum (``zero_sum_shift``), clips and
+    updates the SoC, unit after unit.
 
     A step's outcome depends only on the SoC going in and the step's input
     row: the request row for the fixed schedule, the net phase-power row
@@ -465,17 +507,9 @@ def _dispatch_storage(
     """
     n_steps, dt_h, arch = scenario.n_steps, scenario.dt_h, scenario.architecture
     soc = [b.soc_kwh for b in scenario.batteries]
-    if not units:  # no actions, and the SoC stays where it starts
-        none = np.zeros((n_steps, 0))
-        soc_kwh = np.array([soc], dtype=float).repeat(n_steps, axis=0)
-        return _dispatch_fields(scenario, none.astype(np.intp), none, none, none, soc_kwh, 0), None
     greedy = scenario.controller == "greedy"
     zero_sum = arch.kind is ArchKind.A2 and not arch.allow_load_shift
     if greedy:
-        net = np.zeros((n_steps, 3))  # each phase adds its devices in feeder order
-        for d, dev in enumerate(plain):
-            for ph in dev.connected_phases:
-                net[:, _PHASE_ROW[ph]] += dev_p[:, d]
         inputs, net_rows, phase_rows, want_rows = net, net.tolist(), [], []
     else:
         phases, want = schedule_requests(
@@ -530,6 +564,16 @@ def _dispatch_storage(
     return fields, pending
 
 
+def _idle_fields(scenario: Scenario) -> dict:
+    """The ``Trajectory`` dispatch fields of a scenario whose batteries (if
+    any) no controller dispatches: no actions, and the SoC stays where it
+    starts."""
+    n_steps = scenario.n_steps
+    none = np.zeros((n_steps, 0))
+    soc_kwh = np.array([[b.soc_kwh for b in scenario.batteries]], dtype=float).repeat(n_steps, 0)
+    return _dispatch_fields(scenario, none.astype(np.intp), none, none, none, soc_kwh, 0)
+
+
 def _dispatch_fields(scenario: Scenario, phase, want, p_kw, q_kvar, soc_kwh, states) -> dict:
     """The ``Trajectory`` dispatch fields from ``(step, unit)`` phase,
     requested and applied powers, ``(step, battery)`` SoC and the number
@@ -546,10 +590,13 @@ def _dispatch_fields(scenario: Scenario, phase, want, p_kw, q_kvar, soc_kwh, sta
     }
 
 
-def _union_layout(layouts: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+def _union_layout(
+    layouts: Sequence[np.ndarray],
+) -> tuple[np.ndarray, list[np.ndarray | slice]]:
     """One entry layout holding every layout of flat ``(node row,
     conductor)`` keys as a subsequence, and the columns each layout takes
-    in it.
+    in it: a slice of all of them for a layout that is the union, so that
+    placing its rows is a plain copy.
 
     Entries add into a node's sinks in layout order, so each layout keeps
     its own order. A column a layout does not use carries 0 VA, which the
@@ -585,7 +632,7 @@ def _union_layout(layouts: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.nd
     columns, places = {}, None
     for name, layout in distinct.items():
         if np.array_equal(layout, whole):
-            columns[name] = np.arange(len(whole))
+            columns[name] = slice(None)
             continue
         if places is None:
             places = _places(union)
@@ -606,17 +653,25 @@ def _places(keys: list[int]) -> dict[int, list[int]]:
     return places
 
 
-def _distinct_rows(s_va: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``s_va`` in order of first appearance, compared
-    by their bytes (so -0.0 and 0.0 differ), and the row each input row
-    maps to. A dict keyed on each row's bytes finds them without a sort."""
-    data, width = np.ascontiguousarray(s_va).tobytes(), s_va.itemsize * s_va.shape[1]
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct row of a 2-d array, in order of first
+    appearance, compared by their bytes (so -0.0 and 0.0 differ), and the
+    distinct row each row maps to. A dict keyed on each row's bytes finds
+    them without a sort."""
+    data, width = np.ascontiguousarray(rows).tobytes(), rows.itemsize * rows.shape[1]
     first_at: dict[bytes, int] = {}
-    at = [first_at.setdefault(data[k * width : (k + 1) * width], k) for k in range(len(s_va))]
+    at = [first_at.setdefault(data[k * width : (k + 1) * width], k) for k in range(len(rows))]
     first = np.array(list(first_at.values()), dtype=np.intp)
-    rank = np.zeros(len(s_va), dtype=np.intp)
+    rank = np.zeros(len(rows), dtype=np.intp)
     rank[first] = np.arange(len(first))
-    return s_va[first], rank[at]
+    return first, rank[at]
+
+
+def _first_flagged(flags: np.ndarray, bounds: list[int]) -> list[int]:
+    """For each part ``bounds[c]:bounds[c + 1]`` of ``flags``, the index
+    of its first True, or ``bounds[c + 1]`` if it holds none."""
+    at = np.append(np.flatnonzero(flags), bounds[-1])
+    return np.minimum(at[np.searchsorted(at, bounds[:-1])], bounds[1:]).tolist()
 
 
 def _fold_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -633,15 +688,18 @@ def _run_batch(
     """Run scenarios that share one network (nodes and segments), step
     count and step length, with one power flow for all of them.
 
-    1. Dispatch every scenario (``_dispatch``).
-    2. Reduce each scenario's ``(step, entry)`` injections to its distinct
-       rows, lay those out in one union layout (``_union_layout``), reduce
-       the stacked rows to the distinct ones and solve those in one
-       ``sweep_batch``; a batch of one solves its own distinct rows. Rows
+    1. Dispatch every scenario (``_dispatch``), which gives each its
+       candidate rows, the injections at the first step of each step key,
+       and the candidate row of each step.
+    2. Lay the candidate rows of all scenarios out in one union layout
+       (``_union_layout``), stacked in scenario order, reduce them to the
+       byte-distinct rows and solve those in one ``sweep_batch``. The first
+       step of each distinct row is the first step of a key, so these are
+       the distinct rows of all steps in order of first appearance. Rows
        of a batch do not interact, so a row's solution and iteration
        count are those of a solve on its own.
     3. Node metrics and segment losses once over the distinct rows; each
-       scenario gathers its steps back through its row index, and the
+       scenario gathers its steps back through its candidate rows, and the
        horizon aggregates fold over every step in step order, all
        scenarios at once.
 
@@ -652,39 +710,34 @@ def _run_batch(
     """
     first = scenarios[0]
     topo = Topology(first.feeder)
-    layouts, blocks, dispatched, pending = _dispatch(scenarios, topo.index)
+    layouts, candidates, step_keys, dispatched, pending = _dispatch(scenarios, topo.index)
     union, columns = _union_layout(layouts)
-    # each scenario's distinct rows in order of first appearance, stacked,
-    # give the distinct rows of the stacked steps in the same order
-    parts = [_distinct_rows(block) for block in blocks]
-    if len(parts) == 1:  # its layout is the union
-        [(distinct, step_rows)] = parts
-        rows = [step_rows]
-    else:
-        bounds = np.cumsum([0] + [len(part) for part, _ in parts]).tolist()
-        s_va = np.zeros((bounds[-1], len(union)), dtype=complex)
-        for (part, _), cols, lo, hi in zip(parts, columns, bounds, bounds[1:]):
-            s_va[lo:hi, cols] = part
-        distinct, rank = _distinct_rows(s_va)
-        rows = [rank[lo + step_rows] for (_, step_rows), lo in zip(parts, bounds)]
+    bounds = np.cumsum([0] + [len(part) for part in candidates]).tolist()
+    s_va = np.zeros((bounds[-1], len(union)), dtype=complex)
+    for part, cols, lo, hi in zip(candidates, columns, bounds, bounds[1:]):
+        s_va[lo:hi, cols] = part
+    del candidates  # the candidate rows now live in s_va alone
+    at, rank = _distinct_rows(s_va)
+    distinct = s_va if len(at) == len(s_va) else s_va[at]  # no copy if all differ
     node, cond = np.divmod(union, 4)
     solved = sweep_batch(topo, node, cond, distinct, settings)
     vuf_pct, drop_pct, v_rms = node_metric_arrays(solved.voltages, first.feeder.v_base_ln)
     phase_loss, neutral_loss = segment_losses(solved.currents, *segment_resistances(first.feeder))
 
     # --- errors: the earliest step on a failing or undefined row ------------
+    # a scenario's candidates appear in step order, so its earliest failing
+    # step is the first step of its first candidate on a failing row
     failed = np.zeros(len(distinct), dtype=bool)
     failed[list(solved.failures)] = True
-    finite = np.isfinite(vuf_pct).all(axis=1)
+    fail_at = _first_flagged(failed[rank], bounds)
+    undefined_at = _first_flagged(~np.isfinite(vuf_pct).all(axis=1)[rank], bounds)
     outcomes: list[ScenarioResult | Exception | None] = []
-    for sc, stopped, step_rows in zip(scenarios, pending, rows):
-        bad = failed[step_rows]
-        failed_at = int(bad.argmax()) if bad.any() else len(step_rows)
-        if not finite[step_rows[:failed_at]].all():
+    for c, (sc, stopped, step_key) in enumerate(zip(scenarios, pending, step_keys)):
+        if undefined_at[c] < fail_at[c]:
             outcomes.append(ZeroPositiveSequence("positive-sequence magnitude is zero"))
-        elif failed_at < len(step_rows):
-            failure = solved.failures[step_rows[failed_at]]
-            outcomes.append(ScenarioStepError(failed_at * sc.dt_h, failure))
+        elif fail_at[c] < bounds[c + 1]:
+            step = step_key.tolist().index(fail_at[c] - bounds[c])
+            outcomes.append(ScenarioStepError(step * sc.dt_h, solved.failures[rank[fail_at[c]]]))
         else:
             outcomes.append(stopped)
     ok = [c for c, outcome in enumerate(outcomes) if outcome is None]
@@ -695,10 +748,11 @@ def _run_batch(
     # each step adds losses segment by segment (phases A, B, C within one) and
     # deviations phase by phase, as the builtin sum does; then the steps add
     n_steps, dt_h = first.n_steps, first.dt_h
-    step_row = np.stack([rows[c] for c in ok])
+    lo = np.array(bounds)[ok]
+    step_row = rank[lo[:, None] + np.array([step_keys[c] for c in ok])]
     neutral_kwh = _fold_sum(_fold_sum(neutral_loss)[step_row] * dt_h).tolist()
     phase_kwh = _fold_sum(_fold_sum(_fold_sum(phase_loss))[step_row] * dt_h).tolist()
-    drop_sums = _fold_sum(_fold_sum(drop_pct)[step_row], axis=1) / n_steps
+    drop_sums = (_fold_sum(_fold_sum(drop_pct)[step_row], axis=1) / n_steps).tolist()
     vuf_values = vuf_pct[step_row][..., 1:].reshape(len(ok), -1)  # the source is node row 0
     mean_vuf = (_fold_sum(vuf_values) / max(vuf_values.shape[1], 1)).tolist()  # 0.0 if none
     max_vuf = vuf_values.max(axis=1, initial=0.0).tolist()
@@ -718,7 +772,7 @@ def _run_batch(
             phase_loss_kwh=phase_kwh[i],
             max_drop_pct=max(0.0, -drop_min[i]),
             max_rise_pct=max(0.0, drop_max[i]),
-            sum_drop_at=dict(zip(sc.feeder.nodes, drop_sums[i].tolist())),
+            sum_drop_at=dict(zip(sc.feeder.nodes, drop_sums[i])),
             per_timestep=_StepRecords(trajectory, dt_h),
             trajectory=trajectory,
         )
@@ -732,7 +786,9 @@ def run_scenario(scenario: Scenario, settings: SolverSettings = SolverSettings()
        for actions, clip and apply them to the batteries. Each distinct
        state, keyed on the SoC's bytes and the id of the step's input row
        (request row or net phase powers), is evaluated once and reused
-       when it recurs (``Trajectory.dispatch_states`` counts them).
+       when it recurs (``Trajectory.dispatch_states`` counts them). Each
+       step is then keyed on the bytes of its profile values and applied
+       ``(p, q, phase)`` row, and the injections are built once per key.
     2. Power flow: one forward-backward sweep over the distinct operating
        points of all steps at once.
     3. Metrics: VUF, deviations, losses and the aggregates, as arrays.

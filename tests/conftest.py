@@ -45,8 +45,8 @@ from phasebal.scenarios import (
     ScenarioResult,
     SweepRow,
     SweepTemplate,
+    _PHASE_ROW,
     _complex_times_real,
-    _injection_entries,
     build_sweep_scenario,
     run_scenario,
 )
@@ -454,6 +454,35 @@ def reference_greedy(
     return actions
 
 
+def _injection_entries(
+    feeder: Feeder, index: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
+    """Injection entries in the order the devices sit on the feeder.
+
+    A device takes one entry per connected phase. A storage device takes
+    three (A, B, C): the phase its battery is dispatched on carries the
+    power and the other two stay zero. ``index`` maps node names to rows.
+    Returns the entries as flat keys ``node row * 4 + conductor``, the
+    column of each entry's device among the non-storage devices (-1 for
+    storage), and the first entry of the device of each battery.
+    """
+    keys: list[int] = []
+    owner: list[int] = []
+    battery_entry: dict[str, int] = {}
+    col = 0
+    for dev in feeder.devices:
+        base = index[dev.node] * 4
+        if dev.kind is DeviceKind.STORAGE:
+            battery_entry[dev.battery_id] = len(keys)
+            phases, dev_col = PHASES, -1
+        else:
+            phases, dev_col = dev.connected_phases, col
+            col += 1
+        keys += [base + _PHASE_ROW[ph] for ph in phases]
+        owner += [dev_col] * len(phases)
+    return np.array(keys, dtype=np.intp), np.array(owner, dtype=np.intp), battery_entry
+
+
 def reference_dispatch(
     scenario: Scenario, index: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray, list, Exception | None]:
@@ -577,7 +606,8 @@ def reference_run(
         arrays["zero_sum_missed"] = np.zeros(len(steps), dtype=bool)
         arrays["battery_ids"] = tuple(b.id for b in sc.batteries)
         arrays["dispatch_states"] = len(steps) if units else 0
-        return layout, s_va, arrays, pending
+        # every step is its own candidate row
+        return layout, s_va, np.arange(len(s_va)), arrays, pending
 
     def dispatch(scs: list[Scenario], index: dict[str, int]):
         return zip(*(dispatch_one(sc, index) for sc in scs))

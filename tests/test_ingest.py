@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 
@@ -14,6 +15,19 @@ def write(tmp_path, text, name="series.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture
+def local_zone(monkeypatch):
+    """Sets the process's local time zone (``TZ``) for one test."""
+
+    def set_zone(zone: str) -> None:
+        monkeypatch.setenv("TZ", zone)
+        time.tzset()
+
+    yield set_zone
+    monkeypatch.undo()
+    time.tzset()
 
 
 class TestReadMeasuredSeries:
@@ -42,6 +56,24 @@ class TestReadMeasuredSeries:
         )
         series = read_measured_series(path)
         assert series.hours == (0.0, 18.5)
+
+    @pytest.mark.parametrize("zone", ["UTC", "America/Los_Angeles"])
+    def test_naive_timestamps_order_alike_in_every_local_zone(self, tmp_path, local_zone, zone):
+        """02:30 on 2020-03-08 does not exist on Los Angeles clocks, which
+        spring from 02:00 to 03:00, so local time would put it at or after
+        03:30. Naive stamps are read as UTC: the series parses the same
+        under any ``TZ``, and hour of day is the clock hour as written."""
+        local_zone(zone)
+        assert time.localtime(1583663400).tm_isdst == (zone != "UTC")  # the zone is in effect
+        path = write(
+            tmp_path,
+            "timestamp,p_a_kw,p_b_kw,p_c_kw\n"
+            "2020-03-08T01:30:00,1,1,1\n2020-03-08T02:30:00,2,2,2\n"
+            "2020-03-08T03:30:00,3,3,3\n",
+        )
+        series = read_measured_series(path)
+        assert series.hours == (1.5, 2.5, 3.5)
+        assert series.p_kw == ((1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (3.0, 3.0, 3.0))
 
     def test_wrong_header(self, tmp_path):
         path = write(tmp_path, "time,pa,pb,pc\n0,1,2,3\n")

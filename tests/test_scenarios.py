@@ -44,10 +44,12 @@ from phasebal.network import (
     FeederSpec,
     LineSegment,
     Phase,
+    attach_device,
     build_feeder,
     chain_feeder,
 )
 from phasebal.powerflow import (
+    SolverSettings,
     Topology,
     oracle_solve,
     power_balance_residual_kw,
@@ -59,6 +61,7 @@ from phasebal.scenarios import (
     MAX_STEPS,
     NETWORK_CLASS_SEGMENT_KM,
     Scenario,
+    ScenarioResult,
     StepRecord,
     SweepTemplate,
     _dispatch,
@@ -200,6 +203,22 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=named):
             Scenario(feeder=feeder, horizon_h=3.0, profiles={"p": (1.0, 2.0, 10.0)})
         Scenario(feeder=feeder, horizon_h=3.0, profiles={"p": (1.0, 1.5, 0.0)})
+
+    def test_first_device_whose_scaled_rating_overflows_is_named(self):
+        """Devices are checked in feeder order against their profile's
+        peak: the first that overflows is named, at its own first
+        overflowing entry, although a later device overflows at an earlier
+        entry and another names an undefined profile."""
+        devices = [
+            Device("small", "N1", DeviceKind.LOAD, Phase.A, 1 + 0j, profile_id="p"),
+            Device("big", "N1", DeviceKind.LOAD, Phase.B, 1e305 + 0j, profile_id="p"),
+            Device("bigger", "N1", DeviceKind.LOAD, Phase.C, 1.7e305 + 0j, profile_id="p"),
+            Device("orphan", "N1", DeviceKind.LOAD, Phase.A, 1 + 0j, profile_id="none"),
+        ]
+        feeder = chain_feeder(2, 0.1, devices=devices)
+        named = "profile 'p' entry 2 scales the rating of device 'big'"
+        with pytest.raises(ValueError, match=named):
+            Scenario(feeder=feeder, horizon_h=3.0, profiles={"p": (1.0, 1.5, 10.0)})
 
     @pytest.mark.parametrize("horizon_h", [1e15, math.inf, MAX_STEPS + 1.0])
     def test_step_count_is_bounded(self, horizon_h):
@@ -467,6 +486,26 @@ class TestSweepTabulate:
         assert type(got.value) is type(want)
         assert str(got.value) == str(want)
 
+    def test_zero_cells_of_every_node_and_kind_collapse_onto_one_row(self):
+        """A 0 % cell attaches no device, so the 0 % cells of every node and
+        kind have byte-equal injections on one layout: the batch solves them
+        as one operating point, and each cell still equals its own run."""
+        nodes, kinds = ["N1", "N3", "N5"], [DeviceKind.DG, DeviceKind.EV]
+        template = SweepTemplate(5.0)
+        got = sweep_and_tabulate(template, [0, 60], nodes, kinds)
+        want = reference_sweep(template, [0, 60], nodes, kinds)
+        assert repr(got) == repr(want)
+        zero = {
+            int(r) for row in got if row.penetration_pct == 0 for r in row.result.trajectory.step_row
+        }
+        assert len(zero) == 1
+        # one row for the six 0 % cells, one for each of the six 60 % cells
+        assert len(got[0].result.trajectory.solved.voltages) == 1 + len(nodes) * len(kinds)
+        for row, ref in zip(got, want):
+            traj, ref_traj = row.result.trajectory, ref.result.trajectory
+            ours = traj.solved.voltages[traj.step_row]
+            assert ours.tobytes() == ref_traj.solved.voltages[ref_traj.step_row].tobytes()
+
     def test_unknown_node_of_the_first_cell_wins_over_invalid_loads(self):
         template = SweepTemplate(-5.0, "compact")
         with pytest.raises(UnknownNode) as want:
@@ -727,9 +766,9 @@ def assert_scan_equals_the_reference_loop(scenario: Scenario):
     dispatch failed."""
     index = Topology(scenario.feeder).index
     layout, s_va, steps, pending = reference_dispatch(scenario, index)
-    [got_layout], [got_s_va], [arrays], [got_pending] = _dispatch([scenario], index)
+    [got_layout], [candidates], [step_key], _, [got_pending] = _dispatch([scenario], index)
     assert got_layout.tobytes() == layout.tobytes()
-    assert got_s_va.tobytes() == s_va.tobytes()
+    assert candidates[step_key].tobytes() == s_va.tobytes()
     assert repr(got_pending) == repr(pending)
     got = outcome(scenario, run_scenario)
     assert repr(got) == repr(outcome(scenario, reference_run))
@@ -769,6 +808,97 @@ def assert_scan_equals_the_reference_loop(scenario: Scenario):
     fleet = controller != "none" and scenario.batteries
     assert traj.dispatch_states == (distinct_states(scenario, steps) if fleet else 0)
     return traj
+
+
+class TestStepKeys:
+    """A run keys each step on its profile values and applied dispatch and
+    builds the injections once per key; the per-step loop
+    (``conftest.reference_run``) builds every step's. Both give the same
+    distinct rows in the same order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fleet=st.sampled_from([None, "none", "fixed_schedule", "greedy"]),
+        kind=st.sampled_from(list(ArchKind)),
+        idle_phase=st.sampled_from([None, *PHASES]),
+        alias=st.booleans(),
+        dt_h=st.sampled_from([1.0, 0.5]),
+        data=st.data(),
+    )
+    def test_keyed_run_equals_the_reference_loop(
+        self, fleet, kind, idle_phase, alias, dt_h, data
+    ):
+        """Profiles drawn from a few values, 0.0 and -0.0 among them, so
+        steps repeat and keys differ by a sign bit only, plus a load rated
+        0 kVA whose profile gives steps different keys but byte-equal
+        injections (unless it reads -0.0). With ``alias`` that load reads
+        the same profile object as the base loads."""
+        arch = None if fleet is None else Architecture(kind)
+        scenario = build_stylized_scenario(
+            arch, "N5", 1.0, fleet or "none", horizon_h=48.0, dt_h=dt_h
+        )
+        n = scenario.n_steps
+        value = st.sampled_from([0.0, -0.0, 0.5, 1.0])
+        profiles = {
+            pid: tuple(data.draw(st.lists(value, min_size=n, max_size=n)))
+            for pid in ("flat", "dg-window", "ev-window", "idle")
+        }
+        if alias:
+            profiles["idle"] = profiles["flat"]
+        idle = Device("idle-N2", "N2", DeviceKind.LOAD, idle_phase, 0j, profile_id="idle")
+        scenario = replace(
+            scenario, feeder=attach_device(scenario.feeder, idle), profiles=profiles
+        )
+
+        got, want = outcome(scenario, run_scenario), outcome(scenario, reference_run)
+        assert repr(got) == repr(want)
+        if not isinstance(got, ScenarioResult):
+            return
+        traj, ref = got.trajectory, want.trajectory
+        assert traj.step_row.tobytes() == ref.step_row.tobytes()
+        assert traj.solved.voltages.tobytes() == ref.solved.voltages.tobytes()
+        assert traj.solved.iterations.tobytes() == ref.solved.iterations.tobytes()
+        # the loop evaluates every step of a fleet; the scan each distinct state
+        if fleet in (None, "none"):
+            assert traj.dispatch_states == ref.dispatch_states == 0
+        else:
+            _, _, steps, _ = reference_dispatch(scenario, Topology(scenario.feeder).index)
+            assert traj.dispatch_states == distinct_states(scenario, steps)
+
+
+    def test_one_feeder_under_two_profile_sets_in_one_batch_gives_each_run(self):
+        """The two scenarios share every device object but read different
+        profiles dicts, so their devices take separate columns."""
+        scenario = build_stylized_scenario(None)
+        doubled = replace(
+            scenario,
+            profiles={pid: tuple(2 * v for v in p) for pid, p in scenario.profiles.items()},
+        )
+        got = scenarios._run_batch([scenario, doubled], SolverSettings())
+        assert repr(got) == repr([run_scenario(scenario), run_scenario(doubled)])
+
+    def test_steps_apart_only_in_the_dispatched_phase_stay_apart(self):
+        """Every step reads the same profile row and applies 1 kW per unit,
+        but the units turn through the phases step by step: the phase is
+        part of the step key, so each step solves its own injections."""
+        scenario = build_stylized_scenario(Architecture(ArchKind.A3), "N5", 3.0, "greedy")
+        flat = (1.0,) * scenario.n_steps
+        scenario = replace(scenario, profiles=dict.fromkeys(scenario.profiles, flat))
+        dispatch_storage = scenarios._dispatch_storage
+
+        def turning(sc, units, net):
+            fields, stopped = dispatch_storage(sc, units, net)
+            shape = fields["p_kw"].shape
+            fields["p_kw"] = np.ones(shape)
+            fields["phase"] = np.add.outer(np.arange(shape[0]), np.arange(shape[1])) % 3
+            return fields, stopped
+
+        with mock.patch.object(scenarios, "_dispatch_storage", turning):
+            result = run_scenario(scenario)
+        assert len(set(result.trajectory.step_row.tolist())) == 3
+        for k, rec in enumerate(result.per_timestep):
+            snap = snapshot_solve(scenario.feeder, step_injections(scenario, rec, k))
+            assert rec.solution.voltages.tobytes() == snap.voltages.tobytes()
 
 
 class TestDispatchScan:
@@ -933,8 +1063,8 @@ class TestDispatchScan:
         scenario = replace(scenario, batteries=tuple(batteries))
         index = Topology(scenario.feeder).index
         _, s_va, _, pending = reference_dispatch(scenario, index)
-        _, [got_s_va], _, [got_pending] = _dispatch([scenario], index)
-        assert got_s_va.tobytes() == s_va.tobytes()
+        _, [candidates], [step_key], _, [got_pending] = _dispatch([scenario], index)
+        assert candidates[step_key].tobytes() == s_va.tobytes()
         assert repr(got_pending) == repr(pending)
         assert repr(outcome(scenario, run_scenario)) == repr(outcome(scenario, reference_run))
 
