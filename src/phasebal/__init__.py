@@ -37,7 +37,6 @@ from .metrics import (
 )
 from .network import (
     CONDUCTORS,
-    NEUTRAL,
     PHASES,
     Device,
     DeviceKind,

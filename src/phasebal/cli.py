@@ -753,13 +753,11 @@ def _load_config(args: argparse.Namespace) -> tuple[dict, str]:
                 doc = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise ConfigInvalid(source, "<json>", str(exc)) from None
-    if args.tol is not None or args.max_iter is not None:
-        solver = dict(doc.get("solver", {}))
-        if args.tol is not None:
-            solver["tol_pu"] = args.tol
-        if args.max_iter is not None:
-            solver["max_iter"] = args.max_iter
-        doc["solver"] = solver
+    flags = {"tol_pu": args.tol, "max_iter": args.max_iter}
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    # merged into objects only, so that validation rejects and names anything else
+    if overrides and isinstance(doc, dict) and isinstance(doc.get("solver", {}), dict):
+        doc["solver"] = {**doc.get("solver", {}), **overrides}
     return doc, source
 
 

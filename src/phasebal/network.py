@@ -44,7 +44,6 @@ class Phase(str, Enum):
 
 PHASES: tuple[Phase, Phase, Phase] = (Phase.A, Phase.B, Phase.C)
 
-NEUTRAL = "N"
 #: Conductor keys in solver order: three phases then the neutral.
 CONDUCTORS: tuple[str, str, str, str] = ("A", "B", "C", "N")
 
@@ -299,36 +298,13 @@ def attach_device(feeder: Feeder, device: Device) -> Feeder:
     return replace(feeder, devices=feeder.devices + (device,))
 
 
-def chain_feeder(
-    n_nodes: int,
-    segment_km: float,
-    *,
-    prefix: str = "N",
-    z_phase_per_km: complex = DEFAULT_Z_PHASE_PER_KM,
-    z_neutral_per_km: complex = DEFAULT_Z_NEUTRAL_PER_KM,
-    devices: Sequence[Device] = (),
-    v_base_ln: float = DEFAULT_V_BASE_LN,
-    s_base_kva: float = DEFAULT_S_BASE_KVA,
-) -> Feeder:
+def chain_feeder(n_nodes: int, segment_km: float, *, devices: Sequence[Device] = ()) -> Feeder:
     """Build the standard chain feeder N0 -> N1 -> ... with uniform segments."""
-    names = [f"{prefix}{i}" for i in range(n_nodes)]
+    names = [f"N{i}" for i in range(n_nodes)]
     segs = [
-        LineSegment(
-            from_node=names[i],
-            to_node=names[i + 1],
-            length_km=segment_km,
-            z_phase_per_km=z_phase_per_km,
-            z_neutral_per_km=z_neutral_per_km,
-        )
+        LineSegment(from_node=names[i], to_node=names[i + 1], length_km=segment_km)
         for i in range(n_nodes - 1)
     ]
     return build_feeder(
-        FeederSpec(
-            source_node=names[0],
-            nodes=names,
-            segments=segs,
-            devices=devices,
-            v_base_ln=v_base_ln,
-            s_base_kva=s_base_kva,
-        )
+        FeederSpec(source_node=names[0], nodes=names, segments=segs, devices=devices)
     )

@@ -66,8 +66,6 @@ from .errors import (
 )
 from .network import CONDUCTORS, Device, Feeder
 
-#: Conductor indices within the per-node 4-vector.
-_IDX = {"A": 0, "B": 1, "C": 2, "N": 3}
 _COLLAPSE_PU = 0.5
 
 #: Most sweep passes a solve may take: a hundred times the default, so that a
@@ -419,7 +417,7 @@ def _snapshot_entries(
     for dev, s_kva in _effective_injections(feeder, injections):
         for ph in dev.connected_phases:
             node.append(topo.index[dev.node])
-            cond.append(_IDX[ph.value])
+            cond.append(CONDUCTORS.index(ph.value))
             s_va.append(s_kva * 1000.0)
     return (
         np.array(node, dtype=np.intp),

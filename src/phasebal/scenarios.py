@@ -20,11 +20,12 @@ bytes of its profile values and, with a dispatched fleet, of its applied
 of each key. The horizon aggregates still add every step in step order,
 and ``ScenarioResult.per_timestep`` makes each step's ``StepRecord`` only
 when it is read.
-``sweep_and_tabulate`` builds the loaded chain of a sweep once and
-attaches each cell's device to it, then runs all cells through the same
-passes as one batch on one ``Topology``: the cells share their step keys
-and the layout of their common loads, and one power flow covers the
-distinct rows of every cell.
+A batch is one scenario and its cells, each the scenario with at most one
+device attached: a run is one cell without a device, and
+``sweep_and_tabulate`` builds the loaded chain of a sweep once and gives
+each cell its DG or EV. The cells share the scenario's dispatch, step keys
+and entry layout, each device takes columns after the scenario's entries,
+and one power flow covers the distinct rows of every cell.
 
 Two builder families cover the bundled studies:
 
@@ -42,7 +43,6 @@ from __future__ import annotations
 import cmath
 import math
 import struct
-from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -348,134 +348,111 @@ def _va(p_kw: np.ndarray, q_kvar: np.ndarray) -> np.ndarray:
 
 
 def _dispatch(
-    scenarios: Sequence[Scenario], index: dict[str, int]
-) -> tuple[
-    list[np.ndarray], list[np.ndarray], list[np.ndarray], list[dict], list[Exception | None]
-]:
-    """Pass 1 of a run, for scenarios of one step count: lay out the
+    scenario: Scenario, devices: Sequence[Device | None], index: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict, Exception | None]:
+    """Pass 1 of a run, for the cells of one scenario: lay out the
     injection entries, dispatch storage over all steps
     (``_dispatch_storage``) and build the injections of the steps that can
-    differ. Neither controller reads voltages, so this fixes every step's
-    injections up front.
+    differ. A cell is the scenario with one of ``devices`` attached, or
+    with none where it is None. Neither controller reads voltages, so this
+    fixes every step's injections up front. A device must not change the
+    dispatch it rides on, so devices are refused under a greedy fleet,
+    whose search reads the devices' net power.
 
     A device takes one entry per connected phase, keyed ``node row * 4 +
     conductor``, in the order the devices sit on the feeder. A storage
     device takes three (A, B, C): the phase its battery is dispatched on
     carries the power and the other two stay zero, so phase-selecting
-    units need no second layout. The entries of all scenarios are one flat
-    array, each layout a slice of it, and each distinct device object (with
-    its profile object) is one device column: the cells of a sweep share
-    the columns of their five loads.
+    units need no second layout. The cells' devices follow, one column
+    per distinct entry key in order of first appearance; a cell's row
+    carries 0 VA in the columns it does not use.
 
     A step's injections follow from its key: its byte-distinct row of
-    profile values, one column per distinct profile object in the batch,
-    and for a dispatched fleet also its applied ``(p, q, phase)`` row.
-    Bytes keep a -0.0 profile value apart from 0.0. Steps of one key have
-    byte-equal injections, so the ``(row, entry)`` complex VA is built
-    only at the first step of each key, its candidate row. Scenarios
-    without a fleet share the keys of the batch and their candidate rows,
-    built for all entries at once; those without batteries also share one
-    set of empty dispatch fields.
+    profile values, one column per profile id the devices read, and for a
+    dispatched fleet also its applied ``(p, q, phase)`` row. Bytes keep a
+    -0.0 profile value apart from 0.0. Steps of one key have byte-equal
+    injections, so the ``(row, entry)`` complex VA is built only at the
+    first step of each key, its candidate row. Every cell has the same
+    keys.
 
-    Returns, per scenario, the entry layout as flat keys, the candidate
-    rows, the candidate row of each step dispatched, the dispatch arrays
-    keyed by ``Trajectory`` field, and the error that stopped dispatch
-    early (None if every step ran).
+    Returns the entry layout as flat keys, the candidate rows of all cells
+    stacked cell by cell, the candidate row of each step dispatched, the
+    dispatch arrays keyed by ``Trajectory`` field, and the error that
+    stopped dispatch early (None if every step ran).
     """
-    n_steps, storage = scenarios[0].n_steps, DeviceKind.STORAGE
-    # keyed by identity, so byte-distinct values stay apart: a profile
-    # object, and a device object with the profiles dict it reads
-    profile_col: dict[int, int] = {}
-    device_col: dict[tuple[int, int], int] = {}
-    profiles, dev_profile, rated, dev_entries = [], [], [], []
-    keys, owner, bounds, battery_entry = [], [], [0], []
-    for sc in scenarios:
-        first_entry, profiles_id = {}, id(sc.profiles)
-        for d in sc.feeder.devices:
-            if d.kind is storage:
-                first_entry[d.battery_id] = len(keys)
-                base = index[d.node] * 4
-                keys += base, base + 1, base + 2
-                owner += -1, -1, -1
-                continue
-            key = id(d), profiles_id
-            col = device_col.get(key)
-            if col is None:
-                col = device_col[key] = len(rated)
-                profile = sc.profiles[d.profile_id] if d.profile_id else None
-                row = profile_col.setdefault(id(profile), len(profiles))
-                if row == len(profiles):
-                    profiles.append((1.0,) * n_steps if profile is None else profile)
-                dev_profile.append(row)
-                rated.append(d.s_rated_kva)
-                base = index[d.node] * 4
-                entries = [base + _PHASE_ROW[ph] for ph in d.connected_phases]
-                dev_entries.append((entries, [col] * len(entries)))
-            entries, owners = dev_entries[col]
+    n_steps = scenario.n_steps
+    units = scenario.batteries if scenario.controller != "none" else ()
+    greedy = bool(units) and scenario.controller == "greedy"
+    if greedy and any(d is not None for d in devices):
+        raise ValueError("a greedy fleet's dispatch would read the device attached to a cell")
+    profile_col: dict[str | None, int] = {}
+    dev_profile, rated = [], []
+
+    def column(dev: Device) -> tuple[int, list[int]]:
+        """A new device column for ``dev``, and its entry keys."""
+        dev_profile.append(profile_col.setdefault(dev.profile_id, len(profile_col)))
+        rated.append(dev.s_rated_kva)
+        base = index[dev.node] * 4
+        return len(rated) - 1, [base + _PHASE_ROW[ph] for ph in dev.connected_phases]
+
+    # the entries of the scenario's devices and the device column of each
+    keys, placed, placed_col, battery_entry = [], [], [], {}
+    for d in scenario.feeder.devices:
+        if d.kind is DeviceKind.STORAGE:
+            battery_entry[d.battery_id] = len(keys)
+            base = index[d.node] * 4
+            keys += base, base + 1, base + 2
+        else:
+            col, entries = column(d)
+            placed += range(len(keys), len(keys) + len(entries))
+            placed_col += [col] * len(entries)
             keys += entries
-            owner += owners
-        battery_entry.append(first_entry)
-        bounds.append(len(keys))
-    keys, owner = np.array(keys, dtype=np.intp), np.array(owner, dtype=np.intp)
+    # (cell, layout column, device column) of each entry of the cells' devices
+    extra: dict[int, int] = {}
+    cell_at, cell_entry, cell_col = [], [], []
+    for c, d in enumerate(devices):
+        if d is not None:
+            col, entries = column(d)
+            for key in entries:
+                cell_at.append(c)
+                cell_entry.append(len(keys) + extra.setdefault(key, len(extra)))
+                cell_col.append(col)
+    layout = np.array(keys + list(extra), dtype=np.intp)
+    profiles = [scenario.profiles[pid] if pid else (1.0,) * n_steps for pid in profile_col]
     scale = np.array(profiles, dtype=float).reshape(len(profiles), n_steps).T
     dev_profile, rated = np.array(dev_profile, dtype=np.intp), np.array(rated, dtype=complex)
 
-    def powers(steps: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """kW and kvar of entries ``lo:hi`` at ``steps``, storage at 0."""
-        own = owner[lo:hi]
-        has_dev = own >= 0
-        cols = own[has_dev]
-        p_kw, q_kvar = np.zeros((2, len(steps), hi - lo))
-        p_kw[:, has_dev], q_kvar[:, has_dev] = _complex_times_real(
-            rated.real[cols], rated.imag[cols], scale[steps][:, dev_profile[cols]]
-        )
-        return p_kw, q_kvar
-
-    layouts, candidates, step_keys, dispatched, pending = [], [], [], [], []
-    shared = idle = None
-    for c, sc in enumerate(scenarios):
-        lo, hi = bounds[c], bounds[c + 1]
-        layouts.append(keys[lo:hi])
-        units = sc.batteries if sc.controller != "none" else ()
-        if not units:
-            if shared is None:
-                first, step_key = _distinct_rows(scale)
-                shared = _va(*powers(first, 0, len(keys))), step_key
-            candidates.append(shared[0][:, lo:hi])
-            step_keys.append(shared[1])
-            if sc.batteries:  # the SoC each battery starts at
-                dispatched.append(_idle_fields(sc))
-            else:
-                if idle is None:
-                    idle = _idle_fields(sc)
-                dispatched.append(idle)
-            pending.append(None)
-            continue
+    if units:
         net = None
-        if sc.controller == "greedy":  # each phase adds its devices in feeder order
-            p_kw = powers(np.arange(n_steps), lo, hi)[0]
+        if greedy:  # each phase adds its devices in feeder order
+            p_kw = _complex_times_real(rated.real, rated.imag, scale[:, dev_profile])[0]
             net = np.zeros((n_steps, 3))
-            for e, (key, dev) in enumerate(zip(keys[lo:hi].tolist(), owner[lo:hi].tolist())):
-                if dev >= 0:
-                    net[:, key % 4] += p_kw[:, e]
-        fields, stopped = _dispatch_storage(sc, units, net)
+            for e, col in zip(placed, placed_col):
+                net[:, keys[e] % 4] += p_kw[:, col]
+        fields, stopped = _dispatch_storage(scenario, units, net)
         n_ok = len(fields["soc_kwh"])
         step_key = np.concatenate(
             [scale[:n_ok], fields["p_kw"], fields["q_kvar"], fields["phase"]], axis=1
         )
-        first, step_key = _distinct_rows(step_key)
-        # each unit feeds the entry of its dispatched phase; the other two stay 0
-        p_kw, q_kvar = powers(first, lo, hi)
+    else:
+        fields, stopped, step_key = _idle_fields(scenario), None, scale
+    first, step_key = _distinct_rows(step_key)
+
+    dev_p, dev_q = _complex_times_real(rated.real, rated.imag, scale[first][:, dev_profile])
+    p_kw, q_kvar = np.zeros((2, len(devices), len(first), len(layout)))
+    p_kw[:, :, placed], q_kvar[:, :, placed] = dev_p[:, placed_col], dev_q[:, placed_col]
+    if units:  # each unit feeds the entry of its dispatched phase; the other two stay 0
         rows = np.arange(len(first))[:, None]
-        cols = np.array([battery_entry[c][b.id] - lo for b in units], dtype=np.intp)
+        cols = np.array([battery_entry[b.id] for b in units], dtype=np.intp)
         cols = cols + fields["phase"][first]
-        p_kw[rows, cols] = fields["p_kw"][first]
-        q_kvar[rows, cols] = fields["q_kvar"][first]
-        candidates.append(_va(p_kw, q_kvar))
-        step_keys.append(step_key)
-        dispatched.append(fields)
-        pending.append(stopped)
-    return layouts, candidates, step_keys, dispatched, pending
+        p_kw[:, rows, cols] = fields["p_kw"][first]
+        q_kvar[:, rows, cols] = fields["q_kvar"][first]
+    cell_at, cell_entry = np.array(cell_at, dtype=np.intp), np.array(cell_entry, dtype=np.intp)
+    p_kw[cell_at, :, cell_entry] = dev_p[:, cell_col].T
+    q_kvar[cell_at, :, cell_entry] = dev_q[:, cell_col].T
+    shape = (len(devices) * len(first), len(layout))  # a feeder may have no entries
+    candidates = _va(p_kw.reshape(shape), q_kvar.reshape(shape))
+    return layout, candidates, step_key, fields, stopped
 
 
 def _dispatch_storage(
@@ -590,69 +567,6 @@ def _dispatch_fields(scenario: Scenario, phase, want, p_kw, q_kvar, soc_kwh, sta
     }
 
 
-def _union_layout(
-    layouts: Sequence[np.ndarray],
-) -> tuple[np.ndarray, list[np.ndarray | slice]]:
-    """One entry layout holding every layout of flat ``(node row,
-    conductor)`` keys as a subsequence, and the columns each layout takes
-    in it: a slice of all of them for a layout that is the union, so that
-    placing its rows is a plain copy.
-
-    Entries add into a node's sinks in layout order, so each layout keeps
-    its own order. A column a layout does not use carries 0 VA, which the
-    solver treats as no device: it adds +0.0 to an accumulator that starts
-    at +0.0 and so never holds -0.0, which leaves every sum bit-identical.
-
-    The distinct layouts merge into the union in turn: each key takes the
-    first place at or after the previous match that holds it, and a key
-    with no such place is inserted there. A layout then takes the first
-    fitting place for each key in order, which is every place when it is
-    the union itself (a run, whose one layout is its union). Layouts with
-    equal keys share their columns.
-    """
-    names = [layout.tobytes() for layout in layouts]
-    distinct = dict(zip(names, layouts))
-    union: list[int] = []
-    for layout in distinct.values():
-        if not union:
-            union = layout.tolist()
-            continue
-        places = _places(union)
-        merged, i = [], 0
-        for key in layout.tolist():
-            at = places.get(key, ())
-            k = bisect_left(at, i)
-            if k == len(at):
-                merged.append(key)
-            else:
-                merged += union[i : at[k] + 1]
-                i = at[k] + 1
-        union = merged + union[i:]
-    whole = np.array(union, dtype=np.intp)
-    columns, places = {}, None
-    for name, layout in distinct.items():
-        if np.array_equal(layout, whole):
-            columns[name] = slice(None)
-            continue
-        if places is None:
-            places = _places(union)
-        cols, j = [], -1
-        for key in layout.tolist():
-            at = places[key]
-            j = at[bisect_right(at, j)]
-            cols.append(j)
-        columns[name] = np.array(cols, dtype=np.intp)
-    return whole, [columns[name] for name in names]
-
-
-def _places(keys: list[int]) -> dict[int, list[int]]:
-    """The positions of each key in ``keys``, in increasing order."""
-    places: dict[int, list[int]] = {}
-    for j, key in enumerate(keys):
-        places.setdefault(key, []).append(j)
-    return places
-
-
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first row of each distinct row of a 2-d array, in order of first
     appearance, compared by their bytes (so -0.0 and 0.0 differ), and the
@@ -683,73 +597,72 @@ def _fold_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _run_batch(
-    scenarios: Sequence[Scenario], settings: SolverSettings
+    scenario: Scenario, cells: Sequence[tuple[str, Device | None]], settings: SolverSettings
 ) -> list[ScenarioResult | Exception]:
-    """Run scenarios that share one network (nodes and segments), step
-    count and step length, with one power flow for all of them.
+    """Run the cells of one scenario with one power flow for all of them.
+    A cell is the scenario under its own label, with its device attached
+    (none where it is None). A run is one cell without a device; a sweep
+    is the loaded chain with one DG or EV per cell.
 
-    1. Dispatch every scenario (``_dispatch``), which gives each its
-       candidate rows, the injections at the first step of each step key,
-       and the candidate row of each step.
-    2. Lay the candidate rows of all scenarios out in one union layout
-       (``_union_layout``), stacked in scenario order, reduce them to the
-       byte-distinct rows and solve those in one ``sweep_batch``. The first
-       step of each distinct row is the first step of a key, so these are
-       the distinct rows of all steps in order of first appearance. Rows
-       of a batch do not interact, so a row's solution and iteration
-       count are those of a solve on its own.
+    1. Dispatch (``_dispatch``), which gives every cell its candidate rows,
+       the injections at the first step of each step key, stacked cell by
+       cell, and the candidate row of each step.
+    2. Reduce the candidate rows to the byte-distinct rows and solve those
+       in one ``sweep_batch``. The first step of each distinct row is the
+       first step of a key, so these are the distinct rows of all steps in
+       order of first appearance. Rows of a batch do not interact, so a
+       row's solution and iteration count are those of a solve on its
+       own. A column a cell does not use carries 0 VA, which the solver
+       treats as no device: it adds +0.0 to a sink that starts at +0.0 and
+       so never holds -0.0, which leaves every sum bit-identical to the
+       cell's own layout.
     3. Node metrics and segment losses once over the distinct rows; each
-       scenario gathers its steps back through its candidate rows, and the
-       horizon aggregates fold over every step in step order, all
-       scenarios at once.
+       cell gathers its steps back through its candidate rows, and the
+       horizon aggregates fold over every step in step order, all cells
+       at once.
 
-    Returns a ScenarioResult or the error of each scenario, as a
-    step-by-step loop would raise it: the earliest failing step wins, a
-    solver failure as a ScenarioStepError tagged with its time, anything
-    else as raised.
+    Returns a ScenarioResult or the error of each cell, as a step-by-step
+    loop would raise it: the earliest failing step wins, a solver failure
+    as a ScenarioStepError tagged with its time, anything else as raised.
     """
-    first = scenarios[0]
-    topo = Topology(first.feeder)
-    layouts, candidates, step_keys, dispatched, pending = _dispatch(scenarios, topo.index)
-    union, columns = _union_layout(layouts)
-    bounds = np.cumsum([0] + [len(part) for part in candidates]).tolist()
-    s_va = np.zeros((bounds[-1], len(union)), dtype=complex)
-    for part, cols, lo, hi in zip(candidates, columns, bounds, bounds[1:]):
-        s_va[lo:hi, cols] = part
-    del candidates  # the candidate rows now live in s_va alone
-    at, rank = _distinct_rows(s_va)
-    distinct = s_va if len(at) == len(s_va) else s_va[at]  # no copy if all differ
-    node, cond = np.divmod(union, 4)
+    feeder = scenario.feeder
+    topo = Topology(feeder)
+    devices = [device for _, device in cells]
+    layout, candidates, step_key, fields, stopped = _dispatch(scenario, devices, topo.index)
+    at, rank = _distinct_rows(candidates)
+    distinct = candidates if len(at) == len(candidates) else candidates[at]  # no copy if all differ
+    node, cond = np.divmod(layout, 4)
     solved = sweep_batch(topo, node, cond, distinct, settings)
-    vuf_pct, drop_pct, v_rms = node_metric_arrays(solved.voltages, first.feeder.v_base_ln)
-    phase_loss, neutral_loss = segment_losses(solved.currents, *segment_resistances(first.feeder))
+    vuf_pct, drop_pct, v_rms = node_metric_arrays(solved.voltages, feeder.v_base_ln)
+    phase_loss, neutral_loss = segment_losses(solved.currents, *segment_resistances(feeder))
 
     # --- errors: the earliest step on a failing or undefined row ------------
-    # a scenario's candidates appear in step order, so its earliest failing
-    # step is the first step of its first candidate on a failing row
+    # a cell's candidates appear in step order, so its earliest failing step
+    # is the first step of its first candidate on a failing row
+    bounds = (np.arange(len(cells) + 1) * (len(candidates) // len(cells))).tolist()
     failed = np.zeros(len(distinct), dtype=bool)
     failed[list(solved.failures)] = True
     fail_at = _first_flagged(failed[rank], bounds)
     undefined_at = _first_flagged(~np.isfinite(vuf_pct).all(axis=1)[rank], bounds)
     outcomes: list[ScenarioResult | Exception | None] = []
-    for c, (sc, stopped, step_key) in enumerate(zip(scenarios, pending, step_keys)):
+    for c in range(len(cells)):
         if undefined_at[c] < fail_at[c]:
             outcomes.append(ZeroPositiveSequence("positive-sequence magnitude is zero"))
         elif fail_at[c] < bounds[c + 1]:
             step = step_key.tolist().index(fail_at[c] - bounds[c])
-            outcomes.append(ScenarioStepError(step * sc.dt_h, solved.failures[rank[fail_at[c]]]))
+            error = solved.failures[rank[fail_at[c]]]
+            outcomes.append(ScenarioStepError(step * scenario.dt_h, error))
         else:
             outcomes.append(stopped)
     ok = [c for c, outcome in enumerate(outcomes) if outcome is None]
     if not ok:
         return outcomes
 
-    # --- horizon aggregates, (scenario, step) gathered from per-row values --
+    # --- horizon aggregates, (cell, step) gathered from per-row values ------
     # each step adds losses segment by segment (phases A, B, C within one) and
     # deviations phase by phase, as the builtin sum does; then the steps add
-    n_steps, dt_h = first.n_steps, first.dt_h
-    lo = np.array(bounds)[ok]
-    step_row = rank[lo[:, None] + np.array([step_keys[c] for c in ok])]
+    n_steps, dt_h = scenario.n_steps, scenario.dt_h
+    step_row = rank[np.array(bounds)[ok][:, None] + step_key]
     neutral_kwh = _fold_sum(_fold_sum(neutral_loss)[step_row] * dt_h).tolist()
     phase_kwh = _fold_sum(_fold_sum(_fold_sum(phase_loss))[step_row] * dt_h).tolist()
     drop_sums = (_fold_sum(_fold_sum(drop_pct)[step_row], axis=1) / n_steps).tolist()
@@ -759,20 +672,23 @@ def _run_batch(
     drop_min = drop_pct.min(axis=(1, 2))[step_row].min(axis=1).tolist()
     drop_max = drop_pct.max(axis=(1, 2))[step_row].max(axis=1).tolist()
     for i, c in enumerate(ok):
-        sc = scenarios[c]
+        label, device = cells[c]
+        cell_feeder = feeder
+        if device is not None:
+            cell_feeder = replace(feeder, devices=feeder.devices + (device,))
         trajectory = Trajectory(
-            sc.feeder, solved, vuf_pct, drop_pct, v_rms, phase_loss, neutral_loss, step_row[i],
-            **dispatched[c],
+            cell_feeder, solved, vuf_pct, drop_pct, v_rms, phase_loss, neutral_loss, step_row[i],
+            **fields,
         )
         outcomes[c] = ScenarioResult(
-            label=sc.label,
+            label=label,
             mean_vuf_pct=mean_vuf[i],
             max_vuf_pct=max_vuf[i],
             neutral_loss_kwh=neutral_kwh[i],
             phase_loss_kwh=phase_kwh[i],
             max_drop_pct=max(0.0, -drop_min[i]),
             max_rise_pct=max(0.0, drop_max[i]),
-            sum_drop_at=dict(zip(sc.feeder.nodes, drop_sums[i])),
+            sum_drop_at=dict(zip(feeder.nodes, drop_sums[i])),
             per_timestep=_StepRecords(trajectory, dt_h),
             trajectory=trajectory,
         )
@@ -793,12 +709,13 @@ def run_scenario(scenario: Scenario, settings: SolverSettings = SolverSettings()
        points of all steps at once.
     3. Metrics: VUF, deviations, losses and the aggregates, as arrays.
 
+    The run is a batch of one cell without a device (``_run_batch``).
     Failures surface as a step-by-step loop would raise them: the earliest
     failing step wins, a solver failure as a ScenarioStepError tagged with
     its time, anything else as raised. Deterministic: identical scenarios
     produce identical results.
     """
-    [outcome] = _run_batch([scenario], settings)
+    [outcome] = _run_batch(scenario, [(scenario.label, None)], settings)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -821,8 +738,6 @@ def build_sweep_scenario(
     *,
     device_phase: Phase = Phase.A,
     balanced: bool = False,
-    horizon_h: float = 24.0,
-    dt_h: float = 1.0,
 ) -> Scenario:
     """Six-node chain with balanced base load plus one DG or EV.
 
@@ -831,30 +746,28 @@ def build_sweep_scenario(
     per-phase load per connected phase: on ``device_phase`` only by default,
     or on all three phases with ``balanced=True``. ``network_class`` picks
     the segment length (compact/overload: 0.1 km, sparse: 1.0 km); profiles
-    are constant over the horizon.
+    are constant over the day.
     """
     template = SweepTemplate(total_phase_load_kw, network_class, device_phase, balanced)
-    [scenario] = _sweep_cells(template, [(kind, device_node, penetration_pct)], horizon_h, dt_h)
-    return scenario
+    chain, [(label, device)] = _sweep_cells(template, [(kind, device_node, penetration_pct)])
+    feeder = chain.feeder if device is None else attach_device(chain.feeder, device)
+    return replace(chain, feeder=feeder, label=label)
 
 
 def _sweep_cells(
-    template: SweepTemplate,
-    cells: Sequence[tuple[DeviceKind, str, float]],
-    horizon_h: float = 24.0,
-    dt_h: float = 1.0,
-) -> list[Scenario]:
-    """The scenario of each (kind, node, penetration) cell of a template,
-    in order, as ``build_sweep_scenario`` builds it: the cells share one
-    chain with its five loads, built and validated once, and one profiles
-    dict, and each cell attaches its own device (``attach_device``).
+    template: SweepTemplate, cells: Sequence[tuple[DeviceKind, str, float]]
+) -> tuple[Scenario, list[tuple[str, Device | None]]]:
+    """The loaded chain of a template, built and validated once, and the
+    label and device of each (kind, node, penetration) cell, in order: a
+    0 % cell attaches no device. A cell is the chain with its device
+    attached under its label, as ``build_sweep_scenario`` builds it.
 
     A cell's arguments are checked before the chain is built, so the
     first bad cell raises what ``build_sweep_scenario`` raises for it.
     """
     network_class, total_kw = template.network_class, template.total_phase_load_kw
-    base = profiles = None
-    scenarios = []
+    tag = "balanced" if template.balanced else f"phase-{template.device_phase.value}"
+    chain, labelled = None, []
     for kind, node, pen in cells:
         if network_class not in NETWORK_CLASS_SEGMENT_KM:
             raise ValueError(f"unknown network class {network_class!r}")
@@ -864,7 +777,7 @@ def _sweep_cells(
             raise ValueError(f"penetration_pct must be in [0, 200], got {pen}")
         if node not in _SWEEP_NODES:
             raise UnknownNode(node, "sweep device placement (N1..N5)")
-        if base is None:
+        if chain is None:
             loads = [
                 Device(
                     label=f"load-{n}",
@@ -876,8 +789,9 @@ def _sweep_cells(
                 )
                 for n in _SWEEP_NODES
             ]
-            base = chain_feeder(6, NETWORK_CLASS_SEGMENT_KM[network_class], devices=loads)
-        feeder = base
+            feeder = chain_feeder(6, NETWORK_CLASS_SEGMENT_KM[network_class], devices=loads)
+            chain = Scenario(feeder=feeder, profiles=_flat_profiles(24))
+        device = None
         if pen > 0:
             sign = -1.0 if kind is DeviceKind.DG else 1.0
             device = Device(
@@ -888,20 +802,8 @@ def _sweep_cells(
                 s_rated_kva=complex(sign * (pen / 100.0 * total_kw), 0.0),
                 profile_id="flat",
             )
-            feeder = attach_device(base, device)
-        if profiles is None:
-            profiles = _flat_profiles(round(horizon_h / dt_h))
-        tag = "balanced" if template.balanced else f"phase-{template.device_phase.value}"
-        scenarios.append(
-            Scenario(
-                feeder=feeder,
-                horizon_h=horizon_h,
-                dt_h=dt_h,
-                profiles=profiles,
-                label=f"{network_class}-{kind.value}-{node}-{pen:g}pct-{tag}",
-            )
-        )
-    return scenarios
+        labelled.append((f"{network_class}-{kind.value}-{node}-{pen:g}pct-{tag}", device))
+    return chain, labelled
 
 
 def build_stylized_scenario(
@@ -1046,9 +948,9 @@ def sweep_and_tabulate(
 ) -> list[SweepRow]:
     """Run the cross product of (kind, node, penetration) and tabulate.
 
-    Every cell shares the six-node chain, built once with its loads, so the
-    cells run as one batch: one power flow over the distinct operating
-    points of all of them. Every cell is built before any runs, and the
+    Every cell is the six-node chain, built and validated once with its
+    loads, plus the cell's device, so the cells run as one batch: one power
+    flow over the distinct operating points of all of them. Every cell is built before any runs, and the
     first that cannot be built raises as ``build_sweep_scenario`` would.
     Rows come back in (kind, node, penetration) loop order. A failing cell
     is recorded with its error message instead of aborting the others.
@@ -1056,9 +958,9 @@ def sweep_and_tabulate(
     if not penetrations or not nodes or not kinds:
         raise ValueError("penetrations, nodes and kinds must be non-empty")
     cells = [(kind, node, pen) for kind in kinds for node in nodes for pen in penetrations]
-    scenarios = _sweep_cells(template, cells)
+    chain, labelled = _sweep_cells(template, cells)
     rows = []
-    for (kind, node, pen), outcome in zip(cells, _run_batch(scenarios, settings)):
+    for (kind, node, pen), outcome in zip(cells, _run_batch(chain, labelled, settings)):
         if isinstance(outcome, ScenarioResult):
             rows.append(SweepRow(kind, node, pen, outcome))
         elif isinstance(outcome, PhasebalError):

@@ -609,8 +609,9 @@ def reference_run(
         # every step is its own candidate row
         return layout, s_va, np.arange(len(s_va)), arrays, pending
 
-    def dispatch(scs: list[Scenario], index: dict[str, int]):
-        return zip(*(dispatch_one(sc, index) for sc in scs))
+    def dispatch(sc: Scenario, devices: list, index: dict[str, int]):
+        assert devices == [None]  # a run is one cell without a device
+        return dispatch_one(sc, index)
 
     with mock.patch.object(scenarios, "_dispatch", dispatch):
         return run_scenario(scenario, settings)

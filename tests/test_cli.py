@@ -676,6 +676,25 @@ class TestRunCommand:
         assert "invalid config at 'solver'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--tol", "1e-6"], ["--max-iter", "5"]])
+    @pytest.mark.parametrize(
+        "doc, named",
+        [([], "config"), ({"solver": 5}, "solver"), ({"solver": [1, 2]}, "solver")],
+        ids=["list", "number-solver", "list-solver"],
+    )
+    def test_solver_flags_leave_a_config_that_is_no_object_to_validation(
+        self, tmp_path, capsys, doc, named, flags
+    ):
+        """The flags merge into the config's solver only where both are
+        objects; anything else exits 2 and is named, with the flags or
+        without them."""
+        if isinstance(doc, dict):
+            doc = {**preset_config("a2-n5"), **doc}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out), *flags]) == 2
+        assert f"invalid config at '{named}'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field, value, named",
         [

@@ -2,9 +2,10 @@
 
 Each example takes a preset or golden config, sets one or two of its
 numeric or string leaves (solver settings and feeder base values included)
-to an edge value and runs ``main`` in process. numpy warnings are errors
-here (pyproject's pytest settings), so an overflow inside the solver fails
-the example instead of passing as a warning.
+to an edge value and runs ``main`` in process, now and then with
+``--tol``/``--max-iter`` flags. numpy warnings are errors here (pyproject's
+pytest settings), so an overflow inside the solver fails the example
+instead of passing as a warning.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ NAME_CHARS = st.sampled_from(
     ['"', "'", ",", "\n", "\r", "\t", "\0", "\x1b", "\x7f", "\x85", " ", "\\", "/", "\u2028", "a"]
 )
 
+#: Solver flags, which override the config's solver settings.
+SOLVER_FLAGS = st.sampled_from(
+    [[], ["--tol", "1e-6"], ["--tol", "nan"], ["--max-iter", "1"], ["--max-iter", "0"]]
+)
+
 #: Text columns; every other cell is a number or empty.
 TEXT_COLUMNS = {"kind", "node", "label", "error"}
 
@@ -93,13 +99,15 @@ def edge_values(value):
 
 @st.composite
 def mutations(draw):
-    """(source name, [(leaf path, new value)]) for one or two leaves."""
+    """(source name, [(leaf path, new value)], solver flags) for one or two
+    leaves."""
     source = draw(st.sampled_from(sorted(SOURCES)))
     sites = list(leaves(SOURCES[source]))
     picks = draw(
         st.lists(st.sampled_from(sites), min_size=1, max_size=2, unique_by=lambda site: site[0])
     )
-    return source, [(path, draw(edge_values(value))) for path, value in picks]
+    changes = [(path, draw(edge_values(value))) for path, value in picks]
+    return source, changes, draw(SOLVER_FLAGS)
 
 
 def with_leaf(doc, path, new):
@@ -128,7 +136,7 @@ def _not_json(name: str):
     raise AssertionError(f"{name} is not JSON")
 
 
-def run_mutated(source: str, changes: list[tuple[tuple, object]]) -> None:
+def run_mutated(source: str, changes: list[tuple[tuple, object]], flags: list[str]) -> None:
     doc = json.loads(json.dumps(SOURCES[source]))
     for path, new in changes:
         with_leaf(doc, path, new)
@@ -139,7 +147,7 @@ def run_mutated(source: str, changes: list[tuple[tuple, object]]) -> None:
         out = Path(tmp) / "out"
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([command, str(config), "--out", str(out)])
+            code = main([command, str(config), "--out", str(out), *flags])
         assert code in (0, 2, 3), (code, err.getvalue())
         if code == 2:
             assert "invalid config at '" in err.getvalue(), err.getvalue()
@@ -151,14 +159,16 @@ def run_mutated(source: str, changes: list[tuple[tuple, object]]) -> None:
 @given(mutations())
 # sweep cells that cannot be built: a NaN penetration passes the schema's
 # bounds, and a load whose VA figure overflows
-@example(("grid-compact", [(("sweep", "penetrations_pct", 5), math.nan)]))
-@example(("sweep-overload", [(("sweep", "total_phase_load_kw"), 1e308)]))
+@example(("grid-compact", [(("sweep", "penetrations_pct", 5), math.nan)], []))
+@example(("sweep-overload", [(("sweep", "total_phase_load_kw"), 1e308)], []))
 # a clock window that never opens, echoed as NaN into the config copy
-@example(("quoting", [(("scenario", "schedule", "ev_window", 1), math.nan)]))
+@example(("quoting", [(("scenario", "schedule", "ev_window", 1), math.nan)], []))
 # a base voltage whose device currents overflow
-@example(("golden", [(("scenario", "feeder", "v_base_ln"), 5e-324)]))
+@example(("golden", [(("scenario", "feeder", "v_base_ln"), 5e-324)], []))
 # a tolerance no pass reaches, with passes that never run out
-@example(("overload-n5", [(("solver", "max_iter"), 1e308), (("solver", "tol_pu"), 5e-324)]))
+@example(("overload-n5", [(("solver", "max_iter"), 1e308), (("solver", "tol_pu"), 5e-324)], []))
+# solver flags over a solver that is no object
+@example(("golden", [(("solver",), 5)], ["--tol", "1e-6"]))
+@example(("grid-compact", [(("solver",), [1, 2])], ["--max-iter", "1"]))
 def test_edge_values_exit_cleanly(mutation):
-    source, changes = mutation
-    run_mutated(source, changes)
+    run_mutated(*mutation)

@@ -255,6 +255,14 @@ class TestRunScenario:
         assert result.phase_loss_kwh > 0
         assert len(result.per_timestep) == 24
 
+    def test_feeder_without_devices_runs_at_no_load(self):
+        """No device means no injection entries: every step is the one
+        operating point of an unloaded feeder, without losses."""
+        result = run_scenario(Scenario(feeder=chain_feeder(3, 0.1), horizon_h=3.0))
+        assert result.trajectory.step_row.tolist() == [0, 0, 0]
+        assert len(result.trajectory.solved.voltages) == 1
+        assert result.phase_loss_kwh == result.neutral_loss_kwh == 0.0
+
     def test_stylized_neutral_current_only_in_windows(self):
         scenario = build_stylized_scenario(None)
         result = run_scenario(scenario)
@@ -431,24 +439,16 @@ class TestSweepTabulate:
     def test_cells_equal_standalone_cells(
         self, network_class, load_kw, device_phase, balanced, penetrations, nodes, kinds
     ):
-        """Each scenario the sweep runs equals the one ``build_sweep_scenario``
-        builds for its cell (feeder, profiles, label and all), the cells
-        share one profiles dict, and each result carries its cell's feeder
-        and label."""
+        """Each cell that runs carries the label and feeder of the scenario
+        ``build_sweep_scenario`` builds for it."""
         template = SweepTemplate(load_kw, network_class, device_phase, balanced)
-        with mock.patch.object(scenarios, "_run_batch", wraps=scenarios._run_batch) as batch:
-            rows = sweep_and_tabulate(template, penetrations, nodes, kinds)
-        [call] = batch.call_args_list
-        ran = call.args[0]
-        assert len(ran) == len(rows)
-        assert len({id(sc.profiles) for sc in ran}) == 1
-        for row, sc in zip(rows, ran, strict=True):
+        rows = sweep_and_tabulate(template, penetrations, nodes, kinds)
+        assert len(rows) == len(penetrations) * len(nodes) * len(kinds)
+        for row in rows:
             want = build_sweep_scenario(
                 load_kw, row.node, row.kind, row.penetration_pct, network_class,
                 device_phase=device_phase, balanced=balanced,
             )
-            assert sc == want
-            assert sc.feeder == want.feeder and sc.profiles == want.profiles
             if row.result is not None:
                 assert row.result.trajectory.feeder == want.feeder
                 assert row.result.label == want.label
@@ -628,6 +628,36 @@ class TestBatchedRun:
             gap = np.max(np.abs(sol.voltages - oracle.voltages)) / scenario.feeder.v_base_ln
             assert gap <= 1e-6
 
+    @pytest.mark.parametrize("controller", ["none", "fixed_schedule"])
+    def test_cells_with_a_device_each_equal_their_own_runs(self, controller):
+        """One batch runs the cells of a scenario with a fleet (or none), each
+        with its own device or none; each cell equals the run of the
+        scenario with its device attached, down to the bytes of every
+        step's voltages. The EV shares node N5 with the storage, and two
+        cells share one device."""
+        base = build_stylized_scenario(Architecture(ArchKind.A3), "N5", 3.0, controller)
+        dg = Device("dg-N2", "N2", DeviceKind.DG, Phase.B, -4 + 0j, profile_id="dg-window")
+        ev = Device("ev-N5", "N5", DeviceKind.EV, None, 3 + 1j, profile_id="ev-window")
+        load = Device("load-N1-C", "N1", DeviceKind.LOAD, Phase.C, 2 + 0j)
+        cells = [("dg", dg), ("plain", None), ("ev", ev), ("dg-again", dg), ("load", load)]
+        got = scenarios._run_batch(base, cells, SolverSettings())
+        for (label, device), result in zip(cells, got, strict=True):
+            feeder = base.feeder if device is None else attach_device(base.feeder, device)
+            want = run_scenario(replace(base, feeder=feeder, label=label))
+            assert repr(result) == repr(want)
+            traj, ref = result.trajectory, want.trajectory
+            assert traj.feeder == feeder
+            ours, theirs = traj.solved.voltages[traj.step_row], ref.solved.voltages[ref.step_row]
+            assert ours.tobytes() == theirs.tobytes()
+
+    def test_a_device_cell_is_refused_under_a_greedy_fleet(self):
+        """The greedy search reads the devices' net power, so a cell's
+        device would change the dispatch the cells share."""
+        base = build_stylized_scenario(Architecture(ArchKind.A1), "N5", 3.0, "greedy")
+        dg = Device("dg-N2", "N2", DeviceKind.DG, Phase.B, -4 + 0j, profile_id="flat")
+        with pytest.raises(ValueError, match="greedy"):
+            scenarios._run_batch(base, [("plain", None), ("with-dg", dg)], SolverSettings())
+
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_kirchhoff_and_power_balance_on_1000_node_tree(self, seed):
@@ -766,7 +796,7 @@ def assert_scan_equals_the_reference_loop(scenario: Scenario):
     dispatch failed."""
     index = Topology(scenario.feeder).index
     layout, s_va, steps, pending = reference_dispatch(scenario, index)
-    [got_layout], [candidates], [step_key], _, [got_pending] = _dispatch([scenario], index)
+    got_layout, candidates, step_key, _, got_pending = _dispatch(scenario, [None], index)
     assert got_layout.tobytes() == layout.tobytes()
     assert candidates[step_key].tobytes() == s_va.tobytes()
     assert repr(got_pending) == repr(pending)
@@ -865,17 +895,6 @@ class TestStepKeys:
             _, _, steps, _ = reference_dispatch(scenario, Topology(scenario.feeder).index)
             assert traj.dispatch_states == distinct_states(scenario, steps)
 
-
-    def test_one_feeder_under_two_profile_sets_in_one_batch_gives_each_run(self):
-        """The two scenarios share every device object but read different
-        profiles dicts, so their devices take separate columns."""
-        scenario = build_stylized_scenario(None)
-        doubled = replace(
-            scenario,
-            profiles={pid: tuple(2 * v for v in p) for pid, p in scenario.profiles.items()},
-        )
-        got = scenarios._run_batch([scenario, doubled], SolverSettings())
-        assert repr(got) == repr([run_scenario(scenario), run_scenario(doubled)])
 
     def test_steps_apart_only_in_the_dispatched_phase_stay_apart(self):
         """Every step reads the same profile row and applies 1 kW per unit,
@@ -1063,7 +1082,7 @@ class TestDispatchScan:
         scenario = replace(scenario, batteries=tuple(batteries))
         index = Topology(scenario.feeder).index
         _, s_va, _, pending = reference_dispatch(scenario, index)
-        _, [candidates], [step_key], _, [got_pending] = _dispatch([scenario], index)
+        _, candidates, step_key, _, got_pending = _dispatch(scenario, [None], index)
         assert candidates[step_key].tobytes() == s_va.tobytes()
         assert repr(got_pending) == repr(pending)
         assert repr(outcome(scenario, run_scenario)) == repr(outcome(scenario, reference_run))
