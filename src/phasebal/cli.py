@@ -26,13 +26,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -596,16 +598,29 @@ def csv_lines(rows) -> Iterator[str]:
         yield writer.writerow([_fmt(cell) for cell in row])
 
 
+@contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """A text file written beside ``path`` and renamed over it when the
+    block ends, so that ``path`` never holds part of a file; if the block
+    raises, the file is removed and the error propagates."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv_atomic(path: Path, header: Sequence[str], lines) -> None:
     """Write the header row, then ``lines`` (finished CSV lines, each ending
     in ``\n``, as ``csv_lines`` and ``timeseries_rows`` make them), via a
     temp file and rename, so failures never leave partial files."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as handle:
+    with _replacing(path) as handle:
         handle.writelines(csv_lines([header]))
         handle.writelines(lines)
-    os.replace(tmp, path)
 
 
 def timeseries_rows(scenario: Scenario, result: ScenarioResult) -> Iterator[str]:
@@ -761,13 +776,68 @@ def _load_config(args: argparse.Namespace) -> tuple[dict, str]:
     return doc, source
 
 
+def _json_float(x: float) -> str:
+    """A float as ``json`` writes it."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_text(doc: Any) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, character for
+    character, for a document of dicts with string keys, lists, tuples,
+    and str, int, float, bool and None values (what ``json.load`` returns,
+    and tuples). Python 3.11's ``json`` takes its pure-Python encoder
+    whenever ``indent`` is set; this makes the same parts with ``json``'s C
+    string quoting and the int and float reprs, into one list."""
+    parts: list[str] = []
+    add = parts.append
+    scalar = {
+        str: encode_basestring_ascii,
+        int: int.__repr__,
+        float: _json_float,
+        bool: lambda b: "true" if b else "false",
+        type(None): lambda _: "null",
+    }.get
+
+    def emit(value: Any, indent: str) -> None:
+        text = scalar(type(value))
+        if text is not None:
+            add(text(value))
+        elif isinstance(value, (list, tuple)):
+            inner = indent + "  "
+            sep = "[" + inner
+            for item in value:
+                add(sep)
+                emit(item, inner)
+                sep = "," + inner
+            add("[]" if not value else indent + "]")
+        elif isinstance(value, dict):
+            inner = indent + "  "
+            sep = "{" + inner
+            for key, item in sorted(value.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                add(sep + encode_basestring_ascii(key) + ": ")
+                emit(item, inner)
+                sep = "," + inner
+            add("{}" if not value else indent + "}")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    emit(doc, "\n")
+    return "".join(parts)
+
+
 def _emit_config(doc: dict, label: str, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tmp = out_dir / f"{label}-config.json.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, out_dir / f"{label}-config.json")
+    """Copy the config as ``<label>-config.json``: ``json.dump(doc,
+    indent=2, sort_keys=True)`` and a newline (``_json_text``)."""
+    with _replacing(out_dir / f"{label}-config.json") as handle:
+        handle.write(_json_text(doc) + "\n")
 
 
 @contextmanager

@@ -32,7 +32,17 @@ allocates once per call:
   the negated neutral ones. This equals adding entry by entry into zeros,
   bit for bit: ``bincount`` adds in input order starting from +0.0; phase
   and neutral bins never overlap; ``a - x`` and ``a + (-x)`` give the same
-  bits; a dead entry adds exactly +0.0.
+  bits; a dead entry adds exactly +0.0;
+- the 0.5 pu clamp of device voltages is screened per row with numpy's
+  SIMD ``abs`` of the complex line-to-neutral voltages, which is several
+  times faster than ``np.hypot`` but may differ from it in the last bits.
+  A row whose smallest live ``abs`` exceeds 0.5 pu by a relative 1e-9, far
+  more than the two can differ, has nothing to clamp and cannot collapse;
+  every other row, and every row holding a live NaN, takes the exact path:
+  ``np.hypot``, the clamp and the exact smallest magnitude. The screen's
+  values reach no output, so results are those of the exact path alone;
+- gathers along the node axis of a level's parents or a sibling group use
+  ``np.take`` where the rows do not step by one, and a slice where they do.
 
 Both treat devices as constant-power (re-evaluated against updated voltage
 every iteration), start flat (source phasors, zero neutral), and stop when
@@ -54,6 +64,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping
 
 import numpy as np
@@ -67,6 +78,10 @@ from .errors import (
 from .network import CONDUCTORS, Device, Feeder
 
 _COLLAPSE_PU = 0.5
+
+_SEGMENT_FIELDS = attrgetter(
+    "to_node", "from_node", "length_km", "z_phase_per_km", "z_neutral_per_km", "z_mutual_per_km"
+)
 
 #: Most sweep passes a solve may take: a hundred times the default, so that a
 #: tolerance no pass can reach still ends in NonConvergence.
@@ -152,59 +167,69 @@ class Topology:
     """
 
     def __init__(self, feeder: Feeder) -> None:
-        n = len(feeder.nodes)
+        n, segments = len(feeder.nodes), feeder.segments
         self.n = n
         self.v_base = feeder.v_base_ln
-        self.index = {name: i for i, name in enumerate(feeder.nodes)}
+        self.index = dict(zip(feeder.nodes, range(n)))
+        to, frm, length, *per_km = list(zip(*map(_SEGMENT_FIELDS, segments))) or [()] * 6
+        row = self.index.__getitem__
+        self.seg_child = np.fromiter(map(row, to), np.intp, len(to))
         self.parent = np.full(n, -1, dtype=np.intp)
+        self.parent[self.seg_child] = np.fromiter(map(row, frm), np.intp, len(frm))
         self.feed_seg = np.full(n, -1, dtype=np.intp)
-        self.seg_child = np.empty(len(feeder.segments), dtype=np.intp)
-        zp, zn, zm = [], [], []
-        for k, seg in enumerate(feeder.segments):
-            child = self.index[seg.to_node]
-            self.parent[child] = self.index[seg.from_node]
-            self.feed_seg[child] = k
-            self.seg_child[k] = child
-            zp.append(seg.z_phase_per_km * seg.length_km)
-            zn.append(seg.z_neutral_per_km * seg.length_km)
-            zm.append(seg.z_mutual_per_km * seg.length_km)
-        self.z = np.empty((len(zm), 4, 4), dtype=complex)
-        self.z[:] = np.array(zm, dtype=complex)[:, None, None]
+        self.feed_seg[self.seg_child] = np.arange(len(segments))
+        # phase, neutral and mutual z * length as Python's complex * float makes them
+        length, per_km = np.array(length, dtype=float), np.array(per_km, dtype=complex)
+        zp, zn, zm = z_seg = np.empty((3, len(segments)), dtype=complex)
+        z_seg.real = per_km.real * length - per_km.imag * 0.0
+        z_seg.imag = per_km.real * 0.0 + per_km.imag * length
+        self.z = np.empty((len(segments), 4, 4), dtype=complex)
+        self.z[:] = zm[:, None, None]
         for c in range(3):
             self.z[:, c, c] = zp
         self.z[:, 3, 3] = zn
         self.z_node = self.z[self.feed_seg[1:]]
 
-        par = self.parent.tolist()
-        if any(not 0 <= p < i for i, p in enumerate(par[1:], 1)) or par[1:] != sorted(par[1:]):
+        par = self.parent[1:]
+        if (par < 0).any() or (par >= np.arange(1, n)).any() or (par[1:] < par[:-1]).any():
             raise ValueError("feeder nodes are not in breadth-first order")
-        depth, rank = [0] * n, [0] * n
-        for i in range(1, n):
-            depth[i] = depth[par[i]] + 1
-        for i in range(n - 2, 0, -1):  # siblings sit on adjacent rows
-            if par[i] == par[i + 1]:
-                rank[i] = rank[i + 1] + 1
-        starts = [i for i in range(1, n) if depth[i] != depth[i - 1]]
+        # depth by pointer jumping: (distance to ``up``, ``up``) doubles each round
+        depth = np.ones(n, dtype=np.intp)
+        depth[0], up = 0, self.parent.copy()
+        up[0] = 0
+        while up.any():
+            depth += depth[up]
+            up = up[up]
+        # siblings sit on adjacent rows: rank = later siblings, ordered by parent
+        rank = np.searchsorted(par, par, side="right") - np.arange(1, n)
+        # children by (depth, rank), rows ascending within a group
+        order = 1 + np.lexsort((rank, depth[1:]))
+        key = depth[order] * n + rank[order - 1]
+        cuts = [0, *((key[1:] != key[:-1]).nonzero()[0] + 1).tolist(), n - 1] if n > 1 else [0]
+        lo, hi = cuts[:-1], cuts[1:]
+        starts = ((depth[1:] != depth[:-1]).nonzero()[0] + 1).tolist()
+        level_groups = [[] for _ in starts]
+        pairs = zip(_as_indices(self.parent[order], lo, hi), _as_indices(order, lo, hi))
+        for d, pair in zip(depth[order[lo]].tolist(), pairs):
+            level_groups[d - 1].append(pair)
         self.levels = [
-            (lo, hi, _as_index(par[lo:hi]), []) for lo, hi in zip(starts, starts[1:] + [n])
+            # a level of one group has one child per parent: its group's parents
+            (a, b, groups[0][0] if len(groups) == 1 else self.parent[a:b], groups)
+            for a, b, groups in zip(starts, starts[1:] + [n], level_groups)
         ]
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i in range(1, n):
-            groups.setdefault((depth[i], rank[i]), []).append(i)
-        for (d, _), children in sorted(groups.items()):
-            parents = _as_index([par[c] for c in children])
-            self.levels[d - 1][3].append((parents, _as_index(children)))
         self.flat = np.zeros((n, 4), dtype=complex)
         self.flat[:, :3] = source_phasors(self.v_base)
         self.nominal = np.array([p * _COLLAPSE_PU for p in source_phasors(self.v_base)])
 
 
-def _as_index(rows: list[int]) -> slice | np.ndarray:
-    """``rows`` as a slice when they step by one (indexing with it then
-    copies no data), else as an index array."""
-    if all(b - a == 1 for a, b in zip(rows, rows[1:])):
-        return slice(rows[0], rows[-1] + 1)
-    return np.array(rows, dtype=np.intp)
+def _as_indices(rows: np.ndarray, lo: list[int], hi: list[int]) -> list[slice | np.ndarray]:
+    """Each strictly increasing ``rows[lo:hi]`` as a slice when it steps by
+    one (indexing with it then copies no data), else as an index array."""
+    first, last = rows[lo].tolist(), rows[np.array(hi, dtype=np.intp) - 1].tolist()
+    return [
+        slice(f, l + 1) if l - f == b - a - 1 else rows[a:b]
+        for a, b, f, l in zip(lo, hi, first, last)
+    ]
 
 
 @dataclass(frozen=True)
@@ -263,6 +288,8 @@ class _Kernel:
         self.cond = cond
         self.s_va = s_va
         self.dead = s_va == 0
+        # above this, abs(v) within a few ulps of hypot is above 0.5 pu
+        self.screen = _COLLAPSE_PU * topo.v_base * (1 + 1e-9)
         self.take = node * 4 + cond, node * 4 + 3
         self.bins = np.concatenate(self.take)
         self.offset = np.arange(batch)[:, None] * (topo.n * 4)
@@ -278,9 +305,13 @@ class _Kernel:
 
     def device_currents(self, v: np.ndarray) -> np.ndarray:
         """Fill ``acc`` with the current each node draws per conductor at
-        the voltages ``v`` ``(row, node, 4)`` and return the smallest
-        line-to-neutral magnitude a nonzero entry sees per row, in pu (inf
-        without one).
+        the voltages ``v`` ``(row, node, 4)`` and return ``v_min`` per row:
+        on the rows the ``abs`` screen hands to the exact path (see the
+        module docstring), the smallest line-to-neutral magnitude a nonzero
+        entry sees, in pu; +inf on the rows it passes, all of whose live
+        magnitudes are above 0.5 pu, and on rows without a nonzero entry.
+        So ``v_min < 0.5`` marks exactly the rows that collapse, with their
+        exact minimum.
 
         I = conj(S / V_ln) leaves the phase and returns through the
         neutral; the denominator is clamped at 0.5 pu, which shows up as a
@@ -296,17 +327,15 @@ class _Kernel:
         np.take(flat, self.take[1], axis=1, out=v_n, mode="clip")
         np.subtract(v_ln, v_n, out=v_ln)
         spare = v_n.view(float)  # (row, 2 * entry), free once v_ln is made
-        mag = np.hypot(v_ln.real, v_ln.imag, out=spare[:, :e])
-        # dividing by v_base rounds monotonically, so it commutes with the minimum
-        v_min = np.fmin.reduce(mag, axis=1, where=~self.dead, initial=np.inf) / self.topo.v_base
-        floor = _COLLAPSE_PU * self.topo.v_base
-        low = mag < floor
-        if low.any():
-            nominal = self.topo.nominal[self.cond]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scaled = v_ln * (floor / mag)
-            v_ln[...] = np.where(low, np.where(mag == 0.0, nominal, scaled), v_ln)
-        q = np.divide(self.s_va, v_ln, out=v_ln)  # I = conj(q)
+        # screen with numpy's SIMD abs, within a few ulps of hypot; NaN fails it
+        mag = np.abs(v_ln, out=spare[:, :e])
+        np.copyto(mag, np.inf, where=self.dead)
+        v_min = np.full(rows, np.inf)
+        exact = np.flatnonzero(~(mag.min(axis=1, initial=np.inf) > self.screen))
+        if exact.size:
+            v_ln[exact] = self._clamped(v_ln[exact], v_min, exact)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a dead entry at 0 V
+            q = np.divide(self.s_va, v_ln, out=v_ln)  # I = conj(q)
         np.copyto(q, 0, where=self.dead)
         bins, size, acc = (self.offset[:rows] + self.bins).ravel(), v.size, self.acc[:rows]
         spare[:, :e] = q.real  # weights: the phase entries, then the negated neutral ones
@@ -319,6 +348,24 @@ class _Kernel:
         acc.imag = np.bincount(bins, weights.ravel(), size).reshape(acc.shape)
         return v_min
 
+    def _clamped(self, v_ln: np.ndarray, v_min: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The exact path for ``rows`` of ``v_ln``: write the smallest live
+        ``hypot`` magnitude of each into ``v_min`` in pu, and return
+        ``v_ln`` with every magnitude below 0.5 pu scaled up to 0.5 pu (a
+        zero becomes its phase's source phasor at 0.5 pu)."""
+        mag = np.hypot(v_ln.real, v_ln.imag)
+        # dividing by v_base rounds monotonically, so it commutes with the minimum
+        live = ~self.dead[rows]
+        v_min[rows] = np.fmin.reduce(mag, axis=1, where=live, initial=np.inf) / self.topo.v_base
+        floor = _COLLAPSE_PU * self.topo.v_base
+        low = mag < floor
+        if not low.any():
+            return v_ln
+        nominal = self.topo.nominal[self.cond]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = v_ln * (floor / mag)
+        return np.where(low, np.where(mag == 0.0, nominal, scaled), v_ln)
+
     def branch_currents(self, rows: int) -> np.ndarray:
         """Accumulate the sinks in ``acc`` into branch currents leaf to
         root, deepest level first; within a level siblings add into their
@@ -328,7 +375,10 @@ class _Kernel:
         acc = self.acc[:rows]
         for _, _, _, groups in reversed(self.topo.levels):
             for parents, children in groups:
-                acc[:, parents] += acc[:, children]
+                if isinstance(parents, slice):
+                    acc[:, parents] += _columns(acc, children)
+                else:
+                    acc[:, parents] = _columns(acc, parents) + _columns(acc, children)
         return acc
 
     def forward_voltages(self, v: np.ndarray, v_new: np.ndarray) -> np.ndarray:
@@ -340,9 +390,15 @@ class _Kernel:
         rows = len(v)
         np.matmul(self.topo.z_node, self.acc[:rows, 1:, :, None], out=v_new[:, 1:, :, None])
         for lo, hi, parents, _ in self.topo.levels:
-            np.subtract(v_new[:, parents], v_new[:, lo:hi], out=v_new[:, lo:hi])
+            np.subtract(_columns(v_new, parents), v_new[:, lo:hi], out=v_new[:, lo:hi])
         change = np.subtract(v_new[:, 1:], v[:, 1:], out=v[:, 1:])
         return np.abs(change).max(axis=(1, 2), initial=0.0)
+
+
+def _columns(a: np.ndarray, rows: slice | np.ndarray) -> np.ndarray:
+    """``a[:, rows]``: a view for a slice, else a copy by ``np.take``,
+    which gathers faster than fancy indexing."""
+    return a[:, rows] if isinstance(rows, slice) else np.take(a, rows, axis=1)
 
 
 def sweep_batch(

@@ -385,39 +385,43 @@ def _dispatch(
     greedy = bool(units) and scenario.controller == "greedy"
     if greedy and any(d is not None for d in devices):
         raise ValueError("a greedy fleet's dispatch would read the device attached to a cell")
+
+    # one pass over the scenario's devices, then the cells': the node row and
+    # phase (3: all three) of each, the rating and profile column of each
+    # device column (storage has none) and the device of each battery
+    cell = [c for c, d in enumerate(devices) if d is not None]
     profile_col: dict[str | None, int] = {}
-    dev_profile, rated = [], []
-
-    def column(dev: Device) -> tuple[int, list[int]]:
-        """A new device column for ``dev``, and its entry keys."""
-        dev_profile.append(profile_col.setdefault(dev.profile_id, len(profile_col)))
-        rated.append(dev.s_rated_kva)
-        base = index[dev.node] * 4
-        return len(rated) - 1, [base + _PHASE_ROW[ph] for ph in dev.connected_phases]
-
-    # the entries of the scenario's devices and the device column of each
-    keys, placed, placed_col, battery_entry = [], [], [], {}
-    for d in scenario.feeder.devices:
+    node_row, phase, has_col, rated, dev_profile, battery_dev = [], [], [], [], [], {}
+    for d in (*scenario.feeder.devices, *(devices[c] for c in cell)):
+        node_row.append(index[d.node])
         if d.kind is DeviceKind.STORAGE:
-            battery_entry[d.battery_id] = len(keys)
-            base = index[d.node] * 4
-            keys += base, base + 1, base + 2
+            battery_dev[d.battery_id] = len(phase)
+            phase.append(3)
+            has_col.append(False)
         else:
-            col, entries = column(d)
-            placed += range(len(keys), len(keys) + len(entries))
-            placed_col += [col] * len(entries)
-            keys += entries
-    # (cell, layout column, device column) of each entry of the cells' devices
+            phase.append(3 if d.phase is None else _PHASE_ROW[d.phase])
+            has_col.append(True)
+            rated.append(d.s_rated_kva)
+            dev_profile.append(profile_col.setdefault(d.profile_id, len(profile_col)))
+    # the entries of each device, in device order; storage reads the zero column
+    phase, has_col = np.array(phase, dtype=np.intp), np.array(has_col, dtype=bool)
+    width = np.where(phase == 3, 3, 1)
+    start = np.cumsum(width) - width
+    owner = np.repeat(np.arange(len(phase)), width)
+    cond = np.where(width[owner] == 3, np.arange(len(owner)) - start[owner], phase[owner])
+    keys = np.array(node_row, dtype=np.intp)[owner] * 4 + cond
+    zero = len(rated)
+    col = np.where(has_col, np.cumsum(has_col) - 1, zero)[owner]
+    # the cells' entries: one layout column per distinct key, in order of first appearance
+    base = int(start[len(phase) - len(cell)]) if cell else len(keys)
     extra: dict[int, int] = {}
-    cell_at, cell_entry, cell_col = [], [], []
-    for c, d in enumerate(devices):
-        if d is not None:
-            col, entries = column(d)
-            for key in entries:
-                cell_at.append(c)
-                cell_entry.append(len(keys) + extra.setdefault(key, len(extra)))
-                cell_col.append(col)
-    layout = np.array(keys + list(extra), dtype=np.intp)
+    slot = [base + extra.setdefault(k, len(extra)) for k in keys[base:].tolist()]
+    cell_at = np.repeat(np.array(cell, dtype=np.intp), width[len(phase) - len(cell) :])
+    layout = np.concatenate([keys[:base], np.array(list(extra), dtype=np.intp)])
+    src = np.full((len(devices), len(layout)), zero, dtype=np.intp)  # (cell, layout column)
+    src[:, :base] = col[:base]
+    src[cell_at, np.array(slot, dtype=np.intp)] = col[base:]
+
     profiles = [scenario.profiles[pid] if pid else (1.0,) * n_steps for pid in profile_col]
     scale = np.array(profiles, dtype=float).reshape(len(profiles), n_steps).T
     dev_profile, rated = np.array(dev_profile, dtype=np.intp), np.array(rated, dtype=complex)
@@ -427,8 +431,9 @@ def _dispatch(
         if greedy:  # each phase adds its devices in feeder order
             p_kw = _complex_times_real(rated.real, rated.imag, scale[:, dev_profile])[0]
             net = np.zeros((n_steps, 3))
-            for e, col in zip(placed, placed_col):
-                net[:, keys[e] % 4] += p_kw[:, col]
+            placed = col < zero
+            for c, k in zip(cond[placed].tolist(), col[placed].tolist()):
+                net[:, c] += p_kw[:, k]
         fields, stopped = _dispatch_storage(scenario, units, net)
         n_ok = len(fields["soc_kwh"])
         step_key = np.concatenate(
@@ -438,21 +443,17 @@ def _dispatch(
         fields, stopped, step_key = _idle_fields(scenario), None, scale
     first, step_key = _distinct_rows(step_key)
 
-    dev_p, dev_q = _complex_times_real(rated.real, rated.imag, scale[first][:, dev_profile])
-    p_kw, q_kvar = np.zeros((2, len(devices), len(first), len(layout)))
-    p_kw[:, :, placed], q_kvar[:, :, placed] = dev_p[:, placed_col], dev_q[:, placed_col]
+    # VA per (candidate row, device column), then gathered into the entries:
+    # element-wise arithmetic gives the same bits before or after a gather
+    va = np.zeros((len(first), zero + 1), dtype=complex)  # the zero column carries 0 VA
+    va[:, :zero] = _va(*_complex_times_real(rated.real, rated.imag, scale[first][:, dev_profile]))
+    candidates = np.take(va, src, axis=1).transpose(1, 0, 2)  # (cell, row, layout column)
     if units:  # each unit feeds the entry of its dispatched phase; the other two stay 0
+        cols = start[[battery_dev[b.id] for b in units]] + fields["phase"][first]
         rows = np.arange(len(first))[:, None]
-        cols = np.array([battery_entry[b.id] for b in units], dtype=np.intp)
-        cols = cols + fields["phase"][first]
-        p_kw[:, rows, cols] = fields["p_kw"][first]
-        q_kvar[:, rows, cols] = fields["q_kvar"][first]
-    cell_at, cell_entry = np.array(cell_at, dtype=np.intp), np.array(cell_entry, dtype=np.intp)
-    p_kw[cell_at, :, cell_entry] = dev_p[:, cell_col].T
-    q_kvar[cell_at, :, cell_entry] = dev_q[:, cell_col].T
+        candidates[:, rows, cols] = _va(fields["p_kw"][first], fields["q_kvar"][first])
     shape = (len(devices) * len(first), len(layout))  # a feeder may have no entries
-    candidates = _va(p_kw.reshape(shape), q_kvar.reshape(shape))
-    return layout, candidates, step_key, fields, stopped
+    return layout, candidates.reshape(shape), step_key, fields, stopped
 
 
 def _dispatch_storage(

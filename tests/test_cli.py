@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from phasebal.cli import (
     _SCENARIO_SCHEMAS,
     _SWEEP_SCHEMA,
     _best_error,
+    _emit_config,
     CONFIG_SCHEMA,
     SUMMARY_COLUMNS,
     SWEEP_COLUMNS,
@@ -38,6 +40,7 @@ from phasebal.cli import (
     main,
     parse_config,
     timeseries_rows,
+    write_csv_atomic,
 )
 from phasebal.errors import ConfigInvalid
 from phasebal.network import (
@@ -800,7 +803,8 @@ class TestGoldenFiles:
         for label in greedy + multiday:
             assert main(["run", str(golden_dir / f"{label}.json"), "--out", str(out)]) == 0
         # a branched 150-node tree: a bus with 24 children, a 30-level branch,
-        # single-phase PV and EV, segments declared out of breadth-first order
+        # single-phase PV and EV, segments declared out of breadth-first order;
+        # its config copy too, frozen from json.dump's pure-Python encoder
         assert main(["run", str(golden_dir / "tree-150.json"), "--out", str(out)]) == 0
         # a sweep whose collapsed cells fill the error column and the manifest
         # and are left out of the extracts
@@ -837,6 +841,7 @@ class TestGoldenFiles:
             ),
             ("tree-150-timeseries.csv", "golden-tree-150-timeseries.csv"),
             ("tree-150-summary.csv", "golden-tree-150-summary.csv"),
+            ("tree-150-config.json", "golden-tree-150-config.json"),
             ("a2-n5-noshift-timeseries.csv", "golden-a2-n5-noshift-timeseries.csv"),
             ("a1-n0-timeseries.csv", "golden-a1-n0-timeseries.csv"),
             *(
@@ -845,6 +850,60 @@ class TestGoldenFiles:
             ),
         ):
             assert (out / name).read_bytes() == (golden_dir / golden).read_bytes()
+
+
+#: JSON documents as json.load returns them, and tuples: unicode and control
+#: characters in strings and keys, -0.0, extremes and non-finite floats
+_JSON_TEXT = st.text() | st.sampled_from(["", "\x00\x1f\x7f", "\"\\/\n\t", "é€\u2028\U0001f600"])
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, 0.0, 1e300, -1e-300, 5e-324, 2**53 + 1])
+    | _JSON_TEXT
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestOutputFiles:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_JSON_DOCS)
+    def test_config_copy_is_json_dump_with_indent(self, doc):
+        """The config copy is ``json.dump(doc, indent=2, sort_keys=True)``
+        and a newline, byte for byte, whatever the document holds."""
+        with tempfile.TemporaryDirectory() as out:
+            _emit_config(doc, "doc", Path(out))
+            written = (Path(out) / "doc-config.json").read_bytes()
+        buffer = io.StringIO()
+        json.dump(doc, buffer, indent=2, sort_keys=True)
+        assert written == (buffer.getvalue() + "\n").encode("utf-8")
+
+    def test_a_failing_write_leaves_the_old_file_and_no_temp_file(self, tmp_path):
+        """A row iterator that raises mid-file, and a config that cannot be
+        encoded: the error propagates, the file written before stays as it
+        was, and no ``.tmp`` file is left behind."""
+        path = tmp_path / "t.csv"
+        write_csv_atomic(path, ["x"], ["1\n"])
+
+        def rows():
+            yield "2\n"
+            raise RuntimeError("row 3")
+
+        with pytest.raises(RuntimeError, match="row 3"):
+            write_csv_atomic(path, ["x"], rows())
+        _emit_config({"label": "ok"}, "c", tmp_path)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _emit_config({"label": "c", "bad": {1j}}, "c", tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c-config.json", "t.csv"]
+        assert path.read_text() == "x\n1\n"
+        assert json.loads((tmp_path / "c-config.json").read_text()) == {"label": "ok"}
 
 
 class TestTimeseriesRows:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     TREE_SHAPES,
+    _reference_device_currents,
     kcl_residual,
     kvl_residual,
     max_voltage_gap,
@@ -29,6 +30,7 @@ from phasebal.powerflow import (
     MAX_ITER,
     SolverSettings,
     Topology,
+    _Kernel,
     oracle_solve,
     power_balance_residual_kw,
     segment_losses,
@@ -195,6 +197,10 @@ class TestSweepKernel:
         max_iter=st.sampled_from([3, 40]),
     )
     @example(seed=5, shape="mixed", n=150, rows=20, max_iter=40)
+    # rows whose smallest live magnitude passes 1.4e-5 above 0.5 pu on some
+    # pass (the screen lets it by) and 1.6e-4 below it (it collapses)
+    @example(seed=1613491277, shape="chain", n=19, rows=13, max_iter=40)
+    @example(seed=1513457303, shape="recursive", n=25, rows=18, max_iter=40)
     def test_matches_the_scatter_reference(self, seed, shape, n, rows, max_iter):
         topo, node, cond, s_va = kernel_case(seed, shape, n, rows)
         solver = SolverSettings(max_iter=max_iter)
@@ -212,6 +218,62 @@ class TestSweepKernel:
         assert set(solved.iterations.tolist()) >= {1, 3, 4, 6}
         kinds = {type(error) for error in solved.failures.values()}
         assert kinds == {VoltageCollapse, NonConvergence}
+
+    def test_the_screen_at_its_edge(self):
+        """Hand-placed voltages where the SIMD ``abs`` screen hands rows to
+        the exact ``hypot`` path: a live entry a few ulps and 1e-9 either
+        side of 0.5 pu and at 0 V, dead entries at 0 V, NaN and infinite
+        components, and a row with every entry dead. The sinks equal the
+        scatter reference's, the same rows collapse, and those report the
+        exact smallest live magnitude; screened rows report +inf."""
+        topo = Topology(chain_feeder(4, 0.1))
+        node = np.array([1, 1, 2, 3, 3, 2, 1])
+        cond = np.array([0, 1, 2, 0, 1, 0, 2])
+        half = 0.5 * topo.v_base
+        ulps = [half]
+        for _ in range(3):
+            ulps = [np.nextafter(ulps[0], 0.0), *ulps, np.nextafter(ulps[-1], np.inf)]
+        margins = [half * (1 + f) for f in (-2e-9, -1e-9, 1e-9, 2e-9)]
+        rows = []  # (node, conductor, value) placements per row
+        b = topo.flat[1, 1] / topo.v_base  # phase B's angle
+        for magnitude in [*ulps, *margins, 0.0]:  # phase A is at 0 degrees
+            rows += [[(1, 0, complex(magnitude))], [(3, 1, magnitude * b)]]
+        rows += [
+            [],
+            [(2, 2, 0j)],  # 0 V on entry 2, dead in this row (s_va below)
+            [(3, 3, complex(np.nan, 0.0))],
+            [(1, 3, complex(0.0, np.nan)), (1, 0, ulps[0])],
+            [(2, 2, complex(np.inf, 0.0))],
+            [(1, 1, complex(-np.inf, np.nan))],
+            [(3, 0, complex(np.inf, -np.inf)), (1, 0, ulps[-1])],
+            [(2, 0, complex(np.nan, np.nan))],  # on entry 5, dead in this row
+            [(1, 0, 0j), (2, 2, 0j)],  # every entry dead in this row
+        ]
+        v = np.repeat(topo.flat[None], len(rows), axis=0)
+        for r, placed in enumerate(rows):
+            for n, c, value in placed:
+                v[r, n, c] = value
+        rng = np.random.default_rng(7)
+        s_va = (rng.uniform(-2e3, 4e3, (len(rows), len(node))) + 500j).round()
+        s_va[len(rows) - 8, 2] = s_va[len(rows) - 2, 5] = 0  # dead entries at 0 V and NaN
+        s_va[-1] = 0
+        s_va[1::5, 4] = 0  # and some dead entries elsewhere
+        kernel = _Kernel(topo, node, cond, s_va)
+        with np.errstate(all="ignore"):  # the reference divides by 0 V and infinities
+            v_min = kernel.device_currents(v)
+            sinks, v_min_ref = _reference_device_currents(topo, v, node, cond, s_va)
+        got, want = kernel.acc[: len(rows)].view(float), sinks.view(float)
+        # neither path fixes the sign of a NaN: 0 - x and 0 + (-x) differ there
+        nan = np.isnan(want)
+        assert (np.isnan(got) == nan).all()
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+        collapsed = v_min < 0.5
+        assert collapsed.tolist() == (v_min_ref < 0.5).tolist()
+        assert v_min[collapsed].tobytes() == v_min_ref[collapsed].tobytes()
+        screened = np.isinf(v_min) & np.isfinite(v_min_ref)
+        exact = ~collapsed & np.isfinite(v_min)  # not passed by the screen, not collapsed
+        assert collapsed.sum() >= 9 and screened.sum() >= 9 and exact.sum() >= 9
+        assert (v_min[exact] == v_min_ref[exact]).all()
 
     def test_nodes_out_of_breadth_first_order_are_rejected(self):
         feeder = chain_feeder(3, 0.1)

@@ -673,6 +673,41 @@ class TestBatchedRun:
             assert kvl_residual(feeder, sol) <= 1e-6 * feeder.v_base_ln
             assert power_balance_residual_kw(feeder, sol, injections) <= 1e-6 * feeder.s_base_kva
 
+    def test_layout_at_the_feeder_1k_shape_equals_the_reference_loop(self):
+        """The per-device entry layout at the benchmark's feeder-1k shape: a
+        1,000-node random tree, balanced loads on one profile id and
+        single-phase PV and EV on two others, and a fixed-schedule A2 fleet
+        whose three storage devices sit midway through the device list. The
+        run equals the per-step loop (``conftest.reference_run``) in the
+        bytes of its distinct voltages and step rows, and in its repr."""
+        rng = random.Random(18)
+        feeder = random_tree(rng, 1000).feeder
+        profile_of = {DeviceKind.LOAD: "base", DeviceKind.DG: "pv", DeviceKind.EV: "ev"}
+        devices = [replace(d, profile_id=profile_of[d.kind]) for d in feeder.devices]
+        node = rng.choice(feeder.nodes[1:])
+        devices[len(devices) // 2 : len(devices) // 2] = [
+            Device(f"st-{ph.value}", node, DeviceKind.STORAGE, ph, battery_id=f"b-{ph.value}")
+            for ph in PHASES
+        ]
+        hours = range(24)
+        scenario = Scenario(
+            feeder=replace(feeder, devices=tuple(devices)),
+            profiles={
+                "base": tuple(rng.choice([0.6, 0.8, 1.0]) for _ in hours),
+                "pv": tuple(max(0.0, math.sin(math.pi * (h - 6) / 12)) for h in hours),
+                "ev": tuple(1.0 if 18 <= h < 23 else 0.0 for h in hours),
+            },
+            architecture=Architecture(ArchKind.A2),
+            controller="fixed_schedule",
+            batteries=tuple(Battery(f"b-{ph.value}", 2.0, soc_kwh=5.0) for ph in PHASES),
+        )
+        got, want = run_scenario(scenario), reference_run(scenario)
+        traj, ref = got.trajectory, want.trajectory
+        assert len(traj.solved.voltages) > 10
+        assert traj.solved.voltages.tobytes() == ref.solved.voltages.tobytes()
+        assert traj.step_row.tobytes() == ref.step_row.tobytes()
+        assert repr(got) == repr(want)
+
     @settings(max_examples=15, deadline=None)
     @given(steps=st.integers(3, 12), data=st.data())
     def test_collapse_at_a_middle_step_raises_that_step(self, steps, data):
