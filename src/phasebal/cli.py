@@ -615,25 +615,34 @@ def _replacing(path: Path) -> Iterator[TextIO]:
 
 
 def write_csv_atomic(path: Path, header: Sequence[str], lines) -> None:
-    """Write the header row, then ``lines`` (finished CSV lines, each ending
-    in ``\n``, as ``csv_lines`` and ``timeseries_rows`` make them), via a
-    temp file and rename, so failures never leave partial files."""
+    """Write the header row, then ``lines`` (finished CSV text in strings of
+    whole lines, each line ending in ``\n``, as ``csv_lines`` and
+    ``timeseries_rows`` make them), via a temp file and rename, so failures
+    never leave partial files."""
     with _replacing(path) as handle:
         handle.writelines(csv_lines([header]))
         handle.writelines(lines)
 
 
 def timeseries_rows(scenario: Scenario, result: ScenarioResult) -> Iterator[str]:
-    """The timeseries CSV lines, one per timestep x node, as text made from
-    the run's trajectory arrays. The node name and the 11 power-flow columns
-    depend only on the step's distinct operating point, so they are
-    formatted once per distinct row and node, with one ``%`` each, the first
-    time a step uses that row; ``t_h`` is formatted once per step, and the 7
-    storage columns per step at storage nodes only. Fields read as
-    ``csv_lines`` would write them: floats at 17 significant digits, names
-    quoted as ``csv.writer`` quotes a field of a multi-field row."""
+    """The timeseries CSV lines as text made from the run's trajectory
+    arrays, one string per timestep holding a line per node. Fields read as
+    ``csv_lines`` would write them: floats at 17 significant digits (by
+    ``g17.lines``), names quoted as ``csv.writer`` quotes a field of a
+    multi-field row.
+
+    The node name and the 11 power-flow columns depend only on the step's
+    distinct operating point, so they are formatted once per distinct row,
+    the first time a step uses it, and kept as text in which each line
+    starts with a carriage return (no node name holds one: ``build_feeder``
+    rejects it). A step's text is that with each carriage return replaced
+    by the step's ``t_h`` and a comma, and the 7 storage columns of the
+    step spliced in after each storage node."""
+    from . import g17  # off the start-up path: only a run's timeseries needs it
+
     feeder = scenario.feeder
     traj = result.trajectory
+    n = len(feeder.nodes)
     row_of = {name: i for i, name in enumerate(feeder.nodes)}
     seg_rows = [row_of[seg.to_node] for seg in feeder.segments]
     storage_row = {d.battery_id: row_of[d.node] for d in feeder.storage_devices()}
@@ -649,41 +658,52 @@ def timeseries_rows(scenario: Scenario, result: ScenarioResult) -> Iterator[str]
     for i, soc in enumerate(traj.soc_kwh.T):
         storage[:, at[i], 6] += soc
     # the name field of a row (name, "") is the line less its ",\n"
-    names = [line[:-2] for line in csv_lines((name, "") for name in feeder.nodes)]
-    flow_fmt = "%s" + ",%.17g" * 11
-    storage_fmt = ",%.17g" * 7 + "\n"
+    heads = ["\r" + line[:-2] for line in csv_lines((name, "") for name in feeder.nodes)]
     # the storage columns of a node without storage are one constant text
-    tails = ["" if i in stor_nodes else ",0,0,0,0,0,0,0\n" for i in range(len(names))]
+    tails = ["" if i in stor_nodes else ",0,0,0,0,0,0,0\n" for i in range(n)]
+    # a distinct row's text, cut after each storage node
+    ends = [i + 1 for i in stor_nodes] + [n]
+    cuts = list(zip([0] + ends[:-1], ends))
 
-    def row_text(r: int) -> list[str]:
-        """Name and power-flow columns of each node at distinct row ``r``,
-        with the storage columns of nodes without storage."""
-        cols = np.zeros((len(names), 11))
-        v = traj.solved.voltages[r]
-        v_ln = v[:, :3] - v[:, 3:]
-        cols[:, 0:3] = np.hypot(v_ln.real, v_ln.imag)
-        cols[:, 3] = np.hypot(v[:, 3].real, v[:, 3].imag)
-        cols[:, 4] = traj.vuf_pct[r]
-        cols[:, 5:8] = traj.drop_pct[r]
-        cols[:, 8] = traj.v_rms[r]
+    def row_texts(rows: list[int]) -> Iterator[list[str]]:
+        """The text of each distinct row in ``rows``, cut as ``cuts`` says."""
+        cols = np.zeros((len(rows), n, 11))
+        v = traj.solved.voltages[rows]
+        v_ln = v[..., :3] - v[..., 3:]
+        cols[..., 0:3] = np.hypot(v_ln.real, v_ln.imag)
+        cols[..., 3] = np.hypot(v[..., 3].real, v[..., 3].imag)
+        cols[..., 4] = traj.vuf_pct[rows]
+        cols[..., 5:8] = traj.drop_pct[rows]
+        cols[..., 8] = traj.v_rms[rows]
         # per-segment phase loss summed as the builtin sum does, from 0.0
-        pl = traj.phase_loss[r]
-        cols[seg_rows, 9] = 0.0 + pl[:, 0] + pl[:, 1] + pl[:, 2]
-        cols[seg_rows, 10] = traj.neutral_loss[r]
-        return [
-            flow_fmt % (name, *values) + tail
-            for name, values, tail in zip(names, cols.tolist(), tails)
-        ]
+        pl = traj.phase_loss[rows]
+        cols[:, seg_rows, 9] = 0.0 + pl[..., 0] + pl[..., 1] + pl[..., 2]
+        cols[:, seg_rows, 10] = traj.neutral_loss[rows]
+        fields = g17.lines(cols.reshape(-1, 11)).split("\n")
+        for j in range(len(rows)):
+            parts = [""] * (3 * n)
+            parts[0::3] = heads
+            parts[1::3] = fields[j * n : (j + 1) * n]
+            parts[2::3] = tails
+            yield ["".join(parts[3 * a : 3 * z]) for a, z in cuts]
 
+    # steps and distinct rows in groups of about g17.BLOCK values each
+    per_group = max(1, g17.BLOCK // (n * 11))
+    per_chunk = max(1, g17.BLOCK // (7 * len(stor_nodes) + 1))
     texts: dict[int, list[str]] = {}
-    for k, (r, stored) in enumerate(zip(traj.step_row.tolist(), storage.tolist())):
-        if r not in texts:
-            texts[r] = row_text(r)
-        t = _fmt(k * scenario.dt_h) + ","
-        lines = [t + text for text in texts[r]]
-        for i, values in zip(stor_nodes, stored):
-            lines[i] += storage_fmt % tuple(values)
-        yield from lines
+    step_rows = traj.step_row.tolist()
+    for k0 in range(0, len(steps), per_chunk):
+        chunk = steps[k0 : k0 + per_chunk]
+        rows = [r for r in dict.fromkeys(step_rows[k0 : k0 + per_chunk]) if r not in texts]
+        for g in range(0, len(rows), per_group):
+            texts.update(zip(rows[g : g + per_group], row_texts(rows[g : g + per_group])))
+        times = g17.lines((chunk * scenario.dt_h)[:, None]).split("\n")
+        stored = iter(g17.lines(storage[chunk].reshape(-1, 7)).splitlines(True))
+        for k, t in zip(chunk.tolist(), times):
+            t = t[1:] + ","
+            *cuts_before, last = texts[step_rows[k]]
+            text = [cut.replace("\r", t) + next(stored) for cut in cuts_before]
+            yield "".join(text) + last.replace("\r", t)
 
 
 def result_values(result: ScenarioResult) -> dict[str, Any]:

@@ -278,8 +278,9 @@ class _Kernel:
     once per call for its ``(row, entry)`` injections ``s_va``; a pass
     works on the first rows of each buffer, the rows still running. Entry
     e draws ``s_va[:, e]`` (VA) between conductor ``cond[e]`` of node row
-    ``node[e]`` and that node's neutral; ``take`` and ``bins`` hold its
-    flat indices (see the module docstring).
+    ``node[e]`` and that node's neutral; ``take`` holds its flat indices in
+    a row and ``bins`` those of every row, row by row, so that the rows still
+    running are a prefix (see the module docstring).
     """
 
     def __init__(self, topo: Topology, node: np.ndarray, cond: np.ndarray, s_va: np.ndarray):
@@ -291,8 +292,8 @@ class _Kernel:
         # above this, abs(v) within a few ulps of hypot is above 0.5 pu
         self.screen = _COLLAPSE_PU * topo.v_base * (1 + 1e-9)
         self.take = node * 4 + cond, node * 4 + 3
-        self.bins = np.concatenate(self.take)
-        self.offset = np.arange(batch)[:, None] * (topo.n * 4)
+        offset = np.arange(batch)[:, None] * (topo.n * 4)
+        self.bins = (offset + np.concatenate(self.take)).ravel()
         self.gather = np.empty((2, batch, entries), dtype=complex)
         self.acc = np.empty((batch, topo.n, 4), dtype=complex)
 
@@ -337,7 +338,7 @@ class _Kernel:
         with np.errstate(divide="ignore", invalid="ignore"):  # a dead entry at 0 V
             q = np.divide(self.s_va, v_ln, out=v_ln)  # I = conj(q)
         np.copyto(q, 0, where=self.dead)
-        bins, size, acc = (self.offset[:rows] + self.bins).ravel(), v.size, self.acc[:rows]
+        bins, size, acc = self.bins[: rows * 2 * e], v.size, self.acc[:rows]
         spare[:, :e] = q.real  # weights: the phase entries, then the negated neutral ones
         np.negative(q.real, out=spare[:, e:])
         acc.real = np.bincount(bins, spare.ravel(), size).reshape(acc.shape)

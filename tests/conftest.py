@@ -681,10 +681,11 @@ def reference_timeseries_rows(scenario: Scenario, result: ScenarioResult):
 
 
 def reference_timeseries_lines(scenario: Scenario, result: ScenarioResult) -> list[str]:
-    """The lines ``cli.timeseries_rows`` must match byte for byte: each
-    reference row written cell by cell, every value through ``cli._fmt`` and
-    the row through one ``csv.writer.writerow``. ``%.17g`` round-trips a
-    float and prints -0.0 as ``-0``, so equal lines mean bit-equal values."""
+    """The lines whose joined text ``cli.timeseries_rows`` must match byte
+    for byte: each reference row written cell by cell, every value through
+    ``cli._fmt`` and the row through one ``csv.writer.writerow``. ``%.17g``
+    round-trips a float and prints -0.0 as ``-0``, so equal lines mean
+    bit-equal values."""
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer, lineterminator="\n")
     lines = []

@@ -16,18 +16,20 @@ from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     random_feeder,
+    random_tree,
     reference_timeseries_lines,
     with_greedy_fleet,
     with_profiles,
 )
 
-from phasebal import cli
+from phasebal import cli, g17
 from phasebal.cli import (
     _SCENARIO_SCHEMAS,
     _SWEEP_SCHEMA,
@@ -60,7 +62,7 @@ from phasebal.scenarios import (
     build_sweep_scenario,
     run_scenario,
 )
-from phasebal.storage import Architecture, ArchKind
+from phasebal.storage import Architecture, ArchKind, Battery, StylizedScheduleCfg
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -764,7 +766,7 @@ class TestStartUp:
     def test_import_leaves_the_validator_oracle_and_ingest_unloaded(self):
         code = (
             "import sys, phasebal.cli; print(sorted(set(sys.modules) & "
-            "{'jsonschema', 'attrs', 'referencing', 'rpds', 'phasebal.ingest'}))"
+            "{'jsonschema', 'attrs', 'referencing', 'rpds', 'phasebal.ingest', 'phasebal.g17'}))"
         )
         src = Path(__file__).resolve().parents[1] / "src"
         out = subprocess.run(
@@ -775,6 +777,25 @@ class TestStartUp:
             check=True,
         )
         assert out.stdout.strip() == "[]"
+
+    def test_import_builds_no_formatter_table(self):
+        """``setup_s`` pays for every module-level line: the timeseries
+        formatter's 10**k and digit tables are built on first use, and
+        neither ``fractions`` nor ``decimal`` is imported for them."""
+        code = (
+            "import sys, phasebal.cli, phasebal.g17 as g; "
+            "print(sorted(set(sys.modules) & {'fractions', 'decimal'}), "
+            "g._pow10.cache_info().currsize, g._tables.cache_info().currsize)"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[] 0 0"
 
 
 class TestGoldenFiles:
@@ -927,8 +948,10 @@ class TestTimeseriesRows:
         ]
         scenario = with_greedy_fleet(with_profiles(feeder, values, steps), fleet, rng)
         result = run_scenario(scenario)
-        lines = list(timeseries_rows(scenario, result))
-        assert lines == reference_timeseries_lines(scenario, result)
+        chunks = list(timeseries_rows(scenario, result))
+        lines = reference_timeseries_lines(scenario, result)
+        assert "".join(chunks) == "".join(lines)
+        assert len(chunks) == steps  # one chunk per step
         assert len(lines) == steps * len(feeder.nodes)
 
     @settings(max_examples=40, deadline=None)
@@ -948,8 +971,8 @@ class TestTimeseriesRows:
             arch, storage_node, battery_kw, controller, target_phase=target_phase
         )
         result = run_scenario(scenario)
-        assert list(timeseries_rows(scenario, result)) == reference_timeseries_lines(
-            scenario, result
+        assert "".join(timeseries_rows(scenario, result)) == "".join(
+            reference_timeseries_lines(scenario, result)
         )
 
     def test_a3_units_sharing_a_phase_add_up(self):
@@ -961,9 +984,9 @@ class TestTimeseriesRows:
             if sum(1 for a in rec.actions if a.phase is Phase.A and a.p_kw != 0) >= 2
         ]
         assert shared, "no step where two A3 units dispatch on one phase"
-        lines = list(timeseries_rows(scenario, result))
-        assert lines == reference_timeseries_lines(scenario, result)
-        rows = [line.rstrip("\n").split(",") for line in lines]
+        text = "".join(timeseries_rows(scenario, result))
+        assert text == "".join(reference_timeseries_lines(scenario, result))
+        rows = [line.split(",") for line in text.splitlines()]
         col = TIMESERIES_COLUMNS.index("storage_p_a_kw")
         for rec in shared:
             (row,) = [r for r in rows if float(r[0]) == rec.t_h and r[1] == "N5"]
@@ -980,9 +1003,40 @@ class TestTimeseriesRows:
         result = run_scenario(scenario)
         assert result.trajectory.phase_loss[0, 0, 0] == 0.0  # the per-conductor loss
         assert math.copysign(1.0, result.trajectory.phase_loss[0, 0, 0]) == -1.0  # is -0.0
-        lines = list(timeseries_rows(scenario, result))
-        assert lines == reference_timeseries_lines(scenario, result)
-        assert lines[1].split(",")[TIMESERIES_COLUMNS.index("seg_phase_loss_kw")] == "0"
+        text = "".join(timeseries_rows(scenario, result))
+        assert text == "".join(reference_timeseries_lines(scenario, result))
+        line = text.splitlines()[1]
+        assert line.split(",")[TIMESERIES_COLUMNS.index("seg_phase_loss_kw")] == "0"
+
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1500, 2000))
+    def test_trees_past_one_formatting_block_with_an_a2_fleet(self, seed, n):
+        """Every distinct row spans several ``g17.BLOCK``s (11 values
+        per node). Three A2 units on a clock schedule sit at two nodes, so
+        storage columns are written, and two units share a node."""
+        rng = random.Random(seed)
+        feeder = random_tree(rng, n)
+        steps = 6
+        devices = [replace(d, profile_id="p") for d in feeder.devices]
+        nodes = rng.sample(feeder.nodes[1:], 2)
+        units = [(f"b{i}", nodes[min(i, 1)], ph) for i, ph in enumerate(PHASES)]
+        devices += [
+            Device(f"s{b}", node, DeviceKind.STORAGE, ph, battery_id=b) for b, node, ph in units
+        ]
+        scenario = Scenario(
+            feeder=replace(feeder, devices=tuple(devices)),
+            profiles={"p": tuple(rng.uniform(0.5, 1.5) for _ in range(steps))},
+            horizon_h=float(steps),
+            architecture=Architecture(ArchKind.A2),
+            controller="fixed_schedule",
+            schedule=StylizedScheduleCfg(dg_window=(1.0, 3.0), ev_window=(3.0, 5.0)),
+            batteries=tuple(Battery(b, 2.0, soc_kwh=rng.uniform(1.0, 5.0)) for b, _, _ in units),
+        )
+        result = run_scenario(scenario)
+        assert np.count_nonzero(result.trajectory.p_kw) > 0
+        assert "".join(timeseries_rows(scenario, result)) == "".join(
+            reference_timeseries_lines(scenario, result)
+        )
 
     def test_node_names_are_quoted_as_csv_writer_quotes_a_field(self):
         """Minimal quoting, field by field: a comma, a quote or a newline
@@ -1000,13 +1054,77 @@ class TestTimeseriesRows:
             horizon_h=3.0,
         )
         result = run_scenario(scenario)
-        lines = list(timeseries_rows(scenario, result))
-        assert lines == reference_timeseries_lines(scenario, result)
+        text = "".join(timeseries_rows(scenario, result))
+        lines = reference_timeseries_lines(scenario, result)
+        assert text == "".join(lines)
         fields = ['"a,b"', '"q""x"', "", " lead", '"x\ny"']
         for line, field in zip(lines[5:10], fields, strict=True):
             assert line.startswith(f"1,{field},2")  # t_h, name, v_ln_a_v of 2xx V
-        rows = list(csv.reader(io.StringIO("".join(lines), newline="")))
+        rows = list(csv.reader(io.StringIO(text, newline="")))
         assert [row[1] for row in rows] == names * 3
+
+
+class TestG17Lines:
+    """``g17.lines`` writes each value as ``'%.17g' %`` (``cli._fmt``)
+    does, byte for byte, raising no numpy warning (pytest turns a
+    RuntimeWarning into an error)."""
+
+    @staticmethod
+    def assert_formats(values, cols=1):
+        values = np.asarray(values, dtype=float).reshape(-1, cols)
+        want = "".join("".join("," + cli._fmt(v) for v in row) + "\n" for row in values.tolist())
+        assert g17.lines(values) == want
+
+    # powers of ten and their neighbours, where log10 rounds to the wrong
+    # exponent; the fixed/scientific switches; ties of 18 significant
+    # digits (1 + 2**-17 rounds down to even, 1 + 3 * 2**-17 up); the
+    # extreme doubles; 1e-248, a little under its power of ten
+    @example(
+        [
+            v
+            for k in range(-300, 301)
+            for p in [float(f"1e{k}")]
+            for v in (p, math.nextafter(p, 0), math.nextafter(p, math.inf))
+        ]
+    )
+    @example([1e-5, 1e-4, 9.9999999999999991e-05, 1e16, 1e17, 99999999999999999.0, -1e17])
+    @example([1 + 2**-17, 1 + 3 * 2**-17, 10 + 2**-16, 0.5 + 2**-18, -(2**-20 + 2**-37)])
+    @example([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -5e-324, 1e-248])
+    @example([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-250, 1e250, 1.5e-250, 9.9e249])
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=60))
+    def test_matches_percent_17g(self, values):
+        self.assert_formats(values)
+        self.assert_formats(values, cols=len(values))
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(19).integers(0, 2**64, size=60_000, dtype=np.uint64)
+        self.assert_formats(bits.view(float), cols=6)
+
+    def test_exact_ties_round_half_to_even(self):
+        """Odd multiples of 2**(a - 17) in [10**a, 10**(a + 1)) have 18
+        significant digits, the last a 5: %.17g rounds each to even."""
+        rng = np.random.default_rng(20)
+        ties = []
+        for a in range(-6, 16):
+            step = 2.0 ** (a - 17)
+            m = rng.integers(int(10.0**a / step), int(min(10.0 ** (a + 1) / step, 2**53)), 2000)
+            ties.append((m | 1) * step)
+        self.assert_formats(np.concatenate(ties), cols=4)
+
+    def test_near_ties_of_an_inexact_product(self):
+        """x * 10**26 within 1e-15 of a half-integer (found by solving
+        m * 5**26 = 2**(j-1) + d mod 2**j for small d): the double-double
+        product cannot tell the side, so ``%`` writes these."""
+        self.assert_formats(
+            [4.8677287764934085e-09, 4.910296614260184e-09, 4.95286445202696e-09]
+            + [4.974148370910348e-09, 5.016716208677124e-09, 5.0592840464439e-09]
+            + [9.895086944612226e-10, 4.974148370910348e-10, 7.594247049386696e-10]
+        )
+
+    def test_blocks_split_on_whole_rows(self):
+        values = np.random.default_rng(21).lognormal(0, 30, (g17.BLOCK // 7 + 3, 11))
+        self.assert_formats(values, cols=11)
 
 
 class TestSweepCommand:

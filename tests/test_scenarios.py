@@ -855,7 +855,9 @@ def assert_scan_equals_the_reference_loop(scenario: Scenario):
             for (t_h, acts, soc), rec in zip(steps, got.per_timestep, strict=True)
         ]
     )
-    assert list(timeseries_rows(scenario, got)) == reference_timeseries_lines(scenario, loop)
+    assert "".join(timeseries_rows(scenario, got)) == "".join(
+        reference_timeseries_lines(scenario, loop)
+    )
 
     # telemetry: the clip mask against the schedule's own requests, the
     # zero-sum flag against the dispatched total, and the states evaluated
