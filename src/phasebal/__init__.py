@@ -41,7 +41,6 @@ from .network import (
     Device,
     DeviceKind,
     Feeder,
-    FeederSpec,
     LineSegment,
     Phase,
     attach_device,

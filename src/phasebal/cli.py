@@ -48,7 +48,6 @@ from .network import (
     Device,
     DeviceKind,
     Feeder,
-    FeederSpec,
     LineSegment,
     Phase,
     build_feeder,
@@ -56,6 +55,10 @@ from .network import (
 from .powerflow import SolverSettings
 from .presets import preset_config, preset_names
 from .scenarios import (
+    CONTROLLERS,
+    NETWORK_CLASS_SEGMENT_KM,
+    STORAGE_NODES,
+    SWEEP_KINDS,
     Scenario,
     ScenarioResult,
     SweepRow,
@@ -68,6 +71,11 @@ from .scenarios import (
 from .storage import Architecture, ArchKind, Battery, StylizedScheduleCfg
 
 # --- configuration schema ----------------------------------------------------
+
+def _enum(*members) -> dict:
+    """An ``enum`` of the values of model enum members and constants."""
+    return {"enum": [getattr(member, "value", member) for member in members]}
+
 
 # two-number array: [re, im] for impedances, [start_h, end_h] for windows
 _NUM_PAIR = {
@@ -107,8 +115,8 @@ _DEVICE_SCHEMA = {
     "properties": {
         "label": {"type": "string"},
         "node": {"type": "string"},
-        "kind": {"enum": ["load", "dg", "ev", "storage"]},
-        "phase": {"enum": ["A", "B", "C", None]},
+        "kind": _enum(*DeviceKind),
+        "phase": _enum(*Phase, None),
         "p_kw": {"type": "number"},
         "q_kvar": {"type": "number"},
         "profile": {"type": "string"},
@@ -151,7 +159,7 @@ _SCHEDULE_SCHEMA = {
     "properties": {
         "dg_window": _NUM_PAIR,
         "ev_window": _NUM_PAIR,
-        "target_phase": {"enum": ["A", "B", "C"]},
+        "target_phase": _enum(*Phase),
     },
 }
 
@@ -171,10 +179,10 @@ _SCENARIO_SCHEMAS = {
             "type": {"const": "sweep_cell"},
             "total_phase_load_kw": {"type": "number", "exclusiveMinimum": 0},
             "device_node": {"type": "string"},
-            "kind": {"enum": ["dg", "ev"]},
+            "kind": _enum(*SWEEP_KINDS),
             "penetration_pct": {"type": "number", "minimum": 0, "maximum": 200},
-            "network_class": {"enum": ["compact", "overload", "sparse"]},
-            "device_phase": {"enum": ["A", "B", "C"]},
+            "network_class": _enum(*NETWORK_CLASS_SEGMENT_KM),
+            "device_phase": _enum(*Phase),
             "balanced": {"type": "boolean"},
         },
     },
@@ -184,12 +192,12 @@ _SCENARIO_SCHEMAS = {
         "required": ["type", "architecture"],
         "properties": {
             "type": {"const": "stylized"},
-            "architecture": {"enum": ["A1", "A2", "A3", None]},
+            "architecture": _enum(*ArchKind, None),
             "allow_load_shift": {"type": "boolean"},
-            "storage_node": {"enum": ["N0", "N5"]},
+            "storage_node": _enum(*STORAGE_NODES),
             "battery_kw": {"type": "number", "exclusiveMinimum": 0},
-            "controller": {"enum": ["none", "fixed_schedule", "greedy"]},
-            "target_phase": {"enum": ["A", "B", "C"]},
+            "controller": _enum(*CONTROLLERS),
+            "target_phase": _enum(*Phase),
         },
     },
     "custom": {
@@ -206,9 +214,9 @@ _SCENARIO_SCHEMAS = {
             "horizon_h": {"type": "number", "exclusiveMinimum": 0},
             "dt_h": {"type": "number", "exclusiveMinimum": 0},
             "batteries": {"type": "array", "items": _BATTERY_SCHEMA},
-            "architecture": {"enum": ["A1", "A2", "A3", None]},
+            "architecture": _enum(*ArchKind, None),
             "allow_load_shift": {"type": "boolean"},
-            "controller": {"enum": ["none", "fixed_schedule", "greedy"]},
+            "controller": _enum(*CONTROLLERS),
             "schedule": _SCHEDULE_SCHEMA,
         },
     },
@@ -220,15 +228,15 @@ _SWEEP_SCHEMA = {
     "required": ["total_phase_load_kw", "network_class", "penetrations_pct", "nodes", "kinds"],
     "properties": {
         "total_phase_load_kw": {"type": "number", "exclusiveMinimum": 0},
-        "network_class": {"enum": ["compact", "overload", "sparse"]},
+        "network_class": _enum(*NETWORK_CLASS_SEGMENT_KM),
         "penetrations_pct": {
             "type": "array",
             "items": {"type": "number", "minimum": 0, "maximum": 200},
             "minItems": 1,
         },
         "nodes": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        "kinds": {"type": "array", "items": {"enum": ["dg", "ev"]}, "minItems": 1},
-        "device_phase": {"enum": ["A", "B", "C"]},
+        "kinds": {"type": "array", "items": _enum(*SWEEP_KINDS), "minItems": 1},
+        "device_phase": _enum(*Phase),
         "balanced": {"type": "boolean"},
     },
 }
@@ -471,15 +479,8 @@ def _parse_feeder(doc: dict) -> Feeder:
         )
         for d in doc.get("devices", [])
     ]
-    return build_feeder(
-        FeederSpec(
-            source_node=doc["source_node"],
-            nodes=doc["nodes"],
-            segments=segments,
-            devices=devices,
-            **_present(doc, "v_base_ln", "s_base_kva"),
-        )
-    )
+    bases = _present(doc, "v_base_ln", "s_base_kva")
+    return build_feeder(doc["source_node"], doc["nodes"], segments, devices, **bases)
 
 
 def _parse_architecture(doc: dict) -> Architecture | None:

@@ -53,6 +53,8 @@ class ImbalanceReport:
 
 def _parse_timestamp(raw: str, row: int) -> tuple[float, float]:
     """Return (sort key, hour of day). Accepts finite plain hours or ISO 8601."""
+    if "\r" in raw:  # the reports echo it, and csv.writer leaves a lone "\r" unquoted
+        raise SchemaMismatch(f"row {row}: timestamp {raw!r} holds a carriage return")
     try:
         hours = float(raw)
     except ValueError:
@@ -77,7 +79,7 @@ def read_measured_series(path: str) -> MeasuredSeries:
     non-finite cells, and NonMonotonicTimestamps when timestamps do not
     strictly increase.
     """
-    with open(path, "r", newline="", encoding="utf-8") as handle:
+    with open(path, "r", newline="", encoding="utf-8-sig") as handle:  # a BOM is no column
         reader = csv.reader(handle)
         try:
             header = tuple(next(reader))
@@ -104,12 +106,13 @@ def read_measured_series(path: str) -> MeasuredSeries:
             if key <= prev_key:
                 raise NonMonotonicTimestamps(i)
             prev_key = key
-            try:
-                values = [float(cell) for cell in row[1:]]
-            except ValueError as exc:
-                raise SchemaMismatch(f"row {i}: {exc}") from None
-            for column, cell, value in zip(header[1:], row[1:], values):
-                if not math.isfinite(value):
+            values = []
+            for column, cell in zip(header[1:], row[1:]):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise SchemaMismatch(f"row {i}: {column} {cell!r} is not a number") from None
+                if not math.isfinite(values[-1]):
                     raise SchemaMismatch(f"row {i}: {column} {cell!r} is not finite")
             timestamps.append(row[0])
             hours.append(hour)

@@ -30,16 +30,11 @@ from .errors import (
 
 
 class Phase(str, Enum):
-    """Phase label with total ordering A < B < C for deterministic iteration."""
+    """Phase label; as a ``str`` it orders A < B < C for deterministic iteration."""
 
     A = "A"
     B = "B"
     C = "C"
-
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, Phase):
-            return self.value < other.value
-        return NotImplemented
 
 
 PHASES: tuple[Phase, Phase, Phase] = (Phase.A, Phase.B, Phase.C)
@@ -183,18 +178,6 @@ class Feeder:
         return tuple(d for d in self.devices if d.kind is DeviceKind.STORAGE)
 
 
-@dataclass(frozen=True)
-class FeederSpec:
-    """Unvalidated description of a feeder, as read from configuration."""
-
-    source_node: str
-    nodes: Sequence[str]
-    segments: Sequence[LineSegment] = ()
-    devices: Sequence[Device] = ()
-    v_base_ln: float = DEFAULT_V_BASE_LN
-    s_base_kva: float = DEFAULT_S_BASE_KVA
-
-
 def _check_devices(devices: Iterable[Device], nodes: set[str]) -> None:
     seen: set[str] = set()
     for dev in devices:
@@ -205,35 +188,43 @@ def _check_devices(devices: Iterable[Device], nodes: set[str]) -> None:
             raise UnknownNode(dev.node, f"device {dev.label!r}")
 
 
-def build_feeder(spec: FeederSpec) -> Feeder:
-    """Validate a feeder spec and return the normalized immutable model.
+def build_feeder(
+    source_node: str,
+    nodes: Sequence[str],
+    segments: Sequence[LineSegment] = (),
+    devices: Sequence[Device] = (),
+    v_base_ln: float = DEFAULT_V_BASE_LN,
+    s_base_kva: float = DEFAULT_S_BASE_KVA,
+) -> Feeder:
+    """Validate a feeder description, as read from configuration, and
+    return the normalized immutable model.
 
     Topology must be a tree rooted at the source: |segments| = |nodes| - 1,
     connected, no cycles. Node order is normalized breadth-first from the
     source so parents always precede children, and segments are re-oriented
-    parent -> child. Deterministic: identical specs yield identical feeders.
+    parent -> child. Deterministic: identical inputs yield identical feeders.
 
     Raises CyclicTopology, DisconnectedNode, UnknownNode, NonPositiveLength or
     (for a carriage return in a node name) ValueError, each naming the culprit.
     """
-    nodes = list(dict.fromkeys(spec.nodes))  # dedupe, keep declared order
-    for name in nodes:  # csv.writer leaves a lone "\r" unquoted, which splits the row
+    names = list(dict.fromkeys(nodes))  # dedupe, keep declared order
+    for name in names:  # csv.writer leaves a lone "\r" unquoted, which splits the row
         if "\r" in name:
             raise ValueError(f"node name {name!r} holds a carriage return")
-    if spec.source_node not in nodes:
-        raise UnknownNode(spec.source_node, "source node")
-    node_set = set(nodes)
+    if source_node not in names:
+        raise UnknownNode(source_node, "source node")
+    node_set = set(names)
 
-    if not MIN_V_BASE_LN <= spec.v_base_ln <= MAX_V_BASE_LN:
+    if not MIN_V_BASE_LN <= v_base_ln <= MAX_V_BASE_LN:
         raise ValueError(
-            f"v_base_ln must be in [{MIN_V_BASE_LN:g}, {MAX_V_BASE_LN:g}] V, got {spec.v_base_ln!r}"
+            f"v_base_ln must be in [{MIN_V_BASE_LN:g}, {MAX_V_BASE_LN:g}] V, got {v_base_ln!r}"
         )
-    if not 0 < spec.s_base_kva < math.inf:
-        raise ValueError(f"s_base_kva must be finite and > 0, got {spec.s_base_kva!r}")
+    if not 0 < s_base_kva < math.inf:
+        raise ValueError(f"s_base_kva must be finite and > 0, got {s_base_kva!r}")
 
     # Union-find cycle check; a segment joining two already-connected nodes
     # closes a loop regardless of the overall edge count.
-    parent: dict[str, str] = {n: n for n in nodes}
+    parent: dict[str, str] = {n: n for n in names}
 
     def find(n: str) -> str:
         while parent[n] != n:
@@ -241,8 +232,8 @@ def build_feeder(spec: FeederSpec) -> Feeder:
             n = parent[n]
         return n
 
-    adjacency: dict[str, list[tuple[str, int]]] = {n: [] for n in nodes}
-    for idx, seg in enumerate(spec.segments):
+    adjacency: dict[str, list[tuple[str, int]]] = {n: [] for n in names}
+    for idx, seg in enumerate(segments):
         for end in (seg.from_node, seg.to_node):
             if end not in node_set:
                 raise UnknownNode(end, f"segment {seg.from_node}->{seg.to_node}")
@@ -255,34 +246,34 @@ def build_feeder(spec: FeederSpec) -> Feeder:
 
     # Breadth-first traversal fixes the normalized node order and orients
     # each segment from parent to child.
-    order: list[str] = [spec.source_node]
-    visited = {spec.source_node}
+    order: list[str] = [source_node]
+    visited = {source_node}
     oriented: dict[int, LineSegment] = {}
-    queue: deque[str] = deque([spec.source_node])
+    queue: deque[str] = deque([source_node])
     while queue:
         here = queue.popleft()
         for neighbor, idx in adjacency[here]:
             if neighbor in visited:
                 continue
             visited.add(neighbor)
-            seg = spec.segments[idx]
+            seg = segments[idx]
             oriented[idx] = seg if seg.from_node == here else seg.reversed()
             order.append(neighbor)
             queue.append(neighbor)
 
-    for n in nodes:
+    for n in names:
         if n not in visited:
             raise DisconnectedNode(n)
 
-    _check_devices(spec.devices, node_set)
+    _check_devices(devices, node_set)
 
     return Feeder(
-        source_node=spec.source_node,
+        source_node=source_node,
         nodes=tuple(order),
         segments=tuple(oriented[i] for i in sorted(oriented)),
-        devices=tuple(spec.devices),
-        v_base_ln=float(spec.v_base_ln),
-        s_base_kva=float(spec.s_base_kva),
+        devices=tuple(devices),
+        v_base_ln=float(v_base_ln),
+        s_base_kva=float(s_base_kva),
     )
 
 
@@ -305,6 +296,4 @@ def chain_feeder(n_nodes: int, segment_km: float, *, devices: Sequence[Device] =
         LineSegment(from_node=names[i], to_node=names[i + 1], length_km=segment_km)
         for i in range(n_nodes - 1)
     ]
-    return build_feeder(
-        FeederSpec(source_node=names[0], nodes=names, segments=segs, devices=devices)
-    )
+    return build_feeder(names[0], names, segs, devices)

@@ -33,14 +33,15 @@ allocates once per call:
   bit for bit: ``bincount`` adds in input order starting from +0.0; phase
   and neutral bins never overlap; ``a - x`` and ``a + (-x)`` give the same
   bits; a dead entry adds exactly +0.0;
-- the 0.5 pu clamp of device voltages is screened per row with numpy's
-  SIMD ``abs`` of the complex line-to-neutral voltages, which is several
-  times faster than ``np.hypot`` but may differ from it in the last bits.
-  A row whose smallest live ``abs`` exceeds 0.5 pu by a relative 1e-9, far
-  more than the two can differ, has nothing to clamp and cannot collapse;
-  every other row, and every row holding a live NaN, takes the exact path:
-  ``np.hypot``, the clamp and the exact smallest magnitude. The screen's
-  values reach no output, so results are those of the exact path alone;
+- a row collapses when a live entry sees less than 0.5 pu line to
+  neutral; nothing is clamped, since a collapsed row leaves the batch
+  before its sinks are read. The rows are screened with numpy's SIMD
+  ``abs`` of the complex line-to-neutral voltages, which is several times
+  faster than ``np.hypot`` but may differ from it in the last bits. A row
+  whose smallest live ``abs`` exceeds 0.5 pu by a relative 1e-9, far more
+  than the two can differ, cannot collapse; every other row, and every row
+  holding a live NaN, takes the exact path: the smallest live ``np.hypot``
+  magnitude. The screen's values reach no output;
 - gathers along the node axis of a level's parents or a sibling group use
   ``np.take`` where the rows do not step by one, and a slice where they do.
 
@@ -219,7 +220,6 @@ class Topology:
         ]
         self.flat = np.zeros((n, 4), dtype=complex)
         self.flat[:, :3] = source_phasors(self.v_base)
-        self.nominal = np.array([p * _COLLAPSE_PU for p in source_phasors(self.v_base)])
 
 
 def _as_indices(rows: np.ndarray, lo: list[int], hi: list[int]) -> list[slice | np.ndarray]:
@@ -280,13 +280,13 @@ class _Kernel:
     e draws ``s_va[:, e]`` (VA) between conductor ``cond[e]`` of node row
     ``node[e]`` and that node's neutral; ``take`` holds its flat indices in
     a row and ``bins`` those of every row, row by row, so that the rows still
-    running are a prefix (see the module docstring).
+    running are a prefix (see the module docstring). The kernel reads the
+    voltages it is given and edits none of them.
     """
 
     def __init__(self, topo: Topology, node: np.ndarray, cond: np.ndarray, s_va: np.ndarray):
         batch, entries = s_va.shape
         self.topo = topo
-        self.cond = cond
         self.s_va = s_va
         self.dead = s_va == 0
         # above this, abs(v) within a few ulps of hypot is above 0.5 pu
@@ -315,10 +315,10 @@ class _Kernel:
         exact minimum.
 
         I = conj(S / V_ln) leaves the phase and returns through the
-        neutral; the denominator is clamped at 0.5 pu, which shows up as a
-        minimum below 0.5. Each sink is the sum in entry order from +0.0
-        that adding entry by entry into zeros makes, bit for bit (see the
-        module docstring); a dead entry adds exactly +0.0, not
+        neutral, at ``v`` as it is: nothing is clamped, and the sinks of a
+        row that collapses are never read. Each sink is the sum in entry
+        order from +0.0 that adding entry by entry into zeros makes, bit for
+        bit (see the module docstring); a dead entry adds exactly +0.0, not
         ``conj(0 / v)``, whose imaginary part is -0.0, nor a NaN.
         """
         rows, e = len(v), self.s_va.shape[1]
@@ -334,8 +334,13 @@ class _Kernel:
         v_min = np.full(rows, np.inf)
         exact = np.flatnonzero(~(mag.min(axis=1, initial=np.inf) > self.screen))
         if exact.size:
-            v_ln[exact] = self._clamped(v_ln[exact], v_min, exact)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a dead entry at 0 V
+            near = v_ln[exact]
+            mag = np.hypot(near.real, near.imag)
+            # dividing by v_base rounds monotonically, so it commutes with the minimum
+            least = np.fmin.reduce(mag, axis=1, where=~self.dead[exact], initial=np.inf)
+            v_min[exact] = least / self.topo.v_base
+        # a dead entry at 0 V, and a live one on a row that collapses
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             q = np.divide(self.s_va, v_ln, out=v_ln)  # I = conj(q)
         np.copyto(q, 0, where=self.dead)
         bins, size, acc = self.bins[: rows * 2 * e], v.size, self.acc[:rows]
@@ -348,24 +353,6 @@ class _Kernel:
         weights[:, e:] = spare[:, e:]
         acc.imag = np.bincount(bins, weights.ravel(), size).reshape(acc.shape)
         return v_min
-
-    def _clamped(self, v_ln: np.ndarray, v_min: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The exact path for ``rows`` of ``v_ln``: write the smallest live
-        ``hypot`` magnitude of each into ``v_min`` in pu, and return
-        ``v_ln`` with every magnitude below 0.5 pu scaled up to 0.5 pu (a
-        zero becomes its phase's source phasor at 0.5 pu)."""
-        mag = np.hypot(v_ln.real, v_ln.imag)
-        # dividing by v_base rounds monotonically, so it commutes with the minimum
-        live = ~self.dead[rows]
-        v_min[rows] = np.fmin.reduce(mag, axis=1, where=live, initial=np.inf) / self.topo.v_base
-        floor = _COLLAPSE_PU * self.topo.v_base
-        low = mag < floor
-        if not low.any():
-            return v_ln
-        nominal = self.topo.nominal[self.cond]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scaled = v_ln * (floor / mag)
-        return np.where(low, np.where(mag == 0.0, nominal, scaled), v_ln)
 
     def branch_currents(self, rows: int) -> np.ndarray:
         """Accumulate the sinks in ``acc`` into branch currents leaf to

@@ -100,6 +100,10 @@ NETWORK_CLASS_SEGMENT_KM: dict[str, float] = {
 
 CONTROLLERS = ("none", "fixed_schedule", "greedy")
 
+#: Device kinds a sweep cell may add, and the stylized scenario's storage nodes.
+SWEEP_KINDS = (DeviceKind.DG, DeviceKind.EV)
+STORAGE_NODES = ("N0", "N5")
+
 #: Most timesteps a scenario may have, checked before any per-step array is
 #: sized; a one-minute year (525,600 steps) fits.
 MAX_STEPS = 1_000_000
@@ -162,14 +166,14 @@ class Scenario:
         battery_ids = {b.id for b in self.batteries}
         if len(battery_ids) != len(self.batteries):
             raise ValueError("duplicate battery ids")
-        attached: set[str] = set()
+        attached: dict[str, Device] = {}  # battery id -> its storage device
         for dev in self.feeder.storage_devices():
             if dev.battery_id in attached:
                 raise ValueError(
                     f"battery {dev.battery_id!r} is attached to more than one storage device"
                 )
-            attached.add(dev.battery_id)
-        if battery_ids != attached:
+            attached[dev.battery_id] = dev
+        if battery_ids != attached.keys():
             raise ValueError(
                 f"batteries {sorted(battery_ids)} do not match storage devices {sorted(attached)}"
             )
@@ -179,6 +183,15 @@ class Scenario:
             )
         if self.controller != "none" and self.batteries and self.architecture is None:
             raise ValueError("a storage controller needs an architecture")
+        if self.controller != "none" and getattr(self.architecture, "kind", None) is ArchKind.A2:
+            # A2 dispatches unit i on PHASES[i], whatever its device says
+            for bat, phase in zip(self.batteries, PHASES):
+                dev = attached[bat.id]
+                if dev.phase not in (None, phase):
+                    raise ValueError(
+                        f"A2 battery {bat.id!r} dispatches on phase {phase.value}, but its "
+                        f"storage device {dev.label!r} is on phase {dev.phase.value}"
+                    )
         if self.controller == "greedy" and self.batteries:
             cells = greedy_cells(self.architecture, [b.p_max_kw for b in self.batteries])
             if not cells <= MAX_GREEDY_CELLS:
@@ -726,6 +739,14 @@ def _flat_profiles(n_steps: int) -> dict[str, tuple[float, ...]]:
     return {"flat": (1.0,) * n_steps}
 
 
+def _flat_loads(kw: float) -> list[Device]:
+    """A three-phase load of ``kw`` per phase at each of N1..N5, on the flat profile."""
+    return [
+        Device(f"load-{node}", node, DeviceKind.LOAD, None, complex(kw, 0.0), profile_id="flat")
+        for node in _SWEEP_NODES
+    ]
+
+
 def _window_profile(n_steps: int, dt_h: float, window: tuple[float, float]) -> tuple[float, ...]:
     return tuple(1.0 if window[0] <= (k * dt_h) % 24.0 < window[1] else 0.0 for k in range(n_steps))
 
@@ -772,24 +793,14 @@ def _sweep_cells(
     for kind, node, pen in cells:
         if network_class not in NETWORK_CLASS_SEGMENT_KM:
             raise ValueError(f"unknown network class {network_class!r}")
-        if kind not in (DeviceKind.DG, DeviceKind.EV):
+        if kind not in SWEEP_KINDS:
             raise ValueError(f"sweep device must be DG or EV, got {kind}")
         if not 0 <= pen <= 200:
             raise ValueError(f"penetration_pct must be in [0, 200], got {pen}")
         if node not in _SWEEP_NODES:
             raise UnknownNode(node, "sweep device placement (N1..N5)")
         if chain is None:
-            loads = [
-                Device(
-                    label=f"load-{n}",
-                    node=n,
-                    kind=DeviceKind.LOAD,
-                    phase=None,
-                    s_rated_kva=complex(total_kw / len(_SWEEP_NODES), 0.0),
-                    profile_id="flat",
-                )
-                for n in _SWEEP_NODES
-            ]
+            loads = _flat_loads(total_kw / len(_SWEEP_NODES))
             feeder = chain_feeder(6, NETWORK_CLASS_SEGMENT_KM[network_class], devices=loads)
             chain = Scenario(feeder=feeder, profiles=_flat_profiles(24))
         device = None
@@ -828,23 +839,13 @@ def build_stylized_scenario(
     unit on the target phase starts empty (it charges first); companion
     units start full (they discharge first).
     """
-    if storage_node not in ("N0", "N5"):
-        raise UnsupportedNode(storage_node, ("N0", "N5"))
+    if storage_node not in STORAGE_NODES:
+        raise UnsupportedNode(storage_node, STORAGE_NODES)
     if arch is not None and not battery_kw > 0:
         raise ValueError("battery_kw must be > 0 when an architecture is present")
 
     schedule = StylizedScheduleCfg(target_phase=target_phase)
-    devices = [
-        Device(
-            label=f"load-{node}",
-            node=node,
-            kind=DeviceKind.LOAD,
-            phase=None,
-            s_rated_kva=complex(2.0, 0.0),
-            profile_id="flat",
-        )
-        for node in _SWEEP_NODES
-    ]
+    devices = _flat_loads(2.0)
     devices.append(
         Device(
             label="pv-N3",

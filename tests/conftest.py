@@ -24,7 +24,6 @@ from phasebal.network import (
     Device,
     DeviceKind,
     Feeder,
-    FeederSpec,
     PHASES,
     LineSegment,
     Phase,
@@ -107,9 +106,7 @@ def random_feeder(rng: random.Random, max_nodes: int = 6) -> Feeder:
                 s_rated_kva=s,
             )
         )
-    return build_feeder(
-        FeederSpec(source_node="N0", nodes=nodes, segments=segments, devices=devices)
-    )
+    return build_feeder("N0", nodes, segments, devices)
 
 
 TREE_SHAPES = ("recursive", "chain", "star", "mixed")
@@ -162,9 +159,7 @@ def random_tree(rng: random.Random, n: int, shape: str = "recursive") -> Feeder:
             devices.append(Device(f"{kind.value}{i}", nodes[i], kind, phase, complex(p_kw, 0)))
     rng.shuffle(segments)
     rng.shuffle(nodes)
-    return build_feeder(
-        FeederSpec(source_node="T0", nodes=nodes, segments=segments, devices=devices)
-    )
+    return build_feeder("T0", nodes, segments, devices)
 
 
 def with_profiles(feeder: Feeder, values, steps: int) -> Scenario:

@@ -49,7 +49,6 @@ from phasebal.network import (
     PHASES,
     Device,
     DeviceKind,
-    FeederSpec,
     LineSegment,
     Phase,
     build_feeder,
@@ -453,6 +452,28 @@ class TestRunCommand:
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         assert "profile 'p' entry 1 must be finite and >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_a2_storage_on_another_phase_exits_2(self, tmp_path, capsys):
+        """An A2 fleet listed as bat-c, bat-a, bat-b dispatches bat-c on
+        phase A, so its device on phase C contradicts the dispatch."""
+        scenario = json.loads(json.dumps(CUSTOM_DOC))["scenario"]
+        storage = {"node": "N1", "kind": "storage"}
+        scenario["feeder"]["devices"] += [
+            {"label": f"st-{p}", "phase": p.upper(), "battery_id": f"bat-{p}", **storage}
+            for p in "abc"
+        ]
+        scenario.update(
+            batteries=[{"id": f"bat-{p}", "p_max_kw": 1.0} for p in "cab"],
+            architecture="A2",
+            controller="fixed_schedule",
+        )
+        out = tmp_path / "out"
+        path = write_config(tmp_path, {"label": "a2", "scenario": scenario})
+        assert main(["run", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config at 'scenario'" in err
+        assert "battery 'bat-c' dispatches on phase A" in err and "'st-c' is on phase C" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("km", [1e308, float("inf")])
     def test_non_finite_or_huge_length_exits_2_and_names_segment(self, tmp_path, capsys, km):
@@ -998,7 +1019,7 @@ class TestTimeseriesRows:
         seg = LineSegment("N0", "N1", 0.1, z_phase_per_km=complex(-0.0, 0.08))
         load = Device("l", "N1", DeviceKind.LOAD, Phase.A, 2.0 + 0j)
         scenario = Scenario(
-            feeder=build_feeder(FeederSpec("N0", ["N0", "N1"], [seg], [load])), horizon_h=1.0
+            feeder=build_feeder("N0", ["N0", "N1"], [seg], [load]), horizon_h=1.0
         )
         result = run_scenario(scenario)
         assert result.trajectory.phase_loss[0, 0, 0] == 0.0  # the per-conductor loss
@@ -1049,7 +1070,7 @@ class TestTimeseriesRows:
             for i, name in enumerate(names[1:])
         ]
         scenario = Scenario(
-            feeder=build_feeder(FeederSpec(names[0], names, segments, loads)),
+            feeder=build_feeder(names[0], names, segments, loads),
             profiles={"p": (1.0, 0.5, 1.0)},
             horizon_h=3.0,
         )

@@ -1,4 +1,5 @@
-"""CLI fuzz property: edge values in the bundled configs never crash the CLI.
+"""CLI fuzz properties: edge values in the bundled configs never crash the
+CLI, and neither do drawn measured series under ``phasebal ingest``.
 
 Each example takes a preset or golden config, sets one or two of its
 numeric or string leaves (solver settings and feeder base values included)
@@ -15,13 +16,16 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
+from datetime import datetime, timedelta
 from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasebal.cli import main
+from phasebal.ingest import ACCEPTED_HEADERS
 from phasebal.network import DEFAULT_S_BASE_KVA, DEFAULT_V_BASE_LN
 from phasebal.powerflow import SolverSettings
 from phasebal.presets import preset_config, preset_names
@@ -172,3 +176,113 @@ def run_mutated(source: str, changes: list[tuple[tuple, object]], flags: list[st
 @example(("grid-compact", [(("solver",), [1, 2])], ["--max-iter", "1"]))
 def test_edge_values_exit_cleanly(mutation):
     run_mutated(*mutation)
+
+
+# --- phasebal ingest ----------------------------------------------------------
+
+#: Power cells: edge numbers as the CSV spells them, and plain ones.
+INGEST_NUMBERS = st.sampled_from(
+    ["0.0", "-0.0", "5e-324", "-5e-324", "1e308", "-1e308", "1e400", "inf", "-inf", "nan"]
+    + [str(2**1024), str(-(10**400)), "1", "-2.5", "0.75", "12"]
+)
+
+#: Characters that CSV text can trip on: quotes, delimiters, line breaks,
+#: control characters and a byte order mark.
+CSV_HAZARDS = st.sampled_from(
+    ['"', ",", "\r", "\n", "\r\n", "\0", "\t", "\x1b", "\x7f", "\x85", "\u2028", "\ufeff", " "]
+)
+
+#: Timestamps that are no steps in time.
+ODD_STAMPS = st.sampled_from(["", "x", "inf", "-inf", "nan", "1e400", "2020-02-30T00:00:00"])
+
+
+def stamp(minutes: int, style: str) -> str:
+    """A timestamp ``minutes`` after 2020-01-01T00:00 in plain hours, naive
+    ISO 8601 or ISO 8601 with a UTC offset."""
+    if style == "hours":
+        return repr(minutes / 60)
+    when = datetime(2020, 1, 1) + timedelta(minutes=minutes)
+    return when.isoformat() + ("" if style == "naive" else style)
+
+
+def quoted(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
+
+
+@st.composite
+def measured_series(draw):
+    """The text of a measured-series CSV under one of the accepted headers:
+    rows of edge numbers, timestamps that mostly increase but now and then
+    repeat, go back or are no times at all, and text hazards: a byte order
+    mark, cells quoted or holding a hazard, rows with a cell too few or too
+    many, empty lines, CRLF line ends."""
+    header = draw(st.sampled_from(ACCEPTED_HEADERS))
+    style = draw(st.sampled_from(["hours", "naive", "+00:00", "+05:30", "-08:00"]))
+    minutes = draw(st.integers(-(10**6), 10**6))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        minutes += draw(st.sampled_from([15, 60, 90, 1440, 0, -60]))
+        cells = [draw(ODD_STAMPS) if draw(st.integers(0, 9)) == 0 else stamp(minutes, style)]
+        cells += [draw(INGEST_NUMBERS) for _ in header[1:]]
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(cells) - 1))
+            hazard = draw(st.sampled_from(["quote", "insert", "insert quoted", "drop", "extra"]))
+            if hazard == "quote":
+                cells[i] = quoted(cells[i])
+            elif hazard.startswith("insert"):
+                at = draw(st.integers(0, len(cells[i])))
+                cells[i] = cells[i][:at] + draw(CSV_HAZARDS) + cells[i][at:]
+                cells[i] = quoted(cells[i]) if hazard == "insert quoted" else cells[i]
+            elif hazard == "drop" and len(cells) > 1:
+                del cells[i]
+            elif hazard == "extra":
+                cells.insert(i, draw(INGEST_NUMBERS))
+        lines.append(",".join(cells))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+#: Every column an accepted header can hold.
+HEADER = ACCEPTED_HEADERS[-1]
+
+
+def assert_reports_read_back(out: Path, stem: str) -> None:
+    """Both reports exist, and every cell but the timestamp is empty or a
+    finite float, in rows as wide as the header."""
+    for report in ("imbalance", "hourly"):
+        with open(out / f"{stem}-{report}.csv", newline="", encoding="utf-8") as handle:
+            header, *rows = list(csv.reader(handle))
+        for row in rows:
+            assert len(row) == len(header), (report, row)
+            for name, cell in zip(header, row):
+                if name != "timestamp":
+                    assert cell == "" or math.isfinite(float(cell)), (report, name, row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(measured_series())
+@example("\ufefftimestamp,p_a_kw,p_b_kw,p_c_kw\n0,1,2,3\n")  # a byte order mark
+@example("timestamp,p_a_kw,p_b_kw,p_c_kw\n0,\x000.0,0,0\n")  # a cell that is no number
+@example('timestamp,p_a_kw,p_b_kw,p_c_kw\n"0.25\r",1,2,3\n')  # float() strips the "\r"
+def test_ingest_exits_cleanly(text):
+    """Exit 0 writes both reports, which read back finite; exit 2 names the
+    row at fault (the hour, for an hourly mean that overflows), and the
+    column wherever a cell is at fault."""
+    with tempfile.TemporaryDirectory() as tmp:
+        series, out = Path(tmp) / "series.csv", Path(tmp) / "out"
+        series.write_bytes(text.encode("utf-8"))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["ingest", str(series), "--out", str(out)])
+        message = err.getvalue()
+        assert code in (0, 2), (code, message)
+        if code == 2:
+            assert re.search(r"\brow \d+|^error: hour \d+: mean_spread_kw", message), message
+            # a row of the wrong width, out of order or overflowing has no one cell at fault
+            if not re.search(r"cells, got|not greater than the previous row|overflows", message):
+                assert any(re.search(rf"\b{name}\b", message) for name in HEADER), message
+        else:
+            assert_reports_read_back(out, "series")

@@ -20,7 +20,6 @@ from phasebal.network import (
     MIN_V_BASE_LN,
     Device,
     DeviceKind,
-    FeederSpec,
     LineSegment,
     Phase,
     attach_device,
@@ -42,49 +41,49 @@ def balanced_load(label: str, node: str, kw: float) -> Device:
 class TestBuildFeeder:
     def test_six_node_chain_with_balanced_loads(self):
         devices = [balanced_load(f"l{i}", f"N{i}", 1.0) for i in range(1, 6)]
-        spec = FeederSpec(
+        spec = dict(
             source_node="N0",
             nodes=[f"N{i}" for i in range(6)],
             segments=[seg(f"N{i}", f"N{i+1}") for i in range(5)],
             devices=devices,
         )
-        feeder = build_feeder(spec)
+        feeder = build_feeder(**spec)
         assert feeder.nodes == ("N0", "N1", "N2", "N3", "N4", "N5")
         assert len(feeder.segments) == 5
         assert len(feeder.devices) == 5
 
     def test_trivial_single_node_feeder(self):
-        feeder = build_feeder(FeederSpec(source_node="N0", nodes=["N0"]))
+        feeder = build_feeder(source_node="N0", nodes=["N0"])
         assert feeder.nodes == ("N0",)
         assert feeder.segments == ()
 
     def test_extra_segment_raises_cyclic(self):
-        spec = FeederSpec(
+        spec = dict(
             source_node="N0",
             nodes=[f"N{i}" for i in range(6)],
             segments=[seg(f"N{i}", f"N{i+1}") for i in range(5)] + [seg("N2", "N4")],
         )
         with pytest.raises(CyclicTopology) as exc:
-            build_feeder(spec)
+            build_feeder(**spec)
         assert exc.value.from_node == "N2"
         assert exc.value.to_node == "N4"
 
     def test_disconnected_node(self):
-        spec = FeederSpec(
+        spec = dict(
             source_node="N0",
             nodes=["N0", "N1", "N2", "N3"],
             segments=[seg("N0", "N1"), seg("N2", "N3")],
         )
         with pytest.raises(DisconnectedNode) as exc:
-            build_feeder(spec)
+            build_feeder(**spec)
         assert exc.value.node in ("N2", "N3")
 
     def test_unknown_segment_endpoint(self):
-        spec = FeederSpec(
+        spec = dict(
             source_node="N0", nodes=["N0", "N1"], segments=[seg("N0", "N9")]
         )
         with pytest.raises(UnknownNode) as exc:
-            build_feeder(spec)
+            build_feeder(**spec)
         assert exc.value.node == "N9"
 
     def test_non_positive_length_names_segment(self):
@@ -104,16 +103,15 @@ class TestBuildFeeder:
     def test_base_voltage_must_be_in_range(self, v_base_ln):
         """Beyond the range the RMS voltage's squares or the device currents
         overflow in the solver."""
-        spec = FeederSpec("N0", ["N0", "N1"], [seg("N0", "N1")], v_base_ln=v_base_ln)
         with pytest.raises(ValueError, match=r"v_base_ln must be in \[1, 1e\+06\] V"):
-            build_feeder(spec)
+            build_feeder("N0", ["N0", "N1"], [seg("N0", "N1")], v_base_ln=v_base_ln)
         for v in (MIN_V_BASE_LN, MAX_V_BASE_LN):
-            assert build_feeder(FeederSpec("N0", ["N0"], v_base_ln=v)).v_base_ln == v
+            assert build_feeder("N0", ["N0"], v_base_ln=v).v_base_ln == v
 
     @pytest.mark.parametrize("s_base_kva", [math.inf, math.nan, 0.0])
     def test_base_power_must_be_finite_and_positive(self, s_base_kva):
         with pytest.raises(ValueError, match="s_base_kva must be finite and > 0"):
-            build_feeder(FeederSpec("N0", ["N0"], s_base_kva=s_base_kva))
+            build_feeder("N0", ["N0"], s_base_kva=s_base_kva)
 
     def test_impedance_times_length_must_be_finite(self):
         with pytest.raises(ValueError, match=r"segment N0->N1 z_mutual_per_km \* length_km"):
@@ -121,31 +119,31 @@ class TestBuildFeeder:
 
     def test_bfs_order_on_branched_tree(self):
         # N0 feeds N1 and N2; N1 feeds N3 -> breadth-first order.
-        spec = FeederSpec(
+        spec = dict(
             source_node="N0",
             nodes=["N3", "N1", "N0", "N2"],
             segments=[seg("N1", "N3"), seg("N0", "N1"), seg("N0", "N2")],
         )
-        feeder = build_feeder(spec)
+        feeder = build_feeder(**spec)
         assert feeder.nodes == ("N0", "N1", "N2", "N3")
         # re-oriented parent -> child even if declared child -> parent
-        reversed_spec = FeederSpec(
+        reversed_spec = dict(
             source_node="N0",
             nodes=["N0", "N1"],
             segments=[seg("N1", "N0")],
         )
-        f2 = build_feeder(reversed_spec)
+        f2 = build_feeder(**reversed_spec)
         assert f2.segments[0].from_node == "N0"
         assert f2.segments[0].to_node == "N1"
 
     def test_deterministic_normalization(self):
-        spec = FeederSpec(
+        spec = dict(
             source_node="N0",
             nodes=["N2", "N0", "N1"],
             segments=[seg("N0", "N1"), seg("N1", "N2")],
         )
-        assert build_feeder(spec) == build_feeder(spec)
-        assert build_feeder(spec).nodes == ("N0", "N1", "N2")
+        assert build_feeder(**spec) == build_feeder(**spec)
+        assert build_feeder(**spec).nodes == ("N0", "N1", "N2")
 
     def test_unique_path_from_source_to_every_node(self):
         feeder = chain_feeder(6, 0.1)
@@ -212,14 +210,14 @@ class TestDeviceValidation:
             Device(label="s", node="N1", kind=DeviceKind.STORAGE, phase=Phase.A)
 
     def test_duplicate_labels_rejected(self):
-        spec = FeederSpec(
+        spec = dict(
             source_node="N0",
             nodes=["N0", "N1"],
             segments=[seg("N0", "N1")],
             devices=[balanced_load("dup", "N1", 1.0), balanced_load("dup", "N1", 2.0)],
         )
         with pytest.raises(ValueError, match="duplicate"):
-            build_feeder(spec)
+            build_feeder(**spec)
 
 
 class TestAttachDevice:
@@ -259,3 +257,6 @@ class TestPhaseOrdering:
     def test_total_order(self):
         assert Phase.A < Phase.B < Phase.C
         assert sorted([Phase.C, Phase.A, Phase.B]) == [Phase.A, Phase.B, Phase.C]
+        assert Phase.A < "B" and not Phase.C < "A"  # ordered as the str values
+        with pytest.raises(TypeError):
+            Phase.A < 1

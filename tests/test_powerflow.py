@@ -7,6 +7,7 @@ import cmath
 import math
 import random
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -223,9 +224,11 @@ class TestSweepKernel:
         """Hand-placed voltages where the SIMD ``abs`` screen hands rows to
         the exact ``hypot`` path: a live entry a few ulps and 1e-9 either
         side of 0.5 pu and at 0 V, dead entries at 0 V, NaN and infinite
-        components, and a row with every entry dead. The sinks equal the
-        scatter reference's, the same rows collapse, and those report the
-        exact smallest live magnitude; screened rows report +inf."""
+        components, and a row with every entry dead. The same rows collapse
+        as in the scatter reference, and those report the exact smallest
+        live magnitude; screened rows report +inf. On every row that does
+        not collapse the sinks equal the reference's; a collapsed row's
+        sinks are never read, and only the reference clamps them."""
         topo = Topology(chain_feeder(4, 0.1))
         node = np.array([1, 1, 2, 3, 3, 2, 1])
         cond = np.array([0, 1, 2, 0, 1, 0, 2])
@@ -262,18 +265,50 @@ class TestSweepKernel:
         with np.errstate(all="ignore"):  # the reference divides by 0 V and infinities
             v_min = kernel.device_currents(v)
             sinks, v_min_ref = _reference_device_currents(topo, v, node, cond, s_va)
-        got, want = kernel.acc[: len(rows)].view(float), sinks.view(float)
-        # neither path fixes the sign of a NaN: 0 - x and 0 + (-x) differ there
-        nan = np.isnan(want)
-        assert (np.isnan(got) == nan).all()
-        assert got[~nan].tobytes() == want[~nan].tobytes()
         collapsed = v_min < 0.5
         assert collapsed.tolist() == (v_min_ref < 0.5).tolist()
+        got, want = kernel.acc[: len(rows)][~collapsed].view(float), sinks[~collapsed].view(float)
+        # neither path fixes the sign of a NaN: 0 - x and 0 + (-x) differ there
+        nan = np.isnan(want)
+        assert (np.isnan(got) == nan).all() and nan.any()
+        assert got[~nan].tobytes() == want[~nan].tobytes()
         assert v_min[collapsed].tobytes() == v_min_ref[collapsed].tobytes()
         screened = np.isinf(v_min) & np.isfinite(v_min_ref)
         exact = ~collapsed & np.isfinite(v_min)  # not passed by the screen, not collapsed
         assert collapsed.sum() >= 9 and screened.sum() >= 9 and exact.sum() >= 9
         assert (v_min[exact] == v_min_ref[exact]).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(TREE_SHAPES),
+        n=st.integers(2, 60),
+        rows=st.integers(1, 20),
+    )
+    @example(seed=5, shape="mixed", n=150, rows=20)
+    @example(seed=1613491277, shape="chain", n=19, rows=13)
+    def test_rows_that_run_on_see_no_live_entry_below_half_a_pu(self, seed, shape, n, rows):
+        """On every pass of a solve, each row the kernel does not flag as
+        collapsed sees every live entry at 0.5 pu or more by ``np.hypot``:
+        a clamp of the magnitudes below 0.5 pu would change no sink that
+        is read."""
+        topo, node, cond, s_va = kernel_case(seed, shape, n, rows)
+        half = 0.5 * topo.v_base
+        device_currents = _Kernel.device_currents
+        passes = []
+
+        def checked(kernel, v):
+            v_ln = v[:, node, cond] - v[:, node, 3]
+            mag = np.hypot(v_ln.real, v_ln.imag)
+            v_min = device_currents(kernel, v)
+            running = v_min >= 0.5
+            assert (mag[running] >= half)[~kernel.dead[running]].all()
+            passes.append(len(v))
+            return v_min
+
+        with mock.patch.object(_Kernel, "device_currents", checked):
+            sweep_batch(topo, node, cond, s_va, SolverSettings(max_iter=40))
+        assert passes
 
     def test_nodes_out_of_breadth_first_order_are_rejected(self):
         feeder = chain_feeder(3, 0.1)

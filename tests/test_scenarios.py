@@ -41,7 +41,6 @@ from phasebal.network import (
     PHASES,
     Device,
     DeviceKind,
-    FeederSpec,
     LineSegment,
     Phase,
     attach_device,
@@ -183,6 +182,32 @@ class TestScenarioValidation:
                 controller="fixed_schedule",
                 batteries=(Battery(id="b", p_max_kw=1.0),),
             )
+
+    def test_a2_storage_phase_must_be_its_dispatch_phase(self):
+        """A2 dispatches its units on phases A, B and C in ``batteries``
+        order, whatever their devices say: listed as bat-c, bat-a, bat-b,
+        bat-c would inject on phase A through a device on phase C. A device
+        without a phase, or a fleet no controller dispatches, is valid."""
+        devices = [
+            Device(f"st-{p}", "N1", DeviceKind.STORAGE, Phase(p.upper()), battery_id=f"bat-{p}")
+            for p in "abc"
+        ]
+        feeder = chain_feeder(2, 0.1, devices=devices)
+        fleet = Scenario(
+            feeder=replace(feeder, devices=tuple(replace(d, phase=None) for d in devices)),
+            architecture=Architecture(ArchKind.A2),
+            batteries=tuple(Battery(id=f"bat-{p}", p_max_kw=1.0) for p in "cab"),
+            controller="fixed_schedule",
+        )
+        assert run_scenario(fleet).trajectory.phase[12].tolist() == [0, 1, 2]
+        replace(fleet, feeder=feeder, controller="none")
+        for controller in ("fixed_schedule", "greedy"):
+            with pytest.raises(
+                ValueError,
+                match="A2 battery 'bat-c' dispatches on phase A, "
+                "but its storage device 'st-c' is on phase C",
+            ):
+                replace(fleet, feeder=feeder, controller=controller)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -5.0])
     def test_profile_value_must_be_finite_and_non_negative(self, bad):
@@ -592,7 +617,7 @@ def random_tree(rng: random.Random, n: int):
         kind = rng.choice([DeviceKind.DG, DeviceKind.EV])
         sign = -1.0 if kind is DeviceKind.DG else 1.0
         devices.append(Device(f"{kind.value}-{i}", nodes[i], kind, rng.choice(PHASES), sign * 2.0 + 0j))
-    feeder = build_feeder(FeederSpec("n0", nodes, segments, devices))
+    feeder = build_feeder("n0", nodes, segments, devices)
     return with_profiles(feeder, [[rng.uniform(0.0, 1.0) for _ in range(24)] for _ in devices], 24)
 
 
