@@ -641,12 +641,10 @@ def timeseries_rows(scenario: Scenario, result: ScenarioResult) -> Iterator[str]
     step spliced in after each storage node."""
     from . import g17  # off the start-up path: only a run's timeseries needs it
 
-    feeder = scenario.feeder
     traj = result.trajectory
-    n = len(feeder.nodes)
-    row_of = {name: i for i, name in enumerate(feeder.nodes)}
-    seg_rows = [row_of[seg.to_node] for seg in feeder.segments]
-    storage_row = {d.battery_id: row_of[d.node] for d in feeder.storage_devices()}
+    topo = traj.topology
+    n = topo.n
+    storage_row = {d.battery_id: topo.index[d.node] for d in scenario.feeder.storage_devices()}
     # storage columns (p by phase, q by phase, SoC) of the storage nodes; units
     # sharing a node and phase add up in battery order
     stor_nodes = sorted(set(storage_row.values()))
@@ -659,7 +657,7 @@ def timeseries_rows(scenario: Scenario, result: ScenarioResult) -> Iterator[str]
     for i, soc in enumerate(traj.soc_kwh.T):
         storage[:, at[i], 6] += soc
     # the name field of a row (name, "") is the line less its ",\n"
-    heads = ["\r" + line[:-2] for line in csv_lines((name, "") for name in feeder.nodes)]
+    heads = ["\r" + line[:-2] for line in csv_lines((name, "") for name in topo.nodes)]
     # the storage columns of a node without storage are one constant text
     tails = ["" if i in stor_nodes else ",0,0,0,0,0,0,0\n" for i in range(n)]
     # a distinct row's text, cut after each storage node
@@ -678,8 +676,8 @@ def timeseries_rows(scenario: Scenario, result: ScenarioResult) -> Iterator[str]
         cols[..., 8] = traj.v_rms[rows]
         # per-segment phase loss summed as the builtin sum does, from 0.0
         pl = traj.phase_loss[rows]
-        cols[:, seg_rows, 9] = 0.0 + pl[..., 0] + pl[..., 1] + pl[..., 2]
-        cols[:, seg_rows, 10] = traj.neutral_loss[rows]
+        cols[:, topo.seg_child, 9] = 0.0 + pl[..., 0] + pl[..., 1] + pl[..., 2]
+        cols[:, topo.seg_child, 10] = traj.neutral_loss[rows]
         fields = g17.lines(cols.reshape(-1, 11)).split("\n")
         for j in range(len(rows)):
             parts = [""] * (3 * n)

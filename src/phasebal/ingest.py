@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Sequence
@@ -31,6 +32,11 @@ ACCEPTED_HEADERS = tuple(
     for q in ((), _Q_COLUMNS)
     for n in ((), (_NEUTRAL_COLUMN,))
 )
+
+#: A plain decimal in ASCII digits (``float()`` also reads padding, ``_`` and
+#: other digits), and a byte that is not UTF-8 as ``surrogateescape`` reads it.
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,8 @@ def _parse_timestamp(raw: str, row: int) -> tuple[float, float]:
     """Return (sort key, hour of day). Accepts finite plain hours or ISO 8601."""
     if "\r" in raw:  # the reports echo it, and csv.writer leaves a lone "\r" unquoted
         raise SchemaMismatch(f"row {row}: timestamp {raw!r} holds a carriage return")
+    if _NOT_UTF8.search(raw):  # fromisoformat takes any character between date and time
+        raise SchemaMismatch(f"row {row}: timestamp {raw!r} is not UTF-8")
     try:
         hours = float(raw)
     except ValueError:
@@ -62,6 +70,8 @@ def _parse_timestamp(raw: str, row: int) -> tuple[float, float]:
     else:
         if not math.isfinite(hours):
             raise SchemaMismatch(f"row {row}: timestamp {raw!r} is not finite")
+        if not _DECIMAL.fullmatch(raw):
+            raise SchemaMismatch(f"row {row}: timestamp {raw!r} is not a plain decimal")
         return hours, hours % 24.0
     try:
         stamp = datetime.fromisoformat(raw)
@@ -75,11 +85,12 @@ def _parse_timestamp(raw: str, row: int) -> tuple[float, float]:
 def read_measured_series(path: str) -> MeasuredSeries:
     """Parse and validate a measured-series CSV.
 
-    Raises SchemaMismatch for an unexpected header or malformed or
-    non-finite cells, and NonMonotonicTimestamps when timestamps do not
-    strictly increase.
+    Raises SchemaMismatch for an unexpected header or a cell that is not
+    UTF-8, malformed, non-finite or no plain decimal, and
+    NonMonotonicTimestamps when timestamps do not strictly increase.
     """
-    with open(path, "r", newline="", encoding="utf-8-sig") as handle:  # a BOM is no column
+    # a BOM is no column, and a byte that is not UTF-8 reaches the cell checks
+    with open(path, "r", newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
         reader = csv.reader(handle)
         try:
             header = tuple(next(reader))
@@ -111,9 +122,12 @@ def read_measured_series(path: str) -> MeasuredSeries:
                 try:
                     values.append(float(cell))
                 except ValueError:
-                    raise SchemaMismatch(f"row {i}: {column} {cell!r} is not a number") from None
+                    why = "is not UTF-8" if _NOT_UTF8.search(cell) else "is not a number"
+                    raise SchemaMismatch(f"row {i}: {column} {cell!r} {why}") from None
                 if not math.isfinite(values[-1]):
                     raise SchemaMismatch(f"row {i}: {column} {cell!r} is not finite")
+                if not _DECIMAL.fullmatch(cell):
+                    raise SchemaMismatch(f"row {i}: {column} {cell!r} is not a plain decimal")
             timestamps.append(row[0])
             hours.append(hour)
             p_rows.append((values[0], values[1], values[2]))

@@ -111,9 +111,6 @@ class LineSegment:
         if self.z_phase_per_km.real < 0 or self.z_neutral_per_km.real < 0:
             raise ValueError(f"{where}: conductor resistance must be >= 0")
 
-    def reversed(self) -> "LineSegment":
-        return replace(self, from_node=self.to_node, to_node=self.from_node)
-
 
 @dataclass(frozen=True)
 class Device:
@@ -167,12 +164,6 @@ class Feeder:
     devices: tuple[Device, ...]
     v_base_ln: float = DEFAULT_V_BASE_LN
     s_base_kva: float = DEFAULT_S_BASE_KVA
-
-    def device_by_label(self, label: str) -> Device:
-        for d in self.devices:
-            if d.label == label:
-                return d
-        raise KeyError(label)
 
     def storage_devices(self) -> tuple[Device, ...]:
         return tuple(d for d in self.devices if d.kind is DeviceKind.STORAGE)
@@ -257,7 +248,9 @@ def build_feeder(
                 continue
             visited.add(neighbor)
             seg = segments[idx]
-            oriented[idx] = seg if seg.from_node == here else seg.reversed()
+            if seg.from_node != here:
+                seg = replace(seg, from_node=seg.to_node, to_node=seg.from_node)
+            oriented[idx] = seg
             order.append(neighbor)
             queue.append(neighbor)
 

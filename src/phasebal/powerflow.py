@@ -15,9 +15,9 @@ Two structurally different solvers cover the same contract:
   4n x 4n nodal admittance system and fixed-point iterates on device current
   injections against the reduced linear system.
 
-The sweep runs on index structures that ``Topology`` builds once per call
-from the breadth-first node order, and on work buffers that ``_Kernel``
-allocates once per call:
+The sweep runs on ``Topology``, the feeder's one index of rows and
+impedances, built once per call from the breadth-first node order, and on
+work buffers that ``_Kernel`` allocates once per call:
 
 - each depth level is one contiguous row range, so the forward sweep
   assigns a level as a slice, ``v[:, lo:hi] = v[:, parent[lo:hi]] - drop``;
@@ -151,14 +151,15 @@ def source_phasors(v_base_ln: float) -> tuple[complex, complex, complex]:
 
 
 class Topology:
-    """Index arrays and stacked impedances of one feeder.
-
-    ``index`` maps node name to its row (breadth-first order, source 0);
-    ``parent`` and ``feed_seg`` give each node's parent row and feeding
-    segment (-1 at the source), ``seg_child`` the child row of each
-    segment; ``z`` stacks the 4x4 segment impedance matrices in ohms in
-    segment order, and ``z_node`` the same matrices in node order (row i
-    holds the segment feeding node i + 1).
+    """Index arrays and stacked impedances of one feeder: its one map from
+    names to rows. ``nodes`` names the rows (breadth-first order, source
+    0), ``index`` maps a name to its row; ``parent`` and ``feed_seg`` give
+    each node's parent row and feeding segment (-1 at the source),
+    ``seg_child`` the child row of each segment; ``z`` stacks the 4x4
+    segment impedances in ohms in segment order, ``z_node`` the same in
+    node order (row i holds the segment feeding node i + 1), and
+    ``r_phase``, ``r_neutral`` the real parts of their phase and neutral
+    diagonals, bit for bit Python's ``(z_per_km * length_km).real``.
 
     ``levels`` holds, for depth 1, 2, ..., the level's contiguous rows as
     ``(lo, hi)``, their parents, and the level's sibling-rank groups as
@@ -171,6 +172,7 @@ class Topology:
         n, segments = len(feeder.nodes), feeder.segments
         self.n = n
         self.v_base = feeder.v_base_ln
+        self.nodes = feeder.nodes
         self.index = dict(zip(feeder.nodes, range(n)))
         to, frm, length, *per_km = list(zip(*map(_SEGMENT_FIELDS, segments))) or [()] * 6
         row = self.index.__getitem__
@@ -184,6 +186,7 @@ class Topology:
         zp, zn, zm = z_seg = np.empty((3, len(segments)), dtype=complex)
         z_seg.real = per_km.real * length - per_km.imag * 0.0
         z_seg.imag = per_km.real * 0.0 + per_km.imag * length
+        self.r_phase, self.r_neutral = z_seg.real[:2].copy()
         self.z = np.empty((len(segments), 4, 4), dtype=complex)
         self.z[:] = zm[:, None, None]
         for c in range(3):
@@ -492,10 +495,9 @@ def oracle_solve(
 
     n4 = 4 * topo.n
     y = np.zeros((n4, n4), dtype=complex)
-    for k, seg in enumerate(feeder.segments):
+    ends = zip((4 * topo.parent[topo.seg_child]).tolist(), (4 * topo.seg_child).tolist())
+    for k, (p, c) in enumerate(ends):
         yb = np.linalg.inv(topo.z[k])
-        p = 4 * topo.index[seg.from_node]
-        c = 4 * topo.index[seg.to_node]
         y[p : p + 4, p : p + 4] += yb
         y[c : c + 4, c : c + 4] += yb
         y[p : p + 4, c : c + 4] -= yb
@@ -505,12 +507,12 @@ def oracle_solve(
     free = np.arange(4, n4)
     v = topo.flat[None].copy()
     if free.size == 0:
-        return VoltageSolution(feeder.nodes, v[0], np.zeros((0, 4), dtype=complex), 1)
+        return VoltageSolution(topo.nodes, v[0], np.zeros((0, 4), dtype=complex), 1)
 
     y_uu = y[np.ix_(free, free)]
     y_uf = y[np.ix_(free, fixed)]
     v_fixed = v.reshape(-1)[fixed]
-    tol_v = settings.tol_pu * feeder.v_base_ln
+    tol_v = settings.tol_pu * topo.v_base
     delta = math.inf
     kernel = _Kernel(topo, node, cond, s_va)
     for it in range(1, settings.max_iter + 1):
@@ -525,15 +527,8 @@ def oracle_solve(
         if delta <= tol_v:
             kernel.device_currents(v)
             currents = kernel.branch_currents(1)[0, topo.seg_child]
-            return VoltageSolution(feeder.nodes, v[0], currents, it)
+            return VoltageSolution(topo.nodes, v[0], currents, it)
     raise NonConvergence(settings.max_iter, delta)
-
-
-def segment_resistances(feeder: Feeder) -> tuple[np.ndarray, np.ndarray]:
-    """Phase and neutral conductor resistance of every segment, ohms."""
-    r_ph = [(seg.z_phase_per_km * seg.length_km).real for seg in feeder.segments]
-    r_n = [(seg.z_neutral_per_km * seg.length_km).real for seg in feeder.segments]
-    return np.array(r_ph, dtype=float), np.array(r_n, dtype=float)
 
 
 def segment_losses(
@@ -556,9 +551,12 @@ def power_balance_residual_kw(
     Uses the requested device powers, so a converged solution must show the
     source supplying exactly the demanded power plus conductor losses.
     Devices on the source bus draw from the stiff source directly and do not
-    appear in branch flows, hence their exclusion on both sides.
+    appear in branch flows, hence their exclusion on both sides. Reads the
+    segments itself, not through ``Topology``.
     """
-    phase_loss, neutral_loss = segment_losses(solution.currents, *segment_resistances(feeder))
+    r_ph = np.array([(s.z_phase_per_km * s.length_km).real for s in feeder.segments], float)
+    r_n = np.array([(s.z_neutral_per_km * s.length_km).real for s in feeder.segments], float)
+    phase_loss, neutral_loss = segment_losses(solution.currents, r_ph, r_n)
     v_src = solution.voltages[0].tolist()  # the source is row 0 after normalization
     injection = [0j, 0j, 0j]  # kVA per phase, over the segments leaving the source bus
     for k, seg in enumerate(feeder.segments):

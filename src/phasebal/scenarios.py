@@ -71,7 +71,6 @@ from .powerflow import (
     Topology,
     VoltageSolution,
     segment_losses,
-    segment_resistances,
     sweep_batch,
 )
 from .storage import (
@@ -213,9 +212,9 @@ class Trajectory:
     from it, ``(row, node[, phase])`` for VUF, signed deviation and RMS
     voltage and ``(row, segment[, phase])`` for losses in kW. ``step_row``
     maps each timestep to its row; steps with byte-equal injections share
-    one. Node and segment axes follow ``feeder.nodes`` and
-    ``feeder.segments``. The cells of a sweep share one set of arrays, so
-    rows of other cells sit beside this run's.
+    one. Node and segment axes follow ``topology``, the feeder's index.
+    The cells of a sweep share it and one set of arrays, so rows of other
+    cells sit beside this run's.
 
     Dispatch is held per step. ``soc_kwh`` is ``(step, battery)`` after
     each step's action, batteries in ``battery_ids`` order. ``p_kw``,
@@ -230,7 +229,7 @@ class Trajectory:
     ``n_steps - dispatch_states`` steps reused a stored state. It is 0
     when no fleet is dispatched."""
 
-    feeder: Feeder
+    topology: Topology
     solved: BatchSolution
     vuf_pct: np.ndarray
     drop_pct: np.ndarray
@@ -277,7 +276,7 @@ class StepRecord:
     @property
     def solution(self) -> VoltageSolution:
         traj = self.trajectory
-        return traj.solved.solution(traj.feeder.nodes, int(traj.step_row[self.step]))
+        return traj.solved.solution(traj.topology.nodes, int(traj.step_row[self.step]))
 
     def __repr__(self) -> str:
         return f"StepRecord(t_h={self.t_h!r}, actions={self.actions!r}, soc_kwh={self.soc_kwh!r})"
@@ -639,16 +638,15 @@ def _run_batch(
     loop would raise it: the earliest failing step wins, a solver failure
     as a ScenarioStepError tagged with its time, anything else as raised.
     """
-    feeder = scenario.feeder
-    topo = Topology(feeder)
+    topo = Topology(scenario.feeder)
     devices = [device for _, device in cells]
     layout, candidates, step_key, fields, stopped = _dispatch(scenario, devices, topo.index)
     at, rank = _distinct_rows(candidates)
     distinct = candidates if len(at) == len(candidates) else candidates[at]  # no copy if all differ
     node, cond = np.divmod(layout, 4)
     solved = sweep_batch(topo, node, cond, distinct, settings)
-    vuf_pct, drop_pct, v_rms = node_metric_arrays(solved.voltages, feeder.v_base_ln)
-    phase_loss, neutral_loss = segment_losses(solved.currents, *segment_resistances(feeder))
+    vuf_pct, drop_pct, v_rms = node_metric_arrays(solved.voltages, topo.v_base)
+    phase_loss, neutral_loss = segment_losses(solved.currents, topo.r_phase, topo.r_neutral)
 
     # --- errors: the earliest step on a failing or undefined row ------------
     # a cell's candidates appear in step order, so its earliest failing step
@@ -686,23 +684,18 @@ def _run_batch(
     drop_min = drop_pct.min(axis=(1, 2))[step_row].min(axis=1).tolist()
     drop_max = drop_pct.max(axis=(1, 2))[step_row].max(axis=1).tolist()
     for i, c in enumerate(ok):
-        label, device = cells[c]
-        cell_feeder = feeder
-        if device is not None:
-            cell_feeder = replace(feeder, devices=feeder.devices + (device,))
         trajectory = Trajectory(
-            cell_feeder, solved, vuf_pct, drop_pct, v_rms, phase_loss, neutral_loss, step_row[i],
-            **fields,
+            topo, solved, vuf_pct, drop_pct, v_rms, phase_loss, neutral_loss, step_row[i], **fields
         )
         outcomes[c] = ScenarioResult(
-            label=label,
+            label=cells[c][0],
             mean_vuf_pct=mean_vuf[i],
             max_vuf_pct=max_vuf[i],
             neutral_loss_kwh=neutral_kwh[i],
             phase_loss_kwh=phase_kwh[i],
             max_drop_pct=max(0.0, -drop_min[i]),
             max_rise_pct=max(0.0, drop_max[i]),
-            sum_drop_at=dict(zip(feeder.nodes, drop_sums[i])),
+            sum_drop_at=dict(zip(topo.nodes, drop_sums[i])),
             per_timestep=_StepRecords(trajectory, dt_h),
             trajectory=trajectory,
         )

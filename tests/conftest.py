@@ -162,6 +162,11 @@ def random_tree(rng: random.Random, n: int, shape: str = "recursive") -> Feeder:
     return build_feeder("T0", nodes, segments, devices)
 
 
+def labelled(feeder: Feeder, label: str) -> Device:
+    """The device of ``feeder`` whose label is ``label``."""
+    return next(d for d in feeder.devices if d.label == label)
+
+
 def with_profiles(feeder: Feeder, values, steps: int) -> Scenario:
     """The feeder with device i following profile ``p{i}`` (``values[i]``),
     as a scenario over ``steps`` hourly steps."""

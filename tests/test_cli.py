@@ -1283,6 +1283,53 @@ class TestIngestCommand:
         assert main(["ingest", str(src), "--out", str(tmp_path / "out")]) == 2
         assert "row 1: q_b_kvar 'nan' is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, named",
+        [
+            ("0,1_000,1,1", "row 1: p_a_kw '1_000' is not a plain decimal"),
+            ("0, 4 ,1,1", "row 1: p_a_kw ' 4 ' is not a plain decimal"),
+            ("0,\u0661\u0662,1,1", "row 1: p_a_kw '\u0661\u0662' is not a plain decimal"),
+            (" 4 ,1,1,1", "row 1: timestamp ' 4 ' is not a plain decimal"),
+            ("1_0,1,1,1", "row 1: timestamp '1_0' is not a plain decimal"),
+        ],
+    )
+    def test_numbers_float_reads_but_are_not_plain_exit_2(self, tmp_path, capsys, row, named):
+        """``float()`` reads underscores, padding and digits of other
+        scripts; a measured series holds plain ASCII decimals only."""
+        src = tmp_path / "meas.csv"
+        src.write_text(f"timestamp,p_a_kw,p_b_kw,p_c_kw\n{row}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", str(src), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            (b"0,1,1,1\n1,1,\xff,1\n", "row 2: p_b_kw '\\udcff' is not UTF-8"),
+            (b"0,1,1,1\xe2\x82", "row 1: p_c_kw '1\\udce2\\udc82' is not UTF-8"),
+            (b"0,1,1,1\n\xff1,1,1,1\n", "row 2: timestamp '\\udcff1' is not UTF-8"),
+            # fromisoformat reads any one character between the date and the time
+            (
+                b"2020-01-01\xff00:00:00,1,1,1\n",
+                "row 1: timestamp '2020-01-01\\udcff00:00:00' is not UTF-8",
+            ),
+            (b"0,1,1\n\xff\n", "row 1: expected 4 cells, got 3"),
+        ],
+    )
+    def test_a_byte_that_is_not_utf8_exits_2_naming_its_row(self, tmp_path, capsys, data, named):
+        """The byte shows as ``surrogateescape`` reads it, 0xff as \\udcff."""
+        src = tmp_path / "meas.csv"
+        src.write_bytes(b"timestamp,p_a_kw,p_b_kw,p_c_kw\n" + data)
+        assert main(["ingest", str(src), "--out", str(tmp_path / "out")]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_a_byte_that_is_not_utf8_in_the_header_exits_2_naming_it(self, tmp_path, capsys):
+        src = tmp_path / "meas.csv"
+        src.write_bytes(b"timestamp,p_a_kw\xff,p_b_kw,p_c_kw\n0,1,1,1\n")
+        assert main(["ingest", str(src), "--out", str(tmp_path / "out")]) == 2
+        assert "unexpected columns ['timestamp', 'p_a_kw\\udcff'," in capsys.readouterr().err
+
 
 class TestPresetInventory:
     def test_ten_run_presets_plus_sweep(self):

@@ -180,17 +180,32 @@ def test_edge_values_exit_cleanly(mutation):
 
 # --- phasebal ingest ----------------------------------------------------------
 
-#: Power cells: edge numbers as the CSV spells them, and plain ones.
+#: Power cells: edge numbers as the CSV spells them, plain ones, and ones
+#: ``float()`` reads that are no plain decimal number (an underscore,
+#: padding, Arabic-Indic and fullwidth digits).
 INGEST_NUMBERS = st.sampled_from(
     ["0.0", "-0.0", "5e-324", "-5e-324", "1e308", "-1e308", "1e400", "inf", "-inf", "nan"]
-    + [str(2**1024), str(-(10**400)), "1", "-2.5", "0.75", "12"]
+    + [str(2**1024), str(-(10**400)), "1", "-2.5", "0.75", "12", ".5", "+3.", "2E-3"]
+    + ["1_000", " 4 ", "\t7", "\u0661\u0662", "\uff14"]
 )
 
+#: Bytes that are not UTF-8, as ``surrogateescape`` decodes them: a lone 0xff,
+#: a truncated three-byte sequence, a lone continuation byte, an encoded
+#: surrogate and an overlong encoding.
+RAW_BYTES = [b"\xff", b"\xe2\x82", b"\x80", b"\xed\xa0\x80", b"\xc0\xaf"]
+
 #: Characters that CSV text can trip on: quotes, delimiters, line breaks,
-#: control characters and a byte order mark.
+#: control characters and a byte order mark; and what a plain decimal number
+#: must not hold: underscores, padding, digits of other scripts and bytes
+#: that are not UTF-8.
 CSV_HAZARDS = st.sampled_from(
     ['"', ",", "\r", "\n", "\r\n", "\0", "\t", "\x1b", "\x7f", "\x85", "\u2028", "\ufeff", " "]
+    + ["_", "\u0663", "\u0966", "\uff10"]
+    + [raw.decode("utf-8", "surrogateescape") for raw in RAW_BYTES]
 )
+
+#: A plain decimal number in ASCII digits, the only number ``ingest`` reads.
+PLAIN_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 #: Timestamps that are no steps in time.
 ODD_STAMPS = st.sampled_from(["", "x", "inf", "-inf", "nan", "1e400", "2020-02-30T00:00:00"])
@@ -211,11 +226,12 @@ def quoted(cell: str) -> str:
 
 @st.composite
 def measured_series(draw):
-    """The text of a measured-series CSV under one of the accepted headers:
+    """The bytes of a measured-series CSV under one of the accepted headers:
     rows of edge numbers, timestamps that mostly increase but now and then
     repeat, go back or are no times at all, and text hazards: a byte order
-    mark, cells quoted or holding a hazard, rows with a cell too few or too
-    many, empty lines, CRLF line ends."""
+    mark, cells quoted or holding a hazard (bytes that are not UTF-8
+    among them), rows with a cell too few or too many, empty lines, CRLF
+    line ends."""
     header = draw(st.sampled_from(ACCEPTED_HEADERS))
     style = draw(st.sampled_from(["hours", "naive", "+00:00", "+05:30", "-08:00"]))
     minutes = draw(st.integers(-(10**6), 10**6))
@@ -242,7 +258,8 @@ def measured_series(draw):
             lines.append("")
     end = draw(st.sampled_from(["\n", "\r\n"]))
     bom = draw(st.sampled_from(["", "\ufeff"]))
-    return bom + end.join(lines) + draw(st.sampled_from([end, ""]))
+    text = bom + end.join(lines) + draw(st.sampled_from([end, ""]))
+    return text.encode("utf-8", "surrogateescape")
 
 
 #: Every column an accepted header can hold.
@@ -262,18 +279,39 @@ def assert_reports_read_back(out: Path, stem: str) -> None:
                     assert cell == "" or math.isfinite(float(cell)), (report, name, row)
 
 
+def assert_plain_decimals(data: bytes) -> None:
+    """The series is UTF-8, and every power cell and every timestamp that
+    ``float()`` reads (one in plain hours, not ISO 8601) is a plain decimal
+    number."""
+    header, *rows = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
+    for stamp, *cells in rows:
+        with contextlib.suppress(ValueError):
+            float(stamp)
+            assert PLAIN_DECIMAL.fullmatch(stamp), ("timestamp", stamp)
+        for name, cell in zip(header[1:], cells):
+            assert PLAIN_DECIMAL.fullmatch(cell), (name, cell)
+
+
 @settings(max_examples=300, deadline=None)
 @given(measured_series())
-@example("\ufefftimestamp,p_a_kw,p_b_kw,p_c_kw\n0,1,2,3\n")  # a byte order mark
-@example("timestamp,p_a_kw,p_b_kw,p_c_kw\n0,\x000.0,0,0\n")  # a cell that is no number
-@example('timestamp,p_a_kw,p_b_kw,p_c_kw\n"0.25\r",1,2,3\n')  # float() strips the "\r"
-def test_ingest_exits_cleanly(text):
-    """Exit 0 writes both reports, which read back finite; exit 2 names the
-    row at fault (the hour, for an hourly mean that overflows), and the
-    column wherever a cell is at fault."""
+@example(b"\xef\xbb\xbftimestamp,p_a_kw,p_b_kw,p_c_kw\n0,1,2,3\n")  # a byte order mark
+@example(b"timestamp,p_a_kw,p_b_kw,p_c_kw\n0,\x000.0,0,0\n")  # a cell that is no number
+@example(b'timestamp,p_a_kw,p_b_kw,p_c_kw\n"0.25\r",1,2,3\n')  # float() strips the "\r"
+# float() reads an underscore and padding, in a power cell and a timestamp
+@example(b"timestamp,p_a_kw,p_b_kw,p_c_kw\n0,1_000,1,1\n")
+@example(b"timestamp,p_a_kw,p_b_kw,p_c_kw\n0, 4 ,1,1\n")
+@example(b"timestamp,p_a_kw,p_b_kw,p_c_kw\n 4 ,1,1,1\n")
+# a byte that is not UTF-8, and a multi-byte sequence cut short at the end
+@example(b"timestamp,p_a_kw,p_b_kw,p_c_kw\n0,1,2,3\n1,1,\xff,3\n")
+@example(b"timestamp,p_a_kw,p_b_kw,p_c_kw\n0,1,2,3\xe2\x82")
+def test_ingest_exits_cleanly(data):
+    """Exit 0 writes both reports, which read back finite, from a series of
+    plain decimal numbers; exit 2 names the row at fault (the hour, for an
+    hourly mean that overflows), and the column wherever a cell is at
+    fault."""
     with tempfile.TemporaryDirectory() as tmp:
         series, out = Path(tmp) / "series.csv", Path(tmp) / "out"
-        series.write_bytes(text.encode("utf-8"))
+        series.write_bytes(data)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["ingest", str(series), "--out", str(out)])
@@ -286,3 +324,4 @@ def test_ingest_exits_cleanly(text):
                 assert any(re.search(rf"\b{name}\b", message) for name in HEADER), message
         else:
             assert_reports_read_back(out, "series")
+            assert_plain_decimals(data)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from conftest import snapshot_solve
+from conftest import labelled, snapshot_solve
 from phasebal.errors import (
     CyclicTopology,
     DisconnectedNode,
@@ -238,7 +238,7 @@ class TestAttachDevice:
     def test_attach_zero_three_phase_load_leaves_solution_unchanged(self):
         zero = balanced_load("zero", "N2", 0.0)
         updated = attach_device(self.feeder, zero)
-        assert updated.device_by_label("zero").s_rated_kva == 0
+        assert labelled(updated, "zero").s_rated_kva == 0
         assert snapshot_solve(updated).v == snapshot_solve(self.feeder).v
 
     def test_attach_at_unknown_node(self):

@@ -35,7 +35,6 @@ from phasebal.powerflow import (
     oracle_solve,
     power_balance_residual_kw,
     segment_losses,
-    segment_resistances,
     source_phasors,
     sweep_batch,
 )
@@ -133,7 +132,8 @@ class TestTwoBusClosedForm:
         # neutral potential rises at the load end by z_n * I
         assert abs(sol.v["N1"]["N"] - z_n * i_a) < 1e-8
 
-        phase_loss, neutral_loss = segment_losses(sol.currents, *segment_resistances(feeder))
+        topo = Topology(feeder)
+        phase_loss, neutral_loss = segment_losses(sol.currents, topo.r_phase, topo.r_neutral)
         assert neutral_loss[0] == pytest.approx(abs(i_n) ** 2 * z_n.real / 1000.0)
         # equal impedances, equal currents: phase-A loss equals neutral loss
         assert phase_loss[0, 0] == pytest.approx(neutral_loss[0])
@@ -166,6 +166,56 @@ class TestCrossSolverEquivalence:
             ):
                 assert kcl_residual(feeder, sol) < 1e-9 * i_base
                 assert kvl_residual(feeder, sol) < 1e-9 * feeder.v_base_ln
+
+
+#: Segment lengths, km: integers among them, whose product with an impedance
+#: Python takes through float.
+LENGTHS = st.integers(1, 100) | st.floats(1e-6, 1e4)
+
+#: Impedances per km with resistances of 0.0 and -0.0 among them, as complex
+#: numbers (reactance of either sign) and as plain floats.
+RESISTANCES = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 10.0)
+IMPEDANCES = RESISTANCES | st.builds(
+    complex, RESISTANCES, st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0)
+)
+
+
+class TestTopology:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(TREE_SHAPES),
+        n=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_resistances_have_the_bits_of_python_complex_times_length(
+        self, seed, shape, n, data
+    ):
+        """Every loss rests on these bits: ``r_phase`` and ``r_neutral``
+        are byte-equal to ``(z_per_km * length_km).real`` per segment."""
+        feeder = random_tree(random.Random(seed), n, shape)
+        segments = tuple(
+            replace(
+                seg,
+                length_km=data.draw(LENGTHS),
+                z_phase_per_km=data.draw(IMPEDANCES),
+                z_neutral_per_km=data.draw(IMPEDANCES),
+            )
+            for seg in feeder.segments
+        )
+        topo = Topology(replace(feeder, segments=segments))
+        for got, field in ((topo.r_phase, "z_phase_per_km"), (topo.r_neutral, "z_neutral_per_km")):
+            want = [(getattr(seg, field) * seg.length_km).real for seg in segments]
+            assert got.dtype == float
+            assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+    def test_rows_come_from_the_feeder(self):
+        feeder = random_tree(random.Random(3), 30, "mixed")
+        topo = Topology(feeder)
+        assert topo.nodes == feeder.nodes
+        assert [topo.nodes[r] for r in topo.seg_child] == [s.to_node for s in feeder.segments]
+        parents = topo.parent[topo.seg_child]
+        assert [topo.nodes[r] for r in parents] == [s.from_node for s in feeder.segments]
 
 
 def kernel_case(seed: int, shape: str, n: int, rows: int):
@@ -400,10 +450,11 @@ class TestBalancedSymmetry:
             for i in range(1, 6)
         ]
         feeder = chain_feeder(6, 0.1, devices=devices)
+        topo = Topology(feeder)
         for sol in (snapshot_solve(feeder, settings=TIGHT), oracle_solve(feeder, settings=TIGHT)):
             for node in feeder.nodes:
                 assert abs(sol.v[node]["N"]) < 1e-9 * feeder.v_base_ln
-            _, neutral_loss = segment_losses(sol.currents, *segment_resistances(feeder))
+            _, neutral_loss = segment_losses(sol.currents, topo.r_phase, topo.r_neutral)
             assert neutral_loss.sum() < 1e-12
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import (
     kcl_residual,
     kvl_residual,
+    labelled,
     random_feeder,
     reference_dispatch,
     reference_run,
@@ -53,7 +54,6 @@ from phasebal.powerflow import (
     oracle_solve,
     power_balance_residual_kw,
     segment_losses,
-    segment_resistances,
 )
 from phasebal import scenarios
 from phasebal.scenarios import (
@@ -77,7 +77,7 @@ FULL_GRID = [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 120]
 class TestSweepBuilder:
     def test_compact_120_dg_at_n1(self):
         sc = build_sweep_scenario(5.0, "N1", DeviceKind.DG, 120, "compact")
-        dg = sc.feeder.device_by_label("dg-N1")
+        dg = labelled(sc.feeder, "dg-N1")
         assert dg.s_rated_kva == -6.0 + 0j  # 120% of 5 kW, injecting
         assert dg.phase is Phase.A
         assert all(seg.length_km == 0.1 for seg in sc.feeder.segments)
@@ -91,7 +91,7 @@ class TestSweepBuilder:
 
     def test_overload_120_dg_at_n5(self):
         sc = build_sweep_scenario(50.0, "N5", DeviceKind.DG, 120, "overload")
-        assert sc.feeder.device_by_label("dg-N5").s_rated_kva == -60.0 + 0j
+        assert labelled(sc.feeder, "dg-N5").s_rated_kva == -60.0 + 0j
 
     def test_sparse_segment_length(self):
         sc = build_sweep_scenario(5.0, "N5", DeviceKind.DG, 120, "sparse")
@@ -117,7 +117,7 @@ class TestStylizedBuilder:
         assert sc.controller == "none"
         labels = {d.label for d in sc.feeder.devices}
         assert {"pv-N3", "ev-N3"} <= labels
-        pv = sc.feeder.device_by_label("pv-N3")
+        pv = labelled(sc.feeder, "pv-N3")
         assert pv.s_rated_kva == -10.0 + 0j and pv.node == "N3" and pv.phase is Phase.A
         # windows: generation 10:00-15:00, extra load 18:00-23:00
         assert sc.profiles["dg-window"][9] == 0.0
@@ -131,7 +131,7 @@ class TestStylizedBuilder:
         assert len(sc.batteries) == 1
         bat = sc.batteries[0]
         assert bat.p_max_kw == 3.0 and bat.e_max_kwh == 15.0 and bat.soc_kwh == 0.0
-        st = sc.feeder.device_by_label("st-1")
+        st = labelled(sc.feeder, "st-1")
         assert st.node == "N5" and st.battery_id == "bat-1"
 
     def test_a2_three_units_initial_soc(self):
@@ -291,11 +291,10 @@ class TestRunScenario:
     def test_stylized_neutral_current_only_in_windows(self):
         scenario = build_stylized_scenario(None)
         result = run_scenario(scenario)
+        topo = Topology(scenario.feeder)
         for rec in result.per_timestep:
             in_window = 10 <= rec.t_h < 15 or 18 <= rec.t_h < 23
-            _, neutral_loss = segment_losses(
-                rec.solution.currents, *segment_resistances(scenario.feeder)
-            )
+            _, neutral_loss = segment_losses(rec.solution.currents, topo.r_phase, topo.r_neutral)
             neutral_kw = neutral_loss.sum()
             if in_window:
                 assert neutral_kw > 1e-6
@@ -464,18 +463,21 @@ class TestSweepTabulate:
     def test_cells_equal_standalone_cells(
         self, network_class, load_kw, device_phase, balanced, penetrations, nodes, kinds
     ):
-        """Each cell that runs carries the label and feeder of the scenario
-        ``build_sweep_scenario`` builds for it."""
+        """Each cell that runs carries the label of the scenario
+        ``build_sweep_scenario`` builds for it, and every cell reads one
+        shared ``trajectory.topology`` whose nodes are that scenario's."""
         template = SweepTemplate(load_kw, network_class, device_phase, balanced)
         rows = sweep_and_tabulate(template, penetrations, nodes, kinds)
         assert len(rows) == len(penetrations) * len(nodes) * len(kinds)
+        topologies = {id(row.result.trajectory.topology) for row in rows if row.result is not None}
+        assert len(topologies) <= 1
         for row in rows:
             want = build_sweep_scenario(
                 load_kw, row.node, row.kind, row.penetration_pct, network_class,
                 device_phase=device_phase, balanced=balanced,
             )
             if row.result is not None:
-                assert row.result.trajectory.feeder == want.feeder
+                assert row.result.trajectory.topology.nodes == want.feeder.nodes
                 assert row.result.label == want.label
 
     @settings(max_examples=60, deadline=None)
@@ -671,7 +673,8 @@ class TestBatchedRun:
             want = run_scenario(replace(base, feeder=feeder, label=label))
             assert repr(result) == repr(want)
             traj, ref = result.trajectory, want.trajectory
-            assert traj.feeder == feeder
+            assert traj.topology is got[0].trajectory.topology
+            assert traj.topology.nodes == feeder.nodes
             ours, theirs = traj.solved.voltages[traj.step_row], ref.solved.voltages[ref.step_row]
             assert ours.tobytes() == theirs.tobytes()
 
