@@ -490,6 +490,7 @@ def _parse_architecture(doc: dict) -> Architecture | None:
 
 
 def _parse_scenario(doc: dict, label: str, path: str) -> Scenario:
+    """The scenario of a run config, built or re-labelled under ``label``."""
     kind = doc.get("type")
     if kind not in _SCENARIO_SCHEMAS:
         raise ConfigInvalid(
@@ -498,7 +499,7 @@ def _parse_scenario(doc: dict, label: str, path: str) -> Scenario:
     _validate(doc, _SCENARIO_SCHEMAS[kind], path, "scenario")
 
     if kind == "sweep_cell":
-        scenario = build_sweep_scenario(
+        built = build_sweep_scenario(
             doc["total_phase_load_kw"],
             doc["device_node"],
             DeviceKind(doc["kind"]),
@@ -507,12 +508,12 @@ def _parse_scenario(doc: dict, label: str, path: str) -> Scenario:
             **_present(doc, "device_phase", "balanced"),
         )
     elif kind == "stylized":
-        scenario = build_stylized_scenario(
+        built = build_stylized_scenario(
             _parse_architecture(doc),
             **_present(doc, "storage_node", "battery_kw", "controller", "target_phase"),
         )
     else:
-        scenario = Scenario(
+        return Scenario(
             feeder=_parse_feeder(doc["feeder"]),
             profiles={k: tuple(v) for k, v in doc.get("profiles", {}).items()},
             architecture=_parse_architecture(doc),
@@ -526,7 +527,7 @@ def _parse_scenario(doc: dict, label: str, path: str) -> Scenario:
             label=label,
             **_present(doc, "horizon_h", "dt_h", "controller"),
         )
-    return scenario
+    return replace(built, label=label)
 
 
 def parse_config(doc: Any, path: str = "<config>") -> RunConfig:
@@ -554,11 +555,10 @@ def parse_config(doc: Any, path: str = "<config>") -> RunConfig:
             raise ConfigInvalid(path, "label", f"label {label!r} holds {what}")
 
     if has_scenario:
-        scenario = replace(_parse_scenario(doc["scenario"], label, path), label=label)
         return RunConfig(
             label=label,
             settings=settings,
-            scenario=scenario,
+            scenario=_parse_scenario(doc["scenario"], label, path),
             **{f"write_{key}": value for key, value in doc.get("output", {}).items()},
         )
 
@@ -649,7 +649,7 @@ def timeseries_rows(scenario: Scenario, result: ScenarioResult) -> Iterator[str]
     # sharing a node and phase add up in battery order
     stor_nodes = sorted(set(storage_row.values()))
     at = [stor_nodes.index(storage_row[b]) for b in traj.battery_ids]
-    steps = np.arange(len(traj.step_row))
+    steps = np.arange(len(result.step_row))
     storage = np.zeros((len(steps), len(stor_nodes), 7))
     for i, (p, q, ph) in enumerate(zip(traj.p_kw.T, traj.q_kvar.T, traj.phase.T)):
         storage[steps, at[i], ph] += p
@@ -690,7 +690,7 @@ def timeseries_rows(scenario: Scenario, result: ScenarioResult) -> Iterator[str]
     per_group = max(1, g17.BLOCK // (n * 11))
     per_chunk = max(1, g17.BLOCK // (7 * len(stor_nodes) + 1))
     texts: dict[int, list[str]] = {}
-    step_rows = traj.step_row.tolist()
+    step_rows = result.step_row.tolist()
     for k0 in range(0, len(steps), per_chunk):
         chunk = steps[k0 : k0 + per_chunk]
         rows = [r for r in dict.fromkeys(step_rows[k0 : k0 + per_chunk]) if r not in texts]

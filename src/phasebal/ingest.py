@@ -37,6 +37,8 @@ ACCEPTED_HEADERS = tuple(
 #: other digits), and a byte that is not UTF-8 as ``surrogateescape`` reads it.
 _DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
+#: The date forms ``fromisoformat`` reads, then any time after "T" or a space.
+_ISO_SEPARATOR = re.compile(r"\d{4}(-\d\d-\d\d|\d{4}|-W\d\d(-\d)?|W\d{2,3})([T ].*)?", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -57,11 +59,13 @@ class ImbalanceReport:
     hourly: list[dict[str, float]]
 
 
-def _parse_timestamp(raw: str, row: int) -> tuple[float, float]:
-    """Return (sort key, hour of day). Accepts finite plain hours or ISO 8601."""
+def _parse_timestamp(raw: str, row: int) -> tuple[str, float, float]:
+    """Return (kind, sort key, hour of day). Accepts finite plain hours or
+    ISO 8601 with "T" or a space between date and time; the kind is
+    ``plain hours`` or ``ISO 8601``."""
     if "\r" in raw:  # the reports echo it, and csv.writer leaves a lone "\r" unquoted
         raise SchemaMismatch(f"row {row}: timestamp {raw!r} holds a carriage return")
-    if _NOT_UTF8.search(raw):  # fromisoformat takes any character between date and time
+    if _NOT_UTF8.search(raw):  # before fromisoformat, which takes it between date and time
         raise SchemaMismatch(f"row {row}: timestamp {raw!r} is not UTF-8")
     try:
         hours = float(raw)
@@ -72,21 +76,27 @@ def _parse_timestamp(raw: str, row: int) -> tuple[float, float]:
             raise SchemaMismatch(f"row {row}: timestamp {raw!r} is not finite")
         if not _DECIMAL.fullmatch(raw):
             raise SchemaMismatch(f"row {row}: timestamp {raw!r} is not a plain decimal")
-        return hours, hours % 24.0
+        return "plain hours", hours, hours % 24.0
     try:
         stamp = datetime.fromisoformat(raw)
     except ValueError:
         raise SchemaMismatch(f"row {row}: cannot parse timestamp {raw!r}") from None
+    if not _ISO_SEPARATOR.fullmatch(raw):
+        raise SchemaMismatch(
+            f"row {row}: timestamp {raw!r} does not separate date and time by 'T' or a space"
+        )
     if stamp.tzinfo is None:  # naive stamps order as UTC, whatever the local zone
         stamp = stamp.replace(tzinfo=timezone.utc)
-    return stamp.timestamp(), stamp.hour + stamp.minute / 60.0 + stamp.second / 3600.0
+    hour = stamp.hour + stamp.minute / 60.0 + stamp.second / 3600.0
+    return "ISO 8601", stamp.timestamp(), hour
 
 
 def read_measured_series(path: str) -> MeasuredSeries:
     """Parse and validate a measured-series CSV.
 
-    Raises SchemaMismatch for an unexpected header or a cell that is not
-    UTF-8, malformed, non-finite or no plain decimal, and
+    Raises SchemaMismatch for an unexpected header, a cell that is not
+    UTF-8, malformed, non-finite or no plain decimal, or a timestamp of
+    another kind (plain hours or ISO 8601) than row 1's, and
     NonMonotonicTimestamps when timestamps do not strictly increase.
     """
     # a BOM is no column, and a byte that is not UTF-8 reaches the cell checks
@@ -109,11 +119,16 @@ def read_measured_series(path: str) -> MeasuredSeries:
         p_rows: list[tuple[float, float, float]] = []
         q_rows: list[tuple[float, float, float]] = []
         n_rows: list[float] = []
-        prev_key = -math.inf
+        prev_key, first_kind = -math.inf, None
         for i, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise SchemaMismatch(f"row {i}: expected {len(header)} cells, got {len(row)}")
-            key, hour = _parse_timestamp(row[0], i)
+            kind, key, hour = _parse_timestamp(row[0], i)
+            first_kind = first_kind or kind
+            if kind != first_kind:  # hours and epoch seconds do not order
+                raise SchemaMismatch(
+                    f"row {i}: timestamp {row[0]!r} is {kind}, but row 1's is {first_kind}"
+                )
             if key <= prev_key:
                 raise NonMonotonicTimestamps(i)
             prev_key = key

@@ -12,7 +12,7 @@ greedy search or zero-sum shift, clip and SoC update, once for each
 distinct (SoC, input row) state the steps meet. Steps with
 byte-equal injections share one operating point, so the power flow and
 the metrics run once per distinct row, and each step reads its row
-through ``Trajectory.step_row``: the lossless case of vector-quantised
+through ``ScenarioResult.step_row``: the lossless case of vector-quantised
 QSTS (Deboever, Grijalva, Reno & Broderick, Solar Energy 159, 2018).
 Dispatch quantises before the injections exist: each step is keyed on the
 bytes of its profile values and, with a dispatched fleet, of its applied
@@ -25,7 +25,8 @@ device attached: a run is one cell without a device, and
 ``sweep_and_tabulate`` builds the loaded chain of a sweep once and gives
 each cell its DG or EV. The cells share the scenario's dispatch, step keys
 and entry layout, each device takes columns after the scenario's entries,
-and one power flow covers the distinct rows of every cell.
+and one power flow covers the distinct rows of every cell: the results of
+a batch share one ``Trajectory`` and differ in their ``step_row``.
 
 Two builder families cover the bundled studies:
 
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -207,17 +209,18 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Solved arrays of one run, one row per distinct operating point:
+    """Solved arrays of one batch, one row per distinct operating point:
     power flow ``(row, node | segment, conductor)`` and the metrics derived
     from it, ``(row, node[, phase])`` for VUF, signed deviation and RMS
-    voltage and ``(row, segment[, phase])`` for losses in kW. ``step_row``
-    maps each timestep to its row; steps with byte-equal injections share
-    one. Node and segment axes follow ``topology``, the feeder's index.
-    The cells of a sweep share it and one set of arrays, so rows of other
-    cells sit beside this run's.
+    voltage and ``(row, segment[, phase])`` for losses in kW. Each result
+    maps its timesteps to rows through its own ``step_row``; steps with
+    byte-equal injections share one. Node and segment axes follow
+    ``topology``, the feeder's index. Every cell of a batch (a run is one)
+    shares this one object, so rows of other cells sit beside a run's.
 
-    Dispatch is held per step. ``soc_kwh`` is ``(step, battery)`` after
-    each step's action, batteries in ``battery_ids`` order. ``p_kw``,
+    Dispatch is held per step, every cell alike; step k starts at
+    ``k * dt_h`` hours. ``soc_kwh`` is ``(step, battery)`` after each
+    step's action, batteries in ``battery_ids`` order. ``p_kw``,
     ``q_kvar``, ``phase`` (index into ``PHASES``) and ``clipped`` are
     ``(step, unit)``: the dispatched units are the batteries in the same
     order, or none when the scenario has no controller. ``clipped`` is
@@ -236,7 +239,7 @@ class Trajectory:
     v_rms: np.ndarray
     phase_loss: np.ndarray
     neutral_loss: np.ndarray
-    step_row: np.ndarray
+    dt_h: float
     battery_ids: tuple[str, ...]
     p_kw: np.ndarray
     q_kvar: np.ndarray
@@ -247,18 +250,17 @@ class Trajectory:
     dispatch_states: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class StepRecord:
-    """One timestep of a run, the one per-step view of its trajectory.
-
-    ``actions``, ``soc_kwh`` (by battery id) and ``solution`` are built
-    from the trajectory's arrays on every read; hold on to the returned
-    objects to read them repeatedly.
-    """
+    """One timestep of a run, read from its trajectory: ``actions``,
+    ``soc_kwh`` (by battery id) and ``solution`` are built from the arrays
+    on every read; hold on to the returned objects to read them
+    repeatedly."""
 
     t_h: float
-    trajectory: Trajectory = field(repr=False)
-    step: int = field(repr=False)
+    trajectory: Trajectory
+    step: int
+    row: int
 
     @property
     def actions(self) -> tuple[DispatchAction, ...]:
@@ -275,51 +277,24 @@ class StepRecord:
 
     @property
     def solution(self) -> VoltageSolution:
-        traj = self.trajectory
-        return traj.solved.solution(traj.topology.nodes, int(traj.step_row[self.step]))
-
-    def __repr__(self) -> str:
-        return f"StepRecord(t_h={self.t_h!r}, actions={self.actions!r}, soc_kwh={self.soc_kwh!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StepRecord):
-            return NotImplemented
-        return (self.t_h, self.actions, self.soc_kwh, self.solution) == (
-            other.t_h, other.actions, other.soc_kwh, other.solution
-        )
+        return self.trajectory.solved.solution(self.trajectory.topology.nodes, self.row)
 
 
 class _StepRecords(Sequence):
-    """The ``StepRecord`` of every step of a trajectory, each made when it
-    is read. Reads like the tuple of them: ``len``, indices (negative
-    too), slices (a tuple), iteration, ``==`` against such a tuple or
-    another view, and ``repr``."""
+    """The ``StepRecord`` of every step of a run, each made when it is
+    read: ``len``, indices (negative too) and iteration."""
 
-    __slots__ = ("_trajectory", "_dt_h")
+    __slots__ = ("_trajectory", "_step_row")
 
-    def __init__(self, trajectory: Trajectory, dt_h: float) -> None:
-        self._trajectory, self._dt_h = trajectory, dt_h
-
-    def _at(self, k: int) -> StepRecord:
-        return StepRecord(k * self._dt_h, self._trajectory, k)
+    def __init__(self, trajectory: Trajectory, step_row: np.ndarray) -> None:
+        self._trajectory, self._step_row = trajectory, step_row
 
     def __len__(self) -> int:
-        return len(self._trajectory.step_row)
+        return len(self._step_row)
 
-    def __getitem__(self, k):
-        steps = range(len(self))[k]  # bounds, negative indices and slices as a tuple's
-        return tuple(map(self._at, steps)) if isinstance(steps, range) else self._at(steps)
-
-    def __iter__(self):
-        return map(self._at, range(len(self)))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _StepRecords):
-            other = tuple(other)
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
+    def __getitem__(self, k: int) -> StepRecord:
+        k = range(len(self))[operator.index(k)]  # bounds and negative indices as a tuple's
+        return StepRecord(k * self._trajectory.dt_h, self._trajectory, k, int(self._step_row[k]))
 
 
 @dataclass(frozen=True)
@@ -330,9 +305,11 @@ class ScenarioResult:
     ``max_drop_pct`` / ``max_rise_pct`` are magnitudes (both >= 0) of the
     worst negative / positive line-to-neutral deviation. ``sum_drop_at``
     maps a node to the time-average of its three phase deviations summed.
-    ``trajectory`` holds the per-step arrays behind ``per_timestep``, a
-    read-only sequence that makes each step's ``StepRecord`` when it is
-    read and otherwise behaves as the tuple of them.
+    ``==`` and ``repr`` cover the label and these aggregates. ``trajectory``
+    holds the arrays of the batch the run was solved in, shared by every
+    cell of a sweep, and ``step_row`` the row of each timestep;
+    ``per_timestep`` makes each step's ``StepRecord`` from them when it is
+    read (``len``, indices and iteration).
     """
 
     label: str
@@ -343,8 +320,12 @@ class ScenarioResult:
     max_drop_pct: float
     max_rise_pct: float
     sum_drop_at: dict[str, float]
-    per_timestep: Sequence[StepRecord]
     trajectory: Trajectory = field(repr=False, compare=False)
+    step_row: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def per_timestep(self) -> Sequence[StepRecord]:
+        return _StepRecords(self.trajectory, self.step_row)
 
 
 def _complex_times_real(re: np.ndarray, im: np.ndarray, f) -> tuple[np.ndarray, np.ndarray]:
@@ -632,7 +613,8 @@ def _run_batch(
     3. Node metrics and segment losses once over the distinct rows; each
        cell gathers its steps back through its candidate rows, and the
        horizon aggregates fold over every step in step order, all cells
-       at once.
+       at once. The results share one ``Trajectory``, each with the
+       ``step_row`` of its cell.
 
     Returns a ScenarioResult or the error of each cell, as a step-by-step
     loop would raise it: the earliest failing step wins, a solver failure
@@ -683,10 +665,10 @@ def _run_batch(
     max_vuf = vuf_values.max(axis=1, initial=0.0).tolist()
     drop_min = drop_pct.min(axis=(1, 2))[step_row].min(axis=1).tolist()
     drop_max = drop_pct.max(axis=(1, 2))[step_row].max(axis=1).tolist()
+    trajectory = Trajectory(
+        topo, solved, vuf_pct, drop_pct, v_rms, phase_loss, neutral_loss, dt_h, **fields
+    )
     for i, c in enumerate(ok):
-        trajectory = Trajectory(
-            topo, solved, vuf_pct, drop_pct, v_rms, phase_loss, neutral_loss, step_row[i], **fields
-        )
         outcomes[c] = ScenarioResult(
             label=cells[c][0],
             mean_vuf_pct=mean_vuf[i],
@@ -696,8 +678,8 @@ def _run_batch(
             max_drop_pct=max(0.0, -drop_min[i]),
             max_rise_pct=max(0.0, drop_max[i]),
             sum_drop_at=dict(zip(topo.nodes, drop_sums[i])),
-            per_timestep=_StepRecords(trajectory, dt_h),
             trajectory=trajectory,
+            step_row=step_row[i],
         )
     return outcomes
 

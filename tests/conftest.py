@@ -1,9 +1,9 @@
 """Shared test helpers: random feeder generation, the snapshot solve, the
 scatter reference of the sweep kernel, solution residuals, the loop
 reference of the greedy balancing search, the per-step loop reference of
-the dispatch pass, the scalar reference of the timeseries CSV rows (and
-their lines, written cell by cell) and the per-cell reference of the
-sweep."""
+the dispatch pass, the byte comparison of two results' steps, the scalar
+reference of the timeseries CSV rows (and their lines, written cell by
+cell) and the per-cell reference of the sweep."""
 
 from __future__ import annotations
 
@@ -615,6 +615,22 @@ def reference_run(
 
     with mock.patch.object(scenarios, "_dispatch", dispatch):
         return run_scenario(scenario, settings)
+
+
+def assert_same_steps(got: ScenarioResult, want: ScenarioResult) -> None:
+    """Two results hold the same steps byte for byte: the voltages, branch
+    currents and pass counts of each step's row, and the dispatch (units,
+    phase, p, q) and SoC of each step at the same ``dt_h``. Result ``==``
+    and ``repr`` cover only the aggregates."""
+    ours, theirs = got.trajectory, want.trajectory
+    for name in ("voltages", "currents", "iterations"):
+        a = getattr(ours.solved, name)[got.step_row]
+        b = getattr(theirs.solved, name)[want.step_row]
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert (ours.dt_h, ours.battery_ids) == (theirs.dt_h, theirs.battery_ids)
+    for name in ("p_kw", "q_kvar", "phase", "soc_kwh"):
+        a, b = getattr(ours, name), getattr(theirs, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 def reference_timeseries_rows(scenario: Scenario, result: ScenarioResult):

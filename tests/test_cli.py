@@ -14,6 +14,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -344,6 +345,22 @@ class TestParseConfig:
         assert cfg.scenario.feeder.nodes == ("N0", "N1")
         assert cfg.scenario.n_steps == 2
         assert cfg.scenario.label == "tiny"
+
+    def test_custom_scenario_is_validated_once(self):
+        """A custom scenario is built under the config's label, so its
+        checks run once; a builder's scenario is re-labelled."""
+        checked = []
+        check = Scenario.__post_init__
+
+        def counted(scenario):
+            checked.append(scenario.label)
+            check(scenario)
+
+        with mock.patch.object(Scenario, "__post_init__", counted):
+            assert parse_config(CUSTOM_DOC).scenario.label == "tiny"
+            assert checked == ["tiny"]
+            assert parse_config(preset_config("a2-n5")).scenario.label == "a2-n5"
+        assert checked[-1] == "a2-n5"
 
     def test_every_run_preset_parses_to_builder_equivalent(self):
         built = {
@@ -1323,6 +1340,53 @@ class TestIngestCommand:
         src.write_bytes(b"timestamp,p_a_kw,p_b_kw,p_c_kw\n" + data)
         assert main(["ingest", str(src), "--out", str(tmp_path / "out")]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            (
+                ["2020-01-01x00:00:00,1,1,1"],
+                "row 1: timestamp '2020-01-01x00:00:00' does not separate date and time",
+            ),
+            # a NEL, which str.splitlines breaks a line at
+            (
+                ["2020-01-01T00:00:00,1,1,1", "2020-01-01\u008501:00:00,1,1,1"],
+                "row 2: timestamp '2020-01-01\\x8501:00:00' does not separate date and time",
+            ),
+            (["20200101512:00,1,1,1"], "row 1: timestamp '20200101512:00' does not separate"),
+            (
+                ["5,1,1,1", "2024-03-01T00:00:00,1,1,1"],
+                "row 2: timestamp '2024-03-01T00:00:00' is ISO 8601, but row 1's is plain hours",
+            ),
+            (
+                ["2024-03-01T00:00:00,1,1,1", "2024-03-01 01:00,1,1,1", "5,1,1,1"],
+                "row 3: timestamp '5' is plain hours, but row 1's is ISO 8601",
+            ),
+        ],
+    )
+    def test_stamps_apart_by_another_character_or_of_two_kinds_exit_2(
+        self, tmp_path, capsys, rows, named
+    ):
+        """``datetime.fromisoformat`` reads any one character between date
+        and time, and plain hours do not order against ISO 8601 stamps."""
+        src = tmp_path / "meas.csv"
+        lines = ["timestamp,p_a_kw,p_b_kw,p_c_kw", *rows]
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", str(src), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_iso_stamps_apart_by_t_or_a_space_run(self, tmp_path):
+        src = tmp_path / "meas.csv"
+        src.write_text(
+            "timestamp,p_a_kw,p_b_kw,p_c_kw\n2024-03-01,1,1,1\n2024-03-01T01:00,2,1,1\n"
+            "2024-03-01 02:00:00+00:00,3,1,1\n20240301T0300,4,1,1\n",
+            encoding="utf-8",
+        )
+        assert main(["ingest", str(src), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "meas-hourly.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["0", "1", "2", "3"]
 
     def test_a_byte_that_is_not_utf8_in_the_header_exits_2_naming_it(self, tmp_path, capsys):
         src = tmp_path / "meas.csv"

@@ -211,13 +211,13 @@ PLAIN_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 ODD_STAMPS = st.sampled_from(["", "x", "inf", "-inf", "nan", "1e400", "2020-02-30T00:00:00"])
 
 
-def stamp(minutes: int, style: str) -> str:
+def stamp(minutes: int, style: str, sep: str = "T") -> str:
     """A timestamp ``minutes`` after 2020-01-01T00:00 in plain hours, naive
-    ISO 8601 or ISO 8601 with a UTC offset."""
+    ISO 8601 or ISO 8601 with a UTC offset, ``sep`` between date and time."""
     if style == "hours":
         return repr(minutes / 60)
     when = datetime(2020, 1, 1) + timedelta(minutes=minutes)
-    return when.isoformat() + ("" if style == "naive" else style)
+    return when.isoformat(sep) + ("" if style == "naive" else style)
 
 
 def quoted(cell: str) -> str:
@@ -228,17 +228,25 @@ def quoted(cell: str) -> str:
 def measured_series(draw):
     """The bytes of a measured-series CSV under one of the accepted headers:
     rows of edge numbers, timestamps that mostly increase but now and then
-    repeat, go back or are no times at all, and text hazards: a byte order
+    repeat, go back, switch between plain hours and ISO 8601, put another
+    character than "T" or a space between date and time or are no times at
+    all, and text hazards: a byte order
     mark, cells quoted or holding a hazard (bytes that are not UTF-8
     among them), rows with a cell too few or too many, empty lines, CRLF
     line ends."""
     header = draw(st.sampled_from(ACCEPTED_HEADERS))
-    style = draw(st.sampled_from(["hours", "naive", "+00:00", "+05:30", "-08:00"]))
+    styles = st.sampled_from(["hours", "naive", "+00:00", "+05:30", "-08:00"])
+    style, sep = draw(styles), draw(st.sampled_from(["T", " "]))
     minutes = draw(st.integers(-(10**6), 10**6))
     lines = [",".join(header)]
     for _ in range(draw(st.integers(0, 6))):
         minutes += draw(st.sampled_from([15, 60, 90, 1440, 0, -60]))
-        cells = [draw(ODD_STAMPS) if draw(st.integers(0, 9)) == 0 else stamp(minutes, style)]
+        if draw(st.integers(0, 9)) == 0:
+            style = draw(styles)
+        if draw(st.integers(0, 9)) == 0:
+            sep = draw(st.sampled_from(["T", " ", "x", "t", "0", "\x85", "\u2028"]))
+        odd = draw(st.integers(0, 9)) == 0
+        cells = [draw(ODD_STAMPS) if odd else stamp(minutes, style, sep)]
         cells += [draw(INGEST_NUMBERS) for _ in header[1:]]
         for _ in range(draw(st.integers(0, 2))):
             i = draw(st.integers(0, len(cells) - 1))
@@ -279,17 +287,25 @@ def assert_reports_read_back(out: Path, stem: str) -> None:
                     assert cell == "" or math.isfinite(float(cell)), (report, name, row)
 
 
-def assert_plain_decimals(data: bytes) -> None:
-    """The series is UTF-8, and every power cell and every timestamp that
-    ``float()`` reads (one in plain hours, not ISO 8601) is a plain decimal
-    number."""
+def assert_plain_cells(data: bytes) -> None:
+    """The series is UTF-8; its timestamps are all in plain hours (those
+    ``float()`` reads, each a plain decimal number) or all ISO 8601 with a
+    "T" or a space between date and time; and every power cell is a plain
+    decimal number."""
     header, *rows = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
+    kinds = set()
     for stamp, *cells in rows:
-        with contextlib.suppress(ValueError):
+        try:
             float(stamp)
+        except ValueError:  # the strategy writes ISO dates as YYYY-MM-DD
+            kinds.add("ISO 8601")
+            assert len(stamp) == 10 or stamp[10] in "T ", ("timestamp", stamp)
+        else:
+            kinds.add("plain hours")
             assert PLAIN_DECIMAL.fullmatch(stamp), ("timestamp", stamp)
         for name, cell in zip(header[1:], cells):
             assert PLAIN_DECIMAL.fullmatch(cell), (name, cell)
+    assert len(kinds) <= 1, kinds
 
 
 @settings(max_examples=300, deadline=None)
@@ -304,11 +320,17 @@ def assert_plain_decimals(data: bytes) -> None:
 # a byte that is not UTF-8, and a multi-byte sequence cut short at the end
 @example(b"timestamp,p_a_kw,p_b_kw,p_c_kw\n0,1,2,3\n1,1,\xff,3\n")
 @example(b"timestamp,p_a_kw,p_b_kw,p_c_kw\n0,1,2,3\xe2\x82")
+# fromisoformat reads any character between date and time: a letter, and a
+# NEL (U+0085), which str.splitlines breaks a line at
+@example(b"timestamp,p_a_kw,p_b_kw,p_c_kw\n2020-01-01x00:00:00,1,2,3\n")
+@example(b"timestamp,p_a_kw,p_b_kw,p_c_kw\n2020-01-01\xc2\x8501:00:00,1,2,3\n")
+# plain hours, then ISO 8601: hours and epoch seconds do not order
+@example(b"timestamp,p_a_kw,p_b_kw,p_c_kw\n5,1,2,3\n2024-03-01T00:00:00,1,2,3\n")
 def test_ingest_exits_cleanly(data):
     """Exit 0 writes both reports, which read back finite, from a series of
-    plain decimal numbers; exit 2 names the row at fault (the hour, for an
-    hourly mean that overflows), and the column wherever a cell is at
-    fault."""
+    plain decimal numbers and timestamps of one kind; exit 2 names the row
+    at fault (the hour, for an hourly mean that overflows), and the column
+    wherever a cell is at fault."""
     with tempfile.TemporaryDirectory() as tmp:
         series, out = Path(tmp) / "series.csv", Path(tmp) / "out"
         series.write_bytes(data)
@@ -324,4 +346,4 @@ def test_ingest_exits_cleanly(data):
                 assert any(re.search(rf"\b{name}\b", message) for name in HEADER), message
         else:
             assert_reports_read_back(out, "series")
-            assert_plain_decimals(data)
+            assert_plain_cells(data)

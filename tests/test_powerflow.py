@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import (
     TREE_SHAPES,
     _reference_device_currents,
+    assert_same_steps,
     kcl_residual,
     kvl_residual,
     max_voltage_gap,
@@ -468,6 +469,7 @@ class TestSolverSettings:
         got = run_scenario(scenario, SolverSettings(max_iter=5.0))
         want = run_scenario(scenario, SolverSettings(max_iter=5))
         assert repr(got) == repr(want) and got == want
+        assert_same_steps(got, want)
         assert [r.solution.iterations for r in got.per_timestep] == [5] * scenario.n_steps
         errors = []
         for max_iter in (4.0, 4):

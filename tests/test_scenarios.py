@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_same_steps,
     kcl_residual,
     kvl_residual,
     labelled,
@@ -61,7 +62,6 @@ from phasebal.scenarios import (
     NETWORK_CLASS_SEGMENT_KM,
     Scenario,
     ScenarioResult,
-    StepRecord,
     SweepTemplate,
     _dispatch,
     build_stylized_scenario,
@@ -69,7 +69,7 @@ from phasebal.scenarios import (
     run_scenario,
     sweep_and_tabulate,
 )
-from phasebal.storage import Architecture, ArchKind, Battery
+from phasebal.storage import Architecture, ArchKind, Battery, DispatchAction
 
 FULL_GRID = [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 120]
 
@@ -284,7 +284,7 @@ class TestRunScenario:
         """No device means no injection entries: every step is the one
         operating point of an unloaded feeder, without losses."""
         result = run_scenario(Scenario(feeder=chain_feeder(3, 0.1), horizon_h=3.0))
-        assert result.trajectory.step_row.tolist() == [0, 0, 0]
+        assert result.step_row.tolist() == [0, 0, 0]
         assert len(result.trajectory.solved.voltages) == 1
         assert result.phase_loss_kwh == result.neutral_loss_kwh == 0.0
 
@@ -305,6 +305,7 @@ class TestRunScenario:
         a = run_scenario(build_stylized_scenario(Architecture(ArchKind.A2), "N5", 3.0))
         b = run_scenario(build_stylized_scenario(Architecture(ArchKind.A2), "N5", 3.0))
         assert a == b
+        assert_same_steps(a, b)
 
     def test_phase_rotation_symmetry(self):
         base = run_scenario(
@@ -434,21 +435,17 @@ class TestSweepTabulate:
         self, network_class, load_kw, device_phase, balanced, penetrations, nodes, kinds
     ):
         """One batch over all cells gives every cell's own run: rows equal
-        by repr (bit-equal floats), per-step solutions and iteration counts
-        equal, and failing cells carry the same error."""
+        by repr (bit-equal aggregates), every step's solution, pass count,
+        dispatch and SoC equal in bytes, and failing cells carry the same
+        error."""
         template = SweepTemplate(load_kw, network_class, device_phase, balanced)
         got = sweep_and_tabulate(template, penetrations, nodes, kinds)
         want = reference_sweep(template, penetrations, nodes, kinds)
         assert repr(got) == repr(want)
         for row, ref in zip(got, want):
             assert row.error == ref.error
-            if ref.result is None:
-                continue
-            for rec, ref_rec in zip(row.result.per_timestep, ref.result.per_timestep, strict=True):
-                sol, ref_sol = rec.solution, ref_rec.solution
-                assert sol.iterations == ref_sol.iterations
-                assert sol.voltages.tobytes() == ref_sol.voltages.tobytes()
-                assert sol.currents.tobytes() == ref_sol.currents.tobytes()
+            if ref.result is not None:
+                assert_same_steps(row.result, ref.result)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -464,13 +461,13 @@ class TestSweepTabulate:
         self, network_class, load_kw, device_phase, balanced, penetrations, nodes, kinds
     ):
         """Each cell that runs carries the label of the scenario
-        ``build_sweep_scenario`` builds for it, and every cell reads one
-        shared ``trajectory.topology`` whose nodes are that scenario's."""
+        ``build_sweep_scenario`` builds for it, and every cell shares one
+        ``trajectory`` whose topology's nodes are that scenario's."""
         template = SweepTemplate(load_kw, network_class, device_phase, balanced)
         rows = sweep_and_tabulate(template, penetrations, nodes, kinds)
         assert len(rows) == len(penetrations) * len(nodes) * len(kinds)
-        topologies = {id(row.result.trajectory.topology) for row in rows if row.result is not None}
-        assert len(topologies) <= 1
+        ran = [row.result for row in rows if row.result is not None]
+        assert all(result.trajectory is ran[0].trajectory for result in ran)
         for row in rows:
             want = build_sweep_scenario(
                 load_kw, row.node, row.kind, row.penetration_pct, network_class,
@@ -522,16 +519,14 @@ class TestSweepTabulate:
         got = sweep_and_tabulate(template, [0, 60], nodes, kinds)
         want = reference_sweep(template, [0, 60], nodes, kinds)
         assert repr(got) == repr(want)
-        zero = {
-            int(r) for row in got if row.penetration_pct == 0 for r in row.result.trajectory.step_row
-        }
+        zero = {int(r) for row in got if row.penetration_pct == 0 for r in row.result.step_row}
         assert len(zero) == 1
         # one row for the six 0 % cells, one for each of the six 60 % cells
-        assert len(got[0].result.trajectory.solved.voltages) == 1 + len(nodes) * len(kinds)
+        traj = got[0].result.trajectory
+        assert len(traj.solved.voltages) == 1 + len(nodes) * len(kinds)
         for row, ref in zip(got, want):
-            traj, ref_traj = row.result.trajectory, ref.result.trajectory
-            ours = traj.solved.voltages[traj.step_row]
-            assert ours.tobytes() == ref_traj.solved.voltages[ref_traj.step_row].tobytes()
+            assert row.result.trajectory is traj
+            assert_same_steps(row.result, ref.result)
 
     def test_unknown_node_of_the_first_cell_wins_over_invalid_loads(self):
         template = SweepTemplate(-5.0, "compact")
@@ -546,48 +541,58 @@ class TestSweepTabulate:
 
 class TestStepRecordView:
     """``ScenarioResult.per_timestep`` makes each ``StepRecord`` when it is
-    read and reads like the tuple of them."""
+    read, from the shared trajectory and the result's ``step_row``."""
 
     @pytest.fixture(scope="class")
     def result(self):
         arch = Architecture(ArchKind.A3)
         return run_scenario(build_stylized_scenario(arch, "N5", 3.0, dt_h=0.5, horizon_h=6.0))
 
-    def test_reads_like_the_tuple_of_records(self, result):
+    def test_reads_each_step_from_the_arrays(self, result):
         view, traj = result.per_timestep, result.trajectory
-        want = tuple(StepRecord(k * 0.5, traj, k) for k in range(12))
-        assert len(view) == len(want) == 12
+        assert len(view) == 12
         for k in (0, 5, 11, -1, -12):
-            assert view[k] == want[k]
-            assert (view[k].t_h, view[k].step) == (want[k].t_h, want[k].step)
+            rec, step = view[k], k % 12
+            assert (rec.t_h, rec.step, rec.row) == (step * 0.5, step, result.step_row[step])
+            assert rec.actions == tuple(
+                DispatchAction(bid, PHASES[ph], p, q)
+                for bid, ph, p, q in zip(
+                    traj.battery_ids, traj.phase[step], traj.p_kw[step], traj.q_kvar[step]
+                )
+            )
+            assert rec.soc_kwh == dict(zip(traj.battery_ids, traj.soc_kwh[step].tolist()))
+            sol, row = rec.solution, result.step_row[step]
+            assert sol.nodes == traj.topology.nodes
+            assert sol.voltages.tobytes() == traj.solved.voltages[row].tobytes()
+            assert sol.currents.tobytes() == traj.solved.currents[row].tobytes()
+            assert sol.iterations == traj.solved.iterations[row]
         assert view[-1].step == 11 and view[-1].t_h == 5.5
-        for cut in (slice(2, 5), slice(None, None, -3), slice(-3, None), slice(20, None)):
-            assert type(view[cut]) is tuple
-            assert view[cut] == want[cut]
-        assert list(view) == list(want)
-        assert [r.t_h for r in view] == [r.t_h for r in want]
-        assert view == want and want == view and not view != want
-        assert view != want[:-1] and view != list(want)
-        assert repr(view) == repr(want)
-        assert repr(view[3]) == repr(want[3])
+        assert [r.step for r in view] == list(range(12))
+        assert [r.t_h for r in view] == [k * 0.5 for k in range(12)]
         for k in (12, -13):
             with pytest.raises(IndexError):
                 view[k]
-        with pytest.raises(TypeError):
-            view[1.0]
-        with pytest.raises(TypeError):
-            hash(view)
+        for k in (1.0, slice(2, 5)):
+            with pytest.raises(TypeError):
+                view[k]
 
-    def test_results_compare_their_steps(self, result):
+    def test_results_compare_and_show_their_aggregates(self, result):
+        """``==`` and ``repr`` cover the label and the aggregates, not the
+        steps; the repr of a two-week run at 15-minute steps stays short."""
         again = run_scenario(build_stylized_scenario(
             Architecture(ArchKind.A3), "N5", 3.0, dt_h=0.5, horizon_h=6.0
         ))
-        assert again == result and again.per_timestep == result.per_timestep
-        steps = tuple(result.per_timestep)
-        assert replace(result, per_timestep=steps) == result
-        assert replace(result, per_timestep=steps[:-1]) != result
-        moved = replace(steps[4], t_h=steps[4].t_h + 0.5)
-        assert replace(result, per_timestep=steps[:4] + (moved,) + steps[5:]) != result
+        assert again == result and repr(again) == repr(result)
+        assert_same_steps(again, result)
+        assert replace(result, step_row=result.step_row[::-1]) == result
+        assert replace(result, max_vuf_pct=result.max_vuf_pct + 1.0) != result
+        assert "step_row" not in repr(result) and "trajectory" not in repr(result)
+        long = run_scenario(build_stylized_scenario(
+            Architecture(ArchKind.A2, allow_load_shift=False), "N5", 3.0,
+            horizon_h=336.0, dt_h=0.25,
+        ))
+        assert len(long.per_timestep) == 1344
+        assert len(repr(long)) < 1000
 
 
 def step_injections(scenario, rec, k):
@@ -672,11 +677,9 @@ class TestBatchedRun:
             feeder = base.feeder if device is None else attach_device(base.feeder, device)
             want = run_scenario(replace(base, feeder=feeder, label=label))
             assert repr(result) == repr(want)
-            traj, ref = result.trajectory, want.trajectory
-            assert traj.topology is got[0].trajectory.topology
-            assert traj.topology.nodes == feeder.nodes
-            ours, theirs = traj.solved.voltages[traj.step_row], ref.solved.voltages[ref.step_row]
-            assert ours.tobytes() == theirs.tobytes()
+            assert result.trajectory is got[0].trajectory
+            assert result.trajectory.topology.nodes == feeder.nodes
+            assert_same_steps(result, want)
 
     def test_a_device_cell_is_refused_under_a_greedy_fleet(self):
         """The greedy search reads the devices' net power, so a cell's
@@ -707,7 +710,8 @@ class TestBatchedRun:
         single-phase PV and EV on two others, and a fixed-schedule A2 fleet
         whose three storage devices sit midway through the device list. The
         run equals the per-step loop (``conftest.reference_run``) in the
-        bytes of its distinct voltages and step rows, and in its repr."""
+        bytes of its distinct voltages, step rows and steps, and in its
+        repr."""
         rng = random.Random(18)
         feeder = random_tree(rng, 1000).feeder
         profile_of = {DeviceKind.LOAD: "base", DeviceKind.DG: "pv", DeviceKind.EV: "ev"}
@@ -733,8 +737,9 @@ class TestBatchedRun:
         traj, ref = got.trajectory, want.trajectory
         assert len(traj.solved.voltages) > 10
         assert traj.solved.voltages.tobytes() == ref.solved.voltages.tobytes()
-        assert traj.step_row.tobytes() == ref.step_row.tobytes()
+        assert got.step_row.tobytes() == want.step_row.tobytes()
         assert repr(got) == repr(want)
+        assert_same_steps(got, want)
 
     @settings(max_examples=15, deadline=None)
     @given(steps=st.integers(3, 12), data=st.data())
@@ -863,10 +868,11 @@ def assert_scan_equals_the_reference_loop(scenario: Scenario):
     assert got_layout.tobytes() == layout.tobytes()
     assert candidates[step_key].tobytes() == s_va.tobytes()
     assert repr(got_pending) == repr(pending)
-    got = outcome(scenario, run_scenario)
-    assert repr(got) == repr(outcome(scenario, reference_run))
+    got, want = outcome(scenario, run_scenario), outcome(scenario, reference_run)
+    assert repr(got) == repr(want)
     if pending is not None:
         return None
+    assert_same_steps(got, want)
     traj = got.trajectory
     assert traj.battery_ids == tuple(b.id for b in scenario.batteries)
     actions = [acts for _, acts, _ in steps]
@@ -950,9 +956,10 @@ class TestStepKeys:
         if not isinstance(got, ScenarioResult):
             return
         traj, ref = got.trajectory, want.trajectory
-        assert traj.step_row.tobytes() == ref.step_row.tobytes()
+        assert got.step_row.tobytes() == want.step_row.tobytes()
         assert traj.solved.voltages.tobytes() == ref.solved.voltages.tobytes()
         assert traj.solved.iterations.tobytes() == ref.solved.iterations.tobytes()
+        assert_same_steps(got, want)
         # the loop evaluates every step of a fleet; the scan each distinct state
         if fleet in (None, "none"):
             assert traj.dispatch_states == ref.dispatch_states == 0
@@ -979,7 +986,7 @@ class TestStepKeys:
 
         with mock.patch.object(scenarios, "_dispatch_storage", turning):
             result = run_scenario(scenario)
-        assert len(set(result.trajectory.step_row.tolist())) == 3
+        assert len(set(result.step_row.tolist())) == 3
         for k, rec in enumerate(result.per_timestep):
             snap = snapshot_solve(scenario.feeder, step_injections(scenario, rec, k))
             assert rec.solution.voltages.tobytes() == snap.voltages.tobytes()
@@ -1150,7 +1157,10 @@ class TestDispatchScan:
         _, candidates, step_key, _, got_pending = _dispatch(scenario, [None], index)
         assert candidates[step_key].tobytes() == s_va.tobytes()
         assert repr(got_pending) == repr(pending)
-        assert repr(outcome(scenario, run_scenario)) == repr(outcome(scenario, reference_run))
+        got, want = outcome(scenario, run_scenario), outcome(scenario, reference_run)
+        assert repr(got) == repr(want)
+        if isinstance(got, ScenarioResult):
+            assert_same_steps(got, want)
 
     @pytest.mark.parametrize("controller", ["fixed_schedule", "greedy"])
     def test_box_without_zero_sum_point_is_flagged_and_leaves_the_csv_alone(self, controller):
@@ -1174,6 +1184,7 @@ class TestDispatchScan:
         want = reference_run(scenario)
         assert list(timeseries_rows(scenario, result)) == list(timeseries_rows(scenario, want))
         assert repr(result) == repr(want) and result == want
+        assert_same_steps(result, want)
 
     @pytest.mark.parametrize("collapse_at", [None, 5, 18, 19, 21])
     def test_dispatch_error_at_its_step_and_the_earliest_failure_wins(self, collapse_at):
