@@ -15,10 +15,12 @@ Exit codes: 0 ok, 2 config error, 3 solver failure, 4 I/O error.
 All CSVs are UTF-8, comma-separated, LF-terminated, with floats printed at
 17 significant digits and text quoted only where ``csv.writer`` would quote
 it; reruns of the same config are byte-identical. Every CSV but the
-timeseries is written by ``_write_table`` as a projection of records, dicts
-keyed by column name (``result_values``, ``cell_values``, the ingest
-report's rows), onto the file's columns. The timeseries is formatted from
-the run's arrays by ``timeseries_rows``.
+timeseries and the sweep tables is written by ``_write_table`` as a
+projection of records, dicts keyed by column name (``result_values``, the
+ingest report's rows), onto the file's columns. The timeseries is
+formatted from the run's arrays by ``timeseries_rows``, and the five sweep
+tables from the columns of a ``SweepTable`` by ``_write_sweep_outputs``,
+the floats of each table through one ``g17.lines`` call.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
@@ -58,10 +60,11 @@ from .scenarios import (
     CONTROLLERS,
     NETWORK_CLASS_SEGMENT_KM,
     STORAGE_NODES,
+    SUMMARY_FIELDS,
     SWEEP_KINDS,
     Scenario,
     ScenarioResult,
-    SweepRow,
+    SweepTable,
     SweepTemplate,
     build_stylized_scenario,
     build_sweep_scenario,
@@ -287,15 +290,7 @@ TIMESERIES_COLUMNS = (
     "storage_soc_kwh",
 )
 
-SUMMARY_COLUMNS = (
-    "label",
-    "mean_vuf_pct",
-    "max_vuf_pct",
-    "neutral_loss_kwh",
-    "phase_loss_kwh",
-    "max_drop_pct",
-    "max_rise_pct",
-)
+SUMMARY_COLUMNS = ("label", *SUMMARY_FIELDS)
 
 #: The columns that place a sweep cell, first in every sweep file.
 _CELL = ("kind", "node", "penetration_pct")
@@ -490,7 +485,7 @@ def _parse_architecture(doc: dict) -> Architecture | None:
 
 
 def _parse_scenario(doc: dict, label: str, path: str) -> Scenario:
-    """The scenario of a run config, built or re-labelled under ``label``."""
+    """The scenario of a run config, built under ``label``."""
     kind = doc.get("type")
     if kind not in _SCENARIO_SCHEMAS:
         raise ConfigInvalid(
@@ -499,35 +494,35 @@ def _parse_scenario(doc: dict, label: str, path: str) -> Scenario:
     _validate(doc, _SCENARIO_SCHEMAS[kind], path, "scenario")
 
     if kind == "sweep_cell":
-        built = build_sweep_scenario(
+        return build_sweep_scenario(
             doc["total_phase_load_kw"],
             doc["device_node"],
             DeviceKind(doc["kind"]),
             doc["penetration_pct"],
             doc["network_class"],
+            label=label,
             **_present(doc, "device_phase", "balanced"),
         )
-    elif kind == "stylized":
-        built = build_stylized_scenario(
+    if kind == "stylized":
+        return build_stylized_scenario(
             _parse_architecture(doc),
+            label=label,
             **_present(doc, "storage_node", "battery_kw", "controller", "target_phase"),
         )
-    else:
-        return Scenario(
-            feeder=_parse_feeder(doc["feeder"]),
-            profiles={k: tuple(v) for k, v in doc.get("profiles", {}).items()},
-            architecture=_parse_architecture(doc),
-            batteries=tuple(Battery(**b) for b in doc.get("batteries", [])),
-            schedule=StylizedScheduleCfg(
-                **{
-                    key: Phase(value) if key == "target_phase" else tuple(value)
-                    for key, value in doc.get("schedule", {}).items()
-                }
-            ),
-            label=label,
-            **_present(doc, "horizon_h", "dt_h", "controller"),
-        )
-    return replace(built, label=label)
+    return Scenario(
+        feeder=_parse_feeder(doc["feeder"]),
+        profiles={k: tuple(v) for k, v in doc.get("profiles", {}).items()},
+        architecture=_parse_architecture(doc),
+        batteries=tuple(Battery(**b) for b in doc.get("batteries", [])),
+        schedule=StylizedScheduleCfg(
+            **{
+                key: Phase(value) if key == "target_phase" else tuple(value)
+                for key, value in doc.get("schedule", {}).items()
+            }
+        ),
+        label=label,
+        **_present(doc, "horizon_h", "dt_h", "controller"),
+    )
 
 
 def parse_config(doc: Any, path: str = "<config>") -> RunConfig:
@@ -599,6 +594,12 @@ def csv_lines(rows) -> Iterator[str]:
         yield writer.writerow([_fmt(cell) for cell in row])
 
 
+def _csv_fields(texts: Iterable[str]) -> list[str]:
+    """Each text as ``csv.writer`` writes it as one field of a row of several."""
+    # the field of a row (text, "") is the line less its ",\n"
+    return [line[:-2] for line in csv_lines((text, "") for text in texts)]
+
+
 @contextmanager
 def _replacing(path: Path) -> Iterator[TextIO]:
     """A text file written beside ``path`` and renamed over it when the
@@ -656,8 +657,7 @@ def timeseries_rows(scenario: Scenario, result: ScenarioResult) -> Iterator[str]
         storage[steps, at[i], 3 + ph] += q
     for i, soc in enumerate(traj.soc_kwh.T):
         storage[:, at[i], 6] += soc
-    # the name field of a row (name, "") is the line less its ",\n"
-    heads = ["\r" + line[:-2] for line in csv_lines((name, "") for name in topo.nodes)]
+    heads = ["\r" + name for name in _csv_fields(topo.nodes)]
     # the storage columns of a node without storage are one constant text
     tails = ["" if i in stor_nodes else ",0,0,0,0,0,0,0\n" for i in range(n)]
     # a distinct row's text, cut after each storage node
@@ -710,28 +710,6 @@ def result_values(result: ScenarioResult) -> dict[str, Any]:
     return {name: getattr(result, name) for name in SUMMARY_COLUMNS}
 
 
-def cell_values(row: SweepRow) -> dict[str, Any]:
-    """Every column a sweep file can show for one cell, keyed by column
-    name: the cell's place and ``error`` (empty for a cell that ran), and
-    for a cell that ran its summary values, the summed drops at N1 and N5
-    and the total loss."""
-    values = {
-        "kind": row.kind.value,
-        "node": row.node,
-        "penetration_pct": row.penetration_pct,
-        "error": row.error or "",
-    }
-    if row.result is not None:
-        r = row.result
-        values.update(
-            result_values(r),
-            sum_drop_n1_pct=r.sum_drop_at.get("N1"),
-            sum_drop_n5_pct=r.sum_drop_at.get("N5"),
-            total_loss_kwh=r.phase_loss_kwh + r.neutral_loss_kwh,
-        )
-    return values
-
-
 def _write_table(path: Path, columns: Sequence[str], records: Iterable[dict]) -> Path:
     """Write ``columns`` of each record (a dict keyed by column name) as one
     CSV row and return ``path``; a column a record lacks is an empty cell."""
@@ -751,21 +729,55 @@ def _write_run_outputs(cfg: RunConfig, result: ScenarioResult, out_dir: Path) ->
     return written
 
 
-def _write_sweep_outputs(cfg: RunConfig, rows: list[SweepRow], out_dir: Path) -> list[Path]:
+def _write_sweep_outputs(cfg: RunConfig, table: SweepTable, out_dir: Path) -> list[Path]:
     """The sweep table, the extracts of the cells that ran and the manifest
-    of the cells that failed, in that order."""
-    cells = [cell_values(row) for row in rows]
-    ran = [cell for cell, row in zip(cells, rows) if row.result is not None]
-    failed = [cell for cell, row in zip(cells, rows) if row.result is None]
+    of the cells that failed, in that order, from the table's columns as
+    ``csv_lines`` would write each row: text through ``csv.writer``'s
+    quoting, and the floats of each file through one ``g17.lines`` call. A
+    failing cell's row shows its place, empty values and its error."""
+    from . import g17  # off the start-up path: only a run's or a sweep's CSVs need it
+
+    failed = np.zeros(len(table), dtype=bool)
+    failed[list(table.errors)] = True
+    error = dict(zip(table.errors, _csv_fields(table.errors.values())))
+    kinds = _csv_fields(kind.value for kind in table.kinds)
+    places = [f"{kind},{node}" for kind in kinds for node in _csv_fields(table.nodes)]
+    place = [p for p in places for _ in table.penetrations]  # of each cell
+    index = table.trajectory.topology.index
+    # a failing cell's NaN values are cut from its row; 0.0 keeps g17 on its fast path
+    values = dict(zip(SUMMARY_FIELDS, np.where(failed[:, None], 0.0, table.summary).T))
+    values.update(
+        penetration_pct=np.tile(np.array(table.penetrations, dtype=float), len(places)),
+        sum_drop_n1_pct=np.where(failed, 0.0, table.sum_drop[:, index["N1"]]),
+        sum_drop_n5_pct=np.where(failed, 0.0, table.sum_drop[:, index["N5"]]),
+        total_loss_kwh=values["phase_loss_kwh"] + values["neutral_loss_kwh"],
+    )
+
+    def lines(columns: Sequence[str], cells: np.ndarray) -> list[str]:
+        """The rows of ``cells``: place, floats and, if the file has one, error."""
+        tail = columns[-1] == "error"
+        floats = columns[2 : len(columns) - tail]
+        text = g17.lines(np.column_stack([values[name][cells] for name in floats])).split("\n")
+        empty = "," * (len(floats) - 1)  # the fields after a failing cell's penetration
+        rows = []
+        for c, t in zip(cells.tolist(), text):
+            if empty and failed[c]:
+                t = t[: t.index(",", 1)] + empty
+            rows.append(place[c] + t + ("," + error.get(c, "") if tail else "") + "\n")
+        return rows
+
+    every, ran = np.arange(len(table)), np.flatnonzero(~failed)
     tables = [
-        ("sweep", SWEEP_COLUMNS, cells),
+        ("sweep", SWEEP_COLUMNS, every),
         *((name, columns, ran) for name, columns in SWEEP_EXTRACTS.items()),
-        ("failures", (*_CELL, "error"), failed),
+        ("failures", (*_CELL, "error"), np.flatnonzero(failed)),
     ]
-    return [
-        _write_table(out_dir / f"{cfg.label}-{name}.csv", columns, records)
-        for name, columns, records in tables
-    ]
+    written = []
+    for name, columns, cells in tables:
+        path = out_dir / f"{cfg.label}-{name}.csv"
+        write_csv_atomic(path, columns, lines(columns, cells))
+        written.append(path)
+    return written
 
 
 # --- commands ----------------------------------------------------------------
@@ -894,13 +906,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigInvalid(source, "sweep", "'sweep' needs a 'sweep' config (not 'scenario')")
     pens, nodes, kinds = cfg.sweep_grid
     with _config_errors(source, "sweep"):  # every cell is built before any runs
-        rows = sweep_and_tabulate(cfg.sweep_template, pens, nodes, kinds, cfg.settings)
+        table = sweep_and_tabulate(cfg.sweep_template, pens, nodes, kinds, cfg.settings)
     out_dir = Path(args.out)
     _emit_config(doc, cfg.label, out_dir)
-    written = _write_sweep_outputs(cfg, rows, out_dir)
+    written = _write_sweep_outputs(cfg, table, out_dir)
     for path in written:
         print(path)
-    failures = sum(1 for r in rows if r.error is not None)
+    failures = len(table.errors)
     if failures:
         print(f"{failures} cell(s) failed; see failures manifest", file=sys.stderr)
     return 0

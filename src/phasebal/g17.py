@@ -4,13 +4,14 @@
 is rounded to its 17 significant digits exactly, as a double-double
 product with 10**k (Dekker's split and two-product, the idea behind
 Ryu-printf, Adams, OOPSLA 2019), and laid out from byte templates. Values
-it cannot certify go through ``%`` itself. The timeseries CSV writes its
-floats through it (``cli.timeseries_rows``).
+it cannot certify go through ``%`` itself. The timeseries CSV and the
+sweep tables write their floats through it (``cli.timeseries_rows``,
+``cli._write_sweep_outputs``).
 
 This module is apart from ``cli`` because CPython compiles a module in
 one piece: a bigger ``cli`` raised the CLI's peak memory when no cached
 bytecode is at hand. ``cli`` imports it only when a run writes its
-timeseries, so sweeps and parsing do not pay for it.
+timeseries or a sweep its tables, so parsing does not pay for it.
 """
 
 from __future__ import annotations

@@ -21,12 +21,15 @@ of each key. The horizon aggregates still add every step in step order,
 and ``ScenarioResult.per_timestep`` makes each step's ``StepRecord`` only
 when it is read.
 A batch is one scenario and its cells, each the scenario with at most one
-device attached: a run is one cell without a device, and
-``sweep_and_tabulate`` builds the loaded chain of a sweep once and gives
-each cell its DG or EV. The cells share the scenario's dispatch, step keys
-and entry layout, each device takes columns after the scenario's entries,
-and one power flow covers the distinct rows of every cell: the results of
-a batch share one ``Trajectory`` and differ in their ``step_row``.
+device attached, given as columns (``_CellDevices``): a run is one cell
+without a device, and ``sweep_and_tabulate`` builds the loaded chain of a
+sweep once and gives each cell its DG or EV. The cells share the
+scenario's dispatch, step keys and entry layout, each device takes columns
+after the scenario's entries, and one power flow covers the distinct rows
+of every cell. A batch's outcome is arrays (``_Batch``): one
+``Trajectory``, and per cell its summary values, summed drops, ``step_row``
+and error. A cell's ``ScenarioResult`` is made from them when it is read,
+and a sweep's ``SweepTable`` makes each row so.
 
 Two builder families cover the bundled studies:
 
@@ -47,6 +50,7 @@ import operator
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,7 +68,6 @@ from .network import (
     DeviceKind,
     Feeder,
     Phase,
-    attach_device,
     chain_feeder,
 )
 from .powerflow import (
@@ -328,6 +331,57 @@ class ScenarioResult:
         return _StepRecords(self.trajectory, self.step_row)
 
 
+#: The aggregates of a run, in ``ScenarioResult`` field order.
+SUMMARY_FIELDS = (
+    "mean_vuf_pct",
+    "max_vuf_pct",
+    "neutral_loss_kwh",
+    "phase_loss_kwh",
+    "max_drop_pct",
+    "max_rise_pct",
+)
+
+
+class _CellDevices(NamedTuple):
+    """The device of each cell of a batch, as ``(cell,)`` columns: its node
+    row (-1 where the cell has no device), phase row (3: all three), complex
+    kVA rating per connected phase and profile id (None: 1.0 at every
+    step)."""
+
+    node: np.ndarray
+    phase: np.ndarray
+    rating: np.ndarray
+    profile: Sequence[str | None]
+
+
+#: A run: one cell without a device.
+_NO_DEVICE = _CellDevices(np.full(1, -1), np.full(1, 3), np.zeros(1, complex), (None,))
+
+
+class _Batch(NamedTuple):
+    """The outcome of every cell of a batch (``_run_batch``): the shared
+    ``trajectory``; ``summary`` ``(cell, 6)``, the ``SUMMARY_FIELDS`` values,
+    and ``sum_drop`` ``(cell, node)``, each node's time-average of its three
+    phase deviations summed, both NaN at a failing cell; ``step_row``
+    ``(cell, step)``, the row of each step; and ``errors``, the error of
+    each failing cell by cell, in cell order."""
+
+    trajectory: Trajectory
+    summary: np.ndarray
+    sum_drop: np.ndarray
+    step_row: np.ndarray
+    errors: dict[int, Exception]
+
+
+def _cell_result(cells: _Batch | SweepTable, c: int, label: str) -> ScenarioResult:
+    """The ScenarioResult of cell ``c`` of a batch or sweep under ``label``,
+    made from the columns."""
+    sum_drop_at = dict(zip(cells.trajectory.topology.nodes, cells.sum_drop[c].tolist()))
+    return ScenarioResult(
+        label, *cells.summary[c].tolist(), sum_drop_at, cells.trajectory, cells.step_row[c]
+    )
+
+
 def _complex_times_real(re: np.ndarray, im: np.ndarray, f) -> tuple[np.ndarray, np.ndarray]:
     """Python's complex * float, (re + j im) * f, component by component."""
     return re * f - im * 0.0, re * 0.0 + im * f
@@ -341,14 +395,14 @@ def _va(p_kw: np.ndarray, q_kvar: np.ndarray) -> np.ndarray:
 
 
 def _dispatch(
-    scenario: Scenario, devices: Sequence[Device | None], index: dict[str, int]
+    scenario: Scenario, cells: _CellDevices, index: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict, Exception | None]:
     """Pass 1 of a run, for the cells of one scenario: lay out the
     injection entries, dispatch storage over all steps
     (``_dispatch_storage``) and build the injections of the steps that can
-    differ. A cell is the scenario with one of ``devices`` attached, or
-    with none where it is None. Neither controller reads voltages, so this
-    fixes every step's injections up front. A device must not change the
+    differ. A cell is the scenario with its device of ``cells`` attached,
+    or with none where its node row is -1. Neither controller reads
+    voltages, so this fixes every step's injections up front. A device must not change the
     dispatch it rides on, so devices are refused under a greedy fleet,
     whose search reads the devices' net power.
 
@@ -373,19 +427,19 @@ def _dispatch(
     dispatch arrays keyed by ``Trajectory`` field, and the error that
     stopped dispatch early (None if every step ran).
     """
-    n_steps = scenario.n_steps
+    n_steps, n_cells = scenario.n_steps, len(cells.node)
     units = scenario.batteries if scenario.controller != "none" else ()
     greedy = bool(units) and scenario.controller == "greedy"
-    if greedy and any(d is not None for d in devices):
+    cell = np.flatnonzero(cells.node >= 0)
+    if greedy and len(cell):
         raise ValueError("a greedy fleet's dispatch would read the device attached to a cell")
 
-    # one pass over the scenario's devices, then the cells': the node row and
-    # phase (3: all three) of each, the rating and profile column of each
-    # device column (storage has none) and the device of each battery
-    cell = [c for c, d in enumerate(devices) if d is not None]
+    # one pass over the scenario's devices, then the cells' columns: the node
+    # row and phase (3: all three) of each, the rating and profile column of
+    # each device column (storage has none) and the device of each battery
     profile_col: dict[str | None, int] = {}
     node_row, phase, has_col, rated, dev_profile, battery_dev = [], [], [], [], [], {}
-    for d in (*scenario.feeder.devices, *(devices[c] for c in cell)):
+    for d in scenario.feeder.devices:
         node_row.append(index[d.node])
         if d.kind is DeviceKind.STORAGE:
             battery_dev[d.battery_id] = len(phase)
@@ -396,28 +450,33 @@ def _dispatch(
             has_col.append(True)
             rated.append(d.s_rated_kva)
             dev_profile.append(profile_col.setdefault(d.profile_id, len(profile_col)))
+    cell_profiles = [cells.profile[c] for c in cell.tolist()]
+    dev_profile += [profile_col.setdefault(pid, len(profile_col)) for pid in cell_profiles]
+    node_row = np.concatenate([np.array(node_row, dtype=np.intp), cells.node[cell]])
+    rated = np.concatenate([np.array(rated, dtype=complex), cells.rating[cell]])
     # the entries of each device, in device order; storage reads the zero column
-    phase, has_col = np.array(phase, dtype=np.intp), np.array(has_col, dtype=bool)
+    phase = np.concatenate([np.array(phase, dtype=np.intp), cells.phase[cell]])
+    has_col = np.concatenate([np.array(has_col, dtype=bool), np.ones(len(cell), dtype=bool)])
     width = np.where(phase == 3, 3, 1)
     start = np.cumsum(width) - width
     owner = np.repeat(np.arange(len(phase)), width)
     cond = np.where(width[owner] == 3, np.arange(len(owner)) - start[owner], phase[owner])
-    keys = np.array(node_row, dtype=np.intp)[owner] * 4 + cond
+    keys = node_row[owner] * 4 + cond
     zero = len(rated)
     col = np.where(has_col, np.cumsum(has_col) - 1, zero)[owner]
     # the cells' entries: one layout column per distinct key, in order of first appearance
-    base = int(start[len(phase) - len(cell)]) if cell else len(keys)
+    base = int(start[len(phase) - len(cell)]) if len(cell) else len(keys)
     extra: dict[int, int] = {}
     slot = [base + extra.setdefault(k, len(extra)) for k in keys[base:].tolist()]
-    cell_at = np.repeat(np.array(cell, dtype=np.intp), width[len(phase) - len(cell) :])
+    cell_at = np.repeat(cell, width[len(phase) - len(cell) :])
     layout = np.concatenate([keys[:base], np.array(list(extra), dtype=np.intp)])
-    src = np.full((len(devices), len(layout)), zero, dtype=np.intp)  # (cell, layout column)
+    src = np.full((n_cells, len(layout)), zero, dtype=np.intp)  # (cell, layout column)
     src[:, :base] = col[:base]
     src[cell_at, np.array(slot, dtype=np.intp)] = col[base:]
 
     profiles = [scenario.profiles[pid] if pid else (1.0,) * n_steps for pid in profile_col]
     scale = np.array(profiles, dtype=float).reshape(len(profiles), n_steps).T
-    dev_profile, rated = np.array(dev_profile, dtype=np.intp), np.array(rated, dtype=complex)
+    dev_profile = np.array(dev_profile, dtype=np.intp)
 
     if units:
         net = None
@@ -445,7 +504,7 @@ def _dispatch(
         cols = start[[battery_dev[b.id] for b in units]] + fields["phase"][first]
         rows = np.arange(len(first))[:, None]
         candidates[:, rows, cols] = _va(fields["p_kw"][first], fields["q_kvar"][first])
-    shape = (len(devices) * len(first), len(layout))  # a feeder may have no entries
+    shape = (n_cells * len(first), len(layout))  # a feeder may have no entries
     return layout, candidates.reshape(shape), step_key, fields, stopped
 
 
@@ -575,27 +634,26 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, rank[at]
 
 
-def _first_flagged(flags: np.ndarray, bounds: list[int]) -> list[int]:
+def _first_flagged(flags: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """For each part ``bounds[c]:bounds[c + 1]`` of ``flags``, the index
     of its first True, or ``bounds[c + 1]`` if it holds none."""
     at = np.append(np.flatnonzero(flags), bounds[-1])
-    return np.minimum(at[np.searchsorted(at, bounds[:-1])], bounds[1:]).tolist()
+    return np.minimum(at[np.searchsorted(at, bounds[:-1])], bounds[1:])
 
 
 def _fold_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """The builtin ``sum`` along ``axis``, bit for bit: a left fold from
-    0.0 (``np.sum`` adds pairwise and differs in the last bits)."""
-    x = np.moveaxis(x, axis, -1)
-    lanes = np.concatenate([np.zeros(x.shape[:-1] + (1,)), x], axis=-1)
-    return np.add.accumulate(lanes, axis=-1)[..., -1]
+    0.0 (``np.sum`` adds pairwise and differs in the last bits). The fold
+    runs along the first axis, so each step adds one slice of all lanes."""
+    x = np.moveaxis(x, axis, 0)
+    lanes = np.concatenate([np.zeros((1,) + x.shape[1:]), x])
+    return np.add.accumulate(lanes, axis=0)[-1]
 
 
-def _run_batch(
-    scenario: Scenario, cells: Sequence[tuple[str, Device | None]], settings: SolverSettings
-) -> list[ScenarioResult | Exception]:
+def _run_batch(scenario: Scenario, cells: _CellDevices, settings: SolverSettings) -> _Batch:
     """Run the cells of one scenario with one power flow for all of them.
-    A cell is the scenario under its own label, with its device attached
-    (none where it is None). A run is one cell without a device; a sweep
+    A cell is the scenario with its device of ``cells`` attached (none
+    where its node row is -1). A run is one cell without a device; a sweep
     is the loaded chain with one DG or EV per cell.
 
     1. Dispatch (``_dispatch``), which gives every cell its candidate rows,
@@ -613,75 +671,74 @@ def _run_batch(
     3. Node metrics and segment losses once over the distinct rows; each
        cell gathers its steps back through its candidate rows, and the
        horizon aggregates fold over every step in step order, all cells
-       at once. The results share one ``Trajectory``, each with the
-       ``step_row`` of its cell.
+       at once.
 
-    Returns a ScenarioResult or the error of each cell, as a step-by-step
-    loop would raise it: the earliest failing step wins, a solver failure
-    as a ScenarioStepError tagged with its time, anything else as raised.
+    Returns the arrays of every cell (``_Batch``), with the error of each
+    failing cell as a step-by-step loop would raise it: the earliest
+    failing step wins, a solver failure as a ScenarioStepError tagged with
+    its time, anything else as raised.
     """
     topo = Topology(scenario.feeder)
-    devices = [device for _, device in cells]
-    layout, candidates, step_key, fields, stopped = _dispatch(scenario, devices, topo.index)
+    layout, candidates, step_key, fields, stopped = _dispatch(scenario, cells, topo.index)
     at, rank = _distinct_rows(candidates)
     distinct = candidates if len(at) == len(candidates) else candidates[at]  # no copy if all differ
     node, cond = np.divmod(layout, 4)
     solved = sweep_batch(topo, node, cond, distinct, settings)
     vuf_pct, drop_pct, v_rms = node_metric_arrays(solved.voltages, topo.v_base)
     phase_loss, neutral_loss = segment_losses(solved.currents, topo.r_phase, topo.r_neutral)
+    n_cells, n_steps, dt_h = len(cells.node), scenario.n_steps, scenario.dt_h
+    trajectory = Trajectory(
+        topo, solved, vuf_pct, drop_pct, v_rms, phase_loss, neutral_loss, dt_h, **fields
+    )
+    bounds = np.arange(n_cells + 1) * (len(candidates) // n_cells)
+    step_row = rank[bounds[:-1, None] + step_key]  # (cell, step)
 
     # --- errors: the earliest step on a failing or undefined row ------------
     # a cell's candidates appear in step order, so its earliest failing step
     # is the first step of its first candidate on a failing row
-    bounds = (np.arange(len(cells) + 1) * (len(candidates) // len(cells))).tolist()
     failed = np.zeros(len(distinct), dtype=bool)
     failed[list(solved.failures)] = True
     fail_at = _first_flagged(failed[rank], bounds)
     undefined_at = _first_flagged(~np.isfinite(vuf_pct).all(axis=1)[rank], bounds)
-    outcomes: list[ScenarioResult | Exception | None] = []
-    for c in range(len(cells)):
-        if undefined_at[c] < fail_at[c]:
-            outcomes.append(ZeroPositiveSequence("positive-sequence magnitude is zero"))
-        elif fail_at[c] < bounds[c + 1]:
-            step = step_key.tolist().index(fail_at[c] - bounds[c])
-            error = solved.failures[rank[fail_at[c]]]
-            outcomes.append(ScenarioStepError(step * scenario.dt_h, error))
+    undefined = undefined_at < fail_at
+    errors: dict[int, Exception] = {}
+    first_key = step_key.tolist()
+    for c in np.flatnonzero(undefined | (fail_at < bounds[1:])).tolist():
+        if undefined[c]:
+            errors[c] = ZeroPositiveSequence("positive-sequence magnitude is zero")
         else:
-            outcomes.append(stopped)
-    ok = [c for c, outcome in enumerate(outcomes) if outcome is None]
-    if not ok:
-        return outcomes
+            step = first_key.index(fail_at[c] - bounds[c])
+            errors[c] = ScenarioStepError(step * dt_h, solved.failures[rank[fail_at[c]]])
+    if stopped is not None:
+        errors = {c: errors.get(c, stopped) for c in range(n_cells)}
+    summary = np.full((n_cells, len(SUMMARY_FIELDS)), np.nan)
+    sum_drop = np.full((n_cells, topo.n), np.nan)
+    batch = _Batch(trajectory, summary, sum_drop, step_row, errors)
+    ok = np.ones(n_cells, dtype=bool)
+    ok[list(errors)] = False
+    if not ok.any():
+        return batch
 
     # --- horizon aggregates, (cell, step) gathered from per-row values ------
     # each step adds losses segment by segment (phases A, B, C within one) and
     # deviations phase by phase, as the builtin sum does; then the steps add
-    n_steps, dt_h = scenario.n_steps, scenario.dt_h
-    step_row = rank[np.array(bounds)[ok][:, None] + step_key]
-    neutral_kwh = _fold_sum(_fold_sum(neutral_loss)[step_row] * dt_h).tolist()
-    phase_kwh = _fold_sum(_fold_sum(_fold_sum(phase_loss))[step_row] * dt_h).tolist()
-    drop_sums = (_fold_sum(_fold_sum(drop_pct)[step_row], axis=1) / n_steps).tolist()
-    vuf_values = vuf_pct[step_row][..., 1:].reshape(len(ok), -1)  # the source is node row 0
-    mean_vuf = (_fold_sum(vuf_values) / max(vuf_values.shape[1], 1)).tolist()  # 0.0 if none
-    max_vuf = vuf_values.max(axis=1, initial=0.0).tolist()
-    drop_min = drop_pct.min(axis=(1, 2))[step_row].min(axis=1).tolist()
-    drop_max = drop_pct.max(axis=(1, 2))[step_row].max(axis=1).tolist()
-    trajectory = Trajectory(
-        topo, solved, vuf_pct, drop_pct, v_rms, phase_loss, neutral_loss, dt_h, **fields
+    rows = step_row[ok]
+    vuf_values = vuf_pct[:, 1:][rows].reshape(len(rows), -1)  # the source is node row 0
+    drop_min = -drop_pct.min(axis=(1, 2))[rows].min(axis=1)
+    drop_max = drop_pct.max(axis=(1, 2))[rows].max(axis=1)
+    summary[ok] = np.stack(
+        [
+            _fold_sum(vuf_values) / max(vuf_values.shape[1], 1),  # 0.0 if no node but the source
+            vuf_values.max(axis=1, initial=0.0),
+            _fold_sum(_fold_sum(neutral_loss)[rows] * dt_h),
+            _fold_sum(_fold_sum(_fold_sum(phase_loss))[rows] * dt_h),
+            np.where(drop_min > 0.0, drop_min, 0.0),  # max(0.0, x), as the builtin
+            np.where(drop_max > 0.0, drop_max, 0.0),
+        ],
+        axis=1,
     )
-    for i, c in enumerate(ok):
-        outcomes[c] = ScenarioResult(
-            label=cells[c][0],
-            mean_vuf_pct=mean_vuf[i],
-            max_vuf_pct=max_vuf[i],
-            neutral_loss_kwh=neutral_kwh[i],
-            phase_loss_kwh=phase_kwh[i],
-            max_drop_pct=max(0.0, -drop_min[i]),
-            max_rise_pct=max(0.0, drop_max[i]),
-            sum_drop_at=dict(zip(topo.nodes, drop_sums[i])),
-            trajectory=trajectory,
-            step_row=step_row[i],
-        )
-    return outcomes
+    sum_drop[ok] = _fold_sum(_fold_sum(drop_pct)[rows], axis=1) / n_steps
+    return batch
 
 
 def run_scenario(scenario: Scenario, settings: SolverSettings = SolverSettings()) -> ScenarioResult:
@@ -704,10 +761,10 @@ def run_scenario(scenario: Scenario, settings: SolverSettings = SolverSettings()
     its time, anything else as raised. Deterministic: identical scenarios
     produce identical results.
     """
-    [outcome] = _run_batch(scenario, [(scenario.label, None)], settings)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    batch = _run_batch(scenario, _NO_DEVICE, settings)
+    if batch.errors:
+        raise batch.errors[0]
+    return _cell_result(batch, 0, scenario.label)
 
 
 def _flat_profiles(n_steps: int) -> dict[str, tuple[float, ...]]:
@@ -726,6 +783,47 @@ def _window_profile(n_steps: int, dt_h: float, window: tuple[float, float]) -> t
     return tuple(1.0 if window[0] <= (k * dt_h) % 24.0 < window[1] else 0.0 for k in range(n_steps))
 
 
+def _check_cell(template: SweepTemplate, kind: DeviceKind, node: str, pen: float) -> None:
+    """Raise what a sweep cell's arguments are refused for, in this order."""
+    if template.network_class not in NETWORK_CLASS_SEGMENT_KM:
+        raise ValueError(f"unknown network class {template.network_class!r}")
+    if kind not in SWEEP_KINDS:
+        raise ValueError(f"sweep device must be DG or EV, got {kind}")
+    if not 0 <= pen <= 200:
+        raise ValueError(f"penetration_pct must be in [0, 200], got {pen}")
+    if node not in _SWEEP_NODES:
+        raise UnknownNode(node, "sweep device placement (N1..N5)")
+
+
+def _cell_label(template: SweepTemplate, kind: DeviceKind, node: str, pen: float) -> str:
+    tag = "balanced" if template.balanced else f"phase-{template.device_phase.value}"
+    return f"{template.network_class}-{kind.value}-{node}-{pen:g}pct-{tag}"
+
+
+def _cell_device(template: SweepTemplate, kind: DeviceKind, node: str, pen: float) -> Device | None:
+    """The DG or EV of a checked (kind, node, penetration) sweep cell, none at 0 %."""
+    if not pen > 0:
+        return None
+    sign = -1.0 if kind is DeviceKind.DG else 1.0
+    phase = None if template.balanced else template.device_phase
+    rating = complex(sign * (pen / 100.0 * template.total_phase_load_kw), 0.0)
+    return Device(f"{kind.value}-{node}", node, kind, phase, rating, profile_id="flat")
+
+
+def _sweep_chain(
+    template: SweepTemplate, cell: tuple | None = None, label: str = "scenario"
+) -> Scenario:
+    """The loaded six-node chain of a template under ``label``, plus the
+    device of the checked ``cell`` if given (``_cell_device``), built after
+    the loads and so checked after them."""
+    devices = _flat_loads(template.total_phase_load_kw / len(_SWEEP_NODES))
+    device = None if cell is None else _cell_device(template, *cell)
+    if device is not None:
+        devices.append(device)
+    feeder = chain_feeder(6, NETWORK_CLASS_SEGMENT_KM[template.network_class], devices=devices)
+    return Scenario(feeder=feeder, profiles=_flat_profiles(24), label=label)
+
+
 def build_sweep_scenario(
     total_phase_load_kw: float,
     device_node: str,
@@ -735,6 +833,7 @@ def build_sweep_scenario(
     *,
     device_phase: Phase = Phase.A,
     balanced: bool = False,
+    label: str | None = None,
 ) -> Scenario:
     """Six-node chain with balanced base load plus one DG or EV.
 
@@ -743,54 +842,76 @@ def build_sweep_scenario(
     per-phase load per connected phase: on ``device_phase`` only by default,
     or on all three phases with ``balanced=True``. ``network_class`` picks
     the segment length (compact/overload: 0.1 km, sparse: 1.0 km); profiles
-    are constant over the day.
+    are constant over the day. The scenario is labelled ``label``, by
+    default after the cell.
     """
     template = SweepTemplate(total_phase_load_kw, network_class, device_phase, balanced)
-    chain, [(label, device)] = _sweep_cells(template, [(kind, device_node, penetration_pct)])
-    feeder = chain.feeder if device is None else attach_device(chain.feeder, device)
-    return replace(chain, feeder=feeder, label=label)
+    cell = (kind, device_node, penetration_pct)
+    _check_cell(template, *cell)
+    return _sweep_chain(template, cell, _cell_label(template, *cell) if label is None else label)
 
 
 def _sweep_cells(
-    template: SweepTemplate, cells: Sequence[tuple[DeviceKind, str, float]]
-) -> tuple[Scenario, list[tuple[str, Device | None]]]:
+    template: SweepTemplate,
+    kinds: Sequence[DeviceKind],
+    nodes: Sequence[str],
+    penetrations: Sequence[float],
+) -> tuple[Scenario, _CellDevices]:
     """The loaded chain of a template, built and validated once, and the
-    label and device of each (kind, node, penetration) cell, in order: a
-    0 % cell attaches no device. A cell is the chain with its device
-    attached under its label, as ``build_sweep_scenario`` builds it.
+    device of each cell of the (kind, node, penetration) grid, in loop
+    order, as columns: a 0 % cell attaches no device. A cell is the chain
+    with its device attached, as ``build_sweep_scenario`` builds it.
 
-    A cell's arguments are checked before the chain is built, so the
-    first bad cell raises what ``build_sweep_scenario`` raises for it.
+    A cell fails if ``_check_cell`` refuses its node, or its kind and
+    penetration, or if its device (``_cell_device``) is refused; neither
+    depends on the other, so each node is checked once and each (kind,
+    penetration) once, with a valid stand-in for the rest. The first
+    failing cell in the order a loop over the cells checks them (its
+    arguments, then at the first cell the chain, then its device) raises
+    what ``build_sweep_scenario`` raises for it, from the same calls.
     """
-    network_class, total_kw = template.network_class, template.total_phase_load_kw
-    tag = "balanced" if template.balanced else f"phase-{template.device_phase.value}"
-    chain, labelled = None, []
-    for kind, node, pen in cells:
-        if network_class not in NETWORK_CLASS_SEGMENT_KM:
-            raise ValueError(f"unknown network class {network_class!r}")
-        if kind not in SWEEP_KINDS:
-            raise ValueError(f"sweep device must be DG or EV, got {kind}")
-        if not 0 <= pen <= 200:
-            raise ValueError(f"penetration_pct must be in [0, 200], got {pen}")
-        if node not in _SWEEP_NODES:
-            raise UnknownNode(node, "sweep device placement (N1..N5)")
-        if chain is None:
-            loads = _flat_loads(total_kw / len(_SWEEP_NODES))
-            feeder = chain_feeder(6, NETWORK_CLASS_SEGMENT_KM[network_class], devices=loads)
-            chain = Scenario(feeder=feeder, profiles=_flat_profiles(24))
-        device = None
-        if pen > 0:
-            sign = -1.0 if kind is DeviceKind.DG else 1.0
-            device = Device(
-                label=f"{kind.value}-{node}",
-                node=node,
-                kind=kind,
-                phase=None if template.balanced else template.device_phase,
-                s_rated_kva=complex(sign * (pen / 100.0 * total_kw), 0.0),
-                profile_id="flat",
-            )
-        labelled.append((f"{network_class}-{kind.value}-{node}-{pen:g}pct-{tag}", device))
-    return chain, labelled
+    grid = (len(kinds), len(nodes), len(penetrations))
+    kind_pen = (len(kinds), 1, len(penetrations))
+    failed, has = np.zeros(kind_pen, bool), np.zeros(kind_pen, bool)
+    rating = np.zeros(kind_pen, complex)
+    for k, kind in enumerate(kinds):
+        for p, pen in enumerate(penetrations):
+            try:
+                _check_cell(template, kind, _SWEEP_NODES[0], pen)
+                device = _cell_device(template, kind, _SWEEP_NODES[0], pen)
+            except (PhasebalError, ValueError):
+                failed[k, 0, p] = True
+            else:
+                has[k, 0, p] = device is not None
+                rating[k, 0, p] = 0j if device is None else device.s_rated_kva
+    node_failed = np.zeros((len(nodes), 1), bool)
+    for n, node in enumerate(nodes):
+        try:
+            _check_cell(template, SWEEP_KINDS[0], node, 0.0)
+        except (PhasebalError, ValueError):
+            node_failed[n] = True
+
+    def cell(c: int) -> tuple[DeviceKind, str, float]:
+        k, n, p = np.unravel_index(c, grid)
+        return kinds[k], nodes[n], penetrations[p]
+
+    first = np.flatnonzero(failed | node_failed)[:1].tolist()
+    if first == [0]:
+        _check_cell(template, *cell(0))
+    chain = _sweep_chain(template)
+    for c in first:  # raises
+        _check_cell(template, *cell(c))
+        _cell_device(template, *cell(c))
+    row = np.array([chain.feeder.nodes.index(node) for node in nodes])[:, None]
+    phase = 3 if template.balanced else _PHASE_ROW[template.device_phase]
+    n_cells = int(np.prod(grid))
+    devices = _CellDevices(
+        np.where(has, row, -1).ravel(),
+        np.full(n_cells, phase),
+        np.broadcast_to(rating, grid).ravel(),
+        ("flat",) * n_cells,
+    )
+    return chain, devices
 
 
 def build_stylized_scenario(
@@ -803,6 +924,7 @@ def build_stylized_scenario(
     segment_km: float = 0.1,
     horizon_h: float = 24.0,
     dt_h: float = 1.0,
+    label: str | None = None,
 ) -> Scenario:
     """Storage showcase scenario on the six-node chain.
 
@@ -812,7 +934,8 @@ def build_stylized_scenario(
     total rating sits at ``storage_node`` (N0: feeder head, N5: feeder end):
     one unit for A1, three units of a third the rating each for A2/A3. The
     unit on the target phase starts empty (it charges first); companion
-    units start full (they discharge first).
+    units start full (they discharge first). The scenario is labelled
+    ``label``, by default after the architecture and storage node.
     """
     if storage_node not in STORAGE_NODES:
         raise UnsupportedNode(storage_node, STORAGE_NODES)
@@ -845,7 +968,7 @@ def build_stylized_scenario(
     batteries: list[Battery] = []
     if arch is None:
         controller = "none"
-        label = "stylized-nostorage"
+        name = "stylized-nostorage"
     elif arch.kind is ArchKind.A1:
         batteries.append(Battery(id="bat-1", p_max_kw=battery_kw, soc_kwh=0.0))
         devices.append(
@@ -857,7 +980,7 @@ def build_stylized_scenario(
                 battery_id="bat-1",
             )
         )
-        label = f"stylized-a1-{storage_node.lower()}"
+        name = f"stylized-a1-{storage_node.lower()}"
     else:
         unit_kw = battery_kw / 3.0
         for phase in PHASES:
@@ -875,7 +998,7 @@ def build_stylized_scenario(
                 )
             )
         shift = "" if arch.allow_load_shift else "-noshift"
-        label = f"stylized-{arch.kind.value.lower()}-{storage_node.lower()}{shift}"
+        name = f"stylized-{arch.kind.value.lower()}-{storage_node.lower()}{shift}"
 
     feeder = chain_feeder(6, segment_km, devices=devices)
     n_steps = round(horizon_h / dt_h)
@@ -891,7 +1014,7 @@ def build_stylized_scenario(
         controller=controller if arch is not None else "none",
         batteries=tuple(batteries),
         schedule=schedule,
-        label=label,
+        label=name if label is None else label,
     )
 
 
@@ -916,32 +1039,71 @@ class SweepRow:
     error: str | None = None
 
 
+class SweepTable(Sequence):
+    """A sweep's cells as columns, read as a sequence of ``SweepRow`` in
+    (kind, node, penetration) loop order: each row, with its
+    ``ScenarioResult``, label and ``sum_drop_at`` dict, is made from the
+    columns when it is read (``len``, indices, negative too, and
+    iteration), so rows read twice are equal, not the same object.
+
+    Columns, one entry per cell: ``summary`` ``(cell, 6)`` holds the
+    ``SUMMARY_FIELDS`` values, ``sum_drop`` ``(cell, node)`` each node's
+    time-average of its summed phase deviations, nodes in
+    ``trajectory.topology`` order, both NaN at a failing cell; ``step_row``
+    ``(cell, step)`` the row of each step of the ``trajectory`` every cell
+    shares; ``errors`` the message of each failing cell, by cell. The
+    grid's axes ``kinds``, ``nodes`` and ``penetrations`` are held as
+    given: a row's kind, node and penetration are the objects passed in.
+    """
+
+    __slots__ = ("template", "kinds", "nodes", "penetrations", "trajectory", "summary",
+                 "sum_drop", "step_row", "errors")
+
+    def __init__(self, template: SweepTemplate, kinds, nodes, penetrations, batch: _Batch) -> None:
+        self.template, self.kinds, self.nodes = template, tuple(kinds), tuple(nodes)
+        self.penetrations = tuple(penetrations)
+        self.trajectory, self.summary, self.sum_drop, self.step_row = batch[:4]  # all but errors
+        self.errors = {c: str(error) for c, error in batch.errors.items()}
+
+    def __len__(self) -> int:
+        return len(self.step_row)
+
+    def __getitem__(self, i: int) -> SweepRow:
+        i = range(len(self))[operator.index(i)]  # bounds and negative indices as a tuple's
+        k, n = divmod(i, len(self.nodes) * len(self.penetrations))
+        n, p = divmod(n, len(self.penetrations))
+        kind, node, pen = self.kinds[k], self.nodes[n], self.penetrations[p]
+        if i in self.errors:
+            return SweepRow(kind, node, pen, None, error=self.errors[i])
+        label = _cell_label(self.template, kind, node, pen)
+        return SweepRow(kind, node, pen, _cell_result(self, i, label))
+
+
 def sweep_and_tabulate(
     template: SweepTemplate,
     penetrations: Sequence[float],
     nodes: Sequence[str],
     kinds: Sequence[DeviceKind],
     settings: SolverSettings = SolverSettings(),
-) -> list[SweepRow]:
+) -> SweepTable:
     """Run the cross product of (kind, node, penetration) and tabulate.
 
     Every cell is the six-node chain, built and validated once with its
     loads, plus the cell's device, so the cells run as one batch: one power
-    flow over the distinct operating points of all of them. Every cell is built before any runs, and the
-    first that cannot be built raises as ``build_sweep_scenario`` would.
-    Rows come back in (kind, node, penetration) loop order. A failing cell
-    is recorded with its error message instead of aborting the others.
+    flow over the distinct operating points of all of them. Every cell is
+    checked before any runs, and the first that cannot be built raises as
+    ``build_sweep_scenario`` would. The power flow, metrics, aggregates
+    and each cell's error are computed here, as columns; the returned
+    ``SweepTable`` makes each ``SweepRow`` only when it is read. Rows come
+    in (kind, node, penetration) loop order. A failing cell is recorded
+    with its error message instead of aborting the others; an error that
+    is no ``PhasebalError`` is raised.
     """
     if not penetrations or not nodes or not kinds:
         raise ValueError("penetrations, nodes and kinds must be non-empty")
-    cells = [(kind, node, pen) for kind in kinds for node in nodes for pen in penetrations]
-    chain, labelled = _sweep_cells(template, cells)
-    rows = []
-    for (kind, node, pen), outcome in zip(cells, _run_batch(chain, labelled, settings)):
-        if isinstance(outcome, ScenarioResult):
-            rows.append(SweepRow(kind, node, pen, outcome))
-        elif isinstance(outcome, PhasebalError):
-            rows.append(SweepRow(kind, node, pen, None, error=str(outcome)))
-        else:
-            raise outcome
-    return rows
+    chain, devices = _sweep_cells(template, kinds, nodes, penetrations)
+    batch = _run_batch(chain, devices, settings)
+    for error in batch.errors.values():
+        if not isinstance(error, PhasebalError):
+            raise error
+    return SweepTable(template, kinds, nodes, penetrations, batch)

@@ -3,7 +3,8 @@ scatter reference of the sweep kernel, solution residuals, the loop
 reference of the greedy balancing search, the per-step loop reference of
 the dispatch pass, the byte comparison of two results' steps, the scalar
 reference of the timeseries CSV rows (and their lines, written cell by
-cell) and the per-cell reference of the sweep."""
+cell), the per-cell reference of the sweep and of its five CSV tables, and
+the device columns of batch cells given as ``Device`` objects."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 
-from phasebal.cli import _fmt
+from phasebal.cli import SWEEP_COLUMNS, SWEEP_EXTRACTS, SUMMARY_COLUMNS, _fmt
 from phasebal.errors import NonConvergence, PhasebalError, VoltageCollapse
 from phasebal.metrics import fortescue, rms_voltage, vuf
 from phasebal.network import (
@@ -45,6 +46,7 @@ from phasebal.scenarios import (
     SweepRow,
     SweepTemplate,
     _PHASE_ROW,
+    _CellDevices,
     _complex_times_real,
     build_sweep_scenario,
     run_scenario,
@@ -609,8 +611,8 @@ def reference_run(
         # every step is its own candidate row
         return layout, s_va, np.arange(len(s_va)), arrays, pending
 
-    def dispatch(sc: Scenario, devices: list, index: dict[str, int]):
-        assert devices == [None]  # a run is one cell without a device
+    def dispatch(sc: Scenario, cells: _CellDevices, index: dict[str, int]):
+        assert cells.node.tolist() == [-1]  # a run is one cell without a device
         return dispatch_one(sc, index)
 
     with mock.patch.object(scenarios, "_dispatch", dispatch):
@@ -742,3 +744,56 @@ def reference_sweep(
                 except PhasebalError as exc:
                     rows.append(SweepRow(kind, node, pen, None, error=str(exc)))
     return rows
+
+
+def reference_sweep_tables(rows: Sequence[SweepRow]) -> dict[str, str]:
+    """The text of the five sweep CSV files, by name, as the CLI wrote them
+    row by row from ``SweepRow`` objects: each cell's values as a record
+    keyed by column name, projected onto each file's columns (a column the
+    record lacks is an empty field), every value through ``cli._fmt``
+    (``%.17g`` for a float) and each row through ``csv.writer``."""
+    records = []
+    for row in rows:
+        values = {
+            "kind": row.kind.value,
+            "node": row.node,
+            "penetration_pct": row.penetration_pct,
+            "error": row.error or "",
+        }
+        if row.result is not None:
+            r = row.result
+            values.update(
+                {name: getattr(r, name) for name in SUMMARY_COLUMNS},
+                sum_drop_n1_pct=r.sum_drop_at.get("N1"),
+                sum_drop_n5_pct=r.sum_drop_at.get("N5"),
+                total_loss_kwh=r.phase_loss_kwh + r.neutral_loss_kwh,
+            )
+        records.append(values)
+    ran = [rec for rec, row in zip(records, rows) if row.result is not None]
+    failed = [rec for rec, row in zip(records, rows) if row.result is None]
+    tables = {
+        "sweep": (SWEEP_COLUMNS, records),
+        **{name: (columns, ran) for name, columns in SWEEP_EXTRACTS.items()},
+        "failures": (("kind", "node", "penetration_pct", "error"), failed),
+    }
+    texts = {}
+    for name, (columns, recs) in tables.items():
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        for rec in recs:
+            writer.writerow([_fmt(rec.get(c)) for c in columns])
+        texts[name] = buffer.getvalue()
+    return texts
+
+
+def cell_devices(feeder: Feeder, devices: Sequence[Device | None]) -> _CellDevices:
+    """The device columns of batch cells on ``feeder``, one cell per entry
+    of ``devices`` (None: the cell has no device)."""
+    index = Topology(feeder).index
+    return _CellDevices(
+        np.array([-1 if d is None else index[d.node] for d in devices]),
+        np.array([3 if d is None or d.phase is None else _PHASE_ROW[d.phase] for d in devices]),
+        np.array([0j if d is None else d.s_rated_kva for d in devices], dtype=complex),
+        tuple(None if d is None else d.profile_id for d in devices),
+    )

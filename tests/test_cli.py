@@ -25,6 +25,8 @@ from hypothesis import strategies as st
 from conftest import (
     random_feeder,
     random_tree,
+    reference_sweep,
+    reference_sweep_tables,
     reference_timeseries_lines,
     with_greedy_fleet,
     with_profiles,
@@ -57,10 +59,15 @@ from phasebal.network import (
 from phasebal.presets import RUN_PRESET_NAMES, SWEEP_PRESET_NAMES, preset_config, preset_names
 from phasebal.scenarios import (
     MAX_STEPS,
+    NETWORK_CLASS_SEGMENT_KM,
     Scenario,
+    ScenarioResult,
+    SweepRow,
+    SweepTemplate,
     build_stylized_scenario,
     build_sweep_scenario,
     run_scenario,
+    sweep_and_tabulate,
 )
 from phasebal.storage import Architecture, ArchKind, Battery, StylizedScheduleCfg
 
@@ -347,8 +354,8 @@ class TestParseConfig:
         assert cfg.scenario.label == "tiny"
 
     def test_custom_scenario_is_validated_once(self):
-        """A custom scenario is built under the config's label, so its
-        checks run once; a builder's scenario is re-labelled."""
+        """Every scenario is built under the config's label, so its checks
+        run once: a custom one, and a builder's, which is not re-labelled."""
         checked = []
         check = Scenario.__post_init__
 
@@ -359,8 +366,11 @@ class TestParseConfig:
         with mock.patch.object(Scenario, "__post_init__", counted):
             assert parse_config(CUSTOM_DOC).scenario.label == "tiny"
             assert checked == ["tiny"]
-            assert parse_config(preset_config("a2-n5")).scenario.label == "a2-n5"
-        assert checked[-1] == "a2-n5"
+            # a stylized and a sweep_cell builder build under the config's label
+            for name in ("a2-n5", "baseline-n5"):
+                checked.clear()
+                assert parse_config(preset_config(name)).scenario.label == name
+                assert checked == [name]
 
     def test_every_run_preset_parses_to_builder_equivalent(self):
         built = {
@@ -1199,6 +1209,89 @@ class TestSweepCommand:
         assert len(manifest) == 2
         assert "failed" in capsys.readouterr().err
 
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        network_class=st.sampled_from(sorted(NETWORK_CLASS_SEGMENT_KM)),
+        load_kw=st.sampled_from([5.0, 50.0, 60.0]) | st.floats(0.5, 60.0),
+        device_phase=st.sampled_from(PHASES),
+        balanced=st.booleans(),
+        penetrations=st.lists(
+            st.sampled_from([0.0, -0.0, 120.0, 200.0]) | st.floats(0.0, 200.0),
+            min_size=1,
+            max_size=4,
+        ),
+        nodes=st.lists(st.sampled_from(["N1", "N2", "N3", "N4", "N5"]), min_size=1, unique=True),
+        kinds=st.lists(st.sampled_from(["dg", "ev"]), min_size=1, unique=True),
+    )
+    @example(  # cells that collapse, single-phase and balanced
+        network_class="overload",
+        load_kw=50.0,
+        device_phase=Phase.C,
+        balanced=False,
+        penetrations=[0.0, 120.0, 33.3],
+        nodes=["N5", "N1"],
+        kinds=["ev", "dg"],
+    )
+    @example(
+        network_class="overload",
+        load_kw=60.0,
+        device_phase=Phase.A,
+        balanced=True,
+        penetrations=[200.0, -0.0],
+        nodes=["N3"],
+        kinds=["ev"],
+    )
+    def test_tables_equal_the_row_by_row_writer(
+        self, network_class, load_kw, device_phase, balanced, penetrations, nodes, kinds
+    ):
+        """The five files, written from the table's columns with one g17
+        call each, equal byte for byte what ``csv.writer`` and ``%.17g``
+        write row by row from the per-cell reference sweep; overloaded cells
+        collapse, so the failures manifest and empty fields show too."""
+        sweep = {
+            "total_phase_load_kw": load_kw,
+            "network_class": network_class,
+            "penetrations_pct": penetrations,
+            "nodes": nodes,
+            "kinds": kinds,
+            "device_phase": device_phase.value,
+            "balanced": balanced,
+        }
+        template = SweepTemplate(load_kw, network_class, device_phase, balanced)
+        rows = reference_sweep(template, penetrations, nodes, [DeviceKind(k) for k in kinds])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "grid.json")
+            path.write_text(json.dumps({"label": "grid", "sweep": sweep}))
+            with mock.patch("sys.stdout", io.StringIO()), mock.patch("sys.stderr", io.StringIO()):
+                assert main(["sweep", str(path), "--out", tmp]) == 0
+            for name, text in reference_sweep_tables(rows).items():
+                assert Path(tmp, f"grid-{name}.csv").read_bytes() == text.encode()
+
+    def test_writes_its_tables_without_row_or_result_objects(self, tmp_path):
+        """``sweep`` writes its five files from the table's columns: it
+        makes no ScenarioResult and no SweepRow, which reading the rows of
+        a table does make, one of each per cell that ran."""
+        doc = {**preset_config("grid-compact"), "label": "ov"}
+        doc["sweep"].update(total_phase_load_kw=50.0, network_class="overload")
+        path = write_config(tmp_path, doc)
+        made = {}
+        with mock.patch.object(
+            ScenarioResult, "__init__", autospec=True, side_effect=ScenarioResult.__init__
+        ) as made["result"], mock.patch.object(
+            SweepRow, "__init__", autospec=True, side_effect=SweepRow.__init__
+        ) as made["row"]:
+            assert main(["sweep", path, "--out", str(tmp_path / "out")]) == 0
+            assert (made["result"].call_count, made["row"].call_count) == (0, 0)
+            sweep = parse_config(doc).sweep_grid
+            table = sweep_and_tabulate(parse_config(doc).sweep_template, *sweep)
+            assert (made["result"].call_count, made["row"].call_count) == (0, 0)
+            rows = list(table)
+            ran = sum(row.result is not None for row in rows)
+            assert 0 < ran < len(rows) == made["row"].call_count
+            assert made["result"].call_count == ran
+        failures = (tmp_path / "out" / "ov-failures.csv").read_text().splitlines()
+        assert len(failures) == 1 + len(rows) - ran
 
     def test_output_switches_exit_2_and_are_named(self, tmp_path, capsys):
         """A sweep always writes its five tables; ``output`` was ignored."""

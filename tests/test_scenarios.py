@@ -5,17 +5,19 @@ from __future__ import annotations
 import math
 import random
 import struct
+from collections.abc import Sequence
 from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     assert_same_steps,
+    cell_devices,
     kcl_residual,
     kvl_residual,
     labelled,
@@ -60,9 +62,13 @@ from phasebal import scenarios
 from phasebal.scenarios import (
     MAX_STEPS,
     NETWORK_CLASS_SEGMENT_KM,
+    SUMMARY_FIELDS,
+    SWEEP_KINDS,
     Scenario,
     ScenarioResult,
+    SweepTable,
     SweepTemplate,
+    _NO_DEVICE,
     _dispatch,
     build_stylized_scenario,
     build_sweep_scenario,
@@ -441,7 +447,7 @@ class TestSweepTabulate:
         template = SweepTemplate(load_kw, network_class, device_phase, balanced)
         got = sweep_and_tabulate(template, penetrations, nodes, kinds)
         want = reference_sweep(template, penetrations, nodes, kinds)
-        assert repr(got) == repr(want)
+        assert repr(list(got)) == repr(want)
         for row, ref in zip(got, want):
             assert row.error == ref.error
             if ref.result is not None:
@@ -480,11 +486,14 @@ class TestSweepTabulate:
     @settings(max_examples=60, deadline=None)
     @given(
         network_class=st.sampled_from(["compact", "sparse", "meshed"]),
-        load_kw=st.sampled_from([5.0, -5.0, math.nan, math.inf, 1e306]),
-        penetrations=st.lists(st.sampled_from([0, 60, -1, 250]), min_size=1, max_size=3),
+        load_kw=st.sampled_from([5.0, -5.0, math.nan, math.inf, 1e305, 1e306]),
+        penetrations=st.lists(st.sampled_from([0, 60, 200, -1, 250]), min_size=1, max_size=3),
         nodes=st.lists(st.sampled_from(["N1", "N5", "N0", "N9"]), min_size=1, max_size=3),
         kinds=st.lists(st.sampled_from(list(DeviceKind)), min_size=1, max_size=2),
     )
+    # 1e305 kW of load: a 200 % device's rating * 1000 overflows, a 60 % one's does not
+    @example("compact", 1e305, [60, 200], ["N1", "N5"], [DeviceKind.EV])
+    @example("compact", 1e305, [0, 200], ["N5"], [DeviceKind.DG, DeviceKind.EV])
     def test_first_bad_cell_raises_what_its_standalone_build_raises(
         self, network_class, load_kw, penetrations, nodes, kinds
     ):
@@ -492,7 +501,8 @@ class TestSweepTabulate:
         ``build_sweep_scenario`` raises for its first cell that cannot be
         built, although the sweep builds the loaded chain only once: an
         unknown node, a bad kind or penetration of that cell wins over
-        invalid loads."""
+        invalid loads, and a device whose rating overflows is refused at
+        its own cell, also after cells that pass."""
         want = None
         for kind in kinds:
             for node in nodes:
@@ -518,7 +528,7 @@ class TestSweepTabulate:
         template = SweepTemplate(5.0)
         got = sweep_and_tabulate(template, [0, 60], nodes, kinds)
         want = reference_sweep(template, [0, 60], nodes, kinds)
-        assert repr(got) == repr(want)
+        assert repr(list(got)) == repr(want)
         zero = {int(r) for row in got if row.penetration_pct == 0 for r in row.result.step_row}
         assert len(zero) == 1
         # one row for the six 0 % cells, one for each of the six 60 % cells
@@ -537,6 +547,45 @@ class TestSweepTabulate:
         assert str(got.value) == str(want.value)
         with pytest.raises(SignConventionViolation):  # a valid first cell meets the loads
             sweep_and_tabulate(template, [60, 0], ["N1", "N9"], [DeviceKind.DG])
+
+
+class TestSweepTableView:
+    """``sweep_and_tabulate`` returns a ``SweepTable``: the cells as
+    columns, read as a sequence whose rows are made when they are read."""
+
+    @pytest.fixture(scope="class")
+    def sweeps(self):
+        args = (SweepTemplate(50.0, "overload"), [0, 60.0, 120], ["N1", "N5"], list(SWEEP_KINDS))
+        return sweep_and_tabulate(*args), reference_sweep(*args)
+
+    def test_reads_like_the_list_of_rows(self, sweeps):
+        table, want = sweeps
+        assert isinstance(table, SweepTable) and isinstance(table, Sequence)
+        assert len(table) == len(want) == 12
+        assert repr(list(table)) == repr(want)
+        assert repr(list(iter(table))) == repr(want)
+        for i in (0, 5, 11, -1, -12):
+            assert repr(table[i]) == repr(want[i])
+        for i in (12, -13):
+            with pytest.raises(IndexError):
+                table[i]
+        for key in (slice(1, 3), 1.0):
+            with pytest.raises(TypeError):
+                table[key]
+        # the overloaded EV at 120 % collapses; its row carries the error
+        assert any(row.error for row in table) and not all(row.error for row in table)
+
+    def test_rows_are_made_on_each_read_and_equal_on_re_read(self, sweeps):
+        table, _ = sweeps
+        first, again = list(table), list(table)
+        assert first == again
+        assert all(a is not b for a, b in zip(first, again))
+        ran = [(i, row.result) for i, row in enumerate(first) if row.result is not None]
+        for i, result in ran:
+            assert result.trajectory is table.trajectory
+            assert result.step_row.tobytes() == table.step_row[i].tobytes()
+            assert [getattr(result, f) for f in SUMMARY_FIELDS] == table.summary[i].tolist()
+        assert sorted(table.errors) == [i for i, row in enumerate(first) if row.result is None]
 
 
 class TestStepRecordView:
@@ -672,12 +721,15 @@ class TestBatchedRun:
         ev = Device("ev-N5", "N5", DeviceKind.EV, None, 3 + 1j, profile_id="ev-window")
         load = Device("load-N1-C", "N1", DeviceKind.LOAD, Phase.C, 2 + 0j)
         cells = [("dg", dg), ("plain", None), ("ev", ev), ("dg-again", dg), ("load", load)]
-        got = scenarios._run_batch(base, cells, SolverSettings())
-        for (label, device), result in zip(cells, got, strict=True):
+        devices = cell_devices(base.feeder, [device for _, device in cells])
+        batch = scenarios._run_batch(base, devices, SolverSettings())
+        assert not batch.errors and len(batch.step_row) == len(cells)
+        for c, (label, device) in enumerate(cells):
+            result = scenarios._cell_result(batch, c, label)
             feeder = base.feeder if device is None else attach_device(base.feeder, device)
             want = run_scenario(replace(base, feeder=feeder, label=label))
             assert repr(result) == repr(want)
-            assert result.trajectory is got[0].trajectory
+            assert result.trajectory is batch.trajectory
             assert result.trajectory.topology.nodes == feeder.nodes
             assert_same_steps(result, want)
 
@@ -687,7 +739,33 @@ class TestBatchedRun:
         base = build_stylized_scenario(Architecture(ArchKind.A1), "N5", 3.0, "greedy")
         dg = Device("dg-N2", "N2", DeviceKind.DG, Phase.B, -4 + 0j, profile_id="flat")
         with pytest.raises(ValueError, match="greedy"):
-            scenarios._run_batch(base, [("plain", None), ("with-dg", dg)], SolverSettings())
+            scenarios._run_batch(base, cell_devices(base.feeder, [None, dg]), SolverSettings())
+
+    def test_aggregates_equal_builtin_sums_over_few_and_many_lanes(self):
+        """The horizon aggregates equal the builtin ``sum`` over the steps'
+        rows, bit for bit, where ``_fold_sum`` folds many lanes at once (a
+        1,000-node tree's drops and phase losses, a 130-cell sweep's drops)
+        and where it folds a few long ones."""
+
+        def assert_builtin_sums(result):
+            traj, rows = result.trajectory, result.step_row.tolist()
+            n, dt_h = len(rows), traj.dt_h
+            for j, name in enumerate(traj.topology.nodes):
+                want = sum(sum(traj.drop_pct[r, j].tolist()) for r in rows) / n
+                assert struct.pack("d", result.sum_drop_at[name]) == struct.pack("d", want)
+            losses = [sum(map(sum, traj.phase_loss[r].tolist())) * dt_h for r in rows]
+            assert result.phase_loss_kwh == sum(losses)
+            neutral = [sum(traj.neutral_loss[r].tolist()) * dt_h for r in rows]
+            assert result.neutral_loss_kwh == sum(neutral)
+            vuf = [v for r in rows for v in traj.vuf_pct[r, 1:].tolist()]
+            assert result.mean_vuf_pct == sum(vuf) / len(vuf)
+
+        assert_builtin_sums(run_scenario(random_tree(random.Random(3), 1000)))
+        nodes = ["N1", "N2", "N3", "N4", "N5"]
+        pens = [5.0 * k for k in range(13)]
+        table = sweep_and_tabulate(SweepTemplate(5.0), pens, nodes, SWEEP_KINDS)
+        for i in range(0, len(table), 7):
+            assert_builtin_sums(table[i].result)
 
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -864,7 +942,7 @@ def assert_scan_equals_the_reference_loop(scenario: Scenario):
     dispatch failed."""
     index = Topology(scenario.feeder).index
     layout, s_va, steps, pending = reference_dispatch(scenario, index)
-    got_layout, candidates, step_key, _, got_pending = _dispatch(scenario, [None], index)
+    got_layout, candidates, step_key, _, got_pending = _dispatch(scenario, _NO_DEVICE, index)
     assert got_layout.tobytes() == layout.tobytes()
     assert candidates[step_key].tobytes() == s_va.tobytes()
     assert repr(got_pending) == repr(pending)
@@ -1154,7 +1232,7 @@ class TestDispatchScan:
         scenario = replace(scenario, batteries=tuple(batteries))
         index = Topology(scenario.feeder).index
         _, s_va, _, pending = reference_dispatch(scenario, index)
-        _, candidates, step_key, _, got_pending = _dispatch(scenario, [None], index)
+        _, candidates, step_key, _, got_pending = _dispatch(scenario, _NO_DEVICE, index)
         assert candidates[step_key].tobytes() == s_va.tobytes()
         assert repr(got_pending) == repr(pending)
         got, want = outcome(scenario, run_scenario), outcome(scenario, reference_run)
