@@ -231,9 +231,10 @@ class Trajectory:
     zero-sum shift of A2 without load shift counts). ``zero_sum_missed``
     is True at the steps where such a fleet's box held no zero-sum point,
     so its dispatch does not sum to zero. ``dispatch_states`` counts the
-    distinct (SoC, input row) states the dispatch scan evaluated; the other
-    ``n_steps - dispatch_states`` steps reused a stored state. It is 0
-    when no fleet is dispatched."""
+    distinct (SoC, input row) states of the run's steps, each of which the
+    dispatch scan evaluated once; the other ``n_steps - dispatch_states``
+    steps reused a stored state, or repeated a scanned step once the days
+    cycled. It is 0 when no fleet is dispatched."""
 
     topology: Topology
     solved: BatchSolution
@@ -524,12 +525,20 @@ def _dispatch_storage(
 
     A step's outcome depends only on the SoC going in and the step's input
     row: the request row for the fixed schedule, the net phase-power row
-    for the greedy search. So the scan keeps a memo keyed on (the SoC
-    packed as doubles, the input row's id among the byte-distinct rows),
-    and evaluates each distinct state once; a clock schedule meets the same
+    for the greedy search. So the scan keeps a memo keyed on the bytes of
+    both (the SoC packed as doubles, the input row as stored), and
+    evaluates each distinct state once; a clock schedule meets the same
     states day after day. Bytes keep 0.0 and -0.0 apart, which a key of
     floats would merge. A step enters the memo only once it has completed,
     so a failing step raises as it would without the memo.
+
+    When the inputs repeat day after day, ``round(24 / dt_h)`` steps
+    apart byte for byte (``_repeats_after``), the scan also keeps the SoC
+    bytes at each day start, and stops at the first day start k whose SoC
+    is that of an earlier day start j: from there every step meets the
+    state of the step ``k - j`` before it, so steps k onward tile steps j
+    to k - 1. Only completed steps are tiled, and no state is new after
+    k, so the steps, the error and the states counted are the full scan's.
 
     Returns the ``Trajectory`` dispatch arrays of the steps that ran, keyed
     by field, and the error that stopped dispatch early (None if every
@@ -540,54 +549,62 @@ def _dispatch_storage(
     greedy = scenario.controller == "greedy"
     zero_sum = arch.kind is ArchKind.A2 and not arch.allow_load_shift
     if greedy:
-        inputs, net_rows, phase_rows, want_rows = net, net.tolist(), [], []
+        inputs = net
     else:
-        phases, want = schedule_requests(
+        phases, inputs = schedule_requests(
             np.arange(n_steps) * dt_h,
             arch,
             scenario.schedule or StylizedScheduleCfg(),
             [b.p_max_kw for b in units],
         )
-        inputs, want_rows = want, want.tolist()
     pack = struct.Struct(f"{len(units)}d").pack
-    memo: dict[tuple[bytes, int], tuple] = {}
+    memo: dict[tuple[bytes, bytes], tuple] = {}
+    day = round(24.0 / dt_h)
+    daily = 0 < day < n_steps and _repeats_after(inputs, day)
+    day_start: dict[bytes, int] = {}  # SoC bytes -> the first day start at it
 
-    pending, steps = None, []
+    pending, steps, cycle = None, [], None
     try:
-        for k, row in enumerate(_distinct_rows(inputs)[1].tolist()):
-            key = pack(*soc), row
+        for k in range(n_steps):
+            held = pack(*soc)
+            if daily and k % day == 0 and day_start.setdefault(held, k) != k:
+                cycle = day_start[held]
+                break
+            key = held, _row_bytes(inputs, k)
             done = memo.get(key)
             if done is None:
                 bounds = [bounds_at(b, e, dt_h) for b, e in zip(units, soc)]
-                phase_k = None
-                if greedy:  # greedy_powers adds to its net row; each row is read once
-                    phase_k, want_k = zip(*greedy_powers(net_rows[k], arch, bounds))
+                row, phase_k = inputs[k].tolist(), None
+                if greedy:  # greedy_powers adds to its net row, a fresh list here
+                    phase_k, want_k = zip(*greedy_powers(row, arch, bounds))
                 elif zero_sum:
-                    want_k = zero_sum_shift(want_rows[k], *zip(*bounds))
+                    want_k = zero_sum_shift(row, *zip(*bounds))
                 else:
-                    want_k = want_rows[k]
+                    want_k = row
                 step = []
                 for bat, (lo, hi), p, e in zip(units, bounds, want_k, soc):
                     p, q = clip_power(bat, p, 0.0, lo, hi)
                     step += p, q, next_soc(bat, e, p, q, dt_h)
                 done = memo[key] = step, phase_k, want_k
-            step, phase_k, want_k = done
-            steps.append(step)
-            soc = step[2::3]
-            if greedy:
-                phase_rows.append(phase_k)
-                want_rows.append(want_k)
+            steps.append(done)
+            soc = done[0][2::3]
     except (PhasebalError, ValueError) as exc:
         pending = exc
-    n_ok = len(steps)
-    p, q, soc_kwh = np.array(steps, dtype=float).reshape(n_ok, len(units), 3).transpose(2, 0, 1)
+    n_ok = len(steps) if cycle is None else n_steps
+    at = np.arange(n_ok)  # the scanned step each step repeats
+    if cycle is not None:
+        at[len(steps) :] = cycle + np.arange(n_steps - len(steps)) % (len(steps) - cycle)
+    shape = (n_ok, len(units))  # the arrays of a greedy run stopped at step 0 are flat
+    scanned = np.array([step for step, _, _ in steps], dtype=float)
+    p, q, soc_kwh = scanned.reshape(len(steps), len(units), 3)[at].transpose(2, 0, 1)
     if greedy:
-        phase, want = np.array(phase_rows[:n_ok], dtype=np.intp), np.array(want_rows[:n_ok])
+        phase = np.array([phase_k for _, phase_k, _ in steps], dtype=np.intp)[at]
+        want = np.array([want_k for _, _, want_k in steps])[at]
     else:
         phase = np.tile(np.array([_PHASE_ROW[ph] for ph in phases], dtype=np.intp), (n_ok, 1))
-    shape = (n_ok, len(units))  # the arrays of a greedy run stopped at step 0 are flat
+        want = inputs[:n_ok]
     fields = _dispatch_fields(
-        scenario, phase.reshape(shape), want[:n_ok].reshape(shape), p, q, soc_kwh, len(memo)
+        scenario, phase.reshape(shape), want.reshape(shape), p, q, soc_kwh, len(memo)
     )
     if zero_sum:  # the box held no zero-sum point, so zero_sum_shift missed zero
         fields["zero_sum_missed"] = np.abs(_fold_sum(p)) > 1e-9
@@ -632,6 +649,19 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.zeros(len(rows), dtype=np.intp)
     rank[first] = np.arange(len(first))
     return first, rank[at]
+
+
+def _repeats_after(rows: np.ndarray, period: int) -> bool:
+    """Whether each row of a 2-d float array equals the row ``period``
+    before it, byte for byte: compared as 64-bit words, -0.0 differs from
+    0.0 (and a NaN equals its own bytes)."""
+    words = np.ascontiguousarray(rows).view(np.uint64)
+    return np.array_equal(words[period:], words[:-period])
+
+
+def _row_bytes(rows: np.ndarray, k: int) -> bytes:
+    """The bytes of row ``k``: the input half of a dispatch memo key."""
+    return rows[k].tobytes()
 
 
 def _first_flagged(flags: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -746,11 +776,14 @@ def run_scenario(scenario: Scenario, settings: SolverSettings = SolverSettings()
 
     1. Dispatch: step through time, evaluate profiles, ask the controller
        for actions, clip and apply them to the batteries. Each distinct
-       state, keyed on the SoC's bytes and the id of the step's input row
+       state, keyed on the bytes of the SoC and of the step's input row
        (request row or net phase powers), is evaluated once and reused
-       when it recurs (``Trajectory.dispatch_states`` counts them). Each
-       step is then keyed on the bytes of its profile values and applied
-       ``(p, q, phase)`` row, and the injections are built once per key.
+       when it recurs (``Trajectory.dispatch_states`` counts them). When
+       the inputs repeat day after day, the scan stops at the first day
+       whose starting SoC recurs and tiles the days since that SoC was
+       first met over the rest of the run. Each step is then keyed on the
+       bytes of its profile values and applied ``(p, q, phase)`` row, and
+       the injections are built once per key.
     2. Power flow: one forward-backward sweep over the distinct operating
        points of all steps at once.
     3. Metrics: VUF, deviations, losses and the aggregates, as arrays.

@@ -867,8 +867,10 @@ class TestGoldenFiles:
         # A3 choosing phases, A2 restricted to zero-sum triples
         greedy = ("greedy-a1-n5", "greedy-a2-n5-noshift", "greedy-a3-n5")
         # several days on the clock, frozen before dispatch reused its states:
-        # A2 through the zero-sum shift with clipped windows, and greedy A3
-        multiday = ("multiday-a2-noshift", "multiday-greedy-a3")
+        # A2 through the zero-sum shift with clipped windows, and greedy A3;
+        # and a week frozen before dispatch tiled repeating days, whose A3
+        # units start mid-range and meet their first repeated day start on day 3
+        multiday = ("multiday-a2-noshift", "multiday-greedy-a3", "multiday-late-cycle")
         for label in greedy + multiday:
             assert main(["run", str(golden_dir / f"{label}.json"), "--out", str(out)]) == 0
         # a branched 150-node tree: a bus with 24 children, a 30-level branch,
@@ -911,6 +913,7 @@ class TestGoldenFiles:
             ("tree-150-timeseries.csv", "golden-tree-150-timeseries.csv"),
             ("tree-150-summary.csv", "golden-tree-150-summary.csv"),
             ("tree-150-config.json", "golden-tree-150-config.json"),
+            ("multiday-late-cycle-summary.csv", "golden-multiday-late-cycle-summary.csv"),
             ("a2-n5-noshift-timeseries.csv", "golden-a2-n5-noshift-timeseries.csv"),
             ("a1-n0-timeseries.csv", "golden-a1-n0-timeseries.csv"),
             *(

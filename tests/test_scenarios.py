@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 import struct
+import sys
 from collections.abc import Sequence
 from dataclasses import replace
 from types import SimpleNamespace
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import (
     assert_same_steps,
     cell_devices,
@@ -909,6 +912,34 @@ def scheduled_request(scenario: Scenario, k: int) -> list[float]:
     return out
 
 
+@contextlib.contextmanager
+def request_changed_at(t_h: float, kw: float):
+    """The fixed schedule with every unit's request at time ``t_h`` set to
+    ``kw``: in the scan, in the per-step loop (``conftest``) and in
+    ``scheduled_request``."""
+
+    def changed(requests):
+        def at(times, *args):
+            phases, want = requests(times, *args)
+            want = want.copy()
+            want[times == t_h] = kw
+            return phases, want
+
+        return at
+
+    def written_out(scenario: Scenario, k: int) -> list[float]:
+        own = scheduled(scenario, k)
+        return [kw] * len(own) if k * scenario.dt_h == t_h else own
+
+    scheduled = scheduled_request
+    with mock.patch.object(
+        scenarios, "schedule_requests", changed(scenarios.schedule_requests)
+    ), mock.patch.object(
+        conftest, "schedule_requests", changed(conftest.schedule_requests)
+    ), mock.patch.object(sys.modules[__name__], "scheduled_request", written_out):
+        yield
+
+
 def dispatch_input(scenario: Scenario, k: int) -> list[float]:
     """The input a dispatch step reads at step k, written out from its
     definition: the schedule's requests, or for the greedy search the net
@@ -1073,7 +1104,8 @@ class TestStepKeys:
 class TestDispatchScan:
     """The array dispatch pass equals the per-step loop it replaced
     (``conftest.reference_dispatch``) bit for bit, over one day and over
-    several, where the scan reuses the states it has met."""
+    several, where the scan reuses the states it has met and tiles the
+    days that repeat."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -1133,8 +1165,8 @@ class TestDispatchScan:
         """Three days on the clock with 4 kWh units clipped at the end of
         every 5 h window, the shape of the long-horizon workload: the
         states come back day after day, the scan evaluates fewer states
-        than it has steps, and every step reused from the memo equals the
-        per-step loop."""
+        than it has steps, and every step reused from the memo or tiled
+        from an earlier day equals the per-step loop."""
         scenario = build_stylized_scenario(
             Architecture(kind, allow_load_shift=allow_load_shift),
             "N5",
@@ -1152,6 +1184,124 @@ class TestDispatchScan:
         )
         traj = assert_scan_equals_the_reference_loop(scenario)
         assert 0 < traj.dispatch_states < scenario.n_steps
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(list(ArchKind)),
+        allow_load_shift=st.booleans(),
+        controller=st.sampled_from(["fixed_schedule", "greedy"]),
+        days=st.integers(2, 6),
+        dt_h=st.sampled_from([1.0, 0.5, 0.25, 0.7]),
+        broken=st.booleans(),
+        failing=st.booleans(),
+        data=st.data(),
+    )
+    def test_repeating_days_tile_and_equal_the_reference_loop(
+        self, kind, allow_load_shift, controller, days, dt_h, broken, failing, data
+    ):
+        """Runs of several days whose inputs repeat day after day, so the
+        scan stops at the first day start whose SoC recurs and tiles the
+        rest. Units starting mid-range (or at -0.0 kWh) close the cycle on
+        a later day, or never within the run. ``dt_h = 0.7`` gives days of
+        round(24 / 0.7) = 34 steps, 23.8 h: the clock's requests do not
+        repeat then, the greedy search's profiles still do. ``broken``
+        changes one step of the last day: a profile value, and for the
+        clock one request too, a sign-only change among them, so the
+        inputs no longer repeat. ``failing`` gives the clock units of 1e8
+        kW and more, which round their SoC out of range part-way through
+        the run."""
+        day = round(24 / dt_h)
+        n_steps = days * day
+        arch = Architecture(kind, allow_load_shift=allow_load_shift)
+        storage_node = "N0" if failing else "N5"
+        controller = "fixed_schedule" if failing else controller
+        scenario = build_stylized_scenario(
+            arch,
+            storage_node,
+            1.5,
+            controller,
+            target_phase=Phase.B,
+            horizon_h=n_steps * dt_h,
+            dt_h=dt_h,
+        )
+        assert scenario.n_steps == n_steps
+        value = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 2.0)
+        profiles = {}
+        for pid in scenario.profiles:
+            one_day = data.draw(st.lists(value, min_size=day, max_size=day), label=pid)
+            profiles[pid] = tuple(one_day * days)
+        late = data.draw(st.integers(n_steps - day, n_steps - 1), label="late step")
+        if broken:
+            flat = list(profiles["flat"])
+            other = st.sampled_from([-0.0, 0.25, 2.5]).filter(
+                lambda v: struct.pack("d", v) != struct.pack("d", flat[late])
+            )
+            flat[late] = data.draw(other, label="late value")
+            profiles["flat"] = tuple(flat)
+        batteries = []
+        for bat in scenario.batteries:
+            p_max = bat.p_max_kw
+            if failing:
+                p_max = data.draw(st.sampled_from([1e8, 3e8]) | st.floats(1e8, 3e9))
+            e_max = p_max * data.draw(st.sampled_from([2.0, 2.5, 3.5, 5.0]) | st.floats(0.5, 6.0))
+            mid = st.sampled_from([-0.0, 0.5 * e_max]) | st.floats(0.0, e_max)
+            batteries.append(
+                Battery(
+                    id=bat.id,
+                    p_max_kw=p_max,
+                    e_max_kwh=e_max,
+                    soc_kwh=data.draw(st.sampled_from([0.0, e_max]) | mid, label="soc"),
+                    eta_c=data.draw(st.sampled_from([1.0, 0.9]) | st.floats(0.8, 1.0)),
+                    eta_d=data.draw(st.sampled_from([1.0, 0.9]) | st.floats(0.8, 1.0)),
+                )
+            )
+        scenario = replace(scenario, profiles=profiles, batteries=tuple(batteries))
+        if broken and controller == "fixed_schedule":
+            kw = data.draw(st.sampled_from([-0.0, 0.0, 0.3, -0.3]), label="late request")
+            with request_changed_at(late * dt_h, kw):
+                assert_scan_equals_the_reference_loop(scenario)
+        else:
+            assert_scan_equals_the_reference_loop(scenario)
+
+    def test_a_repeating_year_scans_its_first_days_only(self):
+        """A year on the clock whose units start where the clock leaves them
+        reads the input rows of its first days, and equals the memo's full
+        scan; with one request changed on its last day the inputs no longer
+        repeat, and it reads every step's."""
+        scenario = build_stylized_scenario(
+            Architecture(ArchKind.A2), "N5", 3.0, horizon_h=365 * 24.0
+        )
+        units, n_steps = scenario.batteries, scenario.n_steps
+
+        def dispatch(changed_at=None, full_scan=False):
+            reads = mock.Mock(side_effect=scenarios._row_bytes)
+            with contextlib.ExitStack() as stack:
+                stack.enter_context(mock.patch.object(scenarios, "_row_bytes", reads))
+                if changed_at is not None:
+                    stack.enter_context(request_changed_at(changed_at, 0.5))
+                if full_scan:
+                    stack.enter_context(
+                        mock.patch.object(scenarios, "_repeats_after", return_value=False)
+                    )
+                fields, stopped = scenarios._dispatch_storage(scenario, units, None)
+            assert stopped is None
+            return fields, reads.call_count
+
+        fields, reads = dispatch()
+        assert reads <= 3 * 24
+        full, full_reads = dispatch(full_scan=True)
+        assert full_reads == n_steps
+        assert fields.keys() == full.keys()
+        for name, got in fields.items():
+            if isinstance(got, np.ndarray):
+                assert (got.shape, got.tobytes()) == (full[name].shape, full[name].tobytes()), name
+            else:
+                assert got == full[name], name
+        late = n_steps - 5  # 19:00 on the last day, in the EV window
+        changed, reads = dispatch(changed_at=late * scenario.dt_h)
+        assert reads == n_steps
+        assert changed["p_kw"][:late].tobytes() == fields["p_kw"][:late].tobytes()
+        assert changed["p_kw"][late].tolist() != fields["p_kw"][late].tolist()
 
     @pytest.mark.parametrize("kind", [ArchKind.A1, ArchKind.A2, ArchKind.A3])
     def test_a_greedy_day_with_a_new_net_row_each_step_evaluates_every_step(self, kind):
