@@ -732,12 +732,11 @@ def _run_batch(scenario: Scenario, cells: _CellDevices, settings: SolverSettings
     undefined_at = _first_flagged(~np.isfinite(vuf_pct).all(axis=1)[rank], bounds)
     undefined = undefined_at < fail_at
     errors: dict[int, Exception] = {}
-    first_key = step_key.tolist()
     for c in np.flatnonzero(undefined | (fail_at < bounds[1:])).tolist():
         if undefined[c]:
             errors[c] = ZeroPositiveSequence("positive-sequence magnitude is zero")
-        else:
-            step = first_key.index(fail_at[c] - bounds[c])
+        else:  # the first step on the failing candidate row
+            step = int(np.argmax(step_key == fail_at[c] - bounds[c]))
             errors[c] = ScenarioStepError(step * dt_h, solved.failures[rank[fail_at[c]]])
     if stopped is not None:
         errors = {c: errors.get(c, stopped) for c in range(n_cells)}

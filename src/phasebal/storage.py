@@ -20,6 +20,7 @@ Dispatch is one function per operation, on plain floats: ``bounds_at``,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -38,7 +39,8 @@ DEFAULT_HOURS_AT_RATED = 5.0
 GRID_STEP_KW = 0.1
 
 #: Most cells a greedy search step may build (``greedy_cells``); at a peak
-#: of 16-41 bytes a cell (tracemalloc), at most about 170 MB.
+#: of 16-41 bytes a cell (tracemalloc), at most about 170 MB. A2 with load
+#: shift builds only its record rows, but in the worst case all of them.
 MAX_GREEDY_CELLS = 2**22
 
 _EPS = 1e-9
@@ -241,25 +243,33 @@ def schedule_requests(
 
 
 def greedy_cells(arch: Architecture, p_max_kw: Sequence[float]) -> float:
-    """Cells of the largest array one ``greedy_powers`` step builds: a unit
-    has at most k = floor(2 p_max / GRID_STEP_KW) + 4 candidates, A2 spans
-    kA kB kC (kA kB without load shift), and A1/A3 9 k for each unit."""
+    """Cells of the largest array one ``greedy_powers`` step may build: a
+    unit has at most k = floor(2 p_max / GRID_STEP_KW) + 4 candidates, A2
+    spans kA kB kC (kA kB without load shift), and A1/A3 9 k for each unit.
+    A2 with load shift builds kC cells for each (A, B) row that can hold a
+    record (``_record_rows``): all kA kB rows in the worst case."""
     k = [math.floor(2 * p / GRID_STEP_KW) + 4 if p < math.inf else math.inf for p in p_max_kw]
     if arch.kind is not ArchKind.A2:
         return 9 * max(k)
     return math.prod(k if arch.allow_load_shift else k[:2])
 
 
-def _candidate_powers(lo: float, hi: float) -> list[float]:
+@functools.lru_cache(maxsize=16)
+def _candidate_powers(lo: float, hi: float) -> np.ndarray:
     """Grid of powers in [lo, hi] at 0.1 kW resolution plus the exact
-    bounds, ordered by (|p|, p) so earlier candidates win spread ties."""
+    bounds, ordered by (|p|, p) so earlier candidates win spread ties.
+    A read-only array, kept for the last 16 bound pairs (at most 60 MB, at
+    the ``MAX_GREEDY_CELLS`` / 9 candidates of the largest unit); a -0.0
+    bound gives the grid of 0.0, so the two may share it."""
     vals = {0.0} if lo <= 0.0 <= hi else set()
     k = math.ceil(lo / GRID_STEP_KW - 1e-12)
     while k * GRID_STEP_KW <= hi + 1e-12:
         vals.add(round(k * GRID_STEP_KW, 6))
         k += 1
     vals.update((lo, hi))
-    return sorted(vals, key=lambda p: (abs(p), p))
+    grid = np.array(sorted(vals, key=lambda p: (abs(p), p)))
+    grid.flags.writeable = False
+    return grid
 
 
 def _spread3(a, b, c):
@@ -288,13 +298,36 @@ def _last_improvement(spreads: np.ndarray, best: float) -> int | None:
     running = np.fmin.accumulate(flat)  # fmin skips NaN, which is never accepted
     np.fmin(running, best, out=running)
     record = np.empty(flat.size, dtype=bool)
-    record[0] = flat[0] < best
+    record[:1] = flat[:1] < best  # nothing to record in an empty array
     np.less(flat[1:], running[:-1], out=record[1:])
     j = None
     for i in np.flatnonzero(record).tolist():
         if flat[i] < best - 1e-12:
             best, j = flat[i], i
     return j
+
+
+def _record_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray, best: float) -> np.ndarray:
+    """Flat indices, in C order, of the rows (i, j) of the spread tensor
+    ``_spread3(a[:, None, None], b[None, :, None], c)`` that can hold a
+    record of the ``_last_improvement`` scan from ``best``: rows whose
+    minimum lies below ``best`` and every earlier row's minimum. No other
+    row lowers the running minimum, so the scan over the kept rows accepts
+    what the scan over all rows accepts. A row spans [lo, hi] = [min, max]
+    of (a_i, b_j), and its minimum is hi - lo if some c lies in [lo, hi],
+    else hi minus the largest c below lo or the smallest c above hi minus
+    lo: one of its own elements, as float subtraction is monotone. With a
+    non-finite value every row is kept, the full tensor as before.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+        return np.arange(a.size * b.size)
+    hi, lo = np.maximum.outer(a, b).ravel(), np.minimum.outer(a, b).ravel()
+    ends = np.array([-np.inf, *sorted(c.tolist()), np.inf])  # np.sort: +0.2 MB peak RSS
+    below = np.searchsorted(ends, lo)  # ends[below - 1] < lo <= ends[below]
+    above = np.searchsorted(ends, hi, side="right")  # ends[above - 1] <= hi < ends[above]
+    row_min = np.where(above > below, hi - lo, np.minimum(hi - ends[below - 1], ends[above] - lo))
+    running = np.minimum.accumulate(np.concatenate(([best], row_min[:-1])))
+    return np.flatnonzero(row_min < running)
 
 
 def greedy_powers(
@@ -310,34 +343,41 @@ def greedy_powers(
     ``_candidate_powers`` order by (|p|, p), A unit outermost for A2. The
     scan starts from the all-zero spread as the running best and accepts a
     candidate only below the running best minus 1e-12; the last accepted
-    one wins, so the spread never worsens. One search's spreads are one
-    array, on which the scan is replayed exactly."""
+    one wins, so the spread never worsens. The scan is replayed exactly on
+    the spreads of one A1/A3 unit, of the A2 (A, B) plane without load
+    shift, or with it of the (A, B) rows that can hold a record, each over
+    the C candidates: few as a rule, all rows at worst (``greedy_cells``)."""
     if arch.kind is not ArchKind.A1 and len(bounds) != 3:
         raise ValueError(f"{arch.kind.value} needs exactly three batteries")
 
     if arch.kind is ArchKind.A2:
-        ca, cb, cc = (np.array(_candidate_powers(lo, hi)) for lo, hi in bounds)
-        pa, pb = ca[:, None], cb[None, :]
-        if arch.allow_load_shift:  # (kA, kB, kC) tensor
-            spreads = _spread3(
-                (net[0] + pa)[..., None], (net[1] + pb)[..., None], net[2] + cc
-            )
+        ca, cb, cc = (_candidate_powers(lo, hi) for lo, hi in bounds)
+        best = max(net) - min(net)
+        if arch.allow_load_shift:  # (row, kC) spreads over the record rows
+            a, b, c = net[0] + ca, net[1] + cb, net[2] + cc
+            rows_a, rows_b = np.divmod(_record_rows(a, b, c, best), cb.size)
+            spreads = _spread3(a[rows_a, None], b[rows_b, None], c)
         else:  # (kA, kB) plane; a pair whose C power is out of bounds is skipped
+            pa, pb = ca[:, None], cb[None, :]
             pc = -(pa + pb)
             lo_c, hi_c = bounds[2]
             spreads = _spread3(net[0] + pa, net[1] + pb, net[2] + pc)
             spreads[(pc < lo_c - 1e-12) | (pc > hi_c + 1e-12)] = np.inf
-        j = _last_improvement(spreads, max(net) - min(net))
+        j = _last_improvement(spreads, best)
         if j is None:
             return [(0, 0.0), (1, 0.0), (2, 0.0)]
-        ia, ib, *ic = np.unravel_index(j, spreads.shape)
-        pc_j = cc[ic[0]] if arch.allow_load_shift else -(ca[ia] + cb[ib])
-        return [(ph, p.item()) for ph, p in enumerate((ca[ia], cb[ib], pc_j))]
+        if arch.allow_load_shift:
+            row, ic = divmod(j, cc.size)
+            picks = ca[rows_a[row]], cb[rows_b[row]], cc[ic]
+        else:
+            ia, ib = divmod(j, cb.size)
+            picks = ca[ia], cb[ib], -(ca[ia] + cb[ib])
+        return [(ph, p.item()) for ph, p in enumerate(picks)]
 
     # A1 and A3: sequential greedy with per-battery phase selection.
     out = []
     for lo, hi in bounds:
-        cands = np.array(_candidate_powers(lo, hi))
+        cands = _candidate_powers(lo, hi)
         trial = np.empty((3, 3, cands.size))  # (phase value, phase chosen, candidate)
         trial[:] = np.array(net)[:, None, None]
         trial[[0, 1, 2], [0, 1, 2]] += cands

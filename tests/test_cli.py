@@ -864,13 +864,21 @@ class TestGoldenFiles:
         for preset in ("a2-n5-noshift", "a1-n0"):
             assert main(["run", "--preset", preset, "--out", str(out)]) == 0
         # the greedy search, frozen from the object-level controllers: A1 and
-        # A3 choosing phases, A2 restricted to zero-sum triples
-        greedy = ("greedy-a1-n5", "greedy-a2-n5-noshift", "greedy-a3-n5")
+        # A3 choosing phases, A2 restricted to zero-sum triples; and A2 with
+        # load shift, frozen from the search over the full candidate tensor
+        greedy = ("greedy-a1-n5", "greedy-a2-n5-noshift", "greedy-a3-n5", "greedy-a2-n5")
         # several days on the clock, frozen before dispatch reused its states:
         # A2 through the zero-sum shift with clipped windows, and greedy A3;
-        # and a week frozen before dispatch tiled repeating days, whose A3
-        # units start mid-range and meet their first repeated day start on day 3
-        multiday = ("multiday-a2-noshift", "multiday-greedy-a3", "multiday-late-cycle")
+        # a week frozen before dispatch tiled repeating days, whose A3 units
+        # start mid-range and meet their first repeated day start on day 3;
+        # and greedy A2 with load shift, frozen from the full candidate tensor,
+        # whose lossy units reach their SoC limits and so search off-grid bounds
+        multiday = (
+            "multiday-a2-noshift",
+            "multiday-greedy-a3",
+            "multiday-late-cycle",
+            "multiday-greedy-a2",
+        )
         for label in greedy + multiday:
             assert main(["run", str(golden_dir / f"{label}.json"), "--out", str(out)]) == 0
         # a branched 150-node tree: a bus with 24 children, a 30-level branch,

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_greedy
@@ -21,6 +22,8 @@ from phasebal.storage import (
     Battery,
     StylizedScheduleCfg,
     _candidate_powers,
+    _record_rows,
+    _spread3,
     bounds_at,
     clip_power,
     greedy_cells,
@@ -353,6 +356,22 @@ class TestGreedyCells:
         assert 9 * len(cands) <= greedy_cells(Architecture(ArchKind.A1), [p_max])
 
 
+class TestCandidatePowers:
+    @pytest.mark.parametrize("end", [0.0, 0.3, 1.5, 0.37])
+    def test_signed_zero_bounds_build_one_grid(self, end):
+        """A -0.0 bound (the lower bound of an empty unit) builds the grid of 0.0 bit
+        for bit, so the cache may hand either bound the other's grid."""
+        build = _candidate_powers.__wrapped__
+        assert build(-0.0, end).tobytes() == build(0.0, end).tobytes()
+        assert build(-end, -0.0).tobytes() == build(-end, 0.0).tobytes()
+
+    def test_built_once_and_read_only(self):
+        grid = _candidate_powers(-1.5, 1.5)
+        assert _candidate_powers(-1.5, 1.5) is grid
+        assert not grid.flags.writeable
+        assert grid.tolist() == sorted(grid.tolist(), key=lambda p: (abs(p), p))
+
+
 def greedy(net: dict[Phase, float], arch: Architecture, bats: list[Battery], dt_h: float = 1.0):
     """``greedy_powers`` on a per-phase net dict: (phase, p_kw) per unit."""
     choice = greedy_powers([net[ph] for ph in PHASES], arch, bounds_of(bats, dt_h))
@@ -473,3 +492,85 @@ class TestGreedyBalance:
         got = greedy(net, arch, bats, dt_h)
         assert got == [(a.phase, a.p_kw) for a in reference_greedy(net, arch, bats, dt_h)]
         assert all(type(p) is float for _, p in got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lattice_kw=st.sampled_from([0.05, 0.1]),
+        net_steps=st.lists(st.integers(-40, 120), min_size=3, max_size=3),
+        non_finite=st.none()
+        | st.tuples(st.integers(0, 2), st.sampled_from([math.inf, -math.inf, math.nan])),
+        units=st.lists(
+            st.tuples(
+                st.sampled_from([0.3, 0.5, 1.0, 1.5, 0.73]),
+                st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),  # SoC / e_max
+                st.sampled_from([1.0, 0.9]),  # eta_c and eta_d
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+        dt_h=st.sampled_from([1.0, 0.25, 0.7]),
+    )
+    @example(0.1, [100, 0, 0], None, [(1.5, 0.0, 1.0), (1.5, 1.0, 1.0), (1.5, 0.0, 1.0)], 1.0)
+    @example(0.1, [100, 0, 0], (1, math.inf), [(1.5, 0.5, 1.0)] * 3, 1.0)
+    @example(0.1, [100, 0, 0], (2, -math.inf), [(1.5, 0.5, 1.0)] * 3, 1.0)
+    @example(0.1, [30, 0, 0], (0, math.nan), [(1.5, 0.5, 1.0)] * 3, 1.0)
+    @example(0.1, [30, 20, 0], (1, math.nan), [(1.5, 0.5, 1.0)] * 3, 1.0)
+    @example(0.05, [31, 3, 17], None, [(0.73, 0.13, 0.9), (1.5, 0.97, 0.9), (1.0, 0.0, 0.9)], 0.7)
+    def test_a2_load_shift_matches_loop_reference(
+        self, lattice_kw, net_steps, non_finite, units, dt_h
+    ):
+        """The A2 load-shift search scans only the (A, B) rows that can hold
+        a record. With ties on a lattice, bounds off the grid or at -0.0 (an
+        empty unit), and a net not finite in one phase, it still chooses
+        what the per-candidate loop chooses, zero signs included, and keeps
+        exactly the rows whose minimum is a strict running minimum of the
+        full spread tensor."""
+        net = {ph: k * lattice_kw for ph, k in zip(PHASES, net_steps)}
+        if non_finite is not None:
+            net[PHASES[non_finite[0]]] = non_finite[1]
+        arch = Architecture(ArchKind.A2)
+        bats = [
+            Battery(
+                id=f"b{i}",
+                p_max_kw=p_max,
+                soc_kwh=DEFAULT_HOURS_AT_RATED * p_max * soc_frac,
+                eta_c=eta,
+                eta_d=eta,
+            )
+            for i, (p_max, soc_frac, eta) in enumerate(units)
+        ]
+        got = greedy(net, arch, bats, dt_h)
+        want = [(a.phase, a.p_kw) for a in reference_greedy(net, arch, bats, dt_h)]
+        assert [(ph, p, math.copysign(1.0, p)) for ph, p in got] == [
+            (ph, p, math.copysign(1.0, p)) for ph, p in want
+        ]
+
+        values = [net[ph] for ph in PHASES]
+        best = max(values) - min(values)
+        a, b, c = (v + _candidate_powers(*bd) for v, bd in zip(values, bounds_of(bats, dt_h)))
+        rows = _record_rows(a, b, c, best).tolist()
+        if non_finite is not None:
+            assert rows == list(range(a.size * b.size))
+        else:
+            row_min = _spread3(a[:, None, None], b[None, :, None], c).min(axis=2).ravel()
+            prior = np.minimum.accumulate(np.concatenate(([best], row_min[:-1])))
+            assert rows == np.flatnonzero(row_min < prior).tolist()
+
+    def test_a2_load_shift_search_memory(self):
+        """One A2 load-shift search over 1.5 kW units at full bounds builds
+        its record rows only: it peaks under 160 kB (the full 31^3 spread
+        tensor took about 650 kB), so the heap top stays below glibc's trim
+        threshold and warm runs take no page faults."""
+        arch, bounds = Architecture(ArchKind.A2), [(-1.5, 1.5)] * 3
+        rng = random.Random(5)
+        for net in ([12.0, 3.0, 3.0], [-6.5, 2.5, 4.0], [5.0, 5.0, 5.0]) + tuple(
+            [rng.uniform(-20, 20) for _ in range(3)] for _ in range(5)
+        ):
+            greedy_powers(list(net), arch, bounds)  # the grids are built once
+            tracemalloc.start()
+            try:
+                greedy_powers(list(net), arch, bounds)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 160_000, (net, peak)
