@@ -43,7 +43,6 @@ from .network import (
     Feeder,
     LineSegment,
     Phase,
-    attach_device,
     build_feeder,
     chain_feeder,
 )

@@ -626,7 +626,7 @@ def write_csv_atomic(path: Path, header: Sequence[str], lines) -> None:
         handle.writelines(lines)
 
 
-def timeseries_rows(scenario: Scenario, result: ScenarioResult) -> Iterator[str]:
+def timeseries_rows(result: ScenarioResult) -> Iterator[str]:
     """The timeseries CSV lines as text made from the run's trajectory
     arrays, one string per timestep holding a line per node. Fields read as
     ``csv_lines`` would write them: floats at 17 significant digits (by
@@ -645,11 +645,11 @@ def timeseries_rows(scenario: Scenario, result: ScenarioResult) -> Iterator[str]
     traj = result.trajectory
     topo = traj.topology
     n = topo.n
-    storage_row = {d.battery_id: topo.index[d.node] for d in scenario.feeder.storage_devices()}
     # storage columns (p by phase, q by phase, SoC) of the storage nodes; units
     # sharing a node and phase add up in battery order
-    stor_nodes = sorted(set(storage_row.values()))
-    at = [stor_nodes.index(storage_row[b]) for b in traj.battery_ids]
+    battery_node = traj.battery_node.tolist()
+    stor_nodes = sorted(set(battery_node))
+    at = [stor_nodes.index(i) for i in battery_node]
     steps = np.arange(len(result.step_row))
     storage = np.zeros((len(steps), len(stor_nodes), 7))
     for i, (p, q, ph) in enumerate(zip(traj.p_kw.T, traj.q_kvar.T, traj.phase.T)):
@@ -696,7 +696,7 @@ def timeseries_rows(scenario: Scenario, result: ScenarioResult) -> Iterator[str]
         rows = [r for r in dict.fromkeys(step_rows[k0 : k0 + per_chunk]) if r not in texts]
         for g in range(0, len(rows), per_group):
             texts.update(zip(rows[g : g + per_group], row_texts(rows[g : g + per_group])))
-        times = g17.lines((chunk * scenario.dt_h)[:, None]).split("\n")
+        times = g17.lines((chunk * traj.dt_h)[:, None]).split("\n")
         stored = iter(g17.lines(storage[chunk].reshape(-1, 7)).splitlines(True))
         for k, t in zip(chunk.tolist(), times):
             t = t[1:] + ","
@@ -721,7 +721,7 @@ def _write_run_outputs(cfg: RunConfig, result: ScenarioResult, out_dir: Path) ->
     written = []
     if cfg.write_timeseries:
         path = out_dir / f"{cfg.label}-timeseries.csv"
-        write_csv_atomic(path, TIMESERIES_COLUMNS, timeseries_rows(cfg.scenario, result))
+        write_csv_atomic(path, TIMESERIES_COLUMNS, timeseries_rows(result))
         written.append(path)
     if cfg.write_summary:
         path = out_dir / f"{cfg.label}-summary.csv"

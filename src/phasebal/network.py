@@ -18,7 +18,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     CyclicTopology,
@@ -169,16 +169,6 @@ class Feeder:
         return tuple(d for d in self.devices if d.kind is DeviceKind.STORAGE)
 
 
-def _check_devices(devices: Iterable[Device], nodes: set[str]) -> None:
-    seen: set[str] = set()
-    for dev in devices:
-        if dev.label in seen:
-            raise ValueError(f"duplicate device label {dev.label!r}")
-        seen.add(dev.label)
-        if dev.node not in nodes:
-            raise UnknownNode(dev.node, f"device {dev.label!r}")
-
-
 def build_feeder(
     source_node: str,
     nodes: Sequence[str],
@@ -258,7 +248,13 @@ def build_feeder(
         if n not in visited:
             raise DisconnectedNode(n)
 
-    _check_devices(devices, node_set)
+    seen: set[str] = set()
+    for dev in devices:
+        if dev.label in seen:
+            raise ValueError(f"duplicate device label {dev.label!r}")
+        seen.add(dev.label)
+        if dev.node not in node_set:
+            raise UnknownNode(dev.node, f"device {dev.label!r}")
 
     return Feeder(
         source_node=source_node,
@@ -268,18 +264,6 @@ def build_feeder(
         v_base_ln=float(v_base_ln),
         s_base_kva=float(s_base_kva),
     )
-
-
-def attach_device(feeder: Feeder, device: Device) -> Feeder:
-    """Return a new feeder with the device appended; the original is unchanged.
-
-    Raises ValueError if the feeder already has a device with the same
-    label, and UnknownNode if the device references a node outside the
-    feeder. Sign-convention violations and non-finite ratings are raised
-    by the Device constructor itself.
-    """
-    _check_devices(list(feeder.devices) + [device], set(feeder.nodes))
-    return replace(feeder, devices=feeder.devices + (device,))
 
 
 def chain_feeder(n_nodes: int, segment_km: float, *, devices: Sequence[Device] = ()) -> Feeder:

@@ -130,16 +130,6 @@ class VoltageSolution:
             for name, row in zip(self.nodes, self.voltages.tolist())
         }
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VoltageSolution):
-            return NotImplemented
-        return (
-            self.nodes == other.nodes
-            and self.iterations == other.iterations
-            and np.array_equal(self.voltages, other.voltages)
-            and np.array_equal(self.currents, other.currents)
-        )
-
 
 def source_phasors(v_base_ln: float) -> tuple[complex, complex, complex]:
     """Balanced source phasors: A at 0 deg, B at -120 deg, C at +120 deg."""

@@ -135,6 +135,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.controller not in CONTROLLERS:
             raise ValueError(f"unknown controller {self.controller!r}")
+        if not self.dt_h > 0:
+            raise ValueError(f"dt_h must be > 0, got {self.dt_h!r}")
         steps = self.horizon_h / self.dt_h
         if not steps <= MAX_STEPS:
             raise ValueError(f"horizon_h / dt_h must be at most {MAX_STEPS} steps, got {steps:g}")
@@ -223,7 +225,9 @@ class Trajectory:
 
     Dispatch is held per step, every cell alike; step k starts at
     ``k * dt_h`` hours. ``soc_kwh`` is ``(step, battery)`` after each
-    step's action, batteries in ``battery_ids`` order. ``p_kw``,
+    step's action, batteries in ``battery_ids`` order, and
+    ``battery_node`` the node row of each battery's storage device in the
+    same order. ``p_kw``,
     ``q_kvar``, ``phase`` (index into ``PHASES``) and ``clipped`` are
     ``(step, unit)``: the dispatched units are the batteries in the same
     order, or none when the scenario has no controller. ``clipped`` is
@@ -245,6 +249,7 @@ class Trajectory:
     neutral_loss: np.ndarray
     dt_h: float
     battery_ids: tuple[str, ...]
+    battery_node: np.ndarray
     p_kw: np.ndarray
     q_kvar: np.ndarray
     phase: np.ndarray
@@ -664,13 +669,6 @@ def _row_bytes(rows: np.ndarray, k: int) -> bytes:
     return rows[k].tobytes()
 
 
-def _first_flagged(flags: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """For each part ``bounds[c]:bounds[c + 1]`` of ``flags``, the index
-    of its first True, or ``bounds[c + 1]`` if it holds none."""
-    at = np.append(np.flatnonzero(flags), bounds[-1])
-    return np.minimum(at[np.searchsorted(at, bounds[:-1])], bounds[1:])
-
-
 def _fold_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """The builtin ``sum`` along ``axis``, bit for bit: a left fold from
     0.0 (``np.sum`` adds pairwise and differs in the last bits). The fold
@@ -717,27 +715,31 @@ def _run_batch(scenario: Scenario, cells: _CellDevices, settings: SolverSettings
     vuf_pct, drop_pct, v_rms = node_metric_arrays(solved.voltages, topo.v_base)
     phase_loss, neutral_loss = segment_losses(solved.currents, topo.r_phase, topo.r_neutral)
     n_cells, n_steps, dt_h = len(cells.node), scenario.n_steps, scenario.dt_h
+    node_of = {d.battery_id: topo.index[d.node] for d in scenario.feeder.storage_devices()}
     trajectory = Trajectory(
-        topo, solved, vuf_pct, drop_pct, v_rms, phase_loss, neutral_loss, dt_h, **fields
+        topo, solved, vuf_pct, drop_pct, v_rms, phase_loss, neutral_loss, dt_h,
+        battery_node=np.array([node_of[b.id] for b in scenario.batteries], dtype=np.intp),
+        **fields,
     )
-    bounds = np.arange(n_cells + 1) * (len(candidates) // n_cells)
-    step_row = rank[bounds[:-1, None] + step_key]  # (cell, step)
+    step_row = rank.reshape(n_cells, -1)[:, step_key]  # (cell, step)
 
     # --- errors: the earliest step on a failing or undefined row ------------
-    # a cell's candidates appear in step order, so its earliest failing step
-    # is the first step of its first candidate on a failing row
-    failed = np.zeros(len(distinct), dtype=bool)
-    failed[list(solved.failures)] = True
-    fail_at = _first_flagged(failed[rank], bounds)
-    undefined_at = _first_flagged(~np.isfinite(vuf_pct).all(axis=1)[rank], bounds)
+    # a sentinel row past the last, flagged both ways, puts a cell without
+    # such a step at len(step_key); a failed row's voltages are zeros, so it
+    # is undefined too, and the failure is reported
+    ends = np.c_[step_row, np.full(n_cells, len(distinct))]
+    failed = np.zeros(len(distinct) + 1, dtype=bool)
+    failed[[*solved.failures, -1]] = True
+    fail_at = failed[ends].argmax(axis=1)
+    undefined_at = np.append(~np.isfinite(vuf_pct).all(axis=1), True)[ends].argmax(axis=1)
     undefined = undefined_at < fail_at
     errors: dict[int, Exception] = {}
-    for c in np.flatnonzero(undefined | (fail_at < bounds[1:])).tolist():
+    for c in np.flatnonzero(undefined | (fail_at < len(step_key))).tolist():
         if undefined[c]:
             errors[c] = ZeroPositiveSequence("positive-sequence magnitude is zero")
-        else:  # the first step on the failing candidate row
-            step = int(np.argmax(step_key == fail_at[c] - bounds[c]))
-            errors[c] = ScenarioStepError(step * dt_h, solved.failures[rank[fail_at[c]]])
+        else:
+            k = int(fail_at[c])
+            errors[c] = ScenarioStepError(k * dt_h, solved.failures[int(step_row[c, k])])
     if stopped is not None:
         errors = {c: errors.get(c, stopped) for c in range(n_cells)}
     summary = np.full((n_cells, len(SUMMARY_FIELDS)), np.nan)
@@ -1033,7 +1035,7 @@ def build_stylized_scenario(
         name = f"stylized-{arch.kind.value.lower()}-{storage_node.lower()}{shift}"
 
     feeder = chain_feeder(6, segment_km, devices=devices)
-    n_steps = round(horizon_h / dt_h)
+    n_steps = round(horizon_h / dt_h) if dt_h > 0 else 0  # Scenario refuses such a dt_h
     profiles = _flat_profiles(n_steps)
     profiles["dg-window"] = _window_profile(n_steps, dt_h, schedule.dg_window)
     profiles["ev-window"] = _window_profile(n_steps, dt_h, schedule.ev_window)

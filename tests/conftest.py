@@ -169,6 +169,15 @@ def labelled(feeder: Feeder, label: str) -> Device:
     return next(d for d in feeder.devices if d.label == label)
 
 
+def with_device(feeder: Feeder, device: Device) -> Feeder:
+    """The feeder with ``device`` appended, validated by ``build_feeder``."""
+    devices = feeder.devices + (device,)
+    return build_feeder(
+        feeder.source_node, feeder.nodes, feeder.segments, devices, feeder.v_base_ln,
+        feeder.s_base_kva,
+    )
+
+
 def with_profiles(feeder: Feeder, values, steps: int) -> Scenario:
     """The feeder with device i following profile ``p{i}`` (``values[i]``),
     as a scenario over ``steps`` hourly steps."""

@@ -353,6 +353,30 @@ class TestParseConfig:
         assert cfg.scenario.n_steps == 2
         assert cfg.scenario.label == "tiny"
 
+    def test_custom_segment_impedances_are_complex_pairs(self):
+        """Each ``[R, X]`` pair of a segment parses to ``complex(R, X)``,
+        and the parsed feeder solves byte for byte as the same feeder built
+        through the API."""
+        z = {
+            "z_phase_per_km": [0.27, 0.081],
+            "z_neutral_per_km": [1, 0.1],
+            "z_mutual_per_km": [0.0, 0.04],
+        }
+        (seg_doc,) = CUSTOM_DOC["scenario"]["feeder"]["segments"]
+        doc = replaced(CUSTOM_DOC, ("scenario", "feeder", "segments"), [{**seg_doc, **z}])
+        parsed = parse_config(doc).scenario
+        (seg,) = parsed.feeder.segments
+        for key, (r, x) in z.items():
+            assert type(getattr(seg, key)) is complex and getattr(seg, key) == complex(r, x)
+        z_api = {key: complex(r, x) for key, (r, x) in z.items()}
+        load = Device("l1", "N1", DeviceKind.LOAD, Phase.A, 1.0 + 0j)
+        feeder = build_feeder("N0", ["N0", "N1"], [LineSegment("N0", "N1", 0.1, **z_api)], [load])
+        assert parsed.feeder == feeder
+        got = run_scenario(parsed).trajectory.solved
+        want = run_scenario(replace(parsed, feeder=feeder)).trajectory.solved
+        assert got.voltages.tobytes() == want.voltages.tobytes()
+        assert got.currents.tobytes() == want.currents.tobytes()
+
     def test_custom_scenario_is_validated_once(self):
         """Every scenario is built under the config's label, so its checks
         run once: a custom one, and a builder's, which is not re-labelled."""
@@ -1007,7 +1031,7 @@ class TestTimeseriesRows:
         ]
         scenario = with_greedy_fleet(with_profiles(feeder, values, steps), fleet, rng)
         result = run_scenario(scenario)
-        chunks = list(timeseries_rows(scenario, result))
+        chunks = list(timeseries_rows(result))
         lines = reference_timeseries_lines(scenario, result)
         assert "".join(chunks) == "".join(lines)
         assert len(chunks) == steps  # one chunk per step
@@ -1030,7 +1054,7 @@ class TestTimeseriesRows:
             arch, storage_node, battery_kw, controller, target_phase=target_phase
         )
         result = run_scenario(scenario)
-        assert "".join(timeseries_rows(scenario, result)) == "".join(
+        assert "".join(timeseries_rows(result)) == "".join(
             reference_timeseries_lines(scenario, result)
         )
 
@@ -1043,7 +1067,7 @@ class TestTimeseriesRows:
             if sum(1 for a in rec.actions if a.phase is Phase.A and a.p_kw != 0) >= 2
         ]
         assert shared, "no step where two A3 units dispatch on one phase"
-        text = "".join(timeseries_rows(scenario, result))
+        text = "".join(timeseries_rows(result))
         assert text == "".join(reference_timeseries_lines(scenario, result))
         rows = [line.split(",") for line in text.splitlines()]
         col = TIMESERIES_COLUMNS.index("storage_p_a_kw")
@@ -1062,7 +1086,7 @@ class TestTimeseriesRows:
         result = run_scenario(scenario)
         assert result.trajectory.phase_loss[0, 0, 0] == 0.0  # the per-conductor loss
         assert math.copysign(1.0, result.trajectory.phase_loss[0, 0, 0]) == -1.0  # is -0.0
-        text = "".join(timeseries_rows(scenario, result))
+        text = "".join(timeseries_rows(result))
         assert text == "".join(reference_timeseries_lines(scenario, result))
         line = text.splitlines()[1]
         assert line.split(",")[TIMESERIES_COLUMNS.index("seg_phase_loss_kw")] == "0"
@@ -1093,7 +1117,7 @@ class TestTimeseriesRows:
         )
         result = run_scenario(scenario)
         assert np.count_nonzero(result.trajectory.p_kw) > 0
-        assert "".join(timeseries_rows(scenario, result)) == "".join(
+        assert "".join(timeseries_rows(result)) == "".join(
             reference_timeseries_lines(scenario, result)
         )
 
@@ -1113,7 +1137,7 @@ class TestTimeseriesRows:
             horizon_h=3.0,
         )
         result = run_scenario(scenario)
-        text = "".join(timeseries_rows(scenario, result))
+        text = "".join(timeseries_rows(result))
         lines = reference_timeseries_lines(scenario, result)
         assert text == "".join(lines)
         fields = ['"a,b"', '"q""x"', "", " lead", '"x\ny"']

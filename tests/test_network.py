@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from conftest import labelled, snapshot_solve
+from conftest import labelled, snapshot_solve, with_device
 from phasebal.errors import (
     CyclicTopology,
     DisconnectedNode,
@@ -22,7 +22,6 @@ from phasebal.network import (
     DeviceKind,
     LineSegment,
     Phase,
-    attach_device,
     build_feeder,
     chain_feeder,
 )
@@ -229,28 +228,27 @@ class TestAttachDevice:
         dg = Device(
             label="pv", node="N1", kind=DeviceKind.DG, phase=Phase.A, s_rated_kva=-6.0 + 0j
         )
-        updated = attach_device(self.feeder, dg)
-        assert len(updated.devices) == 6
-        assert len(self.feeder.devices) == 5  # original unchanged
-        assert updated.devices[:5] == self.feeder.devices
+        updated = with_device(self.feeder, dg)
+        assert updated.devices == self.feeder.devices + (dg,)
         assert updated.nodes == self.feeder.nodes
+        assert updated.segments == self.feeder.segments
 
     def test_attach_zero_three_phase_load_leaves_solution_unchanged(self):
         zero = balanced_load("zero", "N2", 0.0)
-        updated = attach_device(self.feeder, zero)
+        updated = with_device(self.feeder, zero)
         assert labelled(updated, "zero").s_rated_kva == 0
         assert snapshot_solve(updated).v == snapshot_solve(self.feeder).v
 
     def test_attach_at_unknown_node(self):
         ev = Device(label="ev", node="N9", kind=DeviceKind.EV, phase=Phase.A, s_rated_kva=7.0 + 0j)
         with pytest.raises(UnknownNode) as exc:
-            attach_device(self.feeder, ev)
+            with_device(self.feeder, ev)
         assert exc.value.node == "N9"
 
     def test_attach_duplicate_label(self):
         ev = Device(label="l3", node="N2", kind=DeviceKind.EV, phase=Phase.A, s_rated_kva=7.0 + 0j)
         with pytest.raises(ValueError, match="duplicate device label 'l3'"):
-            attach_device(self.feeder, ev)
+            with_device(self.feeder, ev)
 
 
 class TestPhaseOrdering:

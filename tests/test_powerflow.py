@@ -405,7 +405,9 @@ class TestDeterminismAndTolerance:
         feeder = random_feeder(rng)
         a = snapshot_solve(feeder)
         b = snapshot_solve(feeder)
-        assert a == b
+        assert a.voltages.tobytes() == b.voltages.tobytes()
+        assert a.currents.tobytes() == b.currents.tobytes()
+        assert a.iterations == b.iterations
 
     def test_halving_tolerance_is_stable(self):
         rng = random.Random(9)
@@ -429,6 +431,19 @@ class TestFailureModes:
         feeder = single_phase_load_feeder(1.0)
         with pytest.raises(NonConvergence) as exc:
             snapshot_solve(feeder, settings=SolverSettings(tol_pu=1e-12, max_iter=1))
+        assert exc.value.iterations == 1
+        assert exc.value.residual > 0
+
+    def test_oracle_raises_voltage_collapse_on_infeasible_load(self):
+        feeder = single_phase_load_feeder(50.0, km=1.0)
+        with pytest.raises(VoltageCollapse) as exc:
+            oracle_solve(feeder)
+        assert exc.value.v_min_pu < 0.5 and exc.value.iteration >= 1
+
+    def test_oracle_non_convergence_reports_iterations(self):
+        feeder = single_phase_load_feeder(1.0)
+        with pytest.raises(NonConvergence) as exc:
+            oracle_solve(feeder, settings=SolverSettings(tol_pu=1e-12, max_iter=1))
         assert exc.value.iterations == 1
         assert exc.value.residual > 0
 

@@ -30,6 +30,7 @@ from conftest import (
     reference_sweep,
     reference_timeseries_lines,
     snapshot_solve,
+    with_device,
     with_greedy_fleet,
     with_profiles,
 )
@@ -43,6 +44,7 @@ from phasebal.errors import (
     UnknownNode,
     UnsupportedNode,
     VoltageCollapse,
+    ZeroPositiveSequence,
 )
 from phasebal.network import (
     PHASES,
@@ -50,7 +52,6 @@ from phasebal.network import (
     DeviceKind,
     LineSegment,
     Phase,
-    attach_device,
     build_feeder,
     chain_feeder,
 )
@@ -268,6 +269,13 @@ class TestScenarioValidation:
             build_stylized_scenario(Architecture(ArchKind.A2), "N5", 3e6, controller="greedy")
         # the fixed schedule builds no search array
         build_stylized_scenario(Architecture(ArchKind.A2), "N5", 3e6)
+
+    @pytest.mark.parametrize("dt_h", [0.0, -0.0, -1.0, math.nan])
+    def test_step_must_be_positive(self, dt_h):
+        with pytest.raises(ValueError, match=r"^dt_h must be > 0, got"):
+            Scenario(feeder=chain_feeder(2, 0.1), dt_h=dt_h)
+        with pytest.raises(ValueError, match=r"^dt_h must be > 0, got"):
+            build_stylized_scenario(Architecture(ArchKind.A2), dt_h=dt_h)
 
     def test_horizon_must_divide(self):
         feeder = chain_feeder(2, 0.1)
@@ -729,7 +737,7 @@ class TestBatchedRun:
         assert not batch.errors and len(batch.step_row) == len(cells)
         for c, (label, device) in enumerate(cells):
             result = scenarios._cell_result(batch, c, label)
-            feeder = base.feeder if device is None else attach_device(base.feeder, device)
+            feeder = base.feeder if device is None else with_device(base.feeder, device)
             want = run_scenario(replace(base, feeder=feeder, label=label))
             assert repr(result) == repr(want)
             assert result.trajectory is batch.trajectory
@@ -846,6 +854,91 @@ class TestBatchedRun:
             snapshot_solve(feeder, {load: load.s_rated_kva * 1.0})
         assert str(exc.value.cause) == str(alone.value)
         assert exc.value.cause.iteration == alone.value.iteration
+
+    @pytest.mark.parametrize(
+        "undefined, want",
+        [
+            ([1], (ZeroPositiveSequence, "positive-sequence magnitude is zero")),
+            ([4], (ScenarioStepError, "at t=3 h: ")),
+            ([3], (ScenarioStepError, "at t=3 h: ")),
+        ],
+        ids=["before", "after", "same-row"],
+    )
+    def test_undefined_step_and_solver_failure_the_earliest_wins(self, undefined, want):
+        """Steps 0-5 read rows 0, 1, 2, 3, 1, 4, and row 3 (step 3)
+        collapses. An undefined VUF on row 1 first meets step 1, before the
+        failure, and wins; on row 4 (step 5) it comes after and the failure
+        wins; on the failing row itself the failure is reported."""
+        load = Device("load", "N1", DeviceKind.LOAD, Phase.A, 50.0 + 0j, profile_id="p")
+        values = (0.0, 0.05, 0.02, 1.0, 0.05, 0.03)
+        scenario = Scenario(
+            feeder=chain_feeder(2, 1.0, devices=[load]), horizon_h=6.0, profiles={"p": values}
+        )
+        batch = scenarios._run_batch(scenario, _NO_DEVICE, SolverSettings())
+        assert batch.step_row.tolist() == [[0, 1, 2, 3, 1, 4]]
+        failure = outcome(scenario, run_scenario)
+        assert failure[0] is ScenarioStepError and failure[1].startswith("at t=3 h: ")
+        with undefined_vuf_at(undefined):
+            got = outcome(scenario, run_scenario)
+        assert got[0] is want[0] and got[1].startswith(want[1])
+        if got[0] is ScenarioStepError:
+            assert got == failure
+
+    def test_cells_failing_at_different_steps_each_report_their_earliest(self):
+        """Every (cell, step) of this batch is its own row, cell by cell.
+        Each cell collapses from a step its rating sets (or never), and an
+        undefined VUF marks one chosen step; each cell reports the earlier
+        of the two, the failure where they share a step, and a failing
+        cell's summary and drops are NaN."""
+        load = Device("load", "N1", DeviceKind.LOAD, Phase.A, 1.0 + 0j, profile_id="p")
+        feeder = chain_feeder(2, 1.0, devices=[load])
+        values = (0.1, 0.2, 0.3, 0.4, 0.5)
+        scenario = Scenario(feeder=feeder, horizon_h=5.0, profiles={"p": values})
+        # (rating kW or None, first collapsing step, undefined step)
+        cells = [
+            (None, None, None), (60, 3, 1), (150, 1, 3), (100, 2, 2), (20, None, 4), (40, 4, None)
+        ]
+        devices = cell_devices(
+            feeder,
+            [
+                None if kw is None else Device("x", "N1", DeviceKind.EV, Phase.A, kw + 0j, "p")
+                for kw, _, _ in cells
+            ],
+        )
+        plain = scenarios._run_batch(scenario, devices, SolverSettings())
+        assert plain.step_row.tolist() == np.arange(30).reshape(6, 5).tolist()
+        assert {c: str(e)[: len("at t=3 h: ")] for c, e in plain.errors.items()} == {
+            c: f"at t={fail} h: " for c, (_, fail, _) in enumerate(cells) if fail is not None
+        }
+        undefined = [5 * c + k for c, (_, _, k) in enumerate(cells) if k is not None]
+        with undefined_vuf_at(undefined):
+            batch = scenarios._run_batch(scenario, devices, SolverSettings())
+        for c, (_, fail, bad) in enumerate(cells):
+            err = batch.errors.get(c)
+            if fail is None and bad is None:
+                assert err is None
+                assert np.isfinite(batch.summary[c]).all() and np.isfinite(batch.sum_drop[c]).all()
+                continue
+            assert np.isnan(batch.summary[c]).all() and np.isnan(batch.sum_drop[c]).all()
+            if fail is None or (bad is not None and bad < fail):
+                assert type(err) is ZeroPositiveSequence
+                assert str(err) == "positive-sequence magnitude is zero"
+            else:
+                assert type(err) is ScenarioStepError and err.t_h == float(fail)
+                assert str(err) == str(plain.errors[c])
+
+
+def undefined_vuf_at(rows: list[int]):
+    """Patch the node metrics so that the VUF of the last node is NaN on
+    the solved ``rows``."""
+    metrics = scenarios.node_metric_arrays
+
+    def patched(voltages, v_base):
+        vuf_pct, drop_pct, v_rms = metrics(voltages, v_base)
+        vuf_pct[rows, -1] = np.nan
+        return vuf_pct, drop_pct, v_rms
+
+    return mock.patch.object(scenarios, "node_metric_arrays", patched)
 
 
 class TestDispatchProperties:
@@ -984,6 +1077,10 @@ def assert_scan_equals_the_reference_loop(scenario: Scenario):
     assert_same_steps(got, want)
     traj = got.trajectory
     assert traj.battery_ids == tuple(b.id for b in scenario.batteries)
+    node_of = {d.battery_id: d.node for d in scenario.feeder.storage_devices()}
+    assert [traj.topology.nodes[i] for i in traj.battery_node.tolist()] == [
+        node_of[b] for b in traj.battery_ids
+    ]
     actions = [acts for _, acts, _ in steps]
     assert repr(traj.p_kw.tolist()) == repr([[a.p_kw for a in acts] for acts in actions])
     assert repr(traj.q_kvar.tolist()) == repr([[a.q_kvar for a in acts] for acts in actions])
@@ -998,7 +1095,7 @@ def assert_scan_equals_the_reference_loop(scenario: Scenario):
             for (t_h, acts, soc), rec in zip(steps, got.per_timestep, strict=True)
         ]
     )
-    assert "".join(timeseries_rows(scenario, got)) == "".join(
+    assert "".join(timeseries_rows(got)) == "".join(
         reference_timeseries_lines(scenario, loop)
     )
 
@@ -1057,7 +1154,7 @@ class TestStepKeys:
             profiles["idle"] = profiles["flat"]
         idle = Device("idle-N2", "N2", DeviceKind.LOAD, idle_phase, 0j, profile_id="idle")
         scenario = replace(
-            scenario, feeder=attach_device(scenario.feeder, idle), profiles=profiles
+            scenario, feeder=with_device(scenario.feeder, idle), profiles=profiles
         )
 
         got, want = outcome(scenario, run_scenario), outcome(scenario, reference_run)
@@ -1410,7 +1507,7 @@ class TestDispatchScan:
         assert traj.clipped[0].all()
         assert abs(sum(a.p_kw for a in result.per_timestep[0].actions)) > 1e-9
         want = reference_run(scenario)
-        assert list(timeseries_rows(scenario, result)) == list(timeseries_rows(scenario, want))
+        assert list(timeseries_rows(result)) == list(timeseries_rows(want))
         assert repr(result) == repr(want) and result == want
         assert_same_steps(result, want)
 
