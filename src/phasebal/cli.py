@@ -466,8 +466,8 @@ def _parse_feeder(doc: dict) -> Feeder:
         Device(
             label=d["label"],
             node=d["node"],
-            kind=DeviceKind(d["kind"]),
-            phase=Phase(d["phase"]) if d.get("phase") is not None else None,
+            kind=d["kind"],
+            phase=d.get("phase"),
             s_rated_kva=complex(d.get("p_kw", 0.0), d.get("q_kvar", 0.0)),
             profile_id=d.get("profile"),
             battery_id=d.get("battery_id"),

@@ -131,6 +131,14 @@ class Device:
     battery_id: str | None = None
 
     def __post_init__(self) -> None:
+        # a kind or phase given by value becomes its member, so the checks below see it
+        for name, enum in (("kind", DeviceKind), ("phase", Phase)):
+            value = getattr(self, name)
+            if not (isinstance(value, enum) or name == "phase" and value is None):
+                try:
+                    object.__setattr__(self, name, enum(value))
+                except ValueError:
+                    raise ValueError(f"device {self.label!r}: unknown {name} {value!r}") from None
         _require_finite(self.s_rated_kva, f"device {self.label!r} s_rated_kva")
         _require_finite(self.s_rated_kva * 1000, f"device {self.label!r} s_rated_kva * 1000")
         p = self.s_rated_kva.real

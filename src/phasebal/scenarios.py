@@ -20,13 +20,13 @@ bytes of its profile values and, with a dispatched fleet, of its applied
 of each key. The horizon aggregates still add every step in step order,
 and ``ScenarioResult.per_timestep`` makes each step's ``StepRecord`` only
 when it is read.
-A batch is one scenario and its cells, each the scenario with at most one
-device attached, given as columns (``_CellDevices``): a run is one cell
-without a device, and ``sweep_and_tabulate`` builds the loaded chain of a
-sweep once and gives each cell its DG or EV. The cells share the
-scenario's dispatch, step keys and entry layout, each device takes columns
-after the scenario's entries, and one power flow covers the distinct rows
-of every cell. A batch's outcome is arrays (``_Batch``): one
+A batch is one scenario plus constant cell columns: extra entry keys after
+the scenario's entries, and each cell's constant VA in them. A run has no
+keys and one cell; ``sweep_and_tabulate`` builds the loaded chain of a
+sweep once and gives each cell its DG or EV as the VA of its node's
+columns. The cells share the scenario's dispatch, step keys and entry
+layout, and one power flow covers the distinct rows of every cell. A
+batch's outcome is arrays (``_Batch``): one
 ``Trajectory``, and per cell its summary values, summed drops, ``step_row``
 and error. A cell's ``ScenarioResult`` is made from them when it is read,
 and a sweep's ``SweepTable`` makes each row so.
@@ -114,6 +114,18 @@ MAX_STEPS = 1_000_000
 
 _SWEEP_NODES = ("N1", "N2", "N3", "N4", "N5")
 
+
+def _step_count(horizon_h: float, dt_h: float) -> int:
+    """The steps of ``horizon_h`` at ``dt_h``, checked before anything is sized from them."""
+    if not dt_h > 0:
+        raise ValueError(f"dt_h must be > 0, got {dt_h!r}")
+    steps = horizon_h / dt_h
+    if not steps <= MAX_STEPS:
+        raise ValueError(f"horizon_h / dt_h must be at most {MAX_STEPS} steps, got {steps:g}")
+    if steps < 1 or abs(steps - round(steps)) > 1e-9:
+        raise ValueError("horizon_h must be a positive multiple of dt_h")
+    return round(steps)
+
 #: Row of each phase in a node's conductor 4-vector (the neutral is 3).
 _PHASE_ROW = {ph: c for c, ph in enumerate(PHASES)}
 
@@ -135,14 +147,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.controller not in CONTROLLERS:
             raise ValueError(f"unknown controller {self.controller!r}")
-        if not self.dt_h > 0:
-            raise ValueError(f"dt_h must be > 0, got {self.dt_h!r}")
-        steps = self.horizon_h / self.dt_h
-        if not steps <= MAX_STEPS:
-            raise ValueError(f"horizon_h / dt_h must be at most {MAX_STEPS} steps, got {steps:g}")
-        if abs(steps - round(steps)) > 1e-9 or steps < 1:
-            raise ValueError("horizon_h must be a positive multiple of dt_h")
-        n, peaks = self.n_steps, {}
+        n, peaks = _step_count(self.horizon_h, self.dt_h), {}
         for pid, profile in self.profiles.items():
             for i, value in enumerate(profile):
                 if not 0 <= value < math.inf:
@@ -348,22 +353,6 @@ SUMMARY_FIELDS = (
 )
 
 
-class _CellDevices(NamedTuple):
-    """The device of each cell of a batch, as ``(cell,)`` columns: its node
-    row (-1 where the cell has no device), phase row (3: all three), complex
-    kVA rating per connected phase and profile id (None: 1.0 at every
-    step)."""
-
-    node: np.ndarray
-    phase: np.ndarray
-    rating: np.ndarray
-    profile: Sequence[str | None]
-
-
-#: A run: one cell without a device.
-_NO_DEVICE = _CellDevices(np.full(1, -1), np.full(1, 3), np.zeros(1, complex), (None,))
-
-
 class _Batch(NamedTuple):
     """The outcome of every cell of a batch (``_run_batch``): the shared
     ``trajectory``; ``summary`` ``(cell, 6)``, the ``SUMMARY_FIELDS`` values,
@@ -401,48 +390,38 @@ def _va(p_kw: np.ndarray, q_kvar: np.ndarray) -> np.ndarray:
 
 
 def _dispatch(
-    scenario: Scenario, cells: _CellDevices, index: dict[str, int]
+    scenario: Scenario, index: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict, Exception | None]:
-    """Pass 1 of a run, for the cells of one scenario: lay out the
-    injection entries, dispatch storage over all steps
-    (``_dispatch_storage``) and build the injections of the steps that can
-    differ. A cell is the scenario with its device of ``cells`` attached,
-    or with none where its node row is -1. Neither controller reads
-    voltages, so this fixes every step's injections up front. A device must not change the
-    dispatch it rides on, so devices are refused under a greedy fleet,
-    whose search reads the devices' net power.
+    """Pass 1 of a run: lay out the injection entries, dispatch storage
+    over all steps (``_dispatch_storage``) and build the injections of the
+    steps that can differ. Neither controller reads voltages, so this
+    fixes every step's injections up front.
 
     A device takes one entry per connected phase, keyed ``node row * 4 +
     conductor``, in the order the devices sit on the feeder. A storage
     device takes three (A, B, C): the phase its battery is dispatched on
     carries the power and the other two stay zero, so phase-selecting
-    units need no second layout. The cells' devices follow, one column
-    per distinct entry key in order of first appearance; a cell's row
-    carries 0 VA in the columns it does not use.
+    units need no second layout.
 
     A step's injections follow from its key: its byte-distinct row of
     profile values, one column per profile id the devices read, and for a
     dispatched fleet also its applied ``(p, q, phase)`` row. Bytes keep a
     -0.0 profile value apart from 0.0. Steps of one key have byte-equal
     injections, so the ``(row, entry)`` complex VA is built only at the
-    first step of each key, its candidate row. Every cell has the same
-    keys.
+    first step of each key, its candidate row.
 
-    Returns the entry layout as flat keys, the candidate rows of all cells
-    stacked cell by cell, the candidate row of each step dispatched, the
-    dispatch arrays keyed by ``Trajectory`` field, and the error that
-    stopped dispatch early (None if every step ran).
+    Returns the entry layout as flat keys, the candidate rows, the
+    candidate row of each step dispatched, the dispatch arrays keyed by
+    ``Trajectory`` field, and the error that stopped dispatch early (None
+    if every step ran).
     """
-    n_steps, n_cells = scenario.n_steps, len(cells.node)
+    n_steps = scenario.n_steps
     units = scenario.batteries if scenario.controller != "none" else ()
     greedy = bool(units) and scenario.controller == "greedy"
-    cell = np.flatnonzero(cells.node >= 0)
-    if greedy and len(cell):
-        raise ValueError("a greedy fleet's dispatch would read the device attached to a cell")
 
-    # one pass over the scenario's devices, then the cells' columns: the node
-    # row and phase (3: all three) of each, the rating and profile column of
-    # each device column (storage has none) and the device of each battery
+    # one pass over the devices: the node row and phase (3: all three) of
+    # each, the rating and profile column of each device column (storage
+    # has none) and the device of each battery
     profile_col: dict[str | None, int] = {}
     node_row, phase, has_col, rated, dev_profile, battery_dev = [], [], [], [], [], {}
     for d in scenario.feeder.devices:
@@ -456,29 +435,16 @@ def _dispatch(
             has_col.append(True)
             rated.append(d.s_rated_kva)
             dev_profile.append(profile_col.setdefault(d.profile_id, len(profile_col)))
-    cell_profiles = [cells.profile[c] for c in cell.tolist()]
-    dev_profile += [profile_col.setdefault(pid, len(profile_col)) for pid in cell_profiles]
-    node_row = np.concatenate([np.array(node_row, dtype=np.intp), cells.node[cell]])
-    rated = np.concatenate([np.array(rated, dtype=complex), cells.rating[cell]])
+    rated = np.array(rated, dtype=complex)
     # the entries of each device, in device order; storage reads the zero column
-    phase = np.concatenate([np.array(phase, dtype=np.intp), cells.phase[cell]])
-    has_col = np.concatenate([np.array(has_col, dtype=bool), np.ones(len(cell), dtype=bool)])
+    phase, has_col = np.array(phase, dtype=np.intp), np.array(has_col, dtype=bool)
     width = np.where(phase == 3, 3, 1)
     start = np.cumsum(width) - width
     owner = np.repeat(np.arange(len(phase)), width)
     cond = np.where(width[owner] == 3, np.arange(len(owner)) - start[owner], phase[owner])
-    keys = node_row[owner] * 4 + cond
+    layout = np.array(node_row, dtype=np.intp)[owner] * 4 + cond
     zero = len(rated)
     col = np.where(has_col, np.cumsum(has_col) - 1, zero)[owner]
-    # the cells' entries: one layout column per distinct key, in order of first appearance
-    base = int(start[len(phase) - len(cell)]) if len(cell) else len(keys)
-    extra: dict[int, int] = {}
-    slot = [base + extra.setdefault(k, len(extra)) for k in keys[base:].tolist()]
-    cell_at = np.repeat(cell, width[len(phase) - len(cell) :])
-    layout = np.concatenate([keys[:base], np.array(list(extra), dtype=np.intp)])
-    src = np.full((n_cells, len(layout)), zero, dtype=np.intp)  # (cell, layout column)
-    src[:, :base] = col[:base]
-    src[cell_at, np.array(slot, dtype=np.intp)] = col[base:]
 
     profiles = [scenario.profiles[pid] if pid else (1.0,) * n_steps for pid in profile_col]
     scale = np.array(profiles, dtype=float).reshape(len(profiles), n_steps).T
@@ -505,13 +471,12 @@ def _dispatch(
     # element-wise arithmetic gives the same bits before or after a gather
     va = np.zeros((len(first), zero + 1), dtype=complex)  # the zero column carries 0 VA
     va[:, :zero] = _va(*_complex_times_real(rated.real, rated.imag, scale[first][:, dev_profile]))
-    candidates = np.take(va, src, axis=1).transpose(1, 0, 2)  # (cell, row, layout column)
+    candidates = va[:, col]
     if units:  # each unit feeds the entry of its dispatched phase; the other two stay 0
         cols = start[[battery_dev[b.id] for b in units]] + fields["phase"][first]
         rows = np.arange(len(first))[:, None]
-        candidates[:, rows, cols] = _va(fields["p_kw"][first], fields["q_kvar"][first])
-    shape = (n_cells * len(first), len(layout))  # a feeder may have no entries
-    return layout, candidates.reshape(shape), step_key, fields, stopped
+        candidates[rows, cols] = _va(fields["p_kw"][first], fields["q_kvar"][first])
+    return layout, candidates, step_key, fields, stopped
 
 
 def _dispatch_storage(
@@ -678,24 +643,27 @@ def _fold_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.add.accumulate(lanes, axis=0)[-1]
 
 
-def _run_batch(scenario: Scenario, cells: _CellDevices, settings: SolverSettings) -> _Batch:
-    """Run the cells of one scenario with one power flow for all of them.
-    A cell is the scenario with its device of ``cells`` attached (none
-    where its node row is -1). A run is one cell without a device; a sweep
-    is the loaded chain with one DG or EV per cell.
+def _run_batch(
+    scenario: Scenario, settings: SolverSettings, keys=np.zeros(0, int), cell_va=np.zeros((1, 0))
+) -> _Batch:
+    """Run the cells of one scenario with one power flow for all of them:
+    extra entry ``keys`` after the scenario's, and each cell's constant VA
+    in them, ``cell_va`` ``(cell, len(keys))``. A run has no keys and one
+    cell; a sweep is the loaded chain with one DG or EV per cell. A greedy
+    fleet's search would read the cells' devices, so it takes no keys.
 
-    1. Dispatch (``_dispatch``), which gives every cell its candidate rows,
-       the injections at the first step of each step key, stacked cell by
-       cell, and the candidate row of each step.
+    1. Dispatch (``_dispatch``), which gives the candidate rows, the
+       injections at the first step of each step key, and the candidate
+       row of each step; each cell's rows are those with its columns
+       appended, stacked cell by cell.
     2. Reduce the candidate rows to the byte-distinct rows and solve those
        in one ``sweep_batch``. The first step of each distinct row is the
        first step of a key, so these are the distinct rows of all steps in
        order of first appearance. Rows of a batch do not interact, so a
        row's solution and iteration count are those of a solve on its
-       own. A column a cell does not use carries 0 VA, which the solver
-       treats as no device: it adds +0.0 to a sink that starts at +0.0 and
-       so never holds -0.0, which leaves every sum bit-identical to the
-       cell's own layout.
+       own. A column that carries 0 VA the solver treats as no device: it
+       adds +0.0 to a sink that starts at +0.0 and so never holds -0.0,
+       which leaves every sum bit-identical to a layout without it.
     3. Node metrics and segment losses once over the distinct rows; each
        cell gathers its steps back through its candidate rows, and the
        horizon aggregates fold over every step in step order, all cells
@@ -706,22 +674,31 @@ def _run_batch(scenario: Scenario, cells: _CellDevices, settings: SolverSettings
     failing step wins, a solver failure as a ScenarioStepError tagged with
     its time, anything else as raised.
     """
+    if len(keys) and scenario.controller == "greedy" and scenario.batteries:
+        raise ValueError("a greedy fleet's dispatch would read the cells' devices")
     topo = Topology(scenario.feeder)
-    layout, candidates, step_key, fields, stopped = _dispatch(scenario, cells, topo.index)
+    layout, candidates, step_key, fields, stopped = _dispatch(scenario, topo.index)
+    n_cells, n_rows, width = len(cell_va), len(candidates), len(layout) + len(keys)
+    if n_cells > 1 or len(keys):  # each cell: the scenario's rows, then its own columns
+        stacked = np.empty((n_cells, n_rows, width), dtype=complex)
+        stacked[:, :, : len(layout)] = candidates
+        stacked[:, :, len(layout) :] = cell_va[:, None]
+        candidates = stacked.reshape(n_cells * n_rows, width)  # a feeder may have no entries
+        layout = np.concatenate([layout, keys])
     at, rank = _distinct_rows(candidates)
     distinct = candidates if len(at) == len(candidates) else candidates[at]  # no copy if all differ
     node, cond = np.divmod(layout, 4)
     solved = sweep_batch(topo, node, cond, distinct, settings)
     vuf_pct, drop_pct, v_rms = node_metric_arrays(solved.voltages, topo.v_base)
     phase_loss, neutral_loss = segment_losses(solved.currents, topo.r_phase, topo.r_neutral)
-    n_cells, n_steps, dt_h = len(cells.node), scenario.n_steps, scenario.dt_h
+    n_steps, dt_h = scenario.n_steps, scenario.dt_h
     node_of = {d.battery_id: topo.index[d.node] for d in scenario.feeder.storage_devices()}
     trajectory = Trajectory(
         topo, solved, vuf_pct, drop_pct, v_rms, phase_loss, neutral_loss, dt_h,
         battery_node=np.array([node_of[b.id] for b in scenario.batteries], dtype=np.intp),
         **fields,
     )
-    step_row = rank.reshape(n_cells, -1)[:, step_key]  # (cell, step)
+    step_row = rank.reshape(n_cells, n_rows)[:, step_key]  # (cell, step)
 
     # --- errors: the earliest step on a failing or undefined row ------------
     # a sentinel row past the last, flagged both ways, puts a cell without
@@ -789,13 +766,13 @@ def run_scenario(scenario: Scenario, settings: SolverSettings = SolverSettings()
        points of all steps at once.
     3. Metrics: VUF, deviations, losses and the aggregates, as arrays.
 
-    The run is a batch of one cell without a device (``_run_batch``).
+    The run is a batch of one cell without cell columns (``_run_batch``).
     Failures surface as a step-by-step loop would raise them: the earliest
     failing step wins, a solver failure as a ScenarioStepError tagged with
     its time, anything else as raised. Deterministic: identical scenarios
     produce identical results.
     """
-    batch = _run_batch(scenario, _NO_DEVICE, settings)
+    batch = _run_batch(scenario, settings)
     if batch.errors:
         raise batch.errors[0]
     return _cell_result(batch, 0, scenario.label)
@@ -890,11 +867,15 @@ def _sweep_cells(
     kinds: Sequence[DeviceKind],
     nodes: Sequence[str],
     penetrations: Sequence[float],
-) -> tuple[Scenario, _CellDevices]:
+) -> tuple[Scenario, np.ndarray, np.ndarray]:
     """The loaded chain of a template, built and validated once, and the
     device of each cell of the (kind, node, penetration) grid, in loop
-    order, as columns: a 0 % cell attaches no device. A cell is the chain
-    with its device attached, as ``build_sweep_scenario`` builds it.
+    order, as ``_run_batch``'s cell columns: ``keys``, one entry per
+    connected phase of each distinct node of ``nodes`` in order of first
+    appearance, and ``(cell, key)`` VA, the device's in its node's columns
+    and 0 elsewhere (a 0 % cell adds no device). A cell is the chain with
+    its device attached, as ``build_sweep_scenario`` builds it, and its
+    flat profile scales the device by 1.0, which the VA repeats.
 
     A cell fails if ``_check_cell`` refuses its node, or its kind and
     penetration, or if its device (``_cell_device``) is refused; neither
@@ -906,8 +887,7 @@ def _sweep_cells(
     """
     grid = (len(kinds), len(nodes), len(penetrations))
     kind_pen = (len(kinds), 1, len(penetrations))
-    failed, has = np.zeros(kind_pen, bool), np.zeros(kind_pen, bool)
-    rating = np.zeros(kind_pen, complex)
+    failed, rating = np.zeros(kind_pen, bool), np.zeros(kind_pen, complex)
     for k, kind in enumerate(kinds):
         for p, pen in enumerate(penetrations):
             try:
@@ -916,7 +896,6 @@ def _sweep_cells(
             except (PhasebalError, ValueError):
                 failed[k, 0, p] = True
             else:
-                has[k, 0, p] = device is not None
                 rating[k, 0, p] = 0j if device is None else device.s_rated_kva
     node_failed = np.zeros((len(nodes), 1), bool)
     for n, node in enumerate(nodes):
@@ -936,16 +915,16 @@ def _sweep_cells(
     for c in first:  # raises
         _check_cell(template, *cell(c))
         _cell_device(template, *cell(c))
-    row = np.array([chain.feeder.nodes.index(node) for node in nodes])[:, None]
-    phase = 3 if template.balanced else _PHASE_ROW[template.device_phase]
-    n_cells = int(np.prod(grid))
-    devices = _CellDevices(
-        np.where(has, row, -1).ravel(),
-        np.full(n_cells, phase),
-        np.broadcast_to(rating, grid).ravel(),
-        ("flat",) * n_cells,
-    )
-    return chain, devices
+    distinct = list(dict.fromkeys(nodes))
+    conds = (0, 1, 2) if template.balanced else (_PHASE_ROW[template.device_phase],)
+    rows = [chain.feeder.nodes.index(node) for node in distinct]
+    keys = np.array([row * 4 + c for row in rows for c in conds], dtype=np.intp)
+    at = np.array([distinct.index(node) for node in nodes])[:, None] == np.arange(len(distinct))
+    va = _va(*_complex_times_real(rating.real, rating.imag, 1.0))  # (kind, 1, pen)
+    # (kind, node, pen, distinct node, 1): the device's VA at its node's columns
+    cell_va = np.where(at[:, None, :, None], va[..., None, None], 0j)
+    shape = (*grid, len(distinct), len(conds))
+    return chain, keys, np.broadcast_to(cell_va, shape).reshape(-1, len(keys))
 
 
 def build_stylized_scenario(
@@ -1035,7 +1014,7 @@ def build_stylized_scenario(
         name = f"stylized-{arch.kind.value.lower()}-{storage_node.lower()}{shift}"
 
     feeder = chain_feeder(6, segment_km, devices=devices)
-    n_steps = round(horizon_h / dt_h) if dt_h > 0 else 0  # Scenario refuses such a dt_h
+    n_steps = _step_count(horizon_h, dt_h)
     profiles = _flat_profiles(n_steps)
     profiles["dg-window"] = _window_profile(n_steps, dt_h, schedule.dg_window)
     profiles["ev-window"] = _window_profile(n_steps, dt_h, schedule.ev_window)
@@ -1135,8 +1114,8 @@ def sweep_and_tabulate(
     """
     if not penetrations or not nodes or not kinds:
         raise ValueError("penetrations, nodes and kinds must be non-empty")
-    chain, devices = _sweep_cells(template, kinds, nodes, penetrations)
-    batch = _run_batch(chain, devices, settings)
+    chain, keys, cell_va = _sweep_cells(template, kinds, nodes, penetrations)
+    batch = _run_batch(chain, settings, keys, cell_va)
     for error in batch.errors.values():
         if not isinstance(error, PhasebalError):
             raise error

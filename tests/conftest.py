@@ -46,8 +46,8 @@ from phasebal.scenarios import (
     SweepRow,
     SweepTemplate,
     _PHASE_ROW,
-    _CellDevices,
     _complex_times_real,
+    _va,
     build_sweep_scenario,
     run_scenario,
 )
@@ -596,7 +596,7 @@ def reference_run(
     does not report, are all False, and the loop evaluates every step of a
     dispatched fleet."""
 
-    def dispatch_one(sc: Scenario, index: dict[str, int]):
+    def dispatch(sc: Scenario, index: dict[str, int]):
         layout, s_va, steps, pending = reference_dispatch(sc, index)
         units = len(steps[0][1]) if steps else 0
         shape = (len(steps), units)
@@ -619,10 +619,6 @@ def reference_run(
         arrays["dispatch_states"] = len(steps) if units else 0
         # every step is its own candidate row
         return layout, s_va, np.arange(len(s_va)), arrays, pending
-
-    def dispatch(sc: Scenario, cells: _CellDevices, index: dict[str, int]):
-        assert cells.node.tolist() == [-1]  # a run is one cell without a device
-        return dispatch_one(sc, index)
 
     with mock.patch.object(scenarios, "_dispatch", dispatch):
         return run_scenario(scenario, settings)
@@ -796,13 +792,26 @@ def reference_sweep_tables(rows: Sequence[SweepRow]) -> dict[str, str]:
     return texts
 
 
-def cell_devices(feeder: Feeder, devices: Sequence[Device | None]) -> _CellDevices:
-    """The device columns of batch cells on ``feeder``, one cell per entry
-    of ``devices`` (None: the cell has no device)."""
+def cell_columns(
+    feeder: Feeder, devices: Sequence[Device | None]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cell columns of batch cells on ``feeder``, one cell per entry of
+    ``devices`` (None: the cell has no device), each device unprofiled:
+    the entry keys, one per distinct (node, connected phase) in order of
+    first appearance, and the ``(cell, key)`` VA, the device's rating * 1.0
+    and * 1000 as a run computes it, 0 where the cell has no device."""
     index = Topology(feeder).index
-    return _CellDevices(
-        np.array([-1 if d is None else index[d.node] for d in devices]),
-        np.array([3 if d is None or d.phase is None else _PHASE_ROW[d.phase] for d in devices]),
-        np.array([0j if d is None else d.s_rated_kva for d in devices], dtype=complex),
-        tuple(None if d is None else d.profile_id for d in devices),
-    )
+    keys: dict[int, int] = {}
+    for d in devices:
+        for ph in () if d is None else d.connected_phases:
+            keys.setdefault(index[d.node] * 4 + _PHASE_ROW[ph], len(keys))
+    cell_va = np.zeros((len(devices), len(keys)), dtype=complex)
+    for c, d in enumerate(devices):
+        if d is None:
+            continue
+        assert d.profile_id is None  # a cell's VA is the same at every step
+        rating = np.array([d.s_rated_kva])
+        va = _va(*_complex_times_real(rating.real, rating.imag, 1.0))[0]
+        for ph in d.connected_phases:
+            cell_va[c, keys[index[d.node] * 4 + _PHASE_ROW[ph]]] = va
+    return np.array(list(keys), dtype=np.intp), cell_va

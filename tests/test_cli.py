@@ -914,7 +914,10 @@ class TestGoldenFiles:
         assert main(["sweep", str(golden_dir / "sweep-overload.json"), "--out", str(out)]) == 0
         # sparse sweeps of both kinds: balanced devices, and devices on phase C
         sparse = ("sweep-sparse-balanced", "sweep-sparse-phase-c")
-        for label in sparse:
+        # sweeps whose axes repeat entries (N5 and ev twice, 50 % twice), with
+        # devices on phase B and balanced
+        repeat = ("sweep-repeat-phase-b", "sweep-repeat-balanced")
+        for label in sparse + repeat:
             assert main(["sweep", str(golden_dir / f"{label}.json"), "--out", str(out)]) == 0
         # measured series with every optional column, ISO stamps and an
         # all-zero row (empty power factors), and with the base columns only
@@ -936,6 +939,11 @@ class TestGoldenFiles:
                 (f"{label}-{x}.csv", f"golden-{label}-{x}.csv")
                 for label in sparse
                 for x in ("sweep", "failures")
+            ),
+            *(
+                (f"{label}-{x}.csv", f"golden-{label}-{x}.csv")
+                for label in repeat
+                for x in ("sweep", *extracts, "failures")
             ),
             *(
                 (f"{stem}-{report}.csv", f"golden-{stem}-{report}.csv")

@@ -208,6 +208,36 @@ class TestDeviceValidation:
         with pytest.raises(ValueError):
             Device(label="s", node="N1", kind=DeviceKind.STORAGE, phase=Phase.A)
 
+    def test_kind_and_phase_given_by_value_become_members(self):
+        dg = Device("x", "N1", "dg", "B", -5 + 0j)
+        assert dg.kind is DeviceKind.DG and dg.phase is Phase.B
+        assert Device("x", "N1", "load").kind is DeviceKind.LOAD
+        # a consuming "DG" is refused as a consuming DeviceKind.DG is
+        with pytest.raises(SignConventionViolation, match="DG must have P <= 0"):
+            Device("x", "N1", "dg", None, 5 + 0j)
+        with pytest.raises(SignConventionViolation, match="ev must have P >= 0"):
+            Device("x", "N1", "ev", "A", -1 + 0j)
+
+    def test_members_pass_through_unchanged(self):
+        dev = Device("x", "N1", DeviceKind.EV, Phase.C, 1 + 0j)
+        assert dev.kind is DeviceKind.EV and dev.phase is Phase.C
+        assert Device("x", "N1", DeviceKind.LOAD).phase is None
+
+    @pytest.mark.parametrize(
+        "kind, phase, message",
+        [
+            ("nonsense", None, "device 'x': unknown kind 'nonsense'"),
+            (None, None, "device 'x': unknown kind None"),
+            ("DG", None, "device 'x': unknown kind 'DG'"),
+            ("load", "D", "device 'x': unknown phase 'D'"),
+            ("load", "a", "device 'x': unknown phase 'a'"),
+            ("load", 0, "device 'x': unknown phase 0"),
+        ],
+    )
+    def test_unknown_kind_or_phase_is_refused_naming_the_device(self, kind, phase, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Device("x", "N1", kind, phase, 1 + 0j)
+
     def test_duplicate_labels_rejected(self):
         spec = dict(
             source_node="N0",

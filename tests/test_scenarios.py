@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import conftest
 from conftest import (
     assert_same_steps,
-    cell_devices,
+    cell_columns,
     kcl_residual,
     kvl_residual,
     labelled,
@@ -72,7 +72,6 @@ from phasebal.scenarios import (
     ScenarioResult,
     SweepTable,
     SweepTemplate,
-    _NO_DEVICE,
     _dispatch,
     build_stylized_scenario,
     build_sweep_scenario,
@@ -276,6 +275,25 @@ class TestScenarioValidation:
             Scenario(feeder=chain_feeder(2, 0.1), dt_h=dt_h)
         with pytest.raises(ValueError, match=r"^dt_h must be > 0, got"):
             build_stylized_scenario(Architecture(ArchKind.A2), dt_h=dt_h)
+
+    @pytest.mark.parametrize(
+        "horizon_h, message",
+        [
+            (math.inf, f"at most {MAX_STEPS} steps, got inf"),
+            (math.nan, f"at most {MAX_STEPS} steps, got nan"),
+            (4e6, f"at most {MAX_STEPS} steps, got 4e\\+06"),
+            (-math.inf, "positive multiple of dt_h"),
+        ],
+    )
+    def test_stylized_horizon_is_refused_before_its_profiles_are_sized(self, horizon_h, message):
+        def sized(*args):
+            raise AssertionError("a profile was sized")
+
+        with mock.patch.object(scenarios, "_window_profile", sized):
+            with pytest.raises(ValueError, match=message):
+                build_stylized_scenario(Architecture(ArchKind.A2), horizon_h=horizon_h)
+        with pytest.raises(ValueError, match=message):
+            Scenario(feeder=chain_feeder(2, 0.1), horizon_h=horizon_h)
 
     def test_horizon_must_divide(self):
         feeder = chain_feeder(2, 0.1)
@@ -723,17 +741,17 @@ class TestBatchedRun:
     @pytest.mark.parametrize("controller", ["none", "fixed_schedule"])
     def test_cells_with_a_device_each_equal_their_own_runs(self, controller):
         """One batch runs the cells of a scenario with a fleet (or none), each
-        with its own device or none; each cell equals the run of the
-        scenario with its device attached, down to the bytes of every
-        step's voltages. The EV shares node N5 with the storage, and two
-        cells share one device."""
+        with its own constant device or none; each cell equals the run of
+        the scenario with its unprofiled device attached, down to the bytes
+        of every step's voltages. The EV shares node N5 with the storage,
+        and two cells share one device."""
         base = build_stylized_scenario(Architecture(ArchKind.A3), "N5", 3.0, controller)
-        dg = Device("dg-N2", "N2", DeviceKind.DG, Phase.B, -4 + 0j, profile_id="dg-window")
-        ev = Device("ev-N5", "N5", DeviceKind.EV, None, 3 + 1j, profile_id="ev-window")
+        dg = Device("dg-N2", "N2", DeviceKind.DG, Phase.B, -4 + 0j)
+        ev = Device("ev-N5", "N5", DeviceKind.EV, None, 3 + 1j)
         load = Device("load-N1-C", "N1", DeviceKind.LOAD, Phase.C, 2 + 0j)
         cells = [("dg", dg), ("plain", None), ("ev", ev), ("dg-again", dg), ("load", load)]
-        devices = cell_devices(base.feeder, [device for _, device in cells])
-        batch = scenarios._run_batch(base, devices, SolverSettings())
+        keys, cell_va = cell_columns(base.feeder, [device for _, device in cells])
+        batch = scenarios._run_batch(base, SolverSettings(), keys, cell_va)
         assert not batch.errors and len(batch.step_row) == len(cells)
         for c, (label, device) in enumerate(cells):
             result = scenarios._cell_result(batch, c, label)
@@ -748,9 +766,9 @@ class TestBatchedRun:
         """The greedy search reads the devices' net power, so a cell's
         device would change the dispatch the cells share."""
         base = build_stylized_scenario(Architecture(ArchKind.A1), "N5", 3.0, "greedy")
-        dg = Device("dg-N2", "N2", DeviceKind.DG, Phase.B, -4 + 0j, profile_id="flat")
+        dg = Device("dg-N2", "N2", DeviceKind.DG, Phase.B, -4 + 0j)
         with pytest.raises(ValueError, match="greedy"):
-            scenarios._run_batch(base, cell_devices(base.feeder, [None, dg]), SolverSettings())
+            scenarios._run_batch(base, SolverSettings(), *cell_columns(base.feeder, [None, dg]))
 
     def test_aggregates_equal_builtin_sums_over_few_and_many_lanes(self):
         """The horizon aggregates equal the builtin ``sum`` over the steps'
@@ -874,7 +892,7 @@ class TestBatchedRun:
         scenario = Scenario(
             feeder=chain_feeder(2, 1.0, devices=[load]), horizon_h=6.0, profiles={"p": values}
         )
-        batch = scenarios._run_batch(scenario, _NO_DEVICE, SolverSettings())
+        batch = scenarios._run_batch(scenario, SolverSettings())
         assert batch.step_row.tolist() == [[0, 1, 2, 3, 1, 4]]
         failure = outcome(scenario, run_scenario)
         assert failure[0] is ScenarioStepError and failure[1].startswith("at t=3 h: ")
@@ -886,33 +904,35 @@ class TestBatchedRun:
 
     def test_cells_failing_at_different_steps_each_report_their_earliest(self):
         """Every (cell, step) of this batch is its own row, cell by cell.
-        Each cell collapses from a step its rating sets (or never), and an
+        The base load rises step by step (3 to 15 kW, and a phase-A load
+        collapses this feeder from about 20.3 kW on), so each cell
+        collapses from a step its constant device sets (or never), and an
         undefined VUF marks one chosen step; each cell reports the earlier
         of the two, the failure where they share a step, and a failing
         cell's summary and drops are NaN."""
-        load = Device("load", "N1", DeviceKind.LOAD, Phase.A, 1.0 + 0j, profile_id="p")
+        load = Device("load", "N1", DeviceKind.LOAD, Phase.A, 30.0 + 0j, profile_id="p")
         feeder = chain_feeder(2, 1.0, devices=[load])
         values = (0.1, 0.2, 0.3, 0.4, 0.5)
         scenario = Scenario(feeder=feeder, horizon_h=5.0, profiles={"p": values})
-        # (rating kW or None, first collapsing step, undefined step)
+        # (device kW or None, first collapsing step, undefined step)
         cells = [
-            (None, None, None), (60, 3, 1), (150, 1, 3), (100, 2, 2), (20, None, 4), (40, 4, None)
+            (None, None, None), (10, 3, 1), (16, 1, 3), (13, 2, 2), (3, None, 4), (7, 4, None)
         ]
-        devices = cell_devices(
+        columns = cell_columns(
             feeder,
             [
-                None if kw is None else Device("x", "N1", DeviceKind.EV, Phase.A, kw + 0j, "p")
+                None if kw is None else Device("x", "N1", DeviceKind.EV, Phase.A, kw + 0j)
                 for kw, _, _ in cells
             ],
         )
-        plain = scenarios._run_batch(scenario, devices, SolverSettings())
+        plain = scenarios._run_batch(scenario, SolverSettings(), *columns)
         assert plain.step_row.tolist() == np.arange(30).reshape(6, 5).tolist()
         assert {c: str(e)[: len("at t=3 h: ")] for c, e in plain.errors.items()} == {
             c: f"at t={fail} h: " for c, (_, fail, _) in enumerate(cells) if fail is not None
         }
         undefined = [5 * c + k for c, (_, _, k) in enumerate(cells) if k is not None]
         with undefined_vuf_at(undefined):
-            batch = scenarios._run_batch(scenario, devices, SolverSettings())
+            batch = scenarios._run_batch(scenario, SolverSettings(), *columns)
         for c, (_, fail, bad) in enumerate(cells):
             err = batch.errors.get(c)
             if fail is None and bad is None:
@@ -1066,7 +1086,7 @@ def assert_scan_equals_the_reference_loop(scenario: Scenario):
     dispatch failed."""
     index = Topology(scenario.feeder).index
     layout, s_va, steps, pending = reference_dispatch(scenario, index)
-    got_layout, candidates, step_key, _, got_pending = _dispatch(scenario, _NO_DEVICE, index)
+    got_layout, candidates, step_key, _, got_pending = _dispatch(scenario, index)
     assert got_layout.tobytes() == layout.tobytes()
     assert candidates[step_key].tobytes() == s_va.tobytes()
     assert repr(got_pending) == repr(pending)
@@ -1479,7 +1499,7 @@ class TestDispatchScan:
         scenario = replace(scenario, batteries=tuple(batteries))
         index = Topology(scenario.feeder).index
         _, s_va, _, pending = reference_dispatch(scenario, index)
-        _, candidates, step_key, _, got_pending = _dispatch(scenario, _NO_DEVICE, index)
+        _, candidates, step_key, _, got_pending = _dispatch(scenario, index)
         assert candidates[step_key].tobytes() == s_va.tobytes()
         assert repr(got_pending) == repr(pending)
         got, want = outcome(scenario, run_scenario), outcome(scenario, reference_run)
