@@ -39,6 +39,17 @@ class Phase(str, Enum):
 
 PHASES: tuple[Phase, Phase, Phase] = (Phase.A, Phase.B, Phase.C)
 
+
+def as_member(enum: type[Enum], value, what: str):
+    """``value`` as a member of ``enum``: one given by value (``"B"``)
+    becomes its member, so identity checks see it; an unknown value raises
+    a ``ValueError`` that names ``what``."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise ValueError(f"unknown {what} {value!r}") from None
+
+
 #: Conductor keys in solver order: three phases then the neutral.
 CONDUCTORS: tuple[str, str, str, str] = ("A", "B", "C", "N")
 

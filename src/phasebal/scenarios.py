@@ -68,6 +68,7 @@ from .network import (
     DeviceKind,
     Feeder,
     Phase,
+    as_member,
     chain_feeder,
 )
 from .powerflow import (
@@ -857,7 +858,7 @@ def build_sweep_scenario(
     default after the cell.
     """
     template = SweepTemplate(total_phase_load_kw, network_class, device_phase, balanced)
-    cell = (kind, device_node, penetration_pct)
+    cell = (as_member(DeviceKind, kind, "sweep kind"), device_node, penetration_pct)
     _check_cell(template, *cell)
     return _sweep_chain(template, cell, _cell_label(template, *cell) if label is None else label)
 
@@ -956,6 +957,7 @@ def build_stylized_scenario(
         raise ValueError("battery_kw must be > 0 when an architecture is present")
 
     schedule = StylizedScheduleCfg(target_phase=target_phase)
+    target_phase = schedule.target_phase  # a phase given by value, as its member
     devices = _flat_loads(2.0)
     devices.append(
         Device(
@@ -1040,6 +1042,10 @@ class SweepTemplate:
     device_phase: Phase = Phase.A
     balanced: bool = False
 
+    def __post_init__(self) -> None:
+        phase = as_member(Phase, self.device_phase, "sweep device_phase")
+        object.__setattr__(self, "device_phase", phase)
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -1114,6 +1120,7 @@ def sweep_and_tabulate(
     """
     if not penetrations or not nodes or not kinds:
         raise ValueError("penetrations, nodes and kinds must be non-empty")
+    kinds = tuple(as_member(DeviceKind, kind, "sweep kind") for kind in kinds)
     chain, keys, cell_va = _sweep_cells(template, kinds, nodes, penetrations)
     batch = _run_batch(chain, settings, keys, cell_va)
     for error in batch.errors.values():

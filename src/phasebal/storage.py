@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import RatingExceeded, SocOverflow, SocUnderflow
-from .network import PHASES, Phase
+from .network import PHASES, Phase, as_member
 
 #: Default energy sizing: enough capacity to charge or discharge for 5 hours
 #: at rated power.
@@ -109,6 +109,9 @@ class Architecture:
     kind: ArchKind
     allow_load_shift: bool = True
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", as_member(ArchKind, self.kind, "architecture kind"))
+
     @property
     def n_batteries(self) -> int:
         return 1 if self.kind is ArchKind.A1 else 3
@@ -128,6 +131,8 @@ class StylizedScheduleCfg:
     target_phase: Phase = Phase.A
 
     def __post_init__(self) -> None:
+        phase = as_member(Phase, self.target_phase, "schedule target_phase")
+        object.__setattr__(self, "target_phase", phase)
         for name in ("dg_window", "ev_window"):
             window = getattr(self, name)
             if not all(-math.inf < h < math.inf for h in window):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import gc
 import io
 import json
 import math
@@ -834,21 +835,27 @@ class TestRunCommand:
         assert "error" in capsys.readouterr().err
 
 
+def fresh_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports phasebal from
+    this checkout's ``src``, its stdout and stderr captured as bytes."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True)
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under ``root``, by path relative to it."""
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
+
+
 class TestStartUp:
     def test_import_leaves_the_validator_oracle_and_ingest_unloaded(self):
         code = (
             "import sys, phasebal.cli; print(sorted(set(sys.modules) & "
             "{'jsonschema', 'attrs', 'referencing', 'rpds', 'phasebal.ingest', 'phasebal.g17'}))"
         )
-        src = Path(__file__).resolve().parents[1] / "src"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "[]"
+        out = fresh_python("-c", code)
+        assert (out.returncode, out.stdout.strip()) == (0, b"[]")
 
     def test_import_builds_no_formatter_table(self):
         """``setup_s`` pays for every module-level line: the timeseries
@@ -859,15 +866,68 @@ class TestStartUp:
             "print(sorted(set(sys.modules) & {'fractions', 'decimal'}), "
             "g._pow10.cache_info().currsize, g._tables.cache_info().currsize)"
         )
-        src = Path(__file__).resolve().parents[1] / "src"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            check=True,
+        out = fresh_python("-c", code)
+        assert (out.returncode, out.stdout.strip()) == (0, b"[] 0 0")
+
+    def run_both(self, tmp_path, capsys, monkeypatch, args):
+        """``args`` through ``python -m phasebal.cli`` (``process_main``) in
+        ``tmp_path/process`` and through ``main`` in process in
+        ``tmp_path/main``: (exit code, stdout, stderr, files) of each."""
+        process, in_process = tmp_path / "process", tmp_path / "main"
+        process.mkdir(parents=True)
+        in_process.mkdir()
+        proc = fresh_python("-m", "phasebal.cli", *args, cwd=process)
+        monkeypatch.chdir(in_process)
+        code = main(args)
+        captured = capsys.readouterr()
+        return (
+            (proc.returncode, proc.stdout, proc.stderr, tree_bytes(process)),
+            (code, captured.out.encode(), captured.err.encode(), tree_bytes(in_process)),
         )
-        assert out.stdout.strip() == "[] 0 0"
+
+    def test_process_entry_writes_what_main_writes(self, tmp_path, capsys, monkeypatch):
+        process, in_process = self.run_both(
+            tmp_path, capsys, monkeypatch, ["run", "--preset", "a2-n5", "--out", "out"]
+        )
+        assert process == in_process
+        assert process[0] == 0 and process[1] and len(process[3]) == 3
+
+    def test_process_entry_fails_as_main_fails(self, tmp_path, capsys, monkeypatch):
+        """A config error exits 2 and a solver failure 3, with the same
+        stderr from the process entry as from ``main``."""
+        doc = json.loads(json.dumps(CUSTOM_DOC))
+        doc["scenario"]["feeder"]["devices"][0]["p_kw"] = 1e305
+        collapse = write_config(tmp_path, doc)
+        overload = str(Path(__file__).parent / "golden" / "sweep-overload.json")
+        for code, config in ((2, overload), (3, collapse)):
+            where = tmp_path / str(code)
+            process, in_process = self.run_both(
+                where, capsys, monkeypatch, ["run", config, "--out", "out"]
+            )
+            assert process == in_process
+            assert process[0] == code and process[2].startswith(b"error: ")
+
+    def test_process_entry_keeps_atexit_and_the_traceback(self, tmp_path):
+        """The heap is frozen before exit, and only shutdown's collections
+        are skipped: an ``atexit`` handler still runs after a run, and an
+        exception escaping ``main`` still prints its traceback and exits 1."""
+        ok = fresh_python(
+            "-c",
+            "import atexit, gc, sys, phasebal.cli as c; "
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+            "sys.argv[1:] = ['run', '--preset', 'a1-n0', '--out', 'out']; c.process_main()",
+            cwd=tmp_path,
+        )
+        assert ok.returncode == 0 and ok.stdout.endswith(b"frozen True\n")
+        failed = fresh_python(
+            "-c", "import phasebal.cli as c; c.main = lambda: 1 / 0; c.process_main()"
+        )
+        assert failed.returncode == 1 and b"ZeroDivisionError" in failed.stderr
+
+    def test_main_in_process_leaves_the_collector_alone(self, tmp_path):
+        before = (gc.isenabled(), gc.get_freeze_count())
+        assert main(["run", "--preset", "a1-n0", "--out", str(tmp_path)]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
 class TestGoldenFiles:

@@ -110,6 +110,18 @@ class TestSweepBuilder:
         with pytest.raises(UnknownNode):
             build_sweep_scenario(5.0, "N9", DeviceKind.DG, 50, "compact")
 
+    def test_phase_and_kind_by_value_build_their_members(self):
+        """``"B"`` and ``"dg"`` build the cell of ``Phase.B`` and
+        ``DeviceKind.DG``, not a label read off a plain string."""
+        want = build_sweep_scenario(5.0, "N5", DeviceKind.DG, 120, "compact", device_phase=Phase.B)
+        got = build_sweep_scenario(5.0, "N5", "dg", 120, "compact", device_phase="B")
+        assert (got.label, got.feeder) == (want.label, want.feeder)
+        assert labelled(got.feeder, "dg-N5").phase is Phase.B
+        with pytest.raises(ValueError, match="unknown sweep device_phase 'X'"):
+            build_sweep_scenario(5.0, "N5", DeviceKind.DG, 120, "compact", device_phase="X")
+        with pytest.raises(ValueError, match="unknown sweep kind 'pv'"):
+            build_sweep_scenario(5.0, "N5", "pv", 120, "compact")
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             build_sweep_scenario(5.0, "N5", DeviceKind.DG, 50, "urban")
@@ -154,6 +166,17 @@ class TestStylizedBuilder:
     def test_storage_node_restricted(self):
         with pytest.raises(UnsupportedNode):
             build_stylized_scenario(Architecture(ArchKind.A1), "N3", 3.0)
+
+    @pytest.mark.parametrize("kind", list(ArchKind))
+    def test_phase_and_kind_by_value_run_as_their_members(self, kind):
+        """A target phase or architecture kind given as a string builds the
+        same fleet and trajectory as its member: with ``"B"`` compared by
+        identity, an A2 fleet started all three units full."""
+        want = build_stylized_scenario(Architecture(kind), target_phase=Phase.B)
+        got = build_stylized_scenario(Architecture(kind.value), target_phase="B")
+        assert got.architecture.kind is kind and got.schedule.target_phase is Phase.B
+        assert got.batteries == want.batteries
+        assert_same_steps(run_scenario(got), run_scenario(want))
 
 
 class TestScenarioValidation:
@@ -417,6 +440,16 @@ class TestSweepTabulate:
         assert all(r.error is None for r in rows)
         keys = [(r.kind, r.node, r.penetration_pct) for r in rows]
         assert len(set(keys)) == len(keys)
+
+    def test_kinds_and_phase_by_value_tabulate_as_their_members(self):
+        want = sweep_and_tabulate(
+            SweepTemplate(5.0, device_phase=Phase.C), [60], ["N5"], [DeviceKind.DG, DeviceKind.EV]
+        )
+        got = sweep_and_tabulate(SweepTemplate(5.0, device_phase="C"), [60], ["N5"], ["dg", "ev"])
+        assert [(r.kind, r.result) for r in got] == [(r.kind, r.result) for r in want]
+        assert [r.kind for r in got] == [DeviceKind.DG, DeviceKind.EV]
+        with pytest.raises(ValueError, match="unknown sweep kind 'pv'"):
+            sweep_and_tabulate(SweepTemplate(5.0), [60], ["N5"], ["pv"])
 
     def test_zero_cell_equals_nominal_run(self):
         rows = sweep_and_tabulate(

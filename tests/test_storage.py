@@ -252,6 +252,19 @@ class TestZeroSumShift:
         assert [clip_power(b, pi, 0.0, *bd)[0] for b, pi, bd in zip(bats, p, bounds)] == p
 
 
+class TestArchitecture:
+    @pytest.mark.parametrize("kind", list(ArchKind))
+    def test_kind_by_value_becomes_its_member(self, kind):
+        arch = Architecture(kind=kind.value)
+        assert arch.kind is kind and arch == Architecture(kind)
+        assert arch.n_batteries == (1 if kind is ArchKind.A1 else 3)
+
+    @pytest.mark.parametrize("bad", ["A9", "a1", None])
+    def test_unknown_kind_rejected_and_named(self, bad):
+        with pytest.raises(ValueError, match=f"unknown architecture kind {bad!r}"):
+            Architecture(kind=bad)
+
+
 class TestFixedSchedule:
     CFG = StylizedScheduleCfg()
 
@@ -261,6 +274,14 @@ class TestFixedSchedule:
         """A NaN or infinite bound leaves a window that never opens."""
         with pytest.raises(ValueError, match=f"schedule {name} must be finite"):
             StylizedScheduleCfg(**{name: (10.0, bad)})
+
+    def test_target_phase_by_value_becomes_its_member(self):
+        assert StylizedScheduleCfg(target_phase="B").target_phase is Phase.B
+
+    @pytest.mark.parametrize("bad", ["X", "b", None, 1])
+    def test_unknown_target_phase_rejected_and_named(self, bad):
+        with pytest.raises(ValueError, match=f"unknown schedule target_phase {bad!r}"):
+            StylizedScheduleCfg(target_phase=bad)
 
     def requests(self, t_h: float, arch: Architecture, p_max_kw: list[float]):
         phases, raw = schedule_requests(np.array([t_h]), arch, self.CFG, p_max_kw)
