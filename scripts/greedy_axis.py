@@ -52,10 +52,13 @@ def main() -> None:
     checkout = sys.argv[1]
     repeat = int(sys.argv[2]) if len(sys.argv) > 2 else 20
     sys.path.insert(0, os.path.join(checkout, "src"))
-    from phasebal import scenarios
+    from phasebal import scenarios, storage
     from phasebal.cli import parse_config
 
-    search = scenarios.greedy_powers
+    # the module whose dispatch scan looks the search up: storage's
+    # dispatch_scan, or in checkouts that predate it, scenarios'
+    host = storage if hasattr(storage, "dispatch_scan") else scenarios
+    search = host.greedy_powers
     for fleet_kw in FLEETS_KW:
         scenario = parse_config(config(fleet_kw)).scenario
         calls = []
@@ -64,11 +67,11 @@ def main() -> None:
             calls.append((list(net), arch, list(bounds)))
             return search(net, arch, bounds)
 
-        scenarios.greedy_powers = record
+        host.greedy_powers = record
         try:
             scenarios.run_scenario(scenario)
         finally:
-            scenarios.greedy_powers = search
+            host.greedy_powers = search
 
         def replay() -> None:
             for net, arch, bounds in calls:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Iterable, Iterator, NoReturn, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from .errors import (
     SchemaMismatch,
 )
 from .network import (
+    ArchKind,
     Device,
     DeviceKind,
     Feeder,
@@ -74,7 +75,9 @@ from .scenarios import (
     run_scenario,
     sweep_and_tabulate,
 )
-from .storage import Architecture, ArchKind, Battery, StylizedScheduleCfg
+
+if TYPE_CHECKING:
+    from .storage import Architecture
 
 # --- configuration schema ----------------------------------------------------
 
@@ -322,6 +325,8 @@ class RunConfig:
     write_timeseries: bool = True
     write_summary: bool = True
 
+    __hash__ = None  # a scenario's ``profiles`` is a dict
+
 
 # --- validation --------------------------------------------------------------
 
@@ -482,7 +487,29 @@ def _parse_feeder(doc: dict) -> Feeder:
 def _parse_architecture(doc: dict) -> Architecture | None:
     if doc.get("architecture") is None:
         return None
+    from .storage import Architecture  # only a fleet's config loads storage
+
     return Architecture(kind=doc["architecture"], **_present(doc, "allow_load_shift"))
+
+
+def _parse_fleet(doc: dict) -> dict:
+    """The ``batteries`` and ``schedule`` of a custom scenario, as keyword
+    arguments of ``Scenario``: none without either key, so that a config
+    without a fleet does not load storage. Without a schedule, dispatch
+    reads the default one."""
+    if "batteries" not in doc and "schedule" not in doc:
+        return {}
+    from .storage import Battery, StylizedScheduleCfg
+
+    fleet = {"batteries": tuple(Battery(**b) for b in doc.get("batteries", []))}
+    if "schedule" in doc:
+        fleet["schedule"] = StylizedScheduleCfg(
+            **{
+                key: value if key == "target_phase" else tuple(value)
+                for key, value in doc["schedule"].items()
+            }
+        )
+    return fleet
 
 
 def _parse_scenario(doc: dict, label: str, path: str) -> Scenario:
@@ -514,13 +541,7 @@ def _parse_scenario(doc: dict, label: str, path: str) -> Scenario:
         feeder=_parse_feeder(doc["feeder"]),
         profiles={k: tuple(v) for k, v in doc.get("profiles", {}).items()},
         architecture=_parse_architecture(doc),
-        batteries=tuple(Battery(**b) for b in doc.get("batteries", [])),
-        schedule=StylizedScheduleCfg(
-            **{
-                key: value if key == "target_phase" else tuple(value)
-                for key, value in doc.get("schedule", {}).items()
-            }
-        ),
+        **_parse_fleet(doc),
         label=label,
         **_present(doc, "horizon_h", "dt_h", "controller"),
     )
@@ -544,8 +565,12 @@ def parse_config(doc: Any, path: str = "<config>") -> RunConfig:
     except ValueError as exc:
         raise ConfigInvalid(path, "solver", str(exc)) from None
     label = doc.get("label", "run")
-    # the label names the output files, so a "/" would write outside --out,
-    # and fills a summary CSV cell, which csv.writer leaves unquoted for a "\r"
+    # the label names the output files, so a "/" would write outside --out
+    # and an empty one names "-config.json", which shell tools read as an
+    # option; it fills a summary CSV cell, which csv.writer leaves unquoted
+    # for a "\r"
+    if not label:
+        raise ConfigInvalid(path, "label", f"label {label!r} is empty")
     for char, what in (("/", "a '/'"), ("\r", "a carriage return"), ("\0", "a NUL")):
         if char in label:
             raise ConfigInvalid(path, "label", f"label {label!r} holds {what}")

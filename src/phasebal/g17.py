@@ -8,10 +8,16 @@ it cannot certify go through ``%`` itself. The timeseries CSV and the
 sweep tables write their floats through it (``cli.timeseries_rows``,
 ``cli._write_sweep_outputs``).
 
-This module is apart from ``cli`` because CPython compiles a module in
-one piece: a bigger ``cli`` raised the CLI's peak memory when no cached
-bytecode is at hand. ``cli`` imports it only when a run writes its
-timeseries or a sweep its tables, so parsing does not pay for it.
+This module is apart from ``cli`` by the package's rule for what a
+process loads: code that a run or a sweep never executes loads on
+demand. CPython compiles a module in one piece, and without cached
+bytecode every start compiles each module it imports, so every line
+imported costs start-up time and peak memory. ``cli`` imports this
+module only when a run writes its timeseries or a sweep its tables, so
+parsing does not pay for it; by the same rule ``storage`` loads only for
+a fleet, ``checks`` (the oracle, the scalar metrics and the per-step
+views) only when one of them is read, and ``ingest`` only for ``phasebal
+ingest``.
 """
 
 from __future__ import annotations

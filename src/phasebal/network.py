@@ -80,6 +80,16 @@ class DeviceKind(str, Enum):
     STORAGE = "storage"
 
 
+class ArchKind(str, Enum):
+    """Storage control architecture (``storage.Architecture``); here beside
+    the other model enums, so that the config schema and a scenario's
+    checks read it without loading ``storage``."""
+
+    A1 = "A1"
+    A2 = "A2"
+    A3 = "A3"
+
+
 def _require_finite(value: complex, what: str) -> None:
     if not (cmath.isfinite(value)):
         raise ValueError(f"{what} must be finite, got {value!r}")

@@ -11,9 +11,12 @@ Two structurally different solvers cover the same contract:
   leaf-to-root one tree level at a time, then propagates the voltage drops
   of all four conductors root-to-leaf. A row stops on the pass where it
   converges, so its iteration count is that of a solve on its own.
-- ``oracle_solve``: dense cross-check for small feeders. Assembles the full
-  4n x 4n nodal admittance system and fixed-point iterates on device current
-  injections against the reduced linear system.
+- ``checks.oracle_solve``: dense cross-check for small feeders. Assembles
+  the full 4n x 4n nodal admittance system and fixed-point iterates on
+  device current injections against the reduced linear system, through
+  this module's ``_Kernel``. It lives in ``checks`` with the per-step
+  ``VoltageSolution``, which only tests, the benchmark's checks and
+  per-step reads use, so a run or a sweep never loads it.
 
 The sweep runs on ``Topology``, the feeder's one index of rows and
 impedances, built once per call from the breadth-first node order, and on
@@ -66,17 +69,15 @@ import cmath
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    NonConvergence,
-    PhasebalError,
-    UnknownNode,
-    VoltageCollapse,
-)
-from .network import CONDUCTORS, Device, Feeder
+from .errors import NonConvergence, PhasebalError, VoltageCollapse
+from .network import Feeder
+
+if TYPE_CHECKING:
+    from .checks import VoltageSolution
 
 _COLLAPSE_PU = 0.5
 
@@ -105,30 +106,6 @@ class SolverSettings:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.max_iter > MAX_ITER:
             raise ValueError(f"max_iter must be at most {MAX_ITER}, got {self.max_iter}")
-
-
-@dataclass(frozen=True, eq=False)
-class VoltageSolution:
-    """Converged node voltages and branch currents for one snapshot.
-
-    ``voltages[i, c]`` is conductor c (A, B, C, N) of ``nodes[i]`` in volts;
-    ``currents[k, c]`` is the current of segment k in amps, positive from
-    parent to child. ``iterations`` counts full sweep passes. The ``v``
-    property gives the voltages as a dict (node -> conductor -> volts),
-    built anew on every read.
-    """
-
-    nodes: tuple[str, ...]
-    voltages: np.ndarray
-    currents: np.ndarray
-    iterations: int
-
-    @property
-    def v(self) -> dict[str, dict[str, complex]]:
-        return {
-            name: dict(zip(CONDUCTORS, row))
-            for name, row in zip(self.nodes, self.voltages.tolist())
-        }
 
 
 def source_phasors(v_base_ln: float) -> tuple[complex, complex, complex]:
@@ -225,12 +202,13 @@ def _as_indices(rows: np.ndarray, lo: list[int], hi: list[int]) -> list[slice | 
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchSolution:
     """Result of ``sweep_batch``: per-row voltages ``(batch, node, 4)``,
     branch currents ``(batch, segment, 4)`` and pass counts, with
     ``failures`` mapping each row that did not converge to the
-    VoltageCollapse or NonConvergence it raised (its other entries are 0)."""
+    VoltageCollapse or NonConvergence it raised (its other entries are 0).
+    Compared and hashed by identity, as its arrays have no truth value."""
 
     voltages: np.ndarray
     currents: np.ndarray
@@ -238,32 +216,11 @@ class BatchSolution:
     failures: dict[int, PhasebalError]
 
     def solution(self, nodes: tuple[str, ...], row: int) -> VoltageSolution:
+        from .checks import VoltageSolution  # a per-step view, loaded when read
+
         return VoltageSolution(
             nodes, self.voltages[row], self.currents[row], int(self.iterations[row])
         )
-
-
-def _effective_injections(
-    feeder: Feeder, injections: Mapping[Device, complex] | None
-) -> list[tuple[Device, complex]]:
-    """Merge explicit injections over the feeder's rated devices.
-
-    Entries are matched by device label; an injection whose label is not in
-    the feeder acts as a transient extra device (its node must exist).
-    Storage devices default to zero injection when not dispatched.
-    """
-    merged: dict[str, tuple[Device, complex]] = {
-        d.label: (d, d.s_rated_kva) for d in feeder.devices
-    }
-    if injections:
-        nodes = set(feeder.nodes)
-        for dev, s in injections.items():
-            if dev.node not in nodes:
-                raise UnknownNode(dev.node, f"injection for device {dev.label!r}")
-            if not cmath.isfinite(s):
-                raise ValueError(f"injection for {dev.label!r} must be finite, got {s!r}")
-            merged[dev.label] = (dev, complex(s))
-    return list(merged.values())
 
 
 class _Kernel:
@@ -445,82 +402,6 @@ def sweep_batch(
     return BatchSolution(out_v, out_i, iterations, failures)
 
 
-def _snapshot_entries(
-    topo: Topology, feeder: Feeder, injections: Mapping[Device, complex] | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(node rows, conductors, VA) of one snapshot, one entry per connected
-    phase of each device in ``_effective_injections`` order."""
-    node, cond, s_va = [], [], []
-    for dev, s_kva in _effective_injections(feeder, injections):
-        for ph in dev.connected_phases:
-            node.append(topo.index[dev.node])
-            cond.append(CONDUCTORS.index(ph.value))
-            s_va.append(s_kva * 1000.0)
-    return (
-        np.array(node, dtype=np.intp),
-        np.array(cond, dtype=np.intp),
-        np.array(s_va, dtype=complex),
-    )
-
-
-def oracle_solve(
-    feeder: Feeder,
-    injections: Mapping[Device, complex] | None = None,
-    settings: SolverSettings = SolverSettings(),
-) -> VoltageSolution:
-    """Dense verification solver for feeders of at most 12 nodes.
-
-    Same contract as a ``sweep_batch`` row, structurally different: builds
-    the full 4n x 4n nodal admittance matrix, partitions out the four fixed
-    source conductors, and fixed-point iterates device current injections
-    against the reduced linear system. ``injections`` maps devices to
-    complex kVA per connected phase (P > 0 consumes) and overrides rated
-    powers by device label; see ``_effective_injections``.
-    """
-    topo = Topology(feeder)
-    if topo.n > 12:
-        raise ValueError(f"oracle_solve supports at most 12 nodes, got {topo.n}")
-    node, cond, s_va = _snapshot_entries(topo, feeder, injections)
-    s_va = s_va[None]
-
-    n4 = 4 * topo.n
-    y = np.zeros((n4, n4), dtype=complex)
-    ends = zip((4 * topo.parent[topo.seg_child]).tolist(), (4 * topo.seg_child).tolist())
-    for k, (p, c) in enumerate(ends):
-        yb = np.linalg.inv(topo.z[k])
-        y[p : p + 4, p : p + 4] += yb
-        y[c : c + 4, c : c + 4] += yb
-        y[p : p + 4, c : c + 4] -= yb
-        y[c : c + 4, p : p + 4] -= yb
-
-    fixed = np.arange(4)  # source node is index 0 after normalization
-    free = np.arange(4, n4)
-    v = topo.flat[None].copy()
-    if free.size == 0:
-        return VoltageSolution(topo.nodes, v[0], np.zeros((0, 4), dtype=complex), 1)
-
-    y_uu = y[np.ix_(free, free)]
-    y_uf = y[np.ix_(free, fixed)]
-    v_fixed = v.reshape(-1)[fixed]
-    tol_v = settings.tol_pu * topo.v_base
-    delta = math.inf
-    kernel = _Kernel(topo, node, cond, s_va)
-    for it in range(1, settings.max_iter + 1):
-        v_min = kernel.device_currents(v)
-        if v_min[0] < _COLLAPSE_PU:
-            raise VoltageCollapse(it, float(v_min[0]))
-        rhs = -kernel.acc.reshape(-1)[free] - y_uf @ v_fixed
-        v_new = v.copy()
-        v_new.reshape(-1)[free] = np.linalg.solve(y_uu, rhs)
-        delta = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if delta <= tol_v:
-            kernel.device_currents(v)
-            currents = kernel.branch_currents(1)[0, topo.seg_child]
-            return VoltageSolution(topo.nodes, v[0], currents, it)
-    raise NonConvergence(settings.max_iter, delta)
-
-
 def segment_losses(
     currents: np.ndarray, r_ph: np.ndarray, r_n: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -529,35 +410,3 @@ def segment_losses(
     in kW."""
     amps_sq = np.float_power(np.hypot(currents.real, currents.imag), 2.0)
     return amps_sq[..., :3] * r_ph[:, None] / 1000.0, amps_sq[..., 3] * r_n / 1000.0
-
-
-def power_balance_residual_kw(
-    feeder: Feeder,
-    solution: VoltageSolution,
-    injections: Mapping[Device, complex] | None = None,
-) -> float:
-    """|source P - (device P + losses)| in kW, over devices below the source.
-
-    Uses the requested device powers, so a converged solution must show the
-    source supplying exactly the demanded power plus conductor losses.
-    Devices on the source bus draw from the stiff source directly and do not
-    appear in branch flows, hence their exclusion on both sides. Reads the
-    segments itself, not through ``Topology``.
-    """
-    r_ph = np.array([(s.z_phase_per_km * s.length_km).real for s in feeder.segments], float)
-    r_n = np.array([(s.z_neutral_per_km * s.length_km).real for s in feeder.segments], float)
-    phase_loss, neutral_loss = segment_losses(solution.currents, r_ph, r_n)
-    v_src = solution.voltages[0].tolist()  # the source is row 0 after normalization
-    injection = [0j, 0j, 0j]  # kVA per phase, over the segments leaving the source bus
-    for k, seg in enumerate(feeder.segments):
-        if seg.from_node == feeder.source_node:
-            for c, amps in enumerate(solution.currents[k, :3].tolist()):
-                injection[c] += v_src[c] * amps.conjugate() / 1000.0
-    source_p = sum(s.real for s in injection)
-    losses = sum(map(sum, phase_loss.tolist())) + sum(neutral_loss.tolist())
-    device_p = 0.0
-    for dev, s_kva in _effective_injections(feeder, injections):
-        if dev.node == feeder.source_node:
-            continue
-        device_p += s_kva.real * len(dev.connected_phases)
-    return abs(source_p - device_p - losses)

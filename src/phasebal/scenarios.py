@@ -5,11 +5,13 @@ fleet and a dispatch controller. ``run_scenario`` makes three passes: a
 dispatch pass that fixes every step's injections and the battery SoC
 trajectory (no controller reads voltages), one batched power flow, and an
 array pass for unbalance and loss metrics and their aggregates over the
-horizon. Dispatch is a scan in plain floats over ``(step, unit)`` arrays:
-the fixed schedule's requests for all steps at once, then one pass over
-the steps that calls the ``storage`` functions for each unit: bounds,
-greedy search or zero-sum shift, clip and SoC update, once for each
-distinct (SoC, input row) state the steps meet. Steps with
+horizon. Dispatch is a scan in plain floats over ``(step, unit)`` arrays
+(``storage.dispatch_scan``): the fixed schedule's requests for all steps
+at once, then one pass over the steps that calls the ``storage``
+functions for each unit: bounds, greedy search or zero-sum shift, clip
+and SoC update, once for each distinct (SoC, input row) state the steps
+meet. ``storage`` is imported only where a fleet, an architecture or a
+schedule is built or dispatched, so a sweep never loads it. Steps with
 byte-equal injections share one operating point, so the power flow and
 the metrics run once per distinct row, and each step reads its row
 through ``ScenarioResult.step_row``: the lossless case of vector-quantised
@@ -17,9 +19,10 @@ QSTS (Deboever, Grijalva, Reno & Broderick, Solar Energy 159, 2018).
 Dispatch quantises before the injections exist: each step is keyed on the
 bytes of its profile values and, with a dispatched fleet, of its applied
 ``(p, q, phase)`` row, and the injections are built only at the first step
-of each key. The horizon aggregates still add every step in step order,
-and ``ScenarioResult.per_timestep`` makes each step's ``StepRecord`` only
-when it is read.
+of each key. The horizon aggregates still add every step in step order.
+``ScenarioResult.per_timestep`` makes each step's ``StepRecord`` only
+when it is read, and ``SweepTable`` each ``SweepRow``; both views live in
+``checks``, which loads on the first read.
 A batch is one scenario plus constant cell columns: extra entry keys after
 the scenario's entries, and each cell's constant VA in them. A run has no
 keys and one cell; ``sweep_and_tabulate`` builds the loaded chain of a
@@ -47,10 +50,9 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -64,6 +66,7 @@ from .errors import (
 from .metrics import node_metric_arrays
 from .network import (
     PHASES,
+    ArchKind,
     Device,
     DeviceKind,
     Feeder,
@@ -75,25 +78,13 @@ from .powerflow import (
     BatchSolution,
     SolverSettings,
     Topology,
-    VoltageSolution,
     segment_losses,
     sweep_batch,
 )
-from .storage import (
-    MAX_GREEDY_CELLS,
-    Architecture,
-    ArchKind,
-    Battery,
-    DispatchAction,
-    StylizedScheduleCfg,
-    bounds_at,
-    clip_power,
-    greedy_cells,
-    greedy_powers,
-    next_soc,
-    schedule_requests,
-    zero_sum_shift,
-)
+
+if TYPE_CHECKING:
+    from .checks import StepRecord, SweepRow
+    from .storage import Architecture, Battery, StylizedScheduleCfg
 
 #: Segment length (km) per network class; load level is the caller's choice,
 #: with 5 kW per phase canonical for compact/sparse and 50 kW for overload.
@@ -144,6 +135,8 @@ class Scenario:
     batteries: tuple[Battery, ...] = ()
     schedule: StylizedScheduleCfg | None = None
     label: str = "scenario"
+
+    __hash__ = None  # ``profiles`` is a dict
 
     def __post_init__(self) -> None:
         if self.controller not in CONTROLLERS:
@@ -205,6 +198,8 @@ class Scenario:
                         f"storage device {dev.label!r} is on phase {dev.phase.value}"
                     )
         if self.controller == "greedy" and self.batteries:
+            from .storage import MAX_GREEDY_CELLS, greedy_cells
+
             cells = greedy_cells(self.architecture, [b.p_max_kw for b in self.batteries])
             if not cells <= MAX_GREEDY_CELLS:
                 big = max(self.batteries, key=lambda b: b.p_max_kw)
@@ -265,53 +260,6 @@ class Trajectory:
     dispatch_states: int
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class StepRecord:
-    """One timestep of a run, read from its trajectory: ``actions``,
-    ``soc_kwh`` (by battery id) and ``solution`` are built from the arrays
-    on every read; hold on to the returned objects to read them
-    repeatedly."""
-
-    t_h: float
-    trajectory: Trajectory
-    step: int
-    row: int
-
-    @property
-    def actions(self) -> tuple[DispatchAction, ...]:
-        traj, k = self.trajectory, self.step
-        rows = traj.phase[k].tolist(), traj.p_kw[k].tolist(), traj.q_kvar[k].tolist()
-        return tuple(
-            DispatchAction(bid, PHASES[ph], p, q) for bid, ph, p, q in zip(traj.battery_ids, *rows)
-        )
-
-    @property
-    def soc_kwh(self) -> dict[str, float]:
-        traj = self.trajectory
-        return dict(zip(traj.battery_ids, traj.soc_kwh[self.step].tolist()))
-
-    @property
-    def solution(self) -> VoltageSolution:
-        return self.trajectory.solved.solution(self.trajectory.topology.nodes, self.row)
-
-
-class _StepRecords(Sequence):
-    """The ``StepRecord`` of every step of a run, each made when it is
-    read: ``len``, indices (negative too) and iteration."""
-
-    __slots__ = ("_trajectory", "_step_row")
-
-    def __init__(self, trajectory: Trajectory, step_row: np.ndarray) -> None:
-        self._trajectory, self._step_row = trajectory, step_row
-
-    def __len__(self) -> int:
-        return len(self._step_row)
-
-    def __getitem__(self, k: int) -> StepRecord:
-        k = range(len(self))[operator.index(k)]  # bounds and negative indices as a tuple's
-        return StepRecord(k * self._trajectory.dt_h, self._trajectory, k, int(self._step_row[k]))
-
-
 @dataclass(frozen=True)
 class ScenarioResult:
     """Time-aggregated metrics for one scenario run.
@@ -338,8 +286,12 @@ class ScenarioResult:
     trajectory: Trajectory = field(repr=False, compare=False)
     step_row: np.ndarray = field(repr=False, compare=False)
 
+    __hash__ = None  # ``sum_drop_at`` is a dict
+
     @property
     def per_timestep(self) -> Sequence[StepRecord]:
+        from .checks import _StepRecords  # a per-step view, loaded when read
+
         return _StepRecords(self.trajectory, self.step_row)
 
 
@@ -394,7 +346,7 @@ def _dispatch(
     scenario: Scenario, index: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict, Exception | None]:
     """Pass 1 of a run: lay out the injection entries, dispatch storage
-    over all steps (``_dispatch_storage``) and build the injections of the
+    over all steps (``storage.dispatch_scan``) and build the injections of the
     steps that can differ. Neither controller reads voltages, so this
     fixes every step's injections up front.
 
@@ -452,6 +404,8 @@ def _dispatch(
     dev_profile = np.array(dev_profile, dtype=np.intp)
 
     if units:
+        from .storage import dispatch_scan  # only a dispatched fleet loads storage
+
         net = None
         if greedy:  # each phase adds its devices in feeder order
             p_kw = _complex_times_real(rated.real, rated.imag, scale[:, dev_profile])[0]
@@ -459,13 +413,14 @@ def _dispatch(
             placed = col < zero
             for c, k in zip(cond[placed].tolist(), col[placed].tolist()):
                 net[:, c] += p_kw[:, k]
-        fields, stopped = _dispatch_storage(scenario, units, net)
+        fields, stopped = dispatch_scan(scenario, units, net)
         n_ok = len(fields["soc_kwh"])
         step_key = np.concatenate(
             [scale[:n_ok], fields["p_kw"], fields["q_kvar"], fields["phase"]], axis=1
         )
     else:
         fields, stopped, step_key = _idle_fields(scenario), None, scale
+    fields["battery_ids"] = tuple(b.id for b in scenario.batteries)
     first, step_key = _distinct_rows(step_key)
 
     # VA per (candidate row, device column), then gathered into the entries:
@@ -480,131 +435,21 @@ def _dispatch(
     return layout, candidates, step_key, fields, stopped
 
 
-def _dispatch_storage(
-    scenario: Scenario, units: Sequence[Battery], net: np.ndarray | None
-) -> tuple[dict, Exception | None]:
-    """The storage half of the dispatch pass, in plain floats. ``units``
-    are the batteries the controller dispatches, at least one.
-
-    The fixed schedule's requests come as one ``(step, unit)`` array
-    (``schedule_requests``); the greedy search makes its requests step by
-    step from every unit's bounds and ``net``, the ``(step, phase)`` kW of
-    the scenario's devices. One scan then steps through time, and at each
-    step reads each unit's bounds at its SoC, shifts the requests of A2
-    without load shift to a zero sum (``zero_sum_shift``), clips and
-    updates the SoC, unit after unit.
-
-    A step's outcome depends only on the SoC going in and the step's input
-    row: the request row for the fixed schedule, the net phase-power row
-    for the greedy search. So the scan keeps a memo keyed on the bytes of
-    both (the SoC packed as doubles, the input row as stored), and
-    evaluates each distinct state once; a clock schedule meets the same
-    states day after day. Bytes keep 0.0 and -0.0 apart, which a key of
-    floats would merge. A step enters the memo only once it has completed,
-    so a failing step raises as it would without the memo.
-
-    When the inputs repeat day after day, ``round(24 / dt_h)`` steps
-    apart byte for byte (``_repeats_after``), the scan also keeps the SoC
-    bytes at each day start, and stops at the first day start k whose SoC
-    is that of an earlier day start j: from there every step meets the
-    state of the step ``k - j`` before it, so steps k onward tile steps j
-    to k - 1. Only completed steps are tiled, and no state is new after
-    k, so the steps, the error and the states counted are the full scan's.
-
-    Returns the ``Trajectory`` dispatch arrays of the steps that ran, keyed
-    by field, and the error that stopped dispatch early (None if every
-    step ran).
-    """
-    n_steps, dt_h, arch = scenario.n_steps, scenario.dt_h, scenario.architecture
-    soc = [b.soc_kwh for b in scenario.batteries]
-    greedy = scenario.controller == "greedy"
-    zero_sum = arch.kind is ArchKind.A2 and not arch.allow_load_shift
-    if greedy:
-        inputs = net
-    else:
-        phases, inputs = schedule_requests(
-            np.arange(n_steps) * dt_h,
-            arch,
-            scenario.schedule or StylizedScheduleCfg(),
-            [b.p_max_kw for b in units],
-        )
-    pack = struct.Struct(f"{len(units)}d").pack
-    memo: dict[tuple[bytes, bytes], tuple] = {}
-    day = round(24.0 / dt_h)
-    daily = 0 < day < n_steps and _repeats_after(inputs, day)
-    day_start: dict[bytes, int] = {}  # SoC bytes -> the first day start at it
-
-    pending, steps, cycle = None, [], None
-    try:
-        for k in range(n_steps):
-            held = pack(*soc)
-            if daily and k % day == 0 and day_start.setdefault(held, k) != k:
-                cycle = day_start[held]
-                break
-            key = held, _row_bytes(inputs, k)
-            done = memo.get(key)
-            if done is None:
-                bounds = [bounds_at(b, e, dt_h) for b, e in zip(units, soc)]
-                row, phase_k = inputs[k].tolist(), None
-                if greedy:  # greedy_powers adds to its net row, a fresh list here
-                    phase_k, want_k = zip(*greedy_powers(row, arch, bounds))
-                elif zero_sum:
-                    want_k = zero_sum_shift(row, *zip(*bounds))
-                else:
-                    want_k = row
-                step = []
-                for bat, (lo, hi), p, e in zip(units, bounds, want_k, soc):
-                    p, q = clip_power(bat, p, 0.0, lo, hi)
-                    step += p, q, next_soc(bat, e, p, q, dt_h)
-                done = memo[key] = step, phase_k, want_k
-            steps.append(done)
-            soc = done[0][2::3]
-    except (PhasebalError, ValueError) as exc:
-        pending = exc
-    n_ok = len(steps) if cycle is None else n_steps
-    at = np.arange(n_ok)  # the scanned step each step repeats
-    if cycle is not None:
-        at[len(steps) :] = cycle + np.arange(n_steps - len(steps)) % (len(steps) - cycle)
-    shape = (n_ok, len(units))  # the arrays of a greedy run stopped at step 0 are flat
-    scanned = np.array([step for step, _, _ in steps], dtype=float)
-    p, q, soc_kwh = scanned.reshape(len(steps), len(units), 3)[at].transpose(2, 0, 1)
-    if greedy:
-        phase = np.array([phase_k for _, phase_k, _ in steps], dtype=np.intp)[at]
-        want = np.array([want_k for _, _, want_k in steps])[at]
-    else:
-        phase = np.tile(np.array([_PHASE_ROW[ph] for ph in phases], dtype=np.intp), (n_ok, 1))
-        want = inputs[:n_ok]
-    fields = _dispatch_fields(
-        scenario, phase.reshape(shape), want.reshape(shape), p, q, soc_kwh, len(memo)
-    )
-    if zero_sum:  # the box held no zero-sum point, so zero_sum_shift missed zero
-        fields["zero_sum_missed"] = np.abs(_fold_sum(p)) > 1e-9
-    return fields, pending
-
-
 def _idle_fields(scenario: Scenario) -> dict:
-    """The ``Trajectory`` dispatch fields of a scenario whose batteries (if
-    any) no controller dispatches: no actions, and the SoC stays where it
-    starts."""
+    """The ``Trajectory`` dispatch fields, all but ``battery_ids``, of a
+    scenario whose batteries (if any) no controller dispatches: no
+    actions, and the SoC stays where it starts."""
     n_steps = scenario.n_steps
     none = np.zeros((n_steps, 0))
     soc_kwh = np.array([[b.soc_kwh for b in scenario.batteries]], dtype=float).repeat(n_steps, 0)
-    return _dispatch_fields(scenario, none.astype(np.intp), none, none, none, soc_kwh, 0)
-
-
-def _dispatch_fields(scenario: Scenario, phase, want, p_kw, q_kvar, soc_kwh, states) -> dict:
-    """The ``Trajectory`` dispatch fields from ``(step, unit)`` phase,
-    requested and applied powers, ``(step, battery)`` SoC and the number
-    of dispatch states evaluated."""
     return {
-        "battery_ids": tuple(b.id for b in scenario.batteries),
-        "p_kw": p_kw,
-        "q_kvar": q_kvar,
-        "phase": phase,
+        "p_kw": none,
+        "q_kvar": none,
+        "phase": none.astype(np.intp),
         "soc_kwh": soc_kwh,
-        "clipped": p_kw != want,
-        "zero_sum_missed": np.zeros(len(p_kw), dtype=bool),
-        "dispatch_states": states,
+        "clipped": none != none,
+        "zero_sum_missed": np.zeros(n_steps, dtype=bool),
+        "dispatch_states": 0,
     }
 
 
@@ -620,19 +465,6 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.zeros(len(rows), dtype=np.intp)
     rank[first] = np.arange(len(first))
     return first, rank[at]
-
-
-def _repeats_after(rows: np.ndarray, period: int) -> bool:
-    """Whether each row of a 2-d float array equals the row ``period``
-    before it, byte for byte: compared as 64-bit words, -0.0 differs from
-    0.0 (and a NaN equals its own bytes)."""
-    words = np.ascontiguousarray(rows).view(np.uint64)
-    return np.array_equal(words[period:], words[:-period])
-
-
-def _row_bytes(rows: np.ndarray, k: int) -> bytes:
-    """The bytes of row ``k``: the input half of a dispatch memo key."""
-    return rows[k].tobytes()
 
 
 def _fold_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -951,6 +783,8 @@ def build_stylized_scenario(
     units start full (they discharge first). The scenario is labelled
     ``label``, by default after the architecture and storage node.
     """
+    from .storage import Battery, StylizedScheduleCfg  # the schedule's windows and the fleet
+
     if storage_node not in STORAGE_NODES:
         raise UnsupportedNode(storage_node, STORAGE_NODES)
     if arch is not None and not battery_kw > 0:
@@ -1047,17 +881,6 @@ class SweepTemplate:
         object.__setattr__(self, "device_phase", phase)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One cell of a sweep table; ``error`` is set when the run failed."""
-
-    kind: DeviceKind
-    node: str
-    penetration_pct: float
-    result: ScenarioResult | None
-    error: str | None = None
-
-
 class SweepTable(Sequence):
     """A sweep's cells as columns, read as a sequence of ``SweepRow`` in
     (kind, node, penetration) loop order: each row, with its
@@ -1088,6 +911,8 @@ class SweepTable(Sequence):
         return len(self.step_row)
 
     def __getitem__(self, i: int) -> SweepRow:
+        from .checks import SweepRow  # a per-row view, loaded when read
+
         i = range(len(self))[operator.index(i)]  # bounds and negative indices as a tuple's
         k, n = divmod(i, len(self.nodes) * len(self.penetrations))
         n, p = divmod(n, len(self.penetrations))

@@ -15,21 +15,27 @@ rides on the converter rating and never touches the state of charge.
 
 Dispatch is one function per operation, on plain floats: ``bounds_at``,
 ``clip_power``, ``next_soc``, ``zero_sum_shift``, ``schedule_requests`` and
-``greedy_powers``. A scenario's dispatch scan calls them for each unit.
+``greedy_powers``. ``dispatch_scan``, the storage half of a scenario's
+dispatch pass, calls them for each unit. ``scenarios`` and ``cli`` import
+this module only where a fleet, an architecture or a schedule is built or
+dispatched, so a sweep or a run without storage never loads it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
-from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import RatingExceeded, SocOverflow, SocUnderflow
-from .network import PHASES, Phase, as_member
+from .errors import PhasebalError, RatingExceeded, SocOverflow, SocUnderflow
+from .network import PHASES, ArchKind, Phase, as_member
+
+if TYPE_CHECKING:
+    from .scenarios import Scenario
 
 #: Default energy sizing: enough capacity to charge or discharge for 5 hours
 #: at rated power.
@@ -84,22 +90,6 @@ class Battery:
             raise ValueError(f"battery {self.id!r}: soc_kwh outside [0, e_max_kwh]")
         for name in ("p_max_kw", "e_max_kwh", "soc_kwh", "eta_c", "eta_d", "s_conv_kva"):
             object.__setattr__(self, name, float(getattr(self, name)))
-
-
-@dataclass(frozen=True)
-class DispatchAction:
-    """Per-timestep command for one battery: connection phase and power."""
-
-    battery_id: str
-    phase: Phase
-    p_kw: float = 0.0
-    q_kvar: float = 0.0
-
-
-class ArchKind(str, Enum):
-    A1 = "A1"
-    A2 = "A2"
-    A3 = "A3"
 
 
 @dataclass(frozen=True)
@@ -391,3 +381,125 @@ def greedy_powers(
         out.append((phase, p))
         net[phase] += p
     return out
+
+
+def dispatch_scan(
+    scenario: Scenario, units: Sequence[Battery], net: np.ndarray | None
+) -> tuple[dict, Exception | None]:
+    """The storage half of a scenario's dispatch pass, in plain floats.
+    ``units`` are the batteries the controller dispatches, at least one.
+
+    The fixed schedule's requests come as one ``(step, unit)`` array
+    (``schedule_requests``); the greedy search makes its requests step by
+    step from every unit's bounds and ``net``, the ``(step, phase)`` kW of
+    the scenario's devices. One scan then steps through time, and at each
+    step reads each unit's bounds at its SoC, shifts the requests of A2
+    without load shift to a zero sum (``zero_sum_shift``), clips and
+    updates the SoC, unit after unit.
+
+    A step's outcome depends only on the SoC going in and the step's input
+    row: the request row for the fixed schedule, the net phase-power row
+    for the greedy search. So the scan keeps a memo keyed on the bytes of
+    both (the SoC packed as doubles, the input row as stored), and
+    evaluates each distinct state once; a clock schedule meets the same
+    states day after day. Bytes keep 0.0 and -0.0 apart, which a key of
+    floats would merge. A step enters the memo only once it has completed,
+    so a failing step raises as it would without the memo.
+
+    When the inputs repeat day after day, ``round(24 / dt_h)`` steps
+    apart byte for byte (``_repeats_after``), the scan also keeps the SoC
+    bytes at each day start, and stops at the first day start k whose SoC
+    is that of an earlier day start j: from there every step meets the
+    state of the step ``k - j`` before it, so steps k onward tile steps j
+    to k - 1. Only completed steps are tiled, and no state is new after
+    k, so the steps, the error and the states counted are the full scan's.
+
+    Returns the ``Trajectory`` dispatch arrays of the steps that ran, keyed
+    by field (all but ``battery_ids``), and the error that stopped dispatch
+    early (None if every step ran).
+    """
+    n_steps, dt_h, arch = scenario.n_steps, scenario.dt_h, scenario.architecture
+    soc = [b.soc_kwh for b in scenario.batteries]
+    greedy = scenario.controller == "greedy"
+    zero_sum = arch.kind is ArchKind.A2 and not arch.allow_load_shift
+    if greedy:
+        inputs = net
+    else:
+        phases, inputs = schedule_requests(
+            np.arange(n_steps) * dt_h,
+            arch,
+            scenario.schedule or StylizedScheduleCfg(),
+            [b.p_max_kw for b in units],
+        )
+    pack = struct.Struct(f"{len(units)}d").pack
+    memo: dict[tuple[bytes, bytes], tuple] = {}
+    day = round(24.0 / dt_h)
+    daily = 0 < day < n_steps and _repeats_after(inputs, day)
+    day_start: dict[bytes, int] = {}  # SoC bytes -> the first day start at it
+
+    pending, steps, cycle = None, [], None
+    try:
+        for k in range(n_steps):
+            held = pack(*soc)
+            if daily and k % day == 0 and day_start.setdefault(held, k) != k:
+                cycle = day_start[held]
+                break
+            key = held, _row_bytes(inputs, k)
+            done = memo.get(key)
+            if done is None:
+                bounds = [bounds_at(b, e, dt_h) for b, e in zip(units, soc)]
+                row, phase_k = inputs[k].tolist(), None
+                if greedy:  # greedy_powers adds to its net row, a fresh list here
+                    phase_k, want_k = zip(*greedy_powers(row, arch, bounds))
+                elif zero_sum:
+                    want_k = zero_sum_shift(row, *zip(*bounds))
+                else:
+                    want_k = row
+                step = []
+                for bat, (lo, hi), p, e in zip(units, bounds, want_k, soc):
+                    p, q = clip_power(bat, p, 0.0, lo, hi)
+                    step += p, q, next_soc(bat, e, p, q, dt_h)
+                done = memo[key] = step, phase_k, want_k
+            steps.append(done)
+            soc = done[0][2::3]
+    except (PhasebalError, ValueError) as exc:
+        pending = exc
+    n_ok = len(steps) if cycle is None else n_steps
+    at = np.arange(n_ok)  # the scanned step each step repeats
+    if cycle is not None:
+        at[len(steps) :] = cycle + np.arange(n_steps - len(steps)) % (len(steps) - cycle)
+    shape = (n_ok, len(units))  # the arrays of a greedy run stopped at step 0 are flat
+    scanned = np.array([step for step, _, _ in steps], dtype=float)
+    p, q, soc_kwh = scanned.reshape(len(steps), len(units), 3)[at].transpose(2, 0, 1)
+    if greedy:
+        phase = np.array([phase_k for _, phase_k, _ in steps], dtype=np.intp)[at]
+        want = np.array([want_k for _, _, want_k in steps])[at]
+    else:
+        phase = np.tile(np.array([PHASES.index(ph) for ph in phases], dtype=np.intp), (n_ok, 1))
+        want = inputs[:n_ok]
+    missed = np.zeros(n_ok, dtype=bool)
+    if zero_sum:  # the box held no zero-sum point, so zero_sum_shift missed zero
+        # each step's sum as the builtin makes it: a left fold from 0.0, unit by unit
+        missed = np.abs(sum(p.T, np.zeros(n_ok))) > 1e-9
+    return {
+        "p_kw": p,
+        "q_kvar": q,
+        "phase": phase.reshape(shape),
+        "soc_kwh": soc_kwh,
+        "clipped": p != want.reshape(shape),
+        "zero_sum_missed": missed,
+        "dispatch_states": len(memo),
+    }, pending
+
+
+def _repeats_after(rows: np.ndarray, period: int) -> bool:
+    """Whether each row of a 2-d float array equals the row ``period``
+    before it, byte for byte: compared as 64-bit words, -0.0 differs from
+    0.0 (and a NaN equals its own bytes)."""
+    words = np.ascontiguousarray(rows).view(np.uint64)
+    return np.array_equal(words[period:], words[:-period])
+
+
+def _row_bytes(rows: np.ndarray, k: int) -> bytes:
+    """The bytes of row ``k``: the input half of a dispatch memo key."""
+    return rows[k].tobytes()

@@ -17,9 +17,17 @@ from unittest import mock
 
 import numpy as np
 
+from phasebal.checks import (
+    DispatchAction,
+    SweepRow,
+    VoltageSolution,
+    _snapshot_entries,
+    fortescue,
+    rms_voltage,
+    vuf,
+)
 from phasebal.cli import SWEEP_COLUMNS, SWEEP_EXTRACTS, SUMMARY_COLUMNS, _fmt
 from phasebal.errors import NonConvergence, PhasebalError, VoltageCollapse
-from phasebal.metrics import fortescue, rms_voltage, vuf
 from phasebal.network import (
     CONDUCTORS,
     Device,
@@ -35,15 +43,12 @@ from phasebal.powerflow import (
     BatchSolution,
     SolverSettings,
     Topology,
-    VoltageSolution,
-    _snapshot_entries,
     source_phasors,
     sweep_batch,
 )
 from phasebal.scenarios import (
     Scenario,
     ScenarioResult,
-    SweepRow,
     SweepTemplate,
     _PHASE_ROW,
     _complex_times_real,
@@ -55,7 +60,6 @@ from phasebal.storage import (
     Architecture,
     ArchKind,
     Battery,
-    DispatchAction,
     StylizedScheduleCfg,
     _candidate_powers,
     bounds_at,

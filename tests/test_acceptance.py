@@ -15,15 +15,18 @@ import time
 from dataclasses import replace
 
 from conftest import max_voltage_gap, random_feeder, snapshot_solve
-from phasebal.cli import main
-from phasebal.errors import ScenarioStepError, VoltageCollapse
-from phasebal.metrics import SequenceComponents, fortescue, inverse_fortescue, vuf
-from phasebal.network import DeviceKind
-from phasebal.powerflow import (
-    SolverSettings,
+from phasebal.checks import (
+    SequenceComponents,
+    fortescue,
+    inverse_fortescue,
     oracle_solve,
     power_balance_residual_kw,
+    vuf,
 )
+from phasebal.cli import main
+from phasebal.errors import ScenarioStepError, VoltageCollapse
+from phasebal.network import DeviceKind
+from phasebal.powerflow import SolverSettings
 from phasebal.presets import RUN_PRESET_NAMES
 from phasebal.scenarios import build_stylized_scenario, build_sweep_scenario, run_scenario
 from phasebal.storage import Architecture, ArchKind, Battery, bounds_at, clip_power, next_soc

@@ -48,6 +48,7 @@ from phasebal.cli import (
     timeseries_rows,
     write_csv_atomic,
 )
+from phasebal.checks import SweepRow
 from phasebal.errors import ConfigInvalid
 from phasebal.network import (
     PHASES,
@@ -63,7 +64,6 @@ from phasebal.scenarios import (
     NETWORK_CLASS_SEGMENT_KM,
     Scenario,
     ScenarioResult,
-    SweepRow,
     SweepTemplate,
     build_stylized_scenario,
     build_sweep_scenario,
@@ -425,6 +425,15 @@ class TestParseConfig:
             if name in RUN_PRESET_NAMES:
                 assert parse_config(doc).scenario == parse_config(reparsed).scenario
 
+    def test_run_config_is_unhashable_but_compares(self):
+        """A run config holds a scenario, whose ``profiles`` is a dict: it is
+        declared unhashable, and ``==`` compares its fields as before."""
+        cfg = parse_config(preset_config("a2-n5"))
+        with pytest.raises(TypeError, match="unhashable type: 'RunConfig'"):
+            hash(cfg)
+        assert cfg == parse_config(preset_config("a2-n5"))
+        assert cfg != parse_config(preset_config("a2-n0"))
+
 
 class TestRunCommand:
     def test_run_preset_writes_expected_files(self, tmp_path):
@@ -636,21 +645,24 @@ class TestRunCommand:
             ("sub/label", "a '/'"),
             ("a\rb", "a carriage return"),
             ("a\0b", "a NUL"),
+            ("", None),
         ],
     )
     def test_label_that_leaves_out_or_splits_a_row_exits_2_and_names_it(
         self, tmp_path, capsys, command, label, what
     ):
         """The label names the output files, so a '/' would write outside
-        ``--out``; a lone carriage return in the summary CSV's label cell
-        would not read back."""
+        ``--out`` and an empty label names files that start with '-', which
+        shell tools read as options; a lone carriage return in the summary
+        CSV's label cell would not read back."""
         doc = json.loads(json.dumps(CUSTOM_DOC)) if command == "run" else preset_config("grid-compact")
         doc["label"] = label
         path = write_config(tmp_path, doc)
         out = tmp_path / "sub" / "out"
         assert main([command, path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"invalid config at 'label': label {label!r} holds {what}" in err
+        words = "is empty" if what is None else f"holds {what}"
+        assert f"invalid config at 'label': label {label!r} {words}" in err
         assert sorted(p.name for p in tmp_path.rglob("*")) == [Path(path).name]
 
     def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys):
@@ -848,14 +860,72 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
 
 
+#: Runs ``python -m phasebal.cli`` on argv[1:] as runpy does, then prints
+#: the phasebal modules the process loaded, as its last line, at exit.
+_LOADED_AT_EXIT = (
+    "import atexit, runpy, sys; "
+    "atexit.register(lambda: print(sorted(m for m in sys.modules if m.startswith('phasebal')))); "
+    "sys.argv[0] = 'phasebal.cli'; runpy.run_module('phasebal.cli', run_name='__main__')"
+)
+
+
 class TestStartUp:
     def test_import_leaves_the_validator_oracle_and_ingest_unloaded(self):
         code = (
             "import sys, phasebal.cli; print(sorted(set(sys.modules) & "
-            "{'jsonschema', 'attrs', 'referencing', 'rpds', 'phasebal.ingest', 'phasebal.g17'}))"
+            "{'jsonschema', 'attrs', 'referencing', 'rpds', 'phasebal.ingest', 'phasebal.g17', "
+            "'phasebal.storage', 'phasebal.checks'}))"
         )
         out = fresh_python("-c", code)
         assert (out.returncode, out.stdout.strip()) == (0, b"[]")
+
+    def test_package_import_loads_no_submodule(self):
+        code = "import sys, phasebal; print(sorted(m for m in sys.modules if 'phasebal.' in m))"
+        out = fresh_python("-c", code)
+        assert (out.returncode, out.stdout.strip()) == (0, b"[]")
+
+    @pytest.mark.parametrize(
+        "args, storage",
+        [
+            (["sweep", "--preset", "grid-compact"], False),
+            (["run", str(Path(__file__).parent / "golden" / "tree-150.json")], False),
+            (["run", "--preset", "a2-n5"], True),
+        ],
+        ids=["sweep", "run-without-fleet", "run-with-fleet"],
+    )
+    def test_a_command_loads_storage_only_for_a_fleet(self, tmp_path, args, storage):
+        """A sweep and a run without a fleet load neither ``storage`` nor
+        ``checks``; a fleet's run loads ``storage``, and still not ``checks``."""
+        out = fresh_python("-c", _LOADED_AT_EXIT, *args, "--out", "out", cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        loaded = eval(out.stdout.splitlines()[-1])
+        assert "phasebal.scenarios" in loaded and "phasebal.checks" not in loaded
+        assert ("phasebal.storage" in loaded) is storage
+
+    def test_every_export_is_its_home_modules_object(self):
+        """Each name of ``__all__`` resolves, on first access, to the object
+        of the module that defines it; ``dir`` lists every name."""
+        import importlib
+
+        import phasebal
+
+        assert len(set(phasebal.__all__)) == len(phasebal.__all__)
+        assert set(phasebal.__all__) <= set(dir(phasebal))
+        for name in phasebal.__all__:
+            home = importlib.import_module(f"phasebal.{phasebal._HOME[name]}")
+            value = getattr(phasebal, name)
+            assert value is getattr(home, name), name
+            assert getattr(value, "__module__", home.__name__) == home.__name__, name
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            phasebal.no_such_name  # noqa: B018
+
+    def test_star_import_binds_every_export(self):
+        code = (
+            "import phasebal; names = {}; exec('from phasebal import *', names); "
+            "print(sorted(set(phasebal.__all__) - names.keys()), len(phasebal.__all__))"
+        )
+        out = fresh_python("-c", code)
+        assert (out.returncode, out.stdout.strip()) == (0, b"[] 63")
 
     def test_import_builds_no_formatter_table(self):
         """``setup_s`` pays for every module-level line: the timeseries

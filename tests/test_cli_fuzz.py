@@ -156,6 +156,8 @@ def run_mutated(source: str, changes: list[tuple[tuple, object]], flags: list[st
         if code == 2:
             assert "invalid config at '" in err.getvalue(), err.getvalue()
         if code == 0:
+            # no output file name reads as a shell option
+            assert not [p.name for p in out.iterdir() if p.name.startswith("-")]
             assert_tables_read_back(out)
 
 
@@ -171,6 +173,9 @@ def run_mutated(source: str, changes: list[tuple[tuple, object]], flags: list[st
 @example(("golden", [(("scenario", "feeder", "v_base_ln"), 5e-324)], []))
 # a tolerance no pass reaches, with passes that never run out
 @example(("overload-n5", [(("solver", "max_iter"), 1e308), (("solver", "tol_pu"), 5e-324)], []))
+# an empty label, which would name the output files "-config.json" and so on
+@example(("grid-compact", [(("label",), "")], []))
+@example(("golden", [(("label",), "")], []))
 # solver flags over a solver that is no object
 @example(("golden", [(("solver",), 5)], ["--tol", "1e-6"]))
 @example(("grid-compact", [(("solver",), [1, 2])], ["--max-iter", "1"]))

@@ -10,18 +10,17 @@ import numpy as np
 import pytest
 
 from conftest import snapshot_solve
-from phasebal.errors import UnknownNorm, ZeroPositiveSequence
-from phasebal.metrics import (
-    ALPHA,
+from phasebal.checks import (
     SequenceComponents,
     VUF_NORM_LIMITS,
     check_vuf_norm,
     fortescue,
     inverse_fortescue,
-    node_metric_arrays,
     rms_voltage,
     vuf,
 )
+from phasebal.errors import UnknownNorm, ZeroPositiveSequence
+from phasebal.metrics import ALPHA, node_metric_arrays
 
 
 def polar(mag: float, deg: float) -> complex:

@@ -26,6 +26,7 @@ from conftest import (
     reference_sweep_batch,
     snapshot_solve,
 )
+from phasebal.checks import oracle_solve, power_balance_residual_kw
 from phasebal.errors import NonConvergence, ScenarioStepError, VoltageCollapse
 from phasebal.network import Device, DeviceKind, Phase, chain_feeder
 from phasebal.powerflow import (
@@ -33,8 +34,6 @@ from phasebal.powerflow import (
     SolverSettings,
     Topology,
     _Kernel,
-    oracle_solve,
-    power_balance_residual_kw,
     segment_losses,
     source_phasors,
     sweep_batch,

@@ -34,6 +34,7 @@ from conftest import (
     with_greedy_fleet,
     with_profiles,
 )
+from phasebal.checks import DispatchAction, oracle_solve, power_balance_residual_kw
 from phasebal.cli import timeseries_rows
 from phasebal.errors import (
     PhasebalError,
@@ -58,8 +59,6 @@ from phasebal.network import (
 from phasebal.powerflow import (
     SolverSettings,
     Topology,
-    oracle_solve,
-    power_balance_residual_kw,
     segment_losses,
 )
 from phasebal import scenarios
@@ -78,7 +77,8 @@ from phasebal.scenarios import (
     run_scenario,
     sweep_and_tabulate,
 )
-from phasebal.storage import Architecture, ArchKind, Battery, DispatchAction
+from phasebal import storage
+from phasebal.storage import Architecture, ArchKind, Battery
 
 FULL_GRID = [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 120]
 
@@ -337,6 +337,28 @@ class TestRunScenario:
         assert result.max_vuf_pct >= result.mean_vuf_pct
         assert result.phase_loss_kwh > 0
         assert len(result.per_timestep) == 24
+
+    def test_solved_arrays_compare_and_hash_by_identity(self):
+        """Two greedy-fleet runs solve byte-equal arrays in distinct
+        ``BatchSolution`` objects: ``==`` compares them by identity instead
+        of asking the arrays for a truth value, and ``hash`` works."""
+        scenario = build_stylized_scenario(Architecture(ArchKind.A2), "N5", 4.5, "greedy")
+        a, b = (run_scenario(scenario).trajectory.solved for _ in range(2))
+        assert a.voltages.tobytes() == b.voltages.tobytes()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+    def test_scenario_and_result_are_unhashable_but_compare(self):
+        """A scenario's ``profiles`` and a result's ``sum_drop_at`` are
+        dicts, so neither class is hashable; ``==`` compares as before."""
+        scenario = build_stylized_scenario(Architecture(ArchKind.A1), "N5", 3.0)
+        result = run_scenario(scenario)
+        for value in (scenario, result):
+            with pytest.raises(TypeError, match=f"unhashable type: '{type(value).__name__}'"):
+                hash(value)
+        assert scenario == replace(scenario) and scenario != replace(scenario, label="other")
+        assert result == run_scenario(scenario)
+        assert result != run_scenario(replace(scenario, label="other"))
 
     def test_feeder_without_devices_runs_at_no_load(self):
         """No device means no injection entries: every step is the one
@@ -1079,7 +1101,7 @@ def request_changed_at(t_h: float, kw: float):
 
     scheduled = scheduled_request
     with mock.patch.object(
-        scenarios, "schedule_requests", changed(scenarios.schedule_requests)
+        storage, "schedule_requests", changed(storage.schedule_requests)
     ), mock.patch.object(
         conftest, "schedule_requests", changed(conftest.schedule_requests)
     ), mock.patch.object(sys.modules[__name__], "scheduled_request", written_out):
@@ -1234,16 +1256,16 @@ class TestStepKeys:
         scenario = build_stylized_scenario(Architecture(ArchKind.A3), "N5", 3.0, "greedy")
         flat = (1.0,) * scenario.n_steps
         scenario = replace(scenario, profiles=dict.fromkeys(scenario.profiles, flat))
-        dispatch_storage = scenarios._dispatch_storage
+        dispatch_scan = storage.dispatch_scan
 
         def turning(sc, units, net):
-            fields, stopped = dispatch_storage(sc, units, net)
+            fields, stopped = dispatch_scan(sc, units, net)
             shape = fields["p_kw"].shape
             fields["p_kw"] = np.ones(shape)
             fields["phase"] = np.add.outer(np.arange(shape[0]), np.arange(shape[1])) % 3
             return fields, stopped
 
-        with mock.patch.object(scenarios, "_dispatch_storage", turning):
+        with mock.patch.object(storage, "dispatch_scan", turning):
             result = run_scenario(scenario)
         assert len(set(result.step_row.tolist())) == 3
         for k, rec in enumerate(result.per_timestep):
@@ -1424,16 +1446,16 @@ class TestDispatchScan:
         units, n_steps = scenario.batteries, scenario.n_steps
 
         def dispatch(changed_at=None, full_scan=False):
-            reads = mock.Mock(side_effect=scenarios._row_bytes)
+            reads = mock.Mock(side_effect=storage._row_bytes)
             with contextlib.ExitStack() as stack:
-                stack.enter_context(mock.patch.object(scenarios, "_row_bytes", reads))
+                stack.enter_context(mock.patch.object(storage, "_row_bytes", reads))
                 if changed_at is not None:
                     stack.enter_context(request_changed_at(changed_at, 0.5))
                 if full_scan:
                     stack.enter_context(
-                        mock.patch.object(scenarios, "_repeats_after", return_value=False)
+                        mock.patch.object(storage, "_repeats_after", return_value=False)
                     )
-                fields, stopped = scenarios._dispatch_storage(scenario, units, None)
+                fields, stopped = storage.dispatch_scan(scenario, units, None)
             assert stopped is None
             return fields, reads.call_count
 
