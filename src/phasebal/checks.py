@@ -1,8 +1,7 @@
 """Checks and per-step views: what only tests, the benchmark's checks and
 per-step reads use. A run, a sweep or an ingest never loads this module;
-``ScenarioResult.per_timestep``, ``SweepTable`` rows and
-``BatchSolution.solution`` import it when they are read, and ``phasebal``
-resolves its names on first access.
+``ScenarioResult.per_timestep`` and ``SweepTable`` rows import it when
+they are read, and ``phasebal`` resolves its names on first access.
 
 - The dense oracle: ``oracle_solve``, a structurally different solver of
   one snapshot that checks the batched sweep (``powerflow.sweep_batch``),
@@ -14,8 +13,10 @@ resolves its names on first access.
   against ``VUF_NORM_LIMITS``. ``metrics.node_metric_arrays`` computes the
   same values over arrays, bit for bit.
 - The per-step views, made from the arrays of a run on every read:
-  ``StepRecord`` (with ``DispatchAction`` and ``VoltageSolution``), the
-  ``_StepRecords`` sequence behind ``per_timestep``, and ``SweepRow``.
+  ``StepRecord`` (with ``DispatchAction``, and the ``VoltageSolution`` of
+  its row of the trajectory's ``voltages``, ``currents`` and
+  ``iterations``), the ``_StepRecords`` sequence behind
+  ``per_timestep``, and ``SweepRow``.
 """
 
 from __future__ import annotations
@@ -308,7 +309,10 @@ class StepRecord:
 
     @property
     def solution(self) -> VoltageSolution:
-        return self.trajectory.solved.solution(self.trajectory.topology.nodes, self.row)
+        traj, row = self.trajectory, self.row
+        return VoltageSolution(
+            traj.topology.nodes, traj.voltages[row], traj.currents[row], int(traj.iterations[row])
+        )
 
 
 class _StepRecords(Sequence):

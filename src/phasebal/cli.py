@@ -565,13 +565,16 @@ def parse_config(doc: Any, path: str = "<config>") -> RunConfig:
     except ValueError as exc:
         raise ConfigInvalid(path, "solver", str(exc)) from None
     label = doc.get("label", "run")
-    # the label names the output files, so a "/" would write outside --out
-    # and an empty one names "-config.json", which shell tools read as an
-    # option; it fills a summary CSV cell, which csv.writer leaves unquoted
+    # the label names the output files, so a "/" would write outside --out,
+    # an empty one names "-config.json", which shell tools read as an
+    # option, and a "\n" splits a written path over two lines of the
+    # listing; it fills a summary CSV cell, which csv.writer leaves unquoted
     # for a "\r"
     if not label:
         raise ConfigInvalid(path, "label", f"label {label!r} is empty")
-    for char, what in (("/", "a '/'"), ("\r", "a carriage return"), ("\0", "a NUL")):
+    for char, what in (
+        ("/", "a '/'"), ("\n", "a line feed"), ("\r", "a carriage return"), ("\0", "a NUL")
+    ):
         if char in label:
             raise ConfigInvalid(path, "label", f"label {label!r} holds {what}")
 
@@ -693,7 +696,7 @@ def timeseries_rows(result: ScenarioResult) -> Iterator[str]:
     def row_texts(rows: list[int]) -> Iterator[list[str]]:
         """The text of each distinct row in ``rows``, cut as ``cuts`` says."""
         cols = np.zeros((len(rows), n, 11))
-        v = traj.solved.voltages[rows]
+        v = traj.voltages[rows]
         v_ln = v[..., :3] - v[..., 3:]
         cols[..., 0:3] = np.hypot(v_ln.real, v_ln.imag)
         cols[..., 3] = np.hypot(v[..., 3].real, v[..., 3].imag)

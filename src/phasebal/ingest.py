@@ -20,6 +20,7 @@ from datetime import datetime, timezone
 from typing import Sequence
 
 from .errors import NonMonotonicTimestamps, SchemaMismatch
+from .network import DEFAULT_V_BASE_LN
 from .powerflow import source_phasors
 
 _BASE_COLUMNS = ("timestamp", "p_a_kw", "p_b_kw", "p_c_kw")
@@ -162,18 +163,17 @@ def read_measured_series(path: str) -> MeasuredSeries:
     )
 
 
-def neutral_current_proxy(
-    p_kw: Sequence[float], q_kvar: Sequence[float], v_base_ln: float = 230.0
-) -> float:
-    """|Ia + Ib + Ic| under nominal balanced voltages, amps."""
-    phasors = source_phasors(v_base_ln)
+def neutral_current_proxy(p_kw: Sequence[float], q_kvar: Sequence[float]) -> float:
+    """|Ia + Ib + Ic| under nominal balanced voltages (``DEFAULT_V_BASE_LN``
+    line to neutral), amps."""
+    phasors = source_phasors(DEFAULT_V_BASE_LN)
     total = 0j
     for p, q, v in zip(p_kw, q_kvar, phasors):
         total += (complex(p, q) * 1000.0 / v).conjugate()
     return abs(total)
 
 
-def analyze_series(series: MeasuredSeries, v_base_ln: float = 230.0) -> ImbalanceReport:
+def analyze_series(series: MeasuredSeries) -> ImbalanceReport:
     """Per-row spread/proxy/power factor plus per-clock-hour spread stats.
 
     Raises SchemaMismatch naming the row (counted as in the file, from 1)
@@ -187,7 +187,7 @@ def analyze_series(series: MeasuredSeries, v_base_ln: float = 230.0) -> Imbalanc
         q = series.q_kvar[i] if series.q_kvar is not None else (0.0, 0.0, 0.0)
         spread = max(p) - min(p)
         try:
-            proxy = neutral_current_proxy(p, q, v_base_ln)
+            proxy = neutral_current_proxy(p, q)
         except OverflowError:  # abs() of a complex whose magnitude overflows
             proxy = math.inf
         for name, value in (("spread_kw", spread), ("neutral_proxy_a", proxy)):

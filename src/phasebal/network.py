@@ -90,6 +90,14 @@ class ArchKind(str, Enum):
     A3 = "A3"
 
 
+#: The stylized day's clock windows ``[start_h, end_h)`` in hours of day: its
+#: DG generates in the first and its EV charges in the second. They are also
+#: the fixed schedule's defaults (``storage.StylizedScheduleCfg``), here so
+#: that a scenario without a fleet reads them without loading ``storage``.
+DG_WINDOW: tuple[float, float] = (10.0, 15.0)
+EV_WINDOW: tuple[float, float] = (18.0, 23.0)
+
+
 def _require_finite(value: complex, what: str) -> None:
     if not (cmath.isfinite(value)):
         raise ValueError(f"{what} must be finite, got {value!r}")

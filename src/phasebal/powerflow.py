@@ -10,13 +10,16 @@ Two structurally different solvers cover the same contract:
   device currents at the present voltages, accumulates branch currents
   leaf-to-root one tree level at a time, then propagates the voltage drops
   of all four conductors root-to-leaf. A row stops on the pass where it
-  converges, so its iteration count is that of a solve on its own.
+  converges, so its iteration count is that of a solve on its own. It
+  returns plain arrays, ``(voltages, currents, iterations, failures)``,
+  which ``scenarios.Trajectory`` holds as its own fields.
 - ``checks.oracle_solve``: dense cross-check for small feeders. Assembles
   the full 4n x 4n nodal admittance system and fixed-point iterates on
   device current injections against the reduced linear system, through
   this module's ``_Kernel``. It lives in ``checks`` with the per-step
   ``VoltageSolution``, which only tests, the benchmark's checks and
-  per-step reads use, so a run or a sweep never loads it.
+  per-step reads use; this module imports nothing from there, so a run or
+  a sweep never loads it.
 
 The sweep runs on ``Topology``, the feeder's one index of rows and
 impedances, built once per call from the breadth-first node order, and on
@@ -69,15 +72,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NonConvergence, PhasebalError, VoltageCollapse
 from .network import Feeder
-
-if TYPE_CHECKING:
-    from .checks import VoltageSolution
 
 _COLLAPSE_PU = 0.5
 
@@ -202,27 +201,6 @@ def _as_indices(rows: np.ndarray, lo: list[int], hi: list[int]) -> list[slice | 
     ]
 
 
-@dataclass(frozen=True, eq=False)
-class BatchSolution:
-    """Result of ``sweep_batch``: per-row voltages ``(batch, node, 4)``,
-    branch currents ``(batch, segment, 4)`` and pass counts, with
-    ``failures`` mapping each row that did not converge to the
-    VoltageCollapse or NonConvergence it raised (its other entries are 0).
-    Compared and hashed by identity, as its arrays have no truth value."""
-
-    voltages: np.ndarray
-    currents: np.ndarray
-    iterations: np.ndarray
-    failures: dict[int, PhasebalError]
-
-    def solution(self, nodes: tuple[str, ...], row: int) -> VoltageSolution:
-        from .checks import VoltageSolution  # a per-step view, loaded when read
-
-        return VoltageSolution(
-            nodes, self.voltages[row], self.currents[row], int(self.iterations[row])
-        )
-
-
 class _Kernel:
     """The per-pass arithmetic of ``sweep_batch`` on work buffers allocated
     once per call for its ``(row, entry)`` injections ``s_va``; a pass
@@ -345,10 +323,14 @@ def sweep_batch(
     cond: np.ndarray,
     s_va: np.ndarray,
     settings: SolverSettings = SolverSettings(),
-) -> BatchSolution:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, PhasebalError]]:
     """Solve every row of ``s_va`` (``(batch, entry)`` complex VA, load
     convention) by forward-backward sweep over one ``(batch, node, 4)``
     array. Entry e sits on conductor ``cond[e]`` of node row ``node[e]``.
+    Returns ``(voltages, currents, iterations, failures)``: per-row
+    voltages ``(batch, node, 4)``, branch currents ``(batch, segment, 4)``
+    and pass counts ``(batch,)``, and the VoltageCollapse or NonConvergence
+    of each row that did not converge, by row (its array entries are 0).
 
     A row leaves the batch on the pass where its largest voltage change
     falls to tol_pu * v_base_ln, or where a line-to-neutral voltage of a
@@ -399,7 +381,7 @@ def sweep_batch(
                 rows, delta = rows[keep], delta[keep]
     for row, residual in zip(rows.tolist(), delta.tolist()):
         failures[row] = NonConvergence(settings.max_iter, residual)
-    return BatchSolution(out_v, out_i, iterations, failures)
+    return out_v, out_i, iterations, failures
 
 
 def segment_losses(

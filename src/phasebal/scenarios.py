@@ -28,11 +28,11 @@ the scenario's entries, and each cell's constant VA in them. A run has no
 keys and one cell; ``sweep_and_tabulate`` builds the loaded chain of a
 sweep once and gives each cell its DG or EV as the VA of its node's
 columns. The cells share the scenario's dispatch, step keys and entry
-layout, and one power flow covers the distinct rows of every cell. A
-batch's outcome is arrays (``_Batch``): one
-``Trajectory``, and per cell its summary values, summed drops, ``step_row``
-and error. A cell's ``ScenarioResult`` is made from them when it is read,
-and a sweep's ``SweepTable`` makes each row so.
+layout, and one power flow covers the distinct rows of every cell: one
+``Trajectory`` holds its arrays and those derived from them, and each cell
+has a row of the summary, summed-drop and ``step_row`` columns. A cell's
+``ScenarioResult`` is made from its rows when it is read, and a sweep's
+``SweepTable`` makes each row so.
 
 Two builder families cover the bundled studies:
 
@@ -52,7 +52,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -65,6 +65,8 @@ from .errors import (
 )
 from .metrics import node_metric_arrays
 from .network import (
+    DG_WINDOW,
+    EV_WINDOW,
     PHASES,
     ArchKind,
     Device,
@@ -74,13 +76,7 @@ from .network import (
     as_member,
     chain_feeder,
 )
-from .powerflow import (
-    BatchSolution,
-    SolverSettings,
-    Topology,
-    segment_losses,
-    sweep_batch,
-)
+from .powerflow import SolverSettings, Topology, segment_losses, sweep_batch
 
 if TYPE_CHECKING:
     from .checks import StepRecord, SweepRow
@@ -216,13 +212,17 @@ class Scenario:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Solved arrays of one batch, one row per distinct operating point:
-    power flow ``(row, node | segment, conductor)`` and the metrics derived
-    from it, ``(row, node[, phase])`` for VUF, signed deviation and RMS
-    voltage and ``(row, segment[, phase])`` for losses in kW. Each result
-    maps its timesteps to rows through its own ``step_row``; steps with
-    byte-equal injections share one. Node and segment axes follow
+    the power flow's ``voltages`` ``(row, node, conductor)``, ``currents``
+    ``(row, segment, conductor)`` and ``iterations``, with ``failures`` the
+    error of each row that did not converge (its array entries are 0), and
+    the metrics derived from them, ``(row, node[, phase])`` for VUF, signed
+    deviation and RMS voltage and ``(row, segment[, phase])`` for losses in
+    kW. Each result maps its timesteps to rows through its own
+    ``step_row``: step k's voltages are ``voltages[step_row[k]]``, and steps
+    with byte-equal injections share one. Node and segment axes follow
     ``topology``, the feeder's index. Every cell of a batch (a run is one)
     shares this one object, so rows of other cells sit beside a run's.
+    Compared and hashed by identity: its arrays have no truth value.
 
     Dispatch is held per step, every cell alike; step k starts at
     ``k * dt_h`` hours. ``soc_kwh`` is ``(step, battery)`` after each
@@ -242,7 +242,10 @@ class Trajectory:
     cycled. It is 0 when no fleet is dispatched."""
 
     topology: Topology
-    solved: BatchSolution
+    voltages: np.ndarray
+    currents: np.ndarray
+    iterations: np.ndarray
+    failures: dict[int, PhasebalError]
     vuf_pct: np.ndarray
     drop_pct: np.ndarray
     v_rms: np.ndarray
@@ -306,28 +309,14 @@ SUMMARY_FIELDS = (
 )
 
 
-class _Batch(NamedTuple):
-    """The outcome of every cell of a batch (``_run_batch``): the shared
-    ``trajectory``; ``summary`` ``(cell, 6)``, the ``SUMMARY_FIELDS`` values,
-    and ``sum_drop`` ``(cell, node)``, each node's time-average of its three
-    phase deviations summed, both NaN at a failing cell; ``step_row``
-    ``(cell, step)``, the row of each step; and ``errors``, the error of
-    each failing cell by cell, in cell order."""
-
-    trajectory: Trajectory
-    summary: np.ndarray
-    sum_drop: np.ndarray
-    step_row: np.ndarray
-    errors: dict[int, Exception]
-
-
-def _cell_result(cells: _Batch | SweepTable, c: int, label: str) -> ScenarioResult:
-    """The ScenarioResult of cell ``c`` of a batch or sweep under ``label``,
-    made from the columns."""
-    sum_drop_at = dict(zip(cells.trajectory.topology.nodes, cells.sum_drop[c].tolist()))
-    return ScenarioResult(
-        label, *cells.summary[c].tolist(), sum_drop_at, cells.trajectory, cells.step_row[c]
-    )
+def _cell_result(
+    label: str, traj: Trajectory, summary: np.ndarray, sum_drop: np.ndarray, step_row: np.ndarray
+) -> ScenarioResult:
+    """The ScenarioResult under ``label`` of one cell of a batch, from the
+    cell's row of each ``_run_batch`` column: ``summary`` ``(6,)``,
+    ``sum_drop`` ``(node,)`` and ``step_row`` ``(step,)``."""
+    sum_drop_at = dict(zip(traj.topology.nodes, sum_drop.tolist()))
+    return ScenarioResult(label, *summary.tolist(), sum_drop_at, traj, step_row)
 
 
 def _complex_times_real(re: np.ndarray, im: np.ndarray, f) -> tuple[np.ndarray, np.ndarray]:
@@ -478,7 +467,7 @@ def _fold_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def _run_batch(
     scenario: Scenario, settings: SolverSettings, keys=np.zeros(0, int), cell_va=np.zeros((1, 0))
-) -> _Batch:
+) -> tuple[Trajectory, np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
     """Run the cells of one scenario with one power flow for all of them:
     extra entry ``keys`` after the scenario's, and each cell's constant VA
     in them, ``cell_va`` ``(cell, len(keys))``. A run has no keys and one
@@ -502,10 +491,15 @@ def _run_batch(
        horizon aggregates fold over every step in step order, all cells
        at once.
 
-    Returns the arrays of every cell (``_Batch``), with the error of each
-    failing cell as a step-by-step loop would raise it: the earliest
-    failing step wins, a solver failure as a ScenarioStepError tagged with
-    its time, anything else as raised.
+    Returns ``(trajectory, summary, sum_drop, step_row, errors)``: the
+    ``Trajectory`` every cell shares; ``summary`` ``(cell, 6)``, the
+    ``SUMMARY_FIELDS`` values, and ``sum_drop`` ``(cell, node)``, each
+    node's time-average of its three phase deviations summed, both NaN at a
+    failing cell; ``step_row`` ``(cell, step)``, the row of each step; and
+    ``errors``, the error of each failing cell by cell, in cell order, as a
+    step-by-step loop would raise it: the earliest failing step wins, a
+    solver failure as a ScenarioStepError tagged with its time, anything
+    else as raised.
     """
     if len(keys) and scenario.controller == "greedy" and scenario.batteries:
         raise ValueError("a greedy fleet's dispatch would read the cells' devices")
@@ -521,13 +515,14 @@ def _run_batch(
     at, rank = _distinct_rows(candidates)
     distinct = candidates if len(at) == len(candidates) else candidates[at]  # no copy if all differ
     node, cond = np.divmod(layout, 4)
-    solved = sweep_batch(topo, node, cond, distinct, settings)
-    vuf_pct, drop_pct, v_rms = node_metric_arrays(solved.voltages, topo.v_base)
-    phase_loss, neutral_loss = segment_losses(solved.currents, topo.r_phase, topo.r_neutral)
+    voltages, currents, iterations, failures = sweep_batch(topo, node, cond, distinct, settings)
+    vuf_pct, drop_pct, v_rms = node_metric_arrays(voltages, topo.v_base)
+    phase_loss, neutral_loss = segment_losses(currents, topo.r_phase, topo.r_neutral)
     n_steps, dt_h = scenario.n_steps, scenario.dt_h
     node_of = {d.battery_id: topo.index[d.node] for d in scenario.feeder.storage_devices()}
     trajectory = Trajectory(
-        topo, solved, vuf_pct, drop_pct, v_rms, phase_loss, neutral_loss, dt_h,
+        topo, voltages, currents, iterations, failures,
+        vuf_pct, drop_pct, v_rms, phase_loss, neutral_loss, dt_h,
         battery_node=np.array([node_of[b.id] for b in scenario.batteries], dtype=np.intp),
         **fields,
     )
@@ -539,7 +534,7 @@ def _run_batch(
     # is undefined too, and the failure is reported
     ends = np.c_[step_row, np.full(n_cells, len(distinct))]
     failed = np.zeros(len(distinct) + 1, dtype=bool)
-    failed[[*solved.failures, -1]] = True
+    failed[[*failures, -1]] = True
     fail_at = failed[ends].argmax(axis=1)
     undefined_at = np.append(~np.isfinite(vuf_pct).all(axis=1), True)[ends].argmax(axis=1)
     undefined = undefined_at < fail_at
@@ -549,12 +544,12 @@ def _run_batch(
             errors[c] = ZeroPositiveSequence("positive-sequence magnitude is zero")
         else:
             k = int(fail_at[c])
-            errors[c] = ScenarioStepError(k * dt_h, solved.failures[int(step_row[c, k])])
+            errors[c] = ScenarioStepError(k * dt_h, failures[int(step_row[c, k])])
     if stopped is not None:
         errors = {c: errors.get(c, stopped) for c in range(n_cells)}
     summary = np.full((n_cells, len(SUMMARY_FIELDS)), np.nan)
     sum_drop = np.full((n_cells, topo.n), np.nan)
-    batch = _Batch(trajectory, summary, sum_drop, step_row, errors)
+    batch = trajectory, summary, sum_drop, step_row, errors
     ok = np.ones(n_cells, dtype=bool)
     ok[list(errors)] = False
     if not ok.any():
@@ -605,10 +600,10 @@ def run_scenario(scenario: Scenario, settings: SolverSettings = SolverSettings()
     its time, anything else as raised. Deterministic: identical scenarios
     produce identical results.
     """
-    batch = _run_batch(scenario, settings)
-    if batch.errors:
-        raise batch.errors[0]
-    return _cell_result(batch, 0, scenario.label)
+    trajectory, summary, sum_drop, step_row, errors = _run_batch(scenario, settings)
+    if errors:
+        raise errors[0]
+    return _cell_result(scenario.label, trajectory, summary[0], sum_drop[0], step_row[0])
 
 
 def _flat_profiles(n_steps: int) -> dict[str, tuple[float, ...]]:
@@ -767,93 +762,64 @@ def build_stylized_scenario(
     controller: str = "fixed_schedule",
     *,
     target_phase: Phase = Phase.A,
-    segment_km: float = 0.1,
     horizon_h: float = 24.0,
     dt_h: float = 1.0,
     label: str | None = None,
 ) -> Scenario:
-    """Storage showcase scenario on the six-node chain.
+    """Storage showcase scenario on the six-node chain of 0.1 km segments.
 
     Base load is 2 kW per phase at each of N1..N5. A 10 kW DG on
     ``target_phase`` at N3 runs 10:00-15:00 and a 10 kW EV block on the same
-    phase runs 18:00-23:00. With ``arch`` set, storage of ``battery_kw``
-    total rating sits at ``storage_node`` (N0: feeder head, N5: feeder end):
-    one unit for A1, three units of a third the rating each for A2/A3. The
-    unit on the target phase starts empty (it charges first); companion
-    units start full (they discharge first). The scenario is labelled
-    ``label``, by default after the architecture and storage node.
+    phase runs 18:00-23:00 (``DG_WINDOW``, ``EV_WINDOW``). With ``arch``
+    set, storage of ``battery_kw`` total rating sits at ``storage_node``
+    (N0: feeder head, N5: feeder end): one unit for A1, three units of a
+    third the rating each for A2/A3, on the default fixed schedule for
+    ``target_phase``. The unit on the target phase starts empty (it charges
+    first); companion units start full (they discharge first). Without
+    ``arch`` there is no fleet, no controller and no schedule, and
+    ``storage`` is not loaded. The scenario is labelled ``label``, by
+    default after the architecture and storage node.
     """
-    from .storage import Battery, StylizedScheduleCfg  # the schedule's windows and the fleet
-
     if storage_node not in STORAGE_NODES:
         raise UnsupportedNode(storage_node, STORAGE_NODES)
     if arch is not None and not battery_kw > 0:
         raise ValueError("battery_kw must be > 0 when an architecture is present")
 
-    schedule = StylizedScheduleCfg(target_phase=target_phase)
-    target_phase = schedule.target_phase  # a phase given by value, as its member
-    devices = _flat_loads(2.0)
-    devices.append(
-        Device(
-            label="pv-N3",
-            node="N3",
-            kind=DeviceKind.DG,
-            phase=target_phase,
-            s_rated_kva=complex(-10.0, 0.0),
-            profile_id="dg-window",
-        )
-    )
-    devices.append(
-        Device(
-            label="ev-N3",
-            node="N3",
-            kind=DeviceKind.EV,
-            phase=target_phase,
-            s_rated_kva=complex(10.0, 0.0),
-            profile_id="ev-window",
-        )
-    )
-
+    target_phase = as_member(Phase, target_phase, "schedule target_phase")
+    devices = _flat_loads(2.0) + [
+        Device("pv-N3", "N3", DeviceKind.DG, target_phase, complex(-10.0, 0.0), "dg-window"),
+        Device("ev-N3", "N3", DeviceKind.EV, target_phase, complex(10.0, 0.0), "ev-window"),
+    ]
     batteries: list[Battery] = []
-    if arch is None:
-        controller = "none"
-        name = "stylized-nostorage"
-    elif arch.kind is ArchKind.A1:
-        batteries.append(Battery(id="bat-1", p_max_kw=battery_kw, soc_kwh=0.0))
-        devices.append(
-            Device(
-                label="st-1",
-                node=storage_node,
-                kind=DeviceKind.STORAGE,
-                phase=target_phase,
-                battery_id="bat-1",
-            )
-        )
-        name = f"stylized-a1-{storage_node.lower()}"
-    else:
-        unit_kw = battery_kw / 3.0
-        for phase in PHASES:
-            unit = Battery(id=f"bat-{phase.value.lower()}", p_max_kw=unit_kw, soc_kwh=0.0)
-            if phase is not target_phase:
-                unit = replace(unit, soc_kwh=unit.e_max_kwh)
-            batteries.append(unit)
-            devices.append(
-                Device(
-                    label=f"st-{phase.value.lower()}",
-                    node=storage_node,
-                    kind=DeviceKind.STORAGE,
-                    phase=phase,
-                    battery_id=f"bat-{phase.value.lower()}",
-                )
-            )
-        shift = "" if arch.allow_load_shift else "-noshift"
-        name = f"stylized-{arch.kind.value.lower()}-{storage_node.lower()}{shift}"
+    schedule, name = None, "stylized-nostorage"
+    if arch is not None:
+        from .storage import Battery, StylizedScheduleCfg  # only a fleet loads storage
 
-    feeder = chain_feeder(6, segment_km, devices=devices)
+        schedule = StylizedScheduleCfg(target_phase=target_phase)
+        if arch.kind is ArchKind.A1:
+            batteries.append(Battery(id="bat-1", p_max_kw=battery_kw, soc_kwh=0.0))
+            devices.append(
+                Device("st-1", storage_node, DeviceKind.STORAGE, target_phase, battery_id="bat-1")
+            )
+            name = f"stylized-a1-{storage_node.lower()}"
+        else:
+            for phase in PHASES:
+                tag = phase.value.lower()
+                unit = Battery(id=f"bat-{tag}", p_max_kw=battery_kw / 3.0, soc_kwh=0.0)
+                if phase is not target_phase:
+                    unit = replace(unit, soc_kwh=unit.e_max_kwh)
+                batteries.append(unit)
+                devices.append(
+                    Device(f"st-{tag}", storage_node, DeviceKind.STORAGE, phase, battery_id=unit.id)
+                )
+            shift = "" if arch.allow_load_shift else "-noshift"
+            name = f"stylized-{arch.kind.value.lower()}-{storage_node.lower()}{shift}"
+
+    feeder = chain_feeder(6, 0.1, devices=devices)
     n_steps = _step_count(horizon_h, dt_h)
     profiles = _flat_profiles(n_steps)
-    profiles["dg-window"] = _window_profile(n_steps, dt_h, schedule.dg_window)
-    profiles["ev-window"] = _window_profile(n_steps, dt_h, schedule.ev_window)
+    profiles["dg-window"] = _window_profile(n_steps, dt_h, DG_WINDOW)
+    profiles["ev-window"] = _window_profile(n_steps, dt_h, EV_WINDOW)
     return Scenario(
         feeder=feeder,
         horizon_h=horizon_h,
@@ -893,19 +859,20 @@ class SweepTable(Sequence):
     time-average of its summed phase deviations, nodes in
     ``trajectory.topology`` order, both NaN at a failing cell; ``step_row``
     ``(cell, step)`` the row of each step of the ``trajectory`` every cell
-    shares; ``errors`` the message of each failing cell, by cell. The
-    grid's axes ``kinds``, ``nodes`` and ``penetrations`` are held as
-    given: a row's kind, node and penetration are the objects passed in.
+    shares; ``errors`` the message of each failing cell, by cell. They
+    come from ``_run_batch``'s tuple, passed as ``*batch``. The grid's
+    axes ``kinds``, ``nodes`` and ``penetrations`` are held as given: a
+    row's kind, node and penetration are the objects passed in.
     """
 
     __slots__ = ("template", "kinds", "nodes", "penetrations", "trajectory", "summary",
                  "sum_drop", "step_row", "errors")
 
-    def __init__(self, template: SweepTemplate, kinds, nodes, penetrations, batch: _Batch) -> None:
+    def __init__(self, template: SweepTemplate, kinds, nodes, penetrations, *batch) -> None:
         self.template, self.kinds, self.nodes = template, tuple(kinds), tuple(nodes)
         self.penetrations = tuple(penetrations)
-        self.trajectory, self.summary, self.sum_drop, self.step_row = batch[:4]  # all but errors
-        self.errors = {c: str(error) for c, error in batch.errors.items()}
+        self.trajectory, self.summary, self.sum_drop, self.step_row, errors = batch
+        self.errors = {c: str(error) for c, error in errors.items()}
 
     def __len__(self) -> int:
         return len(self.step_row)
@@ -920,7 +887,10 @@ class SweepTable(Sequence):
         if i in self.errors:
             return SweepRow(kind, node, pen, None, error=self.errors[i])
         label = _cell_label(self.template, kind, node, pen)
-        return SweepRow(kind, node, pen, _cell_result(self, i, label))
+        result = _cell_result(
+            label, self.trajectory, self.summary[i], self.sum_drop[i], self.step_row[i]
+        )
+        return SweepRow(kind, node, pen, result)
 
 
 def sweep_and_tabulate(
@@ -947,8 +917,8 @@ def sweep_and_tabulate(
         raise ValueError("penetrations, nodes and kinds must be non-empty")
     kinds = tuple(as_member(DeviceKind, kind, "sweep kind") for kind in kinds)
     chain, keys, cell_va = _sweep_cells(template, kinds, nodes, penetrations)
-    batch = _run_batch(chain, settings, keys, cell_va)
-    for error in batch.errors.values():
+    *columns, errors = _run_batch(chain, settings, keys, cell_va)
+    for error in errors.values():
         if not isinstance(error, PhasebalError):
             raise error
-    return SweepTable(template, kinds, nodes, penetrations, batch)
+    return SweepTable(template, kinds, nodes, penetrations, *columns, errors)

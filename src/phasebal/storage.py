@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import PhasebalError, RatingExceeded, SocOverflow, SocUnderflow
-from .network import PHASES, ArchKind, Phase, as_member
+from .network import DG_WINDOW, EV_WINDOW, PHASES, ArchKind, Phase, as_member
 
 if TYPE_CHECKING:
     from .scenarios import Scenario
@@ -116,8 +116,8 @@ class StylizedScheduleCfg:
     two units, if any, discharge); during the load window the roles swap.
     """
 
-    dg_window: tuple[float, float] = (10.0, 15.0)
-    ev_window: tuple[float, float] = (18.0, 23.0)
+    dg_window: tuple[float, float] = DG_WINDOW
+    ev_window: tuple[float, float] = EV_WINDOW
     target_phase: Phase = Phase.A
 
     def __post_init__(self) -> None:

@@ -40,7 +40,6 @@ from phasebal.network import (
 )
 from phasebal import scenarios
 from phasebal.powerflow import (
-    BatchSolution,
     SolverSettings,
     Topology,
     source_phasors,
@@ -226,10 +225,10 @@ def snapshot_solve(
     device label), raising the row's VoltageCollapse or NonConvergence."""
     topo = Topology(feeder)
     node, cond, s_va = _snapshot_entries(topo, feeder, injections)
-    result = sweep_batch(topo, node, cond, s_va[None], settings)
-    if result.failures:
-        raise result.failures[0]
-    return result.solution(feeder.nodes, 0)
+    voltages, currents, iterations, failures = sweep_batch(topo, node, cond, s_va[None], settings)
+    if failures:
+        raise failures[0]
+    return VoltageSolution(feeder.nodes, voltages[0], currents[0], int(iterations[0]))
 
 
 def _reference_levels(topo: Topology) -> list[np.ndarray]:
@@ -293,12 +292,12 @@ def reference_sweep_batch(
     cond: np.ndarray,
     s_va: np.ndarray,
     settings: SolverSettings = SolverSettings(),
-) -> BatchSolution:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, PhasebalError]]:
     """``sweep_batch`` as the scatter kernel computed it, fresh arrays on
     every pass and ``ufunc.at`` for the sinks and the branch sums: the
     reference the production kernel must match byte for byte, failures
     included (a row whose largest change is not finite fails on that pass
-    with NonConvergence)."""
+    with NonConvergence). Returns the same tuple."""
     levels = _reference_levels(topo)
     batch = s_va.shape[0]
     out_v = np.zeros((batch, topo.n, 4), dtype=complex)
@@ -336,7 +335,7 @@ def reference_sweep_batch(
             rows, v, s_va, delta = rows[keep], v[keep], s_va[keep], delta[keep]
     for row, residual in zip(rows.tolist(), delta.tolist()):
         failures[row] = NonConvergence(settings.max_iter, residual)
-    return BatchSolution(out_v, out_i, iterations, failures)
+    return out_v, out_i, iterations, failures
 
 
 def max_voltage_gap(a: VoltageSolution, b: VoltageSolution, nodes) -> float:
@@ -635,8 +634,8 @@ def assert_same_steps(got: ScenarioResult, want: ScenarioResult) -> None:
     and ``repr`` cover only the aggregates."""
     ours, theirs = got.trajectory, want.trajectory
     for name in ("voltages", "currents", "iterations"):
-        a = getattr(ours.solved, name)[got.step_row]
-        b = getattr(theirs.solved, name)[want.step_row]
+        a = getattr(ours, name)[got.step_row]
+        b = getattr(theirs, name)[want.step_row]
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
     assert (ours.dt_h, ours.battery_ids) == (theirs.dt_h, theirs.battery_ids)
     for name in ("p_kw", "q_kvar", "phase", "soc_kwh"):

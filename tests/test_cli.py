@@ -373,8 +373,8 @@ class TestParseConfig:
         load = Device("l1", "N1", DeviceKind.LOAD, Phase.A, 1.0 + 0j)
         feeder = build_feeder("N0", ["N0", "N1"], [LineSegment("N0", "N1", 0.1, **z_api)], [load])
         assert parsed.feeder == feeder
-        got = run_scenario(parsed).trajectory.solved
-        want = run_scenario(replace(parsed, feeder=feeder)).trajectory.solved
+        got = run_scenario(parsed).trajectory
+        want = run_scenario(replace(parsed, feeder=feeder)).trajectory
         assert got.voltages.tobytes() == want.voltages.tobytes()
         assert got.currents.tobytes() == want.currents.tobytes()
 
@@ -643,6 +643,7 @@ class TestRunCommand:
         [
             ("../escaped", "a '/'"),
             ("sub/label", "a '/'"),
+            ("a\nb", "a line feed"),
             ("a\rb", "a carriage return"),
             ("a\0b", "a NUL"),
             ("", None),
@@ -889,9 +890,10 @@ class TestStartUp:
         [
             (["sweep", "--preset", "grid-compact"], False),
             (["run", str(Path(__file__).parent / "golden" / "tree-150.json")], False),
+            (["run", "--preset", "stylized-nostorage"], False),
             (["run", "--preset", "a2-n5"], True),
         ],
-        ids=["sweep", "run-without-fleet", "run-with-fleet"],
+        ids=["sweep", "run-without-fleet", "stylized-without-fleet", "run-with-fleet"],
     )
     def test_a_command_loads_storage_only_for_a_fleet(self, tmp_path, args, storage):
         """A sweep and a run without a fleet load neither ``storage`` nor

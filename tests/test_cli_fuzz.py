@@ -156,8 +156,10 @@ def run_mutated(source: str, changes: list[tuple[tuple, object]], flags: list[st
         if code == 2:
             assert "invalid config at '" in err.getvalue(), err.getvalue()
         if code == 0:
-            # no output file name reads as a shell option
-            assert not [p.name for p in out.iterdir() if p.name.startswith("-")]
+            # no output file name reads as a shell option or splits a line
+            # of the listing of written paths
+            names = [p.name for p in out.iterdir()]
+            assert not [name for name in names if name.startswith("-") or "\n" in name]
             assert_tables_read_back(out)
 
 
@@ -176,6 +178,8 @@ def run_mutated(source: str, changes: list[tuple[tuple, object]], flags: list[st
 # an empty label, which would name the output files "-config.json" and so on
 @example(("grid-compact", [(("label",), "")], []))
 @example(("golden", [(("label",), "")], []))
+# a line feed, which would split each written path over two lines
+@example(("golden", [(("label",), "a\nb")], []))
 # solver flags over a solver that is no object
 @example(("golden", [(("solver",), 5)], ["--tol", "1e-6"]))
 @example(("grid-compact", [(("solver",), [1, 2])], ["--max-iter", "1"]))

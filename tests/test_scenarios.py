@@ -339,11 +339,11 @@ class TestRunScenario:
         assert len(result.per_timestep) == 24
 
     def test_solved_arrays_compare_and_hash_by_identity(self):
-        """Two greedy-fleet runs solve byte-equal arrays in distinct
-        ``BatchSolution`` objects: ``==`` compares them by identity instead
-        of asking the arrays for a truth value, and ``hash`` works."""
+        """Two greedy-fleet runs solve byte-equal voltages in distinct
+        ``Trajectory`` objects: ``==`` compares them by identity instead of
+        asking the arrays for a truth value, and ``hash`` works."""
         scenario = build_stylized_scenario(Architecture(ArchKind.A2), "N5", 4.5, "greedy")
-        a, b = (run_scenario(scenario).trajectory.solved for _ in range(2))
+        a, b = (run_scenario(scenario).trajectory for _ in range(2))
         assert a.voltages.tobytes() == b.voltages.tobytes()
         assert a == a and a != b
         assert len({a, b, a}) == 2
@@ -365,7 +365,7 @@ class TestRunScenario:
         operating point of an unloaded feeder, without losses."""
         result = run_scenario(Scenario(feeder=chain_feeder(3, 0.1), horizon_h=3.0))
         assert result.step_row.tolist() == [0, 0, 0]
-        assert len(result.trajectory.solved.voltages) == 1
+        assert len(result.trajectory.voltages) == 1
         assert result.phase_loss_kwh == result.neutral_loss_kwh == 0.0
 
     def test_stylized_neutral_current_only_in_windows(self):
@@ -617,7 +617,7 @@ class TestSweepTabulate:
         assert len(zero) == 1
         # one row for the six 0 % cells, one for each of the six 60 % cells
         traj = got[0].result.trajectory
-        assert len(traj.solved.voltages) == 1 + len(nodes) * len(kinds)
+        assert len(traj.voltages) == 1 + len(nodes) * len(kinds)
         for row, ref in zip(got, want):
             assert row.result.trajectory is traj
             assert_same_steps(row.result, ref.result)
@@ -696,9 +696,9 @@ class TestStepRecordView:
             assert rec.soc_kwh == dict(zip(traj.battery_ids, traj.soc_kwh[step].tolist()))
             sol, row = rec.solution, result.step_row[step]
             assert sol.nodes == traj.topology.nodes
-            assert sol.voltages.tobytes() == traj.solved.voltages[row].tobytes()
-            assert sol.currents.tobytes() == traj.solved.currents[row].tobytes()
-            assert sol.iterations == traj.solved.iterations[row]
+            assert sol.voltages.tobytes() == traj.voltages[row].tobytes()
+            assert sol.currents.tobytes() == traj.currents[row].tobytes()
+            assert sol.iterations == traj.iterations[row]
         assert view[-1].step == 11 and view[-1].t_h == 5.5
         assert [r.step for r in view] == list(range(12))
         assert [r.t_h for r in view] == [k * 0.5 for k in range(12)]
@@ -806,14 +806,16 @@ class TestBatchedRun:
         load = Device("load-N1-C", "N1", DeviceKind.LOAD, Phase.C, 2 + 0j)
         cells = [("dg", dg), ("plain", None), ("ev", ev), ("dg-again", dg), ("load", load)]
         keys, cell_va = cell_columns(base.feeder, [device for _, device in cells])
-        batch = scenarios._run_batch(base, SolverSettings(), keys, cell_va)
-        assert not batch.errors and len(batch.step_row) == len(cells)
+        traj, summary, sum_drop, step_row, errors = scenarios._run_batch(
+            base, SolverSettings(), keys, cell_va
+        )
+        assert not errors and len(step_row) == len(cells)
         for c, (label, device) in enumerate(cells):
-            result = scenarios._cell_result(batch, c, label)
+            result = scenarios._cell_result(label, traj, summary[c], sum_drop[c], step_row[c])
             feeder = base.feeder if device is None else with_device(base.feeder, device)
             want = run_scenario(replace(base, feeder=feeder, label=label))
             assert repr(result) == repr(want)
-            assert result.trajectory is batch.trajectory
+            assert result.trajectory is traj
             assert result.trajectory.topology.nodes == feeder.nodes
             assert_same_steps(result, want)
 
@@ -897,8 +899,8 @@ class TestBatchedRun:
         )
         got, want = run_scenario(scenario), reference_run(scenario)
         traj, ref = got.trajectory, want.trajectory
-        assert len(traj.solved.voltages) > 10
-        assert traj.solved.voltages.tobytes() == ref.solved.voltages.tobytes()
+        assert len(traj.voltages) > 10
+        assert traj.voltages.tobytes() == ref.voltages.tobytes()
         assert got.step_row.tobytes() == want.step_row.tobytes()
         assert repr(got) == repr(want)
         assert_same_steps(got, want)
@@ -947,8 +949,8 @@ class TestBatchedRun:
         scenario = Scenario(
             feeder=chain_feeder(2, 1.0, devices=[load]), horizon_h=6.0, profiles={"p": values}
         )
-        batch = scenarios._run_batch(scenario, SolverSettings())
-        assert batch.step_row.tolist() == [[0, 1, 2, 3, 1, 4]]
+        step_row = scenarios._run_batch(scenario, SolverSettings())[3]
+        assert step_row.tolist() == [[0, 1, 2, 3, 1, 4]]
         failure = outcome(scenario, run_scenario)
         assert failure[0] is ScenarioStepError and failure[1].startswith("at t=3 h: ")
         with undefined_vuf_at(undefined):
@@ -980,27 +982,29 @@ class TestBatchedRun:
                 for kw, _, _ in cells
             ],
         )
-        plain = scenarios._run_batch(scenario, SolverSettings(), *columns)
-        assert plain.step_row.tolist() == np.arange(30).reshape(6, 5).tolist()
-        assert {c: str(e)[: len("at t=3 h: ")] for c, e in plain.errors.items()} == {
+        *_, step_row, plain_errors = scenarios._run_batch(scenario, SolverSettings(), *columns)
+        assert step_row.tolist() == np.arange(30).reshape(6, 5).tolist()
+        assert {c: str(e)[: len("at t=3 h: ")] for c, e in plain_errors.items()} == {
             c: f"at t={fail} h: " for c, (_, fail, _) in enumerate(cells) if fail is not None
         }
         undefined = [5 * c + k for c, (_, _, k) in enumerate(cells) if k is not None]
         with undefined_vuf_at(undefined):
-            batch = scenarios._run_batch(scenario, SolverSettings(), *columns)
+            _, summary, sum_drop, _, errors = scenarios._run_batch(
+                scenario, SolverSettings(), *columns
+            )
         for c, (_, fail, bad) in enumerate(cells):
-            err = batch.errors.get(c)
+            err = errors.get(c)
             if fail is None and bad is None:
                 assert err is None
-                assert np.isfinite(batch.summary[c]).all() and np.isfinite(batch.sum_drop[c]).all()
+                assert np.isfinite(summary[c]).all() and np.isfinite(sum_drop[c]).all()
                 continue
-            assert np.isnan(batch.summary[c]).all() and np.isnan(batch.sum_drop[c]).all()
+            assert np.isnan(summary[c]).all() and np.isnan(sum_drop[c]).all()
             if fail is None or (bad is not None and bad < fail):
                 assert type(err) is ZeroPositiveSequence
                 assert str(err) == "positive-sequence magnitude is zero"
             else:
                 assert type(err) is ScenarioStepError and err.t_h == float(fail)
-                assert str(err) == str(plain.errors[c])
+                assert str(err) == str(plain_errors[c])
 
 
 def undefined_vuf_at(rows: list[int]):
@@ -1238,8 +1242,8 @@ class TestStepKeys:
             return
         traj, ref = got.trajectory, want.trajectory
         assert got.step_row.tobytes() == want.step_row.tobytes()
-        assert traj.solved.voltages.tobytes() == ref.solved.voltages.tobytes()
-        assert traj.solved.iterations.tobytes() == ref.solved.iterations.tobytes()
+        assert traj.voltages.tobytes() == ref.voltages.tobytes()
+        assert traj.iterations.tobytes() == ref.iterations.tobytes()
         assert_same_steps(got, want)
         # the loop evaluates every step of a fleet; the scan each distinct state
         if fleet in (None, "none"):
