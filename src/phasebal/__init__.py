@@ -53,6 +53,7 @@ _HOMES = {
     ),
     "network": (
         "CONDUCTORS",
+        "NETWORK_CLASS_SEGMENT_KM",
         "PHASES",
         "ArchKind",
         "Device",
@@ -62,11 +63,11 @@ _HOMES = {
         "Phase",
         "build_feeder",
         "chain_feeder",
+        "source_phasors",
     ),
-    "powerflow": ("SolverSettings", "source_phasors"),
+    "powerflow": ("SolverSettings",),
     "presets": ("preset_config", "preset_names"),
     "scenarios": (
-        "NETWORK_CLASS_SEGMENT_KM",
         "Scenario",
         "ScenarioResult",
         "SweepTemplate",

@@ -10,8 +10,8 @@ they are read, and ``phasebal`` resolves its names on first access.
   explicit injections merged over them.
 - The scalar metrics of one three-phase set: ``fortescue``,
   ``inverse_fortescue``, ``vuf``, ``rms_voltage`` and ``check_vuf_norm``
-  against ``VUF_NORM_LIMITS``. ``metrics.node_metric_arrays`` computes the
-  same values over arrays, bit for bit.
+  against ``VUF_NORM_LIMITS``. ``powerflow.node_metric_arrays`` computes
+  the same values over arrays, bit for bit.
 - The per-step views, made from the arrays of a run on every read:
   ``StepRecord`` (with ``DispatchAction``, and the ``VoltageSolution`` of
   its row of the trajectory's ``voltages``, ``currents`` and
@@ -31,9 +31,8 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .errors import NonConvergence, UnknownNode, UnknownNorm, VoltageCollapse, ZeroPositiveSequence
-from .metrics import ALPHA
 from .network import CONDUCTORS, PHASES, Device, DeviceKind, Feeder, Phase
-from .powerflow import _COLLAPSE_PU, SolverSettings, Topology, _Kernel, segment_losses
+from .powerflow import ALPHA, _COLLAPSE_PU, SolverSettings, Topology, _Kernel, segment_losses
 
 if TYPE_CHECKING:
     from .scenarios import ScenarioResult, Trajectory

@@ -14,6 +14,9 @@ Exit codes: 0 ok, 2 config error, 3 solver failure, 4 I/O error.
 ``main(argv)`` runs a command in process; ``process_main`` is the process
 entry (``python -m phasebal.cli``, the ``phasebal`` script).
 
+This module imports neither numpy nor the solver: ``parse_config`` loads
+them, so ``phasebal ingest`` never does (the rule is set out in ``g17``).
+
 All CSVs are UTF-8, comma-separated, LF-terminated, with floats printed at
 17 significant digits and text quoted only where ``csv.writer`` would quote
 it; reruns of the same config are byte-identical. Every CSV but the
@@ -41,8 +44,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, NoReturn, Sequence, TextIO
 
-import numpy as np
-
 from .errors import (
     ConfigInvalid,
     NonMonotonicTimestamps,
@@ -50,6 +51,11 @@ from .errors import (
     SchemaMismatch,
 )
 from .network import (
+    CONTROLLERS,
+    NETWORK_CLASS_SEGMENT_KM,
+    STORAGE_NODES,
+    SUMMARY_FIELDS,
+    SWEEP_KINDS,
     ArchKind,
     Device,
     DeviceKind,
@@ -57,26 +63,12 @@ from .network import (
     LineSegment,
     Phase,
     build_feeder,
+    check_label,
 )
-from .powerflow import SolverSettings
 from .presets import preset_config, preset_names
-from .scenarios import (
-    CONTROLLERS,
-    NETWORK_CLASS_SEGMENT_KM,
-    STORAGE_NODES,
-    SUMMARY_FIELDS,
-    SWEEP_KINDS,
-    Scenario,
-    ScenarioResult,
-    SweepTable,
-    SweepTemplate,
-    build_stylized_scenario,
-    build_sweep_scenario,
-    run_scenario,
-    sweep_and_tabulate,
-)
 
 if TYPE_CHECKING:
+    from .scenarios import Scenario, ScenarioResult, SolverSettings, SweepTable, SweepTemplate
     from .storage import Architecture
 
 # --- configuration schema ----------------------------------------------------
@@ -514,6 +506,8 @@ def _parse_fleet(doc: dict) -> dict:
 
 def _parse_scenario(doc: dict, label: str, path: str) -> Scenario:
     """The scenario of a run config, built under ``label``."""
+    from .scenarios import Scenario, build_stylized_scenario, build_sweep_scenario
+
     kind = doc.get("type")
     if kind not in _SCENARIO_SCHEMAS:
         raise ConfigInvalid(
@@ -554,29 +548,19 @@ def parse_config(doc: Any, path: str = "<config>") -> RunConfig:
     the model layer (bad topology, sign conventions, ...) propagate as the
     corresponding package errors.
     """
+    from .scenarios import SolverSettings, SweepTemplate
+
     _validate(doc, CONFIG_SCHEMA, path, "")
     has_scenario = "scenario" in doc
     has_sweep = "sweep" in doc
     if has_scenario == has_sweep:
         raise ConfigInvalid(path, "scenario|sweep", "exactly one of 'scenario' or 'sweep' required")
 
-    try:
+    with _config_errors(path, "solver"):
         settings = SolverSettings(**doc.get("solver", {}))
-    except ValueError as exc:
-        raise ConfigInvalid(path, "solver", str(exc)) from None
     label = doc.get("label", "run")
-    # the label names the output files, so a "/" would write outside --out,
-    # an empty one names "-config.json", which shell tools read as an
-    # option, and a "\n" splits a written path over two lines of the
-    # listing; it fills a summary CSV cell, which csv.writer leaves unquoted
-    # for a "\r"
-    if not label:
-        raise ConfigInvalid(path, "label", f"label {label!r} is empty")
-    for char, what in (
-        ("/", "a '/'"), ("\n", "a line feed"), ("\r", "a carriage return"), ("\0", "a NUL")
-    ):
-        if char in label:
-            raise ConfigInvalid(path, "label", f"label {label!r} holds {what}")
+    with _config_errors(path, "label"):
+        check_label(label)
 
     if has_scenario:
         return RunConfig(
@@ -669,6 +653,8 @@ def timeseries_rows(result: ScenarioResult) -> Iterator[str]:
     rejects it). A step's text is that with each carriage return replaced
     by the step's ``t_h`` and a comma, and the 7 storage columns of the
     step spliced in after each storage node."""
+    import numpy as np
+
     from . import g17  # off the start-up path: only a run's timeseries needs it
 
     traj = result.trajectory
@@ -764,6 +750,8 @@ def _write_sweep_outputs(cfg: RunConfig, table: SweepTable, out_dir: Path) -> li
     ``csv_lines`` would write each row: text through ``csv.writer``'s
     quoting, and the floats of each file through one ``g17.lines`` call. A
     failing cell's row shows its place, empty values and its error."""
+    import numpy as np
+
     from . import g17  # off the start-up path: only a run's or a sweep's CSVs need it
 
     failed = np.zeros(len(table), dtype=bool)
@@ -913,6 +901,8 @@ def _config_errors(source: str, field: str) -> Iterator[None]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .scenarios import run_scenario
+
     doc, source = _load_config(args)
     with _config_errors(source, "scenario"):
         cfg = parse_config(doc, source)
@@ -921,13 +911,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = run_scenario(cfg.scenario, cfg.settings)
     out_dir = Path(args.out)
     _emit_config(doc, cfg.label, out_dir)
-    written = _write_run_outputs(cfg, result, out_dir)
-    for path in written:
+    for path in _write_run_outputs(cfg, result, out_dir):
         print(path)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .scenarios import sweep_and_tabulate
+
     doc, source = _load_config(args)
     with _config_errors(source, "scenario"):
         cfg = parse_config(doc, source)
@@ -938,12 +929,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         table = sweep_and_tabulate(cfg.sweep_template, pens, nodes, kinds, cfg.settings)
     out_dir = Path(args.out)
     _emit_config(doc, cfg.label, out_dir)
-    written = _write_sweep_outputs(cfg, table, out_dir)
-    for path in written:
+    for path in _write_sweep_outputs(cfg, table, out_dir):
         print(path)
-    failures = len(table.errors)
-    if failures:
-        print(f"{failures} cell(s) failed; see failures manifest", file=sys.stderr)
+    if table.errors:
+        print(f"{len(table.errors)} cell(s) failed; see failures manifest", file=sys.stderr)
     return 0
 
 

@@ -14,10 +14,11 @@ demand. CPython compiles a module in one piece, and without cached
 bytecode every start compiles each module it imports, so every line
 imported costs start-up time and peak memory. ``cli`` imports this
 module only when a run writes its timeseries or a sweep its tables, so
-parsing does not pay for it; by the same rule ``storage`` loads only for
-a fleet, ``checks`` (the oracle, the scalar metrics and the per-step
-views) only when one of them is read, and ``ingest`` only for ``phasebal
-ingest``.
+parsing does not pay for it; by the same rule numpy and the solver
+(``powerflow``, ``scenarios``) load only when a config is parsed,
+``storage`` only for a fleet, ``checks`` (the oracle, the scalar metrics
+and the per-step views) only when one of them is read, and ``ingest``
+only for ``phasebal ingest``.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ neutral-current proxy) and aggregates the spread by clock hour.
 
 The neutral proxy assumes nominal balanced voltages when converting
 per-phase powers to current phasors; it approximates, not reproduces, a
-measured neutral current.
+measured neutral current. The module imports only ``errors`` and
+``network``, so ``phasebal ingest`` loads neither numpy nor the solver.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from datetime import datetime, timezone
 from typing import Sequence
 
 from .errors import NonMonotonicTimestamps, SchemaMismatch
-from .network import DEFAULT_V_BASE_LN
-from .powerflow import source_phasors
+from .network import DEFAULT_V_BASE_LN, source_phasors
 
 _BASE_COLUMNS = ("timestamp", "p_a_kw", "p_b_kw", "p_c_kw")
 _Q_COLUMNS = ("q_a_kvar", "q_b_kvar", "q_c_kvar")
 _NEUTRAL_COLUMN = "i_n_a"
+
+#: Nominal balanced line-to-neutral voltages of the neutral-current proxy.
+_PHASORS = source_phasors(DEFAULT_V_BASE_LN)
 
 #: Accepted header layouts, in column order.
 ACCEPTED_HEADERS = tuple(
@@ -146,13 +149,11 @@ def read_measured_series(path: str) -> MeasuredSeries:
                     raise SchemaMismatch(f"row {i}: {column} {cell!r} is not a plain decimal")
             timestamps.append(row[0])
             hours.append(hour)
-            p_rows.append((values[0], values[1], values[2]))
-            cursor = 3
+            p_rows.append(tuple(values[:3]))
             if has_q:
-                q_rows.append((values[3], values[4], values[5]))
-                cursor = 6
+                q_rows.append(tuple(values[3:6]))
             if has_n:
-                n_rows.append(values[cursor])
+                n_rows.append(values[-1])
 
     return MeasuredSeries(
         timestamps=tuple(timestamps),
@@ -166,9 +167,8 @@ def read_measured_series(path: str) -> MeasuredSeries:
 def neutral_current_proxy(p_kw: Sequence[float], q_kvar: Sequence[float]) -> float:
     """|Ia + Ib + Ic| under nominal balanced voltages (``DEFAULT_V_BASE_LN``
     line to neutral), amps."""
-    phasors = source_phasors(DEFAULT_V_BASE_LN)
     total = 0j
-    for p, q, v in zip(p_kw, q_kvar, phasors):
+    for p, q, v in zip(p_kw, q_kvar, _PHASORS):
         total += (complex(p, q) * 1000.0 / v).conjugate()
     return abs(total)
 

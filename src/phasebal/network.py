@@ -5,6 +5,11 @@ four-conductor line segments (phases A, B, C plus an explicit neutral).
 Single-phase or balanced three-phase devices (loads, distributed generation,
 EV chargers, storage converters) hang off the nodes.
 
+It also holds the vocabulary that the config schema and the CSV columns
+name, the run label's rule (``check_label``) and the balanced
+``source_phasors``; it imports no numpy, so ``cli`` and ``ingest`` read
+them without loading the solver.
+
 Conventions:
 - Loads and EVs consume with P > 0; DG injects with P < 0.
 - Powers are kVA (complex), impedances Ohm/km, lengths km, voltages V.
@@ -96,6 +101,49 @@ class ArchKind(str, Enum):
 #: that a scenario without a fleet reads them without loading ``storage``.
 DG_WINDOW: tuple[float, float] = (10.0, 15.0)
 EV_WINDOW: tuple[float, float] = (18.0, 23.0)
+
+#: Segment length (km) per network class; load level is the caller's choice,
+#: with 5 kW per phase canonical for compact/sparse and 50 kW for overload.
+NETWORK_CLASS_SEGMENT_KM: dict[str, float] = {"compact": 0.1, "overload": 0.1, "sparse": 1.0}
+
+CONTROLLERS = ("none", "fixed_schedule", "greedy")
+
+#: Device kinds a sweep cell may add, and the stylized scenario's storage nodes.
+SWEEP_KINDS = (DeviceKind.DG, DeviceKind.EV)
+STORAGE_NODES = ("N0", "N5")
+
+#: The aggregates of a run, in ``scenarios.ScenarioResult`` field order.
+SUMMARY_FIELDS = (
+    "mean_vuf_pct",
+    "max_vuf_pct",
+    "neutral_loss_kwh",
+    "phase_loss_kwh",
+    "max_drop_pct",
+    "max_rise_pct",
+)
+
+
+def check_label(label: str) -> None:
+    """Raise ValueError if ``label`` cannot name a run's output files: a '/'
+    writes outside the output directory, an empty label names files that
+    shell tools read as options, a line feed splits a listed path, a
+    carriage return a summary CSV row, and no file name holds a NUL."""
+    if not label:
+        raise ValueError(f"label {label!r} is empty")
+    for char, what in (
+        ("/", "a '/'"), ("\n", "a line feed"), ("\r", "a carriage return"), ("\0", "a NUL")
+    ):
+        if char in label:
+            raise ValueError(f"label {label!r} holds {what}")
+
+
+def source_phasors(v_base_ln: float) -> tuple[complex, complex, complex]:
+    """Balanced source phasors: A at 0 deg, B at -120 deg, C at +120 deg."""
+    return (
+        complex(v_base_ln, 0.0),
+        v_base_ln * cmath.exp(-2j * math.pi / 3),
+        v_base_ln * cmath.exp(+2j * math.pi / 3),
+    )
 
 
 def _require_finite(value: complex, what: str) -> None:

@@ -57,8 +57,11 @@ the largest voltage change in one pass is at most tol_pu * v_base_ln. A
 sweep row whose largest change is not finite (an overflow) fails on that
 pass, and the kernel raises no numpy warning for it.
 Unbalanced phase currents return through the explicit neutral conductor,
-which is grounded at the source only. ``segment_losses`` gives |I|^2 R per
-conductor, exact when the mutual impedance has no resistive part.
+which is grounded at the source only. Over solved rows, ``segment_losses``
+gives |I|^2 R per conductor, exact when the mutual impedance has no
+resistive part, and ``node_metric_arrays`` each node's voltage unbalance
+factor (VUF: the negative- to positive-sequence magnitude ratio of its
+Fortescue components, in percent), deviation and RMS voltage.
 
 Arrays are combined element by element in the order the scalar formulas
 read, so results do not depend on batch size or row position. Magnitudes
@@ -76,7 +79,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import NonConvergence, PhasebalError, VoltageCollapse
-from .network import Feeder
+from .network import Feeder, source_phasors
 
 _COLLAPSE_PU = 0.5
 
@@ -95,6 +98,9 @@ class SolverSettings:
     max_iter: int = 100
 
     def __post_init__(self) -> None:
+        for name in ("tol_pu", "max_iter"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0 < self.tol_pu < math.inf:
             raise ValueError(f"tol_pu must be finite and > 0, got {self.tol_pu}")
         if isinstance(self.max_iter, float):  # JSON Schema's integers include 5.0
@@ -105,15 +111,6 @@ class SolverSettings:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.max_iter > MAX_ITER:
             raise ValueError(f"max_iter must be at most {MAX_ITER}, got {self.max_iter}")
-
-
-def source_phasors(v_base_ln: float) -> tuple[complex, complex, complex]:
-    """Balanced source phasors: A at 0 deg, B at -120 deg, C at +120 deg."""
-    return (
-        complex(v_base_ln, 0.0),
-        v_base_ln * cmath.exp(-2j * math.pi / 3),
-        v_base_ln * cmath.exp(+2j * math.pi / 3),
-    )
 
 
 class Topology:
@@ -392,3 +389,46 @@ def segment_losses(
     in kW."""
     amps_sq = np.float_power(np.hypot(currents.real, currents.imag), 2.0)
     return amps_sq[..., :3] * r_ph[:, None] / 1000.0, amps_sq[..., 3] * r_n / 1000.0
+
+
+#: Rotation operator a = 1 at +120 degrees.
+ALPHA = cmath.exp(2j * math.pi / 3)
+
+
+def _times(c: complex, re, im):
+    """Python's complex product c * (re + j im), component by component."""
+    return c.real * re - c.imag * im, c.real * im + c.imag * re
+
+
+def _third(re, im):
+    """Python's complex quotient (re + j im) / 3, component by component."""
+    return (re + im * 0.0) / 3.0, (im - re * 0.0) / 3.0
+
+
+def node_metric_arrays(
+    voltages: np.ndarray, v_base: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """VUF percent ``(..., node)``, signed deviation percent (below
+    nominal < 0 < above) ``(..., node, 3)`` and RMS voltage ``(..., node)``
+    of the line-to-neutral voltages in ``voltages`` ``(..., node, 4)``.
+
+    Each value equals ``checks.vuf(checks.fortescue(...))``,
+    ``checks.rms_voltage`` and the deviation formula bit for bit (the sums
+    run component-wise in their order); a zero positive-sequence magnitude
+    gives a non-finite VUF instead of raising.
+    """
+    v_ln = voltages[..., :3] - voltages[..., 3:]
+    re, im = v_ln.real, v_ln.imag
+    mag = np.hypot(re, im)
+    seq_mag = []
+    for b, c in ((ALPHA, ALPHA * ALPHA), (ALPHA * ALPHA, ALPHA)):
+        b_re, b_im = _times(b, re[..., 1], im[..., 1])
+        c_re, c_im = _times(c, re[..., 2], im[..., 2])
+        seq_mag.append(np.hypot(*_third(re[..., 0] + b_re + c_re, im[..., 0] + b_im + c_im)))
+    mag1, mag2 = seq_mag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vuf_pct = 100.0 * mag2 / mag1
+    drop_pct = 100.0 * (mag - v_base) / v_base
+    sq = mag * mag
+    v_rms = np.sqrt((sq[..., 0] + sq[..., 1] + sq[..., 2]) / 3.0)
+    return vuf_pct, drop_pct, v_rms

@@ -63,11 +63,15 @@ from .errors import (
     UnsupportedNode,
     ZeroPositiveSequence,
 )
-from .metrics import node_metric_arrays
 from .network import (
+    CONTROLLERS,
     DG_WINDOW,
     EV_WINDOW,
+    NETWORK_CLASS_SEGMENT_KM,
     PHASES,
+    STORAGE_NODES,
+    SUMMARY_FIELDS,
+    SWEEP_KINDS,
     ArchKind,
     Device,
     DeviceKind,
@@ -75,26 +79,13 @@ from .network import (
     Phase,
     as_member,
     chain_feeder,
+    check_label,
 )
-from .powerflow import SolverSettings, Topology, segment_losses, sweep_batch
+from .powerflow import SolverSettings, Topology, node_metric_arrays, segment_losses, sweep_batch
 
 if TYPE_CHECKING:
     from .checks import StepRecord, SweepRow
     from .storage import Architecture, Battery, StylizedScheduleCfg
-
-#: Segment length (km) per network class; load level is the caller's choice,
-#: with 5 kW per phase canonical for compact/sparse and 50 kW for overload.
-NETWORK_CLASS_SEGMENT_KM: dict[str, float] = {
-    "compact": 0.1,
-    "overload": 0.1,
-    "sparse": 1.0,
-}
-
-CONTROLLERS = ("none", "fixed_schedule", "greedy")
-
-#: Device kinds a sweep cell may add, and the stylized scenario's storage nodes.
-SWEEP_KINDS = (DeviceKind.DG, DeviceKind.EV)
-STORAGE_NODES = ("N0", "N5")
 
 #: Most timesteps a scenario may have, checked before any per-step array is
 #: sized; a one-minute year (525,600 steps) fits.
@@ -135,6 +126,7 @@ class Scenario:
     __hash__ = None  # ``profiles`` is a dict
 
     def __post_init__(self) -> None:
+        check_label(self.label)
         if self.controller not in CONTROLLERS:
             raise ValueError(f"unknown controller {self.controller!r}")
         n, peaks = _step_count(self.horizon_h, self.dt_h), {}
@@ -296,17 +288,6 @@ class ScenarioResult:
         from .checks import _StepRecords  # a per-step view, loaded when read
 
         return _StepRecords(self.trajectory, self.step_row)
-
-
-#: The aggregates of a run, in ``ScenarioResult`` field order.
-SUMMARY_FIELDS = (
-    "mean_vuf_pct",
-    "max_vuf_pct",
-    "neutral_loss_kwh",
-    "phase_loss_kwh",
-    "max_drop_pct",
-    "max_rise_pct",
-)
 
 
 def _cell_result(

@@ -101,6 +101,8 @@ class Architecture:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", as_member(ArchKind, self.kind, "architecture kind"))
+        if not isinstance(self.allow_load_shift, bool):
+            raise ValueError(f"allow_load_shift must be a bool, got {self.allow_load_shift!r}")
 
     @property
     def n_batteries(self) -> int:

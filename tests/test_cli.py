@@ -33,7 +33,7 @@ from conftest import (
     with_profiles,
 )
 
-from phasebal import cli, g17
+from phasebal import cli, g17, scenarios
 from phasebal.cli import (
     _SCENARIO_SCHEMAS,
     _SWEEP_SCHEMA,
@@ -71,6 +71,17 @@ from phasebal.scenarios import (
     sweep_and_tabulate,
 )
 from phasebal.storage import Architecture, ArchKind, Battery, StylizedScheduleCfg
+
+
+#: Labels that cannot name a run's output files, and what each holds.
+BAD_LABELS = [
+    ("../escaped", "a '/'"),
+    ("sub/label", "a '/'"),
+    ("a\nb", "a line feed"),
+    ("a\rb", "a carriage return"),
+    ("a\0b", "a NUL"),
+    ("", None),
+]
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -638,17 +649,7 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize(
-        "label, what",
-        [
-            ("../escaped", "a '/'"),
-            ("sub/label", "a '/'"),
-            ("a\nb", "a line feed"),
-            ("a\rb", "a carriage return"),
-            ("a\0b", "a NUL"),
-            ("", None),
-        ],
-    )
+    @pytest.mark.parametrize("label, what", BAD_LABELS)
     def test_label_that_leaves_out_or_splits_a_row_exits_2_and_names_it(
         self, tmp_path, capsys, command, label, what
     ):
@@ -666,6 +667,23 @@ class TestRunCommand:
         assert f"invalid config at 'label': label {label!r} {words}" in err
         assert sorted(p.name for p in tmp_path.rglob("*")) == [Path(path).name]
 
+    @pytest.mark.parametrize("build", ["stylized", "sweep_cell", "custom"])
+    @pytest.mark.parametrize("label, what", BAD_LABELS)
+    def test_label_the_cli_refuses_the_api_refuses_with_its_message(self, build, label, what):
+        """Every scenario builder applies the CLI's label rule, with the
+        message the CLI prints after the field."""
+        builders = {
+            "stylized": lambda: build_stylized_scenario(None, label=label),
+            "sweep_cell": lambda: build_sweep_scenario(
+                5.0, "N5", DeviceKind.DG, 50, "compact", label=label
+            ),
+            "custom": lambda: Scenario(feeder=build_feeder("N0", ["N0"]), label=label),
+        }
+        words = "is empty" if what is None else f"holds {what}"
+        with pytest.raises(ValueError) as exc:
+            builders[build]()
+        assert str(exc.value) == f"label {label!r} {words}"
+
     def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(CUSTOM_DOC).replace('"p_kw": 1.0', '"p_kw": 1' + "0" * 400))
@@ -677,7 +695,7 @@ class TestRunCommand:
         def run_scenario(*args):
             raise AssertionError("a 1e15-step scenario reached run_scenario")
 
-        monkeypatch.setattr(cli, "run_scenario", run_scenario)
+        monkeypatch.setattr(scenarios, "run_scenario", run_scenario)
         doc = json.loads(json.dumps(CUSTOM_DOC))
         del doc["scenario"]["dt_h"]
         doc["scenario"]["horizon_h"] = 1e15
@@ -689,7 +707,7 @@ class TestRunCommand:
         def run_scenario(*args):
             raise AssertionError("an oversized greedy search reached run_scenario")
 
-        monkeypatch.setattr(cli, "run_scenario", run_scenario)
+        monkeypatch.setattr(scenarios, "run_scenario", run_scenario)
         doc = {
             "label": "huge",
             "scenario": {
@@ -862,10 +880,12 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 
 
 #: Runs ``python -m phasebal.cli`` on argv[1:] as runpy does, then prints
-#: the phasebal modules the process loaded, as its last line, at exit.
+#: the phasebal modules and numpy if the process loaded them, as its last
+#: line, at exit.
 _LOADED_AT_EXIT = (
     "import atexit, runpy, sys; "
-    "atexit.register(lambda: print(sorted(m for m in sys.modules if m.startswith('phasebal')))); "
+    "atexit.register(lambda: print(sorted("
+    "m for m in sys.modules if m.startswith('phasebal') or m == 'numpy'))); "
     "sys.argv[0] = 'phasebal.cli'; runpy.run_module('phasebal.cli', run_name='__main__')"
 )
 
@@ -903,6 +923,18 @@ class TestStartUp:
         loaded = eval(out.stdout.splitlines()[-1])
         assert "phasebal.scenarios" in loaded and "phasebal.checks" not in loaded
         assert ("phasebal.storage" in loaded) is storage
+
+    def test_ingest_loads_neither_numpy_nor_the_solver(self, tmp_path):
+        """``ingest`` reads its source phasors from ``network``, so a fresh
+        ``phasebal ingest`` loads numpy, ``scenarios`` and ``powerflow``
+        no more than ``storage`` or ``checks``."""
+        series = Path(__file__).parent / "golden" / "measured-base.csv"
+        out = fresh_python("-c", _LOADED_AT_EXIT, "ingest", str(series), "--out", "out", cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        # runpy runs phasebal.cli as __main__, so it is not listed
+        assert eval(out.stdout.splitlines()[-1]) == [
+            "phasebal", "phasebal.errors", "phasebal.ingest", "phasebal.network", "phasebal.presets"
+        ]
 
     def test_every_export_is_its_home_modules_object(self):
         """Each name of ``__all__`` resolves, on first access, to the object

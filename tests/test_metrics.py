@@ -20,7 +20,7 @@ from phasebal.checks import (
     vuf,
 )
 from phasebal.errors import UnknownNorm, ZeroPositiveSequence
-from phasebal.metrics import ALPHA, node_metric_arrays
+from phasebal.powerflow import ALPHA, node_metric_arrays
 
 
 def polar(mag: float, deg: float) -> complex:

@@ -498,6 +498,14 @@ class TestSolverSettings:
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             SolverSettings(max_iter=max_iter)
 
+    @pytest.mark.parametrize("field", ["tol_pu", "max_iter"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_rejected_and_named(self, field, value):
+        """A bool is an int to Python, so ``max_iter=True`` would run one
+        pass and report "after True iterations"; the schema refuses it too."""
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got {value}$"):
+            SolverSettings(**{field: value})
+
     @pytest.mark.parametrize("max_iter", [0, 0.0, -3.0])
     def test_max_iter_below_one_rejected(self, max_iter):
         with pytest.raises(ValueError, match="max_iter must be >= 1"):

@@ -264,6 +264,12 @@ class TestArchitecture:
         with pytest.raises(ValueError, match=f"unknown architecture kind {bad!r}"):
             Architecture(kind=bad)
 
+    @pytest.mark.parametrize("bad", ["no", "", 0, 1, None])
+    def test_non_bool_load_shift_rejected_and_named(self, bad):
+        """A truthy string would run load-shifting A2 whatever it says."""
+        with pytest.raises(ValueError, match=f"allow_load_shift must be a bool, got {bad!r}"):
+            Architecture(ArchKind.A2, allow_load_shift=bad)
+
 
 class TestFixedSchedule:
     CFG = StylizedScheduleCfg()
